@@ -43,18 +43,23 @@ check: build vet fmt test race
 # and gates it against the committed baseline; `make bench-record` refreshes
 # the baseline after an intentional QoR change; `make bench-diff` compares
 # the two most recent BENCH_*.json recordings without running the flow.
-BENCH_PROFILE ?= smoke
-BENCH_REPEAT  ?= 2
-BENCH_HISTORY ?= bench/history.jsonl
+# Every run writes its journal (ending in the run summary `make trend`
+# reads) to its own file under BENCH_JOURNALS.
+BENCH_PROFILE  ?= smoke
+BENCH_REPEAT   ?= 2
+BENCH_JOURNALS ?= bench/journals
+BENCH_STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
 
 bench:
+	@mkdir -p $(BENCH_JOURNALS)
 	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
-		-history $(BENCH_HISTORY) \
+		-journal $(BENCH_JOURNALS)/bench-$(BENCH_STAMP).jsonl \
 		-out build/BENCH_latest.json -baseline bench/baseline-$(BENCH_PROFILE).json
 
 bench-record:
+	@mkdir -p $(BENCH_JOURNALS)
 	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
-		-history $(BENCH_HISTORY) \
+		-journal $(BENCH_JOURNALS)/record-$(BENCH_STAMP).jsonl \
 		-out bench/baseline-$(BENCH_PROFILE).json
 
 bench-diff:
@@ -73,23 +78,23 @@ explain:
 	@grep -q '"zero_delta": true' build/self-explain.json && \
 		echo "explain: self-diff is zero-delta, OK"
 
-# Run-over-run drift table from the metrics history store that `make bench`
-# appends to (docs/OBSERVABILITY.md). TREND_GLOB subsets the metrics.
+# Run-over-run drift table over the run journals under BENCH_JOURNALS
+# (docs/OBSERVABILITY.md). TREND_GLOB subsets the metrics.
 TREND_LAST ?= 8
 TREND_GLOB ?= *
 
 trend:
-	$(GO) run ./cmd/cryoobs trend -history $(BENCH_HISTORY) \
-		-last $(TREND_LAST) -glob '$(TREND_GLOB)'
+	$(GO) run ./cmd/cryoobs trend -last $(TREND_LAST) -glob '$(TREND_GLOB)' \
+		$(BENCH_JOURNALS)/*.jsonl
 
 # Span-scoped cost attribution of a smoke bench run (docs/OBSERVABILITY.md):
-# per-stage CPU/alloc/engine-counter tree on stderr, journal + history
-# copies under build/ for cryoobs cost.
+# per-stage CPU/alloc/engine-counter tree on stderr; the run's journal
+# under BENCH_JOURNALS keeps it for cryoobs cost and cryoobs trend.
 cost:
-	@mkdir -p build
+	@mkdir -p build $(BENCH_JOURNALS)
 	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat 1 \
 		-out build/BENCH_cost.json \
-		-journal build/cost-journal.jsonl -history build/cost-history.jsonl \
+		-journal $(BENCH_JOURNALS)/cost-$(BENCH_STAMP).jsonl \
 		-cost -
 
 # Go microbenchmarks (the paper-benchmark target predating cryobench).

@@ -62,8 +62,8 @@ func main() {
 		explainJSON:   *explainJSON,
 	}
 
-	// Activate before any mode dispatch so -journal/-history/-progress work
-	// in diff mode too (a diff is a run worth recording).
+	// Activate before any mode dispatch so -journal/-progress work in diff
+	// mode too (a diff is a run worth recording).
 	flush, err := obsFlags.Activate()
 	exitOn(err)
 	flushObs = flush
@@ -78,7 +78,7 @@ func main() {
 		exitOn(err)
 		cur, err := qor.ReadBaselineFile(flag.Arg(1))
 		exitOn(err)
-		obs.HistoryAddQoR(cur.FlatMetrics())
+		obs.AddRunQoR(cur.FlatMetrics())
 		code := reportDiff(base, cur, cfg)
 		flushObs()
 		os.Exit(code)
@@ -109,7 +109,7 @@ func main() {
 	t0 := time.Now()
 	b, err := qor.Run(context.Background(), opt)
 	exitOn(err)
-	obs.HistoryAddQoR(b.FlatMetrics())
+	obs.AddRunQoR(b.FlatMetrics())
 	fmt.Fprintf(os.Stderr, "recorded %d circuit records in %.1fs\n", len(b.Circuits), time.Since(t0).Seconds())
 
 	outPath := *out

@@ -7,8 +7,8 @@
 //	cryoobs tail    -f [-poll 500ms] journal.jsonl               # follow a live journal
 //	cryoobs merge   journal.jsonl...                             # merged JSONL to stdout
 //	cryoobs explain [-o report.md] [-md] journal-a journal-b     # cross-run attribution
-//	cryoobs trend   [-history bench/history.jsonl] [-glob ...]   # run-over-run metric trends
-//	cryoobs cost    [-run <id>] [-md|-json] <journal|history>    # span cost-attribution tree
+//	cryoobs trend   [-last N] [-glob ...] journal.jsonl...       # run-over-run metric trends
+//	cryoobs cost    [-run <id>] [-md|-json] journal.jsonl        # span cost-attribution tree
 //
 // report renders per-run stage timelines, failure sites ranked by
 // recurrence, watchdog stall post-mortems (active span stack + goroutine
@@ -19,10 +19,9 @@
 // runs (A = baseline, B = current): stage wall-time shifts always, plus
 // full QoR attribution when both journals attest to a cryobench baseline
 // artifact that is still intact on disk (SHA-256 verified). trend reads
-// the append-only metrics history store (the -history flag every flow
-// binary shares) and renders run-over-run tables for glob-selected
-// metrics, flagging values that drift outside the noise band of their own
-// history.
+// the run summaries that end each journal (one column per run) and renders
+// run-over-run tables for glob-selected metrics, flagging values that drift
+// outside the noise band of their own history.
 //
 // Exit status: 0 on success (report/summary exit 0 even when the journal
 // records failures — the journal being readable is the success condition),
@@ -82,11 +81,10 @@ commands:
   merge    merge journals by time into one JSONL stream on stdout
   explain  attribute the QoR and runtime difference between two journal
            runs: cryoobs explain <journal-a> <journal-b>
-  trend    run-over-run metric trend tables from the -history store:
-           cryoobs trend [-history bench/history.jsonl] [-glob spice.*]
+  trend    run-over-run metric trend tables, one column per journaled run:
+           cryoobs trend [-last 8] [-glob spice.*] <journal.jsonl>...
   cost     span cost-attribution tree (self-CPU sorted, engine-counter
-           columns) from a journal's cost events, or the per-stage cost
-           table of a history record: cryoobs cost <journal|history>`)
+           columns) from a journal's cost events: cryoobs cost <journal>`)
 	os.Exit(2)
 }
 
@@ -236,28 +234,20 @@ func cmdTrend(args []string) {
 	asJSON := fs.Bool("json", false, "emit the trend report as JSON")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	fs.Parse(args)
-	// The shared -history flag names the store to READ here; clear it before
-	// activation so trend does not append a record about itself to the store
-	// it is reporting on.
-	hist := of.HistoryPath
-	if hist == "" {
-		hist = "bench/history.jsonl"
-	}
-	of.HistoryPath = ""
 	defer activate(of)()
-	recs, err := obs.ReadHistoryFile(hist)
-	check(err)
-	if len(recs) == 0 {
-		fmt.Fprintf(os.Stderr, "cryoobs: %s holds no history records\n", hist)
-		os.Exit(2)
-	}
+	evs := loadArgs(fs)
 	var globs []string
 	for _, g := range strings.Split(*glob, ",") {
 		if g = strings.TrimSpace(g); g != "" {
 			globs = append(globs, g)
 		}
 	}
-	rep := forensics.Trend(recs, globs, *last, qor.DefaultThresholds())
+	rep, err := forensics.Trend(evs, globs, *last, qor.DefaultThresholds())
+	check(err)
+	if len(rep.Runs) == 0 {
+		fmt.Fprintln(os.Stderr, "cryoobs: no run summaries in the given journals (were they written with -journal?)")
+		os.Exit(2)
+	}
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -275,10 +265,8 @@ func cmdTrend(args []string) {
 	}
 }
 
-// cmdCost renders cost attribution captured by the -cost flag. Given a
-// journal it rebuilds the full span cost tree from the typed cost events;
-// given a history store it falls back to the flat per-stage cost columns
-// of the selected (default: latest) record.
+// cmdCost renders cost attribution captured by the -cost flag, rebuilding
+// the full span cost tree from a journal's typed cost events.
 func cmdCost(args []string) {
 	fs := flag.NewFlagSet("cost", flag.ExitOnError)
 	of := obs.InstallFlags(fs)
@@ -290,10 +278,9 @@ func cmdCost(args []string) {
 	fs.Parse(args)
 	defer activate(of)()
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cryoobs cost [-run <id>] [-md|-json] [-o file] <journal.jsonl|history.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: cryoobs cost [-run <id>] [-md|-json] [-o file] <journal.jsonl>")
 		os.Exit(2)
 	}
-	path := fs.Arg(0)
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -310,69 +297,18 @@ func cmdCost(args []string) {
 		}
 	}
 
-	// A journal line always carries "kind"; a history line never does. Try
-	// the journal shape first and fall back to history records.
-	evs, jerr := forensics.Load(path)
-	if jerr == nil && isJournal(evs) {
-		rep, err := forensics.CostFromEvents(evs, *run)
-		check(err)
-		switch {
-		case *asJSON:
-			check(rep.WriteJSON(w))
-		case *md:
-			check(rep.WriteMarkdown(w, opts))
-		default:
-			check(rep.WriteText(w, opts))
-		}
-		return
+	evs, err := forensics.Load(fs.Arg(0))
+	check(err)
+	rep, err := forensics.CostFromEvents(evs, *run)
+	check(err)
+	switch {
+	case *asJSON:
+		check(rep.WriteJSON(w))
+	case *md:
+		check(rep.WriteMarkdown(w, opts))
+	default:
+		check(rep.WriteText(w, opts))
 	}
-	recs, herr := obs.ReadHistoryFile(path)
-	if herr != nil || len(recs) == 0 {
-		if jerr != nil {
-			check(jerr)
-		}
-		check(fmt.Errorf("%s holds neither journal cost events nor history records", path))
-	}
-	rec := pickCostRecord(recs, *run)
-	if rec == nil {
-		check(fmt.Errorf("%s: no history record with stage costs (run %q)", path, *run))
-	}
-	if *asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		check(enc.Encode(rec.Costs))
-		return
-	}
-	check(forensics.WriteStageCosts(w, rec))
-}
-
-// isJournal reports whether loaded events look like a journal (at least
-// one record decoded a kind; history lines leave Kind empty).
-func isJournal(evs []obs.Event) bool {
-	for i := range evs {
-		if evs[i].Kind != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// pickCostRecord selects the history record to render: the requested run,
-// or the newest record that carries stage costs.
-func pickCostRecord(recs []obs.HistoryRecord, run string) *obs.HistoryRecord {
-	for i := len(recs) - 1; i >= 0; i-- {
-		r := &recs[i]
-		if run != "" {
-			if r.Run == run {
-				return r
-			}
-			continue
-		}
-		if len(r.Costs) > 0 {
-			return r
-		}
-	}
-	return nil
 }
 
 func loadArgs(fs *flag.FlagSet) []obs.Event {

@@ -3,8 +3,6 @@ package forensics
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -75,39 +73,4 @@ func attrF64(attrs map[string]string, key string) float64 {
 		return 0
 	}
 	return v
-}
-
-// WriteStageCosts renders one history record's per-stage cost columns
-// (-history records written under -cost) as a text table, hottest self-CPU
-// first.
-func WriteStageCosts(w io.Writer, rec *obs.HistoryRecord) error {
-	if len(rec.Costs) == 0 {
-		return fmt.Errorf("forensics: history record %s carries no stage costs (was the run started with -cost?)", rec.Run)
-	}
-	names := make([]string, 0, len(rec.Costs))
-	nameW := len("stage")
-	for name := range rec.Costs {
-		names = append(names, name)
-		if len(name) > nameW {
-			nameW = len(name)
-		}
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := rec.Costs[names[i]], rec.Costs[names[j]]
-		if a.SelfCPUSec != b.SelfCPUSec {
-			return a.SelfCPUSec > b.SelfCPUSec
-		}
-		return names[i] < names[j]
-	})
-	ew := &errWriter{w: w}
-	ew.printf("stage costs: run %s (%s), peak RSS %d bytes, GC pause %.3fs\n\n",
-		rec.Run, rec.Time().Format("2006-01-02 15:04:05"), rec.PeakRSSBytes, rec.GCPauseTotalSec)
-	ew.printf("%-*s  %10s  %10s  %14s  %12s  %10s\n",
-		nameW, "stage", "self-cpu", "wall", "self-allocs", "self-objs", "gc-cpu")
-	for _, name := range names {
-		c := rec.Costs[name]
-		ew.printf("%-*s  %9.3fs  %9.3fs  %14d  %12d  %9.3fs\n",
-			nameW, name, c.SelfCPUSec, c.WallSec, c.SelfAllocBytes, c.SelfAllocObjects, c.GCCPUSec)
-	}
-	return ew.err
 }

@@ -1,6 +1,7 @@
 package forensics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,44 +103,52 @@ func TestCostFromEventsOrphan(t *testing.T) {
 	}
 }
 
-func TestWriteStageCosts(t *testing.T) {
-	rec := &obs.HistoryRecord{
-		Run: "run-1", PeakRSSBytes: 1 << 20, GCPauseTotalSec: 0.004,
-		Costs: map[string]obs.StageCost{
-			"charlib.cell": {SelfCPUSec: 1.25, WallSec: 2, SelfAllocBytes: 4096, SelfAllocObjects: 12},
-			"qor.signoff":  {SelfCPUSec: 0.5, WallSec: 0.6},
-		},
+// TestCostFromEventsStageCosts pins the trend's cost.* columns to the
+// report's own rollup: the per-stage costs rebuilt from a journal's cost
+// events must equal StageCosts of the report that emitted them.
+func TestCostFromEventsStageCosts(t *testing.T) {
+	orig := costFixtureReport()
+	var sink strings.Builder
+	j := obs.NewJournal(&sink, "r-stage")
+	orig.JournalCost(j)
+	j.Close()
+	evs, err := obs.ReadJournal(strings.NewReader(sink.String()))
+	if err != nil {
+		t.Fatalf("journal: %v", err)
 	}
-	var out strings.Builder
-	if err := WriteStageCosts(&out, rec); err != nil {
-		t.Fatalf("WriteStageCosts: %v", err)
+	rep, err := CostFromEvents(evs, "r-stage")
+	if err != nil {
+		t.Fatalf("CostFromEvents: %v", err)
 	}
-	text := out.String()
-	iChar := strings.Index(text, "charlib.cell")
-	iQor := strings.Index(text, "qor.signoff")
-	if iChar < 0 || iQor < 0 || iChar > iQor {
-		t.Errorf("stages missing or not sorted by self-CPU:\n%s", text)
-	}
-	if !strings.Contains(text, "peak RSS 1048576 bytes") {
-		t.Errorf("header missing peak RSS:\n%s", text)
-	}
-
-	if err := WriteStageCosts(&out, &obs.HistoryRecord{Run: "bare"}); err == nil {
-		t.Error("WriteStageCosts accepted a record without costs")
+	got, want := rep.StageCosts(), orig.StageCosts()
+	if len(want) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("stage costs from events:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestFlattenRecordCostColumns: trend flattening surfaces the cost and
-// process-health columns, omitting zero dimensions.
+// TestFlattenRecordCostColumns: trend flattening surfaces the cost columns
+// rebuilt from the run's cost events and the summary's process-health
+// columns, omitting zero dimensions.
 func TestFlattenRecordCostColumns(t *testing.T) {
-	rec := &obs.HistoryRecord{
+	var sink strings.Builder
+	j := obs.NewJournal(&sink, "r-cost")
+	(&obs.CostReport{Roots: []*obs.CostNode{{
+		Name: "charlib.cell", Path: "charlib.cell", Count: 1,
+		SelfCPUSec: 1.5, WallSec: 2, SelfAllocBytes: 64,
+	}}}).JournalCost(j)
+	j.EventDetail(obs.KindRunEnd, "", "", nil, &obs.RunSummary{
 		PeakRSSBytes:    2048,
 		GCPauseTotalSec: 0.25,
-		Costs: map[string]obs.StageCost{
-			"charlib.cell": {SelfCPUSec: 1.5, WallSec: 2, SelfAllocBytes: 64},
-		},
+	})
+	j.Close()
+	evs, err := obs.ReadJournal(strings.NewReader(sink.String()))
+	if err != nil {
+		t.Fatalf("journal: %v", err)
 	}
-	flat := FlattenRecord(rec)
+	flat, err := FlattenRecord(evs, "r-cost")
+	if err != nil {
+		t.Fatalf("FlattenRecord: %v", err)
+	}
 	want := map[string]float64{
 		"cost.charlib.cell.self_cpu_seconds": 1.5,
 		"cost.charlib.cell.wall_seconds":     2,

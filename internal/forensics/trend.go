@@ -13,7 +13,7 @@ import (
 	"repro/internal/qor"
 )
 
-// TrendRun labels one column of a trend table: one history record.
+// TrendRun labels one column of a trend table: one journaled run.
 type TrendRun struct {
 	Run  string    `json:"run"`
 	Bin  string    `json:"bin"`
@@ -44,7 +44,7 @@ type TrendRow struct {
 }
 
 // TrendReport is a run-over-run metrics comparison rendered by
-// cryoobs trend: one column per history record (oldest first), one row per
+// cryoobs trend: one column per run.end summary (oldest first), one row per
 // metric matching the requested globs.
 type TrendReport struct {
 	Runs []TrendRun `json:"runs"`
@@ -63,17 +63,39 @@ func (t *TrendReport) Drifting() int {
 	return n
 }
 
-// FlattenRecord flattens one history record into dotted scalar metrics —
+// FlattenRecord flattens one run's record — the obs.RunSummary its
+// run.end event carries plus its cost events — into dotted scalar metrics,
 // the namespace trend globs select over: counters and gauges keep their
 // registry names, each histogram contributes "<name>.count" and
 // "<name>.mean", per-stage wall times appear as "stage.<span>", and QoR
 // metrics keep the "qor." names the producing tool staged. Runs captured
 // under -cost additionally contribute "cost.<span>.<dimension>" columns
-// (child-exclusive CPU/alloc/GC per stage), and every record carries
-// "runtime.peak_rss_bytes" / "runtime.gc_pause_total_seconds".
-func FlattenRecord(rec *obs.HistoryRecord) map[string]float64 {
+// (child-exclusive CPU/alloc/GC per stage, rebuilt from the cost events),
+// and every summary carries "runtime.peak_rss_bytes" /
+// "runtime.gc_pause_total_seconds".
+func FlattenRecord(evs []obs.Event, run string) (map[string]float64, error) {
+	var sum *obs.RunSummary
+	hasCost := false
+	for i := range evs {
+		e := &evs[i]
+		if e.Run != run {
+			continue
+		}
+		switch {
+		case e.Kind == obs.KindRunEnd && len(e.Detail) > 0:
+			sum = &obs.RunSummary{}
+			if err := json.Unmarshal(e.Detail, sum); err != nil {
+				return nil, fmt.Errorf("forensics: run %s: run.end summary: %w", run, err)
+			}
+		case e.Kind == obs.KindCost:
+			hasCost = true
+		}
+	}
+	if sum == nil {
+		return nil, fmt.Errorf("forensics: run %s has no run.end summary", run)
+	}
 	out := map[string]float64{}
-	if m := rec.Metrics; m != nil {
+	if m := sum.Metrics; m != nil {
 		for k, v := range m.Counters {
 			out[k] = float64(v)
 		}
@@ -87,38 +109,44 @@ func FlattenRecord(rec *obs.HistoryRecord) map[string]float64 {
 			}
 		}
 	}
-	for k, v := range rec.Stages {
+	for k, v := range sum.Stages {
 		out["stage."+k] = v
 	}
-	for k, v := range rec.QoR {
+	for k, v := range sum.QoR {
 		out[k] = v
 	}
-	for k, c := range rec.Costs {
-		if c.SelfCPUSec != 0 {
-			out["cost."+k+".self_cpu_seconds"] = c.SelfCPUSec
+	if hasCost {
+		rep, err := CostFromEvents(evs, run)
+		if err != nil {
+			return nil, err
 		}
-		if c.WallSec != 0 {
-			out["cost."+k+".wall_seconds"] = c.WallSec
-		}
-		if c.SelfAllocBytes != 0 {
-			out["cost."+k+".self_alloc_bytes"] = float64(c.SelfAllocBytes)
-		}
-		if c.SelfAllocObjects != 0 {
-			out["cost."+k+".self_alloc_objects"] = float64(c.SelfAllocObjects)
-		}
-		if c.GCCPUSec != 0 {
-			out["cost."+k+".gc_cpu_seconds"] = c.GCCPUSec
+		for k, c := range rep.StageCosts() {
+			if c.SelfCPUSec != 0 {
+				out["cost."+k+".self_cpu_seconds"] = c.SelfCPUSec
+			}
+			if c.WallSec != 0 {
+				out["cost."+k+".wall_seconds"] = c.WallSec
+			}
+			if c.SelfAllocBytes != 0 {
+				out["cost."+k+".self_alloc_bytes"] = float64(c.SelfAllocBytes)
+			}
+			if c.SelfAllocObjects != 0 {
+				out["cost."+k+".self_alloc_objects"] = float64(c.SelfAllocObjects)
+			}
+			if c.GCCPUSec != 0 {
+				out["cost."+k+".gc_cpu_seconds"] = c.GCCPUSec
+			}
 		}
 	}
-	// Record-level process health beats the sampled gauges of the same
+	// Summary-level process health beats the sampled gauges of the same
 	// name: it is present even when the run never scraped /metrics.
-	if rec.PeakRSSBytes > 0 {
-		out["runtime.peak_rss_bytes"] = float64(rec.PeakRSSBytes)
+	if sum.PeakRSSBytes > 0 {
+		out["runtime.peak_rss_bytes"] = float64(sum.PeakRSSBytes)
 	}
-	if rec.GCPauseTotalSec > 0 {
-		out["runtime.gc_pause_total_seconds"] = rec.GCPauseTotalSec
+	if sum.GCPauseTotalSec > 0 {
+		out["runtime.gc_pause_total_seconds"] = sum.GCPauseTotalSec
 	}
-	return out
+	return out, nil
 }
 
 // globMatch reports whether name matches the pattern, where '*' matches
@@ -153,30 +181,43 @@ func matchesAny(globs []string, name string) bool {
 	return false
 }
 
-// Trend digests the history records (any order; they are sorted by append
-// time) into a run-over-run report for the metrics matching globs, keeping
-// only the last `last` records when last > 0. The drift verdict compares
-// each metric's latest value against the noise band (median ± IQR, same
+// Trend digests journal events (one or more runs, e.g. forensics.Load over
+// several journals) into a run-over-run report for the metrics matching
+// globs: one column per run.end summary, ordered by run end time, keeping
+// only the last `last` runs when last > 0. The drift verdict compares each
+// metric's latest value against the noise band (median ± IQR, same
 // thresholds as the cryobench diff) of its prior values, so identical
 // reruns stay quiet and only real shifts are flagged.
-func Trend(records []obs.HistoryRecord, globs []string, last int, th qor.Thresholds) *TrendReport {
-	recs := append([]obs.HistoryRecord(nil), records...)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].TNs < recs[j].TNs })
-	if last > 0 && len(recs) > last {
-		recs = recs[len(recs)-last:]
+func Trend(evs []obs.Event, globs []string, last int, th qor.Thresholds) (*TrendReport, error) {
+	bins := map[string]string{}
+	var runs []TrendRun
+	for i := range evs {
+		e := &evs[i]
+		switch {
+		case e.Kind == obs.KindRunStart:
+			bins[e.Run] = e.Attrs["bin"]
+		case e.Kind == obs.KindRunEnd && len(e.Detail) > 0:
+			// A journal writes run.start first, so the bin is known here.
+			runs = append(runs, TrendRun{Run: e.Run, Bin: bins[e.Run], Time: e.Time()})
+		}
+	}
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Time.Before(runs[j].Time) })
+	if last > 0 && len(runs) > last {
+		runs = runs[len(runs)-last:]
 	}
 	if len(globs) == 0 {
 		globs = []string{"*"}
 	}
-	rep := &TrendReport{}
-	flats := make([]map[string]float64, len(recs))
+	rep := &TrendReport{Runs: runs}
+	flats := make([]map[string]float64, len(runs))
 	names := map[string]bool{}
-	for i := range recs {
-		rep.Runs = append(rep.Runs, TrendRun{
-			Run: recs[i].Run, Bin: recs[i].Bin, Time: recs[i].Time(),
-		})
-		flats[i] = FlattenRecord(&recs[i])
-		for k := range flats[i] {
+	for i := range runs {
+		flat, err := FlattenRecord(evs, runs[i].Run)
+		if err != nil {
+			return nil, err
+		}
+		flats[i] = flat
+		for k := range flat {
 			if matchesAny(globs, k) {
 				names[k] = true
 			}
@@ -188,16 +229,16 @@ func Trend(records []obs.HistoryRecord, globs []string, last int, th qor.Thresho
 	}
 	sort.Strings(ordered)
 	for _, name := range ordered {
-		row := TrendRow{Metric: name, Points: make([]TrendPoint, len(recs))}
+		row := TrendRow{Metric: name, Points: make([]TrendPoint, len(runs))}
 		var prior []float64
 		latest, latestOK := 0.0, false
-		for i := range recs {
+		for i := range runs {
 			v, ok := flats[i][name]
 			row.Points[i] = TrendPoint{Value: v, Present: ok}
 			if !ok {
 				continue
 			}
-			if i == len(recs)-1 {
+			if i == len(runs)-1 {
 				latest, latestOK = v, true
 			} else {
 				prior = append(prior, v)
@@ -218,7 +259,7 @@ func Trend(records []obs.HistoryRecord, globs []string, last int, th qor.Thresho
 		row.VerdictText = row.Verdict.String()
 		rep.Rows = append(rep.Rows, row)
 	}
-	return rep
+	return rep, nil
 }
 
 // WriteText renders the trend report as an aligned text table, one run per

@@ -1,6 +1,7 @@
 package forensics
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -8,19 +9,52 @@ import (
 	"repro/internal/qor"
 )
 
-func histRec(tns int64, run string, qorVals map[string]float64) obs.HistoryRecord {
-	return obs.HistoryRecord{
-		TNs: tns, Run: run, Bin: "cryobench",
+// runEvents journals one run the way the -journal flag does: run.start
+// carrying the bin, then run.end at tns carrying the summary.
+func runEvents(tns int64, run string, sum obs.RunSummary) []obs.Event {
+	detail, err := json.Marshal(&sum)
+	if err != nil {
+		panic(err)
+	}
+	return []obs.Event{
+		{Seq: 1, TNs: tns - 1, Run: run, Kind: obs.KindRunStart, Attrs: map[string]string{"bin": "cryobench"}},
+		{Seq: 2, TNs: tns, Run: run, Kind: obs.KindRunEnd, Detail: detail},
+	}
+}
+
+// histRec journals one benchmark run with a fixed metrics snapshot and
+// stage time plus the given QoR metrics.
+func histRec(tns int64, run string, qorVals map[string]float64) []obs.Event {
+	return runEvents(tns, run, obs.RunSummary{
 		Metrics: &obs.Snapshot{
 			Counters: map[string]int64{"spice.newton.iterations": 1000 + tns},
 		},
 		Stages: map[string]float64{"synth.opt": 0.5},
 		QoR:    qorVals,
+	})
+}
+
+// journals concatenates per-run event slices, as forensics.Load would over
+// several journal files.
+func journals(runs ...[]obs.Event) []obs.Event {
+	var out []obs.Event
+	for _, r := range runs {
+		out = append(out, r...)
 	}
+	return out
+}
+
+func mustTrend(t *testing.T, evs []obs.Event, globs []string, last int) *TrendReport {
+	t.Helper()
+	rep, err := Trend(evs, globs, last, qor.DefaultThresholds())
+	if err != nil {
+		t.Fatalf("Trend: %v", err)
+	}
+	return rep
 }
 
 func TestFlattenRecord(t *testing.T) {
-	rec := obs.HistoryRecord{
+	evs := runEvents(10, "r-flat", obs.RunSummary{
 		Metrics: &obs.Snapshot{
 			Counters: map[string]int64{"cec.sat.calls": 12},
 			Gauges:   map[string]float64{"synth.map.area": 42.5},
@@ -31,8 +65,11 @@ func TestFlattenRecord(t *testing.T) {
 		},
 		Stages: map[string]float64{"qor.flow": 1.5},
 		QoR:    map[string]float64{"qor.ctrl/pad@10K.area": 7},
+	})
+	flat, err := FlattenRecord(evs, "r-flat")
+	if err != nil {
+		t.Fatalf("FlattenRecord: %v", err)
 	}
-	flat := FlattenRecord(&rec)
 	want := map[string]float64{
 		"cec.sat.calls":              12,
 		"synth.map.area":             42.5,
@@ -49,6 +86,9 @@ func TestFlattenRecord(t *testing.T) {
 		if flat[k] != v {
 			t.Errorf("flat[%q] = %g, want %g", k, flat[k], v)
 		}
+	}
+	if _, err := FlattenRecord(evs, "r-other"); err == nil {
+		t.Error("FlattenRecord accepted a run without a run.end summary")
 	}
 }
 
@@ -76,13 +116,12 @@ func TestGlobMatch(t *testing.T) {
 // TestTrendDriftAndQuiet is the acceptance scenario: three identical runs
 // stay quiet; a fourth with a seeded regression is flagged, and only it.
 func TestTrendDriftAndQuiet(t *testing.T) {
-	th := qor.DefaultThresholds()
-	quiet := []obs.HistoryRecord{
+	quiet := journals(
 		histRec(1, "r-aaaaaaaa-1", map[string]float64{"qor.x.area": 100, "qor.x.delay": 2e-9}),
 		histRec(2, "r-bbbbbbbb-2", map[string]float64{"qor.x.area": 100, "qor.x.delay": 2e-9}),
 		histRec(3, "r-cccccccc-3", map[string]float64{"qor.x.area": 100, "qor.x.delay": 2e-9}),
-	}
-	rep := Trend(quiet, []string{"qor.*"}, 0, th)
+	)
+	rep := mustTrend(t, quiet, []string{"qor.*"}, 0)
 	if rep.Drifting() != 0 {
 		t.Errorf("identical reruns drifted: %+v", rep.Rows)
 	}
@@ -92,9 +131,9 @@ func TestTrendDriftAndQuiet(t *testing.T) {
 		}
 	}
 
-	drifted := append(quiet, histRec(4, "r-dddddddd-4",
+	drifted := journals(quiet, histRec(4, "r-dddddddd-4",
 		map[string]float64{"qor.x.area": 150, "qor.x.delay": 2e-9}))
-	rep = Trend(drifted, []string{"qor.*"}, 0, th)
+	rep = mustTrend(t, drifted, []string{"qor.*"}, 0)
 	if rep.Drifting() != 1 {
 		t.Fatalf("drifting = %d, want 1: %+v", rep.Drifting(), rep.Rows)
 	}
@@ -114,23 +153,22 @@ func TestTrendDriftAndQuiet(t *testing.T) {
 	}
 
 	// An improvement is drift too, just with the good sign.
-	improved := append(quiet, histRec(4, "r-eeeeeeee-4",
+	improved := journals(quiet, histRec(4, "r-eeeeeeee-4",
 		map[string]float64{"qor.x.area": 50, "qor.x.delay": 2e-9}))
-	rep = Trend(improved, []string{"qor.x.area"}, 0, th)
+	rep = mustTrend(t, improved, []string{"qor.x.area"}, 0)
 	if len(rep.Rows) != 1 || rep.Rows[0].Verdict != qor.Improved {
 		t.Errorf("improvement rows: %+v", rep.Rows)
 	}
 }
 
 func TestTrendNewMissingAndLast(t *testing.T) {
-	th := qor.DefaultThresholds()
-	recs := []obs.HistoryRecord{
-		histRec(3, "r-3", map[string]float64{"qor.old": 1}), // appended out of order
+	recs := journals(
+		histRec(3, "r-3", map[string]float64{"qor.old": 1}), // journals given out of order
 		histRec(1, "r-1", map[string]float64{"qor.old": 1}),
 		histRec(2, "r-2", map[string]float64{"qor.old": 1}),
 		histRec(4, "r-4", map[string]float64{"qor.fresh": 9}),
-	}
-	rep := Trend(recs, []string{"qor.*"}, 0, th)
+	)
+	rep := mustTrend(t, recs, []string{"qor.*"}, 0)
 	if got := len(rep.Runs); got != 4 {
 		t.Fatalf("runs = %d, want 4", got)
 	}
@@ -150,20 +188,19 @@ func TestTrendNewMissingAndLast(t *testing.T) {
 		t.Errorf("drifting = %d, want 0", rep.Drifting())
 	}
 
-	// last=2 keeps only the newest two records.
-	rep = Trend(recs, []string{"qor.*"}, 2, th)
+	// last=2 keeps only the newest two runs.
+	rep = mustTrend(t, recs, []string{"qor.*"}, 2)
 	if len(rep.Runs) != 2 || rep.Runs[0].Run != "r-3" || rep.Runs[1].Run != "r-4" {
 		t.Errorf("last=2 runs: %+v", rep.Runs)
 	}
 }
 
 func TestTrendRenderers(t *testing.T) {
-	th := qor.DefaultThresholds()
-	recs := []obs.HistoryRecord{
+	recs := journals(
 		histRec(1, "r-aaaaaaaa-1", map[string]float64{"qor.x.area": 100}),
 		histRec(2, "r-bbbbbbbb-2", map[string]float64{"qor.x.area": 150}),
-	}
-	rep := Trend(recs, []string{"qor.x.area"}, 0, th)
+	)
+	rep := mustTrend(t, recs, []string{"qor.x.area"}, 0)
 
 	var text strings.Builder
 	if err := rep.WriteText(&text); err != nil {

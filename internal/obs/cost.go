@@ -104,9 +104,9 @@ func DisableCost() {
 
 // FinalizeCost stops the CPU profile and slices its samples by span label,
 // fixing the report's CPU columns and window. Idempotent; called by the
-// flag Flush before the cost report, history record, and journal events
-// are produced. Capture of wall/alloc/counter deltas continues for spans
-// still running, but CPU attribution is frozen at this point.
+// flag Flush before the cost report and journal events are produced.
+// Capture of wall/alloc/counter deltas continues for spans still running,
+// but CPU attribution is frozen at this point.
 func FinalizeCost() {
 	cc := globalCost.Load()
 	if cc == nil {
@@ -695,8 +695,8 @@ func (r *CostReport) JournalCost(j *Journal) {
 	}
 }
 
-// StageCost is the per-stage cost rollup appended to -history records: the
-// child-exclusive costs of every node sharing one span name, summed. Self
+// StageCost is the per-stage cost rollup behind the trend's cost.* columns:
+// the child-exclusive costs of every node sharing one span name, summed. Self
 // costs (not totals) keep the column additive — nested stages never double
 // count — so cryoobs trend can flag e.g. allocs-per-stage doubling even
 // when wall time hides inside its noise band.

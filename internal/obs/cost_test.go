@@ -214,8 +214,8 @@ func TestStageCosts(t *testing.T) {
 
 // TestCostFlagLifecycle drives the -cost flag end to end: Activate enables
 // capture, Flush finalizes, writes the report file, emits journal cost
-// events exactly once, and stamps stage costs + peak RSS + GC pause into
-// the history record.
+// events exactly once, and stamps peak RSS + GC pause into the run.end
+// summary that follows them.
 func TestCostFlagLifecycle(t *testing.T) {
 	resetCostState()
 	defer resetCostState()
@@ -225,8 +225,9 @@ func TestCostFlagLifecycle(t *testing.T) {
 
 	dir := t.TempDir()
 	costPath := filepath.Join(dir, "cost.txt")
-	histPath := filepath.Join(dir, "history.jsonl")
-	f := &Flags{CostPath: costPath, HistoryPath: histPath}
+	// The in-memory journal installed above stays the global one: Activate
+	// keeps an enabled journal, so JournalPath only turns on run.end.
+	f := &Flags{CostPath: costPath, JournalPath: filepath.Join(dir, "unused.jsonl")}
 	flush, err := f.Activate()
 	if err != nil {
 		t.Fatalf("Activate: %v", err)
@@ -258,14 +259,18 @@ func TestCostFlagLifecycle(t *testing.T) {
 		t.Fatalf("journal: %v", err)
 	}
 	var summaries, nodes int
+	var childNode bool
+	var ends []Event
 	for _, e := range evs {
-		if e.Kind != KindCost {
-			continue
-		}
-		if len(e.Detail) == 0 {
+		switch {
+		case e.Kind == KindRunEnd:
+			ends = append(ends, e)
+		case e.Kind != KindCost:
+		case len(e.Detail) == 0:
 			summaries++
-		} else {
+		default:
 			nodes++
+			childNode = childNode || e.Stage == "lifecycle.child"
 		}
 	}
 	if summaries != 1 {
@@ -275,19 +280,21 @@ func TestCostFlagLifecycle(t *testing.T) {
 		t.Errorf("got %d cost node events, want >= 2 (lifecycle + child)", nodes)
 	}
 
-	recs, err := ReadHistoryFile(histPath)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("history: %v (%d records)", err, len(recs))
+	if !childNode {
+		t.Error("no cost node event for lifecycle.child")
 	}
-	rec := recs[0]
-	if _, ok := rec.Costs["lifecycle.child"]; !ok {
-		t.Errorf("history record missing stage cost for lifecycle.child: %+v", rec.Costs)
+	if len(ends) != 1 || ends[0].Seq < evs[len(evs)-1].Seq {
+		t.Fatalf("want one run.end after the cost events, got %d", len(ends))
 	}
-	if rec.PeakRSSBytes == 0 {
-		t.Errorf("history record missing peak RSS")
+	var sum RunSummary
+	if err := json.Unmarshal(ends[0].Detail, &sum); err != nil {
+		t.Fatalf("run.end summary: %v", err)
 	}
-	if rec.GCPauseTotalSec < 0 {
-		t.Errorf("negative GC pause total: %g", rec.GCPauseTotalSec)
+	if sum.PeakRSSBytes == 0 {
+		t.Errorf("run summary missing peak RSS")
+	}
+	if sum.GCPauseTotalSec < 0 {
+		t.Errorf("negative GC pause total: %g", sum.GCPauseTotalSec)
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,17 +14,18 @@ import (
 )
 
 // Flags carries the standard observability CLI flags shared by every
-// binary in the flow: -metrics, -trace, -pprof, -obs-addr, -loglevel,
-// -journal, -progress, -stall, -stall-abort, -history, and -cost. Binaries must
-// not hand-register any of these: one shared InstallFlags call is what
-// keeps the flag surface identical across all ten tools (pinned by
+// binary in the flow: -metrics, -trace, -obs-addr, -loglevel, -journal,
+// -progress, -stall, -stall-abort, and -cost. Binaries must not
+// hand-register any of these: one shared InstallFlags call is what keeps
+// the flag surface identical across all ten tools (pinned by
 // TestFlagSurface).
 type Flags struct {
 	MetricsPath string
 	TracePath   string
-	PprofAddr   string
 	ObsAddr     string
 	LogLevel    string
+	// JournalPath is the run's one persisted record: events as they happen,
+	// then a run.end event whose detail is the RunSummary.
 	JournalPath string
 	// ProgressEvery enables progress tracking and prints per-stage
 	// percent/rate/ETA report lines (and journal progress events) at this
@@ -39,17 +37,12 @@ type Flags struct {
 	// StallAbort aborts the process (exit 2) after a stall post-mortem
 	// instead of waiting for the stage to recover.
 	StallAbort bool
-	// HistoryPath appends this run's registry snapshot + stage wall times
-	// (+ any staged QoR summary) to the JSONL metrics history store on
-	// exit (bench/history.jsonl by convention; cryoobs trend reads it).
-	HistoryPath string
 	// CostPath enables span cost attribution (CPU profile sliced by span
 	// labels + alloc/GC/counter boundary deltas) and writes the cost tree
 	// to this file on exit ('-' for stderr).
 	CostPath string
 
 	runEnded     atomic.Bool // run.end emitted (Flush may be called twice)
-	histWritten  atomic.Bool // history appended (Flush may be called twice)
 	costWritten  atomic.Bool // cost journal events emitted
 	stopReporter func()      // terminates the periodic progress reporter
 }
@@ -60,14 +53,12 @@ func InstallFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write a metrics dump to this file on exit ('-' for stderr)")
 	fs.StringVar(&f.TracePath, "trace", "", "write Chrome trace_event JSON (chrome://tracing, Perfetto) to this file on exit")
-	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve live metrics (Prometheus /metrics, /spans, /progress, pprof) on this address; implies metrics+tracing+progress")
 	fs.StringVar(&f.LogLevel, "loglevel", "", "diagnostic log level: debug|info|warn|error (default warn)")
-	fs.StringVar(&f.JournalPath, "journal", "", "append a structured JSONL run journal to this file (cryoobs reads it)")
+	fs.StringVar(&f.JournalPath, "journal", "", "write a structured JSONL run journal, ending in a run summary, to this file (cryoobs reads it)")
 	fs.DurationVar(&f.ProgressEvery, "progress", 0, "print per-stage progress lines (percent/rate/ETA) at this interval (e.g. 5s)")
 	fs.DurationVar(&f.StallAfter, "stall", 0, "stall watchdog: journal a goroutine-dump post-mortem when a stage makes no progress for this long")
 	fs.BoolVar(&f.StallAbort, "stall-abort", false, "with -stall, abort the process (exit 2) after capturing the stall post-mortem")
-	fs.StringVar(&f.HistoryPath, "history", "", "append this run's metrics snapshot + QoR summary to this JSONL history store (cryoobs trend reads it)")
 	fs.StringVar(&f.CostPath, "cost", "", "attribute CPU/alloc/engine-counter cost to flow spans and write the cost tree to this file on exit ('-' for stderr); implies metrics+tracing")
 	return f
 }
@@ -92,11 +83,6 @@ func (f *Flags) Activate() (flush func(), err error) {
 	}
 	if f.CostPath != "" {
 		EnableCost()
-	}
-	if f.PprofAddr != "" {
-		if err := servePprof(f.PprofAddr); err != nil {
-			return nil, err
-		}
 	}
 	if f.ObsAddr != "" {
 		if err := serveObs(f.ObsAddr); err != nil {
@@ -129,7 +115,8 @@ func (f *Flags) Activate() (flush func(), err error) {
 	return f.Flush, nil
 }
 
-// Flush writes the metrics and trace outputs requested by the flags.
+// Flush writes the metrics, trace, and cost outputs requested by the flags
+// and ends the journal with one run.end event carrying the RunSummary.
 // Failures are reported through the logger rather than returned: flushing
 // telemetry must never mask the tool's own exit status.
 func (f *Flags) Flush() {
@@ -154,8 +141,8 @@ func (f *Flags) Flush() {
 		f.stopReporter = nil
 	}
 	if f.CostPath != "" {
-		// Finalize before the history record and run.end so the CPU columns
-		// land in both the cost file and the history stage costs.
+		// Finalize before the cost events and run.end so the CPU columns land
+		// in both the cost file and the journal.
 		FinalizeCost()
 		if rep := BuildCostReport(true); rep != nil {
 			if f.costWritten.CompareAndSwap(false, true) {
@@ -175,58 +162,15 @@ func (f *Flags) Flush() {
 			}
 		}
 	}
-	if f.HistoryPath != "" && f.histWritten.CompareAndSwap(false, true) {
-		if err := AppendHistory(f.HistoryPath, buildHistoryRecord()); err != nil {
-			Log().Errorf("obs: history: appending to %s: %v", f.HistoryPath, err)
-		}
-	}
 	if f.JournalPath != "" {
 		j := J()
 		if f.runEnded.CompareAndSwap(false, true) {
-			j.Event(KindRunEnd, "", "", nil)
+			j.EventDetail(KindRunEnd, "", "", nil, buildRunSummary())
 		}
 		if err := j.Sync(); err != nil {
 			Log().Errorf("obs: journal: flushing %s: %v", f.JournalPath, err)
 		}
 	}
-}
-
-// buildHistoryRecord assembles this run's history entry at flush time: the
-// registry snapshot (after a final runtime sample), per-stage wall times,
-// staged QoR metrics, and journal artifact provenance, keyed by the
-// journal run ID (or a fresh one when journaling is off).
-func buildHistoryRecord() *HistoryRecord {
-	rec := &HistoryRecord{
-		TNs:       time.Now().UnixNano(),
-		Run:       J().RunID(),
-		Bin:       filepath.Base(os.Args[0]),
-		Args:      strings.Join(os.Args[1:], " "),
-		QoR:       takeHistoryQoR(),
-		Artifacts: J().Artifacts(),
-	}
-	if rec.Run == "" {
-		rec.Run = NewRunID()
-	}
-	if MetricsEnabled() {
-		SampleRuntimeMetrics()
-		rec.Metrics = Metrics().Snapshot()
-	}
-	// Peak RSS and GC pause totals are recorded unconditionally: runs that
-	// never scraped /metrics would otherwise miss them entirely.
-	rec.PeakRSSBytes = peakRSSBytes()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rec.GCPauseTotalSec = round6(float64(ms.PauseTotalNs) / 1e9)
-	if rep := BuildCostReport(true); rep != nil {
-		rec.Costs = rep.StageCosts()
-	}
-	if totals := Tracing().Totals(); len(totals) > 0 {
-		rec.Stages = make(map[string]float64, len(totals))
-		for name, st := range totals {
-			rec.Stages[name] = round6(st.Total.Seconds())
-		}
-	}
-	return rec
 }
 
 // startProgressReporter launches the periodic reporter: one stderr line and
@@ -299,22 +243,4 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return g.Close()
-}
-
-// servePprof mounts the net/http/pprof handlers on a dedicated mux (not
-// http.DefaultServeMux) and serves them in the background.
-func servePprof(addr string) error {
-	mux := http.NewServeMux()
-	registerPprof(mux)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("obs: pprof listen on %s: %w", addr, err)
-	}
-	Log().Infof("obs: pprof serving on http://%s/debug/pprof/", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			Log().Errorf("obs: pprof server: %v", err)
-		}
-	}()
-	return nil
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -22,8 +24,8 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	sort.Strings(got)
 	want := []string{
-		"cost", "history", "journal", "loglevel", "metrics", "obs-addr",
-		"pprof", "progress", "stall", "stall-abort", "trace",
+		"cost", "journal", "loglevel", "metrics", "obs-addr",
+		"progress", "stall", "stall-abort", "trace",
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("obs flag surface drifted:\n got %v\nwant %v", got, want)
@@ -31,26 +33,30 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestFlagsProgressLifecycle drives Activate/Flush with -progress and
-// -history set: progress tracking comes on, the reporter emits final
-// per-task lines, and the flush appends exactly one history record carrying
-// the run's tasks' metrics, stages, and staged QoR.
+// -journal set: progress tracking comes on, the reporter emits final
+// per-task lines, and the flush ends the journal with exactly one run.end
+// event whose summary carries the run's metrics, stages, staged QoR, and
+// peak RSS.
 func TestFlagsProgressLifecycle(t *testing.T) {
 	DisableProgress()
 	DisableMetrics()
 	DisableTracing()
+	DisableJournal()
 	StopStallWatchdog()
 	defer func() {
 		DisableProgress()
 		DisableMetrics()
 		DisableTracing()
+		DisableJournal()
 	}()
 
 	dir := t.TempDir()
-	histPath := filepath.Join(dir, "history.jsonl")
+	journalPath := filepath.Join(dir, "run.jsonl")
 	f := &Flags{
 		MetricsPath:   filepath.Join(dir, "metrics.txt"),
+		TracePath:     filepath.Join(dir, "trace.json"),
 		ProgressEvery: time.Hour, // reporter only fires its final flush pass
-		HistoryPath:   histPath,
+		JournalPath:   journalPath,
 	}
 
 	// Silence the reporter's stderr lines for the test.
@@ -69,28 +75,48 @@ func TestFlagsProgressLifecycle(t *testing.T) {
 	task := Progress("flags.test", 4)
 	task.Add(4)
 	task.Finish()
+	_, span := Start(context.Background(), "flags.test.stage")
+	span.End()
 	C("flags.test.counter").Add(7)
-	HistoryAddQoR(map[string]float64{"qor.x": 1.5})
+	AddRunQoR(map[string]float64{"qor.x": 1.5})
 
 	flush()
-	flush() // double flush must not append a second record
+	flush() // double flush must not emit a second run.end
 
-	recs, err := ReadHistoryFile(histPath)
+	evs, err := ReadJournalFile(journalPath)
 	if err != nil {
-		t.Fatalf("history: %v", err)
+		t.Fatalf("journal: %v", err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("history has %d records after double flush, want 1", len(recs))
+	var starts, ends []Event
+	for _, e := range evs {
+		switch e.Kind {
+		case KindRunStart:
+			starts = append(starts, e)
+		case KindRunEnd:
+			ends = append(ends, e)
+		}
 	}
-	rec := recs[0]
-	if rec.Run == "" || rec.Bin == "" || rec.TNs == 0 {
-		t.Errorf("record provenance incomplete: %+v", rec)
+	if len(starts) != 1 || len(ends) != 1 {
+		t.Fatalf("journal has %d run.start and %d run.end after double flush, want 1 each", len(starts), len(ends))
 	}
-	if rec.Metrics == nil || rec.Metrics.Counters["flags.test.counter"] != 7 {
-		t.Errorf("record metrics: %+v", rec.Metrics)
+	if starts[0].Attrs["bin"] == "" || ends[0].Run == "" || ends[0].Run != starts[0].Run {
+		t.Errorf("run provenance incomplete: start %+v end run %q", starts[0], ends[0].Run)
 	}
-	if rec.QoR["qor.x"] != 1.5 {
-		t.Errorf("record qor: %+v", rec.QoR)
+	var sum RunSummary
+	if err := json.Unmarshal(ends[0].Detail, &sum); err != nil {
+		t.Fatalf("run.end summary: %v", err)
+	}
+	if sum.Metrics == nil || sum.Metrics.Counters["flags.test.counter"] != 7 {
+		t.Errorf("summary metrics: %+v", sum.Metrics)
+	}
+	if _, ok := sum.Stages["flags.test.stage"]; !ok {
+		t.Errorf("summary stages: %+v", sum.Stages)
+	}
+	if sum.QoR["qor.x"] != 1.5 {
+		t.Errorf("summary qor: %+v", sum.QoR)
+	}
+	if sum.PeakRSSBytes == 0 {
+		t.Error("summary missing peak RSS")
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -42,13 +43,14 @@ func (e *Event) Time() time.Time { return time.Unix(0, e.TNs) }
 // Well-known event kinds. Producers may emit additional domain kinds
 // (e.g. "qor.rep"); consumers must ignore kinds they do not understand.
 const (
-	KindRunStart   = "run.start"
-	KindRunEnd     = "run.end"
-	KindStageStart = "stage.start"
-	KindStageEnd   = "stage.end"
-	KindWarning    = "warning"
-	KindFailure    = "failure"
-	KindArtifact   = "artifact"
+	KindRunStart = "run.start"
+	// KindRunEnd closes a run; the -journal flag's flush gives it the
+	// RunSummary as its detail payload.
+	KindRunEnd   = "run.end"
+	KindStageEnd = "stage.end"
+	KindWarning  = "warning"
+	KindFailure  = "failure"
+	KindArtifact = "artifact"
 	// KindSignoff records a functional signoff check: an independent
 	// re-verification (e.g. gate-level simulation cross-checked against AIG
 	// simulation) passing or failing on a flow result.
@@ -85,9 +87,6 @@ type Journal struct {
 	c      io.Closer // nil when the journal does not own the sink
 	failed bool      // first write error was logged; drop further events
 	closed bool
-	// arts mirrors the artifact provenance events in memory (path ->
-	// SHA-256) so the -history record can key the run by its outputs.
-	arts map[string]string
 }
 
 var globalJournal atomic.Pointer[Journal]
@@ -187,11 +186,6 @@ func (j *Journal) Failure(stage, msg string, attrs map[string]string, detail any
 	j.emit(KindFailure, stage, msg, attrs, detail)
 }
 
-// StageStart appends a stage.start event.
-func (j *Journal) StageStart(stage string) {
-	j.emit(KindStageStart, stage, "", nil, nil)
-}
-
 // StageEnd appends a stage.end event recording the stage's wall time.
 func (j *Journal) StageEnd(stage string, seconds float64) {
 	if j == nil {
@@ -214,35 +208,11 @@ func (j *Journal) Artifact(stage, path string) {
 		j.Warning(stage, "artifact unreadable: "+err.Error(), map[string]string{"path": path})
 		return
 	}
-	j.mu.Lock()
-	if j.arts == nil {
-		j.arts = map[string]string{}
-	}
-	j.arts[path] = sum
-	j.mu.Unlock()
 	j.emit(KindArtifact, stage, "", map[string]string{
 		"path":   path,
 		"sha256": sum,
 		"bytes":  strconv.FormatInt(size, 10),
 	}, nil)
-}
-
-// Artifacts returns a copy of the recorded artifact provenance
-// (path -> SHA-256); nil journal or no artifacts yields nil.
-func (j *Journal) Artifacts() map[string]string {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.arts) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(j.arts))
-	for k, v := range j.arts {
-		out[k] = v
-	}
-	return out
 }
 
 func fileSHA256(path string) (sum string, size int64, err error) {
@@ -354,7 +324,33 @@ func (j *Journal) Close() error {
 // torn write of a crashed or killed process — is tolerated and dropped;
 // malformed lines in the middle of the stream are an error.
 func ReadJournal(r io.Reader) ([]Event, error) {
-	return readJSONL[Event](r, "journal")
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
+	var out []Event
+	var pendingErr error
+	pendingLine := 0
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			// Only tolerable if no well-formed event follows.
+			pendingErr, pendingLine = err, lineNo
+			continue
+		}
+		if pendingErr != nil {
+			return nil, fmt.Errorf("obs: journal line %d: %w", pendingLine, pendingErr)
+		}
+		out = append(out, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("obs: journal: %w", err)
+	}
+	return out, nil
 }
 
 // ReadJournalFile reads a journal from disk via ReadJournal.

@@ -66,7 +66,6 @@ func TestJournalNilSafe(t *testing.T) {
 	j.Event("k", "s", "m", nil)
 	j.Warning("s", "m", nil)
 	j.Failure("s", "m", nil, nil)
-	j.StageStart("s")
 	j.StageEnd("s", 1)
 	j.Artifact("s", "nope")
 	if j.RunID() != "" {

@@ -10,7 +10,8 @@
 // below the level) reduce to an atomic pointer load plus a nil check — no
 // allocation, no locking — so instrumentation can stay in the hot paths
 // permanently. CLI binaries enable the layer through the -metrics / -trace
-// / -pprof / -journal flags installed by InstallFlags.
+// / -obs-addr / -journal flags installed by InstallFlags; the -journal file
+// is the run's one persisted record, ending in a run.end summary.
 //
 // Metric names are dot-separated, lowest-level subsystem first
 // (e.g. "spice.newton.iterations", "charlib.cache.hits"); span names follow

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -32,44 +31,11 @@ func promName(name string) string {
 	return b.String()
 }
 
-// promHistDecades collapses the 200 internal log buckets (10 per decade
-// over 1e-15..1e5) to one Prometheus bucket per decade: 20 finite le
-// bounds (1e-14 .. 1e5) plus +Inf — a scrape-friendly ~21 series instead
-// of 200.
-const promHistDecades = histBuckets / 10
-
-// promHistLe returns the upper bound of decade d as its Prometheus le
-// label value.
-func promHistLe(d int) string {
-	return fmt.Sprintf("%g", math.Pow(10, float64(histLoExp/10+d+1)))
-}
-
-// writePromHistogram renders h as a native Prometheus histogram family
-// named <name>_hist: cumulative decade buckets, _sum, and _count. The full
-// bound set is emitted even when empty so the exposition shape (and the
-// golden test pinning it) is stable across runs.
-func writePromHistogram(b *strings.Builder, name string, h *Histogram) {
-	fmt.Fprintf(b, "# TYPE %s histogram\n", name)
-	var cum int64
-	for d := 0; d < promHistDecades; d++ {
-		for i := 10 * d; i < 10*(d+1); i++ {
-			cum += h.buckets[i].Load()
-		}
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, promHistLe(d), cum)
-	}
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
-	fmt.Fprintf(b, "%s_sum %g\n%s_count %d\n", name, h.Sum(), name, h.Count())
-}
-
 // WritePrometheus renders every metric in the Prometheus text exposition
-// format (version 0.0.4), sorted by name. Counters and gauges map directly.
-// Histograms are exported twice: as summaries (p50/p90/p99 quantiles plus
-// _sum and _count) at their own name — the original exposition, kept for
-// dashboards already scraping it — and as a native cumulative-bucket
-// histogram family at <name>_hist, with the 200 internal log buckets
-// collapsed to one per decade so aggregation (histogram_quantile, heatmaps)
-// works server-side. A nil registry writes only a comment, so the /metrics
-// endpoint stays well-formed before metrics are enabled.
+// format (version 0.0.4), sorted by name. Counters and gauges map directly;
+// histograms are exported as summaries (p50/p90/p99 quantiles plus _sum and
+// _count). A nil registry writes only a comment, so the /metrics endpoint
+// stays well-formed before metrics are enabled.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		_, err := fmt.Fprintln(w, "# metrics disabled")
@@ -101,9 +67,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "%s_sum %g\n%s_count %d\n", name, h.Sum(), name, h.Count())
 		add(name, b.String())
-		var hb strings.Builder
-		writePromHistogram(&hb, name+"_hist", h)
-		add(name+"_hist", hb.String())
 		return true
 	})
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].name < blocks[j].name })

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -53,60 +52,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusNativeHistogram pins the cumulative-bucket exposition:
-// each histogram additionally exports a <name>_hist histogram family with
-// the 200 internal log buckets collapsed to one per decade (20 finite le
-// bounds + +Inf), emitted in full even when empty so scrapes are
-// shape-stable.
-func TestWritePrometheusNativeHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("charlib.cell.seconds")
-	h.Observe(0.5)  // decade [0.1, 1)   -> counted under le="1"
-	h.Observe(1.5)  // decade [1, 10)    -> le="10"
-	h.Observe(3e-9) // decade [1e-9,1e-8)-> le="1e-08"
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := buf.String()
-
-	// The summary exposition at the original name must survive unchanged
-	// next to the new family.
-	if !strings.Contains(out, "# TYPE charlib_cell_seconds summary") {
-		t.Errorf("summary family missing:\n%s", out)
-	}
-	for _, want := range []string{
-		"# TYPE charlib_cell_seconds_hist histogram",
-		`charlib_cell_seconds_hist_bucket{le="1e-14"} 0`,
-		`charlib_cell_seconds_hist_bucket{le="1e-08"} 1`,
-		`charlib_cell_seconds_hist_bucket{le="1"} 2`,
-		`charlib_cell_seconds_hist_bucket{le="10"} 3`,
-		`charlib_cell_seconds_hist_bucket{le="100000"} 3`,
-		`charlib_cell_seconds_hist_bucket{le="+Inf"} 3`,
-		"charlib_cell_seconds_hist_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("native histogram missing %q:\n%s", want, out)
-		}
-	}
-	// Exactly 21 bucket lines: 20 decades + +Inf.
-	if n := strings.Count(out, "charlib_cell_seconds_hist_bucket{"); n != 21 {
-		t.Errorf("bucket lines = %d, want 21", n)
-	}
-	// Cumulative monotonicity across the le bounds.
-	re := regexp.MustCompile(`charlib_cell_seconds_hist_bucket\{le="[^"]*"\} (\d+)`)
-	last := -1
-	for _, m := range re.FindAllStringSubmatch(out, -1) {
-		var v int
-		fmt.Sscanf(m[1], "%d", &v)
-		if v < last {
-			t.Fatalf("buckets not cumulative:\n%s", out)
-		}
-		last = v
-	}
-}
-
 func TestWritePrometheusNil(t *testing.T) {
 	var r *Registry
 	var buf bytes.Buffer
@@ -133,8 +78,8 @@ func TestPromName(t *testing.T) {
 }
 
 // TestObsMuxEndpoints exercises the -obs-addr handler without binding a
-// real port: /metrics must serve Prometheus text, /spans the live span
-// summary, /snapshot.json a parseable registry snapshot.
+// real port: /metrics must serve Prometheus text and /spans the live span
+// summary.
 func TestObsMuxEndpoints(t *testing.T) {
 	defer DisableMetrics()
 	defer DisableTracing()
@@ -161,14 +106,6 @@ func TestObsMuxEndpoints(t *testing.T) {
 
 	if body := get("/spans").Body.String(); !strings.Contains(body, "mux.test.span") {
 		t.Errorf("/spans missing span:\n%s", body)
-	}
-
-	snap, err := ReadSnapshot(get("/snapshot.json").Body)
-	if err != nil {
-		t.Fatalf("/snapshot.json did not parse: %v", err)
-	}
-	if snap.Counters["mux.test.counter"] != 11 {
-		t.Errorf("snapshot counter = %d, want 11", snap.Counters["mux.test.counter"])
 	}
 
 	if code := get("/nope").Code; code != 404 {

@@ -18,9 +18,8 @@ var gcSample struct {
 // registry — runtime.goroutines, runtime.heap_alloc_bytes,
 // runtime.gc_count — and observes GC pauses that occurred since the last
 // sample into the runtime.gc_pause_seconds histogram. It is called on
-// every exposition (/metrics, /metrics.txt, /snapshot.json) and on flag
-// flush, so scrapes see current values without a background sampler
-// goroutine. No-op while metrics are disabled.
+// every /metrics scrape and on flag flush, so scrapes see current values
+// without a background sampler goroutine. No-op while metrics are disabled.
 func SampleRuntimeMetrics() {
 	if !MetricsEnabled() {
 		return

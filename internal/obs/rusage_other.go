@@ -3,8 +3,8 @@
 package obs
 
 // Platforms without getrusage report no process CPU or peak RSS; cost
-// reports degrade to wall/alloc/counter attribution and history records
-// carry peak_rss_bytes=0.
+// reports degrade to wall/alloc/counter attribution and run summaries
+// carry no peak RSS.
 func processCPUSeconds() float64 { return 0 }
 
 func peakRSSBytes() uint64 { return 0 }

@@ -10,18 +10,8 @@ import (
 	"runtime/debug"
 )
 
-// registerPprof mounts the net/http/pprof handlers on mux (shared by the
-// -pprof listener and the -obs-addr endpoint).
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// obsMux builds the -obs-addr handler: Prometheus metrics, the plain-text
-// metric dump, a JSON registry snapshot, a live span summary, and pprof.
+// obsMux builds the -obs-addr handler: Prometheus metrics, live progress,
+// span and cost summaries, health and build probes, and pprof.
 // Handlers read the global registry/tracer at request time, so they follow
 // the run as it progresses.
 func obsMux() *http.ServeMux {
@@ -31,20 +21,6 @@ func obsMux() *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := Metrics().WritePrometheus(w); err != nil {
 			Log().Errorf("obs: /metrics: %v", err)
-		}
-	})
-	mux.HandleFunc("/metrics.txt", func(w http.ResponseWriter, _ *http.Request) {
-		SampleRuntimeMetrics()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := Metrics().WriteText(w); err != nil {
-			Log().Errorf("obs: /metrics.txt: %v", err)
-		}
-	})
-	mux.HandleFunc("/snapshot.json", func(w http.ResponseWriter, _ *http.Request) {
-		SampleRuntimeMetrics()
-		w.Header().Set("Content-Type", "application/json")
-		if err := Metrics().Snapshot().WriteJSON(w); err != nil {
-			Log().Errorf("obs: /snapshot.json: %v", err)
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -98,8 +74,6 @@ func obsMux() *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "cryo-EDA observability endpoint")
 		fmt.Fprintln(w, "  /metrics        Prometheus text exposition")
-		fmt.Fprintln(w, "  /metrics.txt    sorted plain-text metric dump")
-		fmt.Fprintln(w, "  /snapshot.json  registry snapshot (obs.ReadSnapshot format)")
 		fmt.Fprintln(w, "  /progress       live per-stage progress (done/total/rate/ETA, JSON)")
 		fmt.Fprintln(w, "  /spans          live span-tree summary")
 		fmt.Fprintln(w, "  /costs          span cost-attribution tree (JSON; CPU columns firm up at flush)")
@@ -107,7 +81,11 @@ func obsMux() *http.ServeMux {
 		fmt.Fprintln(w, "  /buildinfo      build provenance + enabled telemetry (JSON)")
 		fmt.Fprintln(w, "  /debug/pprof/   net/http/pprof")
 	})
-	registerPprof(mux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

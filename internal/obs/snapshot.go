@@ -1,12 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
-)
-
 // HistogramSnapshot is the serializable state of one Histogram. Buckets is
 // sparse (log-bucket index -> count), so small histograms stay small on
 // disk; min/max are omitted from JSON when the histogram is empty (the
@@ -20,9 +13,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of a Registry, suitable for JSON
-// persistence, cross-run diffing, and restoring into a fresh registry.
-// Tools that want to ingest another run's engine counters (cryobench, say)
-// read the JSON back with ReadSnapshot and either Diff or Restore it.
+// persistence (the run.end summary carries one) and cross-run diffing.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -66,38 +57,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore loads a snapshot into the registry, overwriting any metric the
-// snapshot names (metrics absent from the snapshot are left alone). The
-// histogram restore is exact: bucket contents, count, sum, min, and max all
-// round-trip. A nil registry ignores the call.
-func (r *Registry) Restore(s *Snapshot) {
-	if r == nil || s == nil {
-		return
-	}
-	for name, v := range s.Counters {
-		c := r.Counter(name)
-		c.v.Store(v)
-	}
-	for name, v := range s.Gauges {
-		r.Gauge(name).Set(v)
-	}
-	for name, hs := range s.Histograms {
-		h := r.Histogram(name)
-		h.count.Store(hs.Count)
-		h.sumBits.Store(math.Float64bits(hs.Sum))
-		if hs.Count > 0 {
-			h.minBits.Store(math.Float64bits(hs.Min))
-			h.maxBits.Store(math.Float64bits(hs.Max))
-		} else {
-			h.minBits.Store(math.Float64bits(math.Inf(1)))
-			h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-		}
-		for i := range h.buckets {
-			h.buckets[i].Store(hs.Buckets[i])
-		}
-	}
-}
-
 // Diff returns the change from prev to s: counters and histogram
 // counts/sums/buckets are subtracted, gauges keep s's (latest) value.
 // Metrics that only exist in prev are dropped; metrics new in s keep their
@@ -133,20 +92,4 @@ func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
 		out.Histograms[name] = d
 	}
 	return out
-}
-
-// WriteJSON serializes the snapshot as indented JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadSnapshot parses a snapshot previously written with WriteJSON.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	s := &Snapshot{}
-	if err := json.NewDecoder(r).Decode(s); err != nil {
-		return nil, fmt.Errorf("obs: parsing snapshot: %w", err)
-	}
-	return s, nil
 }

@@ -2,10 +2,33 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 )
+
+// summaryRoundTrip marshals snap as the metrics of a run.end summary
+// through a journal, reads the journal back, and returns the decoded
+// snapshot: the only path by which a snapshot is persisted.
+func summaryRoundTrip(t *testing.T, snap *Snapshot) *Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	j := NewJournal(&buf, "r-snap")
+	j.EventDetail(KindRunEnd, "", "", nil, &RunSummary{Metrics: snap})
+	if err := j.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	evs, err := ReadJournal(&buf)
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("journal: %v (%d events)", err, len(evs))
+	}
+	var sum RunSummary
+	if err := json.Unmarshal(evs[0].Detail, &sum); err != nil {
+		t.Fatalf("run.end detail: %v", err)
+	}
+	return sum.Metrics
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := NewRegistry()
@@ -18,52 +41,37 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	snap := r.Snapshot()
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	back := summaryRoundTrip(t, snap)
+	if !reflect.DeepEqual(back, snap) {
+		t.Fatalf("snapshot changed in the run.end round trip:\n got %+v\nwant %+v", back, snap)
 	}
-	back, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+	// The decoded histogram must match the live one exactly: every bucket,
+	// the sum, and both extremes.
+	hs := back.Histograms["c.seconds"]
+	if hs.Count != 4 || hs.Sum != h.Sum() || hs.Min != 0.001 || hs.Max != 1.5 {
+		t.Errorf("hist count=%d sum=%g min=%g max=%g", hs.Count, hs.Sum, hs.Min, hs.Max)
 	}
-
-	r2 := NewRegistry()
-	r2.Restore(back)
-	if got := r2.Counter("a.hits").Value(); got != 42 {
-		t.Errorf("restored counter a.hits = %d, want 42", got)
-	}
-	if got := r2.Gauge("b.level").Value(); got != 3.25 {
-		t.Errorf("restored gauge = %g, want 3.25", got)
-	}
-	h2 := r2.Histogram("c.seconds")
-	if h2.Count() != 4 || h2.Min() != 0.001 || h2.Max() != 1.5 {
-		t.Errorf("restored hist count=%d min=%g max=%g", h2.Count(), h2.Min(), h2.Max())
-	}
-	if math.Abs(h2.Sum()-h.Sum()) > 1e-15 {
-		t.Errorf("restored hist sum=%g want %g", h2.Sum(), h.Sum())
-	}
-	// The bucketed quantile estimate must survive the round trip exactly.
-	if q, q2 := h.Quantile(0.5), h2.Quantile(0.5); q != q2 {
-		t.Errorf("restored p50 %g != original %g", q2, q)
+	for i := range h.buckets {
+		if got, want := hs.Buckets[i], h.buckets[i].Load(); got != want {
+			t.Errorf("bucket %d = %d, want %d", i, got, want)
+		}
 	}
 }
 
 func TestSnapshotRoundTripEmptyHistogram(t *testing.T) {
 	r := NewRegistry()
+	r.Counter("n").Add(1)
+	r.Gauge("g").Set(2)
 	r.Histogram("empty.seconds")
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	snap := r.Snapshot()
+	back := summaryRoundTrip(t, snap)
+	if !reflect.DeepEqual(back, snap) {
+		t.Fatalf("snapshot changed in the run.end round trip:\n got %+v\nwant %+v", back, snap)
 	}
-	back, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	r2 := NewRegistry()
-	r2.Restore(back)
-	h := r2.Histogram("empty.seconds")
-	if h.Count() != 0 || !math.IsInf(h.Min(), 1) || !math.IsInf(h.Max(), -1) {
-		t.Errorf("empty hist after restore: count=%d min=%g max=%g", h.Count(), h.Min(), h.Max())
+	// The ±Inf min/max sentinels of an empty histogram cannot be carried by
+	// JSON; the snapshot must hold zeros and no buckets instead.
+	if hs, ok := back.Histograms["empty.seconds"]; !ok || hs.Count != 0 || hs.Min != 0 || hs.Max != 0 || hs.Buckets != nil {
+		t.Errorf("empty hist after round trip: %+v (present %v)", hs, ok)
 	}
 }
 
@@ -108,12 +116,11 @@ func TestNilRegistrySnapshot(t *testing.T) {
 	if len(snap.Counters) != 0 {
 		t.Errorf("nil registry snapshot has counters: %v", snap.Counters)
 	}
-	r.Restore(snap) // must not panic
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON on empty snapshot: %v", err)
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatalf("marshal empty snapshot: %v", err)
 	}
-	if !strings.Contains(buf.String(), "{") {
-		t.Errorf("expected JSON object, got %q", buf.String())
+	if string(raw) != "{}" {
+		t.Errorf("expected empty JSON object, got %q", raw)
 	}
 }

@@ -228,8 +228,8 @@ func (c *Circuit) key() string { return c.Name + "/" + c.Scenario }
 
 // FlatMetrics flattens the baseline's QoR into dotted scalar metrics
 // ("qor.<circuit>/<scenario>@<temp>K.area", ".wns_seconds", ...), the shape
-// the obs metrics history stores so cryoobs trend can glob and chart them
-// next to engine counters and stage wall times.
+// the journal's run summary stores so cryoobs trend can glob and chart
+// them next to engine counters and stage wall times.
 func (b *Baseline) FlatMetrics() map[string]float64 {
 	out := map[string]float64{}
 	for i := range b.Circuits {
