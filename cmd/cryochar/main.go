@@ -136,10 +136,7 @@ func libraryMetrics(lib *liberty.Library) (delays, energies []float64) {
 			for _, tm := range p.Timings {
 				s := tm.CellRise.Index1[len(tm.CellRise.Index1)/2]
 				l := tm.CellRise.Index2[len(tm.CellRise.Index2)/2]
-				d := tm.CellRise.Lookup(s, l)
-				if f := tm.CellFall.Lookup(s, l); f > d {
-					d = f
-				}
+				d := tm.Delay(s, l)
 				if d > worstD {
 					worstD = d
 				}

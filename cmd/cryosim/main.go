@@ -121,7 +121,7 @@ func main() {
 	if *doPower {
 		rep, err := power.Analyze(ctx, nl, lib, power.Options{
 			ClockPeriod: *clock,
-			Activity:    res.Activity(),
+			Activity:    res.ToggleRates(),
 		})
 		check(err)
 		fmt.Printf("power (measured activity, clock %.3g s, %g K):\n", *clock, *temp)

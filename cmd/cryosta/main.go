@@ -61,8 +61,9 @@ func main() {
 	fmt.Printf("\ncritical delay: %.2f ps\n", timing.CriticalDelay*1e12)
 	fmt.Println("critical path (output-first):")
 	for _, net := range timing.CriticalPath {
+		id, _ := timing.Graph.NetIndex(net)
 		fmt.Printf("  %-14s arrival %8.2f ps  slew %6.2f ps  load %6.3f fF\n",
-			net, timing.Arrival[net]*1e12, timing.Slew[net]*1e12, timing.Load[net]*1e15)
+			net, timing.Arrival[id]*1e12, timing.Slew[id]*1e12, timing.Load[id]*1e15)
 	}
 
 	period := timing.CriticalDelay * 1.2

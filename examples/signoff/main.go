@@ -41,8 +41,9 @@ func main() {
 	exitOn(err)
 	fmt.Printf("\ncritical path (%.2f ps), output-first:\n", timing.CriticalDelay*1e12)
 	for _, net := range timing.CriticalPath {
+		id, _ := timing.Graph.NetIndex(net)
 		fmt.Printf("  %-12s arrival %7.2f ps  slew %6.2f ps\n",
-			net, timing.Arrival[net]*1e12, timing.Slew[net]*1e12)
+			net, timing.Arrival[id]*1e12, timing.Slew[id]*1e12)
 	}
 
 	period := timing.CriticalDelay * 1.2

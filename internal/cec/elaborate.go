@@ -14,50 +14,29 @@ import (
 // shared structure. PI and PO names follow the netlist's port lists, so the
 // result can be Check-ed directly against the synthesis flow's golden or
 // optimized AIG. Constant ties (1'b0 / 1'b1) elaborate to the AIG's
-// constant literals.
+// constant literals. The structural checks are netlist.Compile's.
 func Elaborate(nl *netlist.Netlist) (*aig.AIG, error) {
+	ng, err := netlist.Compile(nl)
+	if err != nil {
+		return nil, fmt.Errorf("cec: %w", err)
+	}
 	g := aig.New(nl.Name)
-	lits := make(map[string]aig.Lit, len(nl.Inputs)+len(nl.Gates)+2)
-	lits[netlist.Const0] = aig.False
-	lits[netlist.Const1] = aig.True
-	for _, in := range nl.Inputs {
-		if _, dup := lits[in]; dup {
-			return nil, fmt.Errorf("cec: duplicate input %q", in)
-		}
-		lits[in] = g.AddPI(in)
+	lits := make([]aig.Lit, len(ng.Nets))
+	lits[netlist.NetConst0] = aig.False
+	lits[netlist.NetConst1] = aig.True
+	for i, id := range ng.Inputs {
+		lits[id] = g.AddPI(ng.InputNames[i])
 	}
-	for _, gate := range nl.Gates {
-		def := nl.Cell(gate.Cell)
-		if def == nil {
-			return nil, fmt.Errorf("cec: gate %s: unknown cell %q", gate.Name, gate.Cell)
+	for gi := range ng.Gates {
+		node := &ng.Gates[gi]
+		ins := make([]aig.Lit, len(node.In))
+		for i, id := range node.In {
+			ins[i] = lits[id]
 		}
-		if len(def.Outputs) != 1 {
-			return nil, fmt.Errorf("cec: gate %s: cell %s is not single-output", gate.Name, gate.Cell)
-		}
-		tt, ok := def.Truth(def.Outputs[0])
-		if !ok {
-			return nil, fmt.Errorf("cec: gate %s: cell %s has no truth table (sequential or >6 inputs)", gate.Name, gate.Cell)
-		}
-		ins := make([]aig.Lit, len(gate.Inputs))
-		for i, net := range gate.Inputs {
-			l, ok := lits[net]
-			if !ok {
-				return nil, fmt.Errorf("cec: gate %s: net %q used before driven", gate.Name, net)
-			}
-			ins[i] = l
-		}
-		if _, dup := lits[gate.Output]; dup {
-			return nil, fmt.Errorf("cec: gate %s: net %q driven twice", gate.Name, gate.Output)
-		}
-		lits[gate.Output] = buildTruth(g, tt, ins)
+		lits[node.Out] = buildTruth(g, node.Truth, ins)
 	}
-	for _, o := range nl.Outputs {
-		drv := nl.Resolve(o)
-		l, ok := lits[drv]
-		if !ok {
-			return nil, fmt.Errorf("cec: output %q resolves to undriven net %q", o, drv)
-		}
-		g.AddPO(l, o)
+	for o, id := range ng.Outputs {
+		g.AddPO(lits[id], ng.OutputNames[o])
 	}
 	return g, nil
 }

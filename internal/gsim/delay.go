@@ -20,38 +20,25 @@ func (m *Model) Annotate(ctx context.Context, lib *liberty.Library, opt sta.Opti
 	ctx, span := obs.Start(ctx, "gsim.annotate")
 	span.SetAttr("design", m.Name)
 	defer span.End()
-	timing, err := sta.Analyze(ctx, m.nl, lib, opt)
+	timing, err := sta.AnalyzeGraph(ctx, m.Graph, lib, opt)
 	if err != nil {
 		return fmt.Errorf("gsim: annotate: %w", err)
 	}
+	delays := make([][]int64, len(m.Gates))
 	for gi := range m.Gates {
 		g := &m.Gates[gi]
-		lc := lib.FindCell(g.Cell)
-		if lc == nil {
-			return fmt.Errorf("gsim: annotate: cell %s not in library %s", g.Cell, lib.Name)
-		}
-		def := m.nl.Cell(g.Cell)
-		outPin := def.Outputs[0]
-		load := timing.Load[m.Nets[g.Out]]
-		g.DelayFs = make([]int64, len(g.In))
+		load := timing.Load[g.Out]
+		delays[gi] = make([]int64, len(g.In))
 		for i, in := range g.In {
-			tm := lc.Timing(outPin, def.Inputs[i])
-			if tm == nil {
-				return fmt.Errorf("gsim: annotate: cell %s missing arc %s->%s", g.Cell, def.Inputs[i], outPin)
-			}
-			slew := timing.Slew[m.Nets[in]]
-			d := tm.CellRise.Lookup(slew, load)
-			if f := tm.CellFall.Lookup(slew, load); f > d {
-				d = f
-			}
+			d := timing.Bound[gi].Arcs[i].Timing.Delay(timing.Slew[in], load)
 			fs := int64(d*1e15 + 0.5)
 			if fs < 1 {
 				fs = 1 // keep causality: every arc advances time
 			}
-			g.DelayFs[i] = fs
+			delays[gi][i] = fs
 		}
 	}
-	m.annotated = true
+	m.DelayFs = delays
 	obs.C("gsim.annotations").Inc()
 	span.SetAttr("settle_fs", m.SettleBoundFs())
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -61,7 +62,7 @@ func (m *Model) SettleBoundFs() int64 {
 		g := &m.Gates[gi]
 		var out int64
 		for i, in := range g.In {
-			if a := arr[in] + g.arcDelayFs(i); a > out {
+			if a := arr[in] + m.arcDelayFs(gi, i); a > out {
 				out = a
 			}
 		}
@@ -73,10 +74,10 @@ func (m *Model) SettleBoundFs() int64 {
 	return worst
 }
 
-// arcDelayFs returns arc i's transport delay in femtoseconds.
-func (g *Gate) arcDelayFs(i int) int64 {
-	if g.DelayFs != nil {
-		return g.DelayFs[i]
+// arcDelayFs returns gate gi's arc-i transport delay in femtoseconds.
+func (m *Model) arcDelayFs(gi, i int) int64 {
+	if m.DelayFs != nil {
+		return m.DelayFs[gi][i]
 	}
 	return DefaultDelayFs
 }
@@ -160,8 +161,8 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		}
 		t0 := int64(v) * period
 		if v == 0 {
-			push(t0, netConst0, V0)
-			push(t0, netConst1, V1)
+			push(t0, netlist.NetConst0, V0)
+			push(t0, netlist.NetConst1, V1)
 		}
 		for i, idx := range m.Inputs {
 			val := V0
@@ -209,7 +210,7 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 				if e.opt.Trace != nil {
 					e.opt.Trace.change(t, net, val)
 				}
-				for _, gi := range m.fanouts[net] {
+				for _, gi := range m.Fanouts[net] {
 					if !gateSet[gi] {
 						gateSet[gi] = true
 						gateOrder = append(gateOrder, gi)
@@ -232,7 +233,7 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 				out := evalTruth3(g.Truth, ins)
 				for i, in := range g.In {
 					if changedSet[in] {
-						push(t+g.arcDelayFs(i), g.Out, out)
+						push(t+m.arcDelayFs(int(gi), i), g.Out, out)
 					}
 				}
 			}

@@ -4,16 +4,16 @@
 // consume in place of its statistical model), VCD traces, and per-vector
 // primary-output values for functional signoff against AIG simulation.
 //
-// A netlist is first compiled (Compile) into a flat evaluation graph: nets
+// A netlist is first compiled (Compile) into the shared netlist.Graph: nets
 // become dense indices, every gate carries its PDK truth table (the same
 // table the mapper's cut matching and the CEC elaborator use), and fanout
 // lists plus topological levels are frozen. Two engines then run behind one
 // interface:
 //
 //   - the levelized engine (levelized.go) evaluates gates in topological
-//     order with 64-bit vector parallelism and zero delay — the fast
-//     functional/regression mode, bit-compatible with the random-vector
-//     activity model in netlist.ToggleRates;
+//     order with Graph.SimWords' 64-bit vector parallelism and zero delay —
+//     the fast functional/regression mode, bit-compatible with the
+//     random-vector activity model internal/power runs;
 //   - the event-driven engine (event.go) propagates individual value
 //     changes through a time-ordered event queue with per-arc transport
 //     delays annotated from the characterized liberty tables (delay.go), so
@@ -27,7 +27,6 @@
 package gsim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/netlist"
@@ -55,165 +54,33 @@ func (v Value) String() string {
 	}
 }
 
-// Reserved net indices in every compiled model.
-const (
-	netConst0 = 0
-	netConst1 = 1
-)
-
-// Gate is one compiled cell instance.
-type Gate struct {
-	Name  string  // instance name from the netlist
-	Cell  string  // library cell name
-	Truth uint64  // output truth table over In (bit i of the row = In[i])
-	In    []int32 // input net indices
-	Out   int32   // output net index
-	Level int32   // topological level (inputs/constants are level 0)
-	// DelayFs[i] is the input-to-output transport delay of arc i in
-	// femtoseconds; nil until Annotate, in which case engines fall back to
-	// DefaultDelayFs per arc.
-	DelayFs []int64
-}
-
 // DefaultDelayFs is the per-arc unit delay (1 ps) used by the event engine
 // when the model has not been annotated against a liberty library.
 const DefaultDelayFs = 1000
 
-// Model is a netlist compiled for simulation.
+// Model is a netlist compiled for simulation: the shared netlist.Graph plus
+// the event engine's per-arc delays.
 type Model struct {
-	Name  string
-	Nets  []string // net index -> name; [0]=1'b0, [1]=1'b1
-	Gates []Gate   // topological order (drivers before loads)
-
-	// Inputs / Outputs are net indices of the primary ports, in the
-	// netlist's port order. Output aliases are pre-resolved, so Outputs may
-	// repeat indices or point at constants.
-	Inputs      []int32
-	InputNames  []string
-	Outputs     []int32
-	OutputNames []string
-
-	// fanouts[net] lists the gates reading the net, in gate order.
-	fanouts [][]int32
-
-	nl        *netlist.Netlist
-	netIndex  map[string]int32
-	annotated bool
+	*netlist.Graph
+	// DelayFs[gi][i] is gate gi's input-i-to-output transport delay in
+	// femtoseconds; nil until Annotate, in which case the event engine
+	// falls back to DefaultDelayFs per arc.
+	DelayFs [][]int64
 }
 
-// Compile flattens a mapped netlist into an evaluation graph. Every cell
-// must be combinational with a truth table (≤ 6 inputs) — the same
-// restriction the CEC elaborator imposes.
+// Compile flattens a mapped netlist into an evaluation graph
+// (netlist.Compile): every cell must be combinational with a truth table
+// (≤ 6 inputs) — the same restriction the CEC elaborator imposes.
 func Compile(nl *netlist.Netlist) (*Model, error) {
-	m := &Model{
-		Name:     nl.Name,
-		Nets:     []string{netlist.Const0, netlist.Const1},
-		nl:       nl,
-		netIndex: make(map[string]int32, len(nl.Inputs)+len(nl.Gates)+2),
+	g, err := netlist.Compile(nl)
+	if err != nil {
+		return nil, err
 	}
-	m.netIndex[netlist.Const0] = netConst0
-	m.netIndex[netlist.Const1] = netConst1
-	intern := func(name string) int32 {
-		if i, ok := m.netIndex[name]; ok {
-			return i
-		}
-		i := int32(len(m.Nets))
-		m.Nets = append(m.Nets, name)
-		m.netIndex[name] = i
-		return i
-	}
-	for _, in := range nl.Inputs {
-		if _, dup := m.netIndex[in]; dup {
-			return nil, fmt.Errorf("gsim: duplicate input %q", in)
-		}
-		idx := intern(in)
-		m.Inputs = append(m.Inputs, idx)
-		m.InputNames = append(m.InputNames, in)
-	}
-	driven := make([]bool, len(m.Nets))
-	driven[netConst0], driven[netConst1] = true, true
-	for _, idx := range m.Inputs {
-		driven[idx] = true
-	}
-	level := make([]int32, len(m.Nets))
-	for _, g := range nl.Gates {
-		def := nl.Cell(g.Cell)
-		if def == nil {
-			return nil, fmt.Errorf("gsim: gate %s: unknown cell %q", g.Name, g.Cell)
-		}
-		if len(def.Outputs) != 1 {
-			return nil, fmt.Errorf("gsim: gate %s: cell %s is not single-output", g.Name, g.Cell)
-		}
-		tt, ok := def.Truth(def.Outputs[0])
-		if !ok {
-			return nil, fmt.Errorf("gsim: gate %s: cell %s has no truth table (sequential or >6 inputs)", g.Name, g.Cell)
-		}
-		cg := Gate{Name: g.Name, Cell: g.Cell, Truth: tt, In: make([]int32, len(g.Inputs))}
-		var lvl int32
-		for i, net := range g.Inputs {
-			idx, ok := m.netIndex[net]
-			if !ok || !driven[idx] {
-				return nil, fmt.Errorf("gsim: gate %s: net %q used before driven", g.Name, net)
-			}
-			cg.In[i] = idx
-			if level[idx] > lvl {
-				lvl = level[idx]
-			}
-		}
-		out := intern(g.Output)
-		for int(out) >= len(driven) {
-			driven = append(driven, false)
-			level = append(level, 0)
-		}
-		if driven[out] {
-			return nil, fmt.Errorf("gsim: gate %s: net %q driven twice", g.Name, g.Output)
-		}
-		driven[out] = true
-		level[out] = lvl + 1
-		cg.Out = out
-		cg.Level = lvl + 1
-		m.Gates = append(m.Gates, cg)
-	}
-	for _, o := range nl.Outputs {
-		drv := nl.Resolve(o)
-		idx, ok := m.netIndex[drv]
-		if !ok || !driven[idx] {
-			return nil, fmt.Errorf("gsim: output %q resolves to undriven net %q", o, drv)
-		}
-		m.Outputs = append(m.Outputs, idx)
-		m.OutputNames = append(m.OutputNames, o)
-	}
-	m.fanouts = make([][]int32, len(m.Nets))
-	for gi, g := range m.Gates {
-		for _, in := range g.In {
-			m.fanouts[in] = append(m.fanouts[in], int32(gi))
-		}
-	}
-	return m, nil
-}
-
-// NumNets returns the net count (constants included).
-func (m *Model) NumNets() int { return len(m.Nets) }
-
-// NetIndex returns the compiled index of a net name.
-func (m *Model) NetIndex(name string) (int, bool) {
-	i, ok := m.netIndex[name]
-	return int(i), ok
+	return &Model{Graph: g}, nil
 }
 
 // Annotated reports whether per-arc liberty delays have been attached.
-func (m *Model) Annotated() bool { return m.annotated }
-
-// Depth returns the maximum gate level.
-func (m *Model) Depth() int {
-	var d int32
-	for i := range m.Gates {
-		if m.Gates[i].Level > d {
-			d = m.Gates[i].Level
-		}
-	}
-	return int(d)
-}
+func (m *Model) Annotated() bool { return m.DelayFs != nil }
 
 // evalTruth3 evaluates a truth table under three-valued inputs: if every
 // input is known it is a direct row lookup; otherwise the X inputs are
@@ -266,10 +133,10 @@ func evalTruth3(tt uint64, in []Value) Value {
 type Vector []bool
 
 // RandomVectors draws n uniform random vectors for the model's inputs,
-// deterministic for a seed. The bit stream is laid out exactly like
-// netlist.ToggleRates' word-parallel stimulus (per 64-vector round, one
-// fresh word per input in port order), so a zero-delay gsim run over these
-// vectors measures the same activity the statistical model simulates.
+// deterministic for a seed. The bit stream is laid out exactly like the
+// word-parallel stimulus of internal/power's activity model (per 64-vector
+// round, one fresh word per input in port order), so a zero-delay gsim run
+// over these vectors measures the same activity the model simulates.
 func (m *Model) RandomVectors(n int, seed int64) []Vector {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Vector, n)
@@ -337,22 +204,3 @@ func (r *Result) TotalToggles() int64 {
 	}
 	return n
 }
-
-// Activity packages measured per-net toggle densities as a
-// power.ActivitySource (the interface is satisfied structurally, keeping
-// gsim free of a power dependency).
-type Activity struct {
-	Rates map[string]float64
-}
-
-// NetActivity returns the measured rates; the netlist argument is the
-// design the rates were measured on and is only used for validation.
-func (a Activity) NetActivity(nl *netlist.Netlist) (map[string]float64, error) {
-	if a.Rates == nil {
-		return nil, fmt.Errorf("gsim: empty activity")
-	}
-	return a.Rates, nil
-}
-
-// Activity returns the run's measured activity in power.ActivitySource form.
-func (r *Result) Activity() Activity { return Activity{Rates: r.ToggleRates()} }

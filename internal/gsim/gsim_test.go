@@ -3,7 +3,6 @@ package gsim
 import (
 	"bytes"
 	"context"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -283,38 +282,6 @@ func TestEvalTruth3(t *testing.T) {
 	for _, c := range cases {
 		if got := evalTruth3(c.tt, c.in); got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, got, c.want)
-		}
-	}
-}
-
-// TestActivityMatchesToggleRates pins the stimulus-stream compatibility the
-// power flow relies on: a zero-delay gsim run over RandomVectors measures
-// exactly the activity netlist.ToggleRates models for the same seed.
-func TestActivityMatchesToggleRates(t *testing.T) {
-	c := buildMapped(t, "ctrl")
-	m, err := Compile(c.nl)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	const rounds, seed = 4, 7
-	vectors := m.RandomVectors(rounds*64, seed)
-	res, err := NewLevelized(m).Run(context.Background(), vectors)
-	if err != nil {
-		t.Fatalf("levelized: %v", err)
-	}
-	measured := res.ToggleRates()
-	model, err := c.nl.ToggleRates(rounds, seed)
-	if err != nil {
-		t.Fatalf("ToggleRates: %v", err)
-	}
-	for net, want := range model {
-		if got := measured[net]; math.Abs(got-want) > 1e-12 {
-			t.Errorf("net %s: measured %g, model %g", net, got, want)
-		}
-	}
-	for net := range measured {
-		if _, ok := model[net]; !ok && measured[net] != 0 {
-			t.Errorf("net %s measured %g but absent from model", net, measured[net])
 		}
 	}
 }

@@ -3,8 +3,8 @@ package gsim
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
+	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -20,9 +20,9 @@ type Engine interface {
 
 // levelized is the zero-delay compiled engine: gates evaluate once per
 // vector in topological order, 64 vectors at a time in word-parallel
-// planes. It is the functional/regression mode — fast, two-valued, and
-// bit-compatible with netlist.ToggleRates' activity measurement when fed
-// the same stimulus stream.
+// planes (Graph.SimWords). It is the functional/regression mode — fast,
+// two-valued, and bit-compatible with internal/power's activity model when
+// fed the same stimulus stream.
 type levelized struct {
 	m *Model
 }
@@ -31,41 +31,6 @@ type levelized struct {
 func NewLevelized(m *Model) Engine { return &levelized{m: m} }
 
 func (e *levelized) Name() string { return "levelized" }
-
-// SimWords evaluates one 64-vector word plane: in[i] carries the stimulus
-// bits of primary input i. The returned slice holds one word per net.
-func (m *Model) SimWords(in []uint64) ([]uint64, error) {
-	if len(in) != len(m.Inputs) {
-		return nil, fmt.Errorf("gsim: SimWords wants %d input words, got %d", len(m.Inputs), len(in))
-	}
-	vals := make([]uint64, len(m.Nets))
-	vals[netConst1] = ^uint64(0)
-	for i, idx := range m.Inputs {
-		vals[idx] = in[i]
-	}
-	for gi := range m.Gates {
-		g := &m.Gates[gi]
-		var out uint64
-		// Shannon row selection, bit-parallel: for each ON-set row of the
-		// truth table, AND together the matching input planes.
-		for row := 0; row < 1<<uint(len(g.In)); row++ {
-			if g.Truth&(1<<uint(row)) == 0 {
-				continue
-			}
-			sel := ^uint64(0)
-			for i, idx := range g.In {
-				if row&(1<<uint(i)) != 0 {
-					sel &= vals[idx]
-				} else {
-					sel &= ^vals[idx]
-				}
-			}
-			out |= sel
-		}
-		vals[g.Out] = out
-	}
-	return vals, nil
-}
 
 func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) {
 	m := e.m
@@ -86,8 +51,8 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 	for i := range res.Final {
 		res.Final[i] = VX
 	}
-	res.Final[netConst0] = V0
-	res.Final[netConst1] = V1
+	res.Final[netlist.NetConst0] = V0
+	res.Final[netlist.NetConst1] = V1
 
 	in := make([]uint64, len(m.Inputs))
 	var prev []uint64
@@ -117,19 +82,7 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 			return nil, err
 		}
 		evals += int64(len(m.Gates))
-		// Toggle counting: transitions between consecutive vectors inside
-		// the word, plus the boundary to the previous word's last vector.
-		mask := ^uint64(0)
-		if chunk < 64 {
-			mask = 1<<uint(chunk) - 1
-		}
-		for net, w := range vals {
-			flips := bits.OnesCount64((w ^ (w << 1)) &^ 1 & mask)
-			if prev != nil && (prev[net]>>63)&1 != w&1 {
-				flips++
-			}
-			res.Toggles[net] += int64(flips)
-		}
+		netlist.AddToggles(res.Toggles, prev, vals, chunk)
 		for b := 0; b < chunk; b++ {
 			ob := make([]bool, len(m.Outputs))
 			for o, idx := range m.Outputs {

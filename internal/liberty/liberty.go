@@ -57,6 +57,16 @@ type Timing struct {
 	FallTrans  *Table // output fall transition (s)
 }
 
+// Delay returns the arc's worst-case delay at (slew, load): the larger of
+// its CellRise and CellFall lookups, rise on a tie.
+func (t *Timing) Delay(slew, load float64) float64 {
+	d := t.CellRise.Lookup(slew, load)
+	if f := t.CellFall.Lookup(slew, load); f > d {
+		d = f
+	}
+	return d
+}
+
 // InternalPower is the per-arc internal energy table (J per switching
 // event), indexed like the delay tables.
 type InternalPower struct {

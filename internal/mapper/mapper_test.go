@@ -131,29 +131,47 @@ func poName(i int) string { return "po" + string(rune('a'+i)) }
 // (exhaustive for <= 6 inputs).
 func verifyMapped(t *testing.T, g *aig.AIG, nl *netlist.Netlist) {
 	t.Helper()
+	ng, err := netlist.Compile(nl)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	pi := map[string]int{}
+	for i := 0; i < g.NumPIs(); i++ {
+		pi[g.PIName(i)] = i
+	}
+	po := map[string]int32{}
+	for o, name := range ng.OutputNames {
+		po[name] = ng.Outputs[o]
+	}
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 6; round++ {
 		words := make([]uint64, g.NumPIs())
-		in := make(map[string]uint64, g.NumPIs())
 		for i := range words {
 			words[i] = rng.Uint64()
 			if round == 0 && g.NumPIs() <= 6 {
 				words[i] = aig.Truth6Var(i) // exhaustive patterns
 			}
-			in[g.PIName(i)] = words[i]
+		}
+		in := make([]uint64, len(ng.Inputs))
+		for i, name := range ng.InputNames {
+			j, ok := pi[name]
+			if !ok {
+				t.Fatalf("netlist input %s is not an AIG input", name)
+			}
+			in[i] = words[j]
 		}
 		vals := g.SimWords(words)
-		netVals, err := nl.SimulateWords(in)
+		netVals, err := ng.SimWords(in)
 		if err != nil {
 			t.Fatalf("netlist sim: %v", err)
 		}
 		for i := 0; i < g.NumPOs(); i++ {
 			want := aig.EvalLit(vals, g.PO(i))
-			got, ok := netVals[nl.Resolve(g.POName(i))]
+			id, ok := po[g.POName(i)]
 			if !ok {
 				t.Fatalf("output %s undriven", g.POName(i))
 			}
-			if got != want {
+			if got := netVals[id]; got != want {
 				t.Fatalf("round %d output %s: netlist %x != aig %x", round, g.POName(i), got, want)
 			}
 		}

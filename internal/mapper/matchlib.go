@@ -114,10 +114,7 @@ func newMatch(cell *pdk.Cell, lc *liberty.Cell, tt uint64, n int) (*Match, error
 			return nil, fmt.Errorf("mapper: cell %s missing arc %s", lc.Name, in)
 		}
 		slew, load := midPoint(tm.CellRise)
-		d := tm.CellRise.Lookup(slew, load)
-		if f := tm.CellFall.Lookup(slew, load); f > d {
-			d = f
-		}
+		d := tm.Delay(slew, load)
 		if d > worstDelay {
 			worstDelay = d
 		}

@@ -1,14 +1,14 @@
 // Package netlist represents technology-mapped gate-level netlists: the
-// output of the technology mapper and the input to the STA and power
-// analysis engines. It supports functional simulation (used both to verify
-// mapping correctness against the source AIG and to extract switching
-// activity) and structural Verilog export.
+// output of the technology mapper and the input to the STA, power, and
+// gate-level simulation engines, all of which run on the dense compiled
+// Graph (Compile). The graph's word-parallel evaluator verifies mapping
+// correctness against the source AIG and extracts switching activity. The
+// package also reads and writes structural Verilog.
 package netlist
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -97,63 +97,6 @@ func (n *Netlist) CellCounts() map[string]int {
 	return out
 }
 
-// Fanouts returns, per net, the list of (gate index, pin index) loads, plus
-// which nets are primary outputs.
-func (n *Netlist) Fanouts() map[string][][2]int {
-	out := make(map[string][][2]int)
-	for gi, g := range n.Gates {
-		for pi, in := range g.Inputs {
-			out[in] = append(out[in], [2]int{gi, pi})
-		}
-	}
-	return out
-}
-
-// SimulateWords runs 64-bit-parallel simulation: in maps each primary input
-// to a stimulus word. It returns the value of every net.
-func (n *Netlist) SimulateWords(in map[string]uint64) (map[string]uint64, error) {
-	vals := make(map[string]uint64, len(in)+len(n.Gates)+2)
-	vals[Const0] = 0
-	vals[Const1] = ^uint64(0)
-	for k, v := range in {
-		vals[k] = v
-	}
-	for _, g := range n.Gates {
-		def := n.cellIndex[g.Cell]
-		tt, ok := def.Truth(def.Outputs[0])
-		if !ok {
-			return nil, fmt.Errorf("netlist: cell %s has no truth table", g.Cell)
-		}
-		var out uint64
-		// Evaluate bit-parallel via Shannon: for each input pattern index of
-		// the cell, select stimulus bits matching it.
-		inWords := make([]uint64, len(g.Inputs))
-		for i, net := range g.Inputs {
-			w, ok := vals[net]
-			if !ok {
-				return nil, fmt.Errorf("netlist: net %s used before driven (gate %s)", net, g.Name)
-			}
-			inWords[i] = w
-		}
-		for row := 0; row < 1<<uint(len(inWords)); row++ {
-			if tt&(1<<uint(row)) == 0 {
-				continue
-			}
-			sel := ^uint64(0)
-			for i, w := range inWords {
-				if row&(1<<uint(i)) != 0 {
-					sel &= w
-				} else {
-					sel &= ^w
-				}
-			}
-			out |= sel
-		}
-		vals[g.Output] = out
-	}
-	return vals, nil
-}
-
 // Resolve returns the driving net for a name, following output aliases.
 func (n *Netlist) Resolve(name string) string {
 	if d, ok := n.Aliases[name]; ok {
@@ -162,97 +105,48 @@ func (n *Netlist) Resolve(name string) string {
 	return name
 }
 
-// Eval computes primary-output values for one input assignment.
-func (n *Netlist) Eval(in map[string]bool) (map[string]bool, error) {
-	words := make(map[string]uint64, len(in))
-	for k, v := range in {
-		if v {
-			words[k] = ^uint64(0)
-		} else {
-			words[k] = 0
-		}
-	}
-	vals, err := n.SimulateWords(words)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]bool, len(n.Outputs))
-	for _, o := range n.Outputs {
-		w, ok := vals[n.Resolve(o)]
-		if !ok {
-			return nil, fmt.Errorf("netlist: output %s undriven", o)
-		}
-		out[o] = w&1 != 0
-	}
-	return out, nil
-}
-
-// ToggleRates estimates per-net toggle rates (transitions per cycle) under
-// random input stimulus: rounds*64 vectors, deterministic for a seed.
-func (n *Netlist) ToggleRates(rounds int, seed int64) (map[string]float64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	rates := make(map[string]float64)
-	var prev map[string]uint64
-	total := 0
-	for r := 0; r < rounds; r++ {
-		in := make(map[string]uint64, len(n.Inputs))
-		for _, name := range n.Inputs {
-			in[name] = rng.Uint64()
-		}
-		vals, err := n.SimulateWords(in)
-		if err != nil {
-			return nil, err
-		}
-		for net, w := range vals {
-			flips := popcount((w ^ (w << 1)) &^ 1)
-			if prev != nil {
-				if (prev[net]>>63)&1 != w&1 {
-					flips++
-				}
-			}
-			rates[net] += float64(flips)
-		}
-		prev = vals
-		total += 64
-	}
-	for net := range rates {
-		rates[net] /= float64(total)
-	}
-	return rates, nil
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// WriteVerilog emits the netlist as structural Verilog.
+// WriteVerilog emits the netlist as structural Verilog. Net names are
+// written with '.', '[' and ']' replaced by '_'; it fails rather than
+// merge two distinct nets that would write as the same identifier.
 func (n *Netlist) WriteVerilog(w io.Writer) error {
+	ids := make(map[string]string) // identifier -> the net it names
+	var clash error
+	id := func(net string) string {
+		s := sanitizer.Replace(net)
+		if prev, ok := ids[s]; !ok {
+			ids[s] = net
+		} else if prev != net && clash == nil {
+			clash = fmt.Errorf("netlist: nets %q and %q both write as %q", prev, net, s)
+		}
+		return s
+	}
+	idList := func(nets []string) string {
+		out := make([]string, len(nets))
+		for i, net := range nets {
+			out[i] = id(net)
+		}
+		return strings.Join(out, ", ")
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// mapped netlist %s: %d gates\n", n.Name, len(n.Gates))
-	fmt.Fprintf(&b, "module %s (%s, %s);\n", sanitize(n.Name),
-		strings.Join(sanitizeAll(n.Inputs), ", "), strings.Join(sanitizeAll(n.Outputs), ", "))
+	fmt.Fprintf(&b, "module %s (%s, %s);\n", sanitizer.Replace(n.Name), idList(n.Inputs), idList(n.Outputs))
 	for _, in := range n.Inputs {
-		fmt.Fprintf(&b, "  input %s;\n", sanitize(in))
+		fmt.Fprintf(&b, "  input %s;\n", id(in))
 	}
 	for _, out := range n.Outputs {
-		fmt.Fprintf(&b, "  output %s;\n", sanitize(out))
+		fmt.Fprintf(&b, "  output %s;\n", id(out))
 	}
 	// Internal wires.
 	declared := make(map[string]bool)
 	for _, in := range n.Inputs {
-		declared[sanitize(in)] = true
+		declared[id(in)] = true
 	}
 	for _, out := range n.Outputs {
-		declared[sanitize(out)] = true
+		declared[id(out)] = true
 	}
 	var wires []string
 	for _, g := range n.Gates {
-		if s := sanitize(g.Output); !declared[s] {
+		if s := id(g.Output); !declared[s] {
 			declared[s] = true
 			wires = append(wires, s)
 		}
@@ -265,9 +159,9 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 		def := n.cellIndex[g.Cell]
 		var pins []string
 		for i, in := range g.Inputs {
-			pins = append(pins, fmt.Sprintf(".%s(%s)", def.Inputs[i], sanitize(in)))
+			pins = append(pins, fmt.Sprintf(".%s(%s)", def.Inputs[i], id(in)))
 		}
-		pins = append(pins, fmt.Sprintf(".%s(%s)", def.Outputs[0], sanitize(g.Output)))
+		pins = append(pins, fmt.Sprintf(".%s(%s)", def.Outputs[0], id(g.Output)))
 		fmt.Fprintf(&b, "  %s %s (%s);\n", g.Cell, g.Name, strings.Join(pins, ", "))
 	}
 	var aliased []string
@@ -276,21 +170,14 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 	}
 	sort.Strings(aliased)
 	for _, out := range aliased {
-		fmt.Fprintf(&b, "  assign %s = %s;\n", sanitize(out), sanitize(n.Aliases[out]))
+		fmt.Fprintf(&b, "  assign %s = %s;\n", id(out), id(n.Aliases[out]))
 	}
 	fmt.Fprintf(&b, "endmodule\n")
+	if clash != nil {
+		return clash
+	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-func sanitize(s string) string {
-	return strings.NewReplacer(".", "_", "[", "_", "]", "_").Replace(s)
-}
-
-func sanitizeAll(ss []string) []string {
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = sanitize(s)
-	}
-	return out
-}
+var sanitizer = strings.NewReplacer(".", "_", "[", "_", "]", "_")

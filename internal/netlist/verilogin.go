@@ -22,6 +22,7 @@ func ReadVerilog(r io.Reader, cells []*pdk.Cell) (*Netlist, error) {
 	}
 	var nl *Netlist
 	var headerPorts []string
+	var ports map[string]bool // input and output declarations seen
 	for _, st := range lexStatements(string(text)) {
 		stmt := st.text
 		fields := strings.Fields(stmt)
@@ -30,21 +31,28 @@ func ReadVerilog(r io.Reader, cells []*pdk.Cell) (*Netlist, error) {
 		}
 		switch fields[0] {
 		case "module":
-			name, ports, err := parseModuleHeader(stmt, st.line)
+			name, header, err := parseModuleHeader(stmt, st.line)
 			if err != nil {
 				return nil, err
 			}
 			nl = New(name, cells)
-			headerPorts = ports
+			headerPorts = header
+			ports = make(map[string]bool)
 		case "input", "output", "wire":
 			if nl == nil {
 				return nil, fmt.Errorf("verilog: line %d: declaration before module", st.line)
 			}
 			for _, n := range splitList(strings.TrimPrefix(stmt, fields[0])) {
-				switch fields[0] {
-				case "input":
+				if fields[0] == "wire" {
+					continue
+				}
+				if ports[n] {
+					return nil, fmt.Errorf("verilog: line %d: port %q declared twice", st.line, n)
+				}
+				ports[n] = true
+				if fields[0] == "input" {
 					nl.Inputs = append(nl.Inputs, n)
-				case "output":
+				} else {
 					nl.Outputs = append(nl.Outputs, n)
 				}
 			}

@@ -2,7 +2,6 @@ package power
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/gsim"
@@ -10,17 +9,17 @@ import (
 	"repro/internal/testlib"
 )
 
-// TestMeasuredActivityMatchesModel pins the ActivitySource contract: a
-// zero-delay gsim run over the same seeded stimulus stream the statistical
-// model draws must reproduce the model's power report (the activity maps are
-// bit-identical, so the only slack allowed is float summation noise).
+// TestMeasuredActivityMatchesModel pins the Options.Activity contract: a
+// zero-delay gsim run over the same seeded stimulus stream the built-in
+// activity model draws must reproduce the model's power report bit for bit
+// (the activity is identical and summed in the same order).
 func TestMeasuredActivityMatchesModel(t *testing.T) {
 	ctx := context.Background()
 	lib, used := testlib.Build(catalog, testlib.Names(), 300)
 	nl := demoNetlist(used)
 
-	const rounds, seed = 8, 3
-	model, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, SimRounds: rounds, Seed: seed})
+	const seed = 3
+	model, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,28 +28,16 @@ func TestMeasuredActivityMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gsim.NewLevelized(m).Run(ctx, m.RandomVectors(rounds*64, seed))
+	res, err := gsim.NewLevelized(m).Run(ctx, m.RandomVectors(simRounds*64, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Activity: res.Activity()})
+	measured, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Activity: res.ToggleRates()})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if measured.Leakage != model.Leakage {
-		t.Errorf("leakage: measured %v, model %v", measured.Leakage, model.Leakage)
-	}
-	for _, c := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"internal", measured.Internal, model.Internal},
-		{"switching", measured.Switching, model.Switching},
-	} {
-		if math.Abs(c.got-c.want) > 1e-9*math.Abs(c.want) {
-			t.Errorf("%s: measured %v, model %v", c.name, c.got, c.want)
-		}
+	if *measured != *model {
+		t.Errorf("measured %+v, model %+v", *measured, *model)
 	}
 }
 
@@ -94,11 +81,11 @@ func TestGlitchPowerExceedsZeroDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repZero, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Activity: zero.Activity()})
+	repZero, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Activity: zero.ToggleRates()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repGlitch, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Activity: glitchy.Activity()})
+	repGlitch, err := Analyze(ctx, nl, lib, Options{ClockPeriod: 1e-9, Activity: glitchy.ToggleRates()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package power
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"repro/internal/liberty"
@@ -15,25 +16,20 @@ import (
 	"repro/internal/sta"
 )
 
-// ActivitySource supplies per-net switching activity (toggles per cycle,
-// keyed by net name) for a netlist, replacing the built-in random-vector
-// statistical model. internal/gsim's measured Result.Activity satisfies it
-// structurally, so simulated vector traces — glitches included — can drive
-// the same power report.
-type ActivitySource interface {
-	NetActivity(nl *netlist.Netlist) (map[string]float64, error)
-}
+// simRounds is the number of 64-vector rounds of the built-in activity
+// model.
+const simRounds = 8
 
 // Options configures a power run.
 type Options struct {
 	ClockPeriod float64 // cycle time used to convert per-cycle energy to watts
-	SimRounds   int     // 64-vector rounds for activity extraction (default 8)
-	Seed        int64
+	Seed        int64   // random stimulus seed of the activity model
 	STA         sta.Options
 	// Activity, when non-nil, overrides the random-vector activity model
-	// (SimRounds/Seed are then unused). Nets absent from the source are
-	// treated as quiet.
-	Activity ActivitySource
+	// with per-net toggles per cycle keyed by net name — for instance
+	// gsim's measured Result.ToggleRates, glitches included. Nets absent
+	// from the map are treated as quiet.
+	Activity map[string]float64
 }
 
 // Report is the power breakdown in watts.
@@ -77,51 +73,41 @@ func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library,
 	if opt.ClockPeriod <= 0 {
 		return nil, nil, fmt.Errorf("power: clock period must be positive")
 	}
-	if opt.SimRounds == 0 {
-		opt.SimRounds = 8
-	}
 	timing, err := sta.Analyze(ctx, nl, lib, opt.STA)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rates map[string]float64
+	g := timing.Graph
+	var rates []float64
 	if opt.Activity != nil {
-		rates, err = opt.Activity.NetActivity(nl)
-		if err != nil {
-			return nil, nil, fmt.Errorf("power: activity source: %w", err)
+		rates = make([]float64, len(g.Nets))
+		for id, net := range g.Nets {
+			rates[id] = opt.Activity[net]
 		}
 		span.SetAttr("activity", "measured")
 		obs.C("power.measured_activity").Inc()
-	} else {
-		rates, err = nl.ToggleRates(opt.SimRounds, opt.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
+	} else if rates, err = activity(g, opt.Seed); err != nil {
+		return nil, nil, err
 	}
 	rep := &Report{ClockPeriod: opt.ClockPeriod}
 	freq := 1.0 / opt.ClockPeriod
 	vdd := lib.Vdd
-	cells := make([]CellPower, 0, len(nl.Gates))
-	for _, g := range nl.Gates {
-		lc := lib.FindCell(g.Cell)
-		if lc == nil {
-			return nil, nil, fmt.Errorf("power: cell %s not in library", g.Cell)
-		}
-		def := nl.Cell(g.Cell)
-		cp := CellPower{Gate: g.Name, Cell: g.Cell, Leakage: lc.LeakagePower}
+	cells := make([]CellPower, len(g.Gates))
+	for gi := range g.Gates {
+		node := &g.Gates[gi]
+		bound := timing.Bound[gi]
+		cp := CellPower{Gate: node.Name, Cell: node.Cell, Leakage: bound.Cell.LeakagePower}
 		rep.Leakage += cp.Leakage
 
 		// Internal power: per output-net toggle, the average of rise/fall
 		// internal energy at the gate's operating point, attributed to the
 		// worst-slew input arc (PrimeTime-style simplification).
-		alpha := rates[g.Output]
-		if alpha > 0 {
-			load := timing.Load[g.Output]
-			outPin := def.Outputs[0]
+		if alpha := rates[node.Out]; alpha > 0 {
+			load := timing.Load[node.Out]
 			var eSum float64
 			var arcs int
-			for i, in := range g.Inputs {
-				pw := lc.Power(outPin, def.Inputs[i])
+			for i, in := range node.In {
+				pw := bound.Arcs[i].Power
 				if pw == nil {
 					continue
 				}
@@ -138,23 +124,47 @@ func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library,
 			// nets, which no gate owns, are included too).
 			cp.Switching = alpha * freq * 0.5 * load * vdd * vdd
 		}
-		cells = append(cells, cp)
+		cells[gi] = cp
 	}
-	// Net switching power: alpha * f * 1/2 * C * Vdd^2 over driven nets.
-	// Nets are visited in sorted order so the floating-point sum is
-	// bit-reproducible run to run (map order would perturb the last ULP,
-	// which the QoR regression gate compares exactly).
-	nets := make([]string, 0, len(timing.Load))
-	for net := range timing.Load {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
-	for _, net := range nets {
-		alpha := rates[net]
-		if alpha == 0 {
-			continue
+	// Net switching power: alpha * f * 1/2 * C * Vdd^2 over loaded nets.
+	// Nets are visited in name order so the floating-point sum is
+	// bit-reproducible and independent of net numbering (the QoR
+	// regression gate compares it exactly).
+	nets := make([]int32, 0, len(g.Nets))
+	for id, load := range timing.Load {
+		if load != 0 && rates[id] != 0 {
+			nets = append(nets, int32(id))
 		}
-		rep.Switching += alpha * freq * 0.5 * timing.Load[net] * vdd * vdd
+	}
+	sort.Slice(nets, func(i, j int) bool { return g.Nets[nets[i]] < g.Nets[nets[j]] })
+	for _, id := range nets {
+		rep.Switching += rates[id] * freq * 0.5 * timing.Load[id] * vdd * vdd
 	}
 	return rep, cells, nil
+}
+
+// activity measures per-net toggles per cycle over simRounds*64 random
+// vectors: each round draws one word per primary input in port order, the
+// stream gsim.Model.RandomVectors produces for the same seed.
+func activity(g *netlist.Graph, seed int64) ([]float64, error) {
+	rng := rand.New(rand.NewSource(seed))
+	toggles := make([]int64, len(g.Nets))
+	in := make([]uint64, len(g.Inputs))
+	var prev []uint64
+	for r := 0; r < simRounds; r++ {
+		for i := range in {
+			in[i] = rng.Uint64()
+		}
+		vals, err := g.SimWords(in)
+		if err != nil {
+			return nil, err
+		}
+		netlist.AddToggles(toggles, prev, vals, 64)
+		prev = vals
+	}
+	rates := make([]float64, len(toggles))
+	for id, t := range toggles {
+		rates[id] = float64(t) / (simRounds * 64)
+	}
+	return rates, nil
 }

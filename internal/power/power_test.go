@@ -2,10 +2,12 @@ package power
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/netlist"
 	"repro/internal/pdk"
+	"repro/internal/sta"
 	"repro/internal/testlib"
 )
 
@@ -220,4 +222,55 @@ func rel(a, b float64) float64 {
 		d = -d
 	}
 	return d / b
+}
+
+// TestConstantTiesSignOff runs a netlist with constant ties on a gate pin
+// and on an output assign through STA, slacks, path reports and power:
+// constants arrive at 0 with the input slew and never toggle.
+func TestConstantTiesSignOff(t *testing.T) {
+	const src = `module ties (a, y, z);
+input a;
+output y;
+output z;
+wire n1;
+NAND2x1 g0 (.A(a), .B(1'b1), .Y(n1));
+assign y = n1;
+assign z = 1'b0;
+endmodule`
+	ctx := context.Background()
+	lib, used := testlib.Build(catalog, testlib.Names(), 300)
+	nl, err := netlist.ReadVerilog(strings.NewReader(src), used)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing, err := sta.Analyze(ctx, nl, lib, sta.Options{})
+	if err != nil {
+		t.Fatalf("sta.Analyze: %v", err)
+	}
+	if timing.CriticalDelay <= 0 {
+		t.Errorf("critical delay %g, want > 0", timing.CriticalDelay)
+	}
+	one, _ := timing.Graph.NetIndex(netlist.Const1)
+	if timing.Arrival[one] != 0 || timing.Slew[one] != 10e-12 {
+		t.Errorf("1'b1 arrival %g slew %g, want 0 and the input slew", timing.Arrival[one], timing.Slew[one])
+	}
+	period := timing.CriticalDelay * 1.2
+	slacks := timing.Slacks(period)
+	if s, ok := slacks["n1"]; !ok || s <= 0 {
+		t.Errorf("slack(n1) = %g, %v; want positive", s, ok)
+	}
+	paths := timing.TopPaths(0, period)
+	if len(paths) != 2 || paths[0].Endpoint != "y" || paths[1].Endpoint != "z" {
+		t.Fatalf("paths = %+v, want endpoints y then z", paths)
+	}
+	if z := paths[1]; z.ArrivalSec != 0 || len(z.Arcs) != 1 || z.Arcs[0].ToNet != netlist.Const0 {
+		t.Errorf("constant endpoint path = %+v", z)
+	}
+	rep, err := Analyze(ctx, nl, lib, Options{ClockPeriod: period, Seed: 1})
+	if err != nil {
+		t.Fatalf("power.Analyze: %v", err)
+	}
+	if rep.Leakage <= 0 || rep.Internal <= 0 || rep.Switching <= 0 {
+		t.Errorf("breakdown must be positive: %+v", rep)
+	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/netlist"
 )
 
 // PathArc is one hop of a timing path: the cell arc that propagates the
@@ -34,14 +32,15 @@ type Path struct {
 // endpoint count returns every endpoint. Ties rank by endpoint name so the
 // report is stable.
 func (r *Result) TopPaths(k int, clockPeriod float64) []Path {
+	g := r.Graph
 	type endpoint struct {
-		port, net string
-		arr       float64
+		port string
+		net  int32
+		arr  float64
 	}
-	eps := make([]endpoint, 0, len(r.nl.Outputs))
-	for _, out := range r.nl.Outputs {
-		net := r.nl.Resolve(out)
-		eps = append(eps, endpoint{port: out, net: net, arr: r.Arrival[net]})
+	eps := make([]endpoint, len(g.Outputs))
+	for o, net := range g.Outputs {
+		eps[o] = endpoint{port: g.OutputNames[o], net: net, arr: r.Arrival[net]}
 	}
 	sort.Slice(eps, func(i, j int) bool {
 		if eps[i].arr != eps[j].arr {
@@ -53,41 +52,37 @@ func (r *Result) TopPaths(k int, clockPeriod float64) []Path {
 		eps = eps[:k]
 	}
 
-	driver := make(map[string]*netlist.Gate, len(r.nl.Gates))
-	for i := range r.nl.Gates {
-		driver[r.nl.Gates[i].Output] = &r.nl.Gates[i]
-	}
-
 	paths := make([]Path, 0, len(eps))
 	for _, ep := range eps {
 		p := Path{Endpoint: ep.port, ArrivalSec: ep.arr, SlackSec: clockPeriod - ep.arr}
 		// Walk the stored worst-predecessor chain back to the launch point,
 		// then reverse into launch-first order.
-		var chain []string
-		for net := ep.net; net != ""; net = r.prev[net] {
+		var chain []int32
+		for net := ep.net; net >= 0; net = r.prev[net] {
 			chain = append(chain, net)
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
 			net := chain[i]
 			arc := PathArc{
-				ToNet:      net,
+				ToNet:      g.Nets[net],
 				ArrivalSec: r.Arrival[net],
 				SlewSec:    r.Slew[net],
 				LoadF:      r.Load[net],
 			}
+			from := int32(-1)
 			if i < len(chain)-1 {
-				arc.FromNet = chain[i+1]
-				arc.DelaySec = r.Arrival[net] - r.Arrival[arc.FromNet]
+				from = chain[i+1]
+				arc.FromNet = g.Nets[from]
+				arc.DelaySec = r.Arrival[net] - r.Arrival[from]
 			}
-			if g := driver[net]; g != nil {
-				arc.Gate, arc.Cell = g.Name, g.Cell
+			if gi := g.Driver[net]; gi >= 0 {
+				node := &g.Gates[gi]
+				arc.Gate, arc.Cell = node.Name, node.Cell
 				// Name the liberty arc: the input pin FromNet drives.
-				if def := r.nl.Cell(g.Cell); def != nil && arc.FromNet != "" {
-					for pi, in := range g.Inputs {
-						if in == arc.FromNet && pi < len(def.Inputs) {
-							arc.FromPin = def.Inputs[pi]
-							break
-						}
+				for pi, in := range node.In {
+					if in == from {
+						arc.FromPin = node.Def.Inputs[pi]
+						break
 					}
 				}
 			}

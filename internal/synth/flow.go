@@ -7,6 +7,7 @@ import (
 	"repro/internal/aig"
 	"repro/internal/liberty"
 	"repro/internal/mapper"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sta"
@@ -129,30 +130,50 @@ func (c *Comparison) DelayOverhead(sc Scenario) float64 {
 // AIG on bit-parallel random patterns (plus exhaustive patterns when the
 // input count allows); it returns an error on the first mismatch.
 func VerifyMapped(g *aig.AIG, res *Result, rounds int, seed int64) error {
-	nl := res.Netlist
+	ng, err := netlist.Compile(res.Netlist)
+	if err != nil {
+		return err
+	}
+	pi := make(map[string]int, g.NumPIs())
+	for i := 0; i < g.NumPIs(); i++ {
+		pi[g.PIName(i)] = i
+	}
+	inPI := make([]int, len(ng.Inputs))
+	for i, name := range ng.InputNames {
+		j, ok := pi[name]
+		if !ok {
+			return fmt.Errorf("synth: netlist input %s is not an AIG input", name)
+		}
+		inPI[i] = j
+	}
+	po := make(map[string]int32, len(ng.Outputs))
+	for o, name := range ng.OutputNames {
+		po[name] = ng.Outputs[o]
+	}
+	in := make([]uint64, len(ng.Inputs))
 	for round := 0; round < rounds; round++ {
 		words := make([]uint64, g.NumPIs())
-		in := make(map[string]uint64, g.NumPIs())
 		rng := seededRng(seed + int64(round))
 		for i := range words {
 			words[i] = rng.Uint64()
 			if round == 0 && g.NumPIs() <= 6 {
 				words[i] = aig.Truth6Var(i)
 			}
-			in[g.PIName(i)] = words[i]
+		}
+		for i := range in {
+			in[i] = words[inPI[i]]
 		}
 		vals := g.SimWords(words)
-		netVals, err := nl.SimulateWords(in)
+		netVals, err := ng.SimWords(in)
 		if err != nil {
 			return err
 		}
 		for i := 0; i < g.NumPOs(); i++ {
-			want := aig.EvalLit(vals, g.PO(i))
-			got, ok := netVals[nl.Resolve(g.POName(i))]
+			id, ok := po[g.POName(i)]
 			if !ok {
 				return fmt.Errorf("synth: output %s undriven", g.POName(i))
 			}
-			if got != want {
+			if netVals[id] != aig.EvalLit(vals, g.PO(i)) {
 				return fmt.Errorf("synth: output %s mismatches on round %d", g.POName(i), round)
 			}
 		}

@@ -45,19 +45,20 @@ func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Libra
 		if err != nil {
 			return nil, err
 		}
-		slacks := res.Slacks(limit)
+		slacks := res.NetSlacks(limit)
 		changed := 0
 		for gi := range nl.Gates {
 			g := &nl.Gates[gi]
 			smaller := nextDrive(families, g.Cell, -1)
-			if smaller == "" {
+			slack := slacks[res.Graph.Gates[gi].Out]
+			if smaller == "" || slack <= 0 {
 				continue
 			}
-			slack := slacks[g.Output]
-			if slack <= 0 {
-				continue
+			alt, err := res.Bind(nl.Cell(smaller))
+			if err != nil {
+				return nil, err
 			}
-			penalty := delayAt(lib, nl, smaller, g, res) - delayAt(lib, nl, g.Cell, g, res)
+			penalty := delayAt(res, gi, alt) - delayAt(res, gi, res.Bound[gi])
 			if penalty <= 0 || slack > 3*penalty {
 				g.Cell = smaller
 				changed++
@@ -78,14 +79,15 @@ func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Libra
 		if res.CriticalDelay <= limit {
 			break
 		}
-		critical := map[string]bool{}
+		critical := make([]bool, len(res.Graph.Nets))
 		for _, net := range res.CriticalPath {
-			critical[net] = true
+			id, _ := res.Graph.NetIndex(net)
+			critical[id] = true
 		}
 		changed := 0
 		for gi := range nl.Gates {
 			g := &nl.Gates[gi]
-			if !critical[g.Output] {
+			if !critical[res.Graph.Gates[gi].Out] {
 				continue
 			}
 			bigger := nextDrive(families, g.Cell, +1)
@@ -159,31 +161,14 @@ func nextDrive(fams map[string][]*pdk.Cell, cellName string, dir int) string {
 	return ""
 }
 
-// delayAt estimates a gate's worst arc delay if it were implemented with
-// the given cell, at the operating point from the last STA.
-func delayAt(lib *liberty.Library, nl *netlist.Netlist, cellName string, g *netlist.Gate, res *sta.Result) float64 {
-	lc := lib.FindCell(cellName)
-	def := nl.Cell(cellName)
-	if lc == nil || def == nil {
-		return 0
-	}
-	load := res.Load[g.Output]
+// delayAt estimates gate gi's worst arc delay if it were implemented with
+// the bound cell ca, at the operating point from the last STA.
+func delayAt(res *sta.Result, gi int, ca *sta.CellArcs) float64 {
+	node := &res.Graph.Gates[gi]
+	load := res.Load[node.Out]
 	var worst float64
-	outPin := def.Outputs[0]
-	for i, net := range g.Inputs {
-		if i >= len(def.Inputs) {
-			break
-		}
-		tm := lc.Timing(outPin, def.Inputs[i])
-		if tm == nil {
-			continue
-		}
-		slew := res.Slew[net]
-		d := tm.CellRise.Lookup(slew, load)
-		if f := tm.CellFall.Lookup(slew, load); f > d {
-			d = f
-		}
-		if d > worst {
+	for i, net := range node.In {
+		if d := ca.Arcs[i].Timing.Delay(res.Slew[net], load); d > worst {
 			worst = d
 		}
 	}
