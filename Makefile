@@ -9,10 +9,10 @@ test:
 	$(GO) test ./...
 
 # Race-enabled run of the packages with concurrency (obs registry, sparse
-# solver state, charlib worker pool, cec fallback miter workers) plus the
-# rest of the tree.
+# solver state, charlib worker pool, cec fallback miter workers, the mapper's
+# shared match-library memo) plus the rest of the tree.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/linalg/... ./internal/spice/... ./internal/charlib/... ./internal/synth/... ./internal/cec/... ./internal/qor/... ./internal/gsim/...
+	$(GO) test -race ./internal/obs/... ./internal/linalg/... ./internal/spice/... ./internal/charlib/... ./internal/synth/... ./internal/cec/... ./internal/qor/... ./internal/gsim/... ./internal/aig/... ./internal/sat/... ./internal/mapper/...
 
 # Equivalence-checker suite under the race detector (the parallel fallback
 # miter is the flow's most concurrent code path).

@@ -32,8 +32,11 @@ func (c Cut) dominates(d Cut) bool {
 }
 
 // mergeCuts unions two sorted leaf sets, failing if the result exceeds k.
+// The union is built in a stack buffer and copied to the heap only when the
+// merge succeeds.
 func mergeCuts(a, b Cut, k int) (Cut, bool) {
-	leaves := make([]int, 0, k)
+	var buf [6]int
+	leaves := buf[:0]
 	i, j := 0, 0
 	for i < len(a.Leaves) || j < len(b.Leaves) {
 		var v int
@@ -60,7 +63,7 @@ func mergeCuts(a, b Cut, k int) (Cut, bool) {
 		}
 		leaves = append(leaves, v)
 	}
-	return newCut(leaves), true
+	return newCut(append(make([]int, 0, len(leaves)), leaves...)), true
 }
 
 // EnumerateCuts computes up to maxCuts k-feasible cuts per variable using

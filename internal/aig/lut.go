@@ -119,19 +119,44 @@ func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
 func (n *LUTNet) NumLUTs() int { return len(n.LUTs) }
 
 // MfsOptions controls SAT-based don't-care minimization of a LUT network
-// (ABC's mfs).
+// (ABC's mfs). Zero-valued numeric fields take their DefaultMfsOptions
+// value; a negative SATBudget or Window is unbounded.
 type MfsOptions struct {
 	SimWords   int   // random-simulation width used to find candidate SDCs
-	SATBudget  int64 // conflict budget per don't-care proof
+	SATBudget  int64 // conflict budget per don't-care query
 	MaxChecks  int   // unobserved input patterns SAT-checked per LUT
 	PowerAware bool  // drop high-activity supports first (mfs -p)
 	Seed       int64
-	Window     int // CNF cone bound per proof (sound for UNSAT)
+	// Window bounds the CNF cone encoded per LUT window: one solver per LUT
+	// encodes at most Window AND nodes of the leaves' fanin cone, and every
+	// query of that LUT reuses it (sound for UNSAT).
+	Window int
 }
 
 // DefaultMfsOptions returns sensible defaults.
 func DefaultMfsOptions() MfsOptions {
 	return MfsOptions{SimWords: 16, SATBudget: 200, MaxChecks: 12, Seed: 7, Window: 400}
+}
+
+// withDefaults fills the zero-valued numeric fields from DefaultMfsOptions.
+func (o MfsOptions) withDefaults() MfsOptions {
+	d := DefaultMfsOptions()
+	if o.SimWords == 0 {
+		o.SimWords = d.SimWords
+	}
+	if o.SATBudget == 0 {
+		o.SATBudget = d.SATBudget
+	}
+	if o.MaxChecks == 0 {
+		o.MaxChecks = d.MaxChecks
+	}
+	if o.Seed == 0 {
+		o.Seed = d.Seed
+	}
+	if o.Window == 0 {
+		o.Window = d.Window
+	}
+	return o
 }
 
 // Mfs minimizes each LUT's function using satisfiability don't-cares: input
@@ -142,9 +167,7 @@ func DefaultMfsOptions() MfsOptions {
 // preferentially — the power-optimizing variant (mfs -pegd) the paper's
 // stage 2 uses.
 func (n *LUTNet) Mfs(opt MfsOptions) {
-	if opt.SimWords == 0 {
-		opt = DefaultMfsOptions()
-	}
+	opt = opt.withDefaults()
 	sigs := n.G.Signatures(opt.SimWords, opt.Seed)
 	act := n.G.Activities()
 
@@ -154,31 +177,7 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 		if k == 0 || k > 6 {
 			continue
 		}
-		// Observed input patterns under random simulation.
-		observed := make([]bool, 1<<uint(k))
-		for w := 0; w < opt.SimWords; w++ {
-			for bit := 0; bit < 64; bit++ {
-				idx := 0
-				for i, leaf := range lut.Leaves {
-					if sigs[leaf][w]&(1<<uint(bit)) != 0 {
-						idx |= 1 << uint(i)
-					}
-				}
-				observed[idx] = true
-			}
-		}
-		// Prove unobserved patterns unreachable (true SDCs), up to budget.
-		var dc uint64
-		checks := 0
-		for idx := 0; idx < 1<<uint(k) && checks < opt.MaxChecks; idx++ {
-			if observed[idx] {
-				continue
-			}
-			checks++
-			if n.patternUnreachable(lut, idx, opt.SATBudget, opt.Window) {
-				dc |= 1 << uint(idx)
-			}
-		}
+		dc := n.dontCares(lut.Leaves, observedPatterns(sigs, lut.Leaves), opt)
 		if dc == 0 {
 			continue
 		}
@@ -225,19 +224,69 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 	}
 }
 
-// patternUnreachable checks whether a specific leaf-value combination of a
-// LUT can ever occur; returns true when proven impossible.
-func (n *LUTNet) patternUnreachable(lut *LUT, idx int, budget int64, window int) bool {
-	s := sat.New(0)
-	s.ConflictBudget = budget
-	cb := NewCNFBuilder(n.G, s)
-	cb.Limit = window
-	assumptions := make([]sat.Lit, len(lut.Leaves))
-	for i, leaf := range lut.Leaves {
-		neg := idx&(1<<uint(i)) == 0
-		assumptions[i] = sat.L(cb.SatVar(leaf), neg)
+// observedPatterns returns the set of leaf-value patterns (bit idx set when
+// leaf i carries bit i of idx) that occur in the simulation signatures. Each
+// pattern is one bitwise test per signature word: the AND over the leaves of
+// sig or ^sig, stopping at the first word where it is non-zero.
+func observedPatterns(sigs [][]uint64, leaves []int) uint64 {
+	var seen uint64
+	words := len(sigs[leaves[0]])
+	for idx := 0; idx < 1<<uint(len(leaves)); idx++ {
+		for w := 0; w < words; w++ {
+			m := ^uint64(0)
+			for i, leaf := range leaves {
+				if idx&(1<<uint(i)) != 0 {
+					m &= sigs[leaf][w]
+				} else {
+					m &^= sigs[leaf][w]
+				}
+			}
+			if m != 0 {
+				seen |= 1 << uint(idx)
+				break
+			}
+		}
 	}
-	return s.Solve(assumptions...) == sat.Unsat
+	return seen
+}
+
+// dontCares proves up to MaxChecks of the unobserved leaf patterns
+// unreachable and returns them as a satisfiability don't-care mask. One
+// solver per LUT window, created on the first unobserved pattern, holds the
+// leaves' windowed cone (encoded in leaf order, at most Window AND nodes);
+// each pattern is one Solve under the leaf-value assumptions, with a
+// SATBudget conflict budget per query. Learned clauses are implied by the
+// window CNF, so each Sat/Unsat verdict is the one a fresh solver per
+// pattern would give; only a budget-limited Unknown can differ.
+func (n *LUTNet) dontCares(leaves []int, observed uint64, opt MfsOptions) uint64 {
+	var s *sat.Solver
+	var vars []int
+	assumptions := make([]sat.Lit, len(leaves))
+	var dc uint64
+	checks := 0
+	for idx := 0; idx < 1<<uint(len(leaves)) && checks < opt.MaxChecks; idx++ {
+		if observed&(1<<uint(idx)) != 0 {
+			continue
+		}
+		checks++
+		if s == nil {
+			s = sat.New(0)
+			s.ConflictBudget = opt.SATBudget
+			cb := NewCNFBuilder(n.G, s)
+			cb.Limit = opt.Window
+			vars = make([]int, len(leaves))
+			for i, leaf := range leaves {
+				vars[i] = cb.SatVar(leaf)
+			}
+		}
+		for i, v := range vars {
+			assumptions[i] = sat.L(v, idx&(1<<uint(i)) == 0)
+		}
+		if s.Solve(assumptions...) == sat.Unsat {
+			dc |= 1 << uint(idx)
+		}
+	}
+	return dc
 }
 
 // removableInput reports whether the function tt (with care set) is

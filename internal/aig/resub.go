@@ -63,7 +63,8 @@ func sigHash(a []uint64, compl bool) uint64 {
 	return h
 }
 
-// ResubOptions tunes SAT-based resubstitution.
+// ResubOptions tunes SAT-based resubstitution. Zero-valued fields take their
+// DefaultResubOptions value; a negative SATBudget or Window is unbounded.
 type ResubOptions struct {
 	Words     int   // simulation signature width in 64-bit words
 	SATBudget int64 // conflict budget per proof
@@ -81,6 +82,30 @@ func DefaultResubOptions() ResubOptions {
 	return ResubOptions{Words: 8, SATBudget: 300, Seed: 1, MaxPairs: 64, Window: 600, MaxProofs: 6}
 }
 
+// withDefaults fills the zero-valued fields from DefaultResubOptions.
+func (o ResubOptions) withDefaults() ResubOptions {
+	d := DefaultResubOptions()
+	if o.Words == 0 {
+		o.Words = d.Words
+	}
+	if o.SATBudget == 0 {
+		o.SATBudget = d.SATBudget
+	}
+	if o.Seed == 0 {
+		o.Seed = d.Seed
+	}
+	if o.MaxPairs == 0 {
+		o.MaxPairs = d.MaxPairs
+	}
+	if o.Window == 0 {
+		o.Window = d.Window
+	}
+	if o.MaxProofs == 0 {
+		o.MaxProofs = d.MaxProofs
+	}
+	return o
+}
+
 // Resub performs SAT-sweeping-style Boolean resubstitution: nodes whose
 // simulation signature matches an earlier node (up to complement) are
 // proven equivalent with SAT and merged (0-resub); nodes whose function
@@ -89,9 +114,7 @@ func DefaultResubOptions() ResubOptions {
 // script.
 func (g *AIG) Resub(opt ResubOptions) *AIG {
 	done := startPass("resub", g)
-	if opt.Words == 0 {
-		opt = DefaultResubOptions()
-	}
+	opt = opt.withDefaults()
 	sigs := g.Signatures(opt.Words, opt.Seed)
 	refs := g.FanoutCounts()
 

@@ -2,7 +2,10 @@ package mapper
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/aig"
@@ -300,5 +303,105 @@ func TestRefinementPassesDoNotHurt(t *testing.T) {
 		if two.Area() > one.Area()*1.1 {
 			t.Errorf("seed %d: refinement grew area %v -> %v", seed, one.Area(), two.Area())
 		}
+	}
+}
+
+// composeUncached is the reference for MatchesFor: canonicalize the cut
+// function with aig.CanonPP and bind each library match of that canonical
+// form, with no cache in between.
+func composeUncached(ml *MatchLibrary, tt uint64, n int) []Match {
+	canon, cutPerm, cutNeg := aig.CanonPP(tt, n)
+	var out []Match
+	for _, m := range ml.byCanon[n][canon] {
+		bound := *m
+		bound.PinToLeaf = make([]int, n)
+		for i := 0; i < n; i++ {
+			bound.PinToLeaf[m.cellPerm[i]] = cutPerm[i]
+		}
+		bound.OutNeg = m.cellNeg != cutNeg
+		out = append(out, bound)
+	}
+	return out
+}
+
+// memoTables returns every truth table over 1-4 inputs and 2000 seeded
+// random 5- and 6-input tables, each with its input count.
+func memoTables() (tts []uint64, ns []int) {
+	for n := 1; n <= 4; n++ {
+		for tt := uint64(0); tt < 1<<(1<<uint(n)); tt++ {
+			tts, ns = append(tts, tt), append(ns, n)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		n := 5 + i%2
+		tts, ns = append(tts, rng.Uint64()&aig.Truth6Mask(n)), append(ns, n)
+	}
+	return tts, ns
+}
+
+func sameMatches(got []*Match, want []Match) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d matches, reference %d", len(got), len(want))
+	}
+	for i, m := range got {
+		w := want[i]
+		if m.Cell != w.Cell || m.OutNeg != w.OutNeg || !slices.Equal(m.PinToLeaf, w.PinToLeaf) {
+			return fmt.Errorf("match %d: %s %v neg=%v, reference %s %v neg=%v",
+				i, m.Cell.Name, m.PinToLeaf, m.OutNeg, w.Cell.Name, w.PinToLeaf, w.OutNeg)
+		}
+	}
+	return nil
+}
+
+// TestMatchesForMemoMatchesCanonPP pins the cached lookup to an uncached
+// composition, on a cold and then a warm cache.
+func TestMatchesForMemoMatchesCanonPP(t *testing.T) {
+	ml := buildML(t, 300)
+	tts, ns := memoTables()
+	matched := 0
+	for pass := 0; pass < 2; pass++ {
+		for i, tt := range tts {
+			got := ml.MatchesFor(tt, ns[i])
+			if err := sameMatches(got, composeUncached(ml, tt, ns[i])); err != nil {
+				t.Fatalf("pass %d, %d-input table %#x: %v", pass, ns[i], tt, err)
+			}
+			if pass == 0 && len(got) > 0 {
+				matched++
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no table matched a library cell")
+	}
+}
+
+// TestMatchesForConcurrent shares one library between 8 goroutines, each
+// walking the tables in its own order.
+func TestMatchesForConcurrent(t *testing.T) {
+	ml := buildML(t, 300)
+	tts, ns := memoTables()
+	want := make([][]Match, len(tts))
+	for i, tt := range tts {
+		want[i] = composeUncached(ml, tt, ns[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(tts)) {
+				if err := sameMatches(ml.MatchesFor(tts[i], ns[i]), want[i]); err != nil {
+					errs <- fmt.Errorf("worker %d, %d-input table %#x: %v", w, ns[i], tts[i], err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

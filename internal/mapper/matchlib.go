@@ -8,6 +8,7 @@ package mapper
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/aig"
 	"repro/internal/liberty"
@@ -45,13 +46,24 @@ type MatchLibrary struct {
 	byCanon map[int]map[uint64][]*Match
 	// Inv is the cheapest inverter, used for phase repair.
 	Inv *Match
+
+	// memo caches MatchesFor per cut function; mu guards it so one library
+	// can serve concurrent mappers.
+	mu   sync.Mutex
+	memo map[matchKey][]*Match
+}
+
+// matchKey identifies a cut function: its truth table over n leaves.
+type matchKey struct {
+	tt uint64
+	n  int
 }
 
 // BuildMatchLibrary prepares the match index from a characterized liberty
 // library and its PDK cell definitions (joined by cell name). Only
 // single-output combinational cells with at most maxK inputs participate.
 func BuildMatchLibrary(lib *liberty.Library, cells []*pdk.Cell, maxK int) (*MatchLibrary, error) {
-	ml := &MatchLibrary{Lib: lib, Cells: cells, byCanon: make(map[int]map[uint64][]*Match)}
+	ml := &MatchLibrary{Lib: lib, Cells: cells, byCanon: make(map[int]map[uint64][]*Match), memo: make(map[matchKey][]*Match)}
 	for _, lc := range lib.Cells {
 		if lc.Sequential {
 			continue
@@ -138,13 +150,28 @@ func midPoint(t *liberty.Table) (slew, load float64) {
 }
 
 // MatchesFor returns the library matches for a cut function over n leaves,
-// with pin bindings composed for this specific truth table. Results are
-// cached by the caller if needed.
+// with pin bindings composed for this specific truth table. The result is
+// cached on the library per (function, n): the slice and its matches are
+// shared between callers and must be treated as read-only.
 func (ml *MatchLibrary) MatchesFor(tt uint64, n int) []*Match {
 	byN := ml.byCanon[n]
 	if byN == nil {
 		return nil
 	}
+	key := matchKey{tt & aig.Truth6Mask(n), n}
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
+	out, ok := ml.memo[key]
+	if !ok {
+		out = composeMatches(byN, key.tt, n)
+		ml.memo[key] = out
+	}
+	return out
+}
+
+// composeMatches canonicalizes the cut function and binds every library
+// match of its canonical form to the cut's leaves.
+func composeMatches(byN map[uint64][]*Match, tt uint64, n int) []*Match {
 	canon, cutPerm, cutNeg := aig.CanonPP(tt, n)
 	raw := byN[canon]
 	if len(raw) == 0 {

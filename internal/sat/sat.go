@@ -7,7 +7,7 @@
 package sat
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -126,7 +126,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.cancelUntil(0)
 	// Deduplicate and detect tautology.
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev Lit = -1
 	for _, l := range lits {
