@@ -93,15 +93,15 @@ trend:
 	$(GO) run ./cmd/cryoobs trend -last $(TREND_LAST) -glob '$(TREND_GLOB)' \
 		$(BENCH_JOURNALS)/*.jsonl
 
-# Span-scoped cost attribution of a smoke bench run (docs/OBSERVABILITY.md):
-# per-stage CPU/alloc/engine-counter tree on stderr; the run's journal
-# under BENCH_JOURNALS keeps it for cryoobs cost and cryoobs trend.
+# Per-span CPU of a smoke bench run (docs/OBSERVABILITY.md): a pprof
+# profile labelled span=<span path>, summarised per span path and per
+# function.
 cost:
-	@mkdir -p build $(BENCH_JOURNALS)
+	@mkdir -p build
 	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat 1 \
-		-out build/BENCH_cost.json \
-		-journal $(BENCH_JOURNALS)/cost-$(BENCH_STAMP).jsonl \
-		-cost -
+		-out build/BENCH_cost.json -cost build/bench-cost.pprof
+	$(GO) tool pprof -tags build/bench-cost.pprof
+	$(GO) tool pprof -top -nodecount 25 build/bench-cost.pprof
 
 # Go microbenchmarks (the paper-benchmark target predating cryobench).
 paperbench:

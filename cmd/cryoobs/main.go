@@ -8,7 +8,6 @@
 //	cryoobs merge   journal.jsonl...                             # merged JSONL to stdout
 //	cryoobs explain [-o report.md] [-md] journal-a journal-b     # cross-run attribution
 //	cryoobs trend   [-last N] [-glob ...] journal.jsonl...       # run-over-run metric trends
-//	cryoobs cost    [-run <id>] [-md|-json] journal.jsonl        # span cost-attribution tree
 //
 // report renders per-run stage timelines, failure sites ranked by
 // recurrence, watchdog stall post-mortems (active span stack + goroutine
@@ -22,6 +21,10 @@
 // the run summaries that end each journal (one column per run) and renders
 // run-over-run tables for glob-selected metrics, flagging values that drift
 // outside the noise band of their own history.
+//
+// Per-span CPU cost is not in the journal: the -cost flag of every flow
+// binary writes a pprof CPU profile labelled span=<span path>, read with
+// go tool pprof -tags or -tagfocus span=<path>.
 //
 // Exit status: 0 on success (report/summary exit 0 even when the journal
 // records failures — the journal being readable is the success condition),
@@ -60,8 +63,6 @@ func main() {
 		cmdExplain(args)
 	case "trend":
 		cmdTrend(args)
-	case "cost":
-		cmdCost(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -83,8 +84,9 @@ commands:
            runs: cryoobs explain <journal-a> <journal-b>
   trend    run-over-run metric trend tables, one column per journaled run:
            cryoobs trend [-last 8] [-glob spice.*] <journal.jsonl>...
-  cost     span cost-attribution tree (self-CPU sorted, engine-counter
-           columns) from a journal's cost events: cryoobs cost <journal>`)
+
+Per-span CPU cost is not journaled: run the flow binary with -cost <file>
+and read the profile with go tool pprof -tags / -tagfocus span=<path>.`)
 	os.Exit(2)
 }
 
@@ -262,52 +264,6 @@ func cmdTrend(args []string) {
 		check(rep.WriteMarkdown(w))
 	default:
 		check(rep.WriteText(w))
-	}
-}
-
-// cmdCost renders cost attribution captured by the -cost flag, rebuilding
-// the full span cost tree from a journal's typed cost events.
-func cmdCost(args []string) {
-	fs := flag.NewFlagSet("cost", flag.ExitOnError)
-	of := obs.InstallFlags(fs)
-	run := fs.String("run", "", "run ID to select (default: last run carrying cost data)")
-	md := fs.Bool("md", false, "render a markdown table instead of text")
-	asJSON := fs.Bool("json", false, "emit the cost report as JSON")
-	out := fs.String("o", "", "write the report to this file instead of stdout")
-	counters := fs.String("counters", "", "comma-separated counter globs shown per node (default: engine counters spice.solver.*, sat.*, ...)")
-	fs.Parse(args)
-	defer activate(of)()
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cryoobs cost [-run <id>] [-md|-json] [-o file] <journal.jsonl>")
-		os.Exit(2)
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		check(err)
-		defer f.Close()
-		w = f
-	}
-	var opts obs.CostRenderOptions
-	if *counters != "" {
-		for _, g := range strings.Split(*counters, ",") {
-			if g = strings.TrimSpace(g); g != "" {
-				opts.CounterGlobs = append(opts.CounterGlobs, g)
-			}
-		}
-	}
-
-	evs, err := forensics.Load(fs.Arg(0))
-	check(err)
-	rep, err := forensics.CostFromEvents(evs, *run)
-	check(err)
-	switch {
-	case *asJSON:
-		check(rep.WriteJSON(w))
-	case *md:
-		check(rep.WriteMarkdown(w, opts))
-	default:
-		check(rep.WriteText(w, opts))
 	}
 }
 

@@ -64,31 +64,22 @@ func (t *TrendReport) Drifting() int {
 }
 
 // FlattenRecord flattens one run's record — the obs.RunSummary its
-// run.end event carries plus its cost events — into dotted scalar metrics,
-// the namespace trend globs select over: counters and gauges keep their
-// registry names, each histogram contributes "<name>.count" and
-// "<name>.mean", per-stage wall times appear as "stage.<span>", and QoR
-// metrics keep the "qor." names the producing tool staged. Runs captured
-// under -cost additionally contribute "cost.<span>.<dimension>" columns
-// (child-exclusive CPU/alloc/GC per stage, rebuilt from the cost events),
-// and every summary carries "runtime.peak_rss_bytes" /
-// "runtime.gc_pause_total_seconds".
+// run.end event carries — into dotted scalar metrics, the namespace trend
+// globs select over: counters and gauges keep their registry names, each
+// histogram contributes "<name>.count" and "<name>.mean", per-stage wall
+// times appear as "stage.<span>", QoR metrics keep the "qor." names the
+// producing tool staged, and every summary carries
+// "runtime.peak_rss_bytes" / "runtime.gc_pause_total_seconds".
 func FlattenRecord(evs []obs.Event, run string) (map[string]float64, error) {
 	var sum *obs.RunSummary
-	hasCost := false
 	for i := range evs {
 		e := &evs[i]
-		if e.Run != run {
+		if e.Run != run || e.Kind != obs.KindRunEnd || len(e.Detail) == 0 {
 			continue
 		}
-		switch {
-		case e.Kind == obs.KindRunEnd && len(e.Detail) > 0:
-			sum = &obs.RunSummary{}
-			if err := json.Unmarshal(e.Detail, sum); err != nil {
-				return nil, fmt.Errorf("forensics: run %s: run.end summary: %w", run, err)
-			}
-		case e.Kind == obs.KindCost:
-			hasCost = true
+		sum = &obs.RunSummary{}
+		if err := json.Unmarshal(e.Detail, sum); err != nil {
+			return nil, fmt.Errorf("forensics: run %s: run.end summary: %w", run, err)
 		}
 	}
 	if sum == nil {
@@ -114,29 +105,6 @@ func FlattenRecord(evs []obs.Event, run string) (map[string]float64, error) {
 	}
 	for k, v := range sum.QoR {
 		out[k] = v
-	}
-	if hasCost {
-		rep, err := CostFromEvents(evs, run)
-		if err != nil {
-			return nil, err
-		}
-		for k, c := range rep.StageCosts() {
-			if c.SelfCPUSec != 0 {
-				out["cost."+k+".self_cpu_seconds"] = c.SelfCPUSec
-			}
-			if c.WallSec != 0 {
-				out["cost."+k+".wall_seconds"] = c.WallSec
-			}
-			if c.SelfAllocBytes != 0 {
-				out["cost."+k+".self_alloc_bytes"] = float64(c.SelfAllocBytes)
-			}
-			if c.SelfAllocObjects != 0 {
-				out["cost."+k+".self_alloc_objects"] = float64(c.SelfAllocObjects)
-			}
-			if c.GCCPUSec != 0 {
-				out["cost."+k+".gc_cpu_seconds"] = c.GCCPUSec
-			}
-		}
 	}
 	// Summary-level process health beats the sampled gauges of the same
 	// name: it is present even when the run never scraped /metrics.

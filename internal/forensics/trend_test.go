@@ -1,7 +1,9 @@
 package forensics
 
 import (
+	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -226,5 +228,76 @@ func TestTrendRenderers(t *testing.T) {
 	}
 	if !strings.Contains(js.String(), `"verdict": "REGRESSED"`) {
 		t.Errorf("json missing verdict:\n%s", js.String())
+	}
+}
+
+// loadLegacyCost loads a journal written while -cost still journaled a
+// cost tree: besides run.start and run.end it carries "cost" events (a
+// summary plus one node per span path).
+func loadLegacyCost(t *testing.T) []obs.Event {
+	t.Helper()
+	evs, err := Load(filepath.Join("testdata", "legacy-cost.jsonl"))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for _, e := range evs {
+		if e.Kind == "cost" {
+			return evs
+		}
+	}
+	t.Fatal("fixture carries no cost events")
+	return nil
+}
+
+// TestLegacyCostEventsIgnored: the post-mortem and Trend read a journal
+// with legacy cost events and ignore them.
+func TestLegacyCostEventsIgnored(t *testing.T) {
+	evs := loadLegacyCost(t)
+	pm := Build(evs)
+	if len(pm.Runs) != 1 || !pm.Runs[0].Clean() || pm.Runs[0].Truncated() {
+		t.Errorf("post-mortem of the legacy journal: %+v", pm.Runs)
+	}
+	var md bytes.Buffer
+	if err := pm.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(md.String(), "cost report") || strings.Contains(md.String(), "synth.compare") {
+		t.Errorf("post-mortem rendered legacy cost payloads:\n%s", &md)
+	}
+
+	rep := mustTrend(t, evs, []string{"*"}, 0)
+	if len(rep.Runs) != 1 || len(rep.Rows) == 0 {
+		t.Fatalf("trend over the legacy journal: %d runs, %d rows", len(rep.Runs), len(rep.Rows))
+	}
+	for _, r := range rep.Rows {
+		if strings.HasPrefix(r.Metric, "cost.") {
+			t.Errorf("trend row %q from a legacy cost event", r.Metric)
+		}
+	}
+}
+
+// TestFlattenRecordCostColumns: legacy cost events contribute no cost.*
+// columns, while the summary's stage and process-health columns stay.
+func TestFlattenRecordCostColumns(t *testing.T) {
+	evs := loadLegacyCost(t)
+	flat, err := FlattenRecord(evs, evs[0].Run)
+	if err != nil {
+		t.Fatalf("FlattenRecord: %v", err)
+	}
+	for k := range flat {
+		if strings.HasPrefix(k, "cost.") {
+			t.Errorf("legacy cost event surfaced as column %q", k)
+		}
+	}
+	want := map[string]float64{
+		"stage.synth.c2rs":               0.006116,
+		"sat.solves":                     153,
+		"runtime.peak_rss_bytes":         27357184,
+		"runtime.gc_pause_total_seconds": 0.000544,
+	}
+	for k, v := range want {
+		if flat[k] != v {
+			t.Errorf("flat[%q] = %g, want %g", k, flat[k], v)
+		}
 	}
 }

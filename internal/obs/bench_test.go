@@ -41,11 +41,11 @@ func BenchmarkDisabledJournal(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledCost proves cost attribution adds nothing to the
-// disabled span path: with cost (and tracing) off, Start/End never snapshot
-// boundaries or touch goroutine labels, and CostEnabled is one atomic load.
+// BenchmarkDisabledCost proves -cost adds nothing to the disabled span
+// path: with cost (and tracing) off, Start/End never touch goroutine labels
+// and CostEnabled is one atomic load.
 func BenchmarkDisabledCost(b *testing.B) {
-	DisableCost()
+	StopCost()
 	DisableTracing()
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -37,14 +37,13 @@ type Flags struct {
 	// StallAbort aborts the process (exit 2) after a stall post-mortem
 	// instead of waiting for the stage to recover.
 	StallAbort bool
-	// CostPath enables span cost attribution (CPU profile sliced by span
-	// labels + alloc/GC/counter boundary deltas) and writes the cost tree
-	// to this file on exit ('-' for stderr).
+	// CostPath receives a gzipped pprof CPU profile of the run whose
+	// samples carry the CostLabelKey span-path label; it implies tracing.
 	CostPath string
 
 	runEnded     atomic.Bool // run.end emitted (Flush may be called twice)
-	costWritten  atomic.Bool // cost journal events emitted
 	stopReporter func()      // terminates the periodic progress reporter
+	costFile     *os.File    // -cost profile sink, closed by the first Flush
 }
 
 // InstallFlags registers the observability flags on fs (typically
@@ -59,14 +58,15 @@ func InstallFlags(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.ProgressEvery, "progress", 0, "print per-stage progress lines (percent/rate/ETA) at this interval (e.g. 5s)")
 	fs.DurationVar(&f.StallAfter, "stall", 0, "stall watchdog: journal a goroutine-dump post-mortem when a stage makes no progress for this long")
 	fs.BoolVar(&f.StallAbort, "stall-abort", false, "with -stall, abort the process (exit 2) after capturing the stall post-mortem")
-	fs.StringVar(&f.CostPath, "cost", "", "attribute CPU/alloc/engine-counter cost to flow spans and write the cost tree to this file on exit ('-' for stderr); implies metrics+tracing")
+	fs.StringVar(&f.CostPath, "cost", "", "write a CPU profile whose samples carry span=<span path> labels to this file (go tool pprof -tags / -tagfocus span=...); implies tracing")
 	return f
 }
 
 // Activate enables the subsystems the parsed flags ask for and returns a
-// flush function that writes the -metrics and -trace outputs; call it on
-// every exit path (it is safe to call more than once, later calls
-// overwrite the files with fresher data).
+// flush function that writes the -metrics, -trace and -cost outputs; call
+// it on every exit path (it is safe to call more than once, later calls
+// overwrite the metrics and trace files with fresher data). It fails when
+// the -cost file cannot be created or another CPU profile is running.
 func (f *Flags) Activate() (flush func(), err error) {
 	if f.LogLevel != "" {
 		level, err := ParseLogLevel(f.LogLevel)
@@ -80,9 +80,6 @@ func (f *Flags) Activate() (flush func(), err error) {
 	}
 	if f.TracePath != "" {
 		EnableTracing()
-	}
-	if f.CostPath != "" {
-		EnableCost()
 	}
 	if f.ObsAddr != "" {
 		if err := serveObs(f.ObsAddr); err != nil {
@@ -112,14 +109,34 @@ func (f *Flags) Activate() (flush func(), err error) {
 			Log().Errorf("obs: journal: flushing %s: %v", f.JournalPath, err)
 		}
 	}
+	if f.CostPath != "" {
+		g, err := os.Create(f.CostPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := EnableCost(g); err != nil {
+			g.Close()
+			os.Remove(f.CostPath)
+			return nil, err
+		}
+		f.costFile = g
+	}
 	return f.Flush, nil
 }
 
-// Flush writes the metrics, trace, and cost outputs requested by the flags
-// and ends the journal with one run.end event carrying the RunSummary.
-// Failures are reported through the logger rather than returned: flushing
-// telemetry must never mask the tool's own exit status.
+// Flush stops the -cost profile, writes the metrics and trace outputs
+// requested by the flags and ends the journal with one run.end event
+// carrying the RunSummary. Failures are reported through the logger rather
+// than returned: flushing telemetry must never mask the tool's own exit
+// status.
 func (f *Flags) Flush() {
+	if f.costFile != nil {
+		StopCost()
+		if err := f.costFile.Close(); err != nil {
+			Log().Errorf("obs: writing cost profile to %s: %v", f.CostPath, err)
+		}
+		f.costFile = nil
+	}
 	if f.MetricsPath != "" {
 		SampleRuntimeMetrics()
 		if f.MetricsPath == "-" {
@@ -139,28 +156,6 @@ func (f *Flags) Flush() {
 	if f.stopReporter != nil {
 		f.stopReporter()
 		f.stopReporter = nil
-	}
-	if f.CostPath != "" {
-		// Finalize before the cost events and run.end so the CPU columns land
-		// in both the cost file and the journal.
-		FinalizeCost()
-		if rep := BuildCostReport(true); rep != nil {
-			if f.costWritten.CompareAndSwap(false, true) {
-				rep.JournalCost(J())
-			}
-			var werr error
-			if f.CostPath == "-" {
-				fmt.Fprintln(os.Stderr, "--- cost ---")
-				werr = rep.WriteText(os.Stderr, CostRenderOptions{})
-			} else {
-				werr = writeFileWith(f.CostPath, func(w io.Writer) error {
-					return rep.WriteText(w, CostRenderOptions{})
-				})
-			}
-			if werr != nil {
-				Log().Errorf("obs: writing cost report to %s: %v", f.CostPath, werr)
-			}
-		}
 	}
 	if f.JournalPath != "" {
 		j := J()

@@ -66,11 +66,6 @@ const (
 	// past its deadline; the detail payload is an obs.StallReport
 	// (goroutine dump, active span stack, registry snapshot).
 	KindStall = "stall"
-	// KindCost carries the flush-time cost-attribution tree: one summary
-	// event (report totals in attrs, no detail) followed by one event per
-	// tree node whose detail payload is the obs.CostNode sans children.
-	// cryoobs cost relinks the tree from the node paths.
-	KindCost = "cost"
 )
 
 // Journal is an append-only JSONL event writer. All methods are safe for

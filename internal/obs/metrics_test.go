@@ -148,3 +148,36 @@ func TestWriteText(t *testing.T) {
 		t.Errorf("WriteText not sorted by name:\n%s", out)
 	}
 }
+
+// TestQuantileEdgeCases pins Histogram.Quantile's boundary behavior: empty
+// histogram, single observation, and the q=0 / q=1 extremes.
+func TestQuantileEdgeCases(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("edge")
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("empty histogram Quantile(0.5) = %g, want 0", got)
+	}
+	h.Observe(3.25)
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := h.Quantile(q); got != 3.25 {
+			t.Errorf("single-obs Quantile(%g) = %g, want 3.25", q, got)
+		}
+	}
+	h.Observe(1.5)
+	h.Observe(9)
+	if got := h.Quantile(0); got != 1.5 {
+		t.Errorf("Quantile(0) = %g, want min 1.5", got)
+	}
+	if got := h.Quantile(-0.3); got != 1.5 {
+		t.Errorf("Quantile(-0.3) = %g, want min 1.5", got)
+	}
+	if got := h.Quantile(1); got != 9 {
+		t.Errorf("Quantile(1) = %g, want max 9", got)
+	}
+	if got := h.Quantile(2); got != 9 {
+		t.Errorf("Quantile(2) = %g, want max 9", got)
+	}
+	if got := h.Quantile(0.5); got < 1.5 || got > 9 {
+		t.Errorf("Quantile(0.5) = %g, outside observed range", got)
+	}
+}

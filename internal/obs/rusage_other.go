@@ -2,9 +2,6 @@
 
 package obs
 
-// Platforms without getrusage report no process CPU or peak RSS; cost
-// reports degrade to wall/alloc/counter attribution and run summaries
-// carry no peak RSS.
-func processCPUSeconds() float64 { return 0 }
-
+// Platforms without getrusage report no peak RSS; run summaries carry
+// none.
 func peakRSSBytes() uint64 { return 0 }

@@ -7,20 +7,6 @@ import (
 	"syscall"
 )
 
-// processCPUSeconds returns the process's cumulative user+system CPU time,
-// the denominator the cost report checks its attributed CPU against.
-func processCPUSeconds() float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return tvSeconds(ru.Utime) + tvSeconds(ru.Stime)
-}
-
-func tvSeconds(tv syscall.Timeval) float64 {
-	return float64(tv.Sec) + float64(tv.Usec)/1e6
-}
-
 // peakRSSBytes returns the process's peak resident set size, or 0 when the
 // platform does not report it. ru_maxrss is kilobytes on Linux/BSD but
 // bytes on Darwin.

@@ -11,7 +11,7 @@ import (
 )
 
 // obsMux builds the -obs-addr handler: Prometheus metrics, live progress,
-// span and cost summaries, health and build probes, and pprof.
+// the span summary, health and build probes, and pprof.
 // Handlers read the global registry/tracer at request time, so they follow
 // the run as it progresses.
 func obsMux() *http.ServeMux {
@@ -47,25 +47,6 @@ func obsMux() *http.ServeMux {
 			Log().Errorf("obs: /spans: %v", err)
 		}
 	})
-	mux.HandleFunc("/costs", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		// CPU columns only firm up at flush (the profile cannot be parsed
-		// mid-capture); the live payload carries wall/alloc/counter costs
-		// with cpu_attributed=false until then.
-		payload := struct {
-			Enabled bool        `json:"enabled"`
-			Report  *CostReport `json:"report,omitempty"`
-		}{}
-		if rep := BuildCostReport(true); rep != nil {
-			payload.Enabled = true
-			payload.Report = rep
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(payload); err != nil {
-			Log().Errorf("obs: /costs: %v", err)
-		}
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -76,7 +57,6 @@ func obsMux() *http.ServeMux {
 		fmt.Fprintln(w, "  /metrics        Prometheus text exposition")
 		fmt.Fprintln(w, "  /progress       live per-stage progress (done/total/rate/ETA, JSON)")
 		fmt.Fprintln(w, "  /spans          live span-tree summary")
-		fmt.Fprintln(w, "  /costs          span cost-attribution tree (JSON; CPU columns firm up at flush)")
 		fmt.Fprintln(w, "  /healthz        liveness probe (ok + uptime)")
 		fmt.Fprintln(w, "  /buildinfo      build provenance + enabled telemetry (JSON)")
 		fmt.Fprintln(w, "  /debug/pprof/   net/http/pprof")

@@ -35,8 +35,8 @@ type Span struct {
 	name   string
 	start  time.Time
 	parent *Span
-	// path is the '/'-joined span path used for cost attribution ("" when
-	// cost capture was off at Start).
+	// path is the '/'-joined span path published as the CostLabelKey
+	// goroutine label ("" when -cost was off at Start).
 	path string
 	// restore carries the pre-span context whose goroutine labels End
 	// reinstates; written before the span is published, read only by End.
@@ -47,7 +47,6 @@ type Span struct {
 	children []*Span
 	dur      time.Duration
 	ended    bool
-	cost     *costStart // boundary snapshot; nil when cost is off or folded
 }
 
 type spanCtxKey struct{}
@@ -66,7 +65,6 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 	s := &Span{name: name, start: time.Now(), parent: parent, attrs: attrs}
 	if CostEnabled() {
 		s.path = spanPath(parent, name)
-		s.cost = takeCostStart()
 		s.restore = ctx
 	}
 	if parent != nil {
@@ -127,28 +125,21 @@ func Detach(ctx context.Context) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, (*Span)(nil))
 }
 
-// End closes the span, recording its wall time, folding its cost deltas
-// into the global cost table, and restoring the goroutine's previous
-// profiler labels. Ending twice keeps the first duration.
+// End closes the span, recording its wall time and restoring the
+// goroutine's previous profiler labels. Ending twice keeps the first
+// duration.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	var foldStart *costStart
 	var restore context.Context
-	var dur time.Duration
 	if !s.ended {
 		s.ended = true
 		s.dur = time.Since(s.start)
-		dur = s.dur
-		foldStart, s.cost = s.cost, nil
 		restore, s.restore = s.restore, nil
 	}
 	s.mu.Unlock()
-	if foldStart != nil {
-		foldCost(s.path, dur, foldStart)
-	}
 	if restore != nil {
 		pprof.SetGoroutineLabels(restore)
 	}

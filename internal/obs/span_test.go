@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -177,4 +178,21 @@ func TestWriteSummary(t *testing.T) {
 	if !strings.Contains(out, "       3") {
 		t.Fatalf("summary missing aggregated count:\n%s", out)
 	}
+}
+
+// TestSpanPathLateEnable: spans opened before -cost came on still produce
+// correctly nested label paths for their descendants.
+func TestSpanPathLateEnable(t *testing.T) {
+	freshTracer(t)
+	defer StopCost()
+	ctx, outer := Start(context.Background(), "early")
+	defer outer.End()
+	if err := EnableCost(io.Discard); err != nil {
+		t.Fatalf("EnableCost: %v", err)
+	}
+	_, inner := Start(ctx, "late")
+	if inner.path != "early/late" {
+		t.Errorf("late-enable path = %q, want early/late", inner.path)
+	}
+	inner.End()
 }
