@@ -45,12 +45,13 @@ perfbench:
 check: build vet fmt test race perfbench
 	@echo "check: OK"
 
-# QoR flight recorder (docs/QOR.md). `make bench` records a fresh smoke run
-# and gates it against the committed baseline; `make bench-record` refreshes
-# the baseline after an intentional QoR change; `make bench-diff` compares
-# the two most recent BENCH_*.json recordings without running the flow.
-# Every run writes its journal (ending in the run summary `make trend`
-# reads) to its own file under BENCH_JOURNALS.
+# Exact QoR gate (docs/QOR.md). `make bench` records a fresh smoke run to
+# build/qor-<stamp>.json and gates it against the committed baseline;
+# `make bench-record` refreshes the baseline after an intentional QoR
+# change; `make bench-diff` compares the two most recent build/qor-*.json
+# recordings without running the flow. Every run writes its journal (ending
+# in the run summary `make trend` reads: QoR, stage wall times, engine
+# counters) to its own file under BENCH_JOURNALS.
 BENCH_PROFILE  ?= smoke
 BENCH_REPEAT   ?= 2
 BENCH_JOURNALS ?= bench/journals
@@ -60,7 +61,7 @@ bench:
 	@mkdir -p $(BENCH_JOURNALS)
 	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
 		-journal $(BENCH_JOURNALS)/bench-$(BENCH_STAMP).jsonl \
-		-out build/BENCH_latest.json -baseline bench/baseline-$(BENCH_PROFILE).json
+		-out build/qor-$(BENCH_STAMP).json -baseline bench/baseline-$(BENCH_PROFILE).json
 
 bench-record:
 	@mkdir -p $(BENCH_JOURNALS)
@@ -69,8 +70,8 @@ bench-record:
 		-out bench/baseline-$(BENCH_PROFILE).json
 
 bench-diff:
-	@set -- $$(ls -t BENCH_*.json build/BENCH_*.json 2>/dev/null | head -2); \
-	if [ $$# -lt 2 ]; then echo "need two BENCH_*.json recordings"; exit 1; fi; \
+	@set -- $$(ls -t build/qor-*.json 2>/dev/null | head -2); \
+	if [ $$# -lt 2 ]; then echo "need two build/qor-*.json recordings (run make bench twice)"; exit 1; fi; \
 	echo "diffing $$2 (base) vs $$1 (current)"; \
 	$(GO) run ./cmd/cryobench -diff -explain "$$2" "$$1"
 
@@ -99,7 +100,7 @@ trend:
 cost:
 	@mkdir -p build
 	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat 1 \
-		-out build/BENCH_cost.json -cost build/bench-cost.pprof
+		-out build/qor-$(BENCH_STAMP).json -cost build/bench-cost.pprof
 	$(GO) tool pprof -tags build/bench-cost.pprof
 	$(GO) tool pprof -top -nodecount 25 build/bench-cost.pprof
 

@@ -1,8 +1,11 @@
-// Command cryobench is the QoR flight recorder: it runs the full cryo-EDA
-// flow (synthesis -> mapping -> STA -> power, per temperature corner) over a
-// benchmark profile, records quality-of-results and runtime metrics into a
-// versioned JSON baseline, and diffs runs against a stored baseline with
-// noise-aware thresholds.
+// Command cryobench is the exact QoR gate: it runs the full cryo-EDA flow
+// (synthesis -> mapping -> STA -> power, per temperature corner) over a
+// benchmark profile, records quality of results with critical-path and
+// power-class provenance into a versioned JSON baseline, and diffs runs
+// against a stored baseline exactly. -explain attributes each QoR delta to
+// paths, arcs and cell classes. Runtime is not gated here: with -journal
+// the run summary carries stage wall times and engine counters for
+// cryoobs trend, and perfbench gates timing.
 //
 // Record a baseline:
 //
@@ -14,7 +17,7 @@
 //
 // Diff two existing recordings without running anything:
 //
-//	cryobench -diff old.json new.json
+//	cryobench -diff -explain old.json new.json
 package main
 
 import (
@@ -43,23 +46,21 @@ func main() {
 	testlibFlag := flag.Bool("testlib", true, "use the synthetic closed-form library (false: SPICE-characterized, cached)")
 	cacheDir := flag.String("cache", "build", "liberty cache directory for characterized corners")
 	workers := flag.Int("workers", 0, "characterization worker pool size with -testlib=false (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "output baseline path (default BENCH_<timestamp>.json)")
+	out := flag.String("out", "", "output baseline path (default build/qor-<timestamp>.json)")
 	baselinePath := flag.String("baseline", "", "baseline to diff the fresh run against; exit 1 on QoR regression")
 	diffMode := flag.Bool("diff", false, "diff two recorded baselines: cryobench -diff <base.json> <cur.json>")
 	mdPath := flag.String("md", "", "also write the diff report as markdown to this path")
 	explainFlag := flag.Bool("explain", false, "append a QoR attribution report (why each metric moved) to the diff; exit code unchanged")
 	explainJSON := flag.String("explain-json", "", "with -explain, also write the attribution report as JSON to this path")
-	strictRuntime := flag.Bool("strict-runtime", false, "runtime/engine regressions also fail the gate")
 	verbose := flag.Bool("v", false, "list unchanged metrics in the diff table")
 	obsFlags := obs.InstallFlags(flag.CommandLine)
 	flag.Parse()
 
 	cfg := diffConfig{
-		strictRuntime: *strictRuntime,
-		verbose:       *verbose,
-		explain:       *explainFlag,
-		mdPath:        *mdPath,
-		explainJSON:   *explainJSON,
+		verbose:     *verbose,
+		explain:     *explainFlag,
+		mdPath:      *mdPath,
+		explainJSON: *explainJSON,
 	}
 
 	// Activate before any mode dispatch so -journal/-progress work in diff
@@ -114,7 +115,7 @@ func main() {
 
 	outPath := *out
 	if outPath == "" {
-		outPath = fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("20060102T150405Z"))
+		outPath = fmt.Sprintf("build/qor-%s.json", time.Now().UTC().Format("20060102T150405Z"))
 	}
 	if dir := filepath.Dir(outPath); dir != "." {
 		exitOn(os.MkdirAll(dir, 0o755))
@@ -140,11 +141,10 @@ func main() {
 // diffConfig bundles the reporting knobs shared by -diff and -baseline
 // modes.
 type diffConfig struct {
-	strictRuntime bool
-	verbose       bool
-	explain       bool
-	mdPath        string
-	explainJSON   string
+	verbose     bool
+	explain     bool
+	mdPath      string
+	explainJSON string
 }
 
 // reportDiff renders the diff to stdout (and optionally markdown), runs
@@ -152,21 +152,15 @@ type diffConfig struct {
 // exit code the gate demands. Attribution never changes the exit code: it
 // explains the verdict, it does not render one.
 func reportDiff(base, cur *qor.Baseline, cfg diffConfig) int {
-	rep := qor.Diff(base, cur, qor.DefaultThresholds())
+	rep := qor.Diff(base, cur)
 	if err := rep.WriteTable(os.Stdout, cfg.verbose); err != nil {
 		exitOn(err)
 	}
 	var att *explain.Report
 	if cfg.explain {
-		att = explain.Diff(base, cur, explain.DefaultOptions())
+		att = explain.Diff(base, cur)
 		fmt.Println()
 		exitOn(att.WriteText(os.Stdout))
-		obs.J().EventDetail(obs.KindAttribution, "cryobench",
-			fmt.Sprintf("%d attributed deltas", att.AttributedDeltas),
-			map[string]string{
-				"zero_delta": fmt.Sprint(att.ZeroDelta),
-				"deltas":     fmt.Sprint(att.AttributedDeltas),
-			}, att)
 	}
 	if cfg.mdPath != "" {
 		f, err := os.Create(cfg.mdPath)
@@ -189,7 +183,7 @@ func reportDiff(base, cur *qor.Baseline, cfg diffConfig) int {
 		obs.J().Artifact("cryobench", cfg.explainJSON)
 		fmt.Fprintf(os.Stderr, "attribution report written: %s\n", cfg.explainJSON)
 	}
-	if rep.Failed(cfg.strictRuntime) {
+	if rep.Failed() {
 		fmt.Fprintln(os.Stderr, "FAIL: QoR regression gate")
 		return 1
 	}

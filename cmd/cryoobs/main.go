@@ -6,7 +6,6 @@
 //	cryoobs tail    [-n 20] [-kind failure] journal.jsonl...     # last N events
 //	cryoobs tail    -f [-poll 500ms] journal.jsonl               # follow a live journal
 //	cryoobs merge   journal.jsonl...                             # merged JSONL to stdout
-//	cryoobs explain [-o report.md] [-md] journal-a journal-b     # cross-run attribution
 //	cryoobs trend   [-last N] [-glob ...] journal.jsonl...       # run-over-run metric trends
 //
 // report renders per-run stage timelines, failure sites ranked by
@@ -14,13 +13,13 @@
 // dump), and the worst-converging devices and nodes decoded from SPICE
 // nonconvergence diagnoses. merge interleaves journals from several
 // binaries of one flow invocation by wall-clock time, preserving run IDs,
-// so a single file can feed later analysis. explain diffs two journal
-// runs (A = baseline, B = current): stage wall-time shifts always, plus
-// full QoR attribution when both journals attest to a cryobench baseline
-// artifact that is still intact on disk (SHA-256 verified). trend reads
-// the run summaries that end each journal (one column per run) and renders
-// run-over-run tables for glob-selected metrics, flagging values that drift
-// outside the noise band of their own history.
+// so a single file can feed later analysis. trend reads the run summaries
+// that end each journal (one column per run) and renders run-over-run
+// tables for glob-selected metrics, flagging values that drift outside the
+// noise band of their own history; it is where cryobench's stage wall
+// times (stage.*) and engine counters (sat.*, spice.*, ...) are read.
+// QoR attribution between two runs is cryobench -diff -explain over the
+// baseline artifacts a report lists.
 //
 // Per-span CPU cost is not in the journal: the -cost flag of every flow
 // binary writes a pprof CPU profile labelled span=<span path>, read with
@@ -39,10 +38,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/explain"
 	"repro/internal/forensics"
 	"repro/internal/obs"
-	"repro/internal/qor"
 )
 
 func main() {
@@ -59,8 +56,6 @@ func main() {
 		cmdTail(args)
 	case "merge":
 		cmdMerge(args)
-	case "explain":
-		cmdExplain(args)
 	case "trend":
 		cmdTrend(args)
 	case "-h", "-help", "--help", "help":
@@ -80,8 +75,6 @@ commands:
   summary  one-line status per run
   tail     pretty-print the last events; -f follows a live journal
   merge    merge journals by time into one JSONL stream on stdout
-  explain  attribute the QoR and runtime difference between two journal
-           runs: cryoobs explain <journal-a> <journal-b>
   trend    run-over-run metric trend tables, one column per journaled run:
            cryoobs trend [-last 8] [-glob spice.*] <journal.jsonl>...
 
@@ -96,38 +89,6 @@ func activate(of *obs.Flags) func() {
 	flush, err := of.Activate()
 	check(err)
 	return flush
-}
-
-func cmdExplain(args []string) {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	of := obs.InstallFlags(fs)
-	out := fs.String("o", "", "write the report to this file instead of stdout")
-	md := fs.Bool("md", false, "render markdown instead of the console report")
-	fs.Parse(args)
-	defer activate(of)()
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: cryoobs explain [-o report.md] [-md] <journal-a> <journal-b>")
-		os.Exit(2)
-	}
-	// Load each journal separately: explain needs the two runs' facts apart,
-	// not a time-merged stream.
-	baseEvs, err := forensics.Load(fs.Arg(0))
-	check(err)
-	curEvs, err := forensics.Load(fs.Arg(1))
-	check(err)
-	rep := explain.DiffJournals(baseEvs, curEvs, explain.DefaultOptions())
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		check(err)
-		defer f.Close()
-		w = f
-	}
-	if *md {
-		check(rep.WriteMarkdown(w))
-	} else {
-		check(rep.WriteText(w))
-	}
 }
 
 func cmdReport(args []string) {
@@ -244,7 +205,7 @@ func cmdTrend(args []string) {
 			globs = append(globs, g)
 		}
 	}
-	rep, err := forensics.Trend(evs, globs, *last, qor.DefaultThresholds())
+	rep, err := forensics.Trend(evs, globs, *last)
 	check(err)
 	if len(rep.Runs) == 0 {
 		fmt.Fprintln(os.Stderr, "cryoobs: no run summaries in the given journals (were they written with -journal?)")

@@ -55,13 +55,12 @@ func firstPath(t *testing.T, rep *explain.Report) *explain.PathDelta {
 
 func TestArcDriverClassification(t *testing.T) {
 	base := twoArcPath(10e-12, 20e-12, 10e-12, 15e-12, 3e-15, "NAND2x1")
-	opt := explain.DefaultOptions()
 
 	t.Run("slew-driven", func(t *testing.T) {
 		// g1 slows and its output slew degrades; g2's delay moves because
 		// its input transition (n1's slew) degraded.
 		cur := twoArcPath(14e-12, 23e-12, 14e-12, 15e-12, 3e-15, "NAND2x1")
-		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)), opt)
+		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)))
 		p := firstPath(t, rep)
 		var g2 *explain.ArcDelta
 		for i := range p.Arcs {
@@ -83,7 +82,7 @@ func TestArcDriverClassification(t *testing.T) {
 	t.Run("load-driven", func(t *testing.T) {
 		// Same slews, g2's output load grows.
 		cur := twoArcPath(10e-12, 24e-12, 10e-12, 15e-12, 5e-15, "NAND2x1")
-		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)), opt)
+		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)))
 		p := firstPath(t, rep)
 		var g2 *explain.ArcDelta
 		for i := range p.Arcs {
@@ -99,7 +98,7 @@ func TestArcDriverClassification(t *testing.T) {
 	t.Run("table-driven", func(t *testing.T) {
 		// Same cell, slew, load — only the delay moved: the library moved.
 		cur := twoArcPath(10e-12, 26e-12, 10e-12, 15e-12, 3e-15, "NAND2x1")
-		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)), opt)
+		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)))
 		p := firstPath(t, rep)
 		var g2 *explain.ArcDelta
 		for i := range p.Arcs {
@@ -115,7 +114,7 @@ func TestArcDriverClassification(t *testing.T) {
 	t.Run("cell-swap-wins", func(t *testing.T) {
 		// Cell changed AND slew changed: the swap is the explanation.
 		cur := twoArcPath(10e-12, 17e-12, 10e-12, 12e-12, 3e-15, "NAND2x2")
-		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)), opt)
+		rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)))
 		p := firstPath(t, rep)
 		var g2 *explain.ArcDelta
 		for i := range p.Arcs {
@@ -133,14 +132,13 @@ func TestArcDriverClassification(t *testing.T) {
 }
 
 func TestStructuralPathChanges(t *testing.T) {
-	opt := explain.DefaultOptions()
 	base := cornerWith(twoArcPath(10e-12, 20e-12, 10e-12, 15e-12, 3e-15, "NAND2x1"))
 
 	// New endpoint appears in the top-K set; old one leaves.
 	curPath := twoArcPath(10e-12, 20e-12, 10e-12, 15e-12, 3e-15, "NAND2x1")
 	curPath.Endpoint = "z"
 	cur := cornerWith(curPath)
-	rep := explain.Diff(baselineWith(base), baselineWith(cur), opt)
+	rep := explain.Diff(baselineWith(base), baselineWith(cur))
 	if rep.ZeroDelta {
 		t.Fatal("endpoint churn attributed nothing")
 	}
@@ -169,7 +167,6 @@ func TestStructuralPathChanges(t *testing.T) {
 }
 
 func TestArcStructuralChanges(t *testing.T) {
-	opt := explain.DefaultOptions()
 	base := twoArcPath(10e-12, 20e-12, 10e-12, 15e-12, 3e-15, "NAND2x1")
 	// The current path routes through an extra buffer net n1b.
 	cur := base
@@ -180,7 +177,7 @@ func TestArcStructuralChanges(t *testing.T) {
 	cur.Arcs[3].FromNet = "n1b"
 	cur.ArrivalSec += 5e-12
 
-	rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)), opt)
+	rep := explain.Diff(baselineWith(cornerWith(base)), baselineWith(cornerWith(cur)))
 	p := firstPath(t, rep)
 	var added *explain.ArcDelta
 	for i := range p.Arcs {
@@ -199,7 +196,7 @@ func TestMissingProvenanceDegradesToNote(t *testing.T) {
 	mk := func(wns float64) *qor.Baseline {
 		return baselineWith(qor.Corner{TempK: 300, WNSSec: wns})
 	}
-	rep := explain.Diff(mk(7e-10), mk(6.5e-10), explain.DefaultOptions())
+	rep := explain.Diff(mk(7e-10), mk(6.5e-10))
 	if rep.ZeroDelta {
 		t.Fatal("WNS delta attributed nothing")
 	}

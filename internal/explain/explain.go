@@ -1,10 +1,10 @@
 // Package explain is the cross-run QoR attribution engine: where
 // internal/qor's diff says *that* a metric moved, explain says *why* —
 // which endpoint path, which cell and liberty arc, slew- or load-driven,
-// which power class, and which flow stages and engine counters shifted
-// alongside. It consumes the provenance the v2 baseline schema records
-// (per-corner critical paths and power-by-cell-class) and renders
-// markdown/JSON attribution reports for cryobench and cryoobs.
+// and which power class. It consumes the provenance the baseline schema
+// records (per-corner critical paths and power-by-cell-class), compares
+// with qor's exact equality, and renders text/markdown/JSON attribution
+// reports for cryobench.
 package explain
 
 import (
@@ -15,58 +15,23 @@ import (
 	"repro/internal/qor"
 )
 
-// Options tunes attribution significance thresholds.
-type Options struct {
-	// QoRRelEps is the relative floor below which a QoR delta is noise
-	// (matches qor.Thresholds.QoRRelEps: the flow is deterministic).
-	QoRRelEps float64
-	// ArcRelEps is the relative floor for per-arc delay/slew/load deltas.
-	ArcRelEps float64
-	// TopArcs bounds the arcs listed per path delta (ranked by |delta|).
-	TopArcs int
-	// StageFrac/IQRMult/MinSeconds gate the stage wall-time correlation
-	// (same semantics as qor.Thresholds).
-	StageFrac  float64
-	IQRMult    float64
-	MinSeconds float64
-	// CounterFrac/MinCount gate the engine-counter correlation.
-	CounterFrac float64
-	MinCount    float64
-}
-
-// DefaultOptions are the cryobench/cryoobs defaults.
-func DefaultOptions() Options {
-	return Options{
-		QoRRelEps:   1e-9,
-		ArcRelEps:   1e-9,
-		TopArcs:     5,
-		StageFrac:   0.30,
-		IQRMult:     3.0,
-		MinSeconds:  5e-3,
-		CounterFrac: 0.30,
-		MinCount:    64,
-	}
-}
+// topArcs bounds the arcs listed per path delta (ranked by |delta|); the
+// rest is folded into the path's residual.
+const topArcs = 5
 
 // Report is one attribution run: every QoR delta between two baselines,
-// explained down to cells, arcs, and power classes, plus the runtime
-// correlation (stage wall times, engine counters) that moved with it.
+// explained down to cells, arcs, and power classes.
 type Report struct {
 	BaseLabel string `json:"base_label"`
 	CurLabel  string `json:"cur_label"`
 	// ZeroDelta is the self-diff property: true iff no QoR delta was
-	// attributed (runtime/counter shifts are correlation, not QoR, and do
-	// not break it).
+	// attributed.
 	ZeroDelta bool `json:"zero_delta"`
 	// AttributedDeltas counts the QoR-bearing deltas explained below.
 	AttributedDeltas int            `json:"attributed_deltas"`
 	Circuits         []CircuitDelta `json:"circuits,omitempty"`
-	// Stages holds profile- or journal-level stage shifts (per-circuit
-	// shifts live inside Circuits).
-	Stages []StageDelta   `json:"stages,omitempty"`
-	Engine []CounterDelta `json:"engine,omitempty"`
-	// Notes records coverage caveats: missing provenance, unverifiable
-	// artifacts, circuits present on only one side.
+	// Notes records coverage caveats: missing provenance, circuits or
+	// corners present on only one side.
 	Notes []string `json:"notes,omitempty"`
 }
 
@@ -74,7 +39,6 @@ type Report struct {
 type CircuitDelta struct {
 	Key     string        `json:"key"`
 	Corners []CornerDelta `json:"corners,omitempty"`
-	Stages  []StageDelta  `json:"stages,omitempty"`
 }
 
 // CornerDelta explains one temperature corner's QoR movement.
@@ -115,7 +79,7 @@ type PathDelta struct {
 	DeltaSec float64    `json:"delta_seconds"`
 	Arcs     []ArcDelta `json:"arcs,omitempty"`
 	// ResidualSec is the arrival delta not covered by the listed arcs
-	// (arcs beyond TopArcs, or structural mismatch).
+	// (arcs beyond topArcs, or structural mismatch).
 	ResidualSec float64 `json:"residual_seconds,omitempty"`
 	// Culprit is the one-line attribution for this path.
 	Culprit string `json:"culprit,omitempty"`
@@ -182,44 +146,21 @@ type PowerDelta struct {
 // TotalW returns the class's summed power delta.
 func (p *PowerDelta) TotalW() float64 { return p.LeakageW + p.InternalW + p.SwitchingW }
 
-// StageDelta is one stage wall-time shift beyond the noise thresholds.
-type StageDelta struct {
-	Stage   string  `json:"stage"`
-	BaseSec float64 `json:"base_seconds"`
-	CurSec  float64 `json:"cur_seconds"`
-	Note    string  `json:"note,omitempty"`
-}
-
-// CounterDelta is one engine-counter shift beyond the noise thresholds.
-type CounterDelta struct {
-	Name string  `json:"name"`
-	Base float64 `json:"base"`
-	Cur  float64 `json:"cur"`
-}
-
 // Diff attributes every QoR delta between base and cur. It never fails:
 // missing provenance degrades to scalar-level attribution with a Note.
-func Diff(base, cur *qor.Baseline, opt Options) *Report {
-	if opt.QoRRelEps == 0 {
-		opt = DefaultOptions()
-	}
+func Diff(base, cur *qor.Baseline) *Report {
 	r := &Report{
-		BaseLabel: baselineLabel(base),
-		CurLabel:  baselineLabel(cur),
-	}
-	if base == nil || cur == nil {
-		r.Notes = append(r.Notes, "missing baseline: nothing to attribute")
-		r.ZeroDelta = true
-		return r
+		BaseLabel: base.Label(),
+		CurLabel:  cur.Label(),
 	}
 	baseByKey := map[string]*qor.Circuit{}
 	for i := range base.Circuits {
-		baseByKey[circuitKey(&base.Circuits[i])] = &base.Circuits[i]
+		baseByKey[base.Circuits[i].Key()] = &base.Circuits[i]
 	}
 	seen := map[string]bool{}
 	for i := range cur.Circuits {
 		cc := &cur.Circuits[i]
-		key := circuitKey(cc)
+		key := cc.Key()
 		bc, ok := baseByKey[key]
 		if !ok {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s: only in current run (no baseline to attribute against)", key))
@@ -227,51 +168,22 @@ func Diff(base, cur *qor.Baseline, opt Options) *Report {
 			continue
 		}
 		seen[key] = true
-		if cd := diffCircuit(bc, cc, opt, r); cd != nil {
+		if cd := diffCircuit(bc, cc, r); cd != nil {
 			r.Circuits = append(r.Circuits, *cd)
 		}
 	}
 	for i := range base.Circuits {
-		if key := circuitKey(&base.Circuits[i]); !seen[key] {
+		if key := base.Circuits[i].Key(); !seen[key] {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s: dropped from current run", key))
 			r.AttributedDeltas++
 		}
 	}
-	r.Engine = diffCounters(base.Engine, cur.Engine, opt)
 	r.ZeroDelta = r.AttributedDeltas == 0
 	return r
 }
 
-func baselineLabel(b *qor.Baseline) string {
-	if b == nil {
-		return "(none)"
-	}
-	s := b.Tool + ":" + b.Profile
-	if b.CreatedAt != "" {
-		s += "@" + b.CreatedAt
-	}
-	return s
-}
-
-func circuitKey(c *qor.Circuit) string { return c.Name + "/" + c.Scenario }
-
-// cornerScalars mirrors qor's exactly-compared corner fields.
-var cornerScalars = []struct {
-	name string
-	get  func(*qor.Corner) float64
-}{
-	{"gates", func(c *qor.Corner) float64 { return float64(c.Gates) }},
-	{"area", func(c *qor.Corner) float64 { return c.Area }},
-	{"critical_delay_seconds", func(c *qor.Corner) float64 { return c.CriticalSec }},
-	{"wns_seconds", func(c *qor.Corner) float64 { return c.WNSSec }},
-	{"tns_seconds", func(c *qor.Corner) float64 { return c.TNSSec }},
-	{"leakage_w", func(c *qor.Corner) float64 { return c.LeakageW }},
-	{"dynamic_w", func(c *qor.Corner) float64 { return c.DynamicW }},
-	{"total_w", func(c *qor.Corner) float64 { return c.TotalW }},
-}
-
-func diffCircuit(base, cur *qor.Circuit, opt Options, r *Report) *CircuitDelta {
-	cd := &CircuitDelta{Key: circuitKey(cur)}
+func diffCircuit(base, cur *qor.Circuit, r *Report) *CircuitDelta {
+	cd := &CircuitDelta{Key: cur.Key()}
 	baseCorner := map[float64]*qor.Corner{}
 	for i := range base.Corners {
 		baseCorner[base.Corners[i].TempK] = &base.Corners[i]
@@ -284,7 +196,7 @@ func diffCircuit(base, cur *qor.Circuit, opt Options, r *Report) *CircuitDelta {
 			r.AttributedDeltas++
 			continue
 		}
-		if corner := diffCorner(bc, cc, opt, r); corner != nil {
+		if corner := diffCorner(bc, cc, r); corner != nil {
 			cd.Corners = append(cd.Corners, *corner)
 		}
 	}
@@ -305,24 +217,23 @@ func diffCircuit(base, cur *qor.Circuit, opt Options, r *Report) *CircuitDelta {
 			"%s: technology-independent trajectory moved (nodes %d->%d, depth %d->%d) — upstream of mapping",
 			cd.Key, base.AIGNodesOpt, cur.AIGNodesOpt, base.AIGDepthOpt, cur.AIGDepthOpt))
 	}
-	cd.Stages = diffStages(base.StageSeconds, cur.StageSeconds, opt)
-	if len(cd.Corners) == 0 && len(cd.Stages) == 0 {
+	if len(cd.Corners) == 0 {
 		return nil
 	}
 	return cd
 }
 
-func diffCorner(base, cur *qor.Corner, opt Options, r *Report) *CornerDelta {
+func diffCorner(base, cur *qor.Corner, r *Report) *CornerDelta {
 	out := &CornerDelta{TempK: cur.TempK}
-	for _, m := range cornerScalars {
-		bv, cv := m.get(base), m.get(cur)
-		if !relEqual(bv, cv, opt.QoRRelEps) {
-			out.Metrics = append(out.Metrics, MetricDelta{Metric: m.name, Base: bv, Cur: cv})
+	for _, m := range qor.CornerMetrics {
+		bv, cv := m.Get(base), m.Get(cur)
+		if !qor.Equal(bv, cv) {
+			out.Metrics = append(out.Metrics, MetricDelta{Metric: m.Name, Base: bv, Cur: cv})
 			r.AttributedDeltas++
 		}
 	}
-	out.Paths = diffPaths(base.Paths, cur.Paths, opt, r)
-	out.Power = diffPowerClasses(base.PowerByClass, cur.PowerByClass, opt, r)
+	out.Paths = diffPaths(base.Paths, cur.Paths, r)
+	out.Power = diffPowerClasses(base.PowerByClass, cur.PowerByClass, r)
 	if len(out.Metrics) > 0 && len(base.Paths) == 0 && len(cur.Paths) == 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"@%gK: no path provenance recorded on either side; arc-level attribution unavailable (re-record with schema v%d)",
@@ -338,7 +249,7 @@ func diffCorner(base, cur *qor.Corner, opt Options, r *Report) *CornerDelta {
 // diffPaths matches paths by endpoint and attributes arrival deltas arc by
 // arc. Only endpoints whose arrival moved (or that exist on one side only)
 // produce a PathDelta.
-func diffPaths(base, cur []qor.PathRecord, opt Options, r *Report) []PathDelta {
+func diffPaths(base, cur []qor.PathRecord, r *Report) []PathDelta {
 	baseByEp := map[string]*qor.PathRecord{}
 	for i := range base {
 		baseByEp[base[i].Endpoint] = &base[i]
@@ -358,7 +269,7 @@ func diffPaths(base, cur []qor.PathRecord, opt Options, r *Report) []PathDelta {
 			continue
 		}
 		seen[cp.Endpoint] = true
-		if relEqual(bp.ArrivalSec, cp.ArrivalSec, opt.QoRRelEps) && samePathShape(bp, cp) {
+		if qor.Equal(bp.ArrivalSec, cp.ArrivalSec) && samePathShape(bp, cp) {
 			continue
 		}
 		pd := PathDelta{
@@ -366,7 +277,7 @@ func diffPaths(base, cur []qor.PathRecord, opt Options, r *Report) []PathDelta {
 			BaseSec: bp.ArrivalSec, CurSec: cp.ArrivalSec,
 			DeltaSec: cp.ArrivalSec - bp.ArrivalSec,
 		}
-		pd.Arcs, pd.ResidualSec = diffArcs(bp, cp, opt)
+		pd.Arcs, pd.ResidualSec = diffArcs(bp, cp)
 		pd.Culprit = pathCulprit(&pd)
 		out = append(out, pd)
 		r.AttributedDeltas++
@@ -404,7 +315,7 @@ func samePathShape(a, b *qor.PathRecord) bool {
 // diffArcs aligns two matched paths by driven net and classifies each
 // moved arc: what changed (cell swap, delay shift, structural) and what
 // drove it (cell, slew, load, or the tables themselves).
-func diffArcs(base, cur *qor.PathRecord, opt Options) ([]ArcDelta, float64) {
+func diffArcs(base, cur *qor.PathRecord) ([]ArcDelta, float64) {
 	baseByNet := map[string]*qor.ArcRecord{}
 	for i := range base.Arcs {
 		baseByNet[base.Arcs[i].ToNet] = &base.Arcs[i]
@@ -428,7 +339,7 @@ func diffArcs(base, cur *qor.PathRecord, opt Options) ([]ArcDelta, float64) {
 		}
 		d := ca.DelaySec - ba.DelaySec
 		cellSwapped := ba.Cell != ca.Cell
-		if !cellSwapped && relEqual(ba.DelaySec, ca.DelaySec, opt.ArcRelEps) {
+		if !cellSwapped && qor.Equal(ba.DelaySec, ca.DelaySec) {
 			continue
 		}
 		ad := ArcDelta{
@@ -443,9 +354,9 @@ func diffArcs(base, cur *qor.PathRecord, opt Options) ([]ArcDelta, float64) {
 		case cellSwapped:
 			ad.Change = ArcCellSwap
 			ad.Driver = DriverCell
-		case !relEqual(baseSlewAt[ba.FromNet], curSlewAt[ca.FromNet], opt.ArcRelEps):
+		case !qor.Equal(baseSlewAt[ba.FromNet], curSlewAt[ca.FromNet]):
 			ad.Driver = DriverSlew
-		case !relEqual(ba.LoadF, ca.LoadF, opt.ArcRelEps):
+		case !qor.Equal(ba.LoadF, ca.LoadF):
 			ad.Driver = DriverLoad
 		default:
 			ad.Driver = DriverTable
@@ -467,11 +378,11 @@ func diffArcs(base, cur *qor.PathRecord, opt Options) ([]ArcDelta, float64) {
 		return math.Abs(out[i].DeltaSec) > math.Abs(out[j].DeltaSec)
 	})
 	residual := (cur.ArrivalSec - base.ArrivalSec) - covered
-	if opt.TopArcs > 0 && len(out) > opt.TopArcs {
-		for _, a := range out[opt.TopArcs:] {
+	if len(out) > topArcs {
+		for _, a := range out[topArcs:] {
 			residual += a.DeltaSec
 		}
-		out = out[:opt.TopArcs]
+		out = out[:topArcs]
 	}
 	if math.Abs(residual) < 1e-18 {
 		residual = 0
@@ -521,7 +432,7 @@ func pathCulprit(pd *PathDelta) string {
 }
 
 // diffPowerClasses attributes power movement by cell class.
-func diffPowerClasses(base, cur []qor.ClassPower, opt Options, r *Report) []PowerDelta {
+func diffPowerClasses(base, cur []qor.ClassPower, r *Report) []PowerDelta {
 	baseByCell := map[string]*qor.ClassPower{}
 	for i := range base {
 		baseByCell[base[i].Cell] = &base[i]
@@ -542,9 +453,9 @@ func diffPowerClasses(base, cur []qor.ClassPower, opt Options, r *Report) []Powe
 			InternalW:  cc.InternalW - b.InternalW,
 			SwitchingW: cc.SwitchingW - b.SwitchingW,
 		}
-		if relEqual(b.LeakageW, cc.LeakageW, opt.QoRRelEps) &&
-			relEqual(b.InternalW, cc.InternalW, opt.QoRRelEps) &&
-			relEqual(b.SwitchingW, cc.SwitchingW, opt.QoRRelEps) &&
+		if qor.Equal(b.LeakageW, cc.LeakageW) &&
+			qor.Equal(b.InternalW, cc.InternalW) &&
+			qor.Equal(b.SwitchingW, cc.SwitchingW) &&
 			b.Count == cc.Count {
 			continue
 		}
@@ -636,67 +547,4 @@ func cornerSummary(c *CornerDelta) string {
 			p.Cell, p.Dominant, p.TotalW(), p.BaseCount, p.CurCount)
 	}
 	return head
-}
-
-// diffStages applies the qor noise rule to stage wall-time medians and
-// returns the shifts worth correlating.
-func diffStages(base, cur map[string]qor.Stat, opt Options) []StageDelta {
-	var out []StageDelta
-	for stage, cs := range cur {
-		bs, ok := base[stage]
-		if !ok {
-			continue
-		}
-		if bs.Median < opt.MinSeconds && cs.Median < opt.MinSeconds {
-			continue
-		}
-		if !noisyShift(bs, cs, opt.StageFrac, opt.IQRMult) {
-			continue
-		}
-		out = append(out, StageDelta{
-			Stage: stage, BaseSec: bs.Median, CurSec: cs.Median,
-			Note: fmt.Sprintf("median %.4g -> %.4g s (IQR %.2g/%.2g, n=%d)",
-				bs.Median, cs.Median, bs.IQR, cs.IQR, cs.N),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stage < out[j].Stage })
-	return out
-}
-
-// diffCounters applies the same rule to engine counters.
-func diffCounters(base, cur map[string]qor.Stat, opt Options) []CounterDelta {
-	var out []CounterDelta
-	for name, cs := range cur {
-		bs, ok := base[name]
-		if !ok {
-			continue
-		}
-		if bs.Median < opt.MinCount && cs.Median < opt.MinCount {
-			continue
-		}
-		if !noisyShift(bs, cs, opt.CounterFrac, opt.IQRMult) {
-			continue
-		}
-		out = append(out, CounterDelta{Name: name, Base: bs.Median, Cur: cs.Median})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// noisyShift reports whether the median moved beyond BOTH the relative
-// band and the IQR noise band (qor.noisyVerdict's rule, direction-blind).
-func noisyShift(base, cur qor.Stat, frac, iqrMult float64) bool {
-	shift := math.Abs(cur.Median - base.Median)
-	relBand := frac * math.Abs(base.Median)
-	noiseBand := iqrMult * math.Max(base.IQR, cur.IQR)
-	return shift > math.Max(relBand, 1e-300) && shift > noiseBand
-}
-
-// relEqual is the shared relative-epsilon comparison.
-func relEqual(a, b, relEps float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= relEps*scale
 }

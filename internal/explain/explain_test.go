@@ -48,7 +48,7 @@ func TestSelfDiffZeroDelta(t *testing.T) {
 	}
 	a := runBaseline(t)
 	b := runBaseline(t)
-	rep := explain.Diff(a, b, explain.DefaultOptions())
+	rep := explain.Diff(a, b)
 	if !rep.ZeroDelta || rep.AttributedDeltas != 0 {
 		var buf bytes.Buffer
 		rep.WriteText(&buf)
@@ -176,7 +176,7 @@ func TestCellSwapAttribution(t *testing.T) {
 	}
 	curCorner := analyzeCorner(t, nl, lib)
 
-	rep := explain.Diff(mkBaseline(baseCorner), mkBaseline(curCorner), explain.DefaultOptions())
+	rep := explain.Diff(mkBaseline(baseCorner), mkBaseline(curCorner))
 	if rep.ZeroDelta {
 		t.Fatalf("cell swap attributed nothing")
 	}

@@ -23,7 +23,6 @@ func (r *Report) WriteText(w io.Writer) error {
 	}
 	if r.ZeroDelta {
 		fmt.Fprintln(w, "zero attributed delta: the runs are QoR-identical")
-		r.writeCorrelationText(w)
 		return nil
 	}
 	fmt.Fprintf(w, "%d attributed deltas\n", r.AttributedDeltas)
@@ -53,24 +52,11 @@ func (r *Report) WriteText(w io.Writer) error {
 					p.Cell, p.BaseCount, p.CurCount, p.LeakageW, p.InternalW, p.SwitchingW, p.Dominant)
 			}
 		}
-		for _, s := range cd.Stages {
-			fmt.Fprintf(w, "  stage %-28s %.4g -> %.4g s  (%s)\n", s.Stage, s.BaseSec, s.CurSec, s.Note)
-		}
 	}
-	r.writeCorrelationText(w)
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	return nil
-}
-
-func (r *Report) writeCorrelationText(w io.Writer) {
-	for _, s := range r.Stages {
-		fmt.Fprintf(w, "stage %-28s %.4g -> %.4g s  (%s)\n", s.Stage, s.BaseSec, s.CurSec, s.Note)
-	}
-	for _, e := range r.Engine {
-		fmt.Fprintf(w, "engine %-32s %.6g -> %.6g\n", e.Name, e.Base, e.Cur)
-	}
 }
 
 // WriteMarkdown renders the attribution report as a markdown section,
@@ -130,22 +116,6 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 				fmt.Fprintln(w)
 			}
 		}
-		if len(cd.Stages) > 0 {
-			fmt.Fprintf(w, "**%s stage shifts**\n\n", cd.Key)
-			writeStageTable(w, cd.Stages)
-		}
-	}
-	if len(r.Stages) > 0 {
-		fmt.Fprintf(w, "## Stage wall-time shifts\n\n")
-		writeStageTable(w, r.Stages)
-	}
-	if len(r.Engine) > 0 {
-		fmt.Fprintf(w, "## Engine counter shifts\n\n")
-		fmt.Fprintf(w, "| counter | base | current |\n|---|---:|---:|\n")
-		for _, e := range r.Engine {
-			fmt.Fprintf(w, "| %s | %.6g | %.6g |\n", e.Name, e.Base, e.Cur)
-		}
-		fmt.Fprintln(w)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "> ⚠️ %s\n", n)
@@ -154,14 +124,6 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-func writeStageTable(w io.Writer, stages []StageDelta) {
-	fmt.Fprintf(w, "| stage | base (s) | current (s) | note |\n|---|---:|---:|---|\n")
-	for _, s := range stages {
-		fmt.Fprintf(w, "| %s | %.4g | %.4g | %s |\n", s.Stage, s.BaseSec, s.CurSec, s.Note)
-	}
-	fmt.Fprintln(w)
 }
 
 func orDash(s string) string {

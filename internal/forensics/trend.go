@@ -33,8 +33,8 @@ type TrendRow struct {
 	Metric string       `json:"metric"`
 	Points []TrendPoint `json:"points"`
 	// Verdict classifies the latest value against the prior runs' noise
-	// band (qor.DriftVerdict): OK, Improved, Regressed — or New/Missing
-	// when the metric appeared in / vanished from the latest run.
+	// band (driftVerdict): OK, Improved, Regressed — or New/Missing when
+	// the metric appeared in / vanished from the latest run.
 	Verdict qor.Verdict `json:"-"`
 	// VerdictText is the verdict's string form for JSON consumers.
 	VerdictText string `json:"verdict"`
@@ -153,10 +153,9 @@ func matchesAny(globs []string, name string) bool {
 // several journals) into a run-over-run report for the metrics matching
 // globs: one column per run.end summary, ordered by run end time, keeping
 // only the last `last` runs when last > 0. The drift verdict compares each
-// metric's latest value against the noise band (median ± IQR, same
-// thresholds as the cryobench diff) of its prior values, so identical
-// reruns stay quiet and only real shifts are flagged.
-func Trend(evs []obs.Event, globs []string, last int, th qor.Thresholds) (*TrendReport, error) {
+// metric's latest value against the noise band (driftVerdict) of its prior
+// values, so identical reruns stay quiet and only real shifts are flagged.
+func Trend(evs []obs.Event, globs []string, last int) (*TrendReport, error) {
 	bins := map[string]string{}
 	var runs []TrendRun
 	for i := range evs {
@@ -218,16 +217,74 @@ func Trend(evs []obs.Event, globs []string, last int, th qor.Thresholds) (*Trend
 		case len(prior) == 0:
 			row.Verdict = qor.New
 		default:
-			base := qor.NewStat(prior)
-			row.Verdict = qor.DriftVerdict(base, qor.NewStat([]float64{latest}), th)
-			if base.Median != 0 {
-				row.DeltaPct = 100 * (latest - base.Median) / math.Abs(base.Median)
+			median, iqr := medianIQR(prior)
+			row.Verdict = driftVerdict(median, iqr, latest, higherBad(name))
+			if median != 0 {
+				row.DeltaPct = 100 * (latest - median) / math.Abs(median)
 			}
 		}
 		row.VerdictText = row.Verdict.String()
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
+}
+
+// The drift rule: the latest value's shift from the history's median counts
+// only when it exceeds both driftFrac of the median and driftIQRMult times
+// the history's interquartile range, so neither a stable metric's small
+// wobble nor a noisy metric's usual spread is flagged.
+const (
+	driftFrac    = 0.30
+	driftIQRMult = 3.0
+)
+
+// driftVerdict classifies latest against a history summarized by its
+// median and IQR under the drift rule. higherBad says which direction
+// regresses.
+func driftVerdict(median, iqr, latest float64, higherBad bool) qor.Verdict {
+	shift := latest - median
+	if math.Abs(shift) <= math.Max(driftFrac*math.Abs(median), 1e-300) ||
+		math.Abs(shift) <= driftIQRMult*iqr {
+		return qor.OK
+	}
+	if (shift > 0) == higherBad {
+		return qor.Regressed
+	}
+	return qor.Improved
+}
+
+// higherBad reports a metric's bad direction: qor.* rows take it from the
+// qor corner-metric table (slack gaining is good), everything else —
+// counters, stage seconds, the AIG trajectory, process health — is lower
+// is better.
+func higherBad(metric string) bool {
+	if !strings.HasPrefix(metric, "qor.") {
+		return true
+	}
+	name := metric[strings.LastIndexByte(metric, '.')+1:]
+	for _, m := range qor.CornerMetrics {
+		if m.Name == name {
+			return m.HigherBad
+		}
+	}
+	return true
+}
+
+// medianIQR summarizes samples (order-insensitive) by their median and
+// interquartile range, interpolating linearly between closest ranks. An
+// empty slice yields zeros.
+func medianIQR(samples []float64) (median, iqr float64) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		r := p * float64(len(s)-1)
+		lo, hi := int(math.Floor(r)), int(math.Ceil(r))
+		return s[lo] + (s[hi]-s[lo])*(r-float64(lo))
+	}
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // WriteText renders the trend report as an aligned text table, one run per

@@ -3,6 +3,7 @@ package forensics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func journals(runs ...[]obs.Event) []obs.Event {
 
 func mustTrend(t *testing.T, evs []obs.Event, globs []string, last int) *TrendReport {
 	t.Helper()
-	rep, err := Trend(evs, globs, last, qor.DefaultThresholds())
+	rep, err := Trend(evs, globs, last)
 	if err != nil {
 		t.Fatalf("Trend: %v", err)
 	}
@@ -160,6 +161,45 @@ func TestTrendDriftAndQuiet(t *testing.T) {
 	rep = mustTrend(t, improved, []string{"qor.x.area"}, 0)
 	if len(rep.Rows) != 1 || rep.Rows[0].Verdict != qor.Improved {
 		t.Errorf("improvement rows: %+v", rep.Rows)
+	}
+
+	// Slack is higher-is-better: WNS sinking from +100 ps to +40 ps
+	// regresses, WNS rising to +160 ps improves. Counters and stage times
+	// keep lower-is-better.
+	const wns = "qor.ctrl/p->d->a@4.2K.wns_seconds"
+	slack := func(tns int64, run string, v float64) []obs.Event {
+		return histRec(tns, run, map[string]float64{wns: v})
+	}
+	history := journals(slack(1, "r-1", 100e-12), slack(2, "r-2", 100e-12), slack(3, "r-3", 100e-12))
+	for _, c := range []struct {
+		latest float64
+		want   qor.Verdict
+	}{
+		{40e-12, qor.Regressed},
+		{160e-12, qor.Improved},
+	} {
+		rep = mustTrend(t, journals(history, slack(4, "r-4", c.latest)), []string{wns}, 0)
+		if len(rep.Rows) != 1 || rep.Rows[0].Verdict != c.want {
+			t.Errorf("WNS 100 ps -> %g ps: rows %+v, want %s", c.latest*1e12, rep.Rows, c.want)
+		}
+	}
+}
+
+// TestMedianIQR pins the history summary behind the drift rule.
+func TestMedianIQR(t *testing.T) {
+	median, iqr := medianIQR([]float64{4, 1, 3, 2})
+	if math.Abs(median-2.5) > 1e-12 {
+		t.Errorf("median = %g, want 2.5", median)
+	}
+	// q25 = 1.75, q75 = 3.25 with linear interpolation.
+	if math.Abs(iqr-1.5) > 1e-12 {
+		t.Errorf("IQR = %g, want 1.5", iqr)
+	}
+	if m, q := medianIQR([]float64{7}); m != 7 || q != 0 {
+		t.Errorf("single sample: median %g, IQR %g", m, q)
+	}
+	if m, q := medianIQR(nil); m != 0 || q != 0 {
+		t.Errorf("empty: median %g, IQR %g", m, q)
 	}
 }
 

@@ -55,9 +55,6 @@ const (
 	// re-verification (e.g. gate-level simulation cross-checked against AIG
 	// simulation) passing or failing on a flow result.
 	KindSignoff = "signoff"
-	// KindAttribution carries a QoR attribution report (internal/explain)
-	// as its structured detail payload.
-	KindAttribution = "attribution"
 	// KindProgress is a periodic progress heartbeat from a registered
 	// stage task (done/total/rate/eta in attrs); the -progress flag's
 	// reporter emits one per live task per interval.

@@ -5,35 +5,20 @@ import (
 	"math"
 )
 
-// Thresholds tunes the noise-aware comparison.
-type Thresholds struct {
-	// QoRRelEps is the relative epsilon for floating-point QoR fields
-	// (the flow is deterministic, so this only absorbs representation
-	// noise; integers are compared exactly).
-	QoRRelEps float64
-	// RuntimeFrac is the relative tolerance on runtime/engine medians: a
-	// sample is only suspect beyond base*(1±RuntimeFrac).
-	RuntimeFrac float64
-	// IQRMult: on top of the relative band, the shift must also exceed
-	// IQRMult * max(base IQR, cur IQR) — the noise-awareness proper.
-	IQRMult float64
-	// MinSeconds ignores runtime stages whose base and current medians
-	// are both below this floor (too fast to measure honestly).
-	MinSeconds float64
-	// MinCount ignores engine counters whose base and current medians are
-	// both below this floor.
-	MinCount float64
-}
+// relEps is the relative epsilon of the exact QoR comparison: the flow is
+// deterministic, so it only absorbs floating-point representation noise.
+// Integer metrics (gate counts, AIG sizes) stay far below 1/relEps, so for
+// them the rule is bit-exact.
+const relEps = 1e-9
 
-// DefaultThresholds are the cryobench defaults.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		QoRRelEps:   1e-9,
-		RuntimeFrac: 0.30,
-		IQRMult:     3.0,
-		MinSeconds:  5e-3,
-		MinCount:    64,
+// Equal is the exact QoR comparison the gate and the attribution engine
+// share: bit-equal, or within relEps of the larger magnitude.
+func Equal(a, b float64) bool {
+	if a == b {
+		return true
 	}
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) <= relEps*scale
 }
 
 // Verdict classifies one compared metric.
@@ -66,21 +51,10 @@ func (v Verdict) String() string {
 	}
 }
 
-// Kind separates the hard QoR gate from the soft runtime/engine watch.
-type Kind string
-
-// Metric kinds.
-const (
-	KindQoR     Kind = "qor"
-	KindRuntime Kind = "runtime"
-	KindEngine  Kind = "engine"
-)
-
 // Entry is one row of a diff report.
 type Entry struct {
 	Key     string // e.g. "ctrl/p->d->a @10K"
 	Metric  string // e.g. "wns_seconds"
-	Kind    Kind
 	Base    float64
 	Cur     float64
 	Verdict Verdict
@@ -104,112 +78,98 @@ type Report struct {
 	BaseLabel, CurLabel string
 	Entries             []Entry
 	QoRRegressions      int
-	RuntimeRegressions  int
 	NonDeterministic    []string // circuit keys whose repetitions disagreed
 }
 
 // Failed reports whether the diff should gate a merge: any QoR regression
-// (or nondeterminism) fails; runtime regressions fail only when
-// strictRuntime is set.
-func (r *Report) Failed(strictRuntime bool) bool {
-	if r.QoRRegressions > 0 || len(r.NonDeterministic) > 0 {
-		return true
-	}
-	return strictRuntime && r.RuntimeRegressions > 0
+// or nondeterminism fails.
+func (r *Report) Failed() bool {
+	return r.QoRRegressions > 0 || len(r.NonDeterministic) > 0
 }
 
-// qorMetric describes one exactly-compared QoR field: how to read it and
-// which direction is worse.
-type qorMetric struct {
-	name       string
-	get        func(*Corner) float64
-	higherBad  bool
-	integerish bool
+// CornerMetric describes one exactly compared corner QoR field: its name
+// in baselines, flat metrics and reports, how to read it, and which
+// direction is worse.
+type CornerMetric struct {
+	Name      string
+	Get       func(*Corner) float64
+	HigherBad bool
 }
 
-var cornerMetrics = []qorMetric{
-	{"gates", func(c *Corner) float64 { return float64(c.Gates) }, true, true},
-	{"area", func(c *Corner) float64 { return c.Area }, true, false},
-	{"critical_delay_seconds", func(c *Corner) float64 { return c.CriticalSec }, true, false},
-	{"wns_seconds", func(c *Corner) float64 { return c.WNSSec }, false, false},
-	{"tns_seconds", func(c *Corner) float64 { return c.TNSSec }, false, false},
-	{"leakage_w", func(c *Corner) float64 { return c.LeakageW }, true, false},
-	{"dynamic_w", func(c *Corner) float64 { return c.DynamicW }, true, false},
-	{"total_w", func(c *Corner) float64 { return c.TotalW }, true, false},
+// CornerMetrics is the one table of gated corner fields, in report order;
+// the diff, the attribution engine, the flat run-summary metrics and the
+// trend verdict direction all read it.
+var CornerMetrics = []CornerMetric{
+	{"gates", func(c *Corner) float64 { return float64(c.Gates) }, true},
+	{"area", func(c *Corner) float64 { return c.Area }, true},
+	{"critical_delay_seconds", func(c *Corner) float64 { return c.CriticalSec }, true},
+	{"wns_seconds", func(c *Corner) float64 { return c.WNSSec }, false},
+	{"tns_seconds", func(c *Corner) float64 { return c.TNSSec }, false},
+	{"leakage_w", func(c *Corner) float64 { return c.LeakageW }, true},
+	{"dynamic_w", func(c *Corner) float64 { return c.DynamicW }, true},
+	{"total_w", func(c *Corner) float64 { return c.TotalW }, true},
 }
 
-// Diff compares cur against base. QoR fields are compared exactly (per
-// QoRRelEps); stage wall times and engine counters via the median/IQR rule.
-func Diff(base, cur *Baseline, th Thresholds) *Report {
+// Diff compares cur against base. Every QoR field is compared exactly
+// (Equal); a move in the bad direction is a regression.
+func Diff(base, cur *Baseline) *Report {
 	r := &Report{
-		BaseLabel: label(base),
-		CurLabel:  label(cur),
+		BaseLabel: base.Label(),
+		CurLabel:  cur.Label(),
 	}
 	baseByKey := map[string]*Circuit{}
 	for i := range base.Circuits {
-		baseByKey[base.Circuits[i].key()] = &base.Circuits[i]
+		baseByKey[base.Circuits[i].Key()] = &base.Circuits[i]
 	}
 	seen := map[string]bool{}
 	for i := range cur.Circuits {
 		cc := &cur.Circuits[i]
 		if !cc.Deterministic {
-			r.NonDeterministic = append(r.NonDeterministic, cc.key())
+			r.NonDeterministic = append(r.NonDeterministic, cc.Key())
 		}
-		bc, ok := baseByKey[cc.key()]
+		bc, ok := baseByKey[cc.Key()]
 		if !ok {
 			r.Entries = append(r.Entries, Entry{
-				Key: cc.key(), Metric: "circuit", Kind: KindQoR, Verdict: New,
+				Key: cc.Key(), Metric: "circuit", Verdict: New,
 				Note: "not in baseline",
 			})
 			continue
 		}
-		seen[cc.key()] = true
-		diffCircuit(r, bc, cc, th)
+		seen[cc.Key()] = true
+		diffCircuit(r, bc, cc)
 	}
 	for i := range base.Circuits {
-		if !seen[base.Circuits[i].key()] {
+		if !seen[base.Circuits[i].Key()] {
 			r.Entries = append(r.Entries, Entry{
-				Key: base.Circuits[i].key(), Metric: "circuit", Kind: KindQoR,
+				Key: base.Circuits[i].Key(), Metric: "circuit",
 				Verdict: Missing, Note: "dropped from run",
 			})
 			r.QoRRegressions++ // losing coverage is a hard failure
 		}
 	}
-	diffEngine(r, base.Engine, cur.Engine, th)
 	return r
 }
 
-func label(b *Baseline) string {
-	s := b.Tool + ":" + b.Profile
-	if b.CreatedAt != "" {
-		s += "@" + b.CreatedAt
+// compare appends one exactly compared row, counting a move in the bad
+// direction as a regression.
+func (r *Report) compare(key, metric string, base, cur float64, higherBad bool) {
+	e := Entry{Key: key, Metric: metric, Base: base, Cur: cur, Verdict: OK}
+	if !Equal(base, cur) {
+		if (cur > base) == higherBad {
+			e.Verdict = Regressed
+			r.QoRRegressions++
+		} else {
+			e.Verdict = Improved
+		}
 	}
-	return s
+	r.Entries = append(r.Entries, e)
 }
 
-func diffCircuit(r *Report, base, cur *Circuit, th Thresholds) {
-	key := cur.key()
-	// AIG trajectory: exact integers.
-	for _, m := range []struct {
-		name      string
-		base, cur int
-		higherBad bool
-	}{
-		{"aig_nodes_opt", base.AIGNodesOpt, cur.AIGNodesOpt, true},
-		{"aig_depth_opt", base.AIGDepthOpt, cur.AIGDepthOpt, true},
-	} {
-		e := Entry{Key: key, Metric: m.name, Kind: KindQoR,
-			Base: float64(m.base), Cur: float64(m.cur), Verdict: OK}
-		if m.cur != m.base {
-			if (m.cur > m.base) == m.higherBad {
-				e.Verdict = Regressed
-				r.QoRRegressions++
-			} else {
-				e.Verdict = Improved
-			}
-		}
-		r.Entries = append(r.Entries, e)
-	}
+func diffCircuit(r *Report, base, cur *Circuit) {
+	key := cur.Key()
+	// AIG trajectory: smaller is better.
+	r.compare(key, "aig_nodes_opt", float64(base.AIGNodesOpt), float64(cur.AIGNodesOpt), true)
+	r.compare(key, "aig_depth_opt", float64(base.AIGDepthOpt), float64(cur.AIGDepthOpt), true)
 	// Corners matched by temperature.
 	baseCorner := map[float64]*Corner{}
 	for i := range base.Corners {
@@ -222,22 +182,12 @@ func diffCircuit(r *Report, base, cur *Circuit, th Thresholds) {
 		bc, ok := baseCorner[cc.TempK]
 		if !ok {
 			r.Entries = append(r.Entries, Entry{Key: ckey, Metric: "corner",
-				Kind: KindQoR, Verdict: New, Note: "corner not in baseline"})
+				Verdict: New, Note: "corner not in baseline"})
 			continue
 		}
 		seenCorner[cc.TempK] = true
-		for _, m := range cornerMetrics {
-			bv, cv := m.get(bc), m.get(cc)
-			e := Entry{Key: ckey, Metric: m.name, Kind: KindQoR, Base: bv, Cur: cv, Verdict: OK}
-			if !qorEqual(bv, cv, th.QoRRelEps, m.integerish) {
-				if (cv > bv) == m.higherBad {
-					e.Verdict = Regressed
-					r.QoRRegressions++
-				} else {
-					e.Verdict = Improved
-				}
-			}
-			r.Entries = append(r.Entries, e)
+		for _, m := range CornerMetrics {
+			r.compare(ckey, m.Name, m.Get(bc), m.Get(cc), m.HigherBad)
 		}
 	}
 	// A corner dropped from the current run is lost coverage — a hard
@@ -247,88 +197,10 @@ func diffCircuit(r *Report, base, cur *Circuit, th Thresholds) {
 		if !seenCorner[bc.TempK] {
 			r.Entries = append(r.Entries, Entry{
 				Key:    fmt.Sprintf("%s @%gK", key, bc.TempK),
-				Metric: "corner", Kind: KindQoR, Verdict: Missing,
+				Metric: "corner", Verdict: Missing,
 				Note: "corner dropped from run",
 			})
 			r.QoRRegressions++
 		}
 	}
-	// Stage wall times: noise-aware, lower is better.
-	for stage, cs := range cur.StageSeconds {
-		bs, ok := base.StageSeconds[stage]
-		if !ok {
-			continue
-		}
-		if bs.Median < th.MinSeconds && cs.Median < th.MinSeconds {
-			continue
-		}
-		e := Entry{Key: key, Metric: "stage:" + stage, Kind: KindRuntime,
-			Base: bs.Median, Cur: cs.Median, Verdict: noisyVerdict(bs, cs, th)}
-		if e.Verdict == Regressed {
-			r.RuntimeRegressions++
-			e.Note = noiseNote(bs, cs)
-		}
-		r.Entries = append(r.Entries, e)
-	}
-}
-
-func diffEngine(r *Report, base, cur map[string]Stat, th Thresholds) {
-	for name, cs := range cur {
-		bs, ok := base[name]
-		if !ok {
-			continue
-		}
-		if bs.Median < th.MinCount && cs.Median < th.MinCount {
-			continue
-		}
-		e := Entry{Key: "engine", Metric: name, Kind: KindEngine,
-			Base: bs.Median, Cur: cs.Median, Verdict: noisyVerdict(bs, cs, th)}
-		if e.Verdict == Regressed {
-			r.RuntimeRegressions++
-			e.Note = noiseNote(bs, cs)
-		}
-		r.Entries = append(r.Entries, e)
-	}
-}
-
-// qorEqual is the "exact" QoR comparison: integers bit-exact, floats
-// within a tiny relative epsilon.
-func qorEqual(a, b, relEps float64, integerish bool) bool {
-	if integerish {
-		return a == b
-	}
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= relEps*scale
-}
-
-// DriftVerdict classifies the shift from a historical sample set (base) to
-// a current one under the noise-aware median/IQR rule — the same gate the
-// baseline diff applies to runtime metrics, exported for cross-run trend
-// analysis (cryoobs trend flags a metric as drifting only when its latest
-// value escapes the noise band of its history).
-func DriftVerdict(base, cur Stat, th Thresholds) Verdict {
-	return noisyVerdict(base, cur, th)
-}
-
-// noisyVerdict applies the median/IQR rule: the median shift must exceed
-// BOTH the relative band and IQRMult spreads of the noisier run to count.
-func noisyVerdict(base, cur Stat, th Thresholds) Verdict {
-	shift := cur.Median - base.Median
-	relBand := th.RuntimeFrac * math.Abs(base.Median)
-	noiseBand := th.IQRMult * math.Max(base.IQR, cur.IQR)
-	if math.Abs(shift) <= math.Max(relBand, 1e-300) || math.Abs(shift) <= noiseBand {
-		return OK
-	}
-	if shift > 0 {
-		return Regressed
-	}
-	return Improved
-}
-
-func noiseNote(base, cur Stat) string {
-	return fmt.Sprintf("median %.4g -> %.4g (IQR %.2g/%.2g, n=%d)",
-		base.Median, cur.Median, base.IQR, cur.IQR, cur.N)
 }

@@ -92,18 +92,7 @@ func goldenBaseline() *Baseline {
 				DynamicW:    2.25e-6,
 				TotalW:      2.25e-6,
 			}},
-			StageSeconds: map[string]Stat{
-				"synth.synthesize": {N: 2, Median: 0.5, IQR: 0.02, Min: 0.49, Max: 0.51},
-				"sta.analyze":      {N: 2, Median: 0.01, IQR: 0.001, Min: 0.0095, Max: 0.0105},
-				"rep.wall":         {N: 2, Median: 0.75, IQR: 0.03, Min: 0.735, Max: 0.765},
-			},
 		}},
-		Engine: map[string]Stat{
-			"sat.conflicts":           {N: 2, Median: 1024, IQR: 0, Min: 1024, Max: 1024},
-			"spice.newton.iterations": {N: 2, Median: 0, IQR: 0, Min: 0, Max: 0},
-			"mapper.gates_emitted":    {N: 2, Median: 82, IQR: 0, Min: 82, Max: 82},
-			"charlib.cache.hits":      {N: 2, Median: 0, IQR: 0, Min: 0, Max: 0},
-		},
 	}
 }
 

@@ -5,28 +5,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
-
-func TestNewStat(t *testing.T) {
-	s := NewStat([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("stat basics wrong: %+v", s)
-	}
-	if math.Abs(s.Median-2.5) > 1e-12 {
-		t.Errorf("median = %g, want 2.5", s.Median)
-	}
-	// q25 = 1.75, q75 = 3.25 with linear interpolation.
-	if math.Abs(s.IQR-1.5) > 1e-12 {
-		t.Errorf("IQR = %g, want 1.5", s.IQR)
-	}
-	if z := NewStat(nil); z.N != 0 {
-		t.Errorf("empty stat: %+v", z)
-	}
-}
 
 // twoBaselines builds a matched (base, cur) pair for diff tests.
 func twoBaselines() (*Baseline, *Baseline) {
@@ -49,14 +35,7 @@ func twoBaselines() (*Baseline, *Baseline) {
 					{TempK: 10, Gates: 40, Area: 80, CriticalSec: 2.5e-10,
 						WNSSec: 7.5e-10, TNSSec: 0, LeakageW: 1e-12, DynamicW: 1.8e-6, TotalW: 1.8e-6},
 				},
-				StageSeconds: map[string]Stat{
-					"synth.synthesize": {N: 2, Median: 0.5, IQR: 0.02, Min: 0.49, Max: 0.52},
-					"rep.wall":         {N: 2, Median: 0.8, IQR: 0.02, Min: 0.79, Max: 0.81},
-				},
 			}},
-			Engine: map[string]Stat{
-				"sat.conflicts": {N: 2, Median: 1000, IQR: 0, Min: 1000, Max: 1000},
-			},
 		}
 	}
 	return mk(), mk()
@@ -64,11 +43,11 @@ func twoBaselines() (*Baseline, *Baseline) {
 
 func TestDiffClean(t *testing.T) {
 	base, cur := twoBaselines()
-	rep := Diff(base, cur, DefaultThresholds())
-	if rep.QoRRegressions != 0 || rep.RuntimeRegressions != 0 {
+	rep := Diff(base, cur)
+	if rep.QoRRegressions != 0 {
 		t.Fatalf("clean diff reported regressions: %+v", rep)
 	}
-	if rep.Failed(true) {
+	if rep.Failed() {
 		t.Errorf("clean diff failed")
 	}
 }
@@ -77,11 +56,11 @@ func TestDiffInjectedWNSRegression(t *testing.T) {
 	base, cur := twoBaselines()
 	// Inject a WNS degradation at the 10 K corner: slack shrinks by 50 ps.
 	cur.Circuits[0].Corners[1].WNSSec -= 50e-12
-	rep := Diff(base, cur, DefaultThresholds())
+	rep := Diff(base, cur)
 	if rep.QoRRegressions != 1 {
 		t.Fatalf("want exactly 1 QoR regression, got %d", rep.QoRRegressions)
 	}
-	if !rep.Failed(false) {
+	if !rep.Failed() {
 		t.Errorf("WNS regression must fail the gate")
 	}
 	var buf bytes.Buffer
@@ -104,7 +83,7 @@ func TestDiffInjectedWNSRegression(t *testing.T) {
 func TestDiffImprovementIsNotFailure(t *testing.T) {
 	base, cur := twoBaselines()
 	cur.Circuits[0].Corners[0].TotalW *= 0.9 // power got better
-	rep := Diff(base, cur, DefaultThresholds())
+	rep := Diff(base, cur)
 	if rep.QoRRegressions != 0 {
 		t.Fatalf("improvement counted as regression")
 	}
@@ -119,53 +98,11 @@ func TestDiffImprovementIsNotFailure(t *testing.T) {
 	}
 }
 
-func TestDiffRuntimeNoiseAware(t *testing.T) {
-	th := DefaultThresholds()
-
-	// Within the relative band: ignored.
-	base, cur := twoBaselines()
-	cur.Circuits[0].StageSeconds["synth.synthesize"] = Stat{N: 2, Median: 0.55, IQR: 0.02, Min: 0.54, Max: 0.56}
-	if rep := Diff(base, cur, th); rep.RuntimeRegressions != 0 {
-		t.Errorf("10%% runtime shift flagged despite 30%% tolerance")
-	}
-
-	// Big shift but huge IQR (noisy machine): still ignored.
-	base, cur = twoBaselines()
-	cur.Circuits[0].StageSeconds["synth.synthesize"] = Stat{N: 2, Median: 0.9, IQR: 0.5, Min: 0.5, Max: 1.4}
-	if rep := Diff(base, cur, th); rep.RuntimeRegressions != 0 {
-		t.Errorf("noisy runtime shift flagged despite IQR band")
-	}
-
-	// Big, tight shift: flagged as runtime regression — soft by default,
-	// hard only under strictRuntime.
-	base, cur = twoBaselines()
-	cur.Circuits[0].StageSeconds["synth.synthesize"] = Stat{N: 2, Median: 0.9, IQR: 0.02, Min: 0.89, Max: 0.91}
-	rep := Diff(base, cur, th)
-	if rep.RuntimeRegressions != 1 {
-		t.Fatalf("tight 80%% runtime shift not flagged: %+v", rep.Entries)
-	}
-	if rep.Failed(false) {
-		t.Errorf("runtime regression must not fail the default gate")
-	}
-	if !rep.Failed(true) {
-		t.Errorf("runtime regression must fail under -strict-runtime")
-	}
-}
-
-func TestDiffEngineCounters(t *testing.T) {
-	base, cur := twoBaselines()
-	cur.Engine["sat.conflicts"] = Stat{N: 2, Median: 2000, IQR: 0, Min: 2000, Max: 2000}
-	rep := Diff(base, cur, DefaultThresholds())
-	if rep.RuntimeRegressions != 1 {
-		t.Errorf("doubled SAT conflicts not flagged: %+v", rep.Entries)
-	}
-}
-
 func TestDiffDroppedCircuitIsHardFailure(t *testing.T) {
 	base, cur := twoBaselines()
 	cur.Circuits = nil
-	rep := Diff(base, cur, DefaultThresholds())
-	if rep.QoRRegressions == 0 || !rep.Failed(false) {
+	rep := Diff(base, cur)
+	if rep.QoRRegressions == 0 || !rep.Failed() {
 		t.Errorf("dropped circuit did not fail the gate")
 	}
 }
@@ -174,8 +111,8 @@ func TestDiffDroppedCornerIsHardFailure(t *testing.T) {
 	base, cur := twoBaselines()
 	// The 10 K corner vanishes from the current run: lost coverage.
 	cur.Circuits[0].Corners = cur.Circuits[0].Corners[:1]
-	rep := Diff(base, cur, DefaultThresholds())
-	if rep.QoRRegressions == 0 || !rep.Failed(false) {
+	rep := Diff(base, cur)
+	if rep.QoRRegressions == 0 || !rep.Failed() {
 		t.Fatalf("dropped corner did not fail the gate: %+v", rep)
 	}
 	found := false
@@ -192,29 +129,9 @@ func TestDiffDroppedCornerIsHardFailure(t *testing.T) {
 func TestDiffNewCornerIsNotFailure(t *testing.T) {
 	base, cur := twoBaselines()
 	base.Circuits[0].Corners = base.Circuits[0].Corners[:1]
-	rep := Diff(base, cur, DefaultThresholds())
+	rep := Diff(base, cur)
 	if rep.QoRRegressions != 0 {
 		t.Errorf("new corner counted as regression: %+v", rep.Entries)
-	}
-}
-
-func TestDiffZeroRepStatsDoNotPanic(t *testing.T) {
-	base, cur := twoBaselines()
-	// A run that recorded no samples for a stage or counter must diff
-	// cleanly, not panic or divide by zero.
-	cur.Circuits[0].StageSeconds["synth.synthesize"] = Stat{}
-	cur.Engine["sat.conflicts"] = Stat{}
-	base.Engine["empty.counter"] = Stat{}
-	cur.Engine["empty.counter"] = Stat{}
-	rep := Diff(base, cur, DefaultThresholds())
-	for _, e := range rep.Entries {
-		if math.IsNaN(e.Base) || math.IsNaN(e.Cur) || math.IsNaN(e.RelDelta()) {
-			t.Errorf("NaN in diff entry: %+v", e)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteTable(&buf, true); err != nil {
-		t.Fatalf("WriteTable with zero-rep stats: %v", err)
 	}
 }
 
@@ -238,8 +155,8 @@ func TestVersionErrorIsTyped(t *testing.T) {
 func TestDiffNondeterminismFails(t *testing.T) {
 	base, cur := twoBaselines()
 	cur.Circuits[0].Deterministic = false
-	rep := Diff(base, cur, DefaultThresholds())
-	if !rep.Failed(false) {
+	rep := Diff(base, cur)
+	if !rep.Failed() {
 		t.Errorf("nondeterministic run did not fail the gate")
 	}
 }
@@ -260,8 +177,8 @@ func TestProfiles(t *testing.T) {
 }
 
 // TestRunSmokeSingle executes the real harness end to end on the smallest
-// circuit with the synthetic library: schema shape, determinism flag, stage
-// stats, engine counters, and a self-diff that must be clean.
+// circuit with the synthetic library: schema shape, determinism flag,
+// provenance, and a self-diff that must be clean.
 func TestRunSmokeSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow harness run")
@@ -294,11 +211,10 @@ func TestRunSmokeSingle(t *testing.T) {
 		t.Errorf("cryogenic leakage (%g) not below 300K leakage (%g)",
 			c.Corners[1].LeakageW, c.Corners[0].LeakageW)
 	}
-	if _, ok := c.StageSeconds["synth.synthesize"]; !ok {
-		t.Errorf("stage seconds missing synth.synthesize: %v", c.StageSeconds)
-	}
-	if st, ok := c.StageSeconds["rep.wall"]; !ok || st.N != 2 {
-		t.Errorf("rep.wall stat missing or wrong n: %+v", st)
+	// Stage wall times go to the process tracer (and from there to the
+	// -journal run summary), not into the baseline.
+	if _, ok := obs.Tracing().Totals()["synth.synthesize"]; !ok {
+		t.Errorf("tracer has no synth.synthesize span after Run")
 	}
 	// v2 provenance: each corner must carry critical paths (with named
 	// cells and arcs) and a power breakdown by cell class.
@@ -346,10 +262,50 @@ func TestRunSmokeSingle(t *testing.T) {
 		t.Fatalf("ReadBaseline: %v", err)
 	}
 	// Self-diff must be perfectly clean on QoR.
-	rep := Diff(back, b, DefaultThresholds())
-	if rep.QoRRegressions != 0 || rep.Failed(false) {
+	rep := Diff(back, b)
+	if rep.QoRRegressions != 0 || rep.Failed() {
 		var tbl bytes.Buffer
 		rep.WriteTable(&tbl, true)
 		t.Errorf("self-diff not clean:\n%s", tbl.String())
+	}
+}
+
+// TestSmokeMatchesCommittedBaseline is the exact QoR gate of `make bench`
+// and CI, run by go test: the smoke profile on the synthetic library must
+// reproduce bench/baseline-smoke.json with no QoR regression and no
+// nondeterminism. The flow's floating-point results are only pinned per
+// platform, so another GOOS/GOARCH skips.
+func TestSmokeMatchesCommittedBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-flow harness run")
+	}
+	base, err := ReadBaselineFile(filepath.Join("..", "..", "bench", "baseline-smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if here := runtime.GOOS + "/" + runtime.GOARCH; base.GoOSArch != here {
+		t.Skipf("baseline recorded on %s, running on %s", base.GoOSArch, here)
+	}
+	if !base.Testlib {
+		t.Fatalf("committed smoke baseline is not a testlib recording")
+	}
+	prof, err := FindProfile(base.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Run(context.Background(), RunOptions{
+		Profile:    prof,
+		Repeat:     base.Repeat,
+		Seed:       base.Seed,
+		ClockSec:   base.ClockSec,
+		UseTestlib: true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep := Diff(base, cur); rep.Failed() {
+		var tbl bytes.Buffer
+		rep.WriteTable(&tbl, false)
+		t.Fatalf("smoke run does not match the committed baseline:\n%s", tbl.String())
 	}
 }

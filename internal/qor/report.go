@@ -43,8 +43,8 @@ func (r *Report) WriteTable(w io.Writer, verbose bool) error {
 	if _, err := fmt.Fprintf(w, "QoR diff: %s  vs  %s\n", r.CurLabel, r.BaseLabel); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-34s %-28s %-8s %14s %14s %9s  %s\n",
-		"target", "metric", "kind", "base", "current", "delta%", "verdict")
+	fmt.Fprintf(w, "%-34s %-28s %14s %14s %9s  %s\n",
+		"target", "metric", "base", "current", "delta%", "verdict")
 	ok := 0
 	for _, e := range r.sortedEntries() {
 		if e.Verdict == OK && !verbose {
@@ -55,8 +55,8 @@ func (r *Report) WriteTable(w io.Writer, verbose bool) error {
 		if note != "" {
 			note = "  (" + note + ")"
 		}
-		fmt.Fprintf(w, "%-34s %-28s %-8s %14.6g %14.6g %+8.2f%%  %s%s\n",
-			e.Key, e.Metric, e.Kind, e.Base, e.Cur, e.RelDelta()*100, e.Verdict, note)
+		fmt.Fprintf(w, "%-34s %-28s %14.6g %14.6g %+8.2f%%  %s%s\n",
+			e.Key, e.Metric, e.Base, e.Cur, e.RelDelta()*100, e.Verdict, note)
 	}
 	if ok > 0 {
 		fmt.Fprintf(w, "... and %d metrics unchanged (ok)\n", ok)
@@ -64,8 +64,8 @@ func (r *Report) WriteTable(w io.Writer, verbose bool) error {
 	for _, k := range r.NonDeterministic {
 		fmt.Fprintf(w, "WARNING: %s produced different QoR across repetitions (nondeterministic flow)\n", k)
 	}
-	_, err := fmt.Fprintf(w, "summary: %d QoR regressions, %d runtime/engine regressions, %d rows\n",
-		r.QoRRegressions, r.RuntimeRegressions, len(r.Entries))
+	_, err := fmt.Fprintf(w, "summary: %d QoR regressions, %d rows\n",
+		r.QoRRegressions, len(r.Entries))
 	return err
 }
 
@@ -74,8 +74,8 @@ func (r *Report) WriteTable(w io.Writer, verbose bool) error {
 func (r *Report) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(w, "# QoR regression report\n\n")
 	fmt.Fprintf(w, "- current: `%s`\n- baseline: `%s`\n", r.CurLabel, r.BaseLabel)
-	fmt.Fprintf(w, "- **%d QoR regressions**, %d runtime/engine regressions, %d metrics compared\n\n",
-		r.QoRRegressions, r.RuntimeRegressions, len(r.Entries))
+	fmt.Fprintf(w, "- **%d QoR regressions**, %d metrics compared\n\n",
+		r.QoRRegressions, len(r.Entries))
 	if len(r.NonDeterministic) > 0 {
 		fmt.Fprintf(w, "> ⚠️ nondeterministic QoR across repetitions: %s\n\n",
 			strings.Join(r.NonDeterministic, ", "))
@@ -87,11 +87,11 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		}
 	}
 	if interesting == 0 {
-		_, err := fmt.Fprintf(w, "No changes beyond noise thresholds. ✅\n")
+		_, err := fmt.Fprintf(w, "No QoR changes. ✅\n")
 		return err
 	}
-	fmt.Fprintf(w, "| target | metric | kind | base | current | delta | verdict |\n")
-	fmt.Fprintf(w, "|---|---|---|---:|---:|---:|---|\n")
+	fmt.Fprintf(w, "| target | metric | base | current | delta | verdict |\n")
+	fmt.Fprintf(w, "|---|---|---:|---:|---:|---|\n")
 	for _, e := range r.sortedEntries() {
 		if e.Verdict == OK {
 			continue
@@ -100,15 +100,15 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		if e.Verdict == Regressed {
 			verdict = "**" + verdict + "**"
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %.6g | %.6g | %+.2f%% | %s |\n",
-			e.Key, e.Metric, e.Kind, e.Base, e.Cur, e.RelDelta()*100, verdict)
+		fmt.Fprintf(w, "| %s | %s | %.6g | %.6g | %+.2f%% | %s |\n",
+			e.Key, e.Metric, e.Base, e.Cur, e.RelDelta()*100, verdict)
 	}
 	_, err := fmt.Fprintf(w, "\n%d unchanged metrics omitted.\n", len(r.Entries)-interesting)
 	return err
 }
 
 // WriteBaselineSummary prints the one-run QoR table (no diff): per
-// circuit/scenario/corner gates, area, WNS, power, and the slowest stages.
+// circuit/scenario/corner gates, area, WNS/TNS and total power.
 func WriteBaselineSummary(w io.Writer, b *Baseline) error {
 	fmt.Fprintf(w, "cryobench %s: %d circuits x %d reps (seed %d, clock %.3g s, testlib=%v)\n",
 		b.Profile, len(b.Circuits), b.Repeat, b.Seed, b.ClockSec, b.Testlib)
@@ -123,34 +123,6 @@ func WriteBaselineSummary(w io.Writer, b *Baseline) error {
 		if !c.Deterministic {
 			fmt.Fprintf(w, "%-12s %-10s WARNING: nondeterministic across repetitions\n", c.Name, c.Scenario)
 		}
-	}
-	type slowStage struct {
-		name string
-		sec  float64
-	}
-	var stages []slowStage
-	agg := map[string]float64{}
-	for _, c := range b.Circuits {
-		for name, st := range c.StageSeconds {
-			agg[name] += st.Median
-		}
-	}
-	for name, sec := range agg {
-		if name == "rep.wall" {
-			continue
-		}
-		stages = append(stages, slowStage{name, sec})
-	}
-	sort.Slice(stages, func(i, j int) bool { return stages[i].sec > stages[j].sec })
-	if len(stages) > 5 {
-		stages = stages[:5]
-	}
-	if len(stages) > 0 {
-		fmt.Fprintf(w, "hottest stages (median seconds summed over profile):")
-		for _, s := range stages {
-			fmt.Fprintf(w, "  %s=%.3g", s.name, s.sec)
-		}
-		fmt.Fprintln(w)
 	}
 	return nil
 }

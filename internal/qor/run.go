@@ -35,10 +35,6 @@ type RunOptions struct {
 	// SPICE-characterized (0 = GOMAXPROCS). Does not affect the QoR metrics
 	// or the cache key — only wall-clock.
 	Workers int
-	// TopPaths is the number of critical endpoint paths recorded per
-	// (circuit, corner) for attribution (0 = DefaultTopPaths; negative
-	// disables path provenance).
-	TopPaths int
 	// CreatedAt stamps the baseline (left empty for golden-stable output).
 	CreatedAt string
 	// Progress, when non-nil, receives human-readable progress lines.
@@ -48,10 +44,9 @@ type RunOptions struct {
 // Run executes the profile and returns the recorded baseline.
 //
 // Instrumentation contract: Run enables the global obs metrics registry and
-// — per repetition — swaps in a fresh tracer (obs.ResetTracing), so that
-// per-stage wall times and engine-counter deltas are attributable to one
-// repetition. A -trace flag on the calling binary therefore captures only
-// the final repetition's span forest.
+// span tracer once, so a -journal run summary carries engine counters and
+// stage wall-time totals for the whole profile (cryoobs trend reads them).
+// Each repetition is one qor.rep span and one stage.end journal event.
 func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 	if opt.Repeat <= 0 {
 		opt.Repeat = opt.Profile.Repeat
@@ -69,7 +64,8 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 	if progress == nil {
 		progress = func(string, ...any) {}
 	}
-	reg := obs.EnableMetrics()
+	obs.EnableMetrics()
+	obs.EnableTracing()
 	ctx = obs.Detach(ctx)
 
 	corners, err := loadCorners(ctx, opt)
@@ -87,12 +83,7 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 		Testlib:       opt.UseTestlib,
 		CreatedAt:     opt.CreatedAt,
 		GoOSArch:      runtime.GOOS + "/" + runtime.GOARCH,
-		Engine:        map[string]Stat{},
 	}
-
-	// engineSamples[name][rep] accumulates counter deltas across the
-	// whole profile, one sample per repetition.
-	engineSamples := map[string][]float64{}
 
 	reps := obs.Progress("qor.reps",
 		int64(len(opt.Profile.Circuits))*int64(len(opt.Profile.Scenarios))*int64(opt.Repeat))
@@ -109,17 +100,12 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 				Scenario:      sc.String(),
 				AIGNodesIn:    g.NumNodes(),
 				Deterministic: true,
-				StageSeconds:  map[string]Stat{},
 			}
-			stageSamples := map[string][]float64{}
 			for rep := 0; rep < opt.Repeat; rep++ {
-				tracer := obs.ResetTracing()
-				before := reg.Snapshot()
 				t0 := time.Now()
-
-				// qor.rep roots each repetition's span subtree, so cost
-				// attribution groups the flow stages per rep instead of
-				// scattering them as top-level roots.
+				// qor.rep roots each repetition's span subtree, so the
+				// flow stages group per rep instead of scattering as
+				// top-level roots.
 				repCtx, repSpan := obs.Start(ctx, "qor.rep")
 				repCircuit, err := runOnce(repCtx, g, sc, corners, opt)
 				repSpan.End()
@@ -148,40 +134,13 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 				} else if !sameQoR(&rec, repCircuit) {
 					rec.Deterministic = false
 				}
-
-				for span, tot := range tracer.Totals() {
-					stageSamples[span] = padTo(stageSamples[span], rep)
-					stageSamples[span][rep] = tot.Total.Seconds()
-				}
-				stageSamples["rep.wall"] = padTo(stageSamples["rep.wall"], rep)
-				stageSamples["rep.wall"][rep] = wall
-
-				delta := reg.Snapshot().Diff(before)
-				for cname, v := range delta.Counters {
-					engineSamples[cname] = padTo(engineSamples[cname], rep)
-					engineSamples[cname][rep] += float64(v)
-				}
 				reps.Inc()
 				progress("%-12s %-10s rep %d/%d  %.3fs", name, sc, rep+1, opt.Repeat, wall)
-			}
-			for span, samples := range stageSamples {
-				rec.StageSeconds[span] = NewStat(padTo(samples, opt.Repeat-1))
 			}
 			b.Circuits = append(b.Circuits, rec)
 		}
 	}
-	for cname, samples := range engineSamples {
-		b.Engine[cname] = NewStat(padTo(samples, opt.Repeat-1))
-	}
 	return b, nil
-}
-
-// padTo grows s (with zeros) so index rep is addressable.
-func padTo(s []float64, rep int) []float64 {
-	for len(s) <= rep {
-		s = append(s, 0)
-	}
-	return s
 }
 
 // cornerLib pairs a temperature with its characterized library and match
@@ -226,17 +185,13 @@ func loadCorners(ctx context.Context, opt RunOptions) ([]cornerLib, error) {
 	return out, nil
 }
 
-// DefaultTopPaths is the per-corner critical-path record count when
-// RunOptions.TopPaths is zero.
-const DefaultTopPaths = 3
+// topPaths is the number of critical endpoint paths recorded per
+// (circuit, corner) for attribution.
+const topPaths = 3
 
 // runOnce runs the full flow for one (circuit, scenario) repetition across
 // all corners and returns the QoR record.
 func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []cornerLib, opt RunOptions) (*Circuit, error) {
-	topK := opt.TopPaths
-	if topK == 0 {
-		topK = DefaultTopPaths
-	}
 	rec := &Circuit{}
 	for _, c := range corners {
 		res, err := synth.Synthesize(ctx, g, c.ml, synth.Options{Scenario: sc, Seed: opt.Seed})
@@ -259,19 +214,17 @@ func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []corne
 			return nil, fmt.Errorf("power at %g K: %w", c.tempK, err)
 		}
 		corner := Corner{
-			TempK:       c.tempK,
-			Gates:       res.Netlist.NumGates(),
-			Area:        res.Netlist.Area(),
-			CriticalSec: timing.CriticalDelay,
-			WNSSec:      timing.WorstSlack(opt.ClockSec),
-			TNSSec:      endpointTNS(timing, res.Netlist, opt.ClockSec),
-			LeakageW:    rep.Leakage,
-			DynamicW:    rep.Internal + rep.Switching,
-			TotalW:      rep.Total(),
-		}
-		if topK > 0 {
-			corner.Paths = toPathRecords(timing.TopPaths(topK, opt.ClockSec))
-			corner.PowerByClass = toClassPower(power.GroupByCell(cells), rep)
+			TempK:        c.tempK,
+			Gates:        res.Netlist.NumGates(),
+			Area:         res.Netlist.Area(),
+			CriticalSec:  timing.CriticalDelay,
+			WNSSec:       timing.WorstSlack(opt.ClockSec),
+			TNSSec:       endpointTNS(timing, res.Netlist, opt.ClockSec),
+			LeakageW:     rep.Leakage,
+			DynamicW:     rep.Internal + rep.Switching,
+			TotalW:       rep.Total(),
+			Paths:        toPathRecords(timing.TopPaths(topPaths, opt.ClockSec)),
+			PowerByClass: toClassPower(power.GroupByCell(cells), rep),
 		}
 		rec.Corners = append(rec.Corners, corner)
 	}
@@ -365,10 +318,13 @@ func sameQoR(rec *Circuit, rep *Circuit) bool {
 
 // cornerEqual compares two corner records bit for bit, provenance included.
 func cornerEqual(a, b *Corner) bool {
-	if a.TempK != b.TempK || a.Gates != b.Gates || a.Area != b.Area ||
-		a.CriticalSec != b.CriticalSec || a.WNSSec != b.WNSSec || a.TNSSec != b.TNSSec ||
-		a.LeakageW != b.LeakageW || a.DynamicW != b.DynamicW || a.TotalW != b.TotalW {
+	if a.TempK != b.TempK {
 		return false
+	}
+	for _, m := range CornerMetrics {
+		if m.Get(a) != m.Get(b) {
+			return false
+		}
 	}
 	if len(a.Paths) != len(b.Paths) || len(a.PowerByClass) != len(b.PowerByClass) {
 		return false

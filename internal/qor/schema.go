@@ -1,19 +1,18 @@
-// Package qor is the flow's QoR flight recorder: it runs the full
-// synthesis → mapping → STA → power pipeline over an EPFL benchmark
-// profile with repetitions, records quality-of-results and runtime/engine
-// metrics into a versioned JSON baseline (the BENCH_*.json trajectory
-// files), and diffs runs against a stored baseline with noise-aware
-// thresholds — QoR metrics compared exactly, runtime metrics against
-// median ± IQR with a relative tolerance. cmd/cryobench is the CLI.
+// Package qor is the flow's exact QoR gate: it runs the full synthesis →
+// mapping → STA → power pipeline over an EPFL benchmark profile with
+// repetitions, records quality of results with arc- and cell-level
+// provenance into a versioned JSON baseline, and diffs runs against a
+// stored baseline exactly. The seeded flow is deterministic, so any QoR
+// movement is a real change. Runtime is not gated here: stage wall times
+// and engine counters go to the -journal run summary (cryoobs trend), and
+// timing is gated by perfbench. cmd/cryobench is the CLI.
 package qor
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
 )
 
 // SchemaVersion is the baseline file format version. Any change to the
@@ -23,8 +22,10 @@ import (
 //
 // v2 added per-corner critical-path provenance (Corner.Paths) and the
 // power-by-cell-class breakdown (Corner.PowerByClass) — the records
-// internal/explain attributes QoR deltas with.
-const SchemaVersion = 2
+// internal/explain attributes QoR deltas with. v3 dropped the runtime
+// samples (Circuit.stage_seconds, Baseline.engine): a baseline holds QoR
+// only.
+const SchemaVersion = 3
 
 // VersionError is the typed schema-version mismatch ReadBaseline returns;
 // callers gate on it with errors.As.
@@ -35,45 +36,6 @@ type VersionError struct {
 func (e *VersionError) Error() string {
 	return fmt.Sprintf("qor: baseline schema version %d does not match this binary's version %d; re-record the baseline",
 		e.Got, e.Want)
-}
-
-// Stat summarizes repeated noisy samples of one quantity. Median and IQR
-// (interquartile range) drive the noise-aware diff; min/max/n are kept for
-// the reports.
-type Stat struct {
-	N      int     `json:"n"`
-	Median float64 `json:"median"`
-	IQR    float64 `json:"iqr"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-}
-
-// NewStat computes the summary of samples (order-insensitive). An empty
-// slice yields the zero Stat.
-func NewStat(samples []float64) Stat {
-	if len(samples) == 0 {
-		return Stat{}
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	q := func(p float64) float64 {
-		// Linear interpolation between closest ranks.
-		r := p * float64(len(s)-1)
-		lo := int(math.Floor(r))
-		hi := int(math.Ceil(r))
-		if lo == hi {
-			return s[lo]
-		}
-		frac := r - float64(lo)
-		return s[lo] + (s[hi]-s[lo])*frac
-	}
-	return Stat{
-		N:      len(s),
-		Median: q(0.5),
-		IQR:    q(0.75) - q(0.25),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-	}
 }
 
 // Corner is the QoR of one (circuit, scenario) at one temperature corner.
@@ -134,7 +96,7 @@ type ClassPower struct {
 }
 
 // Circuit records one (circuit, scenario) cell of the benchmark matrix:
-// exact QoR per corner plus runtime stats across repetitions.
+// exact QoR per corner.
 type Circuit struct {
 	Name     string `json:"circuit"`
 	Scenario string `json:"scenario"`
@@ -146,13 +108,10 @@ type Circuit struct {
 	// flag on its own, surfaced by the diff.
 	Deterministic bool     `json:"deterministic"`
 	Corners       []Corner `json:"corners"`
-	// StageSeconds holds per-repetition wall time by span name (from the
-	// obs tracer), plus the synthetic "rep.wall" whole-repetition sample.
-	StageSeconds map[string]Stat `json:"stage_seconds,omitempty"`
 }
 
 // Baseline is one recorded benchmark run — the unit stored in
-// BENCH_<timestamp>.json files and committed reference baselines.
+// build/qor-<timestamp>.json recordings and committed reference baselines.
 type Baseline struct {
 	SchemaVersion int    `json:"schema_version"`
 	Tool          string `json:"tool"`
@@ -166,10 +125,6 @@ type Baseline struct {
 	GoOSArch  string  `json:"goosarch,omitempty"`
 	// Circuits is sorted by (circuit, scenario).
 	Circuits []Circuit `json:"circuits"`
-	// Engine holds per-repetition deltas of the obs engine counters
-	// (Newton iterations, SAT conflicts, cache hits, ...), summed over the
-	// whole profile per repetition.
-	Engine map[string]Stat `json:"engine,omitempty"`
 }
 
 // WriteJSON serializes the baseline (indented, trailing newline).
@@ -223,30 +178,35 @@ func ReadBaselineFile(path string) (*Baseline, error) {
 	return b, nil
 }
 
-// key identifies a circuit record inside a baseline.
-func (c *Circuit) key() string { return c.Name + "/" + c.Scenario }
+// Key identifies a circuit record inside a baseline: "<circuit>/<scenario>".
+func (c *Circuit) Key() string { return c.Name + "/" + c.Scenario }
+
+// Label names the recording in report headers: tool:profile@created.
+func (b *Baseline) Label() string {
+	s := b.Tool + ":" + b.Profile
+	if b.CreatedAt != "" {
+		s += "@" + b.CreatedAt
+	}
+	return s
+}
 
 // FlatMetrics flattens the baseline's QoR into dotted scalar metrics
 // ("qor.<circuit>/<scenario>@<temp>K.area", ".wns_seconds", ...), the shape
 // the journal's run summary stores so cryoobs trend can glob and chart
-// them next to engine counters and stage wall times.
+// them next to engine counters and stage wall times. The last dotted
+// component is always a CornerMetrics name or aig_nodes_opt/aig_depth_opt.
 func (b *Baseline) FlatMetrics() map[string]float64 {
 	out := map[string]float64{}
 	for i := range b.Circuits {
 		c := &b.Circuits[i]
-		out["qor."+c.key()+".aig_nodes_opt"] = float64(c.AIGNodesOpt)
-		out["qor."+c.key()+".aig_depth_opt"] = float64(c.AIGDepthOpt)
+		out["qor."+c.Key()+".aig_nodes_opt"] = float64(c.AIGNodesOpt)
+		out["qor."+c.Key()+".aig_depth_opt"] = float64(c.AIGDepthOpt)
 		for j := range c.Corners {
 			k := &c.Corners[j]
-			p := fmt.Sprintf("qor.%s@%gK.", c.key(), k.TempK)
-			out[p+"gates"] = float64(k.Gates)
-			out[p+"area"] = k.Area
-			out[p+"critical_delay_seconds"] = k.CriticalSec
-			out[p+"wns_seconds"] = k.WNSSec
-			out[p+"tns_seconds"] = k.TNSSec
-			out[p+"leakage_w"] = k.LeakageW
-			out[p+"dynamic_w"] = k.DynamicW
-			out[p+"total_w"] = k.TotalW
+			p := fmt.Sprintf("qor.%s@%gK.", c.Key(), k.TempK)
+			for _, m := range CornerMetrics {
+				out[p+m.Name] = m.Get(k)
+			}
 		}
 	}
 	return out
