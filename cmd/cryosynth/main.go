@@ -6,8 +6,6 @@
 //
 //	-fig3       per-circuit power savings and delay overheads (Fig 3a/3b)
 //	-breakdown  the leakage/internal/switching split at 300 K vs 10 K (Fig 2c)
-//	-report     machine-readable JSON run report (per-stage wall time, peak
-//	            AIG size, mapper cost, WNS at both temperature corners)
 //	-verify     formal signoff gate: SAT-sweeping equivalence proofs that
 //	            pre-opt ≡ post-opt ≡ mapped netlist for every scenario
 //	            (docs/CEC.md); the run exits non-zero on any failure
@@ -23,13 +21,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/cec"
 	"repro/internal/charlib"
@@ -39,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pdk"
 	"repro/internal/power"
-	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/testlib"
 )
@@ -49,7 +43,6 @@ import (
 var flushObs = func() {}
 
 func main() {
-	start := time.Now()
 	circuits := flag.String("circuits", "", "comma-separated benchmark names (default: whole suite)")
 	useTest := flag.Bool("testlib", false, "use the fast synthetic library instead of SPICE characterization")
 	cacheDir := flag.String("cache", "build", "liberty cache directory")
@@ -57,15 +50,10 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "run the Fig 2(c) power-breakdown comparison")
 	top := flag.Int("top", 0, "also print the N highest-power instances per circuit (baseline scenario)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	report := flag.String("report", "", "write a JSON run report to this file")
 	verify := flag.Bool("verify", false, "run the formal equivalence signoff gate on every scenario")
 	obsFlags := obs.InstallFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *report != "" {
-		// The run report needs per-stage wall times, which come from spans.
-		obs.EnableTracing()
-	}
 	flush, err := obsFlags.Activate()
 	check(err)
 	flushObs = flush
@@ -83,28 +71,13 @@ func main() {
 	lib10, lib300, cells := loadLibraries(ctx, *useTest, *cacheDir, catalog)
 	ml10, err := mapper.BuildMatchLibrary(lib10, cells, 6)
 	check(err)
-	var ml300 *mapper.MatchLibrary
-	if *breakdown || *report != "" {
-		ml300, err = mapper.BuildMatchLibrary(lib300, cells, 6)
-		check(err)
-	}
 
-	var verdicts []verifyRecord
-	if *verify {
-		ok, recs := runVerify(ctx, names, ml10, *seed)
-		verdicts = recs
-		if !ok {
-			// Still record the verdicts when a report was requested: the
-			// failing report is the artifact a CI triage wants.
-			if *report != "" {
-				if err := writeRunReport(ctx, *report, names, ml300, ml10, lib300, lib10, *seed, start, verdicts); err != nil {
-					fmt.Fprintln(os.Stderr, "cryosynth: report:", err)
-				}
-			}
-			check(fmt.Errorf("verification FAILED (see table above)"))
-		}
+	if *verify && !runVerify(ctx, names, ml10, *seed) {
+		check(fmt.Errorf("verification FAILED (see table above)"))
 	}
 	if *breakdown {
+		ml300, err := mapper.BuildMatchLibrary(lib300, cells, 6)
+		check(err)
 		runBreakdown(ctx, names, ml300, ml10, lib300, lib10, *seed)
 	}
 	if *fig3 {
@@ -112,10 +85,6 @@ func main() {
 	}
 	if *top > 0 {
 		runTopConsumers(ctx, names, ml10, lib10, *seed, *top)
-	}
-	if *report != "" {
-		check(writeRunReport(ctx, *report, names, ml300, ml10, lib300, lib10, *seed, start, verdicts))
-		fmt.Printf("run report written to %s\n", *report)
 	}
 	root.End()
 }
@@ -202,28 +171,15 @@ func runFig3(ctx context.Context, names []string, ml *mapper.MatchLibrary, lib *
 	}
 }
 
-// verifyRecord is one (circuit, scenario) row of the -verify signoff gate,
-// embedded verbatim in the -report JSON so CI artifacts carry the formal
-// verdicts alongside the QoR numbers.
-type verifyRecord struct {
-	Circuit    string `json:"circuit"`
-	Scenario   string `json:"scenario"`
-	PrePost    string `json:"pre_post"`
-	PostMapped string `json:"post_mapped"`
-	OK         bool   `json:"ok"`
-}
-
 // runVerify is the formal signoff gate (-verify): for every circuit and
 // every scenario it proves pre-opt ≡ post-opt and post-opt ≡ mapped netlist
 // with the SAT-sweeping equivalence engine, printing one PASS/FAIL row per
-// (circuit, scenario) pair. Returns false if any check is not EQUAL, plus
-// the per-pair verdict records.
-func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, seed int64) (bool, []verifyRecord) {
+// (circuit, scenario) pair. Returns false if any check is not EQUAL.
+func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, seed int64) bool {
 	fmt.Println("\n=== formal equivalence signoff (pre-opt ≡ post-opt ≡ mapped) ===")
 	fmt.Printf("%-12s %-10s %10s %12s | %s\n", "circuit", "scenario", "pre≡post", "post≡mapped", "result")
 	scenarios := []synth.Scenario{synth.BaselinePowerAware, synth.CryoPAD, synth.CryoPDA}
 	ok := true
-	var records []verifyRecord
 	task := obs.Progress("synth.verify", int64(len(names))*int64(len(scenarios)))
 	defer task.Finish()
 	for _, name := range names {
@@ -240,13 +196,6 @@ func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, see
 				result = "FAIL"
 				ok = false
 			}
-			records = append(records, verifyRecord{
-				Circuit:    name,
-				Scenario:   sc.String(),
-				PrePost:    rep.PrePost.Status.String(),
-				PostMapped: rep.PostMapped.Status.String(),
-				OK:         rep.OK(),
-			})
 			fmt.Printf("%-12s %-10s %10s %12s | %s\n",
 				name, sc, rep.PrePost.Status, rep.PostMapped.Status, result)
 			for _, v := range []*cec.Verdict{rep.PrePost, rep.PostMapped} {
@@ -267,7 +216,7 @@ func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, see
 	if ok {
 		fmt.Println("signoff: all scenarios formally verified")
 	}
-	return ok, records
+	return ok
 }
 
 // runBreakdown reproduces Fig 2(c): the average leakage/internal/switching
@@ -282,7 +231,6 @@ func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.Match
 	for _, name := range names {
 		g, err := epfl.Build(name)
 		check(err)
-		task.Inc()
 		for _, corner := range []struct {
 			ml  *mapper.MatchLibrary
 			lib *liberty.Library
@@ -301,6 +249,7 @@ func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.Match
 			corner.acc.internal += rep.Internal / t
 			corner.acc.sw += rep.Switching / t
 		}
+		task.Inc()
 		count++
 	}
 	n := float64(count)
@@ -309,110 +258,6 @@ func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.Match
 	fmt.Printf("%-10s %11.4f%% %11.4f%%\n", "internal", a300.internal/n*100, a10.internal/n*100)
 	fmt.Printf("%-10s %11.4f%% %11.4f%%\n", "switching", a300.sw/n*100, a10.sw/n*100)
 	fmt.Println("\npaper reference: leakage ~15% at 300 K collapsing to ~0.003% at 10 K.")
-}
-
-// Run-report JSON shapes. Durations are seconds; WNS is reported against
-// the shared 1 ns reference clock the CLI tables use.
-type stageReport struct {
-	Span    string  `json:"span"`
-	Count   int     `json:"count"`
-	Seconds float64 `json:"seconds"`
-}
-
-type cornerReport struct {
-	TempK       float64 `json:"temp_k"`
-	Gates       int     `json:"gates"`
-	Area        float64 `json:"area"`
-	MapperCost  float64 `json:"mapper_cost"`
-	CriticalSec float64 `json:"critical_delay_seconds"`
-	WNSSec      float64 `json:"wns_seconds"`
-}
-
-type circuitReport struct {
-	Circuit      string         `json:"circuit"`
-	NodesIn      int            `json:"nodes_in"`
-	NodesC2RS    int            `json:"nodes_c2rs"`
-	NodesPower   int            `json:"nodes_power"`
-	PeakAIGNodes int            `json:"peak_aig_nodes"`
-	Corners      []cornerReport `json:"corners"`
-}
-
-type runReport struct {
-	Tool        string          `json:"tool"`
-	ClockSec    float64         `json:"reference_clock_seconds"`
-	Seed        int64           `json:"seed"`
-	WallSeconds float64         `json:"wall_seconds"`
-	Circuits    []circuitReport `json:"circuits"`
-	Stages      []stageReport   `json:"stages"`
-	// Verify carries the -verify signoff verdicts when both flags are given.
-	Verify []verifyRecord `json:"verify,omitempty"`
-}
-
-// writeRunReport synthesizes each circuit under the baseline scenario at
-// both temperature corners and emits the flow-level JSON report: per-stage
-// wall time (from the span tracer), peak AIG size, mapper cost, and worst
-// negative slack at 300 K and 10 K.
-func writeRunReport(ctx context.Context, path string, names []string,
-	ml300, ml10 *mapper.MatchLibrary, lib300, lib10 *liberty.Library, seed int64, start time.Time,
-	verdicts []verifyRecord) error {
-	const clock = 1e-9
-	rep := runReport{Tool: "cryosynth", ClockSec: clock, Seed: seed, Verify: verdicts}
-	for _, name := range names {
-		g, err := epfl.Build(name)
-		if err != nil {
-			return err
-		}
-		cr := circuitReport{Circuit: name}
-		for _, corner := range []struct {
-			temp float64
-			ml   *mapper.MatchLibrary
-			lib  *liberty.Library
-		}{{300, ml300, lib300}, {10, ml10, lib10}} {
-			res, err := synth.Synthesize(ctx, g, corner.ml, synth.Options{
-				Scenario: synth.BaselinePowerAware, Seed: seed,
-			})
-			if err != nil {
-				return fmt.Errorf("report: %s at %gK: %w", name, corner.temp, err)
-			}
-			cr.NodesIn, cr.NodesC2RS, cr.NodesPower = res.NodesIn, res.NodesC2RS, res.NodesPower
-			cr.PeakAIGNodes = max3(res.NodesIn, res.NodesC2RS, res.NodesPower)
-			tr, err := sta.Analyze(ctx, res.Netlist, corner.lib, sta.Options{})
-			if err != nil {
-				return fmt.Errorf("report: %s STA at %gK: %w", name, corner.temp, err)
-			}
-			cr.Corners = append(cr.Corners, cornerReport{
-				TempK:       corner.temp,
-				Gates:       res.Netlist.NumGates(),
-				Area:        res.Netlist.Area(),
-				MapperCost:  res.Netlist.Area(),
-				CriticalSec: tr.CriticalDelay,
-				WNSSec:      tr.WorstSlack(clock),
-			})
-		}
-		rep.Circuits = append(rep.Circuits, cr)
-	}
-	for name, tot := range obs.Tracing().Totals() {
-		rep.Stages = append(rep.Stages, stageReport{
-			Span: name, Count: tot.Count, Seconds: tot.Total.Seconds(),
-		})
-	}
-	sort.Slice(rep.Stages, func(i, j int) bool { return rep.Stages[i].Span < rep.Stages[j].Span })
-	rep.WallSeconds = time.Since(start).Seconds()
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func max3(a, b, c int) int {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
 }
 
 func check(err error) {

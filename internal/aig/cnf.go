@@ -94,36 +94,13 @@ func ProveEqualWindow(g *AIG, a, b Lit, budget int64, windowNodes int) (equal, p
 	return true, true
 }
 
-// equivEngine is the pluggable combinational equivalence engine. The
-// simulation-guided SAT-sweeping checker in internal/cec installs itself
-// here from its package init, so any binary that (transitively) imports
-// internal/cec upgrades Equivalent from the plain per-output miter below to
-// the sweeping engine. The indirection exists because cec builds on this
-// package and Go forbids the reverse import.
-var equivEngine func(a, b *AIG, budget int64) (equal, proven bool)
-
-// RegisterEquivalenceEngine installs the engine Equivalent delegates to.
-// Intended to be called from a package init (internal/cec does); later
-// registrations replace earlier ones.
-func RegisterEquivalenceEngine(f func(a, b *AIG, budget int64) (equal, proven bool)) {
-	equivEngine = f
-}
-
 // Equivalent checks combinational equivalence of two AIGs with identical PI
-// counts and PO counts with the given per-output conflict budget, returning
-// (equivalent, proven). It is a thin shim: when the SAT-sweeping engine from
-// internal/cec is registered it does the work; otherwise the basic
-// output-by-output miter below runs.
+// and PO counts, returning (equivalent, proven). It builds a joint miter
+// and checks it output by output with independent SAT calls under the
+// per-output conflict budget. The simulation-guided SAT-sweeping engine
+// lives in internal/cec, which builds on this package; Equivalent is the
+// plain oracle this package's own tests use.
 func Equivalent(a, b *AIG, budget int64) (bool, bool) {
-	if eng := equivEngine; eng != nil {
-		return eng(a, b, budget)
-	}
-	return equivalentMiter(a, b, budget)
-}
-
-// equivalentMiter is the fallback engine: a joint miter checked output by
-// output with independent SAT calls and no simulation guidance.
-func equivalentMiter(a, b *AIG, budget int64) (bool, bool) {
 	if a.NumPIs() != b.NumPIs() || a.NumPOs() != b.NumPOs() {
 		return false, true
 	}

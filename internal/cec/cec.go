@@ -17,8 +17,7 @@
 //
 // Check returns a structured Verdict: EQUAL, NOT-EQUAL with a primary-input
 // counterexample vector, or UNDECIDED naming the outputs whose proofs
-// exhausted their budgets. aig.Equivalent delegates here whenever this
-// package is linked in (see the package-init registration at the bottom).
+// exhausted their budgets.
 package cec
 
 import (
@@ -232,24 +231,6 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) *Verdict {
 	return v
 }
 
-// CheckAIGs is the aig.Equivalent-shaped entry point: the budget becomes
-// the per-output budget, with proportionate sweeping budgets.
-func CheckAIGs(a, b *aig.AIG, budget int64) (equal, proven bool) {
-	opt := Options{OutputBudget: budget, FallbackBudget: budget}
-	if budget > 0 && budget < 1000 {
-		opt.ClassBudget = budget
-	}
-	v := Check(context.Background(), a, b, opt)
-	switch v.Status {
-	case Equal:
-		return true, true
-	case NotEqual:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
 func piNames(g *aig.AIG) []string {
 	out := make([]string, g.NumPIs())
 	for i := range out {
@@ -326,10 +307,4 @@ func appendInto(src, dst *aig.AIG, pis []aig.Lit) []aig.Lit {
 		out[i] = m[po.Var()].NotIf(po.IsCompl())
 	}
 	return out
-}
-
-// Registration: any binary that links this package upgrades aig.Equivalent
-// from the plain per-output miter to the sweeping engine.
-func init() {
-	aig.RegisterEquivalenceEngine(CheckAIGs)
 }

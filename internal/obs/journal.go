@@ -51,10 +51,6 @@ const (
 	KindWarning  = "warning"
 	KindFailure  = "failure"
 	KindArtifact = "artifact"
-	// KindSignoff records a functional signoff check: an independent
-	// re-verification (e.g. gate-level simulation cross-checked against AIG
-	// simulation) passing or failing on a flow result.
-	KindSignoff = "signoff"
 	// KindProgress is a periodic progress heartbeat from a registered
 	// stage task (done/total/rate/eta in attrs); the -progress flag's
 	// reporter emits one per live task per interval.

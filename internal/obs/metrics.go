@@ -281,19 +281,6 @@ func (r *Registry) CounterValues() map[string]int64 {
 	return out
 }
 
-// GaugeValues snapshots all gauges by name.
-func (r *Registry) GaugeValues() map[string]float64 {
-	out := map[string]float64{}
-	if r == nil {
-		return out
-	}
-	r.gauges.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-	return out
-}
-
 // WriteText renders every metric, sorted by name, one per line:
 //
 //	counter spice.newton.iterations 104224

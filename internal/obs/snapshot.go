@@ -13,7 +13,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of a Registry, suitable for JSON
-// persistence (the run.end summary carries one) and cross-run diffing.
+// persistence (the run.end summary carries one; cryoobs trend compares
+// them across runs).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -55,41 +56,4 @@ func (r *Registry) Snapshot() *Snapshot {
 		return true
 	})
 	return s
-}
-
-// Diff returns the change from prev to s: counters and histogram
-// counts/sums/buckets are subtracted, gauges keep s's (latest) value.
-// Metrics that only exist in prev are dropped; metrics new in s keep their
-// full value. Min/max of differenced histograms are taken from s, the best
-// available bound.
-func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
-	if prev == nil {
-		return s
-	}
-	out := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, hs := range s.Histograms {
-		ps := prev.Histograms[name]
-		d := HistogramSnapshot{Count: hs.Count - ps.Count, Sum: hs.Sum - ps.Sum}
-		if d.Count > 0 {
-			d.Min, d.Max = hs.Min, hs.Max
-			d.Buckets = map[int]int64{}
-			for i, c := range hs.Buckets {
-				if dc := c - ps.Buckets[i]; dc != 0 {
-					d.Buckets[i] = dc
-				}
-			}
-		}
-		out.Histograms[name] = d
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 )
@@ -72,41 +71,6 @@ func TestSnapshotRoundTripEmptyHistogram(t *testing.T) {
 	// JSON; the snapshot must hold zeros and no buckets instead.
 	if hs, ok := back.Histograms["empty.seconds"]; !ok || hs.Count != 0 || hs.Min != 0 || hs.Max != 0 || hs.Buckets != nil {
 		t.Errorf("empty hist after round trip: %+v (present %v)", hs, ok)
-	}
-}
-
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("n").Add(10)
-	r.Histogram("t").Observe(1.0)
-	before := r.Snapshot()
-
-	r.Counter("n").Add(5)
-	r.Counter("fresh").Add(3)
-	r.Gauge("g").Set(9)
-	r.Histogram("t").Observe(2.0)
-	after := r.Snapshot()
-
-	d := after.Diff(before)
-	if d.Counters["n"] != 5 {
-		t.Errorf("diff counter n = %d, want 5", d.Counters["n"])
-	}
-	if d.Counters["fresh"] != 3 {
-		t.Errorf("diff counter fresh = %d, want 3", d.Counters["fresh"])
-	}
-	if d.Gauges["g"] != 9 {
-		t.Errorf("diff gauge g = %g, want 9", d.Gauges["g"])
-	}
-	ht := d.Histograms["t"]
-	if ht.Count != 1 || math.Abs(ht.Sum-2.0) > 1e-12 {
-		t.Errorf("diff hist t count=%d sum=%g, want 1/2.0", ht.Count, ht.Sum)
-	}
-	var total int64
-	for _, c := range ht.Buckets {
-		total += c
-	}
-	if total != 1 {
-		t.Errorf("diff hist bucket mass = %d, want 1", total)
 	}
 }
 

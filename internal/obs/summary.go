@@ -8,9 +8,9 @@ import (
 // RunSummary is the structured detail of a journal's run.end event: the
 // run's registry snapshot, per-stage wall times, staged QoR metrics, and
 // process health at flush. cryoobs trend compares these summaries run over
-// run. The binary and command line live on run.start, produced files on the
-// artifact events, and stage costs on the cost events, so none of them are
-// repeated here.
+// run. The binary and command line live on run.start and produced files on
+// the artifact events, so neither is repeated here; per-stage CPU is in the
+// -cost pprof profile, not the journal.
 type RunSummary struct {
 	// Metrics is the full registry snapshot at flush time (nil when metrics
 	// were off).

@@ -200,7 +200,7 @@ func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []corne
 		}
 		rec.AIGNodesOpt = res.NodesPower
 		rec.AIGDepthOpt = res.DepthOut
-		if err := signoffFunctional(ctx, g, res.Netlist, opt.Seed); err != nil {
+		if err := signoff(ctx, g, res, opt.Seed); err != nil {
 			return nil, fmt.Errorf("functional signoff at %g K: %w", c.tempK, err)
 		}
 		timing, err := sta.Analyze(ctx, res.Netlist, c.lib, sta.Options{})

@@ -5,107 +5,26 @@ import (
 	"fmt"
 
 	"repro/internal/aig"
-	"repro/internal/gsim"
-	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
-// SignoffVectors is the random-vector count of the functional signoff each
-// mapped corner netlist gets before its QoR numbers are recorded.
-const SignoffVectors = 256
+// signoffRounds is the number of 64-pattern words the functional signoff
+// simulates on each mapped corner netlist before its QoR is recorded.
+const signoffRounds = 4
 
-// signoffFunctional cross-checks the mapped netlist against the source AIG
-// with an engine independent of the synthesis pipeline's own SAT-based
-// verification: the gate-level simulator runs seeded random vectors through
-// the netlist and the AIG's word-parallel evaluator must agree on every
-// output bit. Any divergence is a hard flow error — QoR numbers measured on
-// a functionally wrong netlist are worse than no numbers.
-func signoffFunctional(ctx context.Context, g *aig.AIG, nl *netlist.Netlist, seed int64) error {
-	ctx, span := obs.Start(ctx, "qor.signoff")
-	span.SetAttr("design", nl.Name)
+// signoff cross-checks the mapped netlist against the source AIG on seeded
+// bit-parallel patterns (synth.VerifyMapped). Any divergence is a hard flow
+// error: QoR numbers measured on a functionally wrong netlist are worse
+// than no numbers.
+func signoff(ctx context.Context, g *aig.AIG, res *synth.Result, seed int64) error {
+	_, span := obs.Start(ctx, "qor.signoff")
+	span.SetAttr("design", res.Netlist.Name)
 	defer span.End()
-
-	m, err := gsim.Compile(nl)
-	if err != nil {
+	if err := synth.VerifyMapped(g, res, signoffRounds, seed); err != nil {
+		obs.C("qor.signoff.failures").Inc()
 		return fmt.Errorf("signoff: %w", err)
-	}
-	vectors := m.RandomVectors(SignoffVectors, seed)
-	res, err := gsim.NewLevelized(m).Run(ctx, vectors)
-	if err != nil {
-		return fmt.Errorf("signoff: %w", err)
-	}
-
-	// Pair the AIG interface with the netlist's by name.
-	piPos := make([]int, g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		pos := -1
-		for j, name := range m.InputNames {
-			if name == g.PIName(i) {
-				pos = j
-				break
-			}
-		}
-		if pos < 0 {
-			return fmt.Errorf("signoff: AIG input %q missing from netlist", g.PIName(i))
-		}
-		piPos[i] = pos
-	}
-	poIdx := make([]int, 0, g.NumPOs())
-	poOut := make([]int, 0, g.NumPOs())
-	for i := 0; i < g.NumPOs(); i++ {
-		pos := -1
-		for o, name := range m.OutputNames {
-			if name == g.POName(i) {
-				pos = o
-				break
-			}
-		}
-		if pos < 0 {
-			return fmt.Errorf("signoff: AIG output %q missing from netlist", g.POName(i))
-		}
-		poIdx = append(poIdx, i)
-		poOut = append(poOut, pos)
-	}
-
-	words := make([]uint64, g.NumPIs())
-	for base := 0; base < len(vectors); base += 64 {
-		chunk := len(vectors) - base
-		if chunk > 64 {
-			chunk = 64
-		}
-		for i := range words {
-			var w uint64
-			for b := 0; b < chunk; b++ {
-				if vectors[base+b][piPos[i]] {
-					w |= 1 << uint(b)
-				}
-			}
-			words[i] = w
-		}
-		vals := g.SimWords(words)
-		for k, i := range poIdx {
-			ref := aig.EvalLit(vals, g.PO(i))
-			for b := 0; b < chunk; b++ {
-				if (ref&(1<<uint(b)) != 0) != res.OutputBits[base+b][poOut[k]] {
-					obs.C("qor.signoff.failures").Inc()
-					obs.J().Event(obs.KindSignoff, "qor.signoff", "functional mismatch",
-						map[string]string{
-							"design": nl.Name,
-							"output": g.POName(i),
-							"vector": fmt.Sprint(base + b),
-						})
-					return fmt.Errorf("signoff: output %s diverges from AIG on vector %d (%d vectors, seed %d)",
-						g.POName(i), base+b, len(vectors), seed)
-				}
-			}
-		}
 	}
 	obs.C("qor.signoff.passes").Inc()
-	obs.J().Event(obs.KindSignoff, "qor.signoff", "gate-level simulation matches AIG",
-		map[string]string{
-			"design":  nl.Name,
-			"vectors": fmt.Sprint(len(vectors)),
-			"seed":    fmt.Sprint(seed),
-		})
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -107,47 +106,6 @@ func AsConvergenceError(err error) *ConvergenceError {
 	return nil
 }
 
-// recentFailures is a process-global ring of the most recent convergence
-// diagnoses, so post-mortems can be pulled even when an error chain was
-// swallowed along the way. Shared across the parallel charlib workers —
-// hence the mutex (covered by the -race CI step).
-var recentFailures struct {
-	mu   sync.Mutex
-	ring [16]Diagnosis
-	n    int // total recorded
-}
-
-func recordFailure(d Diagnosis) {
-	obs.C("spice.newton.diagnosed").Inc()
-	recentFailures.mu.Lock()
-	recentFailures.ring[recentFailures.n%len(recentFailures.ring)] = d
-	recentFailures.n++
-	recentFailures.mu.Unlock()
-}
-
-// RecentFailures returns the most recent convergence diagnoses, newest
-// first (at most the ring capacity of 16).
-func RecentFailures() []Diagnosis {
-	recentFailures.mu.Lock()
-	defer recentFailures.mu.Unlock()
-	k := recentFailures.n
-	if k > len(recentFailures.ring) {
-		k = len(recentFailures.ring)
-	}
-	out := make([]Diagnosis, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, recentFailures.ring[(recentFailures.n-1-i)%len(recentFailures.ring)])
-	}
-	return out
-}
-
-// ResetRecentFailures clears the global failure ring (tests).
-func ResetRecentFailures() {
-	recentFailures.mu.Lock()
-	recentFailures.n = 0
-	recentFailures.mu.Unlock()
-}
-
 // rowName resolves an MNA row index to a human-readable name: node rows
 // get their interned node name, source branch rows a vsrc#k tag.
 func (c *Circuit) rowName(i int) string {
@@ -203,9 +161,8 @@ func (c *Circuit) diagnose(ring *[ringK]iterRec, iters int, x []float64, t float
 			d.Devices = c.attributeResiduals(x, t, prev, dt, gmin, temp, row, 5)
 		}
 	}
-	ce := &ConvergenceError{Diag: d}
-	recordFailure(d)
-	return ce
+	obs.C("spice.newton.diagnosed").Inc()
+	return &ConvergenceError{Diag: d}
 }
 
 // worstResidualRow recomputes the tolerance-relative KCL/KVL residual of

@@ -3,7 +3,6 @@ package spice
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -30,7 +29,6 @@ func buildHardInverter(tempK float64, maxIter int) *Circuit {
 }
 
 func TestConvergenceErrorDiagnosis(t *testing.T) {
-	ResetRecentFailures()
 	c := buildHardInverter(4, 2)
 	_, err := c.OpPoint()
 	if err == nil {
@@ -73,44 +71,12 @@ func TestConvergenceErrorDiagnosis(t *testing.T) {
 	if !strings.Contains(err.Error(), d.WorstNode) {
 		t.Errorf("error text %q does not name worst node %q", err.Error(), d.WorstNode)
 	}
-
-	recent := RecentFailures()
-	if len(recent) == 0 {
-		t.Fatal("failure not recorded in the recent-failures ring")
-	}
-	if recent[0].WorstNode == "" {
-		t.Errorf("recorded diagnosis mangled: %+v", recent[0])
-	}
 }
 
 func TestConvergedSolveHasNoDiagnosis(t *testing.T) {
 	c := buildHardInverter(300, 0) // default budget converges at 300 K
 	if _, err := c.OpPoint(); err != nil {
 		t.Fatalf("300 K inverter must converge: %v", err)
-	}
-}
-
-// TestRecentFailuresConcurrent exercises the shared failure ring from
-// parallel solvers — the charlib worker-pool shape — under -race.
-func TestRecentFailuresConcurrent(t *testing.T) {
-	ResetRecentFailures()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				c := buildHardInverter(4, 2)
-				if _, err := c.OpPoint(); err == nil {
-					t.Error("expected failure")
-				}
-				RecentFailures()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := RecentFailures(); len(got) != 16 {
-		t.Fatalf("ring holds %d diagnoses, want full 16", len(got))
 	}
 }
 

@@ -35,16 +35,7 @@ type Comparison struct {
 
 // FlowOptions configures a comparison run.
 type FlowOptions struct {
-	K       int
-	LutK    int
-	Seed    int64
-	Verify  bool
-	STA     sta.Options
-	SkipMfs bool
-	// Sizing enables the post-mapping drive-strength assignment stage for
-	// the cryogenic-aware scenarios (off by default: the mapper's area/power
-	// flows already pick minimal drives, so sizing mostly re-balances slews).
-	Sizing bool
+	Seed int64
 }
 
 // Compare synthesizes the circuit under all three scenarios against the
@@ -57,14 +48,7 @@ func Compare(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, lib *libe
 	scenarios := []Scenario{BaselinePowerAware, CryoPAD, CryoPDA}
 	results := make([]*Result, len(scenarios))
 	for i, sc := range scenarios {
-		sizeLib := lib
-		if !opt.Sizing {
-			sizeLib = nil
-		}
-		res, err := Synthesize(ctx, g, ml, Options{
-			Scenario: sc, K: opt.K, LutK: opt.LutK, Seed: opt.Seed,
-			Verify: opt.Verify, SkipMfs: opt.SkipMfs, Lib: sizeLib,
-		})
+		res, err := Synthesize(ctx, g, ml, Options{Scenario: sc, Seed: opt.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("synth: %s scenario %v: %w", g.Name, sc, err)
 		}
@@ -74,7 +58,7 @@ func Compare(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, lib *libe
 	var worst float64
 	timings := make([]*sta.Result, len(scenarios))
 	for i, res := range results {
-		tr, err := sta.Analyze(ctx, res.Netlist, lib, opt.STA)
+		tr, err := sta.Analyze(ctx, res.Netlist, lib, sta.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("synth: %s STA: %w", g.Name, err)
 		}
@@ -88,7 +72,6 @@ func Compare(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, lib *libe
 		rep, err := power.Analyze(ctx, results[i].Netlist, lib, power.Options{
 			ClockPeriod: cmp.ClockPeriod,
 			Seed:        opt.Seed + int64(i),
-			STA:         opt.STA,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("synth: %s power: %w", g.Name, err)

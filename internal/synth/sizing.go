@@ -26,7 +26,7 @@ type ResizeResult struct {
 // delay limit holds. delayBudget is the allowed critical-path delay as a
 // multiple of the pre-sizing delay (e.g. 1.02 protects delay, 1.3 trades it
 // away). This is the gate-sizing step real power-aware flows run after
-// mapping; the baseline scenario leaves sizes as mapped.
+// mapping; Synthesize and Compare leave sizes as mapped.
 func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, staOpt sta.Options, delayBudget float64) (*ResizeResult, error) {
 	ctx, span := obs.Start(ctx, "synth.resize")
 	span.SetAttr("design", nl.Name)

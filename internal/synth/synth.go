@@ -18,11 +18,9 @@ import (
 	"fmt"
 
 	"repro/internal/aig"
-	"repro/internal/liberty"
 	"repro/internal/mapper"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/sta"
 )
 
 // Scenario selects the synthesis cost hierarchy.
@@ -66,25 +64,19 @@ func (s Scenario) MapMode() mapper.CostMode {
 // Options configures a synthesis run.
 type Options struct {
 	Scenario Scenario
-	K        int   // mapping cut size (default 5)
-	LutK     int   // stage-2 LUT size (default 6)
 	Seed     int64 // simulation seed for activity/don't-care extraction
-	// Verify runs a SAT equivalence check after each stage and fails the
-	// run on any mismatch (slow; meant for tests and validation runs).
-	Verify bool
 	// SkipMfs disables the SAT-based don't-care stage (ablation).
 	SkipMfs bool
 	// SkipChoices disables the structural-choice variants (ablation).
 	SkipChoices bool
-	// SkipSizing disables the post-mapping drive-strength assignment
-	// (ablation). Sizing only runs for the cryogenic-aware scenarios: the
-	// baseline keeps the mapper's drive choices, mirroring how the paper's
-	// baseline does not get the cryogenic cost functions.
-	SkipSizing bool
-	// Lib provides the characterized library for the sizing/STA stage; when
-	// nil, sizing is skipped.
-	Lib *liberty.Library
 }
+
+// Cut sizes: technology-mapping cuts (stage 3) and the power-aware stage's
+// k-LUTs (stage 2).
+const (
+	mapK = 5
+	lutK = 6
+)
 
 // Result carries the synthesis outcome with per-stage statistics.
 type Result struct {
@@ -104,12 +96,6 @@ func Synthesize(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, opt Op
 	span.SetAttr("scenario", opt.Scenario.String())
 	defer span.End()
 	obs.C("synth.runs").Inc()
-	if opt.K == 0 {
-		opt.K = 5
-	}
-	if opt.LutK == 0 {
-		opt.LutK = 6
-	}
 	res := &Result{Scenario: opt.Scenario, NodesIn: g.NumNodes(), DepthIn: g.Depth()}
 
 	// Stage 1: c2rs.
@@ -118,46 +104,24 @@ func Synthesize(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, opt Op
 	c2rsSpan.SetAttr("nodes_in", res.NodesIn)
 	c2rsSpan.SetAttr("nodes_out", step1.NumNodes())
 	c2rsSpan.End()
-	if err := verifyStage(g, step1, opt, "c2rs"); err != nil {
-		return nil, err
-	}
 	res.NodesC2RS = step1.NumNodes()
 	obs.C("synth.c2rs.nodes_delta").Add(int64(res.NodesC2RS - res.NodesIn))
 
 	// Stage 2: dch -p; if -p; mfs -pegd; strash.
 	_, powSpan := obs.Start(ctx, "synth.power_stage")
-	step2, err := powerStage(step1, opt)
+	step2 := powerStage(step1, opt)
 	powSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := verifyStage(step1, step2, opt, "power-aware stage"); err != nil {
-		return nil, err
-	}
 	res.NodesPower = step2.NumNodes()
 	res.DepthOut = step2.Depth()
 	res.Optimized = step2
 	obs.C("synth.power_stage.nodes_delta").Add(int64(res.NodesPower - res.NodesC2RS))
 
 	// Stage 3: technology mapping with the scenario's priority list.
-	nl, err := mapper.Map(ctx, step2, ml, mapper.Options{Mode: opt.Scenario.MapMode(), K: opt.K})
+	nl, err := mapper.Map(ctx, step2, ml, mapper.Options{Mode: opt.Scenario.MapMode(), K: mapK})
 	if err != nil {
 		return nil, fmt.Errorf("synth: mapping: %w", err)
 	}
 	res.Netlist = nl
-
-	// Stage 4: drive-strength assignment (cryogenic-aware scenarios only).
-	// The delay budget follows the priority list: p->d->a protects delay;
-	// p->a->d lets delay float in exchange for power/area.
-	if opt.Lib != nil && !opt.SkipSizing && opt.Scenario != BaselinePowerAware {
-		budget := 1.03
-		if opt.Scenario == CryoPAD {
-			budget = 1.35
-		}
-		if _, err := ResizeForPower(ctx, nl, opt.Lib, sta.Options{}, budget); err != nil {
-			return nil, fmt.Errorf("synth: sizing: %w", err)
-		}
-	}
 	return res, nil
 }
 
@@ -183,7 +147,7 @@ func c2rs(g *aig.AIG, seed int64) *aig.AIG {
 // prepared (the "choices"), each is collapsed to k-LUTs with power-aware
 // cut selection, minimized with SAT don't-cares, and structurally hashed
 // back; the variant that wins under the scenario's cost hierarchy is kept.
-func powerStage(g *aig.AIG, opt Options) (*aig.AIG, error) {
+func powerStage(g *aig.AIG, opt Options) *aig.AIG {
 	variants := []*aig.AIG{g}
 	if !opt.SkipChoices {
 		variants = append(variants, g.Rewrite(true), g.Balance())
@@ -196,7 +160,7 @@ func powerStage(g *aig.AIG, opt Options) (*aig.AIG, error) {
 	}
 	var best *scored
 	for _, v := range variants {
-		lut := v.MapLUT(aig.LUTMapOptions{K: opt.LutK, PowerAware: true})
+		lut := v.MapLUT(aig.LUTMapOptions{K: lutK, PowerAware: true})
 		if !opt.SkipMfs {
 			mopt := aig.DefaultMfsOptions()
 			mopt.PowerAware = true
@@ -214,7 +178,7 @@ func powerStage(g *aig.AIG, opt Options) (*aig.AIG, error) {
 			best = s
 		}
 	}
-	return best.net, nil
+	return best.net
 }
 
 // totalActivity sums switching activity over the AND nodes: the
@@ -263,18 +227,4 @@ func stageBetter(p1, s1, d1, p2, s2, d2 float64, sc Scenario) bool {
 		}
 	}
 	return false
-}
-
-func verifyStage(before, after *aig.AIG, opt Options, stage string) error {
-	if !opt.Verify {
-		return nil
-	}
-	eq, proven := aig.Equivalent(before, after, 200000)
-	if !proven {
-		return fmt.Errorf("synth: %s: equivalence not proven within budget", stage)
-	}
-	if !eq {
-		return fmt.Errorf("synth: %s BROKE the circuit", stage)
-	}
-	return nil
 }

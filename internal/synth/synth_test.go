@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/aig"
+	"repro/internal/cec"
 	"repro/internal/epfl"
 	"repro/internal/mapper"
 	"repro/internal/pdk"
@@ -44,9 +44,17 @@ func TestSynthesizeSmallCircuitsVerified(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sc := range []Scenario{BaselinePowerAware, CryoPAD, CryoPDA} {
-			res, err := Synthesize(context.Background(), g, ml, Options{Scenario: sc, Verify: true, Seed: 5})
+			res, err := Synthesize(context.Background(), g, ml, Options{Scenario: sc, Seed: 5})
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, sc, err)
+			}
+			rep, err := SignoffVerify(context.Background(), g, res, cec.Options{Seed: 5})
+			if err != nil {
+				t.Fatalf("%s %v: signoff: %v", name, sc, err)
+			}
+			if !rep.OK() {
+				t.Fatalf("%s %v: signoff pre≡post %v, post≡mapped %v",
+					name, sc, rep.PrePost.Status, rep.PostMapped.Status)
 			}
 			if res.Netlist.NumGates() == 0 {
 				t.Fatalf("%s %v: empty netlist", name, sc)
@@ -70,9 +78,8 @@ func TestC2RSCompresses(t *testing.T) {
 		if opt.NumNodes() > g.NumNodes() {
 			t.Errorf("%s: c2rs grew the network %d -> %d", name, g.NumNodes(), opt.NumNodes())
 		}
-		eq, proven := aig.Equivalent(g, opt, 100000)
-		if !proven || !eq {
-			t.Fatalf("%s: c2rs equivalence eq=%v proven=%v", name, eq, proven)
+		if v := cec.Check(context.Background(), g, opt, cec.Options{}); v.Status != cec.Equal {
+			t.Fatalf("%s: c2rs equivalence %v", name, v.Status)
 		}
 	}
 }
@@ -83,13 +90,9 @@ func TestPowerStagePreservesFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range []Scenario{BaselinePowerAware, CryoPAD, CryoPDA} {
-		out, err := powerStage(g, Options{Scenario: sc, LutK: 6, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq, proven := aig.Equivalent(g, out, 100000)
-		if !proven || !eq {
-			t.Fatalf("scenario %v: power stage eq=%v proven=%v", sc, eq, proven)
+		out := powerStage(g, Options{Scenario: sc, Seed: 2})
+		if v := cec.Check(context.Background(), g, out, cec.Options{}); v.Status != cec.Equal {
+			t.Fatalf("scenario %v: power stage %v", sc, v.Status)
 		}
 	}
 }
@@ -177,53 +180,35 @@ func TestAblationFlags(t *testing.T) {
 func TestResizeForPower(t *testing.T) {
 	ml, _ := buildML(t, 10)
 	lib, _ := testlib.Build(catalog, testlib.Names(), 10)
-	g, err := epfl.Build("int2float")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Synthesize(context.Background(), g, ml, Options{Scenario: CryoPAD, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := ResizeForPower(context.Background(), res.Netlist, lib, staOptions(), 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delay must respect the budget.
-	if rr.DelayAfter > rr.DelayBefore*1.3*1.001 {
-		t.Errorf("sizing violated the delay budget: %v -> %v", rr.DelayBefore, rr.DelayAfter)
-	}
-	// The resized netlist must still be functionally correct.
-	if err := VerifyMapped(g, res, 4, 3); err != nil {
-		t.Fatalf("sizing broke the netlist: %v", err)
-	}
-}
-
-func TestSizingScenarioIntegration(t *testing.T) {
-	ml, _ := buildML(t, 10)
-	lib, _ := testlib.Build(catalog, testlib.Names(), 10)
-	g, err := epfl.Build("router")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the library provided, sizing runs for cryo scenarios; every
-	// variant must still verify.
-	for _, sc := range []Scenario{BaselinePowerAware, CryoPAD, CryoPDA} {
-		res, err := Synthesize(context.Background(), g, ml, Options{Scenario: sc, Seed: 4, Lib: lib})
+	// The two delay budgets the cryogenic priority lists call for: p->a->d
+	// lets delay float, p->d->a protects it.
+	for _, tc := range []struct {
+		circuit string
+		sc      Scenario
+		budget  float64
+	}{{"int2float", CryoPAD, 1.3}, {"router", CryoPDA, 1.03}} {
+		g, err := epfl.Build(tc.circuit)
 		if err != nil {
-			t.Fatalf("%v: %v", sc, err)
+			t.Fatal(err)
 		}
-		if err := VerifyMapped(g, res, 4, 5); err != nil {
-			t.Fatalf("%v: sized netlist wrong: %v", sc, err)
+		res, err := Synthesize(context.Background(), g, ml, Options{Scenario: tc.sc, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Ablation flag must disable it without breaking anything.
-	if _, err := Synthesize(context.Background(), g, ml, Options{Scenario: CryoPAD, Seed: 4, Lib: lib, SkipSizing: true}); err != nil {
-		t.Fatal(err)
+		rr, err := ResizeForPower(context.Background(), res.Netlist, lib, sta.Options{}, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Delay must respect the budget.
+		if rr.DelayAfter > rr.DelayBefore*tc.budget*1.001 {
+			t.Errorf("%s: sizing violated the delay budget: %v -> %v", tc.circuit, rr.DelayBefore, rr.DelayAfter)
+		}
+		// The resized netlist must still be functionally correct.
+		if err := VerifyMapped(g, res, 4, 3); err != nil {
+			t.Fatalf("%s: sizing broke the netlist: %v", tc.circuit, err)
+		}
 	}
 }
-
-func staOptions() sta.Options { return sta.Options{} }
 
 func TestNextDrive(t *testing.T) {
 	ml, _ := buildML(t, 300)
