@@ -79,9 +79,9 @@ func main() {
 
 	if *verbose {
 		s := v.Stats
-		fmt.Printf("engine: miter=%d reduced=%d patterns=%d refinements=%d merges=%d(struct)+%d(sat) sat_calls=%d timeouts=%d cex=%d fallback=%d\n",
+		fmt.Printf("engine: miter=%d reduced=%d patterns=%d refinements=%d merges=%d(struct)+%d(local)+%d(sat) sat_calls=%d timeouts=%d cex=%d fallback=%d\n",
 			s.MiterNodes, s.ReducedNodes, s.SimPatterns, s.Refinements,
-			s.StructMerges, s.SATMerges, s.SATCalls, s.SATTimeouts, s.Cex, s.FallbackRuns)
+			s.StructMerges, s.LocalMerges, s.SATMerges, s.SATCalls, s.SATTimeouts, s.Cex, s.FallbackRuns)
 	}
 	switch v.Status {
 	case cec.Equal:

@@ -61,6 +61,7 @@ type Stats struct {
 	SimPatterns  int // simulation patterns applied (initial + refinement)
 	Refinements  int // counterexample-driven class refinements
 	StructMerges int // nodes merged purely by hashing into the reduced graph
+	LocalMerges  int // nodes merged by a cut-local truth-table proof (no SAT)
 	SATMerges    int // nodes merged by a SAT proof
 	SATCalls     int
 	SATTimeouts  int // queries that exhausted their conflict budget
@@ -86,6 +87,10 @@ type Verdict struct {
 	UndecidedOutputs []string
 
 	Stats Stats
+
+	// failingPO is the golden output index of FailingOutput: output names
+	// may repeat, so the name alone does not locate it.
+	failingPO int
 }
 
 // CexString renders the counterexample as name=value pairs.
@@ -112,13 +117,6 @@ type Options struct {
 	// SimWords is the number of 64-pattern random simulation words used to
 	// seed the candidate equivalence classes (default 8 → 512 patterns).
 	SimWords int
-	// MaxRefinements caps counterexample-driven class refinements
-	// (default 128); past the cap, refuted candidates are simply skipped.
-	MaxRefinements int
-	// ClassBudget is the conflict budget for each sweeping proof attempt
-	// between internal nodes (default 1000). Small by design: cheap proofs
-	// merge most of the graph, the output budget finishes the job.
-	ClassBudget int64
 	// OutputBudget is the conflict budget for each primary-output proof on
 	// the swept graph (default 200000).
 	OutputBudget int64
@@ -134,12 +132,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SimWords <= 0 {
 		o.SimWords = 8
-	}
-	if o.MaxRefinements <= 0 {
-		o.MaxRefinements = 128
-	}
-	if o.ClassBudget == 0 {
-		o.ClassBudget = 1000
 	}
 	if o.OutputBudget == 0 {
 		o.OutputBudget = 200000
@@ -207,7 +199,7 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) *Verdict {
 	// Re-express the counterexample on b's own input order for validation
 	// and fill the two circuits' output values.
 	if v.Status == NotEqual && v.Counterexample != nil {
-		poIdx := poIndexByName(a, v.FailingOutput)
+		poIdx := v.failingPO
 		v.OutA = a.Eval(v.Counterexample)[poIdx]
 		bIn := v.Counterexample
 		bPOIdx := poIdx
@@ -245,15 +237,6 @@ func poNames(g *aig.AIG) []string {
 		out[i] = g.POName(i)
 	}
 	return out
-}
-
-func poIndexByName(g *aig.AIG, name string) int {
-	for i := 0; i < g.NumPOs(); i++ {
-		if g.POName(i) == name {
-			return i
-		}
-	}
-	return 0
 }
 
 // matchNames returns perm with perm[bIdx] = aIdx when the two name lists

@@ -2,6 +2,7 @@ package cec_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/aig"
@@ -177,5 +178,93 @@ func TestConstantOutputs(t *testing.T) {
 	v := cec.Check(ctx, a, b, cec.Options{})
 	if v.Status != cec.Equal {
 		t.Errorf("constant outputs: %v", v.Status)
+	}
+}
+
+// TestDuplicateOutputNamesCounterexample: with repeated output names the
+// outputs pair positionally, and the verdict's output values must come from
+// the failing position, not from the first output carrying its name.
+func TestDuplicateOutputNamesCounterexample(t *testing.T) {
+	a := aig.New("a")
+	xa, ya := a.AddPI("x"), a.AddPI("y")
+	a.AddPO(a.And(xa, ya), "o")
+	a.AddPO(a.Or(xa, ya), "o")
+	b := aig.New("b")
+	xb, yb := b.AddPI("x"), b.AddPI("y")
+	b.AddPO(b.And(xb, yb), "o")
+	b.AddPO(b.Xor(xb, yb), "o")
+	v := cec.Check(ctx, a, b, cec.Options{})
+	if v.Status != cec.NotEqual || v.Counterexample == nil {
+		t.Fatalf("x|y vs x^y not caught: %v", v.Status)
+	}
+	const failing = 1 // output 0 is x&y on both sides
+	wantA, wantB := a.Eval(v.Counterexample)[failing], b.Eval(v.Counterexample)[failing]
+	if v.OutA == v.OutB || v.OutA != wantA || v.OutB != wantB {
+		t.Errorf("cex %s: verdict values (%v,%v), Eval at output %d gives (%v,%v)",
+			v.CexString(), v.OutA, v.OutB, failing, wantA, wantB)
+	}
+}
+
+// exhaustivelyEqual evaluates a and b on all 2^n inputs.
+func exhaustivelyEqual(a, b *aig.AIG) bool {
+	in := make([]bool, a.NumPIs())
+	for x := 0; x < 1<<len(in); x++ {
+		for i := range in {
+			in[i] = x>>i&1 != 0
+		}
+		oa, ob := a.Eval(in), b.Eval(in)
+		for o := range oa {
+			if oa[o] != ob[o] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRandomAIGsAgreeWithExhaustiveEval is the property test of the whole
+// engine, local proofs included: on seeded random circuits of at most ten
+// inputs, each checked against its optimized copy and against a mutant with
+// one AND-input polarity flipped, the verdict must match exhaustive
+// simulation, and every counterexample must replay through aig.Eval.
+func TestRandomAIGsAgreeWithExhaustiveEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	local := 0
+	for trial := 0; trial < 150; trial++ {
+		nPI := 2 + rng.Intn(9)
+		g := cec.RandomAIG(rng, nPI, 10+rng.Intn(60), 1+rng.Intn(4))
+		if g.NumNodes() == 0 {
+			continue
+		}
+		target := g.NumPIs() + 1 + rng.Intn(g.NumNodes())
+		for _, other := range []*aig.AIG{optimize(g), mutate(g, target)} {
+			v := cec.Check(ctx, g, other, cec.Options{Seed: int64(trial + 1)})
+			local += v.Stats.LocalMerges
+			equal := exhaustivelyEqual(g, other)
+			switch {
+			case equal && v.Status != cec.Equal:
+				t.Fatalf("trial %d (%s): %v, but all 2^%d inputs agree", trial, other.Name, v.Status, nPI)
+			case !equal && v.Status != cec.NotEqual:
+				t.Fatalf("trial %d (%s): %v, but the circuits differ", trial, other.Name, v.Status)
+			case !equal:
+				o := -1
+				for i := 0; i < g.NumPOs(); i++ {
+					if g.POName(i) == v.FailingOutput {
+						o = i
+					}
+				}
+				if o < 0 || v.Counterexample == nil {
+					t.Fatalf("trial %d: NOT-EQUAL without a usable counterexample: %+v", trial, v)
+				}
+				a, b := g.Eval(v.Counterexample)[o], other.Eval(v.Counterexample)[o]
+				if a == b || v.OutA != a || v.OutB != b {
+					t.Fatalf("trial %d: cex %s gives (%v,%v) at %s, verdict says (%v,%v)",
+						trial, v.CexString(), a, b, v.FailingOutput, v.OutA, v.OutB)
+				}
+			}
+		}
+	}
+	if local == 0 {
+		t.Error("no candidate merge closed by a local proof: the fast path went untested")
 	}
 }

@@ -22,16 +22,14 @@ func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *a
 	var pending []int
 	for i := range outsA {
 		la, lb := sw.liftLit(outsA[i]), sw.liftLit(outsB[i])
-		if la == lb {
-			continue // merged during sweeping: proven equal
+		if la == lb || sw.cut.equal(la, lb) {
+			continue // merged during sweeping or proven on a common cut
 		}
 		res, cex := sw.prove(la, lb, opt.OutputBudget)
 		switch res {
 		case proven:
 		case refuted:
-			v.Status = NotEqual
-			v.FailingOutput = golden.POName(i)
-			v.Counterexample = cex
+			v.fail(golden, i, cex)
 			return v
 		default:
 			pending = append(pending, i)
@@ -48,9 +46,7 @@ func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *a
 	for _, i := range pending {
 		oc := outcomes[i]
 		if oc.res == refuted {
-			v.Status = NotEqual
-			v.FailingOutput = golden.POName(i)
-			v.Counterexample = oc.cex
+			v.fail(golden, i, oc.cex)
 			v.UndecidedOutputs = nil
 			return v
 		}
@@ -60,6 +56,14 @@ func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *a
 		}
 	}
 	return v
+}
+
+// fail records a refuted golden output i with its counterexample.
+func (v *Verdict) fail(golden *aig.AIG, i int, cex []bool) {
+	v.Status = NotEqual
+	v.FailingOutput = golden.POName(i)
+	v.failingPO = i
+	v.Counterexample = cex
 }
 
 type outcome struct {

@@ -2,12 +2,22 @@ package cec
 
 import (
 	"context"
-	"hash/fnv"
 	"math/rand"
 
 	"repro/internal/aig"
 	"repro/internal/obs"
 	"repro/internal/sat"
+)
+
+// Sweep budgets. Small by design: cheap proofs merge most of the graph,
+// the output budget finishes the job.
+const (
+	// maxRefinements caps counterexample-driven class refinements; past
+	// the cap, refuted candidates are simply skipped.
+	maxRefinements = 128
+	// classBudget is the conflict budget of each sweeping proof attempt
+	// between internal nodes.
+	classBudget = 1000
 )
 
 // proveResult is the outcome of one SAT equivalence query.
@@ -25,24 +35,26 @@ const (
 // represented once: lift maps each m variable to its literal in red.
 //
 // Candidate classes come from bit-parallel random simulation: nodes whose
-// signatures agree (up to complement) are candidates, and an incremental
-// SAT solver over red proves or refutes each candidate merge. Refuted
-// candidates yield a counterexample pattern that is simulated back through
-// m to split every class it distinguishes — the classic cex-feedback loop,
-// run to fixpoint because each refinement strictly refines the partition.
+// signatures agree (up to complement) are candidates. A candidate merge is
+// first tried as a cut-local truth-table proof over red (local.go); the
+// rest go to an incremental SAT solver over red, which proves or refutes
+// them. Refuted candidates yield a counterexample pattern that is simulated
+// back through m to split every class it distinguishes — the classic
+// cex-feedback loop, run to fixpoint because each refinement strictly
+// refines the partition.
 type sweeper struct {
 	m   *aig.AIG
-	opt Options
 	rng *rand.Rand
 
-	sig    [][]uint64 // m variable -> simulation signature words
-	nWords int
+	sig  [][]uint64 // m variable -> simulation signature words
+	keys []uint64   // m variable -> running hash of its normalized signature
 
 	red  *aig.AIG
 	lift []aig.Lit // m variable -> literal in red
+	cut  cutProver // SAT-free proofs on small common cuts of red
 
 	pool    []int            // processed, unmerged m variables (class reps)
-	classes map[uint64][]int // normalized signature hash -> pool members
+	classes map[uint64][]int // class key -> pool members
 
 	solver *sat.Solver
 	cnf    *aig.CNFBuilder
@@ -54,9 +66,9 @@ type sweeper struct {
 func newSweeper(m *aig.AIG, opt Options, stats *Stats) *sweeper {
 	s := &sweeper{
 		m:       m,
-		opt:     opt,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		sig:     make([][]uint64, m.NumVars()),
+		keys:    make([]uint64, m.NumVars()),
 		classes: make(map[uint64][]int),
 		stats:   stats,
 	}
@@ -68,16 +80,13 @@ func newSweeper(m *aig.AIG, opt Options, stats *Stats) *sweeper {
 		for i := range in {
 			in[i] = s.rng.Uint64()
 		}
-		vals := m.SimWords(in)
-		for v := range vals {
-			s.sig[v] = append(s.sig[v], vals[v])
-		}
+		s.extend(m.SimWords(in))
 	}
-	s.nWords = opt.SimWords
 	stats.SimPatterns = 64 * opt.SimWords
 
 	// Reduced graph and the incremental solver over it.
 	s.red = aig.New(m.Name + "_red")
+	s.cut.g = s.red
 	s.lift = make([]aig.Lit, m.NumVars())
 	s.lift[0] = aig.False
 	for i := 0; i < m.NumPIs(); i++ {
@@ -147,7 +156,13 @@ func (s *sweeper) mergeOrRegister(v int) {
 			s.stats.StructMerges++
 			return
 		}
-		res, cex := s.prove(s.lift[v], target, s.opt.ClassBudget)
+		if s.cut.equal(s.lift[v], target) {
+			s.lift[v] = target
+			s.stats.LocalMerges++
+			obs.C("cec.merges").Inc()
+			return
+		}
+		res, cex := s.prove(s.lift[v], target, classBudget)
 		switch res {
 		case proven:
 			s.lift[v] = target
@@ -155,7 +170,7 @@ func (s *sweeper) mergeOrRegister(v int) {
 			obs.C("cec.merges").Inc()
 			return
 		case refuted:
-			if s.stats.Refinements < s.opt.MaxRefinements {
+			if s.stats.Refinements < maxRefinements {
 				// The counterexample pattern splits this class (and any
 				// other class it happens to distinguish); re-lookup.
 				s.refine(cex)
@@ -171,7 +186,7 @@ func (s *sweeper) mergeOrRegister(v int) {
 // candidate returns a pool member whose signature matches v's up to
 // complement (phase reports the complement), skipping tried ones.
 func (s *sweeper) candidate(v int, tried map[int]bool) (u int, phase, ok bool) {
-	for _, u := range s.classes[s.key(v)] {
+	for _, u := range s.classes[s.keys[v]] {
 		if tried[u] {
 			continue
 		}
@@ -184,29 +199,25 @@ func (s *sweeper) candidate(v int, tried map[int]bool) (u int, phase, ok bool) {
 
 // register adds v to the representative pool and the class index.
 func (s *sweeper) register(v int) {
-	k := s.key(v)
+	k := s.keys[v]
 	s.classes[k] = append(s.classes[k], v)
 	s.pool = append(s.pool, v)
 }
 
-// key hashes v's phase-normalized signature: signatures are complemented
+// extend appends one simulated word to every signature and folds it into
+// the running class keys. Words are phase-normalized first: complemented
 // so that the very first simulated pattern evaluates to 0, which puts a
-// node and its complement into the same class.
-func (s *sweeper) key(v int) uint64 {
-	h := fnv.New64a()
-	var compl uint64
-	if len(s.sig[v]) > 0 && s.sig[v][0]&1 != 0 {
-		compl = ^uint64(0)
-	}
-	var buf [8]byte
-	for _, w := range s.sig[v] {
-		w ^= compl
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * i))
+// node and its complement into the same class. Keys may collide; sigEqual
+// settles every candidate.
+func (s *sweeper) extend(vals []uint64) {
+	for v, w := range vals {
+		s.sig[v] = append(s.sig[v], w)
+		if s.sig[v][0]&1 != 0 {
+			w = ^w
 		}
-		h.Write(buf[:])
+		k := (s.keys[v] ^ w) * 0x9e3779b97f4a7c15
+		s.keys[v] = k ^ k>>29
 	}
-	return h.Sum64()
 }
 
 // sigEqual compares full signatures: equal (phase false), complementary
@@ -277,8 +288,8 @@ func (s *sweeper) model() []bool {
 
 // refine simulates one more word of patterns seeded with the
 // counterexample (bit 0 exactly, bits 1..63 random perturbations of it)
-// and rebuilds the class index, splitting every class the new word
-// distinguishes.
+// and re-buckets the pool by the extended keys, splitting every class the
+// new word distinguishes.
 func (s *sweeper) refine(cex []bool) {
 	s.stats.Refinements++
 	obs.C("cec.classes_refined").Inc()
@@ -293,15 +304,11 @@ func (s *sweeper) refine(cex []bool) {
 		mask := s.rng.Uint64() & s.rng.Uint64() & s.rng.Uint64() &^ 1
 		in[i] = base ^ mask
 	}
-	vals := s.m.SimWords(in)
-	for v := range vals {
-		s.sig[v] = append(s.sig[v], vals[v])
-	}
-	s.nWords++
+	s.extend(s.m.SimWords(in))
 	s.stats.SimPatterns += 64
 	s.classes = make(map[uint64][]int, len(s.pool))
 	for _, u := range s.pool {
-		k := s.key(u)
+		k := s.keys[u]
 		s.classes[k] = append(s.classes[k], u)
 	}
 }
