@@ -121,9 +121,10 @@ bench-point:
 paperbench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
-# Linear-solver and op-point microbenchmarks (dense vs sparse vs refactor).
+# Device-evaluation, linear-solver and op-point microbenchmarks
+# (Conductances at 300 K and 10 K; dense vs sparse vs refactor).
 microbench:
-	$(GO) test ./internal/linalg ./internal/spice -run xxx -bench . -benchmem -benchtime 100x
+	$(GO) test ./internal/device ./internal/linalg ./internal/spice -run xxx -bench . -benchmem -benchtime 100x
 
 clean:
 	rm -rf build

@@ -14,8 +14,11 @@ writes BENCH_<n>.json at the repository root:
                            "host": {"trace0": <host>, "trace1": <host>}}}}
 
 <result> is the last line of the run's standard output (the result object)
-and <host> the run's `host {...}` noise record. A run that fails or prints
-no result stops the script with a non-zero exit before anything is written.
+and <host> the run's `host {...}` noise record, to which the script adds
+the measured commit ("git_rev", from `git rev-parse HEAD`) and whether the
+working tree differed from it ("git_dirty", from `git status --porcelain`).
+A run that fails or prints no result stops the script with a non-zero exit
+before anything is written.
 """
 import json
 import os
@@ -25,6 +28,14 @@ import sys
 WORKLOADS = ("char2corner", "synth_fig3", "signoff")
 SEED = 201
 SECONDS = 25
+
+
+def git_state(root):
+    """Return (HEAD commit, whether the working tree has changes)."""
+    def git(*args):
+        return subprocess.run(("git",) + args, cwd=root, check=True,
+                              stdout=subprocess.PIPE, text=True).stdout
+    return git("rev-parse", "HEAD").strip(), git("status", "--porcelain") != ""
 
 
 def run_one(root, workload, trace):
@@ -37,10 +48,11 @@ def run_one(root, workload, trace):
     if done.returncode != 0 or not lines:
         sys.exit("bench-point: %s --trace %d failed (exit %d)"
                  % (workload, trace, done.returncode))
-    host = None
+    host = {}
     for line in lines:
         if line.startswith("host "):
             host = json.loads(line[len("host "):])
+    host["git_rev"], host["git_dirty"] = git_state(root)
     return json.loads(lines[-1]), host
 
 

@@ -13,6 +13,7 @@ type tempCache struct {
 	vth    float64 // zero-bias threshold at temp
 	mu     float64 // low-field mobility at temp
 	capF   float64 // gate-capacitance factor at temp
+	cgate  float64 // total gate capacitance at temp (F)
 	ispec0 float64 // 2*n*mu*Cox*(W/L)*vt^2 before Theta degradation
 	floorA float64 // leakage-floor amplitude (A)
 	floorK float64 // leakage-floor bias shape factor (1/V)
@@ -32,23 +33,32 @@ func (m *Model) cacheFor(tempK float64) *tempCache {
 	c.ispec0 = 2 * p.N0 * c.mu * cox * (p.Weff() / p.L) * c.vt * c.vt
 	c.floorA = p.IFloor * p.Weff()
 	c.floorK = 1.5 / p.VddRef
+	w := p.Weff()
+	c.cgate = p.CoxA*c.capF*w*p.L + p.CFr*w
 	m.tc = c
 	return c
 }
 
-// sigmoid is the logistic function, the derivative of ln1exp.
-func sigmoid(x float64) float64 {
-	if x > 40 {
-		return 1
+// softplus returns ln(1+e^x) and its derivative, the logistic sigmoid
+// 1/(1+e^-x), from ex = e^x, which the caller has already computed. Past
+// |x| > 40 it takes the asymptotes: x and 1 above, e^x for both below (the
+// tail value keeps the derivative finite). ex is not read above 40, so it
+// may have overflowed there.
+func softplus(x, ex float64) (l, s float64) {
+	switch {
+	case x > 40:
+		return x, 1
+	case x < -40:
+		return ex, ex
 	}
-	if x < -40 {
-		return math.Exp(x)
-	}
-	return 1 / (1 + math.Exp(-x))
+	return math.Log1p(ex), ex / (1 + ex)
 }
 
 // derivs evaluates the n-oriented compact model (vds >= 0) returning the
 // current and its analytic partial derivatives with respect to vgs and vds.
+// It costs two exponentials: e^{u/2} serves ln(1+e^{u/2}) and its sigmoid,
+// and its square e^u serves ln(1+e^u) and its sigmoid; e^{w/2} serves the
+// reverse charge the same way.
 func (m *Model) derivs(vgs, vds, tempK float64) (f, fg, fd float64) {
 	p := &m.P
 	c := m.cacheFor(tempK)
@@ -58,10 +68,9 @@ func (m *Model) derivs(vgs, vds, tempK float64) (f, fg, fd float64) {
 
 	u := (vgs - vth) / nvt
 	w := u - vds/c.vt
-	lf := ln1exp(u / 2)
-	lr := ln1exp(w / 2)
-	sf := sigmoid(u / 2)
-	sr := sigmoid(w / 2)
+	eu2 := math.Exp(u / 2)
+	lf, sf := softplus(u/2, eu2)
+	lr, sr := softplus(w/2, math.Exp(w/2))
 	F := lf*lf - lr*lr
 
 	dudg := 1 / nvt
@@ -72,8 +81,8 @@ func (m *Model) derivs(vgs, vds, tempK float64) (f, fg, fd float64) {
 	dFdd := lf*sf*dudd - lr*sr*dwdd
 
 	// Vertical-field mobility degradation.
-	su := sigmoid(u)
-	vov := nvt * ln1exp(u)
+	lu, su := softplus(u, eu2*eu2)
+	vov := nvt * lu
 	D := 1 + p.Theta*vov
 	K := c.ispec0 / D
 	dKdg := -c.ispec0 * p.Theta * su / (D * D) // dvov/dvgs = su

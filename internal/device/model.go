@@ -1,7 +1,5 @@
 package device
 
-import "math"
-
 // Model is one FinFET instance: a polarity plus a model card. A Model is
 // not safe for concurrent use at different temperatures (it caches
 // temperature-derived quantities); SPICE circuits instantiate one Model per
@@ -27,17 +25,6 @@ func NewP(nfin int) *Model {
 	p := DefaultPParams()
 	p.NFin = nfin
 	return &Model{Type: PFET, P: p}
-}
-
-// ln1exp computes ln(1+exp(x)) without overflow.
-func ln1exp(x float64) float64 {
-	if x > 40 {
-		return x
-	}
-	if x < -40 {
-		return math.Exp(x) // ~0, keeps the derivative finite
-	}
-	return math.Log1p(math.Exp(x))
 }
 
 // idsMagnitude evaluates the source-referenced drain current for an n-type
@@ -97,12 +84,7 @@ func (m *Model) Conductances(vgs, vds, tempK float64) (ids, gm, gds float64) {
 // farads. The characterizer and the SPICE engine use this as a bias-averaged
 // Meyer capacitance split between gate-source and gate-drain.
 func (m *Model) GateCap(tempK float64) float64 {
-	p := &m.P
-	c := m.cacheFor(tempK)
-	w := p.Weff()
-	intrinsic := p.CoxA * c.capF * w * p.L
-	fringe := p.CFr * w
-	return intrinsic + fringe
+	return m.cacheFor(tempK).cgate
 }
 
 // JunctionCap returns the drain/source junction capacitance per terminal in

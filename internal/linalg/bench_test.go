@@ -19,9 +19,10 @@ func BenchmarkFactor(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		m, s := randomSystem(rng, n, 3)
 		b.Run(fmt.Sprintf("dense/n=%d", n), func(b *testing.B) {
+			var f LU
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Factor(m.Clone()); err != nil {
+				if err := f.Factor(m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -62,14 +63,15 @@ func BenchmarkSolve(b *testing.B) {
 			rhs[i] = rng.NormFloat64()
 		}
 		b.Run(fmt.Sprintf("dense/n=%d", n), func(b *testing.B) {
-			f, err := Factor(m.Clone())
-			if err != nil {
+			var f LU
+			if err := f.Factor(m); err != nil {
 				b.Fatal(err)
 			}
+			x := make([]float64, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.Solve(rhs)
+				f.SolveInto(x, rhs)
 			}
 		})
 		b.Run(fmt.Sprintf("sparse/n=%d", n), func(b *testing.B) {

@@ -1,7 +1,9 @@
-// Package linalg provides the dense linear algebra needed by the SPICE
-// engine: LU factorization with partial pivoting and triangular solves.
-// Standard-cell circuits have a few dozen unknowns, so a dense solver is the
-// right tool.
+// Package linalg provides the linear algebra of the SPICE engine: a dense
+// LU with partial pivoting (this file), used for systems of at most a few
+// unknowns and as the cross-check oracle, and a sparse LU with a reusable
+// symbolic factorization (sparse.go), used for everything larger. Both
+// factor and solve in place into caller-owned storage, so a Newton loop
+// allocates nothing per iteration.
 package linalg
 
 import (
@@ -55,11 +57,16 @@ type LU struct {
 	sign int
 }
 
-// Factor computes the LU factorization of m with partial pivoting. m is not
-// modified.
-func Factor(m *Matrix) (*LU, error) {
+// Factor computes f as the LU factorization of m with partial pivoting,
+// reusing f's storage when the size matches, so a zero LU refactored every
+// Newton iteration allocates only once. m is not modified.
+func (f *LU) Factor(m *Matrix) error {
 	n := m.N
-	f := &LU{n: n, lu: append([]float64(nil), m.A...), piv: make([]int, n), sign: 1}
+	if f.n != n || len(f.lu) != n*n {
+		*f = LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
+	}
+	copy(f.lu, m.A)
+	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -74,7 +81,7 @@ func Factor(m *Matrix) (*LU, error) {
 			}
 		}
 		if max < 1e-300 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
@@ -95,13 +102,13 @@ func Factor(m *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// Solve solves A*x = b for x using the factorization. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
+// SolveInto solves A*x = b into x without allocating. b is not modified;
+// x must not alias b.
+func (f *LU) SolveInto(x, b []float64) {
 	n := f.n
-	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -121,16 +128,17 @@ func (f *LU) Solve(b []float64) []float64 {
 		}
 		x[i] = s / f.lu[i*n+i]
 	}
-	return x
 }
 
 // SolveSystem factors m and solves m*x = b in one call.
 func SolveSystem(m *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(m)
-	if err != nil {
+	var f LU
+	if err := f.Factor(m); err != nil {
 		return nil, err
 	}
-	return f.Solve(b), nil
+	x := make([]float64, m.N)
+	f.SolveInto(x, b)
+	return x, nil
 }
 
 // MaxAbsDiff returns the infinity-norm distance between two vectors of equal

@@ -60,7 +60,8 @@ func TestSingularDetected(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
 	m.Set(1, 1, 4)
-	if _, err := Factor(m); err != ErrSingular {
+	var f LU
+	if err := f.Factor(m); err != ErrSingular {
 		t.Errorf("Factor(singular) err = %v, want ErrSingular", err)
 	}
 }
@@ -71,12 +72,13 @@ func TestFactorReuse(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 3)
-	f, err := Factor(m)
-	if err != nil {
+	var f LU
+	if err := f.Factor(m); err != nil {
 		t.Fatal(err)
 	}
-	x1 := f.Solve([]float64{1, 0})
-	x2 := f.Solve([]float64{0, 1})
+	x1, x2 := make([]float64, 2), make([]float64, 2)
+	f.SolveInto(x1, []float64{1, 0})
+	f.SolveInto(x2, []float64{0, 1})
 	// Check A*x = b for both.
 	check := func(x, b []float64) {
 		for i := 0; i < 2; i++ {
@@ -88,6 +90,57 @@ func TestFactorReuse(t *testing.T) {
 	}
 	check(x1, []float64{1, 0})
 	check(x2, []float64{0, 1})
+}
+
+// TestLUFactorInPlace refactors one LU over a sequence of matrices, as the
+// SPICE dense backend does every Newton iteration: each solve must match a
+// fresh factorization bit for bit, a singular matrix in between must not
+// spoil the next factorization, and the steady state must not allocate.
+func TestLUFactorInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 6
+	var f LU
+	x := make([]float64, n)
+	b := make([]float64, n)
+	for round := 0; round < 20; round++ {
+		m := NewMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				m.Set(i, j, rng.NormFloat64())
+			}
+			b[i] = rng.NormFloat64()
+		}
+		if round == 7 {
+			if err := f.Factor(NewMatrix(n)); err != ErrSingular {
+				t.Fatalf("singular matrix: err = %v, want ErrSingular", err)
+			}
+		}
+		if err := f.Factor(m); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveInto(x, b)
+		want, err := SolveSystem(m, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if x[i] != want[i] {
+				t.Fatalf("round %d: x[%d] = %v, fresh factorization %v", round, i, x[i], want[i])
+			}
+		}
+	}
+	m := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 2)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := f.Factor(m); err != nil {
+			t.Fatal(err)
+		}
+		f.SolveInto(x, b)
+	}); allocs != 0 {
+		t.Errorf("in-place factor and solve allocate %v times per run, want 0", allocs)
+	}
 }
 
 func TestCloneIndependent(t *testing.T) {

@@ -114,14 +114,18 @@ func histBounds(i int) (lo, hi float64) {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v at once — the flush of a hot loop
+// that tallies locally instead of observing per event.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
-	h.count.Add(1)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v*float64(n))) {
 			break
 		}
 	}
@@ -137,7 +141,7 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	h.buckets[histIndex(v)].Add(1)
+	h.buckets[histIndex(v)].Add(n)
 }
 
 // Count returns the number of observations.

@@ -181,3 +181,30 @@ func TestQuantileEdgeCases(t *testing.T) {
 		t.Errorf("Quantile(0.5) = %g, outside observed range", got)
 	}
 }
+
+// TestHistogramObserveN checks the batched form against n single
+// observations: same count, extremes and buckets, and the same sum up to
+// rounding (v*n is one multiplication, n observations n additions).
+func TestHistogramObserveN(t *testing.T) {
+	batched, single := newHistogram(), newHistogram()
+	for _, obsv := range []struct {
+		v float64
+		n int64
+	}{{2.5e-7, 4}, {1e-6, 1}, {3, 7}, {5, 0}} {
+		batched.ObserveN(obsv.v, obsv.n)
+		for i := int64(0); i < obsv.n; i++ {
+			single.Observe(obsv.v)
+		}
+	}
+	if batched.Count() != 12 || batched.Count() != single.Count() || math.Abs(batched.Sum()-single.Sum()) > 1e-12*single.Sum() ||
+		batched.Min() != single.Min() || batched.Max() != single.Max() {
+		t.Fatalf("batched count=%d sum=%g min=%g max=%g, single count=%d sum=%g min=%g max=%g",
+			batched.Count(), batched.Sum(), batched.Min(), batched.Max(),
+			single.Count(), single.Sum(), single.Min(), single.Max())
+	}
+	for i := range batched.buckets {
+		if batched.buckets[i].Load() != single.buckets[i].Load() {
+			t.Fatalf("bucket %d: batched %d, single %d", i, batched.buckets[i].Load(), single.buckets[i].Load())
+		}
+	}
+}

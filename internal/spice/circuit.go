@@ -78,11 +78,6 @@ func (c *Circuit) LookupNode(name string) (NodeID, bool) {
 // NumNodes returns the number of non-ground nodes.
 func (c *Circuit) NumNodes() int { return len(c.names) }
 
-// element is anything that can stamp itself into the MNA system.
-type element interface {
-	stamp(ctx *stampCtx)
-}
-
 // addElem appends an element with an empty (auto) name slot.
 func (c *Circuit) addElem(e element) {
 	c.elems = append(c.elems, e)
@@ -169,13 +164,17 @@ func PWL(pts ...[2]float64) SourceFn {
 }
 
 // Pulse returns a SPICE-style pulse source: v1 -> v2 with the given delay,
-// rise, fall, width, and period.
+// rise, fall, width, and period. A period <= 0 gives a single pulse, as in
+// SPICE.
 func Pulse(v1, v2, delay, rise, fall, width, period float64) SourceFn {
 	return func(t float64) float64 {
 		if t < delay {
 			return v1
 		}
-		tt := math.Mod(t-delay, period)
+		tt := t - delay
+		if period > 0 {
+			tt = math.Mod(tt, period)
+		}
 		switch {
 		case tt < rise:
 			return v1 + (v2-v1)*tt/rise

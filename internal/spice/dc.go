@@ -55,24 +55,30 @@ func dampFor(tempK float64) float64 {
 // OpPoint solves the DC operating point at t = 0 and returns the solution
 // vector (node voltages followed by voltage-source branch currents).
 func (c *Circuit) OpPoint() ([]float64, error) {
-	return c.opAt(0, nil, 0, nil)
+	return c.OpPointFrom(nil)
 }
 
 // OpPointFrom solves the DC operating point seeded with an initial guess —
 // used to re-solve after removing a symmetry-breaking aid, keeping the
 // solution on the same stable branch of a bistable circuit.
 func (c *Circuit) OpPointFrom(guess []float64) ([]float64, error) {
-	return c.opAt(0, nil, 0, guess)
+	defer c.flushMetrics()
+	x, err := c.opAt(0, nil, 0, guess)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), x...), nil
 }
 
 // opAt runs Newton-Raphson at the given time. For transient steps, prev is
 // the previous solution (used by capacitor companions) and dt > 0. guess
-// seeds the iteration when non-nil.
+// seeds the iteration when non-nil (a short guess is padded with zeros).
+// Neither prev nor guess is written. The returned solution is the solver's
+// own buffer, valid until the circuit's next solve.
 func (c *Circuit) opAt(t float64, prev []float64, dt float64, guess []float64) ([]float64, error) {
-	n := c.systemSize()
-	x := make([]float64, n)
-	if guess != nil {
-		copy(x, guess)
+	x := guess
+	if x == nil {
+		x = c.solverFor().zero
 	}
 	if sol, err := c.newton(t, prev, dt, x, baseGmin, c.Temp); err == nil {
 		return sol, nil
@@ -89,10 +95,7 @@ func (c *Circuit) opAt(t float64, prev []float64, dt float64, guess []float64) (
 	// target temperature, warm-starting each rung from the caller's guess.
 	obs.C("spice.temp_continuation.runs").Inc()
 	ladder := []float64{300, 150, 77, 40, 20, 12, c.Temp}
-	x = make([]float64, n)
-	if guess != nil {
-		copy(x, guess)
-	}
+	x = append(make([]float64, 0, c.systemSize()), x...)
 	solved := false
 	for _, temp := range ladder {
 		if temp < c.Temp {
@@ -108,7 +111,9 @@ func (c *Circuit) opAt(t float64, prev []float64, dt float64, guess []float64) (
 				return nil, fmt.Errorf("%w (temperature continuation at %g K)", err, temp)
 			}
 		}
-		x = sol
+		// Keep the rung's solution apart from the solver's iterate buffer:
+		// the next rung's failed Newton would overwrite it.
+		x = append(x[:0], sol...)
 		if temp == c.Temp {
 			solved = true
 			break
@@ -116,11 +121,7 @@ func (c *Circuit) opAt(t float64, prev []float64, dt float64, guess []float64) (
 	}
 	if !solved {
 		// c.Temp > 300: finish directly.
-		sol, err := c.newton(t, prev, dt, x, baseGmin, c.Temp)
-		if err != nil {
-			return nil, err
-		}
-		x = sol
+		return c.newton(t, prev, dt, x, baseGmin, c.Temp)
 	}
 	return x, nil
 }
@@ -146,26 +147,30 @@ func (c *Circuit) gminLadderFrom(t float64, prev []float64, dt, temp float64, x0
 }
 
 // newton runs damped Newton-Raphson with a fixed gmin at the given
-// temperature. While it iterates it keeps the trailing ringK iterations in
-// a fixed-size ring (maxDV and its node, worst residual and its row, gmin
-// rung, temperature); on failure the ring becomes the diagnosis of the
-// returned *ConvergenceError.
+// temperature, iterating in the solver's iterate buffer, which it returns
+// as the solution. While it iterates it keeps the trailing ringK
+// iterations in a fixed-size ring (maxDV and its node, worst residual and
+// its row, gmin rung, temperature); on failure the ring becomes the
+// diagnosis of the returned *ConvergenceError.
 func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gmin, temp float64) (sol []float64, err error) {
-	obs.C("spice.newton.solves").Inc()
+	st := c.solverFor()
+	st.stats.solves++
 	iters := 0
 	defer func() {
-		obs.C("spice.newton.iterations").Add(int64(iters))
+		st.stats.iterations += int64(iters)
 		if err == nil {
-			obs.H("spice.newton.iters_per_solve").Observe(float64(iters))
+			st.stats.observeIters(iters)
 		} else {
-			obs.C("spice.newton.nonconverged").Inc()
+			st.stats.nonconverged++
 		}
 	}()
-	n := c.systemSize()
-	nNode := len(c.names)
-	st := c.solverFor()
+	n, nNode := st.n, st.nNode
 	b := st.b
-	x := append([]float64(nil), x0...)
+	x := st.x
+	if k := copy(x, x0); k < n {
+		clear(x[k:])
+	}
+	st.prepare(t, prev, dt, gmin, temp)
 
 	maxIt := c.MaxIter
 	if maxIt <= 0 {
@@ -181,15 +186,7 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 		if it > 0 && it%60 == 0 {
 			damp *= 0.5
 		}
-		mat := st.beginStamp(dt > 0)
-		ctx := &stampCtx{g: mat, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
-		for _, e := range c.elems {
-			e.stamp(ctx)
-		}
-		for i := 0; i < nNode; i++ {
-			mat.Add(i, i, gmin)
-		}
-		st.endStamp(dt > 0)
+		st.assemble(x)
 		// Residual acceptance: at the expansion point the Newton companion
 		// currents equal the true nonlinear currents, so G*x - b is the
 		// exact KCL/KVL residual. Floating nodes between OFF devices can

@@ -174,15 +174,7 @@ func (c *Circuit) worstResidualRow(x []float64, t float64, prev []float64, dt, g
 		return -1, 0
 	}
 	nNode := len(c.names)
-	g := linalg.NewMatrix(n)
-	b := make([]float64, n)
-	ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
-	for _, e := range c.elems {
-		e.stamp(ctx)
-	}
-	for i := 0; i < nNode; i++ {
-		g.Add(i, i, gmin)
-	}
+	g, b := c.stampGeneric(x, t, prev, dt, gmin, temp)
 	row, score, resid := -1, 0.0, 0.0
 	for i := 0; i < n; i++ {
 		var r float64
@@ -199,6 +191,33 @@ func (c *Circuit) worstResidualRow(x []float64, t float64, prev []float64, dt, g
 		}
 	}
 	return row, resid
+}
+
+// stampGeneric assembles the full system at iterate x in one pass into a
+// fresh dense matrix — every element's constant tier, the gmin diagonal,
+// every step tier, every iteration tier — with no cache, snapshot or slot
+// replay: the forensic view, and the oracle the solver's tiered assembly
+// must reproduce bit for bit.
+func (c *Circuit) stampGeneric(x []float64, t float64, prev []float64, dt, gmin, temp float64) (*linalg.Matrix, []float64) {
+	n, nNode := c.systemSize(), len(c.names)
+	g := linalg.NewMatrix(n)
+	b := make([]float64, n)
+	ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
+	for _, e := range c.elems {
+		e.stampConst(ctx)
+	}
+	for i := 0; i < nNode; i++ {
+		g.Add(i, i, gmin)
+	}
+	for _, e := range c.elems {
+		e.stampStep(ctx)
+	}
+	for _, e := range c.elems {
+		if nl, ok := e.(nonlinear); ok {
+			nl.stampIter(ctx)
+		}
+	}
+	return g, b
 }
 
 // attributeResiduals splits the KCL residual at MNA row "worst" between the
@@ -220,7 +239,7 @@ func (c *Circuit) attributeResiduals(x []float64, t float64, prev []float64, dt,
 			b[j] = 0
 		}
 		ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: len(c.names), gmin: gmin, temp: temp}
-		e.stamp(ctx)
+		stampAll(e, ctx)
 		r := -b[worst]
 		for j := 0; j < n; j++ {
 			r += g.At(worst, j) * x[j]

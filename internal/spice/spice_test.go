@@ -226,6 +226,23 @@ func TestPulseSource(t *testing.T) {
 			t.Errorf("Pulse(%g) = %v, want %v", cse.t, got, cse.want)
 		}
 	}
+	// Period 0 is a single pulse, built directly or parsed from a deck.
+	res, err := ParseNetlist(strings.NewReader("V1 in 0 PULSE(0 1 1n 0.1n 0.1n 2n 0)\n.end\n"), ParseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := res.Circuit.elems[0].(*vsource).fn
+	single := []struct{ t, want float64 }{
+		{0, 0}, {1.05e-9, 0.5}, {2e-9, 1}, {3.15e-9, 0.5}, {4e-9, 0},
+		{11.05e-9, 0}, {1e-6, 0}, // no repeat
+	}
+	for name, fn := range map[string]SourceFn{"Pulse": Pulse(0, 1, 1e-9, 0.1e-9, 0.1e-9, 2e-9, 0), "PULSE": parsed} {
+		for _, cse := range single {
+			if got := fn(cse.t); math.Abs(got-cse.want) > 1e-9 {
+				t.Errorf("%s period 0 at %g = %v, want %v", name, cse.t, got, cse.want)
+			}
+		}
+	}
 }
 
 func TestPWLSource(t *testing.T) {

@@ -12,7 +12,8 @@ type mnaMatrix interface {
 	Add(i, j int, v float64)
 }
 
-// stampCtx carries the MNA system being assembled for one Newton iteration.
+// stampCtx carries the MNA system being assembled and the analysis point
+// the stamps are evaluated at.
 type stampCtx struct {
 	g     mnaMatrix // conductance/incidence matrix
 	b     []float64 // right-hand side
@@ -23,6 +24,40 @@ type stampCtx struct {
 	nNode int       // number of node-voltage unknowns
 	gmin  float64   // convergence-aid conductance to ground
 	temp  float64   // simulation temperature (K)
+}
+
+// element is anything that can stamp itself into the MNA system. Its stamp
+// is split by what each contribution depends on, so the Newton loop redoes
+// only the part that changed (see solverState.prepare):
+//
+//   - stampConst: topology and (mode, dt, gmin, temp) only — conductances,
+//     source incidence, companion conductances C/dt;
+//   - stampStep: additionally the step's time and previous solution —
+//     source values, companion history currents, clamp conductances.
+//
+// Nonlinear elements add a third tier that depends on the Newton iterate.
+// Which Add calls a tier makes may depend on topology and the analysis
+// mode, never on values: the sparse backend replays them by position.
+type element interface {
+	stampConst(ctx *stampCtx)
+	stampStep(ctx *stampCtx)
+}
+
+// nonlinear is an element whose stamp also depends on the Newton iterate:
+// stampIter stamps its linearization at ctx.x.
+type nonlinear interface {
+	element
+	stampIter(ctx *stampCtx)
+}
+
+// stampAll stamps every tier of one element, for pattern discovery and the
+// per-element residual attribution of the forensics.
+func stampAll(e element, ctx *stampCtx) {
+	e.stampConst(ctx)
+	e.stampStep(ctx)
+	if nl, ok := e.(nonlinear); ok {
+		nl.stampIter(ctx)
+	}
 }
 
 // volt returns the voltage of a node in the solution vector x.
@@ -58,32 +93,40 @@ func (ctx *stampCtx) addI(from, to NodeID, i float64) {
 	}
 }
 
+// capConst and capStep stamp the backward-Euler companion of a capacitor
+// c between a and b during transient steps: i = C/dt*(v - vPrev), a
+// conductance C/dt in parallel with a history current. At DC a capacitor
+// is open and stamps nothing.
+func capConst(ctx *stampCtx, a, b NodeID, c float64) {
+	if ctx.dt > 0 {
+		ctx.addG(a, b, c/ctx.dt)
+	}
+}
+
+func capStep(ctx *stampCtx, a, b NodeID, c float64) {
+	if ctx.dt > 0 {
+		geq := c / ctx.dt
+		vp := volt(ctx.prev, a) - volt(ctx.prev, b)
+		// History term: inject geq*vp from b into a.
+		ctx.addI(b, a, geq*vp)
+	}
+}
+
 type resistor struct {
 	a, b NodeID
 	r    float64
 }
 
-func (r *resistor) stamp(ctx *stampCtx) {
-	ctx.addG(r.a, r.b, 1.0/r.r)
-}
+func (r *resistor) stampConst(ctx *stampCtx) { ctx.addG(r.a, r.b, 1.0/r.r) }
+func (r *resistor) stampStep(*stampCtx)      {}
 
 type capacitor struct {
 	a, b NodeID
 	c    float64
 }
 
-func (c *capacitor) stamp(ctx *stampCtx) {
-	if ctx.dt <= 0 {
-		return // open circuit at DC
-	}
-	// Backward-Euler companion: i = C/dt*(v - vPrev) -> conductance C/dt in
-	// parallel with a history current source.
-	geq := c.c / ctx.dt
-	vp := volt(ctx.prev, c.a) - volt(ctx.prev, c.b)
-	ctx.addG(c.a, c.b, geq)
-	// History term: inject geq*vp from b into a.
-	ctx.addI(c.b, c.a, geq*vp)
-}
+func (c *capacitor) stampConst(ctx *stampCtx) { capConst(ctx, c.a, c.b, c.c) }
+func (c *capacitor) stampStep(ctx *stampCtx)  { capStep(ctx, c.a, c.b, c.c) }
 
 type vsource struct {
 	pos, neg NodeID
@@ -91,7 +134,7 @@ type vsource struct {
 	fn       SourceFn
 }
 
-func (v *vsource) stamp(ctx *stampCtx) {
+func (v *vsource) stampConst(ctx *stampCtx) {
 	k := ctx.nNode + v.branch
 	if v.pos != Ground {
 		ctx.g.Add(int(v.pos), k, 1)
@@ -101,7 +144,10 @@ func (v *vsource) stamp(ctx *stampCtx) {
 		ctx.g.Add(int(v.neg), k, -1)
 		ctx.g.Add(k, int(v.neg), -1)
 	}
-	ctx.b[k] += v.fn(ctx.time)
+}
+
+func (v *vsource) stampStep(ctx *stampCtx) {
+	ctx.b[ctx.nNode+v.branch] += v.fn(ctx.time)
 }
 
 // clamp is a switchable conductance to a target voltage: i = g(t)*(v - vt).
@@ -113,7 +159,9 @@ type clamp struct {
 	g    SourceFn
 }
 
-func (cl *clamp) stamp(ctx *stampCtx) {
+func (cl *clamp) stampConst(*stampCtx) {}
+
+func (cl *clamp) stampStep(ctx *stampCtx) {
 	if cl.node == Ground {
 		return
 	}
@@ -131,18 +179,45 @@ type isource struct {
 	fn       SourceFn
 }
 
-func (s *isource) stamp(ctx *stampCtx) {
+func (s *isource) stampConst(*stampCtx) {}
+
+func (s *isource) stampStep(ctx *stampCtx) {
 	ctx.addI(s.from, s.to, s.fn(ctx.time))
 }
 
 // mosfet stamps the linearized cryogenic compact model plus its Meyer-style
-// device capacitances.
+// device capacitances: the bias-averaged gate capacitance split between
+// gate-source and gate-drain, and a junction capacitance from drain and
+// source to bulk. The capacitor companions live in the constant and step
+// tiers; only the linearization is redone every Newton iteration.
 type mosfet struct {
 	m          *device.Model
 	d, g, s, b NodeID
 }
 
-func (t *mosfet) stamp(ctx *stampCtx) {
+func (t *mosfet) stampConst(ctx *stampCtx) {
+	if ctx.dt > 0 {
+		cg := t.m.GateCap(ctx.temp)
+		cj := t.m.JunctionCap(ctx.temp)
+		capConst(ctx, t.g, t.s, cg/2)
+		capConst(ctx, t.g, t.d, cg/2)
+		capConst(ctx, t.d, t.b, cj)
+		capConst(ctx, t.s, t.b, cj)
+	}
+}
+
+func (t *mosfet) stampStep(ctx *stampCtx) {
+	if ctx.dt > 0 {
+		cg := t.m.GateCap(ctx.temp)
+		cj := t.m.JunctionCap(ctx.temp)
+		capStep(ctx, t.g, t.s, cg/2)
+		capStep(ctx, t.g, t.d, cg/2)
+		capStep(ctx, t.d, t.b, cj)
+		capStep(ctx, t.s, t.b, cj)
+	}
+}
+
+func (t *mosfet) stampIter(ctx *stampCtx) {
 	vd := volt(ctx.x, t.d)
 	vg := volt(ctx.x, t.g)
 	vs := volt(ctx.x, t.s)
@@ -170,26 +245,8 @@ func (t *mosfet) stamp(ctx *stampCtx) {
 		if t.g != Ground {
 			ctx.g.Add(int(t.s), int(t.g), -gm)
 		}
-		if t.s != Ground {
-			ctx.g.Add(int(t.s), int(t.s), gm)
-		}
+		ctx.g.Add(int(t.s), int(t.s), gm)
 	}
 	// ieq flows from drain to source inside the device.
 	ctx.addI(t.d, t.s, ieq)
-
-	// Device capacitances (bias-averaged Meyer split) — only in transient.
-	if ctx.dt > 0 {
-		cg := t.m.GateCap(ctx.temp)
-		cj := t.m.JunctionCap(ctx.temp)
-		stampCap := func(a, b NodeID, c float64) {
-			geq := c / ctx.dt
-			vp := volt(ctx.prev, a) - volt(ctx.prev, b)
-			ctx.addG(a, b, geq)
-			ctx.addI(b, a, geq*vp)
-		}
-		stampCap(t.g, t.s, cg/2)
-		stampCap(t.g, t.d, cg/2)
-		stampCap(t.d, t.b, cj)
-		stampCap(t.s, t.b, cj)
-	}
 }

@@ -28,43 +28,53 @@ func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64) (*Waveform, 
 	if len(guess) != c.systemSize() {
 		guess = nil
 	}
+	defer c.flushMetrics()
 	x, err := c.opAt(0, nil, 0, guess)
 	if err != nil {
 		return nil, fmt.Errorf("spice: initial operating point: %w", err)
 	}
-	wf := &Waveform{circuit: c}
-	record := func(t float64, sol []float64) {
-		wf.Time = append(wf.Time, t)
-		wf.samples = append(wf.samples, append([]float64(nil), sol...))
-	}
-	record(0, x)
 	steps := int(tstop/dt + 0.5)
+	wf := &Waveform{
+		circuit: c,
+		Time:    make([]float64, 0, steps+1),
+		samples: make([][]float64, 0, steps+1),
+	}
+	wf.record(0, x)
 	for i := 1; i <= steps; i++ {
-		t := float64(i) * dt
-		next, err := c.opAt(t, x, dt, x)
-		if err != nil {
-			// Retry the step at a quarter of the stride for robustness
-			// around sharp input edges.
-			fine := dt / 4
-			cur := x
-			ok := true
-			for j := 1; j <= 4; j++ {
-				sub, errSub := c.opAt(t-dt+float64(j)*fine, cur, fine, cur)
-				if errSub != nil {
-					ok = false
-					break
-				}
-				cur = sub
-			}
-			if !ok {
-				return nil, fmt.Errorf("spice: transient step at t=%g: %w", t, err)
-			}
-			next = cur
+		if err := c.step(wf, float64(i)*dt, dt); err != nil {
+			return nil, err
 		}
-		record(t, next)
-		x = next
 	}
 	return wf, nil
+}
+
+// step advances the transient by one stride dt to time t, from the last
+// recorded sample, and records the new one. A failed step is retried at a
+// quarter of the stride for robustness around sharp input edges. Once the
+// circuit's solver is warm, the sample is the step's only allocation.
+func (c *Circuit) step(wf *Waveform, t, dt float64) error {
+	x := wf.samples[len(wf.samples)-1]
+	next, err := c.opAt(t, x, dt, x)
+	if err != nil {
+		fine := dt / 4
+		cur := x
+		for j := 1; j <= 4; j++ {
+			sub, errSub := c.opAt(t-dt+float64(j)*fine, cur, fine, cur)
+			if errSub != nil {
+				return fmt.Errorf("spice: transient step at t=%g: %w", t, err)
+			}
+			cur = append([]float64(nil), sub...)
+		}
+		next = cur
+	}
+	wf.record(t, next)
+	return nil
+}
+
+// record appends a copy of the solution sol at time t.
+func (w *Waveform) record(t float64, sol []float64) {
+	w.Time = append(w.Time, t)
+	w.samples = append(w.samples, append([]float64(nil), sol...))
 }
 
 // InitialOp returns a copy of the t = 0 operating-point solution vector —
