@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke check bench bench-diff bench-record explain trend cost bench-point paperbench microbench cec sim clean
+.PHONY: build test race vet fmt perfbench verify-smoke check bench bench-diff bench-record explain trend cost bench-point paperbench microbench cec sim clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -63,15 +63,21 @@ BENCH_REPEAT   ?= 2
 BENCH_JOURNALS ?= bench/journals
 BENCH_STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-bench:
+# The binary is built with go build (not go run) so each journal's
+# run.start records the VCS revision it was built from; phony, so it is
+# rebuilt (from the go build cache) on every run.
+build/cryobench:
+	$(GO) build -o $@ ./cmd/cryobench
+
+bench: build/cryobench
 	@mkdir -p $(BENCH_JOURNALS)
-	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
+	build/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
 		-journal $(BENCH_JOURNALS)/bench-$(BENCH_STAMP).jsonl \
 		-out build/qor-$(BENCH_STAMP).json -baseline bench/baseline-$(BENCH_PROFILE).json
 
-bench-record:
+bench-record: build/cryobench
 	@mkdir -p $(BENCH_JOURNALS)
-	$(GO) run ./cmd/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
+	build/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
 		-journal $(BENCH_JOURNALS)/record-$(BENCH_STAMP).jsonl \
 		-out bench/baseline-$(BENCH_PROFILE).json
 

@@ -73,6 +73,7 @@ func main() {
 	if *diffMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: cryobench -diff <base.json> <current.json>")
+			flushObs()
 			os.Exit(2)
 		}
 		base, err := qor.ReadBaselineFile(flag.Arg(0))

@@ -4,7 +4,6 @@
 //	cryoobs report  [-o report.md] [-run <id>] journal.jsonl...  # markdown post-mortem
 //	cryoobs summary journal.jsonl...                             # one line per run
 //	cryoobs tail    [-n 20] [-kind failure] journal.jsonl...     # last N events
-//	cryoobs tail    -f [-poll 500ms] journal.jsonl               # follow a live journal
 //	cryoobs merge   journal.jsonl...                             # merged JSONL to stdout
 //	cryoobs trend   [-last N] [-glob ...] journal.jsonl...       # run-over-run metric trends
 //
@@ -17,17 +16,23 @@
 // that end each journal (one column per run) and renders run-over-run
 // tables for glob-selected metrics, flagging values that drift outside the
 // noise band of their own history; it is where cryobench's stage wall
-// times (stage.*) and engine counters (sat.*, spice.*, ...) are read.
-// QoR attribution between two runs is cryobench -diff -explain over the
-// baseline artifacts a report lists.
+// times (stage.*) and engine counters (sat.*, spice.*, ...) are read, and
+// it labels each column with the VCS revision of the binary that wrote the
+// run (present when that binary was built with go build). QoR attribution
+// between two runs is cryobench -diff -explain over the baseline artifacts
+// a report lists.
 //
 // Per-span CPU cost is not in the journal: the -cost flag of every flow
 // binary writes a pprof CPU profile labelled span=<span path>, read with
-// go tool pprof -tags or -tagfocus span=<path>.
+// go tool pprof -tags or -tagfocus span=<path>. Live progress is the
+// -progress flag of the running binary; tail -kind progress reads the same
+// lines from its journal afterwards.
 //
 // Exit status: 0 on success (report/summary exit 0 even when the journal
 // records failures — the journal being readable is the success condition),
-// 2 on usage or read errors.
+// 2 on usage or read errors. Every exit path flushes the shared
+// telemetry flags first, so a -journal run that fails still ends in its
+// run.end summary.
 package main
 
 import (
@@ -36,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/forensics"
 	"repro/internal/obs"
@@ -64,6 +68,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cryoobs: unknown command %q\n\n", cmd)
 		usage()
 	}
+	flushObs()
 }
 
 func usage() {
@@ -73,7 +78,7 @@ commands:
   report   render a markdown post-mortem (stage timeline, failure sites
            ranked by recurrence, stalls, worst-converging devices/nodes)
   summary  one-line status per run
-  tail     pretty-print the last events; -f follows a live journal
+  tail     pretty-print the last events (-kind progress: stage progress)
   merge    merge journals by time into one JSONL stream on stdout
   trend    run-over-run metric trend tables, one column per journaled run:
            cryoobs trend [-last 8] [-glob spice.*] <journal.jsonl>...
@@ -83,12 +88,23 @@ and read the profile with go tool pprof -tags / -tagfocus span=<path>.`)
 	os.Exit(2)
 }
 
+// flushObs writes the telemetry the shared obs flags ask for. main calls
+// it after the subcommand returns and exit calls it before os.Exit, which
+// skips deferred calls.
+var flushObs = func() {}
+
 // activate applies the shared obs flags (every subcommand carries the full
-// surface, like every other flow binary) and schedules the flush.
-func activate(of *obs.Flags) func() {
+// surface, like every other flow binary) and arms flushObs.
+func activate(of *obs.Flags) {
 	flush, err := of.Activate()
 	check(err)
-	return flush
+	flushObs = flush
+}
+
+// exit flushes the telemetry and ends the process with code.
+func exit(code int) {
+	flushObs()
+	os.Exit(code)
 }
 
 func cmdReport(args []string) {
@@ -97,7 +113,7 @@ func cmdReport(args []string) {
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	run := fs.String("run", "", "restrict the report to one run ID")
 	fs.Parse(args)
-	defer activate(of)()
+	activate(of)
 	evs := loadArgs(fs)
 	if *run != "" {
 		evs = forensics.FilterRun(evs, *run)
@@ -117,7 +133,7 @@ func cmdSummary(args []string) {
 	fs := flag.NewFlagSet("summary", flag.ExitOnError)
 	of := obs.InstallFlags(fs)
 	fs.Parse(args)
-	defer activate(of)()
+	activate(of)
 	evs := loadArgs(fs)
 	check(forensics.Build(evs).WriteSummary(os.Stdout))
 }
@@ -128,18 +144,8 @@ func cmdTail(args []string) {
 	n := fs.Int("n", 20, "number of trailing events to print")
 	kind := fs.String("kind", "", "only events of this kind (e.g. failure, artifact)")
 	run := fs.String("run", "", "only events of this run ID")
-	follow := fs.Bool("f", false, "follow mode: poll the journal and print events as they are appended (single journal; tolerates the file not existing yet)")
-	poll := fs.Duration("poll", 500*time.Millisecond, "follow-mode poll interval")
 	fs.Parse(args)
-	defer activate(of)()
-	if *follow {
-		if fs.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "cryoobs: tail -f follows exactly one journal file")
-			os.Exit(2)
-		}
-		followTail(fs.Arg(0), *kind, *run, *poll)
-		return
-	}
+	activate(of)
 	evs := loadArgs(fs)
 	if *run != "" {
 		evs = forensics.FilterRun(evs, *run)
@@ -155,32 +161,11 @@ func cmdTail(args []string) {
 	}
 }
 
-// followTail prints the journal from its start and keeps polling for
-// appended events until interrupted.
-func followTail(path, kind, run string, poll time.Duration) {
-	fol := forensics.NewFollower(path)
-	for {
-		evs, err := fol.Poll()
-		check(err)
-		for i := range evs {
-			e := &evs[i]
-			if run != "" && e.Run != run {
-				continue
-			}
-			if kind != "" && e.Kind != kind {
-				continue
-			}
-			check(forensics.WriteEvent(os.Stdout, e))
-		}
-		time.Sleep(poll)
-	}
-}
-
 func cmdMerge(args []string) {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	of := obs.InstallFlags(fs)
 	fs.Parse(args)
-	defer activate(of)()
+	activate(of)
 	evs := loadArgs(fs)
 	enc := json.NewEncoder(os.Stdout)
 	for i := range evs {
@@ -197,7 +182,7 @@ func cmdTrend(args []string) {
 	asJSON := fs.Bool("json", false, "emit the trend report as JSON")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	fs.Parse(args)
-	defer activate(of)()
+	activate(of)
 	evs := loadArgs(fs)
 	var globs []string
 	for _, g := range strings.Split(*glob, ",") {
@@ -209,7 +194,7 @@ func cmdTrend(args []string) {
 	check(err)
 	if len(rep.Runs) == 0 {
 		fmt.Fprintln(os.Stderr, "cryoobs: no run summaries in the given journals (were they written with -journal?)")
-		os.Exit(2)
+		exit(2)
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -231,7 +216,7 @@ func cmdTrend(args []string) {
 func loadArgs(fs *flag.FlagSet) []obs.Event {
 	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "cryoobs: no journal files given")
-		os.Exit(2)
+		exit(2)
 	}
 	evs, err := forensics.Load(fs.Args()...)
 	check(err)
@@ -241,6 +226,6 @@ func loadArgs(fs *flag.FlagSet) []obs.Event {
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryoobs:", err)
-		os.Exit(2)
+		exit(2)
 	}
 }

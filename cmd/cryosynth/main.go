@@ -14,7 +14,7 @@
 // one (useful for smoke runs); by default the SPICE-characterized 200-cell
 // libraries are built (and cached) first.
 //
-// Observability: -metrics, -trace, -journal, -obs-addr, -loglevel, and the
+// Observability: -metrics, -trace, -journal, -loglevel, and the
 // other obs flags are shared by all flow binaries; see
 // docs/OBSERVABILITY.md.
 package main

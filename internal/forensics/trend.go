@@ -13,10 +13,13 @@ import (
 	"repro/internal/qor"
 )
 
-// TrendRun labels one column of a trend table: one journaled run.
+// TrendRun labels one column of a trend table: one journaled run. Rev is
+// the VCS revision its run.start recorded, with a "*" suffix when the
+// tree was modified ("" when the binary was not stamped, e.g. go run).
 type TrendRun struct {
 	Run  string    `json:"run"`
 	Bin  string    `json:"bin"`
+	Rev  string    `json:"rev,omitempty"`
 	Time time.Time `json:"time"`
 }
 
@@ -107,7 +110,7 @@ func FlattenRecord(evs []obs.Event, run string) (map[string]float64, error) {
 		out[k] = v
 	}
 	// Summary-level process health beats the sampled gauges of the same
-	// name: it is present even when the run never scraped /metrics.
+	// name: it is present even when the run had no -metrics registry.
 	if sum.PeakRSSBytes > 0 {
 		out["runtime.peak_rss_bytes"] = float64(sum.PeakRSSBytes)
 	}
@@ -156,16 +159,22 @@ func matchesAny(globs []string, name string) bool {
 // metric's latest value against the noise band (driftVerdict) of its prior
 // values, so identical reruns stay quiet and only real shifts are flagged.
 func Trend(evs []obs.Event, globs []string, last int) (*TrendReport, error) {
-	bins := map[string]string{}
+	starts := map[string]map[string]string{}
 	var runs []TrendRun
 	for i := range evs {
 		e := &evs[i]
 		switch {
 		case e.Kind == obs.KindRunStart:
-			bins[e.Run] = e.Attrs["bin"]
+			starts[e.Run] = e.Attrs
 		case e.Kind == obs.KindRunEnd && len(e.Detail) > 0:
-			// A journal writes run.start first, so the bin is known here.
-			runs = append(runs, TrendRun{Run: e.Run, Bin: bins[e.Run], Time: e.Time()})
+			// A journal writes run.start first, so its attributes are
+			// known here.
+			a := starts[e.Run]
+			rev := a["vcs.revision"]
+			if rev != "" && a["vcs.modified"] == "true" {
+				rev += "*"
+			}
+			runs = append(runs, TrendRun{Run: e.Run, Bin: a["bin"], Rev: rev, Time: e.Time()})
 		}
 	}
 	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Time.Before(runs[j].Time) })
@@ -306,51 +315,70 @@ func shortRun(id string) string {
 	return id
 }
 
+// shortRev abbreviates a revision to 8 characters, keeping the "*" of a
+// modified tree; "—" when the run recorded none.
+func shortRev(rev string) string {
+	if rev == "" {
+		return "—"
+	}
+	if s := strings.TrimSuffix(rev, "*"); len(s) > 8 {
+		return s[:8] + rev[len(s):]
+	}
+	return rev
+}
+
 func (t *TrendReport) writeTable(bw *errWriter, md bool) error {
+	// line writes one table row: a label, one cell per run, then the Δ%
+	// and verdict columns (left off the rev row).
+	line := func(label string, cells []string, tail ...string) {
+		if md {
+			bw.printf("| %s |", label)
+			for _, c := range append(cells, tail...) {
+				bw.printf(" %s |", c)
+			}
+		} else {
+			bw.printf("%-48s", label)
+			for _, c := range cells {
+				bw.printf(" %12s", c)
+			}
+			if len(tail) == 2 {
+				bw.printf(" %8s %s", tail[0], tail[1])
+			}
+		}
+		bw.printf("\n")
+	}
+	runs := make([]string, len(t.Runs))
+	revs := make([]string, len(t.Runs))
+	hasRev := false // only then is there a rev row: unstamped runs render as before
+	for i, r := range t.Runs {
+		runs[i], revs[i] = shortRun(r.Run), shortRev(r.Rev)
+		hasRev = hasRev || r.Rev != ""
+	}
+	line("metric", runs, "Δ%", "verdict")
 	if md {
-		bw.printf("| metric |")
-		for _, r := range t.Runs {
-			bw.printf(" %s |", shortRun(r.Run))
-		}
-		bw.printf(" Δ%% | verdict |\n|---|")
-		for range t.Runs {
-			bw.printf("---:|")
-		}
-		bw.printf("---:|---|\n")
-	} else {
-		bw.printf("%-48s", "metric")
-		for _, r := range t.Runs {
-			bw.printf(" %12s", shortRun(r.Run))
-		}
-		bw.printf(" %8s %s\n", "Δ%", "verdict")
+		bw.printf("|---|%s---:|---|\n", strings.Repeat("---:|", len(t.Runs)))
+	}
+	if hasRev {
+		line("rev", revs)
 	}
 	for i := range t.Rows {
 		row := &t.Rows[i]
-		if md {
-			bw.printf("| %s |", mdEscape(row.Metric))
-		} else {
-			bw.printf("%-48s", row.Metric)
-		}
-		for _, p := range row.Points {
-			cell := "—"
+		cells := make([]string, len(row.Points))
+		for k, p := range row.Points {
+			cells[k] = "—"
 			if p.Present {
-				cell = fmt.Sprintf("%.6g", p.Value)
-			}
-			if md {
-				bw.printf(" %s |", cell)
-			} else {
-				bw.printf(" %12s", cell)
+				cells[k] = fmt.Sprintf("%.6g", p.Value)
 			}
 		}
 		delta := ""
 		if row.DeltaPct != 0 {
 			delta = fmt.Sprintf("%+.1f", row.DeltaPct)
 		}
+		label := row.Metric
 		if md {
-			bw.printf(" %s | %s |\n", orDash(delta), row.VerdictText)
-		} else {
-			bw.printf(" %8s %s\n", orDash(delta), row.VerdictText)
+			label = mdEscape(label)
 		}
+		line(label, cells, orDash(delta), row.VerdictText)
 	}
 	if n := t.Drifting(); n > 0 {
 		bw.printf("\n%d metric(s) drifted outside the noise band.\n", n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -339,5 +340,54 @@ func TestFlattenRecordCostColumns(t *testing.T) {
 		if flat[k] != v {
 			t.Errorf("flat[%q] = %g, want %g", k, flat[k], v)
 		}
+	}
+}
+
+// TestTrendShowsRevision: each column carries the VCS revision its
+// run.start recorded, in the text, markdown and JSON renderings; a
+// journal without revisions (the legacy fixture) renders byte-identically
+// to its golden table, with no rev row.
+func TestTrendShowsRevision(t *testing.T) {
+	a := histRec(1, "r-aaaaaaaa-1", map[string]float64{"qor.x.area": 100})
+	b := histRec(2, "r-bbbbbbbb-2", map[string]float64{"qor.x.area": 100})
+	a[0].Attrs = map[string]string{"bin": "cryobench", "vcs.revision": "1111111111aaaaaaaaaa", "vcs.modified": "false"}
+	b[0].Attrs = map[string]string{"bin": "cryobench", "vcs.revision": "2222222222bbbbbbbbbb", "vcs.modified": "true"}
+	rep := mustTrend(t, journals(a, b), []string{"qor.*"}, 0)
+
+	var text, md, js strings.Builder
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"11111111 ", "22222222*"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("text table missing revision %q:\n%s", want, &text)
+		}
+	}
+	if !strings.Contains(md.String(), "| rev | 11111111 | 22222222* |") {
+		t.Errorf("markdown table missing the rev row:\n%s", &md)
+	}
+	for _, want := range []string{`"rev": "1111111111aaaaaaaaaa"`, `"rev": "2222222222bbbbbbbbbb*"`} {
+		if !strings.Contains(js.String(), want) {
+			t.Errorf("json missing %s:\n%s", want, &js)
+		}
+	}
+
+	legacy := mustTrend(t, loadLegacyCost(t), []string{"*"}, 0)
+	var got strings.Builder
+	if err := legacy.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "legacy-cost.trend.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(golden) {
+		t.Errorf("legacy trend table changed:\ngot:\n%s\nwant:\n%s", &got, golden)
 	}
 }

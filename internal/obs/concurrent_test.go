@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
 
 // TestConcurrentSpanExport hammers the tracer from many goroutines — each
 // opening nested spans with attributes — while other goroutines export the
-// forest as Chrome trace JSON and as the text summary mid-flight. Run under
+// forest as Chrome trace JSON and span totals mid-flight. Run under
 // -race (the Makefile race target includes this package); afterwards every
 // span must appear exactly once in the final export.
 func TestConcurrentSpanExport(t *testing.T) {
@@ -42,11 +41,6 @@ func TestConcurrentSpanExport(t *testing.T) {
 			var events []map[string]any
 			if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 				t.Errorf("mid-flight trace is not valid JSON: %v", err)
-				return
-			}
-			buf.Reset()
-			if err := tr.WriteSummary(&buf); err != nil {
-				t.Errorf("concurrent WriteSummary: %v", err)
 				return
 			}
 			tr.Totals()
@@ -96,14 +90,6 @@ func TestConcurrentSpanExport(t *testing.T) {
 	}
 	if counts["worker.outer"] != wantEach || counts["worker.inner"] != wantEach {
 		t.Errorf("exported span counts = %v, want %d each", counts, wantEach)
-	}
-
-	buf.Reset()
-	if err := tr.WriteSummary(&buf); err != nil {
-		t.Fatalf("final WriteSummary: %v", err)
-	}
-	if !strings.Contains(buf.String(), "worker.inner") {
-		t.Errorf("summary missing worker.inner:\n%s", buf.String())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,15 +15,15 @@ import (
 )
 
 // Flags carries the standard observability CLI flags shared by every
-// binary in the flow: -metrics, -trace, -obs-addr, -loglevel, -journal,
-// -progress, -stall, -stall-abort, and -cost. Binaries must not
-// hand-register any of these: one shared InstallFlags call is what keeps
-// the flag surface identical across all ten tools (pinned by
-// TestFlagSurface).
+// binary in the flow: -metrics, -trace, -loglevel, -journal, -progress,
+// -stall, -stall-abort, and -cost. Binaries must not hand-register any of
+// these: one shared InstallFlags call is what keeps the flag surface
+// identical across all ten tools (pinned by TestFlagSurface).
 type Flags struct {
+	// MetricsPath receives the Prometheus text exposition of the registry
+	// on exit ("-" for stderr).
 	MetricsPath string
 	TracePath   string
-	ObsAddr     string
 	LogLevel    string
 	// JournalPath is the run's one persisted record: events as they happen,
 	// then a run.end event whose detail is the RunSummary.
@@ -50,9 +51,8 @@ type Flags struct {
 // flag.CommandLine, before flag.Parse). Call Activate after parsing.
 func InstallFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.MetricsPath, "metrics", "", "write a metrics dump to this file on exit ('-' for stderr)")
+	fs.StringVar(&f.MetricsPath, "metrics", "", "write the metrics as Prometheus text exposition to this file on exit ('-' for stderr)")
 	fs.StringVar(&f.TracePath, "trace", "", "write Chrome trace_event JSON (chrome://tracing, Perfetto) to this file on exit")
-	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve live metrics (Prometheus /metrics, /spans, /progress, pprof) on this address; implies metrics+tracing+progress")
 	fs.StringVar(&f.LogLevel, "loglevel", "", "diagnostic log level: debug|info|warn|error (default warn)")
 	fs.StringVar(&f.JournalPath, "journal", "", "write a structured JSONL run journal, ending in a run summary, to this file (cryoobs reads it)")
 	fs.DurationVar(&f.ProgressEvery, "progress", 0, "print per-stage progress lines (percent/rate/ETA) at this interval (e.g. 5s)")
@@ -81,12 +81,7 @@ func (f *Flags) Activate() (flush func(), err error) {
 	if f.TracePath != "" {
 		EnableTracing()
 	}
-	if f.ObsAddr != "" {
-		if err := serveObs(f.ObsAddr); err != nil {
-			return nil, err
-		}
-	}
-	if f.ObsAddr != "" || f.ProgressEvery > 0 || f.StallAfter > 0 {
+	if f.ProgressEvery > 0 || f.StallAfter > 0 {
 		EnableProgress()
 	}
 	if f.StallAfter > 0 {
@@ -100,9 +95,8 @@ func (f *Flags) Activate() (flush func(), err error) {
 		if err != nil {
 			return nil, err
 		}
-		j.Event(KindRunStart, "", strings.Join(os.Args, " "), map[string]string{
-			"bin": filepath.Base(os.Args[0]),
-		})
+		bi, _ := debug.ReadBuildInfo()
+		j.Event(KindRunStart, "", strings.Join(os.Args, " "), runStartAttrs(filepath.Base(os.Args[0]), bi))
 		// Flush eagerly: a crashed process must leave at least its run.start
 		// on disk, or there is nothing to post-mortem.
 		if err := j.Sync(); err != nil {
@@ -140,11 +134,11 @@ func (f *Flags) Flush() {
 	if f.MetricsPath != "" {
 		SampleRuntimeMetrics()
 		if f.MetricsPath == "-" {
-			fmt.Fprintln(os.Stderr, "--- metrics ---")
-			if err := Metrics().WriteText(os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "# --- metrics ---")
+			if err := Metrics().WritePrometheus(os.Stderr); err != nil {
 				Log().Errorf("obs: writing metrics: %v", err)
 			}
-		} else if err := writeFileWith(f.MetricsPath, Metrics().WriteText); err != nil {
+		} else if err := writeFileWith(f.MetricsPath, Metrics().WritePrometheus); err != nil {
 			Log().Errorf("obs: writing metrics to %s: %v", f.MetricsPath, err)
 		}
 	}
@@ -166,6 +160,26 @@ func (f *Flags) Flush() {
 			Log().Errorf("obs: journal: flushing %s: %v", f.JournalPath, err)
 		}
 	}
+}
+
+// runStartAttrs builds the run.start attributes: the binary name plus the
+// Go version and the vcs.revision and vcs.modified settings of the build
+// info. An attribute the build info lacks is left out: go run and go test
+// stamp no vcs.* settings, and bi is nil without build info.
+func runStartAttrs(bin string, bi *debug.BuildInfo) map[string]string {
+	attrs := map[string]string{"bin": bin}
+	if bi == nil {
+		return attrs
+	}
+	if bi.GoVersion != "" {
+		attrs["go"] = bi.GoVersion
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "vcs.revision" || s.Key == "vcs.modified" {
+			attrs[s.Key] = s.Value
+		}
+	}
+	return attrs
 }
 
 // startProgressReporter launches the periodic reporter: one stderr line and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -24,8 +25,8 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	sort.Strings(got)
 	want := []string{
-		"cost", "journal", "loglevel", "metrics", "obs-addr",
-		"progress", "stall", "stall-abort", "trace",
+		"cost", "journal", "loglevel", "metrics", "progress",
+		"stall", "stall-abort", "trace",
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("obs flag surface drifted:\n got %v\nwant %v", got, want)
@@ -99,7 +100,8 @@ func TestFlagsProgressLifecycle(t *testing.T) {
 	if len(starts) != 1 || len(ends) != 1 {
 		t.Fatalf("journal has %d run.start and %d run.end after double flush, want 1 each", len(starts), len(ends))
 	}
-	if starts[0].Attrs["bin"] == "" || ends[0].Run == "" || ends[0].Run != starts[0].Run {
+	if starts[0].Attrs["bin"] == "" || starts[0].Attrs["go"] != runtime.Version() ||
+		ends[0].Run == "" || ends[0].Run != starts[0].Run {
 		t.Errorf("run provenance incomplete: start %+v end run %q", starts[0], ends[0].Run)
 	}
 	var sum RunSummary

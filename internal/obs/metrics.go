@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -283,47 +280,4 @@ func (r *Registry) CounterValues() map[string]int64 {
 		return true
 	})
 	return out
-}
-
-// WriteText renders every metric, sorted by name, one per line:
-//
-//	counter spice.newton.iterations 104224
-//	gauge   synth.map.area 1294
-//	hist    charlib.cell.seconds count=200 sum=81.2 min=... p50=... p90=... max=...
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		_, err := fmt.Fprintln(w, "(metrics disabled)")
-		return err
-	}
-	type line struct{ name, text string }
-	var lines []line
-	r.counters.Range(func(k, v any) bool {
-		name := k.(string)
-		lines = append(lines, line{name, fmt.Sprintf("counter %-44s %d", name, v.(*Counter).Value())})
-		return true
-	})
-	r.gauges.Range(func(k, v any) bool {
-		name := k.(string)
-		lines = append(lines, line{name, fmt.Sprintf("gauge   %-44s %g", name, v.(*Gauge).Value())})
-		return true
-	})
-	r.hists.Range(func(k, v any) bool {
-		name := k.(string)
-		h := v.(*Histogram)
-		if h.Count() == 0 {
-			lines = append(lines, line{name, fmt.Sprintf("hist    %-44s count=0", name)})
-			return true
-		}
-		lines = append(lines, line{name, fmt.Sprintf(
-			"hist    %-44s count=%d sum=%.6g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
-			name, h.Count(), h.Sum(), h.Min(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.Max())})
-		return true
-	})
-	sort.Slice(lines, func(i, j int) bool { return lines[i].name < lines[j].name })
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l.text); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -33,8 +33,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil histogram count = %d, want 0", got)
 	}
 	var sb strings.Builder
-	if err := Metrics().WriteText(&sb); err != nil {
-		t.Fatalf("nil registry WriteText: %v", err)
+	if err := Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatalf("nil registry WritePrometheus: %v", err)
 	}
 }
 
@@ -125,27 +125,6 @@ func TestHistogramTinyValues(t *testing.T) {
 	h.Observe(0) // nonpositive values must not panic and land in bucket 0
 	if got := h.Count(); got != 5 {
 		t.Fatalf("count = %d", got)
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	freshMetrics(t)
-	C("b.counter").Add(7)
-	G("a.gauge").Set(2.5)
-	H("c.hist").Observe(10)
-	var sb strings.Builder
-	if err := Metrics().WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"a.gauge", "b.counter", "c.hist", "7", "2.5", "count=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteText output missing %q:\n%s", want, out)
-		}
-	}
-	// Sorted by name: gauge line before counter line.
-	if strings.Index(out, "a.gauge") > strings.Index(out, "b.counter") {
-		t.Errorf("WriteText not sorted by name:\n%s", out)
 	}
 }
 

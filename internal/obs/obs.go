@@ -10,13 +10,15 @@
 // below the level) reduce to an atomic pointer load plus a nil check — no
 // allocation, no locking — so instrumentation can stay in the hot paths
 // permanently. CLI binaries enable the layer through the -metrics / -trace
-// / -obs-addr / -journal flags installed by InstallFlags; the -journal file
-// is the run's one persisted record, ending in a run.end summary.
+// / -journal flags installed by InstallFlags; the -journal file is the
+// run's one persisted record, from a run.start carrying the build's VCS
+// revision to a run.end summary.
 //
 // Metric names are dot-separated, lowest-level subsystem first
-// (e.g. "spice.newton.iterations", "charlib.cache.hits"); span names follow
-// the same scheme ("synth.c2rs", "charlib.cell"). See docs/OBSERVABILITY.md
-// for the full taxonomy.
+// (e.g. "spice.newton.iterations", "charlib.cache.hits"); the -metrics
+// exposition renders them Prometheus-safe ("spice_newton_iterations"). Span
+// names follow the same scheme ("synth.c2rs", "charlib.cell"). See
+// docs/OBSERVABILITY.md for the full taxonomy.
 package obs
 
 import "sync/atomic"

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,7 +9,7 @@ import (
 )
 
 // progressNow is the progress clock, swappable by tests so rate/ETA math
-// and the /progress golden output are deterministic.
+// is deterministic.
 var progressNow = time.Now
 
 // Task tracks one stage's work units: how much is planned, how much is
@@ -108,8 +106,8 @@ func (t *Task) Finished() bool {
 }
 
 // ProgressRegistry is the table of live tasks. Registration keeps order,
-// so /progress and the periodic report lines render stages in the order
-// the flow reached them.
+// so the periodic report lines render stages in the order the flow
+// reached them.
 type ProgressRegistry struct {
 	mu     sync.Mutex
 	tasks  []*Task
@@ -198,18 +196,17 @@ func (p *ProgressRegistry) Tasks() []*Task {
 }
 
 // TaskSnapshot is the exported point-in-time state of one task: the
-// /progress payload, the periodic report line, and the journal progress
-// event all derive from it.
+// periodic report line and the journal progress event both derive from it.
 type TaskSnapshot struct {
-	Name       string  `json:"name"`
-	Done       int64   `json:"done"`
-	Total      int64   `json:"total,omitempty"`
-	Percent    float64 `json:"percent,omitempty"`
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	ETASec     float64 `json:"eta_seconds,omitempty"`
-	ElapsedSec float64 `json:"elapsed_seconds"`
-	SilentSec  float64 `json:"silent_seconds"`
-	Finished   bool    `json:"finished,omitempty"`
+	Name       string
+	Done       int64
+	Total      int64
+	Percent    float64
+	RatePerSec float64
+	ETASec     float64
+	ElapsedSec float64
+	SilentSec  float64
+	Finished   bool
 }
 
 // Line renders the snapshot as the one-line human report the periodic
@@ -279,24 +276,4 @@ func (p *ProgressRegistry) Snapshot() []TaskSnapshot {
 		out = append(out, t.snapshotAt(now))
 	}
 	return out
-}
-
-// progressPayload is the /progress JSON shape.
-type progressPayload struct {
-	Enabled bool           `json:"enabled"`
-	Tasks   []TaskSnapshot `json:"tasks"`
-}
-
-// WriteProgressJSON renders the global progress state as indented JSON —
-// the /progress endpoint body. Disabled progress yields
-// {"enabled": false, "tasks": []} so pollers need no special case.
-func WriteProgressJSON(w io.Writer) error {
-	p := globalProgress.Load()
-	payload := progressPayload{Enabled: p != nil, Tasks: []TaskSnapshot{}}
-	if p != nil {
-		payload.Tasks = p.Snapshot()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(payload)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -30,12 +29,8 @@ func TestProgressDisabledIsNoop(t *testing.T) {
 	if task.Done() != 0 || task.Total() != 0 || task.Finished() || task.Name() != "" {
 		t.Errorf("nil task leaked state: done=%d total=%d", task.Done(), task.Total())
 	}
-	var buf bytes.Buffer
-	if err := WriteProgressJSON(&buf); err != nil {
-		t.Fatalf("WriteProgressJSON: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"enabled": false`) {
-		t.Errorf("disabled payload should say enabled:false:\n%s", buf.String())
+	if snap := ProgressTable().Snapshot(); len(snap) != 0 {
+		t.Errorf("disabled progress snapshot = %+v, want empty", snap)
 	}
 }
 
@@ -107,28 +102,8 @@ func TestProgressSnapshotAndJSON(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := WriteProgressJSON(&buf); err != nil {
-		t.Fatalf("WriteProgressJSON: %v", err)
-	}
-	want := `{
-  "enabled": true,
-  "tasks": [
-    {
-      "name": "char.grid",
-      "done": 50,
-      "total": 200,
-      "percent": 25,
-      "rate_per_sec": 2.5,
-      "eta_seconds": 60,
-      "elapsed_seconds": 20,
-      "silent_seconds": 10
-    }
-  ]
-}
-`
-	if buf.String() != want {
-		t.Errorf("/progress JSON:\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	if s.ElapsedSec != 20 || s.Finished {
+		t.Errorf("elapsed = %g, finished = %v; want 20, false", s.ElapsedSec, s.Finished)
 	}
 }
 

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
@@ -74,41 +72,5 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestObsMuxEndpoints exercises the -obs-addr handler without binding a
-// real port: /metrics must serve Prometheus text and /spans the live span
-// summary.
-func TestObsMuxEndpoints(t *testing.T) {
-	defer DisableMetrics()
-	defer DisableTracing()
-	EnableMetrics()
-	EnableTracing()
-	C("mux.test.counter").Add(11)
-	_, s := Start(context.Background(), "mux.test.span")
-	s.End()
-
-	mux := obsMux()
-	get := func(path string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec
-	}
-
-	rec := get("/metrics")
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("/metrics content type = %q, want prometheus 0.0.4", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "mux_test_counter 11") {
-		t.Errorf("/metrics missing counter:\n%s", rec.Body.String())
-	}
-
-	if body := get("/spans").Body.String(); !strings.Contains(body, "mux.test.span") {
-		t.Errorf("/spans missing span:\n%s", body)
-	}
-
-	if code := get("/nope").Code; code != 404 {
-		t.Errorf("unknown path returned %d, want 404", code)
 	}
 }

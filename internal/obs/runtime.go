@@ -3,11 +3,7 @@ package obs
 import (
 	"runtime"
 	"sync"
-	"time"
 )
-
-// processStart anchors the uptime reported by /healthz and /buildinfo.
-var processStart = time.Now()
 
 var gcSample struct {
 	mu        sync.Mutex
@@ -17,8 +13,8 @@ var gcSample struct {
 // SampleRuntimeMetrics refreshes the runtime health gauges in the global
 // registry — runtime.goroutines, runtime.heap_alloc_bytes,
 // runtime.gc_count — and observes GC pauses that occurred since the last
-// sample into the runtime.gc_pause_seconds histogram. It is called on
-// every /metrics scrape and on flag flush, so scrapes see current values
+// sample into the runtime.gc_pause_seconds histogram. Flag flush calls it
+// before the -metrics dump and the run summary, so both see current values
 // without a background sampler goroutine. No-op while metrics are disabled.
 func SampleRuntimeMetrics() {
 	if !MetricsEnabled() {
@@ -52,7 +48,3 @@ func SampleRuntimeMetrics() {
 		gcSample.lastNumGC = ms.NumGC
 	}
 }
-
-// Uptime returns the wall time since process start (as anchored at package
-// initialization).
-func Uptime() time.Duration { return time.Since(processStart) }

@@ -1,9 +1,13 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,63 +51,97 @@ func TestSampleRuntimeMetrics(t *testing.T) {
 	}
 }
 
-func TestHealthzEndpoint(t *testing.T) {
-	defer DisableMetrics()
-	EnableMetrics()
-	mux := obsMux()
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/healthz = %d, want 200", rec.Code)
-	}
-	body := rec.Body.String()
-	if !strings.HasPrefix(body, "ok") || !strings.Contains(body, "uptime=") {
-		t.Errorf("/healthz body = %q", body)
-	}
-}
-
-func TestBuildinfoEndpoint(t *testing.T) {
-	defer DisableMetrics()
-	EnableMetrics()
-	mux := obsMux()
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/buildinfo", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/buildinfo = %d, want 200", rec.Code)
-	}
-	var bi BuildInfoReport
-	if err := json.Unmarshal(rec.Body.Bytes(), &bi); err != nil {
-		t.Fatalf("/buildinfo did not parse: %v\n%s", err, rec.Body.String())
-	}
-	if !strings.HasPrefix(bi.GoVersion, "go") {
-		t.Errorf("go_version = %q", bi.GoVersion)
-	}
-	if bi.GOOS != runtime.GOOS || bi.GOARCH != runtime.GOARCH {
-		t.Errorf("goos/goarch = %s/%s", bi.GOOS, bi.GOARCH)
-	}
-	if bi.UptimeSec <= 0 {
-		t.Errorf("uptime_seconds = %g", bi.UptimeSec)
-	}
-	if !bi.Telemetry.Metrics {
-		t.Errorf("telemetry.metrics false while registry enabled")
-	}
-	if bi.Telemetry.Journal {
-		t.Errorf("telemetry.journal true while journaling disabled")
+// TestRunStartBuildAttrs: run.start carries the binary name, the Go
+// version and the build's VCS revision and dirty bit, and leaves out what
+// the build info lacks (go run and go test stamp no vcs.* settings).
+func TestRunStartBuildAttrs(t *testing.T) {
+	stamped := &debug.BuildInfo{GoVersion: "go1.99", Settings: []debug.BuildSetting{
+		{Key: "vcs", Value: "git"},
+		{Key: "vcs.revision", Value: "0123456789abcdef"},
+		{Key: "vcs.time", Value: "2026-01-02T03:04:05Z"},
+		{Key: "vcs.modified", Value: "true"},
+	}}
+	unstamped := &debug.BuildInfo{GoVersion: "go1.99", Settings: []debug.BuildSetting{
+		{Key: "-compiler", Value: "gc"},
+	}}
+	for _, tc := range []struct {
+		name string
+		bi   *debug.BuildInfo
+		want map[string]string
+	}{
+		{"stamped", stamped, map[string]string{"bin": "cryox", "go": "go1.99",
+			"vcs.revision": "0123456789abcdef", "vcs.modified": "true"}},
+		{"unstamped", unstamped, map[string]string{"bin": "cryox", "go": "go1.99"}},
+		{"no build info", nil, map[string]string{"bin": "cryox"}},
+	} {
+		if got := runStartAttrs("cryox", tc.bi); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: attrs = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
-// TestMetricsExpositionIncludesRuntime: scraping /metrics must refresh the
-// runtime gauges in the same registry the scrape reads.
+// TestMetricsExpositionIncludesRuntime: the -metrics file is Prometheus
+// text exposition, refreshed with the runtime gauges at flush. Every
+// sample line is `name{quantile="q"}? value` under an earlier # TYPE line
+// for its metric; histograms render as summaries.
 func TestMetricsExpositionIncludesRuntime(t *testing.T) {
-	defer DisableMetrics()
-	EnableMetrics()
-	mux := obsMux()
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	for _, want := range []string{"runtime_goroutines", "runtime_heap_alloc_bytes"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %s:\n%s", want, body)
+	freshMetrics(t)
+	C("spice.newton.iterations").Add(7)
+	G("synth.map.area").Set(2.5)
+	H("charlib.cell.seconds").Observe(0.5)
+	H("charlib.cell.seconds").Observe(1.5)
+	path := filepath.Join(t.TempDir(), "metrics.prom")
+	(&Flags{MetricsPath: path}).Flush()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(raw)
+
+	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{quantile="[0-9.]+"\})? (\S+)$`)
+	typed := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			typed[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := sampleRe.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("malformed sample line %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			t.Errorf("sample %q: value: %v", line, err)
+		}
+		name := m[1]
+		if typed[name] == "" {
+			name = strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		}
+		if typed[name] == "" {
+			t.Errorf("sample %q has no earlier # TYPE line", line)
+		}
+	}
+	for name, typ := range map[string]string{
+		"spice_newton_iterations": "counter",
+		"synth_map_area":          "gauge",
+		"runtime_goroutines":      "gauge",
+		"charlib_cell_seconds":    "summary",
+	} {
+		if typed[name] != typ {
+			t.Errorf("# TYPE %s = %q, want %q:\n%s", name, typed[name], typ, out)
+		}
+	}
+	for _, want := range []string{
+		"spice_newton_iterations 7",
+		`charlib_cell_seconds{quantile="0.5"}`,
+		"charlib_cell_seconds_sum 2",
+		"charlib_cell_seconds_count 2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
 }

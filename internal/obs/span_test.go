@@ -159,27 +159,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteSummary(t *testing.T) {
-	tr := freshTracer(t)
-	ctx, root := Start(context.Background(), "flow")
-	for i := 0; i < 3; i++ {
-		_, s := Start(ctx, "stage")
-		s.End()
-	}
-	root.End()
-	var sb strings.Builder
-	if err := tr.WriteSummary(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "flow") || !strings.Contains(out, "stage") {
-		t.Fatalf("summary missing spans:\n%s", out)
-	}
-	if !strings.Contains(out, "       3") {
-		t.Fatalf("summary missing aggregated count:\n%s", out)
-	}
-}
-
 // TestSpanPathLateEnable: spans opened before -cost came on still produce
 // correctly nested label paths for their descendants.
 func TestSpanPathLateEnable(t *testing.T) {

@@ -73,8 +73,8 @@ func buildRunSummary() *RunSummary {
 		SampleRuntimeMetrics()
 		s.Metrics = Metrics().Snapshot()
 	}
-	// Peak RSS and GC pause totals are recorded unconditionally: runs that
-	// never scraped /metrics would otherwise miss them entirely.
+	// Peak RSS and GC pause totals are recorded unconditionally: runs
+	// without -metrics would otherwise miss them entirely.
 	s.PeakRSSBytes = peakRSSBytes()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -2,10 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -94,58 +92,4 @@ func (t *Tracer) emit(s *Span, tid int, nextTid *int, events *[]traceEvent) {
 		lanes[placed].end = cEnd
 		t.emit(c, lanes[placed].tid, nextTid, events)
 	}
-}
-
-// WriteSummary renders the span forest as an indented table aggregated by
-// tree path: count, total, and mean wall time per span name at each
-// nesting level.
-func (t *Tracer) WriteSummary(w io.Writer) error {
-	if t == nil {
-		_, err := fmt.Fprintln(w, "(tracing disabled)")
-		return err
-	}
-	type agg struct {
-		path  string
-		depth int
-		count int
-		total time.Duration
-	}
-	byPath := map[string]*agg{}
-	var order []string
-	var walk func(s *Span, prefix string, depth int)
-	walk = func(s *Span, prefix string, depth int) {
-		path := prefix + s.name
-		a := byPath[path]
-		if a == nil {
-			a = &agg{path: path, depth: depth}
-			byPath[path] = a
-			order = append(order, path)
-		}
-		a.count++
-		a.total += s.Duration()
-		for _, c := range s.Children() {
-			walk(c, path+" / ", depth+1)
-		}
-	}
-	for _, r := range t.Roots() {
-		walk(r, "", 0)
-	}
-	sort.Strings(order)
-	if _, err := fmt.Fprintf(w, "%-56s %8s %12s %12s\n", "span", "count", "total", "mean"); err != nil {
-		return err
-	}
-	for _, path := range order {
-		a := byPath[path]
-		name := path
-		if i := strings.LastIndex(path, " / "); i >= 0 {
-			name = path[i+3:]
-		}
-		mean := a.total / time.Duration(a.count)
-		if _, err := fmt.Fprintf(w, "%-56s %8d %12s %12s\n",
-			strings.Repeat("  ", a.depth)+name, a.count,
-			a.total.Round(time.Microsecond), mean.Round(time.Microsecond)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
