@@ -56,6 +56,15 @@ func TestCacheKeySensitivity(t *testing.T) {
 		t.Error("cell-list change did not change the cache key")
 	}
 
+	// The key is versioned by the measurement engine: this subset's key
+	// under the v1 engine (fixed-grid transients, trapezoid supply energy)
+	// must not be served to the coasting engine, whose energy tables differ
+	// in their low digits.
+	const v1Key = "1284eb430b79f1de4315f3b583713229623bc6afc6430667604beb62423205ef"
+	if base == v1Key {
+		t.Error("cache key still matches the v1 engine's key")
+	}
+
 	// Worker count is excluded: it cannot change characterization results.
 	workers := cfg
 	workers.Workers = cfg.Workers + 3

@@ -158,6 +158,9 @@ type charer struct {
 	// never by anything that spawns more work — so the pool cannot
 	// deadlock however deep the fan-out nests.
 	work chan struct{}
+	// fixedGrid runs combinational transients on the fixed grid to tstop,
+	// without coasting: the oracle the tests compare coasting against.
+	fixedGrid bool
 }
 
 // acquire takes a worker slot; release returns it.

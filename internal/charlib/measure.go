@@ -57,7 +57,7 @@ func (ch *charer) combArc(cell *pdk.Cell, in, out string, vec int, o0, o1 bool) 
 				if failed.Load() {
 					return
 				}
-				rise, err := ch.runComb(cell, in, out, vec, true, slew, load, warmRise)
+				rise, err := ch.runComb(cell, in, out, vec, true, o1, slew, load, warmRise)
 				if err != nil {
 					ch.journalFailure(cell, arc, slew, load, err)
 					errs[i] = fmt.Errorf("slew=%g load=%g rise: %w", slew, load, err)
@@ -65,7 +65,7 @@ func (ch *charer) combArc(cell *pdk.Cell, in, out string, vec int, o0, o1 bool) 
 					return
 				}
 				warmRise = rise.op
-				fall, err := ch.runComb(cell, in, out, vec, false, slew, load, warmFall)
+				fall, err := ch.runComb(cell, in, out, vec, false, o0, slew, load, warmFall)
 				if err != nil {
 					ch.journalFailure(cell, arc, slew, load, err)
 					errs[i] = fmt.Errorf("slew=%g load=%g fall: %w", slew, load, err)
@@ -126,9 +126,15 @@ func (ch *charer) combArc(cell *pdk.Cell, in, out string, vec int, o0, o1 bool) 
 
 // runComb builds and simulates one combinational measurement: the target
 // input ramps (rising or falling) while side inputs hold the sensitizing
-// vector. warm, when non-nil, seeds the initial operating-point solve from
-// the previous load point on the same grid row (see TransientFrom).
-func (ch *charer) runComb(cell *pdk.Cell, in, out string, vec int, inputRises bool, slew, load float64, warm []float64) (*arcWaveform, error) {
+// vector, and the output heads high when outHigh is set, low otherwise.
+// warm, when non-nil, seeds the initial operating-point solve from the
+// previous load point on the same grid row (see TransientFrom).
+//
+// The transient coasts once the input ramp is over, the output is inside
+// the 5% settle band of its rail and every node is quiet (spice.Settle):
+// every measured crossing lies before that point, so delays and
+// transitions are those of the fixed grid.
+func (ch *charer) runComb(cell *pdk.Cell, in, out string, vec int, inputRises, outHigh bool, slew, load float64, warm []float64) (*arcWaveform, error) {
 	cfg := ch.cfg
 	c := ch.newCircuit()
 	vddN := c.Node("vdd")
@@ -168,10 +174,17 @@ func (ch *charer) runComb(cell *pdk.Cell, in, out string, vec int, inputRises bo
 	if err := cell.Build(c, "dut", pins, vddN); err != nil {
 		return nil, err
 	}
+	var settle *spice.Settle
+	if !ch.fixedGrid {
+		settle = &spice.Settle{Quiet: t0 + ramp, Node: pins[out], Band: 0.05 * cfg.Vdd}
+		if outHigh {
+			settle.Target = cfg.Vdd
+		}
+	}
 	tstop := t0 + ramp + 250e-12
 	for attempt := 0; ; attempt++ {
 		dt := tstop / 600
-		wf, err := c.TransientFrom(warm, tstop, dt)
+		wf, err := c.TransientFrom(warm, tstop, dt, settle)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +372,7 @@ func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm 
 		return nil, err
 	}
 	tstop := 3*period + period
-	wf, err := c.TransientFrom(warm, tstop, tstop/2400)
+	wf, err := c.TransientFrom(warm, tstop, tstop/2400, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -99,6 +99,9 @@ func parseLine(c *Circuit, res *ParseResult, line string) error {
 		if err != nil {
 			return err
 		}
+		if err := checkWindow(stop, step); err != nil {
+			return err
+		}
 		res.Tstep, res.Tstop, res.HasTran = step, stop, true
 		return nil
 	case strings.HasPrefix(head, "."):

@@ -300,7 +300,7 @@ func (st *solverState) solve() error {
 		st.dlu.SolveInto(st.xNew, st.b)
 		return nil
 	}
-	timed := obs.MetricsEnabled()
+	timed := st.stats.factors()%timingStride == 0 && obs.MetricsEnabled()
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -337,6 +337,11 @@ func (st *solverState) solve() error {
 	return nil
 }
 
+// timingStride is the sampling stride of the factor and solve clocks: with
+// metrics on, every timingStride-th sparse factorization of an analysis is
+// timed, starting with its first.
+const timingStride = 8
+
 // itersHistLen bounds the per-iteration-count tally of solverStats; the
 // rare solve that takes longer is observed directly.
 const itersHistLen = 32
@@ -345,9 +350,11 @@ const itersHistLen = 32
 // the hot loop makes no registry lookups and reads no clock twice over;
 // flush publishes them once per analysis (OpPoint, OpPointFrom,
 // TransientFrom). Counter totals are the same as per-event updates. The
-// factor and solve histograms receive each analysis's mean time, weighted
-// by its number of factorizations, so their sums and counts — and the mean
-// per factorization — are exact while their quantiles are over analyses.
+// factor and solve histograms receive each analysis's mean time over its
+// sampled factorizations (one in timingStride), weighted by its number of
+// factorizations, so their counts are exact, their sums and means per
+// factorization are unbiased estimates, and their quantiles are over
+// analyses.
 type solverStats struct {
 	solves, iterations, nonconverged int64
 	iters                            [itersHistLen]int64 // converged solves by iteration count
@@ -355,8 +362,14 @@ type solverStats struct {
 	symbolicBuilds, symbolicReuse, repivots int64
 	fillin                                  float64 // of the latest symbolic factorization; 0 = none since the last flush
 
-	timed               int64 // timed sparse factorizations
+	timed               int64 // timed sparse factorizations (one in timingStride)
 	factorSec, solveSec float64
+}
+
+// factors returns the number of sparse factorizations tallied: each is a
+// symbolic build, a reuse or a repivot.
+func (s *solverStats) factors() int64 {
+	return s.symbolicBuilds + s.symbolicReuse + s.repivots
 }
 
 // observeIters tallies one converged solve of the given iteration count.
@@ -398,8 +411,8 @@ func (s *solverStats) flush() {
 	}
 	if s.timed > 0 {
 		n := float64(s.timed)
-		obs.H("spice.solver.factor.seconds").ObserveN(s.factorSec/n, s.timed)
-		obs.H("spice.solver.solve.seconds").ObserveN(s.solveSec/n, s.timed)
+		obs.H("spice.solver.factor.seconds").ObserveN(s.factorSec/n, s.factors())
+		obs.H("spice.solver.solve.seconds").ObserveN(s.solveSec/n, s.factors())
 	}
 	*s = solverStats{}
 }

@@ -82,3 +82,30 @@ func TestSolverMetricsFlushedPerAnalysis(t *testing.T) {
 		t.Errorf("%d factorizations, but %d factor and %d solve timings", f1-f0, tf1-tf0, ts1-ts0)
 	}
 }
+
+// TestSolverClocksSampled checks the fixed-stride clock sampling: with
+// metrics on, one sparse factorization in timingStride is timed, starting
+// with the first of the analysis.
+func TestSolverClocksSampled(t *testing.T) {
+	if !obs.MetricsEnabled() {
+		obs.EnableMetrics()
+		defer obs.DisableMetrics()
+	}
+	const dt = 0.5e-12
+	c := rampedInverter(SolverSparse)
+	wf, err := c.Transient(20*dt, dt) // flushes its stats on return
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := wf.Time[len(wf.Time)-1]
+	for k := 0; k < 50; k++ {
+		now += dt
+		if err := c.step(wf, now, dt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.solver.stats
+	if want := (s.factors() + timingStride - 1) / timingStride; s.factors() < 50 || s.timed != want {
+		t.Errorf("%d of %d factorizations timed, want %d", s.timed, s.factors(), want)
+	}
+}

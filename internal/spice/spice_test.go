@@ -454,6 +454,15 @@ func TestTransientRejectsBadWindow(t *testing.T) {
 	if _, err := c.Transient(1e-9, 0); err == nil {
 		t.Error("zero dt accepted")
 	}
+	// Non-finite windows and step counts beyond the bound are errors, not
+	// a makeslice panic.
+	for _, w := range [][2]float64{
+		{math.NaN(), 1e-12}, {1e-9, math.NaN()}, {math.Inf(1), 1e-12}, {1e3, 1e-15},
+	} {
+		if _, err := c.Transient(w[0], w[1]); err == nil {
+			t.Errorf("window tstop=%g dt=%g accepted", w[0], w[1])
+		}
+	}
 }
 
 func TestPassGateThroughNMOS(t *testing.T) {

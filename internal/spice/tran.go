@@ -1,6 +1,9 @@
 package spice
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Waveform holds the sampled results of a transient analysis.
 type Waveform struct {
@@ -14,16 +17,54 @@ type Waveform struct {
 // timestep. The initial condition is the DC operating point with the sources
 // evaluated at t = 0.
 func (c *Circuit) Transient(tstop, dt float64) (*Waveform, error) {
-	return c.TransientFrom(nil, tstop, dt)
+	return c.TransientFrom(nil, tstop, dt, nil)
 }
+
+// maxTransientSteps bounds the fixed-step count of one transient window, so
+// a deck such as ".tran 1f 1k" is rejected instead of exhausting memory.
+const maxTransientSteps = 1_000_000
+
+// checkWindow validates a transient window: tstop and dt finite and
+// positive, and at most maxTransientSteps steps of dt in tstop.
+func checkWindow(tstop, dt float64) error {
+	if !(dt > 0) || !(tstop > 0) || math.IsInf(dt, 0) || math.IsInf(tstop, 0) {
+		return fmt.Errorf("invalid transient window tstop=%g dt=%g", tstop, dt)
+	}
+	if tstop/dt > maxTransientSteps {
+		return fmt.Errorf("transient window tstop=%g dt=%g exceeds %d steps", tstop, dt, maxTransientSteps)
+	}
+	return nil
+}
+
+// Settle says when a transient may coast: once every source is constant
+// (t ≥ Quiet), the measured node is inside the band around the rail it
+// heads to (|V(Node) − Target| < Band), and every node moved at most
+// coastTolV in each of the last coastQuietSteps fixed steps, the rest of
+// the window is covered by backward-Euler steps of dt, 2dt, 4dt, … clipped
+// to tstop. Every sample before coasting is the fixed grid's.
+type Settle struct {
+	Quiet  float64
+	Node   NodeID
+	Target float64
+	Band   float64
+}
+
+// The quiet test of coasting: every node moved at most coastTolV in each of
+// the last coastQuietSteps fixed steps.
+const (
+	coastTolV       = 1e-4
+	coastQuietSteps = 3
+)
 
 // TransientFrom is Transient with the initial operating-point solve seeded
 // from guess — the characterization warm start: neighboring sweep points
 // share (or nearly share) their DC state, so seeding skips most of the gmin
-// ladder. A guess of the wrong length (or nil) is ignored.
-func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64) (*Waveform, error) {
-	if dt <= 0 || tstop <= 0 {
-		return nil, fmt.Errorf("spice: invalid transient window tstop=%g dt=%g", tstop, dt)
+// ladder. A guess of the wrong length (or nil) is ignored. A non-nil settle
+// lets the transient coast once it has settled (see Settle); nil keeps the
+// fixed grid to tstop.
+func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64, settle *Settle) (*Waveform, error) {
+	if err := checkWindow(tstop, dt); err != nil {
+		return nil, fmt.Errorf("spice: %w", err)
 	}
 	if len(guess) != c.systemSize() {
 		guess = nil
@@ -34,18 +75,47 @@ func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64) (*Waveform, 
 		return nil, fmt.Errorf("spice: initial operating point: %w", err)
 	}
 	steps := int(tstop/dt + 0.5)
-	wf := &Waveform{
-		circuit: c,
-		Time:    make([]float64, 0, steps+1),
-		samples: make([][]float64, 0, steps+1),
-	}
+	wf := &Waveform{circuit: c}
 	wf.record(0, x)
+	quiet := 0
 	for i := 1; i <= steps; i++ {
-		if err := c.step(wf, float64(i)*dt, dt); err != nil {
+		t := float64(i) * dt
+		if err := c.step(wf, t, dt); err != nil {
 			return nil, err
+		}
+		if settle == nil || i == steps {
+			continue
+		}
+		if wf.maxNodeStep() <= coastTolV {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		if quiet >= coastQuietSteps && t >= settle.Quiet && math.Abs(wf.last(settle.Node)-settle.Target) < settle.Band {
+			if err := c.coast(wf, t, float64(steps)*dt, dt); err != nil {
+				return nil, err
+			}
+			break
 		}
 	}
 	return wf, nil
+}
+
+// coast covers (t, tEnd] in backward-Euler steps of h, 2h, 4h, … clipped
+// to tEnd; a remainder shorter than half a step is folded into that step.
+func (c *Circuit) coast(wf *Waveform, t, tEnd, h float64) error {
+	for t < tEnd {
+		next := t + h
+		if next > tEnd-h/2 {
+			next = tEnd
+		}
+		if err := c.step(wf, next, next-t); err != nil {
+			return err
+		}
+		t = next
+		h *= 2
+	}
+	return nil
 }
 
 // step advances the transient by one stride dt to time t, from the last
@@ -69,6 +139,26 @@ func (c *Circuit) step(wf *Waveform, t, dt float64) error {
 	}
 	wf.record(t, next)
 	return nil
+}
+
+// maxNodeStep returns the largest node-voltage move between the last two
+// samples.
+func (w *Waveform) maxNodeStep() float64 {
+	k := len(w.samples) - 1
+	cur, prev := w.samples[k], w.samples[k-1]
+	var m float64
+	for i := 0; i < w.circuit.NumNodes(); i++ {
+		m = math.Max(m, math.Abs(cur[i]-prev[i]))
+	}
+	return m
+}
+
+// last returns the last sampled voltage of node n.
+func (w *Waveform) last(n NodeID) float64 {
+	if n == Ground {
+		return 0
+	}
+	return w.samples[len(w.samples)-1][n]
 }
 
 // record appends a copy of the solution sol at time t.
@@ -115,15 +205,16 @@ func (w *Waveform) BranchCurrent(branch int) []float64 {
 // SupplyEnergy integrates the energy delivered by the voltage source with
 // the given branch index over the full waveform, in joules. For a supply,
 // delivered current flows out of the pos terminal, which is the negative of
-// the MNA branch current.
+// the MNA branch current. The integral is the right-endpoint sum
+// Σ −i(tₖ)·V(tₖ)·(tₖ − tₖ₋₁), the rule backward Euler itself applies: a
+// capacitor companion draws i·h = C·Δv over a step of any length h, so the
+// charge (and, at a constant supply, the energy) of a long coasted step is
+// exact.
 func (w *Waveform) SupplyEnergy(branch int, fn SourceFn) float64 {
 	cur := w.BranchCurrent(branch)
 	var e float64
 	for i := 1; i < len(w.Time); i++ {
-		dt := w.Time[i] - w.Time[i-1]
-		p0 := -cur[i-1] * fn(w.Time[i-1])
-		p1 := -cur[i] * fn(w.Time[i])
-		e += 0.5 * (p0 + p1) * dt
+		e -= cur[i] * fn(w.Time[i]) * (w.Time[i] - w.Time[i-1])
 	}
 	return e
 }
