@@ -47,13 +47,9 @@ func ReadAIGER(r io.Reader) (*AIG, error) {
 	if len(header) != 6 || header[0] != "aag" {
 		return nil, fmt.Errorf("aiger: bad header %q", sc.Text())
 	}
-	nums := make([]int, 5)
-	for i := 0; i < 5; i++ {
-		v, err := strconv.Atoi(header[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("aiger: bad header field %q", header[i+1])
-		}
-		nums[i] = v
+	nums, err := headerFields(header[1:])
+	if err != nil {
+		return nil, err
 	}
 	maxVar, nIn, nLatch, nOut, nAnd := nums[0], nums[1], nums[2], nums[3], nums[4]
 	if nLatch != 0 {
@@ -73,31 +69,32 @@ func ReadAIGER(r io.Reader) (*AIG, error) {
 		}
 		g.AddPI(fmt.Sprintf("i%d", i))
 	}
-	outLits := make([]Lit, nOut)
+	// Slices grow with the lines actually read, never with header counts.
+	var outLits []int
 	for i := 0; i < nOut; i++ {
 		if !sc.Scan() {
 			return nil, io.ErrUnexpectedEOF
 		}
 		lit, err := strconv.Atoi(strings.TrimSpace(sc.Text()))
-		if err != nil {
+		if err != nil || lit < 0 {
 			return nil, fmt.Errorf("aiger: bad output literal %q", sc.Text())
 		}
-		outLits[i] = Lit(lit)
+		outLits = append(outLits, lit)
 	}
 	// AND definitions; map file variables onto graph literals (the graph
-	// may simplify, so the mapping is explicit).
-	varMap := make([]Lit, maxVar+1)
-	varMap[0] = False
-	for i := 1; i <= nIn; i++ {
-		varMap[i] = MakeLit(i, false)
-	}
+	// may simplify, so the mapping is explicit). Keyed by variable, since
+	// M may leave gaps.
+	ands := make(map[int]Lit)
 	deref := func(fileLit int) (Lit, error) {
 		v := fileLit >> 1
-		if v > maxVar {
+		switch {
+		case v > maxVar:
 			return 0, fmt.Errorf("aiger: literal %d out of range", fileLit)
+		case v <= nIn:
+			return MakeLit(v, false).NotIf(fileLit&1 == 1), nil
 		}
-		base := varMap[v]
-		if base == 0 && v != 0 {
+		base, ok := ands[v]
+		if !ok {
 			return 0, fmt.Errorf("aiger: literal %d used before definition", fileLit)
 		}
 		return base.NotIf(fileLit&1 == 1), nil
@@ -113,8 +110,18 @@ func ReadAIGER(r io.Reader) (*AIG, error) {
 		lhs, err0 := strconv.Atoi(fields[0])
 		rhs0, err1 := strconv.Atoi(fields[1])
 		rhs1, err2 := strconv.Atoi(fields[2])
-		if err0 != nil || err1 != nil || err2 != nil || lhs%2 != 0 {
+		if err0 != nil || err1 != nil || err2 != nil || rhs0 < 0 || rhs1 < 0 {
 			return nil, fmt.Errorf("aiger: bad AND line %q", sc.Text())
+		}
+		switch _, dup := ands[lhs>>1]; {
+		case lhs%2 != 0:
+			return nil, fmt.Errorf("aiger: AND lhs %d is complemented", lhs)
+		case lhs <= 2*nIn:
+			return nil, fmt.Errorf("aiger: AND lhs %d is not above the inputs", lhs)
+		case lhs > 2*maxVar:
+			return nil, fmt.Errorf("aiger: AND lhs %d out of range", lhs)
+		case dup:
+			return nil, fmt.Errorf("aiger: AND lhs %d defined twice", lhs)
 		}
 		a, err := deref(rhs0)
 		if err != nil {
@@ -124,7 +131,7 @@ func ReadAIGER(r io.Reader) (*AIG, error) {
 		if err != nil {
 			return nil, err
 		}
-		varMap[lhs>>1] = g.And(a, b)
+		ands[lhs>>1] = g.And(a, b)
 	}
 	poNames := make([]string, nOut)
 	for i := range poNames {
@@ -151,7 +158,7 @@ func ReadAIGER(r io.Reader) (*AIG, error) {
 		}
 	}
 	for i, ol := range outLits {
-		l, err := deref(int(ol))
+		l, err := deref(ol)
 		if err != nil {
 			return nil, err
 		}
@@ -166,8 +173,25 @@ func parseSymbol(s string) (int, string, bool) {
 		return 0, "", false
 	}
 	idx, err := strconv.Atoi(parts[0])
-	if err != nil {
+	if err != nil || idx < 0 {
 		return 0, "", false
 	}
 	return idx, parts[1], true
+}
+
+// maxHeaderCount bounds every AIGER header count: variable 2^29-1 still has
+// literals that fit a Lit, and sums of counts cannot overflow.
+const maxHeaderCount = 1 << 29
+
+// headerFields parses the five counts M I L O A of an AIGER header.
+func headerFields(fields []string) ([5]int, error) {
+	var nums [5]int
+	for i := range nums {
+		v, err := strconv.Atoi(fields[i])
+		if err != nil || v < 0 || v >= maxHeaderCount {
+			return nums, fmt.Errorf("aiger: bad header field %q", fields[i])
+		}
+		nums[i] = v
+	}
+	return nums, nil
 }

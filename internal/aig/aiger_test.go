@@ -65,11 +65,16 @@ func TestAIGERConstantsAndComplements(t *testing.T) {
 func TestAIGERRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"",
-		"aig 1 1 0 1 0\n2\n2\n",             // binary header keyword
-		"aag 1 1 1 1 0\n2\n0 0\n2\n",        // latches
-		"aag 2 1 0 1 1\n2\n6\n4 2 3\nextra", // output literal out of range
-		"aag 2 1 0 1 1\n2\n2\n5 2 2\n",      // odd AND lhs
-		"aag 2 1 0 1 1\n2\n2\n4 6 2\n",      // rhs out of range
+		"aig 1 1 0 1 0\n2\n2\n",               // binary header keyword
+		"aag 1 1 1 1 0\n2\n0 0\n2\n",          // latches
+		"aag 2 1 0 1 1\n2\n6\n4 2 3\nextra",   // output literal out of range
+		"aag 2 1 0 1 1\n2\n2\n5 2 2\n",        // odd AND lhs
+		"aag 2 1 0 1 1\n2\n2\n4 6 2\n",        // rhs out of range
+		"aag 7 2 0 1 1\n2\n4\n0\n20 0 00",     // AND lhs beyond 2M
+		"aag 3 2 0 1 1\n2\n4\n6\n4 2 2\n",     // AND lhs redefines an input
+		"aag 4 1 0 1 2\n2\n4\n4 2 3\n4 3 2\n", // AND lhs defined twice
+		"aag 3 1 0 -1 1\n2\n4 2 3\n",          // negative count
+		"aag 3 1 0 1 1\n2\n-4\n4 2 3\n",       // negative output literal
 	}
 	for _, src := range cases {
 		if _, err := ReadAIGER(strings.NewReader(src)); err == nil {

@@ -81,12 +81,9 @@ func ReadAIGERBinary(r io.Reader) (*AIG, error) {
 	if len(fields) != 6 || fields[0] != "aig" {
 		return nil, fmt.Errorf("aiger: bad binary header %q", header)
 	}
-	nums := make([]int, 5)
-	for i := range nums {
-		nums[i], err = strconv.Atoi(fields[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("aiger: bad header field %q", fields[i+1])
-		}
+	nums, err := headerFields(fields[1:])
+	if err != nil {
+		return nil, err
 	}
 	maxVar, nIn, nLatch, nOut, nAnd := nums[0], nums[1], nums[2], nums[3], nums[4]
 	if nLatch != 0 {
@@ -99,33 +96,31 @@ func ReadAIGERBinary(r io.Reader) (*AIG, error) {
 	for i := 0; i < nIn; i++ {
 		g.AddPI(fmt.Sprintf("i%d", i))
 	}
-	outLits := make([]Lit, nOut)
-	for i := range outLits {
+	// Slices grow with the bytes actually read, never with header counts.
+	var outLits []uint32
+	for i := 0; i < nOut; i++ {
 		line, err := br.ReadString('\n')
 		if err != nil {
 			return nil, err
 		}
 		v, err := strconv.Atoi(strings.TrimSpace(line))
-		if err != nil {
+		if err != nil || v < 0 || v > 2*maxVar+1 {
 			return nil, fmt.Errorf("aiger: bad output literal %q", line)
 		}
-		outLits[i] = Lit(v)
+		outLits = append(outLits, uint32(v))
 	}
-	varMap := make([]Lit, maxVar+1)
-	varMap[0] = False
+	// Variables are contiguous, so varMap holds exactly the variables
+	// defined so far.
+	varMap := make([]Lit, nIn+1)
 	for i := 1; i <= nIn; i++ {
 		varMap[i] = MakeLit(i, false)
 	}
 	deref := func(fileLit uint32) (Lit, error) {
 		v := int(fileLit >> 1)
-		if v > maxVar {
-			return 0, fmt.Errorf("aiger: literal %d out of range", fileLit)
-		}
-		base := varMap[v]
-		if base == 0 && v != 0 {
+		if v >= len(varMap) {
 			return 0, fmt.Errorf("aiger: literal %d used before definition", fileLit)
 		}
-		return base.NotIf(fileLit&1 == 1), nil
+		return varMap[v].NotIf(fileLit&1 == 1), nil
 	}
 	for i := 0; i < nAnd; i++ {
 		lhs := uint32(2 * (nIn + 1 + i))
@@ -153,7 +148,7 @@ func ReadAIGERBinary(r io.Reader) (*AIG, error) {
 		if err != nil {
 			return nil, err
 		}
-		varMap[lhs>>1] = g.And(a, b)
+		varMap = append(varMap, g.And(a, b))
 	}
 	// Symbol table.
 	poNames := make([]string, nOut)
@@ -184,7 +179,7 @@ func ReadAIGERBinary(r io.Reader) (*AIG, error) {
 		}
 	}
 	for i, ol := range outLits {
-		l, err := deref(uint32(ol))
+		l, err := deref(ol)
 		if err != nil {
 			return nil, err
 		}

@@ -11,24 +11,44 @@ import "repro/internal/sat"
 type CNFBuilder struct {
 	G      *AIG
 	S      *sat.Solver
-	Limit  int         // max AND nodes encoded; 0 = unlimited
-	varMap map[int]int // AIG variable -> SAT variable
+	Limit  int     // max AND nodes encoded; 0 = unlimited
+	varMap []int32 // AIG variable -> SAT variable + 1; 0 = not encoded
+	mapped []int   // AIG variables encoded since the last Reset
 	nAnds  int
 }
 
 // NewCNFBuilder returns a builder over the given graph and solver.
 func NewCNFBuilder(g *AIG, s *sat.Solver) *CNFBuilder {
-	return &CNFBuilder{G: g, S: s, varMap: make(map[int]int)}
+	return &CNFBuilder{G: g, S: s}
+}
+
+// Reset forgets every encoding and resets the solver (sat.Solver.Reset),
+// keeping all allocations: the next proof on the same graph starts from
+// the state a fresh builder over sat.New(0) would have. Limit is kept.
+func (b *CNFBuilder) Reset() {
+	for _, v := range b.mapped {
+		b.varMap[v] = 0
+	}
+	b.mapped = b.mapped[:0]
+	b.nAnds = 0
+	b.S.Reset()
 }
 
 // SatVar returns the SAT variable encoding the given AIG variable, encoding
 // its transitive fanin cone on first use (up to Limit AND nodes).
 func (b *CNFBuilder) SatVar(v int) int {
-	if sv, ok := b.varMap[v]; ok {
-		return sv
+	if v < len(b.varMap) && b.varMap[v] != 0 {
+		return int(b.varMap[v]) - 1
+	}
+	if v >= len(b.varMap) {
+		// Amortized growth: the CEC sweeper's graph grows under the builder.
+		grown := make([]int32, max(v+1, 2*len(b.varMap)))
+		copy(grown, b.varMap)
+		b.varMap = grown
 	}
 	sv := b.S.AddVar()
-	b.varMap[v] = sv
+	b.varMap[v] = int32(sv + 1)
+	b.mapped = append(b.mapped, v)
 	if v == 0 {
 		// Constant node: force FALSE.
 		b.S.AddClause(sat.L(sv, true))
@@ -56,36 +76,39 @@ func (b *CNFBuilder) SatLit(l Lit) sat.Lit {
 	return sat.L(b.SatVar(l.Var()), l.IsCompl())
 }
 
-// ProveEqual checks whether two literals of the same AIG are functionally
-// equivalent over all PI assignments, within the given conflict budget.
-// It returns (equal, proven): proven is false when the budget ran out.
-func ProveEqual(g *AIG, a, b Lit, budget int64) (equal, proven bool) {
-	return ProveEqualWindow(g, a, b, budget, 0)
+// ProveEqualWindow checks whether two literals of the same AIG are
+// functionally equivalent over all PI assignments, on a one-shot builder:
+// at most windowNodes AND nodes are encoded (0 = unlimited) and each query
+// gets the given conflict budget. It returns (equal, proven); proven is
+// false when the budget ran out. A windowed UNSAT verdict is sound; a
+// windowed SAT verdict may be spurious, so it is reported as
+// not-equal-but-proven=false when windowed.
+func ProveEqualWindow(g *AIG, a, b Lit, budget int64, windowNodes int) (equal, proven bool) {
+	cb := NewCNFBuilder(g, sat.New(0))
+	cb.Limit = windowNodes
+	return cb.proveEqual(a, b, budget)
 }
 
-// ProveEqualWindow is ProveEqual with a bounded CNF window: at most
-// windowNodes AND nodes are encoded (0 = unlimited). A windowed UNSAT
-// verdict is sound; a windowed SAT verdict may be spurious, so it is
-// reported as not-equal-but-proven=false when windowed.
-func ProveEqualWindow(g *AIG, a, b Lit, budget int64, windowNodes int) (equal, proven bool) {
-	if a == b {
+// proveEqual is ProveEqualWindow on the builder's reused solver: it resets
+// the builder, so the verdict is the one a fresh builder would give.
+func (b *CNFBuilder) proveEqual(x, y Lit, budget int64) (equal, proven bool) {
+	if x == y {
 		return true, true
 	}
-	s := sat.New(0)
+	b.Reset()
+	s := b.S
 	s.ConflictBudget = budget
-	cb := NewCNFBuilder(g, s)
-	cb.Limit = windowNodes
-	la := cb.SatLit(a)
-	lb := cb.SatLit(b)
-	windowed := windowNodes > 0 && cb.nAnds >= windowNodes
-	// Miter: (a != b) satisfiable?
-	switch s.Solve(la, lb.Not()) {
+	lx := b.SatLit(x)
+	ly := b.SatLit(y)
+	windowed := b.Limit > 0 && b.nAnds >= b.Limit
+	// Miter: (x != y) satisfiable?
+	switch s.Solve(lx, ly.Not()) {
 	case sat.Sat:
 		return false, !windowed
 	case sat.Unknown:
 		return false, false
 	}
-	switch s.Solve(la.Not(), lb) {
+	switch s.Solve(lx.Not(), ly) {
 	case sat.Sat:
 		return false, !windowed
 	case sat.Unknown:
@@ -113,7 +136,7 @@ func Equivalent(a, b *AIG, budget int64) (bool, bool) {
 	la := copyInto(a, m, pis)
 	lb := copyInto(b, m, pis)
 	for i := 0; i < a.NumPOs(); i++ {
-		eq, proven := ProveEqual(m, la[i], lb[i], budget)
+		eq, proven := ProveEqualWindow(m, la[i], lb[i], budget, 0)
 		if !proven {
 			return false, false
 		}

@@ -1,6 +1,6 @@
 package aig
 
-import "sort"
+import "slices"
 
 // Cut is a k-feasible cut: a set of leaf variables that covers every path
 // from a node to the primary inputs.
@@ -31,76 +31,133 @@ func (c Cut) dominates(d Cut) bool {
 	return i == len(c.Leaves)
 }
 
-// mergeCuts unions two sorted leaf sets, failing if the result exceeds k.
-// The union is built in a stack buffer and copied to the heap only when the
-// merge succeeds.
-func mergeCuts(a, b Cut, k int) (Cut, bool) {
-	var buf [6]int
-	leaves := buf[:0]
+// mergeLeaves appends the union of two sorted leaf sets to dst, failing if
+// the union exceeds k leaves. The caller guarantees cap(dst)-len(dst) >= k,
+// so the append never reallocates.
+func mergeLeaves(dst []int, a, b []int, k int) ([]int, bool) {
+	n := 0
 	i, j := 0, 0
-	for i < len(a.Leaves) || j < len(b.Leaves) {
+	for i < len(a) || j < len(b) {
 		var v int
 		switch {
-		case i >= len(a.Leaves):
-			v = b.Leaves[j]
+		case i >= len(a):
+			v = b[j]
 			j++
-		case j >= len(b.Leaves):
-			v = a.Leaves[i]
+		case j >= len(b):
+			v = a[i]
 			i++
-		case a.Leaves[i] < b.Leaves[j]:
-			v = a.Leaves[i]
+		case a[i] < b[j]:
+			v = a[i]
 			i++
-		case a.Leaves[i] > b.Leaves[j]:
-			v = b.Leaves[j]
+		case a[i] > b[j]:
+			v = b[j]
 			j++
 		default:
-			v = a.Leaves[i]
+			v = a[i]
 			i++
 			j++
 		}
-		if len(leaves) == k {
-			return Cut{}, false
+		if n == k {
+			return dst, false
 		}
-		leaves = append(leaves, v)
+		dst = append(dst, v)
+		n++
 	}
-	return newCut(append(make([]int, 0, len(leaves)), leaves...)), true
+	return dst, true
+}
+
+// arena hands out capped subslices of chunks that are never reallocated, so
+// a returned slice neither moves nor aliases another one: an append by its
+// holder copies instead of clobbering a neighbour.
+type arena[T any] struct {
+	chunk []T
+	size  int // minimum chunk length
+}
+
+func (a *arena[T]) alloc(n int) []T {
+	if len(a.chunk)+n > cap(a.chunk) {
+		a.chunk = make([]T, 0, max(a.size, n))
+	}
+	i := len(a.chunk)
+	a.chunk = a.chunk[:i+n]
+	return a.chunk[i : i+n : i+n]
 }
 
 // EnumerateCuts computes up to maxCuts k-feasible cuts per variable using
 // the standard bottom-up merge with dominance pruning. The trivial cut {v}
-// is always included (last). Index by variable.
+// is always included (last). Index by variable. Leaves and per-variable cut
+// lists are carved from chunked arenas owned by the result; each node's
+// candidate set is built in scratch reused across nodes, and only the cuts
+// it keeps are copied out.
 func (g *AIG) EnumerateCuts(k, maxCuts int) [][]Cut {
 	cuts := make([][]Cut, len(g.nodes))
-	cuts[0] = []Cut{newCut([]int{})}
-	for v := 1; v <= g.numPI; v++ {
-		cuts[v] = []Cut{newCut([]int{v})}
+	chunk := min(max(len(g.nodes), 64), 4096)
+	leafArena := arena[int]{size: chunk * k}
+	cutArena := arena[Cut]{size: chunk * maxCuts}
+	single := func(leaves ...int) []Cut {
+		out := cutArena.alloc(1)
+		l := leafArena.alloc(len(leaves))
+		copy(l, leaves)
+		out[0] = newCut(l)
+		return out
 	}
+	cuts[0] = single()
+	for v := 1; v <= g.numPI; v++ {
+		cuts[v] = single(v)
+	}
+	var set []Cut
+	var scratch []int
 	for v := g.numPI + 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]
 		c0 := cuts[n.fan0.Var()]
 		c1 := cuts[n.fan1.Var()]
-		var set []Cut
+		// Every candidate's leaves stay in scratch until the node is done,
+		// so reserve room for all merges up front.
+		if need := len(c0) * len(c1) * k; cap(scratch) < need {
+			scratch = make([]int, 0, need)
+		}
+		scratch = scratch[:0]
+		set = set[:0]
 		for _, a := range c0 {
 			for _, b := range c1 {
-				m, ok := mergeCuts(a, b, k)
+				leaves, ok := mergeLeaves(scratch[len(scratch):], a.Leaves, b.Leaves, k)
 				if !ok {
 					continue
 				}
+				m := newCut(leaves[:len(leaves):len(leaves)])
 				if dominatedByAny(set, m) {
 					continue
 				}
+				scratch = scratch[:len(scratch)+len(leaves)]
 				set = removeDominated(set, m)
 				set = append(set, m)
 			}
 		}
-		sort.Slice(set, func(i, j int) bool { return len(set[i].Leaves) < len(set[j].Leaves) })
+		sortCutsBySize(set)
 		if len(set) > maxCuts-1 {
 			set = set[:maxCuts-1]
 		}
-		set = append(set, newCut([]int{v})) // trivial cut
-		cuts[v] = set
+		out := cutArena.alloc(len(set) + 1)
+		for i, c := range set {
+			l := leafArena.alloc(len(c.Leaves))
+			copy(l, c.Leaves)
+			out[i] = Cut{Leaves: l, sign: c.sign}
+		}
+		l := leafArena.alloc(1)
+		l[0] = v
+		out[len(set)] = newCut(l) // trivial cut
+		cuts[v] = out
 	}
 	return cuts
+}
+
+// sortCutsBySize orders cuts by leaf count. The sort is not stable, and
+// which equal-size cuts survive the maxCuts truncation depends on its exact
+// permutation, so it must stay the pdqsort of sort.Slice: slices.SortFunc
+// runs the same generated algorithm and comparisons without the reflection
+// and closure allocations.
+func sortCutsBySize(set []Cut) {
+	slices.SortFunc(set, func(a, b Cut) int { return len(a.Leaves) - len(b.Leaves) })
 }
 
 func dominatedByAny(set []Cut, m Cut) bool {

@@ -1,0 +1,230 @@
+package aig_test
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/aig"
+	"repro/internal/epfl"
+)
+
+// refEnumerateCuts is the reference cut enumeration: every merged cut gets
+// its own leaf slice and every node a fresh cut list, with the bottom-up
+// merge, dominance pruning, size sort and truncation of EnumerateCuts.
+// maxSet is the largest candidate set it sorted.
+func refEnumerateCuts(g *aig.AIG, k, maxCuts int) (cuts [][][]int, maxSet int) {
+	cuts = make([][][]int, g.NumVars())
+	cuts[0] = [][]int{{}}
+	for v := 1; v <= g.NumPIs(); v++ {
+		cuts[v] = [][]int{{v}}
+	}
+	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
+		f0, f1 := g.Fanins(v)
+		var set [][]int
+		for _, a := range cuts[f0.Var()] {
+			for _, b := range cuts[f1.Var()] {
+				m := refUnion(a, b)
+				if len(m) > k {
+					continue
+				}
+				dominated := false
+				for _, c := range set {
+					if refSubset(c, m) {
+						dominated = true
+						break
+					}
+				}
+				if dominated {
+					continue
+				}
+				kept := set[:0]
+				for _, c := range set {
+					if !refSubset(m, c) {
+						kept = append(kept, c)
+					}
+				}
+				set = append(kept, m)
+			}
+		}
+		maxSet = max(maxSet, len(set))
+		sort.Slice(set, func(i, j int) bool { return len(set[i]) < len(set[j]) })
+		if len(set) > maxCuts-1 {
+			set = set[:maxCuts-1]
+		}
+		cuts[v] = append(set, []int{v})
+	}
+	return cuts, maxSet
+}
+
+func refUnion(a, b []int) []int {
+	var out []int
+	for _, v := range a {
+		out = append(out, v)
+	}
+	for _, v := range b {
+		if !slices.Contains(a, v) {
+			out = append(out, v)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func refSubset(c, d []int) bool {
+	for _, v := range c {
+		if !slices.Contains(d, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// refCutTruth is the reference cut function: a map memo of every visited
+// node's truth table.
+func refCutTruth(g *aig.AIG, root aig.Lit, leaves []int) uint64 {
+	tt := map[int]uint64{0: 0}
+	for i, v := range leaves {
+		tt[v] = aig.Truth6Var(i)
+	}
+	var rec func(v int) uint64
+	rec = func(v int) uint64 {
+		if t, ok := tt[v]; ok {
+			return t
+		}
+		f0, f1 := g.Fanins(v)
+		a, b := rec(f0.Var()), rec(f1.Var())
+		if f0.IsCompl() {
+			a = ^a
+		}
+		if f1.IsCompl() {
+			b = ^b
+		}
+		tt[v] = a & b
+		return a & b
+	}
+	t := rec(root.Var())
+	if root.IsCompl() {
+		t = ^t
+	}
+	return t & aig.Truth6Mask(len(leaves))
+}
+
+// randomGraph builds a seeded random AIG over nPI inputs.
+func randomGraph(seed int64, nPI, nNodes int) *aig.AIG {
+	rng := rand.New(rand.NewSource(seed))
+	g := aig.New("rand")
+	var lits []aig.Lit
+	for i := 0; i < nPI; i++ {
+		lits = append(lits, g.AddPI(""))
+	}
+	for i := 0; i < nNodes; i++ {
+		a := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0)
+		b := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0)
+		lits = append(lits, g.And(a, b))
+	}
+	g.AddPO(lits[len(lits)-1], "y")
+	return g
+}
+
+// cutTestGraphs returns seeded random AIGs plus EPFL builds small enough to
+// enumerate twice per cut shape in well under a second.
+func cutTestGraphs() map[string]*aig.AIG {
+	graphs := map[string]*aig.AIG{}
+	for seed := int64(1); seed <= 12; seed++ {
+		graphs["rand"+string(rune('a'+seed))] = randomGraph(seed, 4+int(seed%6), 40*int(seed))
+	}
+	for _, gen := range epfl.Suite() {
+		switch gen.Name {
+		case "ctrl", "dec", "int2float", "router", "cavlc", "i2c", "priority", "multiplier", "adder":
+			graphs[gen.Name] = gen.Build()
+		}
+	}
+	return graphs
+}
+
+// TestEnumerateCutsMatchesReference: the arena-backed enumeration returns
+// the reference's cuts in the reference's order, and CutTruth gives the
+// map-based reference function for every one of them. Candidate sets past
+// the insertion-sort cutoff of 12 must occur, or the unstable part of the
+// sort goes untested.
+func TestEnumerateCutsMatchesReference(t *testing.T) {
+	largest := 0
+	for name, g := range cutTestGraphs() {
+		for _, shape := range [][2]int{{4, 6}, {6, 4}, {6, 8}, {3, 3}} {
+			k, maxCuts := shape[0], shape[1]
+			got := g.EnumerateCuts(k, maxCuts)
+			want, maxSet := refEnumerateCuts(g, k, maxCuts)
+			largest = max(largest, maxSet)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d cut lists, want %d", name, k, len(got), len(want))
+			}
+			for v := range want {
+				if len(got[v]) != len(want[v]) {
+					t.Fatalf("%s k=%d var %d: %d cuts, want %d", name, k, v, len(got[v]), len(want[v]))
+				}
+				for i, c := range got[v] {
+					if !slices.Equal(c.Leaves, want[v][i]) {
+						t.Fatalf("%s k=%d var %d cut %d: leaves %v, want %v", name, k, v, i, c.Leaves, want[v][i])
+					}
+					if v == 0 || len(c.Leaves) > 6 {
+						continue
+					}
+					root := aig.MakeLit(v, v%2 == 0)
+					if tt, ref := g.CutTruth(root, c.Leaves), refCutTruth(g, root, c.Leaves); tt != ref {
+						t.Fatalf("%s var %d cut %v: CutTruth %#x, reference %#x", name, v, c.Leaves, tt, ref)
+					}
+				}
+			}
+		}
+	}
+	if largest <= 12 {
+		t.Fatalf("largest candidate set %d: no set reached the unstable sort", largest)
+	}
+}
+
+// TestEnumerateCutsAppendIsolated: appending to a returned leaf slice or
+// cut list copies instead of writing into a neighbour's storage.
+func TestEnumerateCutsAppendIsolated(t *testing.T) {
+	g := randomGraph(7, 6, 300)
+	cuts := g.EnumerateCuts(4, 6)
+	want, _ := refEnumerateCuts(g, 4, 6)
+	for v := range cuts {
+		for i := range cuts[v] {
+			cuts[v][i].Leaves = append(cuts[v][i].Leaves, -1, -2)
+		}
+		cuts[v] = append(cuts[v], aig.Cut{Leaves: []int{-3}})
+	}
+	for v := range want {
+		for i, leaves := range want[v] {
+			if got := cuts[v][i].Leaves; !slices.Equal(got[:len(got)-2], leaves) {
+				t.Fatalf("var %d cut %d: %v after appends, want %v", v, i, got, leaves)
+			}
+		}
+	}
+}
+
+// TestCutTruthLargeConeAndConcurrent: a 6-leaf cut whose cone is far larger
+// than CutTruth's inline memo agrees with the reference, also when many
+// goroutines evaluate cuts of one graph at once.
+func TestCutTruthLargeConeAndConcurrent(t *testing.T) {
+	g := randomGraph(3, 6, 400)
+	leaves := []int{1, 2, 3, 4, 5, 6}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for v := g.NumVars() - 1 - w; v > g.NumPIs(); v -= 4 {
+				root := aig.MakeLit(v, false)
+				if tt, ref := g.CutTruth(root, leaves), refCutTruth(g, root, leaves); tt != ref {
+					t.Errorf("var %d: CutTruth %#x, reference %#x", v, tt, ref)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

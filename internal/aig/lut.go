@@ -127,9 +127,9 @@ type MfsOptions struct {
 	MaxChecks  int   // unobserved input patterns SAT-checked per LUT
 	PowerAware bool  // drop high-activity supports first (mfs -p)
 	Seed       int64
-	// Window bounds the CNF cone encoded per LUT window: one solver per LUT
-	// encodes at most Window AND nodes of the leaves' fanin cone, and every
-	// query of that LUT reuses it (sound for UNSAT).
+	// Window bounds the CNF cone encoded per LUT window: the pass's solver,
+	// reset per LUT, encodes at most Window AND nodes of the leaves' fanin
+	// cone, and every query of that LUT reuses it (sound for UNSAT).
 	Window int
 }
 
@@ -170,6 +170,9 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 	opt = opt.withDefaults()
 	sigs := n.G.Signatures(opt.SimWords, opt.Seed)
 	act := n.G.Activities()
+	// One builder and solver for the whole pass, reset per LUT window.
+	cnf := NewCNFBuilder(n.G, sat.New(0))
+	cnf.Limit = opt.Window
 
 	for _, root := range n.Order {
 		lut := n.LUTs[root]
@@ -177,7 +180,7 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 		if k == 0 || k > 6 {
 			continue
 		}
-		dc := n.dontCares(lut.Leaves, observedPatterns(sigs, lut.Leaves), opt)
+		dc := n.dontCares(cnf, lut.Leaves, observedPatterns(sigs, lut.Leaves), opt)
 		if dc == 0 {
 			continue
 		}
@@ -251,17 +254,18 @@ func observedPatterns(sigs [][]uint64, leaves []int) uint64 {
 }
 
 // dontCares proves up to MaxChecks of the unobserved leaf patterns
-// unreachable and returns them as a satisfiability don't-care mask. One
-// solver per LUT window, created on the first unobserved pattern, holds the
-// leaves' windowed cone (encoded in leaf order, at most Window AND nodes);
-// each pattern is one Solve under the leaf-value assumptions, with a
-// SATBudget conflict budget per query. Learned clauses are implied by the
-// window CNF, so each Sat/Unsat verdict is the one a fresh solver per
-// pattern would give; only a budget-limited Unknown can differ.
-func (n *LUTNet) dontCares(leaves []int, observed uint64, opt MfsOptions) uint64 {
-	var s *sat.Solver
-	var vars []int
-	assumptions := make([]sat.Lit, len(leaves))
+// unreachable and returns them as a satisfiability don't-care mask. The
+// pass's one builder (Limit = Window) is reset on the first unobserved
+// pattern and then holds this LUT window: the leaves' windowed cone,
+// encoded in leaf order. Each pattern is one Solve under the leaf-value
+// assumptions, with a SATBudget conflict budget per query. Learned clauses
+// are implied by the window CNF, so each Sat/Unsat verdict is the one a
+// fresh solver per pattern would give; only a budget-limited Unknown can
+// differ.
+func (n *LUTNet) dontCares(cnf *CNFBuilder, leaves []int, observed uint64, opt MfsOptions) uint64 {
+	var vars [6]int
+	var assumptions [6]sat.Lit
+	encoded := false
 	var dc uint64
 	checks := 0
 	for idx := 0; idx < 1<<uint(len(leaves)) && checks < opt.MaxChecks; idx++ {
@@ -269,20 +273,18 @@ func (n *LUTNet) dontCares(leaves []int, observed uint64, opt MfsOptions) uint64
 			continue
 		}
 		checks++
-		if s == nil {
-			s = sat.New(0)
-			s.ConflictBudget = opt.SATBudget
-			cb := NewCNFBuilder(n.G, s)
-			cb.Limit = opt.Window
-			vars = make([]int, len(leaves))
+		if !encoded {
+			cnf.Reset()
+			cnf.S.ConflictBudget = opt.SATBudget
 			for i, leaf := range leaves {
-				vars[i] = cb.SatVar(leaf)
+				vars[i] = cnf.SatVar(leaf)
 			}
+			encoded = true
 		}
-		for i, v := range vars {
-			assumptions[i] = sat.L(v, idx&(1<<uint(i)) == 0)
+		for i := range leaves {
+			assumptions[i] = sat.L(vars[i], idx&(1<<uint(i)) == 0)
 		}
-		if s.Solve(assumptions...) == sat.Unsat {
+		if cnf.S.Solve(assumptions[:len(leaves)]...) == sat.Unsat {
 			dc |= 1 << uint(idx)
 		}
 	}

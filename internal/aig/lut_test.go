@@ -58,8 +58,9 @@ func dontCaresRef(g *AIG, leaves []int, observed uint64, opt MfsOptions) (dc uin
 
 // TestMfsDontCaresMatchReference pins Mfs's fast path to the references: the
 // per-pattern word test finds the same observed patterns as the per-bit
-// scan, and the one incremental solver per LUT window proves the same
-// don't-care mask as a fresh solver per pattern. Default options prove
+// scan, and the incremental solver per LUT window, one builder reset from
+// LUT to LUT as in Mfs, proves the same don't-care mask as a fresh solver
+// per pattern. Default options prove
 // every unobserved pattern unreachable; one simulation word and a narrow
 // window also leave reachable and spuriously reachable patterns, so the
 // shared solver answers Sat between Unsat queries.
@@ -75,6 +76,9 @@ func TestMfsDontCaresMatchReference(t *testing.T) {
 			sigs := g.Signatures(opt.SimWords, opt.Seed)
 			for _, k := range []int{5, 6} {
 				net := g.MapLUT(LUTMapOptions{K: k})
+				// One builder for the whole net, as Mfs keeps per pass.
+				cnf := NewCNFBuilder(g, sat.New(0))
+				cnf.Limit = opt.Window
 				for _, root := range net.Order {
 					leaves := net.LUTs[root].Leaves
 					obs := observedPatterns(sigs, leaves)
@@ -82,7 +86,7 @@ func TestMfsDontCaresMatchReference(t *testing.T) {
 						t.Fatalf("%+v seed %d K=%d LUT %d: observed %#x, reference scan %#x", opt, seed, k, root, obs, want)
 					}
 					want, n := dontCaresRef(g, leaves, obs, opt)
-					if got := net.dontCares(leaves, obs, opt); got != want {
+					if got := net.dontCares(cnf, leaves, obs, opt); got != want {
 						t.Fatalf("%+v seed %d K=%d LUT %d: don't-cares %#x, reference %#x", opt, seed, k, root, got, want)
 					}
 					luts++

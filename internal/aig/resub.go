@@ -128,6 +128,9 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 	// variables.
 	byHash := make(map[uint64][]int)
 	zero := make([]uint64, opt.Words)
+	// One builder and solver for the whole pass; every proof resets it.
+	cnf := NewCNFBuilder(g, sat.New(0))
+	cnf.Limit = opt.Window
 	for i := 1; i <= g.numPI; i++ {
 		byHash[sigHash(sigs[i], false)] = append(byHash[sigHash(sigs[i], false)], i)
 	}
@@ -142,12 +145,12 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 		// Constant detection.
 		if sigEqual(sigs[v], zero, false) {
 			proofs++
-			if eq, proven := ProveEqualWindow(g, MakeLit(v, false), False, opt.SATBudget, opt.Window); eq && proven {
+			if eq, proven := cnf.proveEqual(MakeLit(v, false), False, opt.SATBudget); eq && proven {
 				repl, replaced = False, true
 			}
 		} else if sigEqual(sigs[v], zero, true) {
 			proofs++
-			if eq, proven := ProveEqualWindow(g, MakeLit(v, false), True, opt.SATBudget, opt.Window); eq && proven {
+			if eq, proven := cnf.proveEqual(MakeLit(v, false), True, opt.SATBudget); eq && proven {
 				repl, replaced = True, true
 			}
 		}
@@ -166,7 +169,7 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 						continue
 					}
 					proofs++
-					eq, proven := ProveEqualWindow(g, MakeLit(v, false), MakeLit(d, compl), opt.SATBudget, opt.Window)
+					eq, proven := cnf.proveEqual(MakeLit(v, false), MakeLit(d, compl), opt.SATBudget)
 					if eq && proven {
 						repl = m[d].NotIf(compl)
 						replaced = true
@@ -197,7 +200,7 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 								break searchPairs
 							}
 							proofs++
-							if g.proveIsAnd(v, MakeLit(da, ca), MakeLit(db, cb), opt.SATBudget, opt.Window) {
+							if cnf.proveIsAnd(v, MakeLit(da, ca), MakeLit(db, cb), opt.SATBudget) {
 								repl = out.And(m[da].NotIf(ca), m[db].NotIf(cb))
 								replaced = true
 								break searchPairs
@@ -221,14 +224,14 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 
 // proveIsAnd checks with SAT that node v equals the conjunction of the two
 // divisor literals, using an auxiliary Tseitin variable so no node has to be
-// added to the graph.
-func (g *AIG) proveIsAnd(v int, la, lb Lit, budget int64, window int) bool {
-	s := newBudgetSolver(budget)
-	cb := NewCNFBuilder(g, s)
-	cb.Limit = window
-	sv := sat.L(cb.SatVar(v), false)
-	sa := cb.SatLit(la)
-	sb := cb.SatLit(lb)
+// added to the graph. Like proveEqual it resets the builder first.
+func (b *CNFBuilder) proveIsAnd(v int, la, lb Lit, budget int64) bool {
+	b.Reset()
+	s := b.S
+	s.ConflictBudget = budget
+	sv := sat.L(b.SatVar(v), false)
+	sa := b.SatLit(la)
+	sb := b.SatLit(lb)
 	t := sat.L(s.AddVar(), false)
 	s.AddClause(t.Not(), sa)
 	s.AddClause(t.Not(), sb)
@@ -237,12 +240,6 @@ func (g *AIG) proveIsAnd(v int, la, lb Lit, budget int64, window int) bool {
 		return false
 	}
 	return s.Solve(sv.Not(), t) == sat.Unsat
-}
-
-func newBudgetSolver(budget int64) *sat.Solver {
-	s := sat.New(0)
-	s.ConflictBudget = budget
-	return s
 }
 
 // sigIsAnd checks sig(v) == sig(a)^ca & sig(b)^cb.

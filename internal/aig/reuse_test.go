@@ -1,0 +1,93 @@
+package aig
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/sat"
+)
+
+// TestReusedBuilderMatchesOneShot: proofs on one builder reused across a
+// pass give exactly the verdicts of a one-shot builder per proof, for
+// equality (with and without a window) and for the 1-resub AND check.
+func TestReusedBuilderMatchesOneShot(t *testing.T) {
+	var proofs, equal int
+	for seed := int64(1); seed <= 12; seed++ {
+		g := randomAIG(seed, 6, 150, 4)
+		rng := rand.New(rand.NewSource(seed))
+		for _, window := range []int{0, 8} {
+			cnf := NewCNFBuilder(g, sat.New(0))
+			cnf.Limit = window
+			for q := 0; q < 60; q++ {
+				v := g.NumPIs() + 1 + rng.Intn(g.NumNodes())
+				d := MakeLit(1+rng.Intn(g.NumVars()-1), rng.Intn(2) == 0)
+				eq, proven := cnf.proveEqual(MakeLit(v, false), d, 50)
+				weq, wproven := ProveEqualWindow(g, MakeLit(v, false), d, 50, window)
+				if eq != weq || proven != wproven {
+					t.Fatalf("seed %d window %d: proveEqual(%d, %d) = %v/%v, one-shot %v/%v",
+						seed, window, v, d, eq, proven, weq, wproven)
+				}
+				a, b := MakeLit(rng.Intn(v), rng.Intn(2) == 0), MakeLit(rng.Intn(v), rng.Intn(2) == 0)
+				fresh := NewCNFBuilder(g, sat.New(0))
+				fresh.Limit = window
+				if got, want := cnf.proveIsAnd(v, a, b, 50), fresh.proveIsAnd(v, a, b, 50); got != want {
+					t.Fatalf("seed %d window %d: proveIsAnd(%d, %d, %d) = %v, fresh builder %v",
+						seed, window, v, a, b, got, want)
+				}
+				proofs++
+				if eq && proven {
+					equal++
+				}
+			}
+		}
+	}
+	if equal == 0 || equal == proofs {
+		t.Fatalf("%d of %d proofs equal: the comparison needs both verdicts", equal, proofs)
+	}
+}
+
+// TestWarmResubProofAllocatesNothing: once the pass's builder has held a
+// proof's window, the next proof of that size reuses every allocation.
+func TestWarmResubProofAllocatesNothing(t *testing.T) {
+	g := randomAIG(5, 8, 300, 4)
+	cnf := NewCNFBuilder(g, sat.New(0))
+	cnf.Limit = DefaultResubOptions().Window
+	root := MakeLit(g.NumVars()-1, false)
+	other := MakeLit(g.NumVars()-2, true)
+	prove := func() {
+		cnf.proveEqual(root, other, 300)
+		cnf.proveEqual(root, False, 300)
+		cnf.proveIsAnd(root.Var(), other, MakeLit(g.NumVars()-3, false), 300)
+	}
+	prove()
+	if allocs := testing.AllocsPerRun(20, prove); allocs != 0 {
+		t.Errorf("warm proofs allocated %.1f times per run", allocs)
+	}
+}
+
+// TestSortCutsBySizeMatchesSortSlice: the cut sort is unstable and the
+// maxCuts truncation keeps whichever equal-size cuts land first, so it must
+// produce sort.Slice's exact permutation, ties included, at every length
+// either side of the insertion-sort cutoff.
+func TestSortCutsBySizeMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(80)
+		set := make([]Cut, n)
+		for i := range set {
+			// The id in sign tracks identity; lengths collide often.
+			set[i] = Cut{Leaves: make([]int, rng.Intn(7)), sign: uint64(i)}
+		}
+		want := slices.Clone(set)
+		sort.Slice(want, func(i, j int) bool { return len(want[i].Leaves) < len(want[j].Leaves) })
+		sortCutsBySize(set)
+		for i := range set {
+			if set[i].sign != want[i].sign {
+				t.Fatalf("trial %d (n=%d): position %d holds cut %d, sort.Slice put %d there",
+					trial, n, i, set[i].sign, want[i].sign)
+			}
+		}
+	}
+}

@@ -40,42 +40,80 @@ func truth6Cofactors(t uint64, i int) (lo, hi uint64) {
 
 // CutTruth computes the truth table of root over the given leaves (at most
 // 6), which must form a cut: every path from root to the PIs passes through
-// a leaf. Leaves are positive-phase variable indices.
+// a leaf. Leaves are positive-phase variable indices. The memo of visited
+// nodes lives on the caller's stack, so concurrent calls share nothing.
 func (g *AIG) CutTruth(root Lit, leaves []int) uint64 {
 	if len(leaves) > 6 {
 		panic("aig: CutTruth supports at most 6 leaves")
 	}
-	tt := make(map[int]uint64, len(leaves)*2)
-	tt[0] = 0
+	var tt truthMemo
+	tt.put(0, 0)
 	for i, v := range leaves {
-		tt[v] = truth6Masks[i]
+		tt.put(v, truth6Masks[i])
 	}
-	var rec func(v int) uint64
-	rec = func(v int) uint64 {
-		if t, ok := tt[v]; ok {
-			return t
-		}
-		if !g.IsAnd(v) {
-			panic("aig: CutTruth reached a PI that is not a leaf")
-		}
-		n := &g.nodes[v]
-		a := rec(n.fan0.Var())
-		if n.fan0.IsCompl() {
-			a = ^a
-		}
-		b := rec(n.fan1.Var())
-		if n.fan1.IsCompl() {
-			b = ^b
-		}
-		t := a & b
-		tt[v] = t
-		return t
-	}
-	t := rec(root.Var())
+	t := g.cutTruthRec(&tt, root.Var())
 	if root.IsCompl() {
 		t = ^t
 	}
 	return t & Truth6Mask(len(leaves))
+}
+
+func (g *AIG) cutTruthRec(tt *truthMemo, v int) uint64 {
+	if t, ok := tt.get(v); ok {
+		return t
+	}
+	if !g.IsAnd(v) {
+		panic("aig: CutTruth reached a PI that is not a leaf")
+	}
+	n := &g.nodes[v]
+	a := g.cutTruthRec(tt, n.fan0.Var())
+	if n.fan0.IsCompl() {
+		a = ^a
+	}
+	b := g.cutTruthRec(tt, n.fan1.Var())
+	if n.fan1.IsCompl() {
+		b = ^b
+	}
+	t := a & b
+	tt.put(v, t)
+	return t
+}
+
+// truthMemo maps variables to truth tables during one CutTruth walk: a
+// small inline table searched newest-first (so a later put shadows an
+// earlier one, as a map assignment would), spilling to a map only for
+// cones too large for it.
+type truthMemo struct {
+	vars  [48]int
+	tts   [48]uint64
+	n     int
+	spill map[int]uint64
+}
+
+func (m *truthMemo) get(v int) (uint64, bool) {
+	if m.spill != nil {
+		if t, ok := m.spill[v]; ok {
+			return t, true
+		}
+	}
+	for i := m.n - 1; i >= 0; i-- {
+		if m.vars[i] == v {
+			return m.tts[i], true
+		}
+	}
+	return 0, false
+}
+
+func (m *truthMemo) put(v int, t uint64) {
+	if m.n < len(m.vars) {
+		m.vars[m.n], m.tts[m.n] = v, t
+		m.n++
+		return
+	}
+	if m.spill == nil {
+		m.spill = make(map[int]uint64)
+	}
+	m.spill[v] = t
 }
 
 // TruthSupport returns a bitmask of the variables (0..n-1) the table

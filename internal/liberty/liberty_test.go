@@ -186,6 +186,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"",
 		"cell (X) { }",
 		"library (a) { cell (b) { pin (Y) { timing () { cell_rise (t) { index_1 (\"1\"); index_2 (\"1\"); values (\"1, 2\"); } } } } }",
+		// A value that consumes nothing used to spin the attribute loops.
+		"library (x) { cell (INV) { ar(Aea : 1; pin (A) { direction : input; } } }",
+		"library (;",
+		"library (x) { a : b\"c; }",
 	} {
 		if _, err := Parse(bytes.NewReader([]byte(src))); err == nil {
 			t.Errorf("Parse accepted %q", src)

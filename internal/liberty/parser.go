@@ -101,7 +101,15 @@ func (p *parser) value() (string, error) {
 		if c == ';' || c == ')' || c == ',' || c == '\n' || c == '{' {
 			break
 		}
+		if c == '"' {
+			return "", fmt.Errorf("liberty: stray quote at offset %d", p.pos)
+		}
 		p.pos++
+	}
+	if p.pos == start {
+		// Callers loop until a delimiter; a value that consumed nothing
+		// would leave them spinning on it.
+		return "", fmt.Errorf("liberty: expected a value at offset %d", p.pos)
 	}
 	return strings.TrimSpace(p.src[start:p.pos]), nil
 }
@@ -187,7 +195,14 @@ func (p *parser) parseStatement(g *group) error {
 		depth := 0
 		i := p.pos
 		for ; i < len(p.src); i++ {
-			if p.src[i] == '(' {
+			if p.src[i] == '"' {
+				// Parentheses inside a quoted value do not nest.
+				end := strings.IndexByte(p.src[i+1:], '"')
+				if end < 0 {
+					break
+				}
+				i += end + 1
+			} else if p.src[i] == '(' {
 				depth++
 			} else if p.src[i] == ')' {
 				depth--

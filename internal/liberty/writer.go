@@ -21,7 +21,7 @@ const (
 // Write emits the library in liberty syntax.
 func (l *Library) Write(w io.Writer) error {
 	b := &strings.Builder{}
-	fmt.Fprintf(b, "library (%s) {\n", l.Name)
+	fmt.Fprintf(b, "library (%s) {\n", token(l.Name))
 	fmt.Fprintf(b, "  comment : \"cryogenic-aware characterized library, T=%gK\";\n", l.TempK)
 	fmt.Fprintf(b, "  delay_model : table_lookup;\n")
 	fmt.Fprintf(b, "  time_unit : \"%s\";\n", timeUnitStr)
@@ -45,7 +45,7 @@ func (l *Library) Write(w io.Writer) error {
 }
 
 func writeCell(b *strings.Builder, c *Cell) {
-	fmt.Fprintf(b, "  cell (%s) {\n", c.Name)
+	fmt.Fprintf(b, "  cell (%s) {\n", token(c.Name))
 	fmt.Fprintf(b, "    area : %.4f;\n", c.Area)
 	fmt.Fprintf(b, "    cell_leakage_power : %.6g;\n", c.LeakagePower*leakScale)
 	if c.Sequential {
@@ -61,8 +61,8 @@ func writeCell(b *strings.Builder, c *Cell) {
 }
 
 func writePin(b *strings.Builder, p *Pin) {
-	fmt.Fprintf(b, "    pin (%s) {\n", p.Name)
-	fmt.Fprintf(b, "      direction : %s;\n", p.Direction)
+	fmt.Fprintf(b, "    pin (%s) {\n", token(p.Name))
+	fmt.Fprintf(b, "      direction : %s;\n", token(p.Direction))
 	if p.Direction == "input" {
 		fmt.Fprintf(b, "      capacitance : %.6g;\n", p.Cap*capScale)
 	}
@@ -73,10 +73,10 @@ func writePin(b *strings.Builder, p *Pin) {
 		fmt.Fprintf(b, "      timing () {\n")
 		fmt.Fprintf(b, "        related_pin : \"%s\";\n", tm.RelatedPin)
 		if tm.Sense != "" {
-			fmt.Fprintf(b, "        timing_sense : %s;\n", tm.Sense)
+			fmt.Fprintf(b, "        timing_sense : %s;\n", token(tm.Sense))
 		}
 		if tm.Type != "" {
-			fmt.Fprintf(b, "        timing_type : %s;\n", tm.Type)
+			fmt.Fprintf(b, "        timing_type : %s;\n", token(tm.Type))
 		}
 		writeTable(b, "cell_rise", tm.CellRise, timeScale)
 		writeTable(b, "cell_fall", tm.CellFall, timeScale)
@@ -111,6 +111,22 @@ func writeTable(b *strings.Builder, kind string, t *Table, scale float64) {
 	}
 	fmt.Fprintf(b, "          );\n")
 	fmt.Fprintf(b, "        }\n")
+}
+
+// token writes a name or keyword bare when the parser reads it back
+// unchanged as a bare token, and quoted otherwise (empty, spaces,
+// delimiters, parentheses).
+func token(s string) string {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '.' || c == '-' || c == '+') {
+			return `"` + s + `"`
+		}
+	}
+	if s == "" {
+		return `""`
+	}
+	return s
 }
 
 func joinScaled(vals []float64, scale float64) string {

@@ -52,9 +52,12 @@ type clause struct {
 	activity float64
 }
 
-// Solver is a CDCL SAT solver. Zero value is not usable; call New.
+// Solver is a CDCL SAT solver. Zero value is not usable; call New. Reset
+// returns a solver to its New(0) state while keeping every allocation, so a
+// caller that proves many small formulas in sequence reuses one solver.
 type Solver struct {
 	clauses  []*clause
+	arena    clauseArena
 	watches  [][]*clause // literal -> watching clauses
 	assign   []int8      // var -> 0 unassigned, +1 true, -1 false
 	level    []int32     // var -> decision level
@@ -62,6 +65,8 @@ type Solver struct {
 	reasons  []*clause   // aligned with vars: antecedent clause
 	activity []float64
 	polarity []bool // phase saving
+	seen     []bool // analyze scratch; all false between conflicts
+	learnt   []Lit  // analyze scratch
 	heap     varHeap
 	trail    []Lit
 	trailLim []int
@@ -82,6 +87,33 @@ func New(n int) *Solver {
 	return s
 }
 
+// Reset returns the solver to exactly the state New(0) gives: no
+// variables, no clauses, default budget and activity increments. Every
+// backing array (per-variable slices, watch lists, the heap, the clause
+// arena) is kept for reuse, so a warm solver allocates only when a formula
+// outgrows the largest one it has held.
+func (s *Solver) Reset() {
+	s.clauses = s.clauses[:0]
+	s.arena.reset()
+	s.watches = s.watches[:0] // Grow truncates each list as it reappears
+	s.assign = s.assign[:0]
+	s.level = s.level[:0]
+	s.reason = s.reason[:0]
+	s.reasons = s.reasons[:0]
+	s.activity = s.activity[:0]
+	s.polarity = s.polarity[:0]
+	s.seen = s.seen[:0]
+	s.heap.data = s.heap.data[:0]
+	s.heap.indices = s.heap.indices[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.varInc, s.claInc = 1, 1
+	s.ConflictBudget = -1
+	s.conflicts = 0
+	s.rootUnsat = false
+}
+
 // Grow ensures the solver knows about at least n variables.
 func (s *Solver) Grow(n int) {
 	for len(s.assign) < n {
@@ -91,7 +123,15 @@ func (s *Solver) Grow(n int) {
 		s.reasons = append(s.reasons, nil)
 		s.activity = append(s.activity, 0)
 		s.polarity = append(s.polarity, false)
-		s.watches = append(s.watches, nil, nil)
+		s.seen = append(s.seen, false)
+		if w := len(s.watches); w+2 <= cap(s.watches) {
+			// Reuse the watch lists a Reset left behind, emptied in place.
+			s.watches = s.watches[:w+2]
+			s.watches[w] = s.watches[w][:0]
+			s.watches[w+1] = s.watches[w+1][:0]
+		} else {
+			s.watches = append(s.watches, nil, nil)
+		}
 		s.heap.push(s, len(s.assign)-1)
 	}
 }
@@ -167,8 +207,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), lits...)}
-	s.attach(c)
+	s.attach(s.arena.alloc(lits, false))
 	return true
 }
 
@@ -273,11 +312,11 @@ func (s *Solver) bumpVar(v int) {
 	s.heap.bump(s, v)
 }
 
-// analyze performs first-UIP learning, returning the learnt clause and the
-// backtrack level.
+// analyze performs first-UIP learning, returning the learnt clause (solver
+// scratch, valid until the next conflict) and the backtrack level.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	seen := make(map[int]bool)
-	var learnt []Lit
+	seen := s.seen
+	learnt := append(s.learnt[:0], 0) // slot 0 holds the UIP, set below
 	counter := 0
 	p := Lit(-1)
 	idx := len(s.trail) - 1
@@ -308,11 +347,17 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		seen[v] = false
 		counter--
 		if counter == 0 {
-			learnt = append([]Lit{p.Not()}, learnt...)
+			learnt[0] = p.Not()
 			break
 		}
 		confl = s.reasons[v]
 	}
+	// Every current-level mark was cleared as the trail was walked; clear
+	// the lower-level ones so seen is all false again.
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
+	s.learnt = learnt
 	// Backtrack level: second-highest level in the clause.
 	bt := 0
 	if len(learnt) > 1 {
@@ -401,7 +446,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 					s.enqueue(learnt[0], nil)
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.arena.alloc(learnt, true)
 				if len(learnt) >= 2 {
 					s.attach(c)
 				}
@@ -423,6 +468,49 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(l, nil)
 	}
+}
+
+// clauseArena hands out clause headers and literal storage from chunks that
+// never move, so *clause pointers and lits slices stay valid until reset,
+// which rewinds to the first chunk and keeps them all for reuse.
+type clauseArena struct {
+	hdrs  [][]clause // fixed-size chunks of headers
+	nHdr  int        // headers handed out since reset
+	lits  [][]Lit    // literal chunks, each at least litChunk long
+	chunk int        // current literal chunk
+	off   int        // next free literal in lits[chunk]
+}
+
+const (
+	hdrChunk = 256
+	litChunk = 4096
+)
+
+// alloc returns a new clause holding a copy of lits.
+func (a *clauseArena) alloc(lits []Lit, learnt bool) *clause {
+	ci, hi := a.nHdr/hdrChunk, a.nHdr%hdrChunk
+	if ci == len(a.hdrs) {
+		a.hdrs = append(a.hdrs, make([]clause, hdrChunk))
+	}
+	a.nHdr++
+	n := len(lits)
+	for a.chunk < len(a.lits) && a.off+n > len(a.lits[a.chunk]) {
+		a.chunk++
+		a.off = 0
+	}
+	if a.chunk == len(a.lits) {
+		a.lits = append(a.lits, make([]Lit, max(litChunk, n)))
+	}
+	dst := a.lits[a.chunk][a.off : a.off+n : a.off+n]
+	a.off += n
+	copy(dst, lits)
+	c := &a.hdrs[ci][hi]
+	*c = clause{lits: dst, learnt: learnt}
+	return c
+}
+
+func (a *clauseArena) reset() {
+	a.nHdr, a.chunk, a.off = 0, 0, 0
 }
 
 // Value returns the model value of a variable after Sat (true/false); only
