@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke check bench bench-diff bench-record explain trend cost bench-point paperbench microbench cec sim clean build/cryobench
+.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain trend cost bench-point paperbench microbench cec sim clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -47,8 +47,21 @@ perfbench:
 verify-smoke:
 	$(GO) run ./cmd/cryosynth -testlib -verify -fig3=false -circuits ctrl,dec,int2float,router
 
+# Characterization CLI smoke (docs/SPICE.md): cryochar characterizes four
+# cells at 10 K into a fresh cache, then reruns; the rerun must be a cache
+# hit (under 1 s per run).
+char-smoke:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	run() { $(GO) run ./cmd/cryochar -temp 10 -limit 4 -cache "$$dir" -o "$$dir/smoke.lib" -metrics - 2>&1; }; \
+	out="$$(run)" || { echo "$$out"; exit 1; }; \
+	out="$$(run)" || { echo "$$out"; exit 1; }; \
+	if ! echo "$$out" | grep -qx 'charlib_cache_hits 1'; then \
+		echo "$$out"; echo "char-smoke: the rerun did not hit the cache"; exit 1; \
+	fi; \
+	echo "char-smoke: OK (rerun hit the cache)"
+
 # The CI gate: everything that must be green before merging.
-check: build vet fmt test race perfbench verify-smoke
+check: build vet fmt test race perfbench verify-smoke char-smoke
 	@echo "check: OK"
 
 # Exact QoR gate (docs/QOR.md). `make bench` records a fresh smoke run to

@@ -1,7 +1,9 @@
 // Command cryochar characterizes the 200-cell standard-cell library with
 // the SPICE engine at a chosen temperature and writes the liberty file —
 // the paper's Section III flow. With -compare it characterizes both 300 K
-// and 10 K and prints the Fig. 2(a,b) distribution summaries.
+// and 10 K and prints the Fig. 2(a,b) distribution summaries. The shared
+// -progress flag reports a run live (cells and arcs done, rate, ETA); the
+// other obs flags are described in docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -93,12 +95,7 @@ func characterize(ctx context.Context, cells []*pdk.Cell, temp float64, cacheDir
 		path = charlib.DefaultCachePath(cacheDir, temp, len(cells))
 	}
 	fmt.Printf("characterizing %d cells at %g K (7x7 grid) -> %s\n", len(cells), temp, path)
-	lib, err := charlib.CharacterizeLibraryCached(ctx, path, fmt.Sprintf("cryo%gk", temp), cells, cfg,
-		func(done, total int) {
-			if done%20 == 0 || done == total {
-				fmt.Printf("  %d/%d cells\n", done, total)
-			}
-		})
+	lib, err := charlib.CharacterizeLibraryCached(ctx, path, fmt.Sprintf("cryo%gk", temp), cells, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryochar:", err)
 		flushObs()

@@ -12,7 +12,8 @@
 //
 // With -testlib a fast synthetic library replaces the SPICE-characterized
 // one (useful for smoke runs); by default the SPICE-characterized 200-cell
-// libraries are built (and cached) first.
+// libraries are built (and cached) first; -progress reports their
+// characterization live (cells and arcs done, rate, ETA).
 //
 // Observability: -metrics, -trace, -journal, -loglevel, and the
 // other obs flags are shared by all flow binaries; see
@@ -111,21 +112,16 @@ func loadLibraries(ctx context.Context, useTest bool, cacheDir string, catalog [
 		fmt.Printf("using synthetic test library (%d cells)\n", len(cells))
 		return lib10, lib300, cells
 	}
-	progress := func(done, total int) {
-		if done%25 == 0 || done == total {
-			fmt.Printf("  characterized %d/%d cells\n", done, total)
-		}
-	}
 	var err error
 	fmt.Println("characterizing / loading 300 K library...")
 	lib300, err = charlib.CharacterizeLibraryCached(ctx,
 		charlib.DefaultCachePath(cacheDir, 300, len(catalog)), "cryo300k", catalog,
-		charlib.DefaultConfig(300), progress)
+		charlib.DefaultConfig(300))
 	check(err)
 	fmt.Println("characterizing / loading 10 K library...")
 	lib10, err = charlib.CharacterizeLibraryCached(ctx,
 		charlib.DefaultCachePath(cacheDir, 10, len(catalog)), "cryo10k", catalog,
-		charlib.DefaultConfig(10), progress)
+		charlib.DefaultConfig(10))
 	check(err)
 	return lib10, lib300, catalog
 }

@@ -133,8 +133,8 @@ func Equivalent(a, b *AIG, budget int64) (bool, bool) {
 	for i := range pis {
 		pis[i] = m.AddPI(a.PIName(i))
 	}
-	la := copyInto(a, m, pis)
-	lb := copyInto(b, m, pis)
+	la := CopyInto(a, m, pis)
+	lb := CopyInto(b, m, pis)
 	for i := 0; i < a.NumPOs(); i++ {
 		eq, proven := ProveEqualWindow(m, la[i], lb[i], budget, 0)
 		if !proven {
@@ -147,9 +147,9 @@ func Equivalent(a, b *AIG, budget int64) (bool, bool) {
 	return true, true
 }
 
-// copyInto replicates src's logic into dst over the provided PI literals and
+// CopyInto replicates src's logic into dst over the provided PI literals and
 // returns dst literals for src's POs.
-func copyInto(src, dst *AIG, pis []Lit) []Lit {
+func CopyInto(src, dst *AIG, pis []Lit) []Lit {
 	m := make([]Lit, src.NumVars())
 	m[0] = False
 	for i := 0; i < src.NumPIs(); i++ {

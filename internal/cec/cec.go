@@ -184,8 +184,8 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) *Verdict {
 			bPIs[bi] = pis[ai]
 		}
 	}
-	outsA := appendInto(a, m, pis)
-	outsBRaw := appendInto(b, m, bPIs)
+	outsA := aig.CopyInto(a, m, pis)
+	outsBRaw := aig.CopyInto(b, m, bPIs)
 	outsB := outsBRaw
 	if poPerm != nil {
 		outsB = make([]aig.Lit, len(outsBRaw))
@@ -268,26 +268,4 @@ func matchNames(aNames, bNames []string) []int {
 		return nil
 	}
 	return perm
-}
-
-// appendInto replicates src's logic into dst over the provided PI literals
-// and returns dst literals for src's POs.
-func appendInto(src, dst *aig.AIG, pis []aig.Lit) []aig.Lit {
-	m := make([]aig.Lit, src.NumVars())
-	m[0] = aig.False
-	for i := 0; i < src.NumPIs(); i++ {
-		m[i+1] = pis[i]
-	}
-	for v := src.NumPIs() + 1; v < src.NumVars(); v++ {
-		f0, f1 := src.Fanins(v)
-		a := m[f0.Var()].NotIf(f0.IsCompl())
-		b := m[f1.Var()].NotIf(f1.IsCompl())
-		m[v] = dst.And(a, b)
-	}
-	out := make([]aig.Lit, src.NumPOs())
-	for i := 0; i < src.NumPOs(); i++ {
-		po := src.PO(i)
-		out[i] = m[po.Var()].NotIf(po.IsCompl())
-	}
-	return out
 }

@@ -59,14 +59,14 @@ func metaPath(path string) string { return path + ".meta" }
 // characterized results are written to path with the key in a sidecar
 // path.meta file. Cache hits and misses are recorded in the
 // charlib.cache.hits / charlib.cache.misses counters.
-func CharacterizeLibraryCached(ctx context.Context, path, name string, cells []*pdk.Cell, cfg Config, progress func(done, total int)) (*liberty.Library, error) {
+func CharacterizeLibraryCached(ctx context.Context, path, name string, cells []*pdk.Cell, cfg Config) (*liberty.Library, error) {
 	key := CacheKey(cells, cfg)
 	if lib := readCache(path, key, cfg, len(cells)); lib != nil {
 		obs.C("charlib.cache.hits").Inc()
 		return lib, nil
 	}
 	obs.C("charlib.cache.misses").Inc()
-	lib, err := CharacterizeLibrary(ctx, name, cells, cfg, progress)
+	lib, err := CharacterizeLibrary(ctx, name, cells, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ func TestCacheMissOnConfigChange(t *testing.T) {
 	path := filepath.Join(dir, "inv.lib")
 	ctx := context.Background()
 
-	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg, nil); err != nil {
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := misses.Value() - misses0; got != 1 {
@@ -95,7 +95,7 @@ func TestCacheMissOnConfigChange(t *testing.T) {
 		t.Fatalf("sidecar key file not written: %v", err)
 	}
 
-	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg, nil); err != nil {
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := hits.Value() - hits0; got != 1 {
@@ -106,7 +106,7 @@ func TestCacheMissOnConfigChange(t *testing.T) {
 	// temperature and cell count still match the liberty file.
 	changed := cfg
 	changed.Vdd *= 1.05
-	lib, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, changed, nil)
+	lib, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, changed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestCacheMissOnConfigChange(t *testing.T) {
 
 	// The sidecar now holds the new key, so repeating the changed request
 	// hits, and the original request misses again.
-	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, changed, nil); err != nil {
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, changed); err != nil {
 		t.Fatal(err)
 	}
 	if got := hits.Value() - hits0; got != 2 {
 		t.Fatalf("repeated changed request recorded %d hits, want 2", got)
 	}
-	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg, nil); err != nil {
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := misses.Value() - misses0; got != 3 {
@@ -144,7 +144,7 @@ func TestCacheMissOnMissingSidecar(t *testing.T) {
 	path := filepath.Join(dir, "inv.lib")
 	ctx := context.Background()
 
-	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg, nil); err != nil {
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// A liberty file without its sidecar (e.g. written by an older version
@@ -152,7 +152,7 @@ func TestCacheMissOnMissingSidecar(t *testing.T) {
 	if err := os.Remove(metaPath(path)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg, nil); err != nil {
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := misses.Value() - misses0; got != 2 {

@@ -98,14 +98,15 @@ func characterizeCell(ctx context.Context, cell *pdk.Cell, cfg Config, work chan
 }
 
 // CharacterizeLibrary measures all cells (in parallel) and assembles the
-// library. progress, when non-nil, is called after each finished cell.
+// library. Progress is reported on the charlib.cells and charlib.arcs
+// tasks (the -progress ticker).
 //
 // Two levels of bounded concurrency share one budget: up to Workers cells
 // are in flight, and their measurement units (grid rows, leakage states)
 // drain through one shared Workers-slot pool — so a single big cell keeps
 // every worker busy instead of serializing a corner, and a swarm of small
 // cells cannot oversubscribe the host.
-func CharacterizeLibrary(ctx context.Context, name string, cells []*pdk.Cell, cfg Config, progress func(done, total int)) (*liberty.Library, error) {
+func CharacterizeLibrary(ctx context.Context, name string, cells []*pdk.Cell, cfg Config) (*liberty.Library, error) {
 	ctx, span := obs.Start(ctx, "charlib.library")
 	span.SetAttr("library", name)
 	span.SetAttr("temp_k", cfg.TempK)
@@ -118,26 +119,17 @@ func CharacterizeLibrary(ctx context.Context, name string, cells []*pdk.Cell, cf
 	cellsTask := obs.Progress("charlib.cells", int64(len(cells)))
 	arcsTask := obs.Progress("charlib.arcs", 0)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done := 0
 	sem := make(chan struct{}, workers)
 	work := make(chan struct{}, workers)
 	for i, c := range cells {
 		wg.Add(1)
-		go func(i int, c *pdk.Cell) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			lc, err := characterizeCell(ctx, c, cfg, work)
-			results[i], errs[i] = lc, err
+			results[i], errs[i] = characterizeCell(ctx, c, cfg, work)
 			cellsTask.Inc()
-			if progress != nil {
-				mu.Lock()
-				done++
-				progress(done, len(cells))
-				mu.Unlock()
-			}
-		}(i, c)
+		}()
 	}
 	wg.Wait()
 	cellsTask.Finish()
@@ -215,9 +207,12 @@ func (ch *charer) journalFailure(cell *pdk.Cell, arc string, slew, load float64,
 	j.Failure("charlib.arc", err.Error(), attrs, detail)
 }
 
-// arcResult carries one finished timing arc back to the assembly step.
-type arcResult struct {
+// arcJob is one timing arc of a cell: the timing group to fill (related pin,
+// sense, type), the per-row point function of its grid sweep, and, once the
+// sweep returns, its tables or error.
+type arcJob struct {
 	tm  *liberty.Timing
+	row rowFunc
 	pw  *liberty.InternalPower
 	err error
 }
@@ -259,81 +254,54 @@ func (ch *charer) cell(ctx context.Context, cell *pdk.Cell) (*liberty.Cell, erro
 			Cap:       cell.InputCap(in, ch.cfg.TempK),
 		})
 	}
-	// One result slot per (output pin, arc), filled concurrently.
+	// Plan the arcs of each output: the clock arc of a sequential cell, or
+	// one arc per sensitizable input of a combinational one.
 	type pinArcs struct {
 		pin  *liberty.Pin
-		ins  []string // related input per arc ("" for the clock arc)
-		res  []arcResult
-		seqQ bool
+		arcs []*arcJob
 	}
-	var plan []*pinArcs
+	var plan []pinArcs
 	for _, out := range cell.Outputs {
-		pa := &pinArcs{
-			pin: &liberty.Pin{
-				Name:      out,
-				Direction: "output",
-				Function:  functionString(cell, out),
-			},
-			seqQ: cell.Seq,
-		}
+		pa := pinArcs{pin: &liberty.Pin{
+			Name:      out,
+			Direction: "output",
+			Function:  functionString(cell, out),
+		}}
 		if cell.Seq {
-			pa.ins = []string{cell.Clock}
-			pa.res = make([]arcResult, 1)
-			arcsTask.AddTotal(1)
-			wg.Add(1)
-			go func(out string, slot *arcResult) {
-				defer wg.Done()
-				_, aspan := obs.Start(ctx, "charlib.arc")
-				if aspan != nil {
-					aspan.SetAttr("arc", "clk->"+out)
-				}
-				defer aspan.End()
-				t0 := time.Now()
-				slot.tm, slot.pw, slot.err = ch.clockArc(cell, out)
-				arcsTask.Inc()
-				if slot.err == nil {
-					obs.C("charlib.arcs").Inc()
-					obs.H("charlib.arc.seconds").Observe(time.Since(t0).Seconds())
-				}
-			}(out, &pa.res[0])
+			tm := &liberty.Timing{RelatedPin: cell.Clock, Sense: liberty.SenseNonUnate, Type: "rising_edge"}
+			if !cell.Edge {
+				tm.Type = "falling_edge"
+			}
+			pa.arcs = append(pa.arcs, &arcJob{tm: tm, row: ch.clockRow(cell, out)})
 		} else {
-			type combSpec struct {
-				in     string
-				vec    int
-				o0, o1 bool
-			}
-			var specs []combSpec
 			for _, in := range cell.Inputs {
-				vec, o0, o1, ok := sensitizingVector(cell, in, out)
-				if !ok {
-					continue
+				if vec, o0, o1, ok := sensitizingVector(cell, in, out); ok {
+					tm := &liberty.Timing{RelatedPin: in, Sense: senseOf(cell, in, out)}
+					pa.arcs = append(pa.arcs, &arcJob{tm: tm, row: ch.combRow(cell, in, out, vec, o0, o1)})
 				}
-				specs = append(specs, combSpec{in, vec, o0, o1})
-				pa.ins = append(pa.ins, in)
-			}
-			pa.res = make([]arcResult, len(specs))
-			arcsTask.AddTotal(int64(len(specs)))
-			for ai, sp := range specs {
-				wg.Add(1)
-				go func(sp combSpec, out string, slot *arcResult) {
-					defer wg.Done()
-					_, aspan := obs.Start(ctx, "charlib.arc")
-					if aspan != nil {
-						aspan.SetAttr("arc", sp.in+"->"+out)
-					}
-					defer aspan.End()
-					t0 := time.Now()
-					slot.tm, slot.pw, slot.err = ch.combArc(cell, sp.in, out, sp.vec, sp.o0, sp.o1)
-					arcsTask.Inc()
-					if slot.err == nil {
-						obs.C("charlib.arcs").Inc()
-						obs.H("charlib.arc.seconds").Observe(time.Since(t0).Seconds())
-						slot.tm.Sense = senseOf(cell, sp.in, out)
-					}
-				}(sp, out, &pa.res[ai])
 			}
 		}
 		plan = append(plan, pa)
+		arcsTask.AddTotal(int64(len(pa.arcs)))
+		for _, a := range pa.arcs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				arc := a.tm.RelatedPin + "->" + out
+				_, aspan := obs.Start(ctx, "charlib.arc")
+				if aspan != nil {
+					aspan.SetAttr("arc", arc)
+				}
+				defer aspan.End()
+				t0 := time.Now()
+				a.pw, a.err = ch.sweep(cell, arc, a.tm, a.row)
+				arcsTask.Inc()
+				if a.err == nil {
+					obs.C("charlib.arcs").Inc()
+					obs.H("charlib.arc.seconds").Observe(time.Since(t0).Seconds())
+				}
+			}()
+		}
 	}
 	wg.Wait()
 
@@ -345,15 +313,12 @@ func (ch *charer) cell(ctx context.Context, cell *pdk.Cell) (*liberty.Cell, erro
 	}
 	lc.LeakagePower = leak
 	for _, pa := range plan {
-		for ai, r := range pa.res {
-			if r.err != nil {
-				if pa.seqQ {
-					return nil, fmt.Errorf("clk->%s: %w", pa.pin.Name, r.err)
-				}
-				return nil, fmt.Errorf("%s->%s: %w", pa.ins[ai], pa.pin.Name, r.err)
+		for _, a := range pa.arcs {
+			if a.err != nil {
+				return nil, fmt.Errorf("%s->%s: %w", a.tm.RelatedPin, pa.pin.Name, a.err)
 			}
-			pa.pin.Timings = append(pa.pin.Timings, r.tm)
-			pa.pin.Powers = append(pa.pin.Powers, r.pw)
+			pa.pin.Timings = append(pa.pin.Timings, a.tm)
+			pa.pin.Powers = append(pa.pin.Powers, a.pw)
 		}
 		lc.Pins = append(lc.Pins, pa.pin)
 	}
@@ -509,23 +474,8 @@ func (ch *charer) leakage(cell *pdk.Cell) (float64, error) {
 // state nodes first steers Newton onto a stable digital branch, and the
 // operating point is then re-solved without the aid.
 func (ch *charer) staticPower(cell *pdk.Cell, vec int) (float64, error) {
-	c := ch.newCircuit()
-	vddN := c.Node("vdd")
-	br := c.AddVSource(vddN, spice.Ground, spice.DC(ch.cfg.Vdd))
-	pins := map[string]spice.NodeID{}
-	for i, in := range cell.Inputs {
-		node := c.Node("in_" + in)
-		pins[in] = node
-		v := 0.0
-		if vec&(1<<uint(i)) != 0 {
-			v = ch.cfg.Vdd
-		}
-		c.AddVSource(node, spice.Ground, spice.DC(v))
-	}
-	for _, out := range cell.Outputs {
-		pins[out] = c.Node("out_" + out)
-	}
-	if err := cell.Build(c, "dut", pins, vddN); err != nil {
+	c, br, _, err := ch.build(cell, ch.vectorStim(vec), func(string) float64 { return 0 })
+	if err != nil {
 		return 0, err
 	}
 	if !cell.Seq {

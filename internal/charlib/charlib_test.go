@@ -193,7 +193,7 @@ func TestCharacterizeLibrarySubsetAndCache(t *testing.T) {
 	cfg := QuickConfig(300)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "subset.lib")
-	lib, err := CharacterizeLibraryCached(context.Background(), path, "subset300", subset, cfg, nil)
+	lib, err := CharacterizeLibraryCached(context.Background(), path, "subset300", subset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCharacterizeLibrarySubsetAndCache(t *testing.T) {
 		t.Fatalf("cache file not written: %v", err)
 	}
 	// Second call must hit the cache (file unchanged).
-	lib2, err := CharacterizeLibraryCached(context.Background(), path, "subset300", subset, cfg, nil)
+	lib2, err := CharacterizeLibraryCached(context.Background(), path, "subset300", subset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

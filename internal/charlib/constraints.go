@@ -22,29 +22,66 @@ func MeasureSetupHold(cell *pdk.Cell, cfg Config) (setup, hold float64, err erro
 	slew := cfg.Slews[len(cfg.Slews)/2]
 	load := cfg.Loads[len(cfg.Loads)/2]
 	ch := &charer{cfg: cfg}
+	vdd := cfg.Vdd
 
-	// Setup: largest data-before-edge margin that fails, bisected against
-	// the smallest that passes.
-	pass := 120e-12 // assumed-safe setup margin
-	ok, err := ch.captures(cell, pass, slew, load)
+	// Setup trial: the D rise crosses 50% exactly margin before the clock's
+	// 50% crossing; it passes when Q captured the 1.
+	captures := func(margin float64) (bool, error) {
+		return ch.latches(cell, slew, load, func(edgeRef float64) spice.SourceFn {
+			tD := edgeRef - margin // D 50% crossing
+			return spice.PWL([2]float64{0, 0}, [2]float64{tD - slew/2, 0}, [2]float64{tD + slew/2, vdd})
+		})
+	}
+	// Hold trial: D is high long before the edge and its fall crosses 50%
+	// exactly margin after the clock's 50% crossing (positive = after the
+	// edge); it passes when Q kept the 1.
+	holds := func(margin float64) (bool, error) {
+		return ch.latches(cell, slew, load, func(edgeRef float64) spice.SourceFn {
+			tD := edgeRef + margin // D-fall 50% crossing
+			return spice.PWL([2]float64{0, 0},
+				[2]float64{edgeRef - 150e-12, 0}, [2]float64{edgeRef - 150e-12 + slew, vdd},
+				[2]float64{tD - slew/2, vdd}, [2]float64{tD + slew/2, 0})
+		})
+	}
+
+	// Setup: data 120 ps before the edge is assumed safe, data 20 ps after
+	// it must fail.
+	setup, inRange, err := bisect(captures, 120e-12, -20e-12)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("charlib: %s setup: %w", cell.Name, err)
 	}
-	if !ok {
-		return 0, 0, fmt.Errorf("charlib: %s does not capture even with %g s setup", cell.Name, pass)
-	}
-	fail := -20e-12 // data after the edge must fail
-	if ok, err = ch.captures(cell, fail, slew, load); err != nil {
-		return 0, 0, err
-	} else if ok {
+	if !inRange {
 		// Degenerate but possible with reconvergent stimuli; report zero.
 		return 0, 0, nil
 	}
+	// Hold: with the data launched well before the edge, find how soon after
+	// the edge it may be withdrawn. When even 60 ps before the edge passes,
+	// the constraint lies below the probe range and that bound is reported.
+	hold, _, err = bisect(holds, 120e-12, -60e-12)
+	if err != nil {
+		return setup, 0, fmt.Errorf("charlib: %s hold: %w", cell.Name, err)
+	}
+	return setup, hold, nil
+}
+
+// bisect narrows a constraint margin between pass, which the trial must
+// pass, and fail in nine halvings and returns the last passing margin.
+// When fail passes too, it returns fail with inRange false.
+func bisect(trial func(margin float64) (bool, error), pass, fail float64) (margin float64, inRange bool, err error) {
+	ok, err := trial(pass)
+	if err != nil {
+		return 0, false, err
+	}
+	if !ok {
+		return 0, false, fmt.Errorf("fails even with a %g s margin", pass)
+	}
+	if ok, err = trial(fail); err != nil || ok {
+		return fail, false, err
+	}
 	for i := 0; i < 9; i++ {
 		mid := 0.5 * (pass + fail)
-		ok, err := ch.captures(cell, mid, slew, load)
-		if err != nil {
-			return 0, 0, err
+		if ok, err = trial(mid); err != nil {
+			return 0, false, err
 		}
 		if ok {
 			pass = mid
@@ -52,120 +89,29 @@ func MeasureSetupHold(cell *pdk.Cell, cfg Config) (setup, hold float64, err erro
 			fail = mid
 		}
 	}
-	setup = pass
-
-	// Hold: with the data launched well before the edge, find how soon
-	// after the edge it may be withdrawn. Margin here is the withdraw time
-	// relative to the edge (positive = after the edge).
-	passH := 120e-12
-	okH, err := ch.holds(cell, passH, slew, load)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !okH {
-		return setup, 0, fmt.Errorf("charlib: %s loses data even with %g s hold", cell.Name, passH)
-	}
-	failH := -60e-12
-	if okH, err = ch.holds(cell, failH, slew, load); err != nil {
-		return setup, 0, err
-	} else if okH {
-		return setup, failH, nil // hold constraint below the probe range
-	}
-	for i := 0; i < 9; i++ {
-		mid := 0.5 * (passH + failH)
-		ok, err := ch.holds(cell, mid, slew, load)
-		if err != nil {
-			return setup, 0, err
-		}
-		if ok {
-			passH = mid
-		} else {
-			failH = mid
-		}
-	}
-	return setup, passH, nil
+	return pass, true, nil
 }
 
-// captures runs one setup trial: the D rise crosses 50%% exactly `margin`
-// before the clock's 50%% crossing; returns whether Q captured the 1.
-func (ch *charer) captures(cell *pdk.Cell, margin, slew, load float64) (bool, error) {
-	wfQ, edgeRef, period, err := ch.runConstraint(cell, slew, load, func(edgeRef float64) spice.SourceFn {
-		vdd := ch.cfg.Vdd
-		tD := edgeRef - margin // D 50% crossing
-		return spice.PWL([2]float64{0, 0}, [2]float64{tD - slew/2, 0}, [2]float64{tD + slew/2, vdd})
-	})
-	if err != nil {
-		return false, err
-	}
-	return sampleAfter(wfQ.wf, wfQ.out, edgeRef+period/2.2) > 0.9*ch.cfg.Vdd, nil
-}
-
-// holds runs one hold trial: D is high long before the edge and its fall
-// crosses 50%% exactly `margin` after the clock's 50%% crossing; returns
-// whether Q kept the 1.
-func (ch *charer) holds(cell *pdk.Cell, margin, slew, load float64) (bool, error) {
-	wfQ, edgeRef, period, err := ch.runConstraint(cell, slew, load, func(edgeRef float64) spice.SourceFn {
-		vdd := ch.cfg.Vdd
-		tD := edgeRef + margin // D-fall 50% crossing
-		return spice.PWL([2]float64{0, 0},
-			[2]float64{edgeRef - 150e-12, 0}, [2]float64{edgeRef - 150e-12 + slew, vdd},
-			[2]float64{tD - slew/2, vdd}, [2]float64{tD + slew/2, 0})
-	})
-	if err != nil {
-		return false, err
-	}
-	return sampleAfter(wfQ.wf, wfQ.out, edgeRef+period/2.2) > 0.9*ch.cfg.Vdd, nil
-}
-
-// runConstraint builds a single-edge capture testbench: CLK makes one
-// active transition whose 50% crossing sits at a fixed reference time;
-// mkD supplies the data stimulus relative to that reference.
-func (ch *charer) runConstraint(cell *pdk.Cell, slew, load float64,
-	mkD func(edgeRef float64) spice.SourceFn) (*arcWaveform, float64, float64, error) {
-	cfg := ch.cfg
-	c := spice.New(cfg.TempK)
-	vddN := c.Node("vdd")
-	c.AddVSource(vddN, spice.Ground, spice.DC(cfg.Vdd))
+// latches runs one single-edge capture trial: CLK makes one active
+// transition whose 50% crossing sits at a fixed reference time, mkD supplies
+// the data stimulus relative to that reference, and the result is whether Q
+// holds a 1 well after the edge.
+func (ch *charer) latches(cell *pdk.Cell, slew, load float64, mkD func(edgeRef float64) spice.SourceFn) (bool, error) {
 	period := 500e-12
 	edge := 300e-12          // clock ramp start
 	edgeRef := edge + slew/2 // clock 50% crossing
-	hi, lo := cfg.Vdd, 0.0
-	if !cell.Edge {
-		hi, lo = 0.0, cfg.Vdd
-	}
-	pins := map[string]spice.NodeID{}
-	dFn := mkD(edgeRef)
-	for _, p := range cell.Inputs {
-		node := c.Node("in_" + p)
-		pins[p] = node
-		switch p {
-		case cell.Clock:
-			c.AddVSource(node, spice.Ground, spice.PWL(
-				[2]float64{0, lo}, [2]float64{edge, lo}, [2]float64{edge + slew, hi}))
-		case "D":
-			c.AddVSource(node, spice.Ground, dFn)
-		case "RN", "SN":
-			c.AddVSource(node, spice.Ground, spice.DC(cfg.Vdd))
-		case "SI", "SE":
-			c.AddVSource(node, spice.Ground, spice.DC(0))
-		default:
-			c.AddVSource(node, spice.Ground, spice.DC(0))
-		}
-	}
-	for _, o := range cell.Outputs {
-		n := c.Node("out_" + o)
-		pins[o] = n
-		c.AddCapacitor(n, spice.Ground, load)
-	}
-	if err := cell.Build(c, "ff", pins, vddN); err != nil {
-		return nil, 0, 0, err
+	clk := [][2]float64{{0, 0}, {edge, 0}, {edge + slew, 1}}
+	q := cell.Outputs[0]
+	c, _, _, err := ch.build(cell, ch.seqStim(cell, clk, mkD(edgeRef)), loadOn(q, load))
+	if err != nil {
+		return false, err
 	}
 	tstop := edge + period
 	wf, err := c.Transient(tstop, tstop/1600)
 	if err != nil {
-		return nil, 0, 0, err
+		return false, err
 	}
-	return &arcWaveform{wf: wf, out: wf.V("out_" + cell.Outputs[0])}, edgeRef, period, nil
+	return sampleAfter(wf, wf.V("out_"+q), edgeRef+period/2.2) > 0.9*ch.cfg.Vdd, nil
 }
 
 func sampleAfter(wf *spice.Waveform, sig []float64, t float64) float64 {

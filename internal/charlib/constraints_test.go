@@ -2,7 +2,10 @@ package charlib
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"repro/internal/spice"
 )
 
 func TestSetupHoldDFF(t *testing.T) {
@@ -63,5 +66,18 @@ func TestAttachConstraints(t *testing.T) {
 	}
 	if !setupArc || !holdArc {
 		t.Errorf("constraint arcs missing: setup=%v hold=%v", setupArc, holdArc)
+	}
+}
+
+// TestSetupHoldHonorsIterLimit pins the setup/hold testbench to the corner's
+// Newton budget: two iterations cannot settle the 4 K exponentials, so the
+// search must fail with a nonconvergence error instead of bisecting on
+// unconverged solves.
+func TestSetupHoldHonorsIterLimit(t *testing.T) {
+	cfg := QuickConfig(4)
+	cfg.NewtonIterLimit = 2
+	_, _, err := MeasureSetupHold(cellByName(t, "DFFx1"), cfg)
+	if !errors.Is(err, spice.ErrNoConvergence) {
+		t.Fatalf("MeasureSetupHold with NewtonIterLimit=2 at 4 K: err = %v, want spice.ErrNoConvergence", err)
 	}
 }

@@ -10,7 +10,153 @@ import (
 	"repro/internal/spice"
 )
 
-// arcWaveform is the result of one measurement transient.
+// sideLoad is the nominal capacitance on every output that is not being
+// measured.
+const sideLoad = 0.4e-15
+
+// build assembles one testbench: the supply, then one source per input pin
+// in cell order (stim gives the pin's stimulus), then one capacitor per
+// output in cell order (load gives its capacitance; 0 means none), then the
+// cell itself. That creation order fixes the node and element numbering,
+// and with it every MNA system of the corner. It returns the circuit, the
+// supply branch and the pin nodes.
+func (ch *charer) build(cell *pdk.Cell, stim func(i int, pin string) spice.SourceFn, load func(out string) float64) (*spice.Circuit, int, map[string]spice.NodeID, error) {
+	c := ch.newCircuit()
+	vdd := c.Node("vdd")
+	br := c.AddVSource(vdd, spice.Ground, spice.DC(ch.cfg.Vdd))
+	pins := map[string]spice.NodeID{}
+	for i, p := range cell.Inputs {
+		pins[p] = c.Node("in_" + p)
+		c.AddVSource(pins[p], spice.Ground, stim(i, p))
+	}
+	for _, o := range cell.Outputs {
+		pins[o] = c.Node("out_" + o)
+		if cl := load(o); cl > 0 {
+			c.AddCapacitor(pins[o], spice.Ground, cl)
+		}
+	}
+	return c, br, pins, cell.Build(c, "dut", pins, vdd)
+}
+
+// loadOn puts load on the measured output out and sideLoad on the others.
+func loadOn(out string, load float64) func(string) float64 {
+	return func(o string) float64 {
+		if o == out {
+			return load
+		}
+		return sideLoad
+	}
+}
+
+// vectorStim holds input i at Vdd when bit i of vec is set, at 0 otherwise.
+func (ch *charer) vectorStim(vec int) func(int, string) spice.SourceFn {
+	return func(i int, _ string) spice.SourceFn {
+		if vec&(1<<uint(i)) != 0 {
+			return spice.DC(ch.cfg.Vdd)
+		}
+		return spice.DC(0)
+	}
+}
+
+// seqStim drives a sequential cell: the clock pin follows the PWL points
+// clk, whose values are logic levels (1 is the active level: high for
+// rising-edge flops and transparent-high latches, low for the others, so the
+// monitored edge is always the capturing or opening one), D follows d, the
+// asynchronous reset and set (RN, SN) are held inactive high and every other
+// input (scan SI, SE) is held low.
+func (ch *charer) seqStim(cell *pdk.Cell, clk [][2]float64, d spice.SourceFn) func(int, string) spice.SourceFn {
+	level := [2]float64{0, ch.cfg.Vdd}
+	if !cell.Edge {
+		level = [2]float64{ch.cfg.Vdd, 0}
+	}
+	pts := make([][2]float64, len(clk))
+	for k, p := range clk {
+		pts[k] = [2]float64{p[0], level[int(p[1])]}
+	}
+	return func(_ int, p string) spice.SourceFn {
+		switch p {
+		case cell.Clock:
+			return spice.PWL(pts...)
+		case "D":
+			return d
+		case "RN", "SN":
+			return spice.DC(ch.cfg.Vdd)
+		}
+		return spice.DC(0)
+	}
+}
+
+// gridPoint is one (slew, load) point of an arc: the 50%-50% delay, the
+// full-swing output transition and the supply energy drawn over the event,
+// for the output-rise and the output-fall event.
+type gridPoint struct {
+	dRise, dFall, trRise, trFall, eRise, eFall float64
+}
+
+// rowFunc returns the point function of one slew row. The sweep calls the
+// point function in load order, so it may carry a warm start from one load
+// point to the next.
+type rowFunc func(slew float64) func(load float64) (gridPoint, error)
+
+// sweep measures the NLDM grid of one arc into the delay and transition
+// tables of tm and returns its internal-power group.
+//
+// Grid rows (fixed slew, sweeping load) run concurrently on the shared
+// worker pool. Within a row each solve is warm-started from the previous
+// load point's operating point — neighboring points differ only in load
+// capacitance, which is invisible at DC, so the seed is essentially exact
+// and Newton skips the gmin ladder. Each row chains deterministically, so
+// results are bit-identical to a sequential sweep. The first failing point
+// stops every row and is journaled with its (slew, load) context; the
+// lowest failing row's error is returned.
+func (ch *charer) sweep(cell *pdk.Cell, arc string, tm *liberty.Timing, row rowFunc) (*liberty.InternalPower, error) {
+	cfg := ch.cfg
+	table := func() *liberty.Table { return liberty.NewTable(cfg.Slews, cfg.Loads) }
+	tm.CellRise, tm.CellFall, tm.RiseTrans, tm.FallTrans = table(), table(), table(), table()
+	pw := &liberty.InternalPower{RelatedPin: tm.RelatedPin, RisePower: table(), FallPower: table()}
+	errs := make([]error, len(cfg.Slews))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for i, slew := range cfg.Slews {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ch.acquire()
+			defer ch.release()
+			point := row(slew)
+			for j, load := range cfg.Loads {
+				if failed.Load() {
+					return
+				}
+				p, err := point(load)
+				if err != nil {
+					ch.journalFailure(cell, arc, slew, load, err)
+					errs[i] = fmt.Errorf("slew=%g load=%g: %w", slew, load, err)
+					failed.Store(true)
+					return
+				}
+				tm.CellRise.Values[i][j], tm.RiseTrans.Values[i][j] = p.dRise, p.trRise
+				tm.CellFall.Values[i][j], tm.FallTrans.Values[i][j] = p.dFall, p.trFall
+				// Internal energy: the supply delivers Cload*Vdd^2 to charge the
+				// load on output-rise events; everything beyond that is internal
+				// (short-circuit + internal node) energy. On output-fall events
+				// the load discharges through the pull-down, so the entire
+				// supply draw is internal.
+				pw.RisePower.Values[i][j] = max(0, p.eRise-load*cfg.Vdd*cfg.Vdd)
+				pw.FallPower.Values[i][j] = max(0, p.eFall)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pw, nil
+}
+
+// arcWaveform is the result of one combinational measurement transient.
 type arcWaveform struct {
 	wf     *spice.Waveform
 	in     []float64 // stimulated input waveform
@@ -19,109 +165,41 @@ type arcWaveform struct {
 	op     []float64 // t=0 operating point: the next grid point's warm start
 }
 
-// combArc measures the full NLDM grid for one input->output arc of a
-// combinational cell, returning the timing and internal-power groups.
-//
-// Grid rows (fixed slew, sweeping load) run concurrently on the shared
-// worker pool. Within a row each solve is warm-started from the previous
-// load point's operating point — neighboring points differ only in load
-// capacitance, which is invisible at DC, so the seed is essentially exact
-// and Newton skips the gmin ladder. Each row chains deterministically, so
-// results are bit-identical to a sequential sweep.
-func (ch *charer) combArc(cell *pdk.Cell, in, out string, vec int, o0, o1 bool) (*liberty.Timing, *liberty.InternalPower, error) {
-	cfg := ch.cfg
-	tm := &liberty.Timing{
-		RelatedPin: in,
-		CellRise:   liberty.NewTable(cfg.Slews, cfg.Loads),
-		CellFall:   liberty.NewTable(cfg.Slews, cfg.Loads),
-		RiseTrans:  liberty.NewTable(cfg.Slews, cfg.Loads),
-		FallTrans:  liberty.NewTable(cfg.Slews, cfg.Loads),
-	}
-	pw := &liberty.InternalPower{
-		RelatedPin: in,
-		RisePower:  liberty.NewTable(cfg.Slews, cfg.Loads),
-		FallPower:  liberty.NewTable(cfg.Slews, cfg.Loads),
-	}
-	arc := in + "->" + out
-	errs := make([]error, len(cfg.Slews))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i, slew := range cfg.Slews {
-		wg.Add(1)
-		go func(i int, slew float64) {
-			defer wg.Done()
-			ch.acquire()
-			defer ch.release()
-			var warmRise, warmFall []float64
-			for j, load := range cfg.Loads {
-				if failed.Load() {
-					return
-				}
-				rise, err := ch.runComb(cell, in, out, vec, true, o1, slew, load, warmRise)
-				if err != nil {
-					ch.journalFailure(cell, arc, slew, load, err)
-					errs[i] = fmt.Errorf("slew=%g load=%g rise: %w", slew, load, err)
-					failed.Store(true)
-					return
-				}
-				warmRise = rise.op
-				fall, err := ch.runComb(cell, in, out, vec, false, o0, slew, load, warmFall)
-				if err != nil {
-					ch.journalFailure(cell, arc, slew, load, err)
-					errs[i] = fmt.Errorf("slew=%g load=%g fall: %w", slew, load, err)
-					failed.Store(true)
-					return
-				}
-				warmFall = fall.op
-				// Input rising waveform produces output rise when o1 is true
-				// (positive behavior at this vector); otherwise output falls.
-				outRiseWf, outFallWf := rise, fall
-				if !o1 {
-					outRiseWf, outFallWf = fall, rise
-				}
-				dRise, trRise, err := measureDelay(outRiseWf, cfg.Vdd, true)
-				if err != nil {
-					ch.journalFailure(cell, arc, slew, load, err)
-					errs[i] = fmt.Errorf("slew=%g load=%g output-rise: %w", slew, load, err)
-					failed.Store(true)
-					return
-				}
-				dFall, trFall, err := measureDelay(outFallWf, cfg.Vdd, false)
-				if err != nil {
-					ch.journalFailure(cell, arc, slew, load, err)
-					errs[i] = fmt.Errorf("slew=%g load=%g output-fall: %w", slew, load, err)
-					failed.Store(true)
-					return
-				}
-				tm.CellRise.Values[i][j] = dRise
-				tm.RiseTrans.Values[i][j] = trRise
-				tm.CellFall.Values[i][j] = dFall
-				tm.FallTrans.Values[i][j] = trFall
-				// Internal energy: the supply delivers Cload*Vdd^2 to charge the
-				// load on output-rise events; everything beyond that is internal
-				// (short-circuit + internal node) energy. On output-fall events
-				// the load discharges through the pull-down, so the entire
-				// supply draw is internal.
-				eRise := outRiseWf.energy - load*cfg.Vdd*cfg.Vdd
-				if eRise < 0 {
-					eRise = 0
-				}
-				eFall := outFallWf.energy
-				if eFall < 0 {
-					eFall = 0
-				}
-				pw.RisePower.Values[i][j] = eRise
-				pw.FallPower.Values[i][j] = eFall
+// combRow measures one input->output arc of a combinational cell under the
+// sensitizing vector vec: each point runs an input-rise and an input-fall
+// transient, each warm-started from the same transient at the previous load
+// point.
+func (ch *charer) combRow(cell *pdk.Cell, in, out string, vec int, o0, o1 bool) rowFunc {
+	vdd := ch.cfg.Vdd
+	return func(slew float64) func(float64) (gridPoint, error) {
+		var warmRise, warmFall []float64
+		return func(load float64) (p gridPoint, err error) {
+			rise, err := ch.runComb(cell, in, out, vec, true, o1, slew, load, warmRise)
+			if err != nil {
+				return p, fmt.Errorf("rise: %w", err)
 			}
-		}(i, slew)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+			warmRise = rise.op
+			fall, err := ch.runComb(cell, in, out, vec, false, o0, slew, load, warmFall)
+			if err != nil {
+				return p, fmt.Errorf("fall: %w", err)
+			}
+			warmFall = fall.op
+			// Input rising waveform produces output rise when o1 is true
+			// (positive behavior at this vector); otherwise output falls.
+			up, down := rise, fall
+			if !o1 {
+				up, down = fall, rise
+			}
+			if p.dRise, p.trRise, err = measureDelay(up, vdd, true); err != nil {
+				return p, fmt.Errorf("output-rise: %w", err)
+			}
+			if p.dFall, p.trFall, err = measureDelay(down, vdd, false); err != nil {
+				return p, fmt.Errorf("output-fall: %w", err)
+			}
+			p.eRise, p.eFall = up.energy, down.energy
+			return p, nil
 		}
 	}
-	return tm, pw, nil
 }
 
 // runComb builds and simulates one combinational measurement: the target
@@ -136,42 +214,20 @@ func (ch *charer) combArc(cell *pdk.Cell, in, out string, vec int, o0, o1 bool) 
 // transitions are those of the fixed grid.
 func (ch *charer) runComb(cell *pdk.Cell, in, out string, vec int, inputRises, outHigh bool, slew, load float64, warm []float64) (*arcWaveform, error) {
 	cfg := ch.cfg
-	c := ch.newCircuit()
-	vddN := c.Node("vdd")
-	supply := spice.DC(cfg.Vdd)
-	br := c.AddVSource(vddN, spice.Ground, supply)
-	pins := map[string]spice.NodeID{}
 	t0 := 20e-12
 	ramp := slew
 	v0, v1 := 0.0, cfg.Vdd
 	if !inputRises {
 		v0, v1 = cfg.Vdd, 0.0
 	}
-	for i, p := range cell.Inputs {
-		node := c.Node("in_" + p)
-		pins[p] = node
+	hold := ch.vectorStim(vec)
+	c, br, pins, err := ch.build(cell, func(i int, p string) spice.SourceFn {
 		if p == in {
-			c.AddVSource(node, spice.Ground, spice.PWL(
-				[2]float64{0, v0}, [2]float64{t0, v0}, [2]float64{t0 + ramp, v1},
-			))
-			continue
+			return spice.PWL([2]float64{0, v0}, [2]float64{t0, v0}, [2]float64{t0 + ramp, v1})
 		}
-		v := 0.0
-		if vec&(1<<uint(i)) != 0 {
-			v = cfg.Vdd
-		}
-		c.AddVSource(node, spice.Ground, spice.DC(v))
-	}
-	for _, o := range cell.Outputs {
-		n := c.Node("out_" + o)
-		pins[o] = n
-		if o == out {
-			c.AddCapacitor(n, spice.Ground, load)
-		} else {
-			c.AddCapacitor(n, spice.Ground, 0.4e-15) // nominal side load
-		}
-	}
-	if err := cell.Build(c, "dut", pins, vddN); err != nil {
+		return hold(i, p)
+	}, loadOn(out, load))
+	if err != nil {
 		return nil, err
 	}
 	var settle *spice.Settle
@@ -199,7 +255,7 @@ func (ch *charer) runComb(cell *pdk.Cell, in, out string, vec int, inputRises, o
 				wf:     wf,
 				in:     wf.V("in_" + in),
 				out:    outV,
-				energy: wf.SupplyEnergy(br, supply),
+				energy: wf.SupplyEnergy(br, spice.DC(cfg.Vdd)),
 				op:     wf.InitialOp(),
 			}, nil
 		}
@@ -235,175 +291,81 @@ func measureDelay(a *arcWaveform, vdd float64, rising bool) (delay, trans float6
 	return d, tr / 0.6, nil
 }
 
-// clockArc measures the CLK->Q arc of a sequential cell: Q rise is captured
-// at the second clock edge (D=1), Q fall at the third (D=0).
-func (ch *charer) clockArc(cell *pdk.Cell, out string) (*liberty.Timing, *liberty.InternalPower, error) {
-	cfg := ch.cfg
-	edgeType := "rising_edge"
-	if !cell.Edge {
-		edgeType = "falling_edge"
-	}
-	tm := &liberty.Timing{
-		RelatedPin: cell.Clock,
-		Sense:      liberty.SenseNonUnate,
-		Type:       edgeType,
-		CellRise:   liberty.NewTable(cfg.Slews, cfg.Loads),
-		CellFall:   liberty.NewTable(cfg.Slews, cfg.Loads),
-		RiseTrans:  liberty.NewTable(cfg.Slews, cfg.Loads),
-		FallTrans:  liberty.NewTable(cfg.Slews, cfg.Loads),
-	}
-	pw := &liberty.InternalPower{
-		RelatedPin: cell.Clock,
-		RisePower:  liberty.NewTable(cfg.Slews, cfg.Loads),
-		FallPower:  liberty.NewTable(cfg.Slews, cfg.Loads),
-	}
-	errs := make([]error, len(cfg.Slews))
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i, slew := range cfg.Slews {
-		wg.Add(1)
-		go func(i int, slew float64) {
-			defer wg.Done()
-			ch.acquire()
-			defer ch.release()
-			var warm []float64
-			for j, load := range cfg.Loads {
-				if failed.Load() {
-					return
-				}
-				res, err := ch.runClock(cell, out, slew, load, warm)
-				if err != nil {
-					ch.journalFailure(cell, cell.Clock+"->"+out, slew, load, err)
-					errs[i] = fmt.Errorf("slew=%g load=%g: %w", slew, load, err)
-					failed.Store(true)
-					return
-				}
-				warm = res.op
-				tm.CellRise.Values[i][j] = res.dRise
-				tm.CellFall.Values[i][j] = res.dFall
-				tm.RiseTrans.Values[i][j] = res.trRise
-				tm.FallTrans.Values[i][j] = res.trFall
-				pw.RisePower.Values[i][j] = res.eRise
-				pw.FallPower.Values[i][j] = res.eFall
-			}
-		}(i, slew)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+// clockRow measures the CLK->Q arc of a sequential cell, each point
+// warm-started from the previous load point's operating point.
+func (ch *charer) clockRow(cell *pdk.Cell, out string) rowFunc {
+	return func(slew float64) func(float64) (gridPoint, error) {
+		var warm []float64
+		return func(load float64) (p gridPoint, err error) {
+			p, warm, err = ch.runClock(cell, out, slew, load, warm)
+			return p, err
 		}
 	}
-	return tm, pw, nil
-}
-
-type clockResult struct {
-	dRise, dFall, trRise, trFall, eRise, eFall float64
-	op                                         []float64
 }
 
 // runClock simulates a 3-edge capture sequence and extracts CLK->Q metrics
-// at the 2nd (Q rise) and 3rd (Q fall) active edges. warm seeds the initial
-// operating point from the previous load point on the same slew row.
-func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm []float64) (*clockResult, error) {
+// at the 2nd (Q rise, D=1) and 3rd (Q fall, D=0) active edges. warm seeds
+// the initial operating point; the t=0 operating point is returned for the
+// next load point.
+func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm []float64) (gridPoint, []float64, error) {
 	cfg := ch.cfg
-	c := ch.newCircuit()
-	vddN := c.Node("vdd")
-	supply := spice.DC(cfg.Vdd)
-	br := c.AddVSource(vddN, spice.Ground, supply)
-	pins := map[string]spice.NodeID{}
-
 	period := 500e-12 + 8*slew
 	ramp := slew
-	hi, lo := cfg.Vdd, 0.0
-	if !cell.Edge {
-		// Negative-edge flops and transparent-low latches: invert the
-		// clock polarity so the capture/opening event is the monitored
-		// edge.
-		hi, lo = 0.0, cfg.Vdd
-	}
-	// Clock: low phase then three active pulses.
-	var clkPts [][2]float64
-	clkPts = append(clkPts, [2]float64{0, lo})
+	// Clock: inactive phase then three active pulses.
+	clk := [][2]float64{{0, 0}}
 	for k := 0; k < 3; k++ {
 		rise := float64(k+1) * period
 		fallT := rise + period/2
-		clkPts = append(clkPts,
-			[2]float64{rise, lo}, [2]float64{rise + ramp, hi},
-			[2]float64{fallT, hi}, [2]float64{fallT + ramp, lo},
+		clk = append(clk,
+			[2]float64{rise, 0}, [2]float64{rise + ramp, 1},
+			[2]float64{fallT, 1}, [2]float64{fallT + ramp, 0},
 		)
 	}
 	edge2 := 2 * period
 	edge3 := 3 * period
-
-	for _, p := range cell.Inputs {
-		node := c.Node("in_" + p)
-		pins[p] = node
-		switch p {
-		case cell.Clock:
-			c.AddVSource(node, spice.Ground, spice.PWL(clkPts...))
-		case "D":
-			// 0 for the 1st capture, 1 before the 2nd, 0 before the 3rd.
-			c.AddVSource(node, spice.Ground, spice.PWL(
-				[2]float64{0, 0},
-				[2]float64{edge2 - period/3, 0}, [2]float64{edge2 - period/3 + 10e-12, cfg.Vdd},
-				[2]float64{edge3 - period/3, cfg.Vdd}, [2]float64{edge3 - period/3 + 10e-12, 0},
-			))
-		case "RN", "SN":
-			c.AddVSource(node, spice.Ground, spice.DC(cfg.Vdd)) // inactive
-		case "SI", "SE":
-			c.AddVSource(node, spice.Ground, spice.DC(0))
-		case "EN":
-			c.AddVSource(node, spice.Ground, spice.DC(cfg.Vdd))
-		default:
-			c.AddVSource(node, spice.Ground, spice.DC(0))
-		}
-	}
-	for _, o := range cell.Outputs {
-		n := c.Node("out_" + o)
-		pins[o] = n
-		cl := 0.4e-15
-		if o == out {
-			cl = load
-		}
-		c.AddCapacitor(n, spice.Ground, cl)
-	}
-	if err := cell.Build(c, "ff", pins, vddN); err != nil {
-		return nil, err
+	// D: 0 for the 1st capture, 1 before the 2nd, 0 before the 3rd.
+	d := spice.PWL(
+		[2]float64{0, 0},
+		[2]float64{edge2 - period/3, 0}, [2]float64{edge2 - period/3 + 10e-12, cfg.Vdd},
+		[2]float64{edge3 - period/3, cfg.Vdd}, [2]float64{edge3 - period/3 + 10e-12, 0},
+	)
+	c, br, _, err := ch.build(cell, ch.seqStim(cell, clk, d), loadOn(out, load))
+	if err != nil {
+		return gridPoint{}, nil, err
 	}
 	tstop := 3*period + period
 	wf, err := c.TransientFrom(warm, tstop, tstop/2400, nil)
 	if err != nil {
-		return nil, err
+		return gridPoint{}, nil, err
 	}
-	clk := wf.V("in_" + cell.Clock)
+	clkV := wf.V("in_" + cell.Clock)
 	q := wf.V("out_" + out)
 	half := cfg.Vdd / 2
 	activeRising := cell.Edge
 
-	clkEdge2, ok := wf.CrossTime(clk, half, activeRising, edge2-10e-12)
+	clkEdge2, ok := wf.CrossTime(clkV, half, activeRising, edge2-10e-12)
 	if !ok {
-		return nil, fmt.Errorf("2nd clock edge not found")
+		return gridPoint{}, nil, fmt.Errorf("2nd clock edge not found")
 	}
 	qRise, ok := wf.CrossTime(q, half, true, clkEdge2)
 	if !ok {
-		return nil, fmt.Errorf("Q rise not found")
+		return gridPoint{}, nil, fmt.Errorf("Q rise not found")
 	}
 	trRise, ok := wf.TransitionTime(q, 0.2*cfg.Vdd, 0.8*cfg.Vdd, true, clkEdge2)
 	if !ok {
-		return nil, fmt.Errorf("Q rise transition not found")
+		return gridPoint{}, nil, fmt.Errorf("Q rise transition not found")
 	}
-	clkEdge3, ok := wf.CrossTime(clk, half, activeRising, edge3-10e-12)
+	clkEdge3, ok := wf.CrossTime(clkV, half, activeRising, edge3-10e-12)
 	if !ok {
-		return nil, fmt.Errorf("3rd clock edge not found")
+		return gridPoint{}, nil, fmt.Errorf("3rd clock edge not found")
 	}
 	qFall, ok := wf.CrossTime(q, half, false, clkEdge3)
 	if !ok {
-		return nil, fmt.Errorf("Q fall not found")
+		return gridPoint{}, nil, fmt.Errorf("Q fall not found")
 	}
 	trFall, ok := wf.TransitionTime(q, 0.2*cfg.Vdd, 0.8*cfg.Vdd, false, clkEdge3)
 	if !ok {
-		return nil, fmt.Errorf("Q fall transition not found")
+		return gridPoint{}, nil, fmt.Errorf("Q fall transition not found")
 	}
 
 	// Per-edge energy: integrate the supply over each capture window.
@@ -419,18 +381,10 @@ func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm 
 		}
 		return e
 	}
-	eRise := window(clkEdge2-20e-12, clkEdge2+period/2) - load*cfg.Vdd*cfg.Vdd
-	if eRise < 0 {
-		eRise = 0
-	}
-	eFall := window(clkEdge3-20e-12, clkEdge3+period/2)
-	if eFall < 0 {
-		eFall = 0
-	}
-	return &clockResult{
+	return gridPoint{
 		dRise: qRise - clkEdge2, dFall: qFall - clkEdge3,
 		trRise: trRise / 0.6, trFall: trFall / 0.6,
-		eRise: eRise, eFall: eFall,
-		op: wf.InitialOp(),
-	}, nil
+		eRise: window(clkEdge2-20e-12, clkEdge2+period/2),
+		eFall: window(clkEdge3-20e-12, clkEdge3+period/2),
+	}, wf.InitialOp(), nil
 }

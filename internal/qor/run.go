@@ -170,7 +170,7 @@ func loadCorners(ctx context.Context, opt RunOptions) ([]cornerLib, error) {
 			lib, err = charlib.CharacterizeLibraryCached(ctx,
 				charlib.DefaultCachePath(cacheDir, temp, len(catalog)),
 				fmt.Sprintf("cryo%gk", temp), catalog,
-				cfg, nil)
+				cfg)
 			if err != nil {
 				return nil, fmt.Errorf("qor: characterizing %g K corner: %w", temp, err)
 			}

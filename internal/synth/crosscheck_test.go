@@ -29,7 +29,7 @@ func TestSTAMatchesSPICE(t *testing.T) {
 		cells = append(cells, pdk.FindCell(catalog, n))
 	}
 	const temp = 300.0
-	lib, err := charlib.CharacterizeLibrary(context.Background(), "xcheck", cells, charlib.QuickConfig(temp), nil)
+	lib, err := charlib.CharacterizeLibrary(context.Background(), "xcheck", cells, charlib.QuickConfig(temp))
 	if err != nil {
 		t.Fatal(err)
 	}
