@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain trend cost bench-point paperbench microbench cec sim clean build/cryobench
+.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point paperbench microbench cec sim clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -68,30 +68,23 @@ check: build vet fmt test race perfbench verify-smoke char-smoke
 # build/qor-<stamp>.json and gates it against the committed baseline;
 # `make bench-record` refreshes the baseline after an intentional QoR
 # change; `make bench-diff` compares the two most recent build/qor-*.json
-# recordings without running the flow. Every run writes its journal (ending
-# in the run summary `make trend` reads: QoR, stage wall times, engine
-# counters) to its own file under BENCH_JOURNALS.
-BENCH_PROFILE  ?= smoke
-BENCH_REPEAT   ?= 2
-BENCH_JOURNALS ?= bench/journals
-BENCH_STAMP    := $(shell date -u +%Y%m%dT%H%M%SZ)
+# recordings without running the flow.
+BENCH_PROFILE ?= smoke
+BENCH_REPEAT  ?= 2
+BENCH_STAMP   := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-# The binary is built with go build (not go run) so each journal's
+# The binary is built with go build (not go run) so a -journal run's
 # run.start records the VCS revision it was built from; phony, so it is
 # rebuilt (from the go build cache) on every run.
 build/cryobench:
 	$(GO) build -o $@ ./cmd/cryobench
 
 bench: build/cryobench
-	@mkdir -p $(BENCH_JOURNALS)
 	build/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
-		-journal $(BENCH_JOURNALS)/bench-$(BENCH_STAMP).jsonl \
 		-out build/qor-$(BENCH_STAMP).json -baseline bench/baseline-$(BENCH_PROFILE).json
 
 bench-record: build/cryobench
-	@mkdir -p $(BENCH_JOURNALS)
 	build/cryobench -profile $(BENCH_PROFILE) -repeat $(BENCH_REPEAT) \
-		-journal $(BENCH_JOURNALS)/record-$(BENCH_STAMP).jsonl \
 		-out bench/baseline-$(BENCH_PROFILE).json
 
 bench-diff:
@@ -109,15 +102,6 @@ explain:
 		bench/baseline-$(BENCH_PROFILE).json bench/baseline-$(BENCH_PROFILE).json
 	@grep -q '"zero_delta": true' build/self-explain.json && \
 		echo "explain: self-diff is zero-delta, OK"
-
-# Run-over-run drift table over the run journals under BENCH_JOURNALS
-# (docs/OBSERVABILITY.md). TREND_GLOB subsets the metrics.
-TREND_LAST ?= 8
-TREND_GLOB ?= *
-
-trend:
-	$(GO) run ./cmd/cryoobs trend -last $(TREND_LAST) -glob '$(TREND_GLOB)' \
-		$(BENCH_JOURNALS)/*.jsonl
 
 # Per-span CPU of a smoke bench run (docs/OBSERVABILITY.md): a pprof
 # profile labelled span=<span path>, summarised per span path and per

@@ -3,9 +3,10 @@
 // benchmark profile, records quality of results with critical-path and
 // power-class provenance into a versioned JSON baseline, and diffs runs
 // against a stored baseline exactly. -explain attributes each QoR delta to
-// paths, arcs and cell classes. Runtime is not gated here: with -journal
-// the run summary carries stage wall times and engine counters for
-// cryoobs trend, and perfbench gates timing.
+// paths, arcs and cell classes. Runtime is not gated here: -trace and
+// -metrics record stage wall times and engine counters, -progress 5s
+// reports the qor.reps task (one step per circuit, scenario and
+// repetition), and perfbench gates timing.
 //
 // Record a baseline:
 //
@@ -80,7 +81,6 @@ func main() {
 		exitOn(err)
 		cur, err := qor.ReadBaselineFile(flag.Arg(1))
 		exitOn(err)
-		obs.AddRunQoR(cur.FlatMetrics())
 		code := reportDiff(base, cur, cfg)
 		flushObs()
 		os.Exit(code)
@@ -104,14 +104,10 @@ func main() {
 		CacheDir:   *cacheDir,
 		Workers:    *workers,
 		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
-		Progress: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
 	}
 	t0 := time.Now()
 	b, err := qor.Run(context.Background(), opt)
 	exitOn(err)
-	obs.AddRunQoR(b.FlatMetrics())
 	fmt.Fprintf(os.Stderr, "recorded %d circuit records in %.1fs\n", len(b.Circuits), time.Since(t0).Seconds())
 
 	outPath := *out

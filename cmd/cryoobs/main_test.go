@@ -47,14 +47,14 @@ func runCryoobs(t *testing.T, args ...string) (int, string) {
 func TestErrorExitEndsJournal(t *testing.T) {
 	dir := t.TempDir()
 	j := filepath.Join(dir, "j.jsonl")
-	if code, _ := runCryoobs(t, "trend", "-journal", j, filepath.Join(dir, "missing.jsonl")); code != 2 {
-		t.Fatalf("trend over a missing journal exited %d, want 2", code)
+	if code, _ := runCryoobs(t, "report", "-journal", j, filepath.Join(dir, "missing.jsonl")); code != 2 {
+		t.Fatalf("report over a missing journal exited %d, want 2", code)
 	}
 	code, out := runCryoobs(t, "summary", j)
 	if code != 0 {
 		t.Fatalf("summary exited %d:\n%s", code, out)
 	}
 	if f := strings.Fields(out); len(f) < 3 || f[1] != "cryoobs" || f[2] != "ok" {
-		t.Errorf("failed trend run not ended in its journal:\n%s", out)
+		t.Errorf("failed report run not ended in its journal:\n%s", out)
 	}
 }

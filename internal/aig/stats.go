@@ -8,8 +8,8 @@ import (
 
 // startPass opens per-pass telemetry for an optimization pass and returns
 // the closure to call with the pass output. Recorded per pass name: run
-// count, cumulative node and depth deltas (negative = the pass shrank the
-// network), and a wall-time histogram. When metrics are disabled the
+// count, cumulative node and depth deltas as gauges (negative = the pass
+// shrank the network), and a wall-time histogram. When metrics are disabled the
 // closure is a no-op and nothing — not even the input depth — is computed.
 func startPass(pass string, in *AIG) func(out *AIG) {
 	if !obs.MetricsEnabled() {
@@ -20,8 +20,8 @@ func startPass(pass string, in *AIG) func(out *AIG) {
 	return func(out *AIG) {
 		prefix := "aig.pass." + pass
 		obs.C(prefix + ".runs").Inc()
-		obs.C(prefix + ".nodes_delta").Add(int64(out.NumNodes() - nodesIn))
-		obs.C(prefix + ".depth_delta").Add(int64(out.Depth() - depthIn))
+		obs.G(prefix + ".nodes_delta").Add(float64(out.NumNodes() - nodesIn))
+		obs.G(prefix + ".depth_delta").Add(float64(out.Depth() - depthIn))
 		obs.H(prefix + ".seconds").Observe(time.Since(t0).Seconds())
 	}
 }

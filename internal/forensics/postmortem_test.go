@@ -203,3 +203,33 @@ func TestSummaryAndTail(t *testing.T) {
 		}
 	}
 }
+
+// TestLegacyCostEventsIgnored: a journal written while -cost still
+// journaled a cost tree, and while run.end still carried a run summary as
+// its detail, loads; the post-mortem ignores the cost events and the
+// summary and reads the run as cleanly ended.
+func TestLegacyCostEventsIgnored(t *testing.T) {
+	evs, err := Load(filepath.Join("testdata", "legacy-cost.jsonl"))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var cost, summary bool
+	for _, e := range evs {
+		cost = cost || e.Kind == "cost"
+		summary = summary || (e.Kind == obs.KindRunEnd && len(e.Detail) > 0)
+	}
+	if !cost || !summary {
+		t.Fatalf("fixture lacks legacy payloads: cost events %v, run.end summary %v", cost, summary)
+	}
+	pm := Build(evs)
+	if len(pm.Runs) != 1 || !pm.Runs[0].Clean() || pm.Runs[0].Truncated() {
+		t.Errorf("post-mortem of the legacy journal: %+v", pm.Runs)
+	}
+	var md bytes.Buffer
+	if err := pm.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(md.String(), "cost report") || strings.Contains(md.String(), "synth.compare") {
+		t.Errorf("post-mortem rendered legacy cost payloads:\n%s", &md)
+	}
+}

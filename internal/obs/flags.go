@@ -26,7 +26,7 @@ type Flags struct {
 	TracePath   string
 	LogLevel    string
 	// JournalPath is the run's one persisted record: events as they happen,
-	// then a run.end event whose detail is the RunSummary.
+	// then one run.end event on exit.
 	JournalPath string
 	// ProgressEvery enables progress tracking and prints per-stage
 	// percent/rate/ETA report lines (and journal progress events) at this
@@ -54,7 +54,7 @@ func InstallFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write the metrics as Prometheus text exposition to this file on exit ('-' for stderr)")
 	fs.StringVar(&f.TracePath, "trace", "", "write Chrome trace_event JSON (chrome://tracing, Perfetto) to this file on exit")
 	fs.StringVar(&f.LogLevel, "loglevel", "", "diagnostic log level: debug|info|warn|error (default warn)")
-	fs.StringVar(&f.JournalPath, "journal", "", "write a structured JSONL run journal, ending in a run summary, to this file (cryoobs reads it)")
+	fs.StringVar(&f.JournalPath, "journal", "", "write a structured JSONL run journal to this file (cryoobs reads it)")
 	fs.DurationVar(&f.ProgressEvery, "progress", 0, "print per-stage progress lines (percent/rate/ETA) at this interval (e.g. 5s)")
 	fs.DurationVar(&f.StallAfter, "stall", 0, "stall watchdog: journal a goroutine-dump post-mortem when a stage makes no progress for this long")
 	fs.BoolVar(&f.StallAbort, "stall-abort", false, "with -stall, abort the process (exit 2) after capturing the stall post-mortem")
@@ -119,10 +119,9 @@ func (f *Flags) Activate() (flush func(), err error) {
 }
 
 // Flush stops the -cost profile, writes the metrics and trace outputs
-// requested by the flags and ends the journal with one run.end event
-// carrying the RunSummary. Failures are reported through the logger rather
-// than returned: flushing telemetry must never mask the tool's own exit
-// status.
+// requested by the flags and ends the journal with one run.end event.
+// Failures are reported through the logger rather than returned: flushing
+// telemetry must never mask the tool's own exit status.
 func (f *Flags) Flush() {
 	if f.costFile != nil {
 		StopCost()
@@ -154,7 +153,7 @@ func (f *Flags) Flush() {
 	if f.JournalPath != "" {
 		j := J()
 		if f.runEnded.CompareAndSwap(false, true) {
-			j.EventDetail(KindRunEnd, "", "", nil, buildRunSummary())
+			j.Event(KindRunEnd, "", "", nil)
 		}
 		if err := j.Sync(); err != nil {
 			Log().Errorf("obs: journal: flushing %s: %v", f.JournalPath, err)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -36,8 +35,7 @@ func TestFlagSurface(t *testing.T) {
 // TestFlagsProgressLifecycle drives Activate/Flush with -progress and
 // -journal set: progress tracking comes on, the reporter emits final
 // per-task lines, and the flush ends the journal with exactly one run.end
-// event whose summary carries the run's metrics, stages, staged QoR, and
-// peak RSS.
+// event, with no detail, in the run that run.start opened.
 func TestFlagsProgressLifecycle(t *testing.T) {
 	DisableProgress()
 	DisableMetrics()
@@ -79,7 +77,6 @@ func TestFlagsProgressLifecycle(t *testing.T) {
 	_, span := Start(context.Background(), "flags.test.stage")
 	span.End()
 	C("flags.test.counter").Add(7)
-	AddRunQoR(map[string]float64{"qor.x": 1.5})
 
 	flush()
 	flush() // double flush must not emit a second run.end
@@ -104,21 +101,15 @@ func TestFlagsProgressLifecycle(t *testing.T) {
 		ends[0].Run == "" || ends[0].Run != starts[0].Run {
 		t.Errorf("run provenance incomplete: start %+v end run %q", starts[0], ends[0].Run)
 	}
-	var sum RunSummary
-	if err := json.Unmarshal(ends[0].Detail, &sum); err != nil {
-		t.Fatalf("run.end summary: %v", err)
+	if ends[0].Detail != nil || ends[0].Attrs != nil || ends[0].Msg != "" {
+		t.Errorf("run.end carries a payload: %+v", ends[0])
 	}
-	if sum.Metrics == nil || sum.Metrics.Counters["flags.test.counter"] != 7 {
-		t.Errorf("summary metrics: %+v", sum.Metrics)
+	// The run's counters and stages live in the -metrics and -trace files.
+	if b, err := os.ReadFile(f.MetricsPath); err != nil || !strings.Contains(string(b), "flags_test_counter 7") {
+		t.Errorf("metrics file (%v) lacks the run's counter:\n%s", err, b)
 	}
-	if _, ok := sum.Stages["flags.test.stage"]; !ok {
-		t.Errorf("summary stages: %+v", sum.Stages)
-	}
-	if sum.QoR["qor.x"] != 1.5 {
-		t.Errorf("summary qor: %+v", sum.QoR)
-	}
-	if sum.PeakRSSBytes == 0 {
-		t.Error("summary missing peak RSS")
+	if b, err := os.ReadFile(f.TracePath); err != nil || !strings.Contains(string(b), `"flags.test.stage"`) {
+		t.Errorf("trace file (%v) lacks the run's stage:\n%s", err, b)
 	}
 }
 

@@ -44,9 +44,11 @@ func (e *Event) Time() time.Time { return time.Unix(0, e.TNs) }
 // (e.g. "qor.rep"); consumers must ignore kinds they do not understand.
 const (
 	KindRunStart = "run.start"
-	// KindRunEnd closes a run; the -journal flag's flush gives it the
-	// RunSummary as its detail payload.
-	KindRunEnd   = "run.end"
+	// KindRunEnd closes a run: the -journal flag's flush writes it once, with
+	// no detail, so a journal that lacks it is a truncated run.
+	KindRunEnd = "run.end"
+	// KindStageEnd records one finished unit of a stage (qor.Run writes one
+	// per repetition, with its wall seconds in attrs).
 	KindStageEnd = "stage.end"
 	KindWarning  = "warning"
 	KindFailure  = "failure"
@@ -172,16 +174,6 @@ func (j *Journal) Warning(stage, msg string, attrs map[string]string) {
 // diagnosis in detail.
 func (j *Journal) Failure(stage, msg string, attrs map[string]string, detail any) {
 	j.emit(KindFailure, stage, msg, attrs, detail)
-}
-
-// StageEnd appends a stage.end event recording the stage's wall time.
-func (j *Journal) StageEnd(stage string, seconds float64) {
-	if j == nil {
-		return
-	}
-	j.emit(KindStageEnd, stage, "", map[string]string{
-		"seconds": strconv.FormatFloat(seconds, 'g', 6, 64),
-	}, nil)
 }
 
 // Artifact appends a provenance event for a produced file: its path,

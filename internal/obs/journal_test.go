@@ -18,7 +18,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.Failure("charlib.arc", "did not converge", map[string]string{
 		"cell": "NAND2x1", "arc": "A->Y", "slew": "5e-12", "load": "4e-16", "temp_k": "4",
 	}, map[string]any{"worst_node": "dut.__t1", "residual": 1.5e-9})
-	j.StageEnd("charlib.library", 1.25)
+	j.Event(KindStageEnd, "qor.rep", "", map[string]string{"seconds": "1.25"})
 	j.Event(KindRunEnd, "", "", nil)
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -66,7 +66,6 @@ func TestJournalNilSafe(t *testing.T) {
 	j.Event("k", "s", "m", nil)
 	j.Warning("s", "m", nil)
 	j.Failure("s", "m", nil, nil)
-	j.StageEnd("s", 1)
 	j.Artifact("s", "nope")
 	if j.RunID() != "" {
 		t.Error("nil RunID")

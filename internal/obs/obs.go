@@ -12,7 +12,7 @@
 // permanently. CLI binaries enable the layer through the -metrics / -trace
 // / -journal flags installed by InstallFlags; the -journal file is the
 // run's one persisted record, from a run.start carrying the build's VCS
-// revision to a run.end summary.
+// revision to the run.end that marks a clean exit.
 //
 // Metric names are dot-separated, lowest-level subsystem first
 // (e.g. "spice.newton.iterations", "charlib.cache.hits"); the -metrics

@@ -35,7 +35,7 @@ func promName(name string) string {
 // format (version 0.0.4, the node-exporter textfile format), sorted by
 // name: the -metrics dump. Counters and gauges map directly; histograms
 // are exported as summaries (p50/p90/p99 quantiles plus _sum and _count;
-// min/max stay in the run summary's snapshot). A nil registry writes only
+// min/max are not exported). A nil registry writes only
 // a comment, so the output stays well-formed exposition.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {

@@ -14,8 +14,8 @@ var gcSample struct {
 // registry — runtime.goroutines, runtime.heap_alloc_bytes,
 // runtime.gc_count — and observes GC pauses that occurred since the last
 // sample into the runtime.gc_pause_seconds histogram. Flag flush calls it
-// before the -metrics dump and the run summary, so both see current values
-// without a background sampler goroutine. No-op while metrics are disabled.
+// before the -metrics dump, so the dump sees current values without a
+// background sampler goroutine. No-op while metrics are disabled.
 func SampleRuntimeMetrics() {
 	if !MetricsEnabled() {
 		return

@@ -13,8 +13,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of a Registry, suitable for JSON
-// persistence (the run.end summary carries one; cryoobs trend compares
-// them across runs).
+// persistence (a stall post-mortem's StallReport carries one).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// summaryRoundTrip marshals snap as the metrics of a run.end summary
-// through a journal, reads the journal back, and returns the decoded
-// snapshot: the only path by which a snapshot is persisted.
-func summaryRoundTrip(t *testing.T, snap *Snapshot) *Snapshot {
+// stallRoundTrip journals snap as the metrics of a stall post-mortem, reads
+// the journal back, and returns the decoded snapshot: the only path by
+// which a snapshot is persisted.
+func stallRoundTrip(t *testing.T, snap *Snapshot) *Snapshot {
 	t.Helper()
 	var buf bytes.Buffer
 	j := NewJournal(&buf, "r-snap")
-	j.EventDetail(KindRunEnd, "", "", nil, &RunSummary{Metrics: snap})
+	j.EventDetail(KindStall, "snap.task", "", nil, &StallReport{Task: "snap.task", Metrics: snap})
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -22,11 +22,11 @@ func summaryRoundTrip(t *testing.T, snap *Snapshot) *Snapshot {
 	if err != nil || len(evs) != 1 {
 		t.Fatalf("journal: %v (%d events)", err, len(evs))
 	}
-	var sum RunSummary
-	if err := json.Unmarshal(evs[0].Detail, &sum); err != nil {
-		t.Fatalf("run.end detail: %v", err)
+	var rep StallReport
+	if err := json.Unmarshal(evs[0].Detail, &rep); err != nil {
+		t.Fatalf("stall detail: %v", err)
 	}
-	return sum.Metrics
+	return rep.Metrics
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -40,9 +40,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	snap := r.Snapshot()
-	back := summaryRoundTrip(t, snap)
+	back := stallRoundTrip(t, snap)
 	if !reflect.DeepEqual(back, snap) {
-		t.Fatalf("snapshot changed in the run.end round trip:\n got %+v\nwant %+v", back, snap)
+		t.Fatalf("snapshot changed in the stall round trip:\n got %+v\nwant %+v", back, snap)
 	}
 	// The decoded histogram must match the live one exactly: every bucket,
 	// the sum, and both extremes.
@@ -63,9 +63,9 @@ func TestSnapshotRoundTripEmptyHistogram(t *testing.T) {
 	r.Gauge("g").Set(2)
 	r.Histogram("empty.seconds")
 	snap := r.Snapshot()
-	back := summaryRoundTrip(t, snap)
+	back := stallRoundTrip(t, snap)
 	if !reflect.DeepEqual(back, snap) {
-		t.Fatalf("snapshot changed in the run.end round trip:\n got %+v\nwant %+v", back, snap)
+		t.Fatalf("snapshot changed in the stall round trip:\n got %+v\nwant %+v", back, snap)
 	}
 	// The ±Inf min/max sentinels of an empty histogram cannot be carried by
 	// JSON; the snapshot must hold zeros and no buckets instead.

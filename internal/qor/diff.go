@@ -88,8 +88,7 @@ func (r *Report) Failed() bool {
 }
 
 // CornerMetric describes one exactly compared corner QoR field: its name
-// in baselines, flat metrics and reports, how to read it, and which
-// direction is worse.
+// in baselines and reports, how to read it, and which direction is worse.
 type CornerMetric struct {
 	Name      string
 	Get       func(*Corner) float64
@@ -97,8 +96,7 @@ type CornerMetric struct {
 }
 
 // CornerMetrics is the one table of gated corner fields, in report order;
-// the diff, the attribution engine, the flat run-summary metrics and the
-// trend verdict direction all read it.
+// the diff and the attribution engine both read it.
 var CornerMetrics = []CornerMetric{
 	{"gates", func(c *Corner) float64 { return float64(c.Gates) }, true},
 	{"area", func(c *Corner) float64 { return c.Area }, true},

@@ -66,6 +66,5 @@ func FuzzReadBaseline(f *testing.F) {
 			_ = att.WriteJSON(io.Discard)
 		}
 		_ = qor.WriteBaselineSummary(io.Discard, b)
-		_ = b.FlatMetrics()
 	})
 }

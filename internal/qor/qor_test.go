@@ -190,6 +190,10 @@ func TestRunSmokeSingle(t *testing.T) {
 		Corners:   []float64{300, 10},
 		Repeat:    2,
 	}
+	if obs.Tracing() == nil {
+		obs.EnableTracing()
+		defer obs.DisableTracing()
+	}
 	b, err := Run(context.Background(), RunOptions{Profile: prof, UseTestlib: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -211,8 +215,8 @@ func TestRunSmokeSingle(t *testing.T) {
 		t.Errorf("cryogenic leakage (%g) not below 300K leakage (%g)",
 			c.Corners[1].LeakageW, c.Corners[0].LeakageW)
 	}
-	// Stage wall times go to the process tracer (and from there to the
-	// -journal run summary), not into the baseline.
+	// Stage wall times go to the caller's tracer (and from there to
+	// -trace), not into the baseline.
 	if _, ok := obs.Tracing().Totals()["synth.synthesize"]; !ok {
 		t.Errorf("tracer has no synth.synthesize span after Run")
 	}
@@ -267,6 +271,53 @@ func TestRunSmokeSingle(t *testing.T) {
 		var tbl bytes.Buffer
 		rep.WriteTable(&tbl, true)
 		t.Errorf("self-diff not clean:\n%s", tbl.String())
+	}
+}
+
+// TestRunLeavesTelemetrySwitches: Run records into whatever metrics
+// registry and span tracer the caller installed and switches neither on
+// nor off, so a library caller (or a test) never inherits process-global
+// telemetry from it.
+func TestRunLeavesTelemetrySwitches(t *testing.T) {
+	prevReg, prevTr := obs.Metrics(), obs.Tracing()
+	defer func() {
+		obs.DisableMetrics()
+		obs.DisableTracing()
+		if prevReg != nil {
+			obs.EnableMetrics()
+		}
+		if prevTr != nil {
+			obs.EnableTracing()
+		}
+	}()
+	prof := Profile{
+		Name:      "unit",
+		Circuits:  []string{"ctrl"},
+		Scenarios: []synth.Scenario{synth.BaselinePowerAware},
+		Corners:   []float64{300},
+		Repeat:    1,
+	}
+	run := func() {
+		t.Helper()
+		if _, err := Run(context.Background(), RunOptions{Profile: prof, UseTestlib: true}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+
+	obs.DisableMetrics()
+	obs.DisableTracing()
+	run()
+	if obs.MetricsEnabled() || obs.Tracing() != nil {
+		t.Errorf("Run switched telemetry on: metrics %v, tracing %v", obs.MetricsEnabled(), obs.Tracing() != nil)
+	}
+
+	reg, tr := obs.EnableMetrics(), obs.EnableTracing()
+	run()
+	if obs.Metrics() != reg || obs.Tracing() != tr {
+		t.Error("Run replaced the caller's registry or tracer")
+	}
+	if _, ok := tr.Totals()["qor.rep"]; !ok {
+		t.Error("caller's tracer has no qor.rep span after Run")
 	}
 }
 

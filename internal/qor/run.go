@@ -37,16 +37,15 @@ type RunOptions struct {
 	Workers int
 	// CreatedAt stamps the baseline (left empty for golden-stable output).
 	CreatedAt string
-	// Progress, when non-nil, receives human-readable progress lines.
-	Progress func(format string, args ...any)
 }
 
 // Run executes the profile and returns the recorded baseline.
 //
-// Instrumentation contract: Run enables the global obs metrics registry and
-// span tracer once, so a -journal run summary carries engine counters and
-// stage wall-time totals for the whole profile (cryoobs trend reads them).
-// Each repetition is one qor.rep span and one stage.end journal event.
+// Instrumentation contract: Run leaves the process-global telemetry
+// switches as it found them; the caller's -metrics, -trace and -cost flags
+// decide what is recorded. Each repetition is one qor.rep span, one
+// stage.end journal event with circuit, scenario and rep attributes, and
+// one step of the qor.reps progress task.
 func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 	if opt.Repeat <= 0 {
 		opt.Repeat = opt.Profile.Repeat
@@ -60,12 +59,6 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 	if opt.ClockSec == 0 {
 		opt.ClockSec = 1e-9
 	}
-	progress := opt.Progress
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
-	obs.EnableMetrics()
-	obs.EnableTracing()
 	ctx = obs.Detach(ctx)
 
 	corners, err := loadCorners(ctx, opt)
@@ -135,7 +128,6 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 					rec.Deterministic = false
 				}
 				reps.Inc()
-				progress("%-12s %-10s rep %d/%d  %.3fs", name, sc, rep+1, opt.Repeat, wall)
 			}
 			b.Circuits = append(b.Circuits, rec)
 		}

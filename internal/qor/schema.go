@@ -4,8 +4,8 @@
 // provenance into a versioned JSON baseline, and diffs runs against a
 // stored baseline exactly. The seeded flow is deterministic, so any QoR
 // movement is a real change. Runtime is not gated here: stage wall times
-// and engine counters go to the -journal run summary (cryoobs trend), and
-// timing is gated by perfbench. cmd/cryobench is the CLI.
+// and engine counters go to the -trace and -metrics outputs, and timing is
+// gated by perfbench. cmd/cryobench is the CLI.
 package qor
 
 import (
@@ -188,26 +188,4 @@ func (b *Baseline) Label() string {
 		s += "@" + b.CreatedAt
 	}
 	return s
-}
-
-// FlatMetrics flattens the baseline's QoR into dotted scalar metrics
-// ("qor.<circuit>/<scenario>@<temp>K.area", ".wns_seconds", ...), the shape
-// the journal's run summary stores so cryoobs trend can glob and chart
-// them next to engine counters and stage wall times. The last dotted
-// component is always a CornerMetrics name or aig_nodes_opt/aig_depth_opt.
-func (b *Baseline) FlatMetrics() map[string]float64 {
-	out := map[string]float64{}
-	for i := range b.Circuits {
-		c := &b.Circuits[i]
-		out["qor."+c.Key()+".aig_nodes_opt"] = float64(c.AIGNodesOpt)
-		out["qor."+c.Key()+".aig_depth_opt"] = float64(c.AIGDepthOpt)
-		for j := range c.Corners {
-			k := &c.Corners[j]
-			p := fmt.Sprintf("qor.%s@%gK.", c.Key(), k.TempK)
-			for _, m := range CornerMetrics {
-				out[p+m.Name] = m.Get(k)
-			}
-		}
-	}
-	return out
 }

@@ -31,7 +31,10 @@ func TestSignoffRejectsWrongNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.EnableMetrics()
+	if !obs.MetricsEnabled() {
+		obs.EnableMetrics()
+		defer obs.DisableMetrics()
+	}
 	failures := obs.C("qor.signoff.failures")
 	if err := signoff(ctx, g, res, 1); err != nil {
 		t.Fatalf("unmutated netlist rejected: %v", err)
