@@ -194,12 +194,13 @@ func BenchmarkFig2c_PowerBreakdown(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			front := synth.Prepare(context.Background(), g, synth.Options{Seed: 1})
 			for _, corner := range []struct {
 				ml   *mapper.MatchLibrary
 				lib  *liberty.Library
 				into *float64
 			}{{ml300, lib300, &share300}, {ml10, lib10, &share10}} {
-				res, err := synth.Synthesize(context.Background(), g, corner.ml, synth.Options{Scenario: synth.BaselinePowerAware, Seed: 1})
+				res, err := front.Synthesize(context.Background(), corner.ml, synth.BaselinePowerAware)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -181,8 +181,9 @@ func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, see
 	for _, name := range names {
 		g, err := epfl.Build(name)
 		check(err)
+		front := synth.Prepare(ctx, g, synth.Options{Seed: seed})
 		for _, sc := range scenarios {
-			res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: sc, Seed: seed})
+			res, err := front.Synthesize(ctx, ml, sc)
 			check(err)
 			rep, err := synth.SignoffVerify(ctx, g, res, cec.Options{Seed: seed})
 			check(err)
@@ -227,14 +228,13 @@ func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.Match
 	for _, name := range names {
 		g, err := epfl.Build(name)
 		check(err)
+		front := synth.Prepare(ctx, g, synth.Options{Seed: seed})
 		for _, corner := range []struct {
 			ml  *mapper.MatchLibrary
 			lib *liberty.Library
 			acc *acc
 		}{{ml300, lib300, &a300}, {ml10, lib10, &a10}} {
-			res, err := synth.Synthesize(ctx, g, corner.ml, synth.Options{
-				Scenario: synth.BaselinePowerAware, Seed: seed,
-			})
+			res, err := front.Synthesize(ctx, corner.ml, synth.BaselinePowerAware)
 			check(err)
 			rep, err := power.Analyze(ctx, res.Netlist, corner.lib, power.Options{
 				ClockPeriod: 1e-9, Seed: seed,

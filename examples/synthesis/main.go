@@ -34,7 +34,10 @@ func main() {
 	ml, err := mapper.BuildMatchLibrary(lib, used, 6)
 	exitOn(err)
 
-	cmp, err := synth.Compare(ctx, g, ml, lib, synth.FlowOptions{Seed: 42})
+	// The front (c2rs and the power-stage candidates) runs once; the
+	// comparison and the verification below finish it per scenario.
+	front := synth.Prepare(ctx, g, synth.Options{Seed: 42})
+	cmp, err := front.Compare(ctx, ml, lib)
 	exitOn(err)
 
 	fmt.Printf("\nshared clock period (slowest variant + guard band): %.2f ps\n", cmp.ClockPeriod*1e12)
@@ -52,7 +55,7 @@ func main() {
 
 	// Functional safety net: every variant must still realize the circuit.
 	for _, sc := range []synth.Scenario{synth.BaselinePowerAware, synth.CryoPAD, synth.CryoPDA} {
-		res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: sc, Seed: 42})
+		res, err := front.Synthesize(ctx, ml, sc)
 		exitOn(err)
 		if err := synth.VerifyMapped(g, res, 4, 7); err != nil {
 			fmt.Fprintf(os.Stderr, "scenario %v: VERIFICATION FAILED: %v\n", sc, err)

@@ -182,11 +182,13 @@ func loadCorners(ctx context.Context, opt RunOptions) ([]cornerLib, error) {
 const topPaths = 3
 
 // runOnce runs the full flow for one (circuit, scenario) repetition across
-// all corners and returns the QoR record.
+// all corners and returns the QoR record. The synthesis front is corner
+// independent, so it runs once and is finished against each corner.
 func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []cornerLib, opt RunOptions) (*Circuit, error) {
 	rec := &Circuit{}
+	front := synth.Prepare(ctx, g, synth.Options{Seed: opt.Seed})
 	for _, c := range corners {
-		res, err := synth.Synthesize(ctx, g, c.ml, synth.Options{Scenario: sc, Seed: opt.Seed})
+		res, err := front.Synthesize(ctx, c.ml, sc)
 		if err != nil {
 			return nil, fmt.Errorf("synthesis at %g K: %w", c.tempK, err)
 		}

@@ -40,17 +40,35 @@ type FlowOptions struct {
 
 // Compare synthesizes the circuit under all three scenarios against the
 // given characterized library and reports normalized power/delay metrics.
+// The scenario-independent front runs once and is finished per scenario.
 func Compare(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, lib *liberty.Library, opt FlowOptions) (*Comparison, error) {
-	ctx, span := obs.Start(ctx, "synth.compare")
-	span.SetAttr("design", g.Name)
+	ctx, span := startCompare(ctx, g.Name)
 	defer span.End()
-	cmp := &Comparison{Circuit: g.Name}
+	return Prepare(ctx, g, Options{Seed: opt.Seed}).compare(ctx, ml, lib)
+}
+
+// Compare runs the package-level Compare's scenarios, timing and power
+// analysis on a prepared front; the front's seed is the flow seed.
+func (f *Front) Compare(ctx context.Context, ml *mapper.MatchLibrary, lib *liberty.Library) (*Comparison, error) {
+	ctx, span := startCompare(ctx, f.name)
+	defer span.End()
+	return f.compare(ctx, ml, lib)
+}
+
+func startCompare(ctx context.Context, design string) (context.Context, *obs.Span) {
+	ctx, span := obs.Start(ctx, "synth.compare")
+	span.SetAttr("design", design)
+	return ctx, span
+}
+
+func (f *Front) compare(ctx context.Context, ml *mapper.MatchLibrary, lib *liberty.Library) (*Comparison, error) {
+	cmp := &Comparison{Circuit: f.name}
 	scenarios := []Scenario{BaselinePowerAware, CryoPAD, CryoPDA}
 	results := make([]*Result, len(scenarios))
 	for i, sc := range scenarios {
-		res, err := Synthesize(ctx, g, ml, Options{Scenario: sc, Seed: opt.Seed})
+		res, err := f.Synthesize(ctx, ml, sc)
 		if err != nil {
-			return nil, fmt.Errorf("synth: %s scenario %v: %w", g.Name, sc, err)
+			return nil, fmt.Errorf("synth: %s scenario %v: %w", f.name, sc, err)
 		}
 		results[i] = res
 	}
@@ -60,7 +78,7 @@ func Compare(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, lib *libe
 	for i, res := range results {
 		tr, err := sta.Analyze(ctx, res.Netlist, lib, sta.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("synth: %s STA: %w", g.Name, err)
+			return nil, fmt.Errorf("synth: %s STA: %w", f.name, err)
 		}
 		timings[i] = tr
 		if tr.CriticalDelay > worst {
@@ -71,10 +89,10 @@ func Compare(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, lib *libe
 	for i, sc := range scenarios {
 		rep, err := power.Analyze(ctx, results[i].Netlist, lib, power.Options{
 			ClockPeriod: cmp.ClockPeriod,
-			Seed:        opt.Seed + int64(i),
+			Seed:        f.seed + int64(i),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("synth: %s power: %w", g.Name, err)
+			return nil, fmt.Errorf("synth: %s power: %w", f.name, err)
 		}
 		cmp.Metrics[sc] = ScenarioMetrics{
 			Scenario: sc,

@@ -89,35 +89,85 @@ type Result struct {
 }
 
 // Synthesize runs the full pipeline on the input AIG against the match
-// library.
+// library: Prepare followed by the scenario's finish.
 func Synthesize(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, opt Options) (*Result, error) {
-	ctx, span := obs.Start(ctx, "synth.synthesize")
-	span.SetAttr("design", g.Name)
-	span.SetAttr("scenario", opt.Scenario.String())
+	ctx, span := startSynthesize(ctx, g.Name, opt.Scenario)
 	defer span.End()
-	obs.C("synth.runs").Inc()
-	res := &Result{Scenario: opt.Scenario, NodesIn: g.NumNodes(), DepthIn: g.Depth()}
+	return Prepare(ctx, g, opt).finish(ctx, ml, opt.Scenario)
+}
+
+// Front is the part of a synthesis run that neither the scenario nor the
+// library corner changes: the c2rs result and the scored power-stage
+// candidates. Only the choice among the candidates and the technology
+// mapping read the scenario, and only the mapping reads the library, so
+// one Front serves every scenario and corner of a circuit. Finishing
+// treats the Front as read-only.
+type Front struct {
+	name             string
+	seed             int64
+	nodesIn, depthIn int
+	nodesC2RS        int
+	cands            []candidate
+}
+
+// candidate is one power-stage variant with its stage-2 costs.
+type candidate struct {
+	net                *aig.AIG
+	power, size, depth float64
+}
+
+// Prepare runs stages 1 and 2 up to the scenario-dependent choice: c2rs,
+// then the power-stage candidates. opt.Scenario is not read.
+func Prepare(ctx context.Context, g *aig.AIG, opt Options) *Front {
+	f := &Front{name: g.Name, seed: opt.Seed, nodesIn: g.NumNodes(), depthIn: g.Depth()}
 
 	// Stage 1: c2rs.
 	_, c2rsSpan := obs.Start(ctx, "synth.c2rs")
 	step1 := c2rs(g, opt.Seed)
-	c2rsSpan.SetAttr("nodes_in", res.NodesIn)
-	c2rsSpan.SetAttr("nodes_out", step1.NumNodes())
+	f.nodesC2RS = step1.NumNodes()
+	c2rsSpan.SetAttr("nodes_in", f.nodesIn)
+	c2rsSpan.SetAttr("nodes_out", f.nodesC2RS)
 	c2rsSpan.End()
-	res.NodesC2RS = step1.NumNodes()
-	obs.C("synth.c2rs.nodes_delta").Add(int64(res.NodesC2RS - res.NodesIn))
 
 	// Stage 2: dch -p; if -p; mfs -pegd; strash.
 	_, powSpan := obs.Start(ctx, "synth.power_stage")
-	step2 := powerStage(step1, opt)
+	f.cands = powerCandidates(step1, opt)
 	powSpan.End()
-	res.NodesPower = step2.NumNodes()
-	res.DepthOut = step2.Depth()
-	res.Optimized = step2
+	return f
+}
+
+// Synthesize finishes the front under one scenario against the match
+// library: it picks the scenario's power-stage candidate and maps it.
+func (f *Front) Synthesize(ctx context.Context, ml *mapper.MatchLibrary, sc Scenario) (*Result, error) {
+	ctx, span := startSynthesize(ctx, f.name, sc)
+	defer span.End()
+	return f.finish(ctx, ml, sc)
+}
+
+func startSynthesize(ctx context.Context, design string, sc Scenario) (context.Context, *obs.Span) {
+	ctx, span := obs.Start(ctx, "synth.synthesize")
+	span.SetAttr("design", design)
+	span.SetAttr("scenario", sc.String())
+	return ctx, span
+}
+
+func (f *Front) finish(ctx context.Context, ml *mapper.MatchLibrary, sc Scenario) (*Result, error) {
+	obs.C("synth.runs").Inc()
+	best := pickCandidate(f.cands, sc)
+	res := &Result{
+		Scenario:   sc,
+		NodesIn:    f.nodesIn,
+		NodesC2RS:  f.nodesC2RS,
+		NodesPower: int(best.size),
+		DepthIn:    f.depthIn,
+		DepthOut:   int(best.depth),
+		Optimized:  best.net,
+	}
+	obs.C("synth.c2rs.nodes_delta").Add(int64(res.NodesC2RS - res.NodesIn))
 	obs.C("synth.power_stage.nodes_delta").Add(int64(res.NodesPower - res.NodesC2RS))
 
 	// Stage 3: technology mapping with the scenario's priority list.
-	nl, err := mapper.Map(ctx, step2, ml, mapper.Options{Mode: opt.Scenario.MapMode(), K: mapK})
+	nl, err := mapper.Map(ctx, best.net, ml, mapper.Options{Mode: sc.MapMode(), K: mapK})
 	if err != nil {
 		return nil, fmt.Errorf("synth: mapping: %w", err)
 	}
@@ -142,24 +192,17 @@ func c2rs(g *aig.AIG, seed int64) *aig.AIG {
 	return cur
 }
 
-// powerStage implements dch/if/mfs/strash with scenario-dependent variant
-// selection: several structurally different versions of the network are
-// prepared (the "choices"), each is collapsed to k-LUTs with power-aware
-// cut selection, minimized with SAT don't-cares, and structurally hashed
-// back; the variant that wins under the scenario's cost hierarchy is kept.
-func powerStage(g *aig.AIG, opt Options) *aig.AIG {
+// powerCandidates implements dch/if/mfs/strash up to the choice: several
+// structurally different versions of the network are prepared (the
+// "choices"), each is collapsed to k-LUTs with power-aware cut selection,
+// minimized with SAT don't-cares, structurally hashed back and scored.
+func powerCandidates(g *aig.AIG, opt Options) []candidate {
 	variants := []*aig.AIG{g}
 	if !opt.SkipChoices {
 		variants = append(variants, g.Rewrite(true), g.Balance())
 	}
-	type scored struct {
-		net   *aig.AIG
-		power float64
-		size  float64
-		depth float64
-	}
-	var best *scored
-	for _, v := range variants {
+	cands := make([]candidate, len(variants))
+	for i, v := range variants {
 		lut := v.MapLUT(aig.LUTMapOptions{K: lutK, PowerAware: true})
 		if !opt.SkipMfs {
 			mopt := aig.DefaultMfsOptions()
@@ -168,17 +211,27 @@ func powerStage(g *aig.AIG, opt Options) *aig.AIG {
 			lut.Mfs(mopt)
 		}
 		back := lut.Strash()
-		s := &scored{
+		cands[i] = candidate{
 			net:   back,
 			power: totalActivity(back),
 			size:  float64(back.NumNodes()),
 			depth: float64(back.Depth()),
 		}
-		if best == nil || stageBetter(s.power, s.size, s.depth, best.power, best.size, best.depth, opt.Scenario) {
-			best = s
+	}
+	return cands
+}
+
+// pickCandidate keeps the variant that wins under the scenario's cost
+// hierarchy; on a tie the earlier variant stays.
+func pickCandidate(cands []candidate, sc Scenario) *candidate {
+	best := &cands[0]
+	for i := 1; i < len(cands); i++ {
+		c := &cands[i]
+		if stageBetter(c.power, c.size, c.depth, best.power, best.size, best.depth, sc) {
+			best = c
 		}
 	}
-	return best.net
+	return best
 }
 
 // totalActivity sums switching activity over the AND nodes: the

@@ -89,10 +89,14 @@ func TestPowerStagePreservesFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range []Scenario{BaselinePowerAware, CryoPAD, CryoPDA} {
-		out := powerStage(g, Options{Scenario: sc, Seed: 2})
-		if v := cec.Check(context.Background(), g, out, cec.Options{}); v.Status != cec.Equal {
-			t.Fatalf("scenario %v: power stage %v", sc, v.Status)
+	// Every candidate must be equivalent, since any scenario may pick it.
+	cands := powerCandidates(g, Options{Seed: 2})
+	if len(cands) != 3 {
+		t.Fatalf("%d power-stage candidates, want 3", len(cands))
+	}
+	for i, c := range cands {
+		if v := cec.Check(context.Background(), g, c.net, cec.Options{}); v.Status != cec.Equal {
+			t.Fatalf("candidate %d: power stage %v", i, v.Status)
 		}
 	}
 }
