@@ -125,9 +125,10 @@ paperbench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
 # Device-evaluation, linear-solver and op-point microbenchmarks
-# (Conductances at 300 K and 10 K; dense vs sparse vs refactor).
+# (Conductances at 300 K and 10 K; dense vs sparse vs refactor), and the
+# synthesis passes and standard-cell mapping on an EPFL circuit.
 microbench:
-	$(GO) test ./internal/device ./internal/linalg ./internal/spice -run xxx -bench . -benchmem -benchtime 100x
+	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/aig ./internal/mapper -run xxx -bench . -benchmem -benchtime 100x
 
 clean:
 	rm -rf build

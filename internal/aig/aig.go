@@ -68,13 +68,21 @@ type AIG struct {
 	pis     []string // PI names (index i names var i+1)
 	pos     []Lit
 	poNames []string
-	strash  map[uint64]Lit
+	strash  strashTable
 }
 
 // New returns an empty AIG with the given name.
 func New(name string) *AIG {
-	g := &AIG{Name: name, strash: make(map[uint64]Lit)}
+	g := &AIG{Name: name}
 	g.nodes = append(g.nodes, node{fan0: piMark, fan1: piMark}) // constant
+	return g
+}
+
+// newSized returns an empty AIG with room for n variables, so a pass that
+// rebuilds a graph of known size does not regrow its node slice.
+func newSized(name string, n int) *AIG {
+	g := &AIG{Name: name, nodes: make([]node, 1, n)}
+	g.nodes[0] = node{fan0: piMark, fan1: piMark} // constant
 	return g
 }
 
@@ -181,7 +189,8 @@ func (g *AIG) And(a, b Lit) Lit {
 		return False
 	}
 	key := uint64(a)<<32 | uint64(b)
-	if l, ok := g.strash[key]; ok {
+	slot := g.strash.find(key)
+	if l := g.strash.vals[slot]; g.strash.keys[slot] == key {
 		return l
 	}
 	lv := g.nodes[a.Var()].level
@@ -191,7 +200,7 @@ func (g *AIG) And(a, b Lit) Lit {
 	v := len(g.nodes)
 	g.nodes = append(g.nodes, node{fan0: a, fan1: b, level: lv + 1})
 	l := MakeLit(v, false)
-	g.strash[key] = l
+	g.strash.insert(slot, key, l)
 	return l
 }
 
@@ -243,7 +252,7 @@ func (g *AIG) FanoutCounts() []int {
 // Sweep returns a compacted copy containing only the nodes reachable from
 // the primary outputs, preserving PI/PO order and names.
 func (g *AIG) Sweep() *AIG {
-	out := New(g.Name)
+	out := newSized(g.Name, len(g.nodes))
 	m := make([]Lit, len(g.nodes))
 	m[0] = False
 	for i := 0; i < g.numPI; i++ {
@@ -288,10 +297,7 @@ func (g *AIG) Clone() *AIG {
 		pis:     append([]string(nil), g.pis...),
 		pos:     append([]Lit(nil), g.pos...),
 		poNames: append([]string(nil), g.poNames...),
-		strash:  make(map[uint64]Lit, len(g.strash)),
-	}
-	for k, v := range g.strash {
-		out.strash[k] = v
+		strash:  g.strash.clone(),
 	}
 	return out
 }

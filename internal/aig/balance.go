@@ -9,7 +9,7 @@ import "sort"
 // changing size much.
 func (g *AIG) Balance() *AIG {
 	done := startPass("balance", g)
-	out := New(g.Name)
+	out := newSized(g.Name, g.NumVars())
 	m := make([]Lit, g.NumVars())
 	m[0] = False
 	for i := 0; i < g.numPI; i++ {

@@ -1,0 +1,58 @@
+package aig_test
+
+import (
+	"testing"
+
+	"repro/internal/aig"
+	"repro/internal/epfl"
+)
+
+// sink keeps the benchmarked results alive.
+var sink any
+
+// benchAIG builds a balanced EPFL circuit as the pass input: square is one
+// of the Fig. 3 circuits and takes every pass a few milliseconds.
+func benchAIG(b *testing.B) *aig.AIG {
+	b.Helper()
+	g, err := epfl.Build("square")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g.Balance()
+}
+
+func BenchmarkRewrite(b *testing.B) {
+	g := benchAIG(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = g.Rewrite(false)
+	}
+}
+
+func BenchmarkRefactor(b *testing.B) {
+	g := benchAIG(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = g.Refactor()
+	}
+}
+
+func BenchmarkResub(b *testing.B) {
+	g := benchAIG(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = g.Resub(aig.DefaultResubOptions())
+	}
+}
+
+func BenchmarkMapLUT(b *testing.B) {
+	g := benchAIG(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = g.MapLUT(aig.LUTMapOptions{K: 6, PowerAware: true})
+	}
+}

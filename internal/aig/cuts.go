@@ -184,25 +184,64 @@ func removeDominated(set []Cut, m Cut) []Cut {
 // become dead if v were replaced by a different implementation. refs must be
 // the current fanout counts.
 func (g *AIG) MFFCSize(v int, leaves []int, refs []int) int {
-	leafSet := make(map[int]bool, len(leaves))
+	return g.mffcSize(newVarMarks(len(g.nodes)), v, leaves, refs)
+}
+
+// varMarks is per-variable scratch shared by the calls of one pass: every
+// mark is zero between calls, and each call clears the marks it set before
+// returning, so a call costs the cone it visits, not the graph.
+type varMarks struct {
+	val []int32
+	set []int // variables with a nonzero mark
+}
+
+func newVarMarks(n int) *varMarks { return &varMarks{val: make([]int32, n)} }
+
+// mark sets variable v's mark to x (nonzero).
+func (m *varMarks) mark(v int, x int32) {
+	if m.val[v] == 0 {
+		m.set = append(m.set, v)
+	}
+	m.val[v] = x
+}
+
+// clear zeroes every mark set since the last clear.
+func (m *varMarks) clear() {
+	for _, v := range m.set {
+		m.val[v] = 0
+	}
+	m.set = m.set[:0]
+}
+
+// leafMark tags a cut leaf during an MFFC count; any other mark is the
+// number of references the count has released so far.
+const leafMark = -1
+
+// mffcSize is MFFCSize with caller-owned scratch.
+func (g *AIG) mffcSize(m *varMarks, v int, leaves []int, refs []int) int {
 	for _, l := range leaves {
-		leafSet[l] = true
+		m.mark(l, leafMark)
 	}
-	local := make(map[int]int)
-	var count func(u int) int
-	count = func(u int) int {
-		if leafSet[u] || !g.IsAnd(u) {
-			return 0
-		}
-		n := 1
-		for _, f := range []Lit{g.nodes[u].fan0, g.nodes[u].fan1} {
-			w := f.Var()
-			local[w]++
-			if !leafSet[w] && g.IsAnd(w) && local[w] >= refs[w] {
-				n += count(w)
-			}
-		}
-		return n
+	n := g.mffcCount(m, v, refs)
+	m.clear()
+	return n
+}
+
+// mffcCount counts the AND nodes of u's cone that die with it: a fanin
+// dies once every one of its references has been released.
+func (g *AIG) mffcCount(m *varMarks, u int, refs []int) int {
+	if m.val[u] == leafMark || !g.IsAnd(u) {
+		return 0
 	}
-	return count(v)
+	n := 1
+	for _, w := range [2]int{g.nodes[u].fan0.Var(), g.nodes[u].fan1.Var()} {
+		if m.val[w] == leafMark || !g.IsAnd(w) {
+			continue
+		}
+		m.mark(w, m.val[w]+1)
+		if int(m.val[w]) >= refs[w] {
+			n += g.mffcCount(m, w, refs)
+		}
+	}
+	return n
 }

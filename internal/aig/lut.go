@@ -344,7 +344,7 @@ func copyCone(src, dst *AIG, root int, leaves []int, bound []Lit) Lit {
 // paper's stage 2).
 func (n *LUTNet) Strash() *AIG {
 	g := n.G
-	out := New(g.Name)
+	out := newSized(g.Name, g.NumVars())
 	m := make(map[int]Lit, len(n.LUTs)+g.NumPIs()+1)
 	m[0] = False
 	for i := 0; i < g.NumPIs(); i++ {

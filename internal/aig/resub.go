@@ -117,8 +117,9 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 	opt = opt.withDefaults()
 	sigs := g.Signatures(opt.Words, opt.Seed)
 	refs := g.FanoutCounts()
+	marks := newVarMarks(g.NumVars())
 
-	out := New(g.Name)
+	out := newSized(g.Name, g.NumVars())
 	m := make([]Lit, g.NumVars())
 	m[0] = False
 	for i := 0; i < g.numPI; i++ {
@@ -182,9 +183,9 @@ func (g *AIG) Resub(opt ResubOptions) *AIG {
 		// 1-resub: v == AND of two divisors drawn from its fanin
 		// neighborhood, profitable when the MFFC releases nodes.
 		if !replaced && refs[v] > 0 {
-			divs := g.divisors(v, 24)
-			mffc := g.MFFCSize(v, []int{f0.Var(), f1.Var()}, refs)
-			if mffc >= 2 {
+			fanins := [2]int{f0.Var(), f1.Var()}
+			if g.mffcSize(marks, v, fanins[:], refs) >= 2 {
+				divs := g.divisors(marks, v, 24)
 				pairs := 0
 			searchPairs:
 				for i := 0; i < len(divs) && pairs < opt.MaxPairs; i++ {
@@ -260,9 +261,10 @@ func sigIsAnd(v, a, b []uint64, ca, cb bool) bool {
 }
 
 // divisors collects candidate divisor variables from the two-level fanin
-// neighborhood of v (excluding v itself), capped at limit.
-func (g *AIG) divisors(v, limit int) []int {
-	seen := map[int]bool{v: true}
+// neighborhood of v (excluding v itself), capped at limit. m is the pass's
+// scratch; divisors leaves it cleared.
+func (g *AIG) divisors(m *varMarks, v, limit int) []int {
+	m.mark(v, 1)
 	var out []int
 	var frontier []int
 	f0, f1 := g.Fanins(v)
@@ -270,10 +272,10 @@ func (g *AIG) divisors(v, limit int) []int {
 	for depth := 0; depth < 3 && len(out) < limit; depth++ {
 		var next []int
 		for _, u := range frontier {
-			if u == 0 || seen[u] {
+			if u == 0 || m.val[u] != 0 {
 				continue
 			}
-			seen[u] = true
+			m.mark(u, 1)
 			out = append(out, u)
 			if len(out) >= limit {
 				break
@@ -285,5 +287,6 @@ func (g *AIG) divisors(v, limit int) []int {
 		}
 		frontier = next
 	}
+	m.clear()
 	return out
 }

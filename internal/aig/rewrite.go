@@ -37,13 +37,15 @@ func (g *AIG) resynthesize(opt RewriteOptions) *AIG {
 	cuts := g.EnumerateCuts(opt.CutSize, opt.MaxCuts)
 	refs := g.FanoutCounts()
 	isopCache := make(map[uint64][]Cube)
+	marks := newVarMarks(g.NumVars())
 
-	out := New(g.Name)
+	out := newSized(g.Name, g.NumVars())
 	m := make([]Lit, g.NumVars())
 	m[0] = False
 	for i := 0; i < g.numPI; i++ {
 		m[i+1] = out.AddPI(g.pis[i])
 	}
+	var leafBuf [6]Lit
 	for v := g.numPI + 1; v < g.NumVars(); v++ {
 		f0, f1 := g.Fanins(v)
 		dflt := out.And(m[f0.Var()].NotIf(f0.IsCompl()), m[f1.Var()].NotIf(f1.IsCompl()))
@@ -60,7 +62,7 @@ func (g *AIG) resynthesize(opt RewriteOptions) *AIG {
 			if len(cut.Leaves) == 1 && cut.Leaves[0] == v {
 				continue
 			}
-			mffc := g.MFFCSize(v, cut.Leaves, refs)
+			mffc := g.mffcSize(marks, v, cut.Leaves, refs)
 			if mffc < 1 {
 				continue
 			}
@@ -69,7 +71,7 @@ func (g *AIG) resynthesize(opt RewriteOptions) *AIG {
 			// Synthesize the smaller phase.
 			cubesPos, okPos := cachedISOP(isopCache, tt, n)
 			cubesNeg, okNeg := cachedISOP(isopCache, ^tt&Truth6Mask(n), n)
-			leaves := make([]Lit, n)
+			leaves := leafBuf[:n]
 			for i, lv := range cut.Leaves {
 				leaves[i] = m[lv]
 			}
@@ -108,6 +110,11 @@ func (g *AIG) resynthesize(opt RewriteOptions) *AIG {
 	return out.Sweep()
 }
 
+// maxFactorCubes is the cover size the factored-form builders handle in
+// stack buffers; cachedISOP rejects larger covers, so only LUT strashing
+// (up to 32 cubes for a 6-input parity) ever spills to the heap.
+const maxFactorCubes = 16
+
 func cachedISOP(cache map[uint64][]Cube, tt uint64, n int) ([]Cube, bool) {
 	key := tt | uint64(n)<<58
 	if c, ok := cache[key]; ok {
@@ -125,7 +132,9 @@ func cachedISOP(cache map[uint64][]Cube, tt uint64, n int) ([]Cube, bool) {
 
 // buildFactored synthesizes a cube cover in algebraically factored form:
 // the most frequent literal is divided out recursively (quick-factor),
-// yielding multi-level structures that share better than flat SOPs.
+// yielding multi-level structures that share better than flat SOPs. Covers
+// of up to maxFactorCubes cubes over up to 6 leaves build without a heap
+// allocation.
 func (g *AIG) buildFactored(cubes []Cube, leaves []Lit) Lit {
 	switch len(cubes) {
 	case 0:
@@ -155,14 +164,16 @@ func (g *AIG) buildFactored(cubes []Cube, leaves []Lit) Lit {
 	}
 	if bestLit < 0 {
 		// No shared literal: flat OR of cube ANDs.
-		terms := make([]Lit, len(cubes))
-		for i, c := range cubes {
-			terms[i] = g.cubeAnd(c, leaves)
+		var buf [maxFactorCubes]Lit
+		terms := buf[:0]
+		for _, c := range cubes {
+			terms = append(terms, g.cubeAnd(c, leaves))
 		}
 		return g.balancedTree(terms, false)
 	}
 	bit := uint32(1) << uint(bestLit)
-	var quot, rem []Cube
+	var qbuf, rbuf [maxFactorCubes]Cube
+	quot, rem := qbuf[:0], rbuf[:0]
 	for _, c := range cubes {
 		switch {
 		case !bestNeg && c.Pos&bit != 0:
@@ -182,7 +193,8 @@ func (g *AIG) buildFactored(cubes []Cube, leaves []Lit) Lit {
 }
 
 func (g *AIG) cubeAnd(c Cube, leaves []Lit) Lit {
-	var lits []Lit
+	var buf [12]Lit
+	lits := buf[:0]
 	for i, leaf := range leaves {
 		if c.Pos&(1<<uint(i)) != 0 {
 			lits = append(lits, leaf)

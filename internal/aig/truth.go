@@ -307,22 +307,14 @@ func (g *AIG) BuildFromCubes(cubes []Cube, leaves []Lit) Lit {
 	}
 	terms := make([]Lit, 0, len(cubes))
 	for _, c := range cubes {
-		lits := make([]Lit, 0, len(leaves))
-		for i, leaf := range leaves {
-			if c.Pos&(1<<uint(i)) != 0 {
-				lits = append(lits, leaf)
-			}
-			if c.Neg&(1<<uint(i)) != 0 {
-				lits = append(lits, leaf.Not())
-			}
-		}
-		terms = append(terms, g.balancedTree(lits, true))
+		terms = append(terms, g.cubeAnd(c, leaves))
 	}
 	return g.balancedTree(terms, false)
 }
 
 // balancedTree combines literals with AND (and=true) or OR into a balanced
-// binary tree.
+// binary tree, pairing neighbours level by level. It reduces in place, so
+// it overwrites lits.
 func (g *AIG) balancedTree(lits []Lit, and bool) Lit {
 	if len(lits) == 0 {
 		if and {
@@ -331,18 +323,20 @@ func (g *AIG) balancedTree(lits []Lit, and bool) Lit {
 		return False
 	}
 	for len(lits) > 1 {
-		var next []Lit
+		n := 0
 		for i := 0; i+1 < len(lits); i += 2 {
 			if and {
-				next = append(next, g.And(lits[i], lits[i+1]))
+				lits[n] = g.And(lits[i], lits[i+1])
 			} else {
-				next = append(next, g.Or(lits[i], lits[i+1]))
+				lits[n] = g.Or(lits[i], lits[i+1])
 			}
+			n++
 		}
 		if len(lits)%2 == 1 {
-			next = append(next, lits[len(lits)-1])
+			lits[n] = lits[len(lits)-1]
+			n++
 		}
-		lits = next
+		lits = lits[:n]
 	}
 	return lits[0]
 }

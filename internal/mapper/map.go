@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/aig"
 	"repro/internal/netlist"
@@ -68,11 +69,77 @@ type implChoice struct {
 	valid bool
 }
 
+// CutTable is the library-independent half of mapping one AIG: its
+// priority cuts and the truth table of every cut. It is filled by the first
+// mapping that uses it, inside that mapping's span, and then serves every
+// later mapping of the same AIG: each refinement pass, cost mode and match
+// library. Its lifetime is its holder's (nothing caches it globally), and
+// Release hands its memory back early. A CutTable is safe for concurrent
+// use.
+type CutTable struct {
+	g  *aig.AIG
+	mu sync.Mutex
+	// k and maxCuts are the cut parameters the table was filled with.
+	k, maxCuts int
+	cuts       [][]aig.Cut
+	// tts[v][i] is the function of cuts[v][i] rooted at v (0 for the
+	// trivial cut and for cuts the mapper skips: no leaves or more than 6).
+	tts [][]uint64
+}
+
+// NewCutTable returns an empty cut table for g; nothing is computed until
+// the first mapping uses it.
+func NewCutTable(g *aig.AIG) *CutTable { return &CutTable{g: g} }
+
+// Release empties the table so its memory can be reclaimed; a later
+// mapping fills it again. Mappings already running keep their view.
+func (t *CutTable) Release() {
+	t.mu.Lock()
+	t.cuts, t.tts = nil, nil
+	t.mu.Unlock()
+}
+
+// get returns the cuts and truth tables for (k, maxCuts), enumerating them
+// when the table is empty or was filled for other parameters.
+func (t *CutTable) get(k, maxCuts int) ([][]aig.Cut, [][]uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cuts != nil && t.k == k && t.maxCuts == maxCuts {
+		return t.cuts, t.tts
+	}
+	g := t.g
+	cuts := g.EnumerateCuts(k, maxCuts)
+	n := 0
+	for _, cs := range cuts {
+		n += len(cs)
+	}
+	flat := make([]uint64, n)
+	tts := make([][]uint64, len(cuts))
+	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
+		cs := cuts[v]
+		tts[v], flat = flat[:len(cs):len(cs)], flat[len(cs):]
+		for i, cut := range cs {
+			if l := len(cut.Leaves); l >= 1 && l <= 6 && !(l == 1 && cut.Leaves[0] == v) {
+				tts[v][i] = g.CutTruth(aig.MakeLit(v, false), cut.Leaves)
+			}
+		}
+	}
+	t.k, t.maxCuts, t.cuts, t.tts = k, maxCuts, cuts, tts
+	return cuts, tts
+}
+
 // Map covers the AIG with library cells under the selected cost-priority
 // mode and returns the mapped netlist. Primary outputs are aliased onto
 // their driver nets (inverters are materialized where a complemented signal
 // is required).
 func Map(ctx context.Context, g *aig.AIG, ml *MatchLibrary, opt Options) (*netlist.Netlist, error) {
+	return MapTable(ctx, NewCutTable(g), ml, opt)
+}
+
+// MapTable is Map over a cut table that later mappings of the same AIG may
+// share: the netlist is the one Map returns for the table's AIG.
+func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (*netlist.Netlist, error) {
+	g := t.g
 	_, span := obs.Start(ctx, "mapper.map")
 	span.SetAttr("design", g.Name)
 	span.SetAttr("mode", opt.Mode.String())
@@ -96,7 +163,7 @@ func Map(ctx context.Context, g *aig.AIG, ml *MatchLibrary, opt Options) (*netli
 	if opt.Passes == 0 {
 		opt.Passes = 2
 	}
-	cuts := g.EnumerateCuts(opt.K, opt.MaxCuts)
+	cuts, tts := t.get(opt.K, opt.MaxCuts)
 	refs := g.FanoutCounts()
 	act := g.Activities()
 
@@ -112,14 +179,16 @@ func Map(ctx context.Context, g *aig.AIG, ml *MatchLibrary, opt Options) (*netli
 			// actual reference counts, so shared logic is priced correctly.
 			refs = coverRefs(g, best)
 		}
-		best = mapPass(g, ml, opt, cuts, refs, act, invEnergyAt)
+		best = mapPass(g, ml, opt, cuts, tts, refs, act, invEnergyAt)
 		obs.C("mapper.passes").Inc()
 	}
 	nl, err := extract(g, ml, best, opt)
 	if err == nil {
 		obs.C("mapper.gates_emitted").Add(int64(nl.NumGates()))
-		span.SetAttr("gates", nl.NumGates())
-		span.SetAttr("area", nl.Area())
+		if span != nil {
+			span.SetAttr("gates", nl.NumGates())
+			span.SetAttr("area", nl.Area())
+		}
 	}
 	return nl, err
 }
@@ -152,7 +221,7 @@ func coverRefs(g *aig.AIG, best []implChoice) []int {
 
 // mapPass runs one forward best-match pass under the given reference
 // counts.
-func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, refs []int, act []float64, invEnergyAt func(float64) float64) []implChoice {
+func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, tts [][]uint64, refs []int, act []float64, invEnergyAt func(float64) float64) []implChoice {
 	inv := ml.Inv
 	best := make([]implChoice, g.NumVars())
 	for v := 1; v <= g.NumPIs(); v++ {
@@ -160,7 +229,7 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, refs [
 	}
 	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
 		var bc implChoice
-		for _, cut := range cuts[v] {
+		for i, cut := range cuts[v] {
 			n := len(cut.Leaves)
 			if n < 1 || n > 6 {
 				continue
@@ -168,8 +237,7 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, refs [
 			if n == 1 && cut.Leaves[0] == v {
 				continue // trivial cut
 			}
-			tt := g.CutTruth(aig.MakeLit(v, false), cut.Leaves)
-			for _, m := range ml.MatchesFor(tt, n) {
+			for _, m := range ml.MatchesFor(tts[v][i], n) {
 				cand := implChoice{match: m, cut: cut, valid: true}
 				cand.area = m.Area
 				cand.delay = m.Delay

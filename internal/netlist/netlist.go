@@ -43,16 +43,21 @@ type Netlist struct {
 	Aliases map[string]string
 
 	cellIndex map[string]*pdk.Cell
+	// cellArea caches each catalog cell's area: pdk.Cell.Area rebuilds
+	// every stage's dual network on each call.
+	cellArea map[string]float64
 }
 
 // New creates an empty netlist bound to a PDK cell catalog for function
 // lookup.
 func New(name string, cells []*pdk.Cell) *Netlist {
 	idx := make(map[string]*pdk.Cell, len(cells))
+	area := make(map[string]float64, len(cells))
 	for _, c := range cells {
 		idx[c.Name] = c
+		area[c.Name] = c.Area()
 	}
-	return &Netlist{Name: name, Aliases: make(map[string]string), cellIndex: idx}
+	return &Netlist{Name: name, Aliases: make(map[string]string), cellIndex: idx, cellArea: area}
 }
 
 // Cell returns the PDK definition of a cell name, or nil.
@@ -83,7 +88,7 @@ func (n *Netlist) NumGates() int { return len(n.Gates) }
 func (n *Netlist) Area() float64 {
 	var a float64
 	for _, g := range n.Gates {
-		a += n.cellIndex[g.Cell].Area()
+		a += n.cellArea[g.Cell]
 	}
 	return a
 }

@@ -61,11 +61,19 @@ func Analyze(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt
 }
 
 // AnalyzeFull computes the power totals and the per-instance attribution in
-// one STA + activity pass. The Report sums are accumulated in the same
-// deterministic order as ever (gates for leakage/internal, sorted nets for
-// switching), so totals are bit-identical whichever entry point is used —
-// the QoR regression gate compares them exactly.
+// one STA + activity pass.
 func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt Options) (*Report, []CellPower, error) {
+	return AnalyzeTimed(ctx, nl, lib, nil, opt)
+}
+
+// AnalyzeTimed is AnalyzeFull on a timing the caller already has: timing
+// must be sta.Analyze of nl and lib under opt.STA, so a flow that times a
+// netlist for its clock does not time it again for power. A nil timing is
+// computed here, inside the power span. The Report sums are accumulated in
+// the same deterministic order as ever (gates for leakage/internal, sorted
+// nets for switching), so totals are bit-identical whichever entry point is
+// used — the QoR regression gate compares them exactly.
+func AnalyzeTimed(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, timing *sta.Result, opt Options) (*Report, []CellPower, error) {
 	ctx, span := obs.Start(ctx, "power.analyze")
 	span.SetAttr("design", nl.Name)
 	defer span.End()
@@ -73,9 +81,11 @@ func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library,
 	if opt.ClockPeriod <= 0 {
 		return nil, nil, fmt.Errorf("power: clock period must be positive")
 	}
-	timing, err := sta.Analyze(ctx, nl, lib, opt.STA)
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if timing == nil {
+		if timing, err = sta.Analyze(ctx, nl, lib, opt.STA); err != nil {
+			return nil, nil, err
+		}
 	}
 	g := timing.Graph
 	var rates []float64

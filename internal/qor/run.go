@@ -201,7 +201,7 @@ func runOnce(ctx context.Context, g *aig.AIG, sc synth.Scenario, corners []corne
 		if err != nil {
 			return nil, fmt.Errorf("STA at %g K: %w", c.tempK, err)
 		}
-		rep, cells, err := power.AnalyzeFull(ctx, res.Netlist, c.lib, power.Options{
+		rep, cells, err := power.AnalyzeTimed(ctx, res.Netlist, c.lib, timing, power.Options{
 			ClockPeriod: opt.ClockSec, Seed: opt.Seed,
 		})
 		if err != nil {

@@ -94,8 +94,9 @@ func TestCompareMatchesSynthesize(t *testing.T) {
 }
 
 // TestCompareRunsFrontOnce checks that Compare runs c2rs and the power
-// stage once and maps once per scenario, while the per-Result node-delta
-// counters still add up as three standalone runs would.
+// stage once, and maps, times and power-analyzes once per scenario, while
+// the per-Result node-delta counters still add up as three standalone runs
+// would.
 func TestCompareRunsFrontOnce(t *testing.T) {
 	ml, _ := buildML(t, 10)
 	lib, _ := testlib.Build(catalog, testlib.Names(), 10)
@@ -118,6 +119,9 @@ func TestCompareRunsFrontOnce(t *testing.T) {
 		"synth.power_stage": 1,
 		"synth.synthesize":  3,
 		"mapper.map":        3,
+		// Power reuses each scenario's clock-setting timing.
+		"sta.analyze":   3,
+		"power.analyze": 3,
 	} {
 		if got := totals[name].Count; got != want {
 			t.Errorf("%s: %d spans, want %d", name, got, want)

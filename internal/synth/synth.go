@@ -101,7 +101,9 @@ func Synthesize(ctx context.Context, g *aig.AIG, ml *mapper.MatchLibrary, opt Op
 // candidates. Only the choice among the candidates and the technology
 // mapping read the scenario, and only the mapping reads the library, so
 // one Front serves every scenario and corner of a circuit. Finishing
-// treats the Front as read-only.
+// changes nothing but the candidates' mapping cut tables, which fill on
+// first use and are safe to share, so a Front may be finished
+// concurrently.
 type Front struct {
 	name             string
 	seed             int64
@@ -110,9 +112,12 @@ type Front struct {
 	cands            []candidate
 }
 
-// candidate is one power-stage variant with its stage-2 costs.
+// candidate is one power-stage variant with its stage-2 costs and its
+// mapping cut table, filled by the first scenario or corner that maps it
+// and shared by the rest.
 type candidate struct {
 	net                *aig.AIG
+	cuts               *mapper.CutTable
 	power, size, depth float64
 }
 
@@ -167,12 +172,20 @@ func (f *Front) finish(ctx context.Context, ml *mapper.MatchLibrary, sc Scenario
 	obs.C("synth.power_stage.nodes_delta").Add(int64(res.NodesPower - res.NodesC2RS))
 
 	// Stage 3: technology mapping with the scenario's priority list.
-	nl, err := mapper.Map(ctx, best.net, ml, mapper.Options{Mode: sc.MapMode(), K: mapK})
+	nl, err := mapper.MapTable(ctx, best.cuts, ml, mapper.Options{Mode: sc.MapMode(), K: mapK})
 	if err != nil {
 		return nil, fmt.Errorf("synth: mapping: %w", err)
 	}
 	res.Netlist = nl
 	return res, nil
+}
+
+// releaseCuts empties the candidates' mapping cut tables; a later finish
+// refills the one it maps.
+func (f *Front) releaseCuts() {
+	for i := range f.cands {
+		f.cands[i].cuts.Release()
+	}
 }
 
 // c2rs approximates ABC's compress2rs shortcut: balance and interleaved
@@ -213,6 +226,7 @@ func powerCandidates(g *aig.AIG, opt Options) []candidate {
 		back := lut.Strash()
 		cands[i] = candidate{
 			net:   back,
+			cuts:  mapper.NewCutTable(back),
 			power: totalActivity(back),
 			size:  float64(back.NumNodes()),
 			depth: float64(back.Depth()),
