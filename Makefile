@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point paperbench microbench cec sim clean build/cryobench
+.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec sim clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -120,15 +120,25 @@ bench-point:
 	@if [ -z "$(N)" ]; then echo "usage: make bench-point N=<n>"; exit 1; fi
 	python3 bench/bench_point.py $(N)
 
+# Paired A/B timing (bench/bench_ab.py): perfbench built at BASE and at the
+# working tree, run as PAIRS interleaved pairs with --trace 0; prints each
+# end-to-end metric's medians, median ratio and sign-test interval.
+WORKLOAD ?= signoff
+PAIRS    ?= 10
+bench-ab:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev> [WORKLOAD=<w>] [PAIRS=<n>]"; exit 1; fi
+	python3 bench/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
 # Go microbenchmarks (the paper-benchmark target predating cryobench).
 paperbench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
 # Device-evaluation, linear-solver and op-point microbenchmarks
 # (Conductances at 300 K and 10 K; dense vs sparse vs refactor), and the
-# synthesis passes and standard-cell mapping on an EPFL circuit.
+# synthesis passes and standard-cell mapping on an EPFL circuit, and the
+# event-driven gate-level simulator on annotated signoff netlists (ns/event).
 microbench:
-	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/aig ./internal/mapper -run xxx -bench . -benchmem -benchtime 100x
+	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/aig ./internal/mapper ./internal/gsim -run xxx -bench . -benchmem -benchtime 100x
 
 clean:
 	rm -rf build

@@ -28,7 +28,7 @@ type event struct {
 	val Value
 }
 
-// pendingEvent is a live heap entry of one net's transport schedule.
+// pendingEvent is a live queue entry of one net's transport schedule.
 type pendingEvent struct {
 	t   int64
 	seq int64
@@ -69,6 +69,23 @@ func (m *Model) SettleBoundFs() int64 {
 		arr[g.Out] = out
 		if out > worst {
 			worst = out
+		}
+	}
+	return worst
+}
+
+// maxArcDelayFs returns the longest arc delay, the furthest ahead of the
+// current time the event engine can schedule.
+func (m *Model) maxArcDelayFs() int64 {
+	if m.DelayFs == nil {
+		return DefaultDelayFs
+	}
+	var worst int64
+	for _, arcs := range m.DelayFs {
+		for _, d := range arcs {
+			if d > worst {
+				worst = d
+			}
 		}
 	}
 	return worst
@@ -116,14 +133,14 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		}
 	}
 
-	var q eventQueue
+	q := newWheel(m.maxArcDelayFs())
 	var seq int64
 	// pending[net] lists the net's live events as (time, seq) in scheduling
 	// order. Scheduling follows VHDL transport semantics: a new event
 	// supersedes pending ones arriving at or after it (with per-arc delays a
 	// slow arc's stale value can otherwise land after — and revert — the
 	// final value delivered by a faster arc). Superseded events stay in the
-	// heap and are dropped at pop time: an event is live only while it is
+	// wheel and are dropped at pop time: an event is live only while it is
 	// the head of its net's pending queue.
 	pending := make([][]pendingEvent, len(m.Nets))
 	push := func(t int64, net int32, val Value) {
@@ -134,8 +151,8 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		pending[net] = append(p, pendingEvent{t: t, seq: seq})
 		q.push(event{t: t, seq: seq, net: net, val: val})
 		seq++
-		if len(q) > res.MaxQueue {
-			res.MaxQueue = len(q)
+		if q.n > res.MaxQueue {
+			res.MaxQueue = q.n
 		}
 	}
 
@@ -175,17 +192,19 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		}
 		// Drain: inputs only change at vector boundaries, so the wave runs
 		// to quiescence before the next vector is applied.
-		for len(q) > 0 {
-			t := q[0].t
+		for q.n > 0 {
+			t := q.peek().t
 			// Stage every live event at time t; superseded ones (no longer
 			// the head of their net's pending queue) are dropped here.
-			for len(q) > 0 && q[0].t == t {
+			for q.n > 0 && q.peek().t == t {
 				ev := q.pop()
 				p := pending[ev.net]
 				if len(p) == 0 || p[0].seq != ev.seq {
 					continue // superseded by a later-scheduled event
 				}
-				pending[ev.net] = p[1:]
+				// Shift in place so the list keeps its backing array.
+				copy(p, p[1:])
+				pending[ev.net] = p[:len(p)-1]
 				if !stagedSet[ev.net] {
 					stagedSet[ev.net] = true
 					stagedOrder = append(stagedOrder, ev.net)
@@ -265,51 +284,81 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 	return res, nil
 }
 
-// eventQueue is a binary min-heap ordered by (time, seq): time order first,
-// scheduling order among simultaneous events — fully deterministic.
-type eventQueue []event
+// wheelBuckets is the calendar queue's bucket count (a power of two).
+const wheelBuckets = 256
 
-func (q eventQueue) less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
+// wheel is the event engine's calendar queue: a ring of wheelBuckets
+// buckets, each 1<<shift fs wide, indexed by absolute bucket number
+// t>>shift modulo the ring. The width is chosen from the model's largest arc
+// delay (newWheel) so every held event lies within one ring span of the
+// cursor and no two held events of different absolute buckets share a
+// slot. Each bucket is kept in (t, seq) order by insertion from the back
+// (pushes arrive in seq order, so a new event goes behind every event of
+// equal time), and pops come out in exactly the order a (t, seq) min-heap
+// gives.
+type wheel struct {
+	shift   uint
+	buckets [wheelBuckets][]event
+	cur     int64 // absolute bucket number of the cursor
+	head    int   // events already popped from the cursor's bucket
+	n       int   // events held, superseded ones included
 }
 
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e)
-	i := len(*q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		(*q)[i], (*q)[parent] = (*q)[parent], (*q)[i]
-		i = parent
+// newWheel sizes the buckets so that maxDelayFs, the longest an event can
+// be scheduled ahead of the current time, spans at most wheelBuckets-1
+// bucket boundaries: (t+d)>>shift - t>>shift <= d>>shift + 1 < wheelBuckets.
+func newWheel(maxDelayFs int64) *wheel {
+	w := &wheel{}
+	for maxDelayFs>>w.shift >= wheelBuckets-1 {
+		w.shift++
 	}
+	return w
 }
 
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	i := 0
+// push schedules e, which must not precede the last popped event. An empty
+// wheel moves its cursor to e. A push into a bucket behind the cursor — a
+// peek can advance the cursor over empty buckets after the last event at
+// the current time was popped, before the gates evaluated at that time
+// schedule their outputs — rewinds the cursor; nothing in the cursor's
+// bucket has been popped then, since every pop sets the current time.
+func (w *wheel) push(e event) {
+	abs := e.t >> w.shift
+	if w.n == 0 || abs < w.cur {
+		w.cur, w.head = abs, 0
+	}
+	b := &w.buckets[abs&(wheelBuckets-1)]
+	s := append(*b, e)
+	i := len(s) - 1
+	for i > 0 && s[i-1].t > e.t {
+		s[i] = s[i-1]
+		i--
+	}
+	s[i] = e
+	*b = s
+	w.n++
+}
+
+// peek returns the earliest held event, advancing the cursor over empty
+// buckets. The wheel must not be empty.
+func (w *wheel) peek() *event {
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*q).less(l, small) {
-			small = l
+		b := w.buckets[w.cur&(wheelBuckets-1)]
+		if w.head < len(b) {
+			return &b[w.head]
 		}
-		if r < n && (*q).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*q)[i], (*q)[small] = (*q)[small], (*q)[i]
-		i = small
+		w.cur++
 	}
-	return top
+}
+
+// pop removes and returns the earliest held event. A bucket is emptied in
+// place once its last event is popped, so the slots keep their capacity.
+func (w *wheel) pop() event {
+	e := *w.peek()
+	w.n--
+	b := &w.buckets[w.cur&(wheelBuckets-1)]
+	if w.head++; w.head == len(*b) {
+		*b = (*b)[:0]
+		w.head = 0
+	}
+	return e
 }

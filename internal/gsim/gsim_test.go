@@ -333,3 +333,35 @@ func TestEventVCDTrace(t *testing.T) {
 		t.Errorf("VCD has %d x entries, want >= %d nets", got, m.NumNets())
 	}
 }
+
+// TestVectorWidthNoInputs runs a netlist without primary inputs (one output
+// tied high, one driven by an inverter off the low rail): both engines must
+// reject a vector that carries bits and agree on the empty one.
+func TestVectorWidthNoInputs(t *testing.T) {
+	nl := netlist.New("const", pdk.Catalog())
+	nl.Outputs = []string{"y", "z"}
+	nl.Aliases["y"] = netlist.Const1
+	if err := nl.AddGate("INVx1", []string{netlist.Const0}, "z"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Compile(nl)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	ctx := context.Background()
+	for _, e := range []Engine{NewLevelized(m), NewEvent(m, EventOptions{})} {
+		_, err := e.Run(ctx, []Vector{{}, {true, false}})
+		if err == nil || !strings.Contains(err.Error(), "vector 1 has 2 bits, want 0") {
+			t.Errorf("%s: Run(2-bit vector) = %v, want a width error", e.Name(), err)
+		}
+		res, err := e.Run(ctx, []Vector{{}, {}})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		for v, ob := range res.OutputBits {
+			if !ob[0] || !ob[1] {
+				t.Errorf("%s: vector %d outputs = %v, want [true true]", e.Name(), v, ob)
+			}
+		}
+	}
+}

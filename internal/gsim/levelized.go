@@ -59,6 +59,13 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 	var evals int64
 	task := obs.Progress("gsim.vectors", int64(len(vectors)))
 	defer task.Finish()
+	// Checked up front, not per input: a model without inputs must still
+	// reject a vector that carries bits.
+	for v, vec := range vectors {
+		if len(vec) != len(m.Inputs) {
+			return nil, fmt.Errorf("gsim: vector %d has %d bits, want %d", v, len(vec), len(m.Inputs))
+		}
+	}
 	for base := 0; base < len(vectors); base += 64 {
 		chunk := len(vectors) - base
 		if chunk > 64 {
@@ -67,10 +74,6 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 		for i := range in {
 			var w uint64
 			for b := 0; b < chunk; b++ {
-				if len(vectors[base+b]) != len(m.Inputs) {
-					return nil, fmt.Errorf("gsim: vector %d has %d bits, want %d",
-						base+b, len(vectors[base+b]), len(m.Inputs))
-				}
 				if vectors[base+b][i] {
 					w |= 1 << uint(b)
 				}
