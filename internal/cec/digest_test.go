@@ -1,0 +1,149 @@
+package cec_test
+
+import (
+	"bufio"
+	"compress/gzip"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/cec"
+	"repro/internal/epfl"
+	"repro/internal/netlist"
+	"repro/internal/pdk"
+)
+
+// digestCircuits are the mapped netlists stored with the gate-level
+// simulator's tests (internal/gsim/testdata/<name>.v.gz), each checked
+// against the EPFL build it was mapped from.
+var digestCircuits = []string{"bar", "adder", "div", "int2float"}
+
+const digestSeed = 201
+
+func readStoredNetlist(t testing.TB, name string) *netlist.Netlist {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "gsim", "testdata", name+".v.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("read %s: %v", name, err)
+	}
+	nl, err := netlist.ReadVerilog(zr, pdk.Catalog())
+	if err != nil {
+		t.Fatalf("read %s: %v", name, err)
+	}
+	return nl
+}
+
+// mutateGate swaps one seeded gate's cell for the first catalog cell with
+// as many inputs and a different function, returning the gate's index.
+func mutateGate(t testing.TB, nl *netlist.Netlist, seed int64) int {
+	t.Helper()
+	gi := rand.New(rand.NewSource(seed)).Intn(len(nl.Gates))
+	def := nl.Cell(nl.Gates[gi].Cell)
+	tt, _ := def.Truth(def.Outputs[0])
+	for _, c := range pdk.Catalog() {
+		if c.Seq || len(c.Outputs) != 1 || len(c.Inputs) != len(def.Inputs) || nl.Cell(c.Name) == nil {
+			continue
+		}
+		if ct, ok := c.Truth(c.Outputs[0]); ok && ct != tt {
+			nl.Gates[gi].Cell = c.Name
+			return gi
+		}
+	}
+	t.Fatalf("%s: no replacement cell for gate %d (%s)", nl.Name, gi, def.Name)
+	return -1
+}
+
+// verdictLine renders a verdict: status and every Stats counter in the
+// clear, the counterexample side (failing output, cex bits, output values,
+// reason, undecided outputs) as a hash.
+func verdictLine(kind, name string, v *cec.Verdict) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%q %q %q %v %v", v.Reason, v.FailingOutput, v.UndecidedOutputs, v.OutA, v.OutB)
+	binary.Write(h, binary.LittleEndian, v.Counterexample)
+	return fmt.Sprintf("%s %s %s %+v %s", kind, name, v.Status, v.Stats, hex.EncodeToString(h.Sum(nil))[:16])
+}
+
+// TestCheckGoldenDigest pins what the SAT-sweeping engine does on the
+// stored netlists, not just its verdicts: every Stats counter (SAT calls,
+// merges by kind, refinements, timeouts, counterexamples) and, for one
+// seeded gate mutation per netlist, the counterexample bits. The digests
+// were recorded from the pointer-based SAT solver the flat clause store
+// replaced and are never re-recorded: a mismatch means the search changed.
+func TestCheckGoldenDigest(t *testing.T) {
+	want := readDigestFile(t, filepath.Join("testdata", "cec_digest.txt"))
+	got := checkDigests(t)
+	if len(got) != len(want) {
+		t.Fatalf("computed %d digest lines, testdata has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("digest mismatch:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+}
+
+// checkDigests checks every stored netlist and its seeded mutant against
+// the EPFL source and returns one verdictLine each, in a fixed order.
+func checkDigests(t *testing.T) []string {
+	var got []string
+	for _, name := range digestCircuits {
+		src, err := epfl.BuildScaled(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := cec.Options{Workers: 1, Seed: digestSeed}
+		nl := readStoredNetlist(t, name)
+		ea, err := cec.Elaborate(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := cec.Check(ctx, src, ea, opt)
+		if v.Status != cec.Equal {
+			t.Errorf("%s: %v, want EQUAL", name, v.Status)
+		}
+		got = append(got, verdictLine("equal", name, v))
+
+		gi := mutateGate(t, nl, digestSeed)
+		em, err := cec.Elaborate(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = cec.Check(ctx, src, em, opt)
+		if v.Status != cec.NotEqual || v.Counterexample == nil || v.OutA == v.OutB {
+			t.Errorf("%s gate %d mutated: %v (OutA %v, OutB %v), want a genuine NOT-EQUAL", name, gi, v.Status, v.OutA, v.OutB)
+		}
+		got = append(got, verdictLine("mutant", name, v))
+	}
+	return got
+}
+
+func readDigestFile(t testing.TB, path string) []string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
+			lines = append(lines, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
