@@ -135,10 +135,12 @@ paperbench:
 
 # Device-evaluation, linear-solver and op-point microbenchmarks
 # (Conductances at 300 K and 10 K; dense vs sparse vs refactor), and the
-# synthesis passes and standard-cell mapping on an EPFL circuit, and the
-# event-driven gate-level simulator on annotated signoff netlists (ns/event).
+# synthesis passes and standard-cell mapping on an EPFL circuit, the
+# event-driven gate-level simulator on annotated signoff netlists (ns/event),
+# the SAT solver on miter and random 3-SAT streams, and the equivalence
+# check of a stored signoff netlist.
 microbench:
-	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/aig ./internal/mapper ./internal/gsim -run xxx -bench . -benchmem -benchtime 100x
+	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/aig ./internal/mapper ./internal/gsim ./internal/sat ./internal/cec -run xxx -bench . -benchmem -benchtime 100x
 
 clean:
 	rm -rf build

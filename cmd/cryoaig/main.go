@@ -69,6 +69,9 @@ func main() {
 			v := cec.Check(context.Background(), g, opt, cec.Options{})
 			switch v.Status {
 			case cec.Undecided:
+				if v.Reason != "" {
+					fatal(fmt.Errorf("verification inconclusive: %s", v.Reason))
+				}
 				fatal(fmt.Errorf("verification inconclusive (budget exhausted on %s)",
 					strings.Join(v.UndecidedOutputs, ", ")))
 			case cec.NotEqual:

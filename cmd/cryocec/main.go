@@ -99,8 +99,12 @@ func main() {
 		flushObs()
 		os.Exit(1)
 	case cec.Undecided:
-		fmt.Printf("UNDECIDED: %d output(s) exhausted their budget: %s\n",
-			len(v.UndecidedOutputs), strings.Join(v.UndecidedOutputs, ", "))
+		if v.Reason != "" {
+			fmt.Printf("UNDECIDED: %s\n", v.Reason)
+		} else {
+			fmt.Printf("UNDECIDED: %d output(s) exhausted their budget: %s\n",
+				len(v.UndecidedOutputs), strings.Join(v.UndecidedOutputs, ", "))
+		}
 		flushObs()
 		os.Exit(2)
 	}

@@ -196,15 +196,14 @@ func runVerify(ctx context.Context, names []string, ml *mapper.MatchLibrary, see
 			fmt.Printf("%-12s %-10s %10s %12s | %s\n",
 				name, sc, rep.PrePost.Status, rep.PostMapped.Status, result)
 			for _, v := range []*cec.Verdict{rep.PrePost, rep.PostMapped} {
-				switch v.Status {
-				case cec.NotEqual:
-					if v.Reason != "" {
-						fmt.Printf("    reason: %s\n", v.Reason)
-					} else {
-						fmt.Printf("    output %s differs (golden=%v impl=%v), cex: %s\n",
-							v.FailingOutput, v.OutA, v.OutB, v.CexString())
-					}
-				case cec.Undecided:
+				if v.Reason != "" {
+					fmt.Printf("    reason: %s\n", v.Reason)
+				}
+				switch {
+				case v.Status == cec.NotEqual && v.Reason == "":
+					fmt.Printf("    output %s differs (golden=%v impl=%v), cex: %s\n",
+						v.FailingOutput, v.OutA, v.OutB, v.CexString())
+				case v.Status == cec.Undecided:
 					fmt.Printf("    undecided outputs: %s\n", strings.Join(v.UndecidedOutputs, ", "))
 				}
 			}

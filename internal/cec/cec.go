@@ -16,8 +16,9 @@
 //     per-output conflict budgets for the outputs sweeping leaves open.
 //
 // Check returns a structured Verdict: EQUAL, NOT-EQUAL with a primary-input
-// counterexample vector, or UNDECIDED naming the outputs whose proofs
-// exhausted their budgets.
+// counterexample vector that replays as a difference on both circuits, or
+// UNDECIDED naming the outputs whose proofs exhausted their budgets (or
+// whose counterexample failed the replay).
 package cec
 
 import (
@@ -38,7 +39,7 @@ const (
 	// NotEqual: a concrete input vector distinguishes the circuits.
 	NotEqual
 	// Undecided: no difference was found, but at least one output proof
-	// exhausted its conflict budget.
+	// exhausted its conflict budget, or a counterexample failed its replay.
 	Undecided
 )
 
@@ -73,7 +74,8 @@ type Stats struct {
 type Verdict struct {
 	Status Status
 	// Reason explains a NotEqual verdict that was decided structurally
-	// (mismatched interface) rather than by a counterexample.
+	// (mismatched interface) rather than by a counterexample, or an
+	// Undecided one whose counterexample failed its replay.
 	Reason string
 
 	// For NotEqual with a counterexample: the failing output's name, the
@@ -196,31 +198,42 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) *Verdict {
 
 	v := runCheck(ctx, m, outsA, outsB, a, opt)
 
-	// Re-express the counterexample on b's own input order for validation
-	// and fill the two circuits' output values.
 	if v.Status == NotEqual && v.Counterexample != nil {
-		poIdx := v.failingPO
-		v.OutA = a.Eval(v.Counterexample)[poIdx]
-		bIn := v.Counterexample
-		bPOIdx := poIdx
-		if piPerm != nil {
-			bIn = make([]bool, len(v.Counterexample))
-			for bi, ai := range piPerm {
-				bIn[bi] = v.Counterexample[ai]
-			}
-		}
-		if poPerm != nil {
-			for bi, ai := range poPerm {
-				if ai == poIdx {
-					bPOIdx = bi
-				}
-			}
-		}
-		v.OutB = b.Eval(bIn)[bPOIdx]
+		v.replay(a, b, piPerm, poPerm)
 	}
 	span.SetAttr("status", v.Status.String())
 	span.SetAttr("sat_calls", v.Stats.SATCalls)
 	return v
+}
+
+// replay evaluates the counterexample on both original circuits (on b's
+// own input and output order) and fills OutA and OutB. A counterexample on
+// which the circuits agree proves nothing: the verdict becomes Undecided
+// with a Reason, keeping the counterexample that failed the replay.
+func (v *Verdict) replay(a, b *aig.AIG, piPerm, poPerm []int) {
+	poIdx := v.failingPO
+	v.OutA = a.Eval(v.Counterexample)[poIdx]
+	bIn := v.Counterexample
+	bPOIdx := poIdx
+	if piPerm != nil {
+		bIn = make([]bool, len(v.Counterexample))
+		for bi, ai := range piPerm {
+			bIn[bi] = v.Counterexample[ai]
+		}
+	}
+	if poPerm != nil {
+		for bi, ai := range poPerm {
+			if ai == poIdx {
+				bPOIdx = bi
+			}
+		}
+	}
+	v.OutB = b.Eval(bIn)[bPOIdx]
+	if v.OutA == v.OutB {
+		v.Status = Undecided
+		v.Reason = fmt.Sprintf("counterexample for output %s does not distinguish the circuits on replay (both %v)", v.FailingOutput, v.OutA)
+		v.UndecidedOutputs = []string{v.FailingOutput}
+	}
 }
 
 func piNames(g *aig.AIG) []string {

@@ -46,8 +46,10 @@ type sweeper struct {
 	m   *aig.AIG
 	rng *rand.Rand
 
-	sig  [][]uint64 // m variable -> simulation signature words
-	keys []uint64   // m variable -> running hash of its normalized signature
+	// planes holds the simulation signatures word-major: planes[i] is the
+	// i-th simulated word of every m variable, as aig.SimWords returned it.
+	planes [][]uint64
+	keys   []uint64 // m variable -> running hash of its normalized signature
 
 	red  *aig.AIG
 	lift []aig.Lit // m variable -> literal in red
@@ -67,7 +69,6 @@ func newSweeper(m *aig.AIG, opt Options, stats *Stats) *sweeper {
 	s := &sweeper{
 		m:       m,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
-		sig:     make([][]uint64, m.NumVars()),
 		keys:    make([]uint64, m.NumVars()),
 		classes: make(map[uint64][]int),
 		stats:   stats,
@@ -204,15 +205,17 @@ func (s *sweeper) register(v int) {
 	s.pool = append(s.pool, v)
 }
 
-// extend appends one simulated word to every signature and folds it into
-// the running class keys. Words are phase-normalized first: complemented
-// so that the very first simulated pattern evaluates to 0, which puts a
-// node and its complement into the same class. Keys may collide; sigEqual
-// settles every candidate.
+// extend appends one simulated word per variable (a fresh aig.SimWords
+// result, kept as a plane) to the signatures and folds it into the running
+// class keys. Words are phase-normalized first: complemented so that the
+// very first simulated pattern evaluates to 0, which puts a node and its
+// complement into the same class. Keys may collide; sigEqual settles every
+// candidate.
 func (s *sweeper) extend(vals []uint64) {
+	s.planes = append(s.planes, vals)
+	first := s.planes[0]
 	for v, w := range vals {
-		s.sig[v] = append(s.sig[v], w)
-		if s.sig[v][0]&1 != 0 {
+		if first[v]&1 != 0 {
 			w = ^w
 		}
 		k := (s.keys[v] ^ w) * 0x9e3779b97f4a7c15
@@ -223,24 +226,16 @@ func (s *sweeper) extend(vals []uint64) {
 // sigEqual compares full signatures: equal (phase false), complementary
 // (phase true), or neither.
 func (s *sweeper) sigEqual(u, v int) (phase, ok bool) {
-	su, sv := s.sig[u], s.sig[v]
-	if len(su) != len(sv) || len(su) == 0 {
-		return false, false
+	var flip uint64
+	if s.planes[0][u] != s.planes[0][v] {
+		phase, flip = true, ^uint64(0)
 	}
-	if su[0] == sv[0] {
-		for i := range su {
-			if su[i] != sv[i] {
-				return false, false
-			}
-		}
-		return false, true
-	}
-	for i := range su {
-		if su[i] != ^sv[i] {
+	for _, p := range s.planes {
+		if p[u] != p[v]^flip {
 			return false, false
 		}
 	}
-	return true, true
+	return phase, true
 }
 
 // prove runs the incremental two-sided miter query x ≡ y on the shared

@@ -44,25 +44,33 @@ const (
 	Unsat
 )
 
+// noReason marks a variable with no antecedent clause: a decision, an
+// assumption or a root-level unit.
 const noReason = int32(-1)
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
+// watcher is one entry of a literal's watch list: the clause's reference
+// into the store and, for a binary clause, its other literal, so a binary
+// clause is propagated without touching the store. other is -1 for a
+// clause of three or more literals.
+type watcher struct {
+	ref   int32
+	other Lit
 }
 
 // Solver is a CDCL SAT solver. Zero value is not usable; call New. Reset
 // returns a solver to its New(0) state while keeping every allocation, so a
 // caller that proves many small formulas in sequence reuses one solver.
+//
+// Clauses live in one flat store: a clause's reference is the offset of
+// its length, which its literals follow, so watch lists and reasons hold
+// int32 references instead of pointers and the garbage collector has
+// nothing to scan.
 type Solver struct {
-	clauses  []*clause
-	arena    clauseArena
-	watches  [][]*clause // literal -> watching clauses
-	assign   []int8      // var -> 0 unassigned, +1 true, -1 false
+	clauses  []Lit       // clause store: length, then literals, per clause
+	watches  [][]watcher // literal p -> watchers of the clauses watching ¬p
+	vals     []int8      // literal -> +1 true, -1 false, 0 unassigned
 	level    []int32     // var -> decision level
-	reason   []int32     // var -> clause index in trailReasons
-	reasons  []*clause   // aligned with vars: antecedent clause
+	reasons  []int32     // var -> reference of the antecedent clause
 	activity []float64
 	polarity []bool // phase saving
 	seen     []bool // analyze scratch; all false between conflicts
@@ -72,7 +80,6 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 	varInc   float64
-	claInc   float64
 
 	// ConflictBudget bounds the search effort; <0 means unlimited.
 	ConflictBudget int64
@@ -82,7 +89,7 @@ type Solver struct {
 
 // New returns a solver pre-sized for n variables.
 func New(n int) *Solver {
-	s := &Solver{varInc: 1, claInc: 1, ConflictBudget: -1}
+	s := &Solver{varInc: 1, ConflictBudget: -1}
 	s.Grow(n)
 	return s
 }
@@ -90,15 +97,13 @@ func New(n int) *Solver {
 // Reset returns the solver to exactly the state New(0) gives: no
 // variables, no clauses, default budget and activity increments. Every
 // backing array (per-variable slices, watch lists, the heap, the clause
-// arena) is kept for reuse, so a warm solver allocates only when a formula
+// store) is kept for reuse, so a warm solver allocates only when a formula
 // outgrows the largest one it has held.
 func (s *Solver) Reset() {
 	s.clauses = s.clauses[:0]
-	s.arena.reset()
 	s.watches = s.watches[:0] // Grow truncates each list as it reappears
-	s.assign = s.assign[:0]
+	s.vals = s.vals[:0]
 	s.level = s.level[:0]
-	s.reason = s.reason[:0]
 	s.reasons = s.reasons[:0]
 	s.activity = s.activity[:0]
 	s.polarity = s.polarity[:0]
@@ -108,7 +113,7 @@ func (s *Solver) Reset() {
 	s.trail = s.trail[:0]
 	s.trailLim = s.trailLim[:0]
 	s.qhead = 0
-	s.varInc, s.claInc = 1, 1
+	s.varInc = 1
 	s.ConflictBudget = -1
 	s.conflicts = 0
 	s.rootUnsat = false
@@ -116,11 +121,10 @@ func (s *Solver) Reset() {
 
 // Grow ensures the solver knows about at least n variables.
 func (s *Solver) Grow(n int) {
-	for len(s.assign) < n {
-		s.assign = append(s.assign, 0)
+	for s.NumVars() < n {
+		s.vals = append(s.vals, 0, 0)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, noReason)
-		s.reasons = append(s.reasons, nil)
+		s.reasons = append(s.reasons, noReason)
 		s.activity = append(s.activity, 0)
 		s.polarity = append(s.polarity, false)
 		s.seen = append(s.seen, false)
@@ -132,26 +136,20 @@ func (s *Solver) Grow(n int) {
 		} else {
 			s.watches = append(s.watches, nil, nil)
 		}
-		s.heap.push(s, len(s.assign)-1)
+		s.heap.push(s, s.NumVars()-1)
 	}
 }
 
 // NumVars returns the variable count.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.vals) / 2 }
 
 // AddVar adds a fresh variable and returns its index.
 func (s *Solver) AddVar() int {
-	s.Grow(len(s.assign) + 1)
-	return len(s.assign) - 1
+	s.Grow(s.NumVars() + 1)
+	return s.NumVars() - 1
 }
 
-func (s *Solver) value(l Lit) int8 {
-	v := s.assign[l.Var()]
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) value(l Lit) int8 { return s.vals[l] }
 
 // AddClause adds a clause; it returns false if the formula became trivially
 // unsatisfiable (the solver then answers Unsat from Solve as well). It may
@@ -199,85 +197,117 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			return false
 		}
 		if s.value(lits[0]) == 0 {
-			s.enqueue(lits[0], nil)
-			if s.propagate() != nil {
+			s.enqueue(lits[0], noReason)
+			if s.propagate() != noReason {
 				s.rootUnsat = true
 				return false
 			}
 		}
 		return true
 	}
-	s.attach(s.arena.alloc(lits, false))
+	s.attach(s.alloc(lits))
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+// alloc copies a clause into the store and returns its reference.
+func (s *Solver) alloc(lits []Lit) int32 {
+	ref := int32(len(s.clauses))
+	s.clauses = append(s.clauses, Lit(len(lits)))
+	s.clauses = append(s.clauses, lits...)
+	return ref
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) {
-	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = -1
-	} else {
-		s.assign[v] = 1
+// lits returns a stored clause's literals, in place.
+func (s *Solver) lits(ref int32) []Lit {
+	return s.clauses[ref+1 : ref+1+int32(s.clauses[ref])]
+}
+
+// attach watches a stored clause of two or more literals on its first two.
+func (s *Solver) attach(ref int32) {
+	c := s.lits(ref)
+	w0, w1 := watcher{ref, -1}, watcher{ref, -1}
+	if len(c) == 2 {
+		w0.other, w1.other = c[1], c[0]
 	}
+	s.watches[c[0].Not()] = append(s.watches[c[0].Not()], w0)
+	s.watches[c[1].Not()] = append(s.watches[c[1].Not()], w1)
+}
+
+func (s *Solver) enqueue(l Lit, from int32) {
+	s.vals[l], s.vals[l.Not()] = 1, -1
+	v := l.Var()
 	s.level[v] = int32(len(s.trailLim))
 	s.reasons[v] = from
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; it returns the reference of a
+// conflicting clause or noReason.
+//
+// A clause of three or more literals is visited as in the classic
+// two-watched-literal scheme: its falsified watch is swapped into slot 1,
+// a satisfied slot 0 keeps it, a non-false literal further on becomes the
+// new watch. Those swaps decide the literal order analyze later reads.
+// A binary clause never moves and is decided from its watcher alone; only
+// when it conflicts is it written back to the store as (other, falsified),
+// the order the same swap would have left.
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
+		falsified := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
-		var confl *clause
-		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
-			if confl != nil {
-				kept = append(kept, c)
-				continue
-			}
-			// Ensure the falsified literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			if s.value(c.lits[0]) == 1 {
-				kept = append(kept, c)
-				continue
-			}
-			// Search replacement watch.
-			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != -1 {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
-					found = true
-					break
+		j := 0
+		confl := noReason
+		for i := 0; i < len(ws); i++ {
+			w := ws[i]
+			ws[j] = w
+			j++
+			if w.other >= 0 {
+				switch s.vals[w.other] {
+				case 1:
+				case -1:
+					s.clauses[w.ref+1], s.clauses[w.ref+2] = w.other, falsified
+					confl = w.ref
+				default:
+					s.enqueue(w.other, w.ref)
+				}
+			} else {
+				c := s.lits(w.ref)
+				if c[0] == falsified {
+					c[0], c[1] = c[1], c[0]
+				}
+				if s.vals[c[0]] == 1 {
+					continue
+				}
+				for k := 2; k < len(c); k++ {
+					if s.vals[c[k]] != -1 {
+						c[1], c[k] = c[k], c[1]
+						s.watches[c[1].Not()] = append(s.watches[c[1].Not()], w)
+						j--
+						break
+					}
+				}
+				if c[1] != falsified {
+					continue
+				}
+				if s.vals[c[0]] == -1 {
+					confl = w.ref
+				} else {
+					s.enqueue(c[0], w.ref)
 				}
 			}
-			if found {
-				continue
+			if confl != noReason {
+				j += copy(ws[j:], ws[i+1:])
+				break
 			}
-			kept = append(kept, c)
-			if s.value(c.lits[0]) == -1 {
-				confl = c
-				continue
-			}
-			s.enqueue(c.lits[0], c)
 		}
-		s.watches[p] = kept
-		if confl != nil {
+		s.watches[p] = ws[:j]
+		if confl != noReason {
 			return confl
 		}
 	}
-	return nil
+	return noReason
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -288,10 +318,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	back := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= back; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.assign[v] == 1
-		s.assign[v] = 0
-		s.reasons[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = !l.Neg()
+		s.vals[l], s.vals[l.Not()] = 0, 0
 		s.heap.push(s, v)
 	}
 	s.trail = s.trail[:back]
@@ -314,14 +344,14 @@ func (s *Solver) bumpVar(v int) {
 
 // analyze performs first-UIP learning, returning the learnt clause (solver
 // scratch, valid until the next conflict) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
 	seen := s.seen
 	learnt := append(s.learnt[:0], 0) // slot 0 holds the UIP, set below
 	counter := 0
 	p := Lit(-1)
 	idx := len(s.trail) - 1
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -379,7 +409,7 @@ func (s *Solver) pickBranch() (Lit, bool) {
 		if !ok {
 			return 0, false
 		}
-		if s.assign[v] == 0 {
+		if s.vals[2*v] == 0 {
 			return L(v, !s.polarity[v]), true
 		}
 	}
@@ -398,7 +428,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noReason {
 		return Unsat
 	}
 	restartLimit := int64(100)
@@ -413,8 +443,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			continue
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(a, nil)
-		if s.propagate() != nil {
+		s.enqueue(a, noReason)
+		if s.propagate() != noReason {
 			s.cancelUntil(0)
 			return Unsat
 		}
@@ -423,7 +453,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.conflicts++
 			if s.ConflictBudget >= 0 && s.conflicts > s.ConflictBudget {
 				s.cancelUntil(0)
@@ -443,15 +473,15 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 					return Unsat
 				}
 				if s.value(learnt[0]) == 0 {
-					s.enqueue(learnt[0], nil)
+					s.enqueue(learnt[0], noReason)
 				}
 			} else {
-				c := s.arena.alloc(learnt, true)
+				ref := s.alloc(learnt)
 				if len(learnt) >= 2 {
-					s.attach(c)
+					s.attach(ref)
 				}
 				if s.value(learnt[0]) == 0 {
-					s.enqueue(learnt[0], c)
+					s.enqueue(learnt[0], ref)
 				}
 			}
 			s.varInc /= 0.95
@@ -466,53 +496,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Sat
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(l, nil)
+		s.enqueue(l, noReason)
 	}
-}
-
-// clauseArena hands out clause headers and literal storage from chunks that
-// never move, so *clause pointers and lits slices stay valid until reset,
-// which rewinds to the first chunk and keeps them all for reuse.
-type clauseArena struct {
-	hdrs  [][]clause // fixed-size chunks of headers
-	nHdr  int        // headers handed out since reset
-	lits  [][]Lit    // literal chunks, each at least litChunk long
-	chunk int        // current literal chunk
-	off   int        // next free literal in lits[chunk]
-}
-
-const (
-	hdrChunk = 256
-	litChunk = 4096
-)
-
-// alloc returns a new clause holding a copy of lits.
-func (a *clauseArena) alloc(lits []Lit, learnt bool) *clause {
-	ci, hi := a.nHdr/hdrChunk, a.nHdr%hdrChunk
-	if ci == len(a.hdrs) {
-		a.hdrs = append(a.hdrs, make([]clause, hdrChunk))
-	}
-	a.nHdr++
-	n := len(lits)
-	for a.chunk < len(a.lits) && a.off+n > len(a.lits[a.chunk]) {
-		a.chunk++
-		a.off = 0
-	}
-	if a.chunk == len(a.lits) {
-		a.lits = append(a.lits, make([]Lit, max(litChunk, n)))
-	}
-	dst := a.lits[a.chunk][a.off : a.off+n : a.off+n]
-	a.off += n
-	copy(dst, lits)
-	c := &a.hdrs[ci][hi]
-	*c = clause{lits: dst, learnt: learnt}
-	return c
-}
-
-func (a *clauseArena) reset() {
-	a.nHdr, a.chunk, a.off = 0, 0, 0
 }
 
 // Value returns the model value of a variable after Sat (true/false); only
 // meaningful immediately after a Sat result.
-func (s *Solver) Value(v int) bool { return s.assign[v] == 1 }
+func (s *Solver) Value(v int) bool { return s.vals[2*v] == 1 }

@@ -31,26 +31,42 @@ func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Libra
 	ctx, span := obs.Start(ctx, "synth.resize")
 	span.SetAttr("design", nl.Name)
 	defer span.End()
-	res0, err := sta.Analyze(ctx, nl, lib, staOpt)
+	res, err := sta.Analyze(ctx, nl, lib, staOpt)
 	if err != nil {
 		return nil, err
 	}
-	out := &ResizeResult{DelayBefore: res0.CriticalDelay}
-	limit := res0.CriticalDelay * delayBudget
+	out := &ResizeResult{DelayBefore: res.CriticalDelay}
+	limit := res.CriticalDelay * delayBudget
+
+	// Timing reruns on the compiled graph: a swap rewrites the gate's cell
+	// in the netlist and in its graph node, and a pass retimes only when a
+	// swap happened since the last analysis.
+	g := res.Graph
+	stale := false
+	swap := func(gi int, cell string) {
+		nl.Gates[gi].Cell = cell
+		g.Gates[gi].Cell, g.Gates[gi].Def = cell, nl.Cell(cell)
+		stale = true
+	}
+	retime := func() (err error) {
+		if stale {
+			res, err = sta.AnalyzeGraph(ctx, g, lib, staOpt)
+			stale = false
+		}
+		return err
+	}
 
 	families := driveFamilies(nl)
 	// Downsizing sweep: a few iterations of slack-guided swaps.
 	for iter := 0; iter < 4; iter++ {
-		res, err := sta.Analyze(ctx, nl, lib, staOpt)
-		if err != nil {
+		if err := retime(); err != nil {
 			return nil, err
 		}
 		slacks := res.NetSlacks(limit)
 		changed := 0
 		for gi := range nl.Gates {
-			g := &nl.Gates[gi]
-			smaller := nextDrive(families, g.Cell, -1)
-			slack := slacks[res.Graph.Gates[gi].Out]
+			smaller := nextDrive(families, nl.Gates[gi].Cell, -1)
+			slack := slacks[g.Gates[gi].Out]
 			if smaller == "" || slack <= 0 {
 				continue
 			}
@@ -60,7 +76,7 @@ func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Libra
 			}
 			penalty := delayAt(res, gi, alt) - delayAt(res, gi, res.Bound[gi])
 			if penalty <= 0 || slack > 3*penalty {
-				g.Cell = smaller
+				swap(gi, smaller)
 				changed++
 				out.Downsized++
 			}
@@ -71,30 +87,28 @@ func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Libra
 	}
 	// Repair: upsize along the critical path until the limit holds.
 	for iter := 0; iter < 8; iter++ {
-		res, err := sta.Analyze(ctx, nl, lib, staOpt)
-		if err != nil {
+		if err := retime(); err != nil {
 			return nil, err
 		}
 		out.DelayAfter = res.CriticalDelay
 		if res.CriticalDelay <= limit {
 			break
 		}
-		critical := make([]bool, len(res.Graph.Nets))
+		critical := make([]bool, len(g.Nets))
 		for _, net := range res.CriticalPath {
-			id, _ := res.Graph.NetIndex(net)
+			id, _ := g.NetIndex(net)
 			critical[id] = true
 		}
 		changed := 0
 		for gi := range nl.Gates {
-			g := &nl.Gates[gi]
-			if !critical[res.Graph.Gates[gi].Out] {
+			if !critical[g.Gates[gi].Out] {
 				continue
 			}
-			bigger := nextDrive(families, g.Cell, +1)
+			bigger := nextDrive(families, nl.Gates[gi].Cell, +1)
 			if bigger == "" {
 				continue
 			}
-			g.Cell = bigger
+			swap(gi, bigger)
 			changed++
 			out.Upsized++
 		}
@@ -103,8 +117,7 @@ func ResizeForPower(ctx context.Context, nl *netlist.Netlist, lib *liberty.Libra
 		}
 	}
 	if out.DelayAfter == 0 {
-		res, err := sta.Analyze(ctx, nl, lib, staOpt)
-		if err != nil {
+		if err := retime(); err != nil {
 			return nil, err
 		}
 		out.DelayAfter = res.CriticalDelay
