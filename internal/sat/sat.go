@@ -284,12 +284,12 @@ func (s *Solver) propagate() int32 {
 					if s.vals[c[k]] != -1 {
 						c[1], c[k] = c[k], c[1]
 						s.watches[c[1].Not()] = append(s.watches[c[1].Not()], w)
-						j--
+						j-- // moved: no longer watched here
 						break
 					}
 				}
 				if c[1] != falsified {
-					continue
+					continue // found a new watch
 				}
 				if s.vals[c[0]] == -1 {
 					confl = w.ref
