@@ -149,8 +149,6 @@ func (s *Solver) AddVar() int {
 	return s.NumVars() - 1
 }
 
-func (s *Solver) value(l Lit) int8 { return s.vals[l] }
-
 // AddClause adds a clause; it returns false if the formula became trivially
 // unsatisfiable (the solver then answers Unsat from Solve as well). It may
 // be called between Solve calls: the solver first backtracks to the root
@@ -176,7 +174,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		// Drop already-false root-level literals; satisfied clause is a no-op.
 		if len(s.trailLim) == 0 {
-			switch s.value(l) {
+			switch s.vals[l] {
 			case 1:
 				return true
 			case -1:
@@ -192,11 +190,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.rootUnsat = true
 		return false
 	case 1:
-		if s.value(lits[0]) == -1 {
+		if s.vals[lits[0]] == -1 {
 			s.rootUnsat = true
 			return false
 		}
-		if s.value(lits[0]) == 0 {
+		if s.vals[lits[0]] == 0 {
 			s.enqueue(lits[0], noReason)
 			if s.propagate() != noReason {
 				s.rootUnsat = true
@@ -435,7 +433,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	// Apply assumptions as pseudo-decisions.
 	for _, a := range assumptions {
-		switch s.value(a) {
+		switch s.vals[a] {
 		case -1:
 			s.cancelUntil(0)
 			return Unsat
@@ -469,10 +467,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			s.cancelUntil(bt)
 			if len(learnt) == 1 && s.decisionLevel() == 0 {
-				if s.value(learnt[0]) == -1 {
+				if s.vals[learnt[0]] == -1 {
 					return Unsat
 				}
-				if s.value(learnt[0]) == 0 {
+				if s.vals[learnt[0]] == 0 {
 					s.enqueue(learnt[0], noReason)
 				}
 			} else {
@@ -480,7 +478,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				if len(learnt) >= 2 {
 					s.attach(ref)
 				}
-				if s.value(learnt[0]) == 0 {
+				if s.vals[learnt[0]] == 0 {
 					s.enqueue(learnt[0], ref)
 				}
 			}
