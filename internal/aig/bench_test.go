@@ -1,6 +1,7 @@
 package aig_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/aig"
@@ -54,5 +55,24 @@ func BenchmarkMapLUT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink = g.MapLUT(aig.LUTMapOptions{K: 6, PowerAware: true})
+	}
+}
+
+// BenchmarkEnumerateCuts times the cut kernel alone on scaled square and
+// sin, at each (k, maxCuts) shape the flow enumerates.
+func BenchmarkEnumerateCuts(b *testing.B) {
+	for _, name := range []string{"square", "sin"} {
+		g, err := epfl.BuildScaled(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, shape := range cutShapes {
+			b.Run(fmt.Sprintf("%s/k%d_c%d", name, shape[0], shape[1]), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = g.EnumerateCuts(shape[0], shape[1])
+				}
+			})
+		}
 	}
 }

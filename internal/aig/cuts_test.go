@@ -145,43 +145,80 @@ func cutTestGraphs() map[string]*aig.AIG {
 	return graphs
 }
 
+// faninLeaves returns the most distinct leaves that the two fanins' cut
+// lists of any AND node span.
+func faninLeaves(g *aig.AIG, cuts [][][]int) int {
+	widest := 0
+	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
+		f0, f1 := g.Fanins(v)
+		seen := map[int]bool{}
+		for _, c := range append(slices.Clone(cuts[f0.Var()]), cuts[f1.Var()]...) {
+			for _, l := range c {
+				seen[l] = true
+			}
+		}
+		widest = max(widest, len(seen))
+	}
+	return widest
+}
+
 // TestEnumerateCutsMatchesReference: the arena-backed enumeration returns
 // the reference's cuts in the reference's order, and CutTruth gives the
 // map-based reference function for every one of them. Candidate sets past
 // the insertion-sort cutoff of 12 must occur, or the unstable part of the
-// sort goes untested.
+// sort goes untested, and so must a node whose fanin cuts span more than 64
+// distinct leaves (voter at k=8, maxCuts=24), or the path for leaf sets
+// wider than one machine word goes untested.
 func TestEnumerateCutsMatchesReference(t *testing.T) {
-	largest := 0
+	type cutCase struct {
+		name       string
+		g          *aig.AIG
+		k, maxCuts int
+	}
+	var cases []cutCase
 	for name, g := range cutTestGraphs() {
 		for _, shape := range [][2]int{{4, 6}, {6, 4}, {6, 8}, {3, 3}} {
-			k, maxCuts := shape[0], shape[1]
-			got := g.EnumerateCuts(k, maxCuts)
-			want, maxSet := refEnumerateCuts(g, k, maxCuts)
-			largest = max(largest, maxSet)
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: %d cut lists, want %d", name, k, len(got), len(want))
+			cases = append(cases, cutCase{name, g, shape[0], shape[1]})
+		}
+	}
+	voter, err := epfl.Build("voter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, cutCase{"voter", voter, 8, 24})
+	largest, widest := 0, 0
+	for _, tc := range cases {
+		name, g, k, maxCuts := tc.name, tc.g, tc.k, tc.maxCuts
+		got := g.EnumerateCuts(k, maxCuts)
+		want, maxSet := refEnumerateCuts(g, k, maxCuts)
+		largest = max(largest, maxSet)
+		widest = max(widest, faninLeaves(g, want))
+		if len(got) != len(want) {
+			t.Fatalf("%s k=%d: %d cut lists, want %d", name, k, len(got), len(want))
+		}
+		for v := range want {
+			if len(got[v]) != len(want[v]) {
+				t.Fatalf("%s k=%d var %d: %d cuts, want %d", name, k, v, len(got[v]), len(want[v]))
 			}
-			for v := range want {
-				if len(got[v]) != len(want[v]) {
-					t.Fatalf("%s k=%d var %d: %d cuts, want %d", name, k, v, len(got[v]), len(want[v]))
+			for i, c := range got[v] {
+				if !slices.Equal(c.Leaves, want[v][i]) {
+					t.Fatalf("%s k=%d var %d cut %d: leaves %v, want %v", name, k, v, i, c.Leaves, want[v][i])
 				}
-				for i, c := range got[v] {
-					if !slices.Equal(c.Leaves, want[v][i]) {
-						t.Fatalf("%s k=%d var %d cut %d: leaves %v, want %v", name, k, v, i, c.Leaves, want[v][i])
-					}
-					if v == 0 || len(c.Leaves) > 6 {
-						continue
-					}
-					root := aig.MakeLit(v, v%2 == 0)
-					if tt, ref := g.CutTruth(root, c.Leaves), refCutTruth(g, root, c.Leaves); tt != ref {
-						t.Fatalf("%s var %d cut %v: CutTruth %#x, reference %#x", name, v, c.Leaves, tt, ref)
-					}
+				if v == 0 || len(c.Leaves) > 6 {
+					continue
+				}
+				root := aig.MakeLit(v, v%2 == 0)
+				if tt, ref := g.CutTruth(root, c.Leaves), refCutTruth(g, root, c.Leaves); tt != ref {
+					t.Fatalf("%s var %d cut %v: CutTruth %#x, reference %#x", name, v, c.Leaves, tt, ref)
 				}
 			}
 		}
 	}
 	if largest <= 12 {
 		t.Fatalf("largest candidate set %d: no set reached the unstable sort", largest)
+	}
+	if widest <= 64 {
+		t.Fatalf("widest fanin leaf set %d: no node needed more than one mask word", widest)
 	}
 }
 
