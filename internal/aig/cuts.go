@@ -1,69 +1,14 @@
 package aig
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Cut is a k-feasible cut: a set of leaf variables that covers every path
 // from a node to the primary inputs.
 type Cut struct {
-	Leaves []int  // sorted variable indices
-	sign   uint64 // Bloom-style signature for fast dominance checks
-}
-
-func newCut(leaves []int) Cut {
-	c := Cut{Leaves: leaves}
-	for _, v := range leaves {
-		c.sign |= 1 << uint(v%64)
-	}
-	return c
-}
-
-// dominates reports whether c's leaf set is a subset of d's.
-func (c Cut) dominates(d Cut) bool {
-	if len(c.Leaves) > len(d.Leaves) || c.sign&^d.sign != 0 {
-		return false
-	}
-	i := 0
-	for _, v := range d.Leaves {
-		if i < len(c.Leaves) && c.Leaves[i] == v {
-			i++
-		}
-	}
-	return i == len(c.Leaves)
-}
-
-// mergeLeaves appends the union of two sorted leaf sets to dst, failing if
-// the union exceeds k leaves. The caller guarantees cap(dst)-len(dst) >= k,
-// so the append never reallocates.
-func mergeLeaves(dst []int, a, b []int, k int) ([]int, bool) {
-	n := 0
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case a[i] > b[j]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if n == k {
-			return dst, false
-		}
-		dst = append(dst, v)
-		n++
-	}
-	return dst, true
+	Leaves []int // sorted variable indices
 }
 
 // arena hands out capped subslices of chunks that are never reallocated, so
@@ -87,8 +32,8 @@ func (a *arena[T]) alloc(n int) []T {
 // the standard bottom-up merge with dominance pruning. The trivial cut {v}
 // is always included (last). Index by variable. Leaves and per-variable cut
 // lists are carved from chunked arenas owned by the result; each node's
-// candidate set is built in scratch reused across nodes, and only the cuts
-// it keeps are copied out.
+// candidates are leaf bitmasks in scratch reused across nodes, and only the
+// cuts it keeps are decoded into leaves.
 func (g *AIG) EnumerateCuts(k, maxCuts int) [][]Cut {
 	cuts := make([][]Cut, len(g.nodes))
 	chunk := min(max(len(g.nodes), 64), 4096)
@@ -96,87 +41,155 @@ func (g *AIG) EnumerateCuts(k, maxCuts int) [][]Cut {
 	cutArena := arena[Cut]{size: chunk * maxCuts}
 	single := func(leaves ...int) []Cut {
 		out := cutArena.alloc(1)
-		l := leafArena.alloc(len(leaves))
-		copy(l, leaves)
-		out[0] = newCut(l)
+		out[0] = Cut{Leaves: leafArena.alloc(len(leaves))}
+		copy(out[0].Leaves, leaves)
 		return out
 	}
 	cuts[0] = single()
 	for v := 1; v <= g.numPI; v++ {
 		cuts[v] = single(v)
 	}
-	var set []Cut
-	var scratch []int
+	s := cutScratch{slot: make([]int32, len(g.nodes))}
 	for v := g.numPI + 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]
-		c0 := cuts[n.fan0.Var()]
-		c1 := cuts[n.fan1.Var()]
-		// Every candidate's leaves stay in scratch until the node is done,
-		// so reserve room for all merges up front.
-		if need := len(c0) * len(c1) * k; cap(scratch) < need {
-			scratch = make([]int, 0, need)
-		}
-		scratch = scratch[:0]
-		set = set[:0]
-		for _, a := range c0 {
-			for _, b := range c1 {
-				leaves, ok := mergeLeaves(scratch[len(scratch):], a.Leaves, b.Leaves, k)
-				if !ok {
-					continue
+		s.merge(cuts[n.fan0.Var()], cuts[n.fan1.Var()], k)
+		kept := s.order[:min(len(s.order), maxCuts-1)]
+		out := cutArena.alloc(len(kept) + 1)
+		for i, c := range kept {
+			l := leafArena.alloc(int(c.size))[:0]
+			for j, x := range s.set[c.at : int(c.at)+s.w] {
+				for ; x != 0; x &= x - 1 {
+					l = append(l, s.leaves[j*64+bits.TrailingZeros64(x)])
 				}
-				m := newCut(leaves[:len(leaves):len(leaves)])
-				if dominatedByAny(set, m) {
-					continue
-				}
-				scratch = scratch[:len(scratch)+len(leaves)]
-				set = removeDominated(set, m)
-				set = append(set, m)
 			}
-		}
-		sortCutsBySize(set)
-		if len(set) > maxCuts-1 {
-			set = set[:maxCuts-1]
-		}
-		out := cutArena.alloc(len(set) + 1)
-		for i, c := range set {
-			l := leafArena.alloc(len(c.Leaves))
-			copy(l, c.Leaves)
-			out[i] = Cut{Leaves: l, sign: c.sign}
+			slices.Sort(l)
+			out[i] = Cut{Leaves: l}
 		}
 		l := leafArena.alloc(1)
 		l[0] = v
-		out[len(set)] = newCut(l) // trivial cut
+		out[len(kept)] = Cut{Leaves: l} // trivial cut
 		cuts[v] = out
 	}
 	return cuts
 }
 
-// sortCutsBySize orders cuts by leaf count. The sort is not stable, and
-// which equal-size cuts survive the maxCuts truncation depends on its exact
-// permutation, so it must stay the pdqsort of sort.Slice: slices.SortFunc
-// runs the same generated algorithm and comparisons without the reflection
-// and closure allocations.
-func sortCutsBySize(set []Cut) {
-	slices.SortFunc(set, func(a, b Cut) int { return len(a.Leaves) - len(b.Leaves) })
+// cutScratch is EnumerateCuts' per-node working memory, reused across
+// nodes. A node's distinct fanin leaves are numbered in the order they are
+// met, and each cut is a mask of w words over those numbers, so a merge is
+// an OR, its size a popcount and dominance a subset test; a kept cut's
+// decoded leaves are sorted.
+type cutScratch struct {
+	slot   []int32    // per variable: 1 + its leaf number, 0 off the node
+	leaves []int      // the node's distinct fanin leaves, by number
+	masks  []uint64   // fanin cut masks, then the merge being tested
+	set    []uint64   // candidate antichain, in insertion order
+	order  []sizedCut // the candidates sorted by size
+	w      int        // words per mask
 }
 
-func dominatedByAny(set []Cut, m Cut) bool {
-	for _, c := range set {
-		if c.dominates(m) {
-			return true
+// sizedCut is a candidate's leaf count and the offset of its mask in set.
+type sizedCut struct{ size, at int32 }
+
+// merge builds the antichain of k-feasible unions of a cut from c0 and one
+// from c1, in the order the pairs are tried, and sorts it by size.
+func (s *cutScratch) merge(c0, c1 []Cut, k int) {
+	s.leaves = s.leaves[:0]
+	for _, cs := range [2][]Cut{c0, c1} {
+		for _, c := range cs {
+			for _, l := range c.Leaves {
+				if s.slot[l] == 0 {
+					s.leaves = append(s.leaves, l)
+					s.slot[l] = int32(len(s.leaves))
+				}
+			}
 		}
 	}
-	return false
+	w := len(s.leaves)/64 + 1
+	n := (len(c0) + len(c1) + 1) * w
+	s.masks = slices.Grow(s.masks[:0], n)[:n]
+	clear(s.masks)
+	m := s.masks
+	for _, cs := range [2][]Cut{c0, c1} {
+		for _, c := range cs {
+			for _, l := range c.Leaves {
+				b := s.slot[l] - 1
+				m[b/64] |= 1 << (b % 64)
+			}
+			m = m[w:]
+		}
+	}
+	for _, l := range s.leaves {
+		s.slot[l] = 0
+	}
+	m0, m1 := s.masks[:len(c0)*w], s.masks[len(c0)*w:n-w]
+	s.set, s.w = s.set[:0], w
+	for a := 0; a < len(m0); a += w {
+		for b := 0; b < len(m1); b += w {
+			size := 0
+			for x := range m {
+				m[x] = m0[a+x] | m1[b+x]
+				size += bits.OnesCount64(m[x])
+			}
+			if size <= k {
+				s.insert(m)
+			}
+		}
+	}
+	s.order = s.order[:0]
+	for at := 0; at < len(s.set); at += w {
+		size := 0
+		for _, x := range s.set[at : at+w] {
+			size += bits.OnesCount64(x)
+		}
+		s.order = append(s.order, sizedCut{int32(size), int32(at)})
+	}
+	sortCutsBySize(s.order)
 }
 
-func removeDominated(set []Cut, m Cut) []Cut {
-	out := set[:0]
-	for _, c := range set {
-		if !m.dominates(c) {
-			out = append(out, c)
+// insert adds mask m to the antichain unless a member is a subset of it,
+// and drops the members it is a proper subset of. In an antichain no member
+// lies below m while another lies above it, so a dominated m returns before
+// anything was dropped.
+func (s *cutScratch) insert(m []uint64) {
+	w, kept := len(m), 0
+	if w == 1 {
+		for _, c := range s.set {
+			if c&^m[0] == 0 {
+				return
+			}
+			if m[0]&^c != 0 {
+				s.set[kept] = c
+				kept++
+			}
+		}
+		s.set = append(s.set[:kept], m[0])
+		return
+	}
+	for at := 0; at < len(s.set); at += w {
+		c := s.set[at : at+w]
+		below, above := true, true // c ⊆ m, m ⊆ c
+		for x := range m {
+			below = below && c[x]&^m[x] == 0
+			above = above && m[x]&^c[x] == 0
+		}
+		if below {
+			return
+		}
+		if !above {
+			copy(s.set[kept:], c)
+			kept += w
 		}
 	}
-	return out
+	s.set = append(s.set[:kept], m...)
+}
+
+// sortCutsBySize orders candidates by leaf count. The sort is not stable,
+// and which equal-size cuts survive the maxCuts truncation depends on its
+// exact permutation, so it must stay the pdqsort of sort.Slice:
+// slices.SortFunc runs the same generated algorithm and comparisons without
+// the reflection and closure allocations.
+func sortCutsBySize(order []sizedCut) {
+	slices.SortFunc(order, func(a, b sizedCut) int { return int(a.size - b.size) })
 }
 
 // MFFCSize returns the size of the maximum fanout-free cone of variable v

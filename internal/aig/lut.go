@@ -55,7 +55,7 @@ func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
 	}
 	best := make([]choice, g.NumVars())
 	for v := 1; v <= g.numPI; v++ {
-		best[v] = choice{cut: newCut([]int{v})}
+		best[v] = choice{cut: Cut{Leaves: []int{v}}}
 	}
 	for v := g.numPI + 1; v < g.NumVars(); v++ {
 		bestFlow := -1.0
@@ -81,7 +81,7 @@ func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
 		}
 		if bestFlow < 0 {
 			// Node has only the trivial cut (shouldn't happen for ANDs).
-			bestCut = newCut([]int{v})
+			bestCut = Cut{Leaves: []int{v}}
 			bestFlow = 1
 		}
 		best[v] = choice{cut: bestCut, flow: bestFlow}

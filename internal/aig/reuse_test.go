@@ -75,18 +75,18 @@ func TestSortCutsBySizeMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3000; trial++ {
 		n := rng.Intn(80)
-		set := make([]Cut, n)
+		set := make([]sizedCut, n)
 		for i := range set {
-			// The id in sign tracks identity; lengths collide often.
-			set[i] = Cut{Leaves: make([]int, rng.Intn(7)), sign: uint64(i)}
+			// The offset tracks identity; sizes collide often.
+			set[i] = sizedCut{size: int32(rng.Intn(7)), at: int32(i)}
 		}
 		want := slices.Clone(set)
-		sort.Slice(want, func(i, j int) bool { return len(want[i].Leaves) < len(want[j].Leaves) })
+		sort.Slice(want, func(i, j int) bool { return want[i].size < want[j].size })
 		sortCutsBySize(set)
 		for i := range set {
-			if set[i].sign != want[i].sign {
+			if set[i].at != want[i].at {
 				t.Fatalf("trial %d (n=%d): position %d holds cut %d, sort.Slice put %d there",
-					trial, n, i, set[i].sign, want[i].sign)
+					trial, n, i, set[i].at, want[i].at)
 			}
 		}
 	}
