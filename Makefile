@@ -122,7 +122,8 @@ bench-point:
 
 # Paired A/B timing (bench/bench_ab.py): perfbench built at BASE and at the
 # working tree, run as PAIRS interleaved pairs with --trace 0; prints each
-# end-to-end metric's medians, median ratio and sign-test interval.
+# end-to-end metric's medians, median ratio and sign-test interval, then the
+# work counts of one --trace 1 run per side, each marked same or CHANGED.
 WORKLOAD ?= signoff
 PAIRS    ?= 10
 bench-ab:
