@@ -162,13 +162,14 @@ func faninLeaves(g *aig.AIG, cuts [][][]int) int {
 	return widest
 }
 
-// TestEnumerateCutsMatchesReference: the arena-backed enumeration returns
-// the reference's cuts in the reference's order, and CutTruth gives the
+// TestEnumerateCutsMatchesReference: the bitmask enumeration returns the
+// reference's cuts in the reference's order, and CutTruth gives the
 // map-based reference function for every one of them. Candidate sets past
 // the insertion-sort cutoff of 12 must occur, or the unstable part of the
-// sort goes untested, and so must a node whose fanin cuts span more than 64
-// distinct leaves (voter at k=8, maxCuts=24), or the path for leaf sets
-// wider than one machine word goes untested.
+// sort goes untested, and so must nodes whose fanin cuts span more than 64
+// distinct leaves, or masks wider than one word go untested. Voter at k=6,
+// maxCuts=32 has such nodes (up to 86 leaves), and dominance prunes
+// candidates at some of them.
 func TestEnumerateCutsMatchesReference(t *testing.T) {
 	type cutCase struct {
 		name       string
@@ -185,7 +186,7 @@ func TestEnumerateCutsMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, cutCase{"voter", voter, 8, 24})
+	cases = append(cases, cutCase{"voter", voter, 6, 32})
 	largest, widest := 0, 0
 	for _, tc := range cases {
 		name, g, k, maxCuts := tc.name, tc.g, tc.k, tc.maxCuts
