@@ -152,9 +152,11 @@ func faninLeaves(g *aig.AIG, cuts [][][]int) int {
 	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
 		f0, f1 := g.Fanins(v)
 		seen := map[int]bool{}
-		for _, c := range append(slices.Clone(cuts[f0.Var()]), cuts[f1.Var()]...) {
-			for _, l := range c {
-				seen[l] = true
+		for _, cs := range [2][][]int{cuts[f0.Var()], cuts[f1.Var()]} {
+			for _, c := range cs {
+				for _, l := range c {
+					seen[l] = true
+				}
 			}
 		}
 		widest = max(widest, len(seen))
