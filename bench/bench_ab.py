@@ -48,6 +48,8 @@ import tempfile
 WORK_COUNTS = ("sat.solves", "sat.conflicts_per_solve", "synth.nodes_out_ratio",
                "cec.sat_calls", "cec.merges", "gsim.events_per_vector",
                "sta.analyses_per_item", "spice.newton.solves_per_cell",
+               "spice.newton.iters_per_solve.300K",
+               "spice.newton.iters_per_solve.10K",
                "spice.solver.repivots_per_cell")
 
 
@@ -111,6 +113,9 @@ def count_rows(a, b):
     ('cec.merges', 0, 1, 'CHANGED')
     >>> rows[1]
     ('sat.conflicts_per_solve', None, None, 'same')
+    >>> count_rows({"spice.newton.iters_per_solve.10K": 3.5},
+    ...            {"spice.newton.iters_per_solve.10K": 3.25})[-2:]
+    [('spice.newton.iters_per_solve.10K', 3.5, 3.25, 'CHANGED'), ('spice.solver.repivots_per_cell', None, None, 'same')]
     """
     return [(name, a.get(name), b.get(name),
              "same" if a.get(name) == b.get(name) else "CHANGED")

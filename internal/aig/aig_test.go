@@ -152,6 +152,33 @@ func TestSimWordsMatchesEval(t *testing.T) {
 	}
 }
 
+// TestSimWordsIntoReusesDst: a dirty, reused buffer gives what a fresh
+// SimWords gives, including the constant at variable 0, without allocating.
+func TestSimWordsIntoReusesDst(t *testing.T) {
+	g := randomAIG(4, 7, 60, 3)
+	rng := rand.New(rand.NewSource(5))
+	dst := make([]uint64, g.NumVars())
+	in := make([]uint64, g.NumPIs())
+	for round := 0; round < 8; round++ {
+		for i := range dst {
+			dst[i] = rng.Uint64()
+		}
+		for i := range in {
+			in[i] = rng.Uint64()
+		}
+		want := g.SimWords(in)
+		got := g.SimWordsInto(dst, in)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("round %d: var %d: SimWordsInto %#x, SimWords %#x", round, v, got[v], want[v])
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { g.SimWordsInto(dst, in) }); n != 0 {
+		t.Errorf("SimWordsInto allocates %v times per call, want 0", n)
+	}
+}
+
 func TestProbabilities(t *testing.T) {
 	g := New("t")
 	a := g.AddPI("a")

@@ -5,14 +5,18 @@ import "math/rand"
 // SimWords simulates the AIG over bit-parallel input patterns: in[i] holds
 // the 64 stimulus bits of PI i. It returns one word per variable.
 func (g *AIG) SimWords(in []uint64) []uint64 {
+	return g.SimWordsInto(make([]uint64, len(g.nodes)), in)
+}
+
+// SimWordsInto is SimWords writing into dst, which must hold one word per
+// variable (NumVars); it returns dst. It does not allocate.
+func (g *AIG) SimWordsInto(dst, in []uint64) []uint64 {
 	if len(in) != g.numPI {
 		panic("aig: SimWords input count mismatch")
 	}
-	vals := make([]uint64, len(g.nodes))
+	vals := dst[:len(g.nodes)]
 	vals[0] = 0
-	for i := 0; i < g.numPI; i++ {
-		vals[i+1] = in[i]
-	}
+	copy(vals[1:], in)
 	for v := g.numPI + 1; v < len(g.nodes); v++ {
 		n := &g.nodes[v]
 		a := vals[n.fan0.Var()]

@@ -5,17 +5,44 @@ import (
 
 	"repro/internal/cec"
 	"repro/internal/epfl"
+	"repro/internal/mapper"
+	"repro/internal/netlist"
+	"repro/internal/testlib"
 )
 
-// BenchmarkCheck proves the stored div netlist (internal/gsim/testdata)
-// against its EPFL build, as the signoff workload checks each mapped
-// netlist: elaboration, sweeping with about 660 SAT calls, output proofs.
+// BenchmarkCheck proves a mapped netlist against its EPFL build, as the
+// signoff workload checks each one: elaboration, then the check.
+//   - div: the stored netlist (internal/gsim/testdata), 32 inputs, so the
+//     sweep with about 660 SAT calls and the output proofs;
+//   - sin: scaled sin mapped on the 10 K testlib as signoff maps it, 14
+//     inputs, so exhaustive simulation of 2^14 patterns and no SAT.
 func BenchmarkCheck(b *testing.B) {
-	src, err := epfl.BuildScaled("div")
+	b.Run("div", func(b *testing.B) {
+		benchCheck(b, "div", readStoredNetlist(b, "div"))
+	})
+	b.Run("sin", func(b *testing.B) {
+		src, err := epfl.BuildScaled("sin")
+		if err != nil {
+			b.Fatal(err)
+		}
+		lib, cells := testlib.Build(catalog, testlib.Names(), 10)
+		ml, err := mapper.BuildMatchLibrary(lib, cells, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nl, err := mapper.Map(ctx, src, ml, mapper.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCheck(b, "sin", nl)
+	})
+}
+
+func benchCheck(b *testing.B, name string, nl *netlist.Netlist) {
+	src, err := epfl.BuildScaled(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nl := readStoredNetlist(b, "div")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,7 +51,7 @@ func BenchmarkCheck(b *testing.B) {
 			b.Fatal(err)
 		}
 		if v := cec.Check(ctx, src, ea, cec.Options{Workers: 1, Seed: digestSeed}); v.Status != cec.Equal {
-			b.Fatalf("div: %v", v.Status)
+			b.Fatalf("%s: %v", name, v.Status)
 		}
 	}
 }

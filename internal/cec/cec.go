@@ -7,11 +7,13 @@
 //     function from its truth table and rebuilds a mapped netlist as an AIG,
 //     so golden-RTL AIG, optimized AIG, and mapped netlist can all be
 //     compared in one representation;
-//   - a simulation-guided SAT-sweeping engine (sweep.go): 64-bit random
-//     simulation partitions the joint miter's nodes into candidate
-//     equivalence classes, then incremental SAT miters over internal/sat
-//     prove or refute each candidate, with counterexamples fed back to
-//     refine the classes until fixpoint;
+//   - an exhaustive simulation of every input pattern (sim.go) that decides
+//     miters of at most maxSimInputs inputs with no SAT at all;
+//   - for larger miters, a simulation-guided SAT-sweeping engine (sweep.go):
+//     64-bit random simulation partitions the joint miter's nodes into
+//     candidate equivalence classes, then incremental SAT miters over
+//     internal/sat prove or refute each candidate, with counterexamples fed
+//     back to refine the classes until fixpoint;
 //   - a parallel per-output miter fallback (miter.go) with a worker pool and
 //     per-output conflict budgets for the outputs sweeping leaves open.
 //
@@ -153,6 +155,10 @@ func (o Options) withDefaults() Options {
 // pairing is positional. A PI/PO interface mismatch yields NotEqual with
 // Reason set and no counterexample.
 func Check(ctx context.Context, a, b *aig.AIG, opt Options) *Verdict {
+	return check(ctx, a, b, opt, true)
+}
+
+func check(ctx context.Context, a, b *aig.AIG, opt Options, exhaustive bool) *Verdict {
 	opt = opt.withDefaults()
 	// Rebind ctx so the sweep/fallback spans (and their worker goroutines'
 	// cost labels) nest under cec.check instead of its parent.
@@ -196,7 +202,12 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) *Verdict {
 		}
 	}
 
-	v := runCheck(ctx, m, outsA, outsB, a, opt)
+	var v *Verdict
+	if exhaustive && m.NumPIs() <= maxSimInputs {
+		v = simCheck(ctx, m, outsA, outsB, a)
+	} else {
+		v = runCheck(ctx, m, outsA, outsB, a, opt)
+	}
 
 	if v.Status == NotEqual && v.Counterexample != nil {
 		v.replay(a, b, piPerm, poPerm)

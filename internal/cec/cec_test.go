@@ -207,6 +207,14 @@ func TestDuplicateOutputNamesCounterexample(t *testing.T) {
 
 // exhaustivelyEqual evaluates a and b on all 2^n inputs.
 func exhaustivelyEqual(a, b *aig.AIG) bool {
+	p, _ := firstDifference(a, b)
+	return p < 0
+}
+
+// firstDifference evaluates a and b on every input pattern in order, input
+// i taking bit i of the pattern, and returns the first pattern on which
+// they differ and the lowest output that differs on it, or -1, -1.
+func firstDifference(a, b *aig.AIG) (pattern, output int) {
 	in := make([]bool, a.NumPIs())
 	for x := 0; x < 1<<len(in); x++ {
 		for i := range in {
@@ -215,16 +223,17 @@ func exhaustivelyEqual(a, b *aig.AIG) bool {
 		oa, ob := a.Eval(in), b.Eval(in)
 		for o := range oa {
 			if oa[o] != ob[o] {
-				return false
+				return x, o
 			}
 		}
 	}
-	return true
+	return -1, -1
 }
 
 // TestRandomAIGsAgreeWithExhaustiveEval is the property test of the whole
-// engine, local proofs included: on seeded random circuits of at most ten
-// inputs, each checked against its optimized copy and against a mutant with
+// sweep engine (SweepCheck: Check would decide these by exhaustive
+// simulation), local proofs included: on seeded random circuits of at most
+// ten inputs, each checked against its optimized copy and against a mutant with
 // one AND-input polarity flipped, the verdict must match exhaustive
 // simulation, and every counterexample must replay through aig.Eval.
 func TestRandomAIGsAgreeWithExhaustiveEval(t *testing.T) {
@@ -238,7 +247,7 @@ func TestRandomAIGsAgreeWithExhaustiveEval(t *testing.T) {
 		}
 		target := g.NumPIs() + 1 + rng.Intn(g.NumNodes())
 		for _, other := range []*aig.AIG{optimize(g), mutate(g, target)} {
-			v := cec.Check(ctx, g, other, cec.Options{Seed: int64(trial + 1)})
+			v := cec.SweepCheck(ctx, g, other, cec.Options{Seed: int64(trial + 1)})
 			local += v.Stats.LocalMerges
 			equal := exhaustivelyEqual(g, other)
 			switch {

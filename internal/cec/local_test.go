@@ -38,13 +38,13 @@ func TestCutProofReassociation(t *testing.T) {
 		t.Errorf("local proof allocates %v times per call pair, want 0", n)
 	}
 
-	// Through Check, the pair closes locally: no SAT query at all.
+	// Through the sweep, the pair closes locally: no SAT query at all.
 	ga, gb := aig.New("a"), aig.New("b")
 	pa := []aig.Lit{ga.AddPI("a"), ga.AddPI("b"), ga.AddPI("c")}
 	pb := []aig.Lit{gb.AddPI("a"), gb.AddPI("b"), gb.AddPI("c")}
 	ga.AddPO(ga.And(pa[0], ga.And(pa[1], pa[2])), "y")
 	gb.AddPO(gb.And(gb.And(pb[0], pb[1]), pb[2]), "y")
-	v := Check(context.Background(), ga, gb, Options{})
+	v := sweepCheck(context.Background(), ga, gb, Options{})
 	if v.Status != Equal || v.Stats.LocalMerges != 1 || v.Stats.SATCalls != 0 {
 		t.Errorf("reassociation: %v, stats %+v; want EQUAL with one local merge and no SAT", v.Status, v.Stats)
 	}
@@ -55,7 +55,7 @@ func TestCutProofReassociation(t *testing.T) {
 // L1 pairs every p0..p5 with one of p6..p11, so none of its nodes computes a
 // product of p0..p5 alone: exposing L1 => L2 takes a cut of at least seven
 // leaves (p0..p5 and a cover of p6..p11). The local proof must decline, and
-// the verdict must still be EQUAL, by SAT.
+// the sweep's verdict must still be EQUAL, by SAT.
 func TestCutProofDeclinesCorrelatedLeaves(t *testing.T) {
 	build := func(name string, withL2 bool) (g *aig.AIG, out, l1 aig.Lit) {
 		g = aig.New(name)
@@ -77,7 +77,7 @@ func TestCutProofDeclinesCorrelatedLeaves(t *testing.T) {
 	}
 
 	gb, _, _ := build("b", false)
-	v := Check(context.Background(), ga, gb, Options{})
+	v := sweepCheck(context.Background(), ga, gb, Options{})
 	if v.Status != Equal {
 		t.Fatalf("L1&L2 vs L1: %v (cex %s), want EQUAL", v.Status, v.CexString())
 	}
