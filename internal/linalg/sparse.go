@@ -9,7 +9,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -97,17 +96,6 @@ func (s *Sparse) Slot(i, j int) int {
 	return -1
 }
 
-// Add adds v to entry (i, j), which must be in the pattern: the pattern is
-// discovered from the exact same stamp calls, so a miss is a programming
-// error, not a data error.
-func (s *Sparse) Add(i, j int, v float64) {
-	slot := s.Slot(i, j)
-	if slot < 0 {
-		panic(fmt.Sprintf("linalg: entry (%d,%d) not in sparsity pattern", i, j))
-	}
-	s.Vals[slot] += v
-}
-
 // At returns entry (i, j), zero when outside the pattern.
 func (s *Sparse) At(i, j int) float64 {
 	if slot := s.Slot(i, j); slot >= 0 {
@@ -142,8 +130,8 @@ type SparseLU struct {
 	n   int
 	tol float64
 
-	perm   []int32 // perm[k] = original row sitting at pivot position k
-	rowPos []int32 // rowPos[orig] = pivot position (inverse of perm)
+	perm []int32 // perm[k] = original row sitting at pivot position k
+	apos []int32 // apos[p] = pivot position of A's entry p (of row a.Rows[p])
 
 	// L: column k holds entries at pivot positions > k (unit diagonal
 	// implicit). U: column k holds entries at pivot positions < k in
@@ -178,18 +166,17 @@ func (s *Sparse) Factor(tol float64) (*SparseLU, error) {
 	n := s.N
 	lu := &SparseLU{
 		a: s, n: n, tol: tol,
-		perm:   make([]int32, n),
-		rowPos: make([]int32, n),
-		lp:     make([]int32, n+1),
-		up:     make([]int32, n+1),
-		work:   make([]float64, n),
+		perm: make([]int32, n),
+		lp:   make([]int32, n+1),
+		up:   make([]int32, n+1),
+		work: make([]float64, n),
 	}
 	// Static Markowitz tie-break counts: nonzeros per row of A.
 	rowCount := make([]int32, n)
 	for _, r := range s.Rows {
 		rowCount[r]++
 	}
-	pinv := lu.rowPos
+	pinv := make([]int32, n) // pinv[orig] = pivot position, -1 while unpivoted
 	for i := range pinv {
 		pinv[i] = -1
 	}
@@ -335,6 +322,10 @@ func (s *Sparse) Factor(tol float64) (*SparseLU, error) {
 	for i, k := range pinv {
 		lu.perm[k] = int32(i)
 	}
+	lu.apos = make([]int32, len(s.Rows))
+	for p, r := range s.Rows {
+		lu.apos[p] = pinv[r]
+	}
 	return lu, nil
 }
 
@@ -371,36 +362,49 @@ func (lu *SparseLU) Refactor() error {
 	x := lu.work
 	// Hoist the index/value arrays: the compiler cannot prove lu's fields
 	// don't alias the x writes, so field accesses inside the elimination
-	// loop would reload through the pointer every iteration.
+	// loop would reload through the pointer every iteration. The loops run
+	// over re-sliced column ranges, which leaves one bounds check per
+	// column instead of one per entry.
 	up, ui, ux := lu.up, lu.ui, lu.ux
 	lp, li, lx := lu.lp, lu.li, lu.lx
-	rowPos := lu.rowPos
+	colPtr, apos, avals := a.ColPtr, lu.apos, a.Vals
 	for k := 0; k < lu.n; k++ {
 		// Scatter A(:,k) into pivot-position space. The fill positions of
 		// this column are already zero (all-zero work invariant).
-		for p := a.ColPtr[k]; p < a.ColPtr[k+1]; p++ {
-			x[rowPos[a.Rows[p]]] = a.Vals[p]
+		pos := apos[colPtr[k]:colPtr[k+1]]
+		vals := avals[colPtr[k]:colPtr[k+1]]
+		vals = vals[:len(pos)]
+		for p, r := range pos {
+			x[r] = vals[p]
 		}
 		// Replay the eliminations in increasing pivot-position order.
 		ud := up[k+1] - 1 // diagonal entry, stored last
-		for t := up[k]; t < ud; t++ {
-			pos := ui[t]
-			ukj := x[pos]
-			ux[t] = ukj
+		urows := ui[up[k]:ud]
+		uvals := ux[up[k]:ud]
+		uvals = uvals[:len(urows)]
+		for t, r := range urows {
+			ukj := x[r]
+			uvals[t] = ukj
 			if ukj == 0 {
 				continue
 			}
-			for q := lp[pos]; q < lp[pos+1]; q++ {
-				x[li[q]] -= lx[q] * ukj
+			lrows := li[lp[r]:lp[r+1]]
+			lvals := lx[lp[r]:lp[r+1]]
+			lvals = lvals[:len(lrows)]
+			for q, i := range lrows {
+				x[i] -= lvals[q] * ukj
 			}
 		}
 		pivot := x[int32(k)]
 		ux[ud] = pivot
 		// Stability: compare the replayed pivot against the candidates
 		// partial pivoting would choose among (the L positions + diagonal).
+		lrows := li[lp[k]:lp[k+1]]
+		lvals := lx[lp[k]:lp[k+1]]
+		lvals = lvals[:len(lrows)]
 		cmax := math.Abs(pivot)
-		for q := lp[k]; q < lp[k+1]; q++ {
-			if a := math.Abs(x[li[q]]); a > cmax {
+		for _, i := range lrows {
+			if a := math.Abs(x[i]); a > cmax {
 				cmax = a
 			}
 		}
@@ -408,23 +412,23 @@ func (lu *SparseLU) Refactor() error {
 		if bad {
 			// Restore the work invariant before reporting.
 			x[int32(k)] = 0
-			for t := up[k]; t < ud; t++ {
-				x[ui[t]] = 0
+			for _, r := range urows {
+				x[r] = 0
 			}
-			for q := lp[k]; q < lp[k+1]; q++ {
-				x[li[q]] = 0
+			for _, i := range lrows {
+				x[i] = 0
 			}
 			if cmax < minPivot {
 				return ErrSingular
 			}
 			return ErrPivotDrift
 		}
-		for q := lp[k]; q < lp[k+1]; q++ {
-			lx[q] = x[li[q]] / pivot
-			x[li[q]] = 0
+		for q, i := range lrows {
+			lvals[q] = x[i] / pivot
+			x[i] = 0
 		}
-		for t := up[k]; t <= ud; t++ {
-			x[ui[t]] = 0
+		for _, r := range ui[up[k] : ud+1] {
+			x[r] = 0
 		}
 	}
 	return nil
@@ -435,30 +439,37 @@ func (lu *SparseLU) Refactor() error {
 func (lu *SparseLU) SolveInto(x, b []float64) {
 	up, ui, ux := lu.up, lu.ui, lu.ux
 	lp, li, lx := lu.lp, lu.li, lu.lx
+	n := lu.n
+	x = x[:n]
 	// Permute: (PA)x = Pb.
-	for k := 0; k < lu.n; k++ {
-		x[k] = b[lu.perm[k]]
+	for k, r := range lu.perm[:n] {
+		x[k] = b[r]
 	}
 	// Forward solve L y = Pb (unit diagonal, column-major).
-	for k := 0; k < lu.n; k++ {
-		xk := x[k]
+	for k, xk := range x {
 		if xk == 0 {
 			continue
 		}
-		for q := lp[k]; q < lp[k+1]; q++ {
-			x[li[q]] -= lx[q] * xk
+		rows := li[lp[k]:lp[k+1]]
+		vals := lx[lp[k]:lp[k+1]]
+		vals = vals[:len(rows)]
+		for q, i := range rows {
+			x[i] -= vals[q] * xk
 		}
 	}
 	// Back solve U x = y (diagonal stored last per column).
-	for k := lu.n - 1; k >= 0; k-- {
+	for k := n - 1; k >= 0; k-- {
 		ud := up[k+1] - 1
 		xk := x[k] / ux[ud]
 		x[k] = xk
 		if xk == 0 {
 			continue
 		}
-		for t := up[k]; t < ud; t++ {
-			x[ui[t]] -= ux[t] * xk
+		rows := ui[up[k]:ud]
+		vals := ux[up[k]:ud]
+		vals = vals[:len(rows)]
+		for t, i := range rows {
+			x[i] -= vals[t] * xk
 		}
 	}
 }

@@ -236,11 +236,11 @@ func TestSparseSlotAndMulVec(t *testing.T) {
 	if s.Slot(1, 0) != -1 || s.Slot(2, 1) != -1 {
 		t.Error("phantom slots")
 	}
-	s.Add(0, 0, 2)
-	s.Add(2, 0, 3)
-	s.Add(1, 1, 4)
-	s.Add(0, 2, 5)
-	s.Add(2, 2, 6)
+	s.Vals[s.Slot(0, 0)] = 2
+	s.Vals[s.Slot(2, 0)] = 3
+	s.Vals[s.Slot(1, 1)] = 4
+	s.Vals[s.Slot(0, 2)] = 5
+	s.Vals[s.Slot(2, 2)] = 6
 	x := []float64{1, 2, 3}
 	dst := make([]float64, 3)
 	s.MulVecInto(dst, x)

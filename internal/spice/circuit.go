@@ -123,12 +123,12 @@ func (c *Circuit) ElemName(i int) string {
 
 // AddResistor adds a linear resistor between nodes a and b.
 func (c *Circuit) AddResistor(a, b NodeID, ohms float64) {
-	c.addElem(&resistor{a, b, ohms})
+	c.addElem(&resistor{a: a, b: b, r: ohms})
 }
 
 // AddCapacitor adds a linear capacitor between nodes a and b.
 func (c *Circuit) AddCapacitor(a, b NodeID, farads float64) {
-	c.addElem(&capacitor{a, b, farads})
+	c.addElem(&capacitor{a: a, b: b, c: farads})
 }
 
 // SourceFn gives a source value at time t (seconds). DC analyses evaluate it
@@ -193,7 +193,7 @@ func Pulse(v1, v2, delay, rise, fall, width, period float64) SourceFn {
 func (c *Circuit) AddVSource(pos, neg NodeID, fn SourceFn) int {
 	idx := c.nvsrc
 	c.nvsrc++
-	c.addElem(&vsource{pos, neg, idx, fn})
+	c.addElem(&vsource{pos: pos, neg: neg, branch: idx, fn: fn})
 	return idx
 }
 
@@ -215,7 +215,7 @@ func (c *Circuit) AddClamp(node NodeID, vtarget float64, g SourceFn) {
 // AddMOSFET adds a FinFET with the given compact model between drain, gate,
 // source, and bulk nodes.
 func (c *Circuit) AddMOSFET(m *device.Model, d, g, s, b NodeID) {
-	c.addElem(&mosfet{m, d, g, s, b})
+	c.addElem(&mosfet{m: m, d: d, g: g, s: s, b: b})
 }
 
 // systemSize returns the MNA unknown count: node voltages plus source branch

@@ -115,8 +115,9 @@ func nodeLabel(c *spice.Circuit, i int) string {
 
 // TestTieredAssemblyMatchesGenericStamp checks the Newton loop's tiered
 // assembly (cached constant tier, per-solve step tier, per-iteration
-// MOSFET tier, slot replay) against one uncached stamping pass of every
-// element, for every PDK base cell on both backends. The sequence of
+// MOSFET tier, stamped through the backend's slot binding) against one
+// uncached stamping pass of every element into dense slots, for every PDK
+// base cell on both backends. The sequence of
 // solves alternates DC and transient mode and changes each part of the
 // constant tier's key in turn — gmin, temperature, dt — and back, and
 // each solve assembles two iterates. Both paths add the same terms in the

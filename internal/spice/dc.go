@@ -63,6 +63,7 @@ func (c *Circuit) OpPoint() ([]float64, error) {
 // solution on the same stable branch of a bistable circuit.
 func (c *Circuit) OpPointFrom(guess []float64) ([]float64, error) {
 	defer c.flushMetrics()
+	c.solverFor().forget()
 	x, err := c.opAt(0, nil, 0, guess)
 	if err != nil {
 		return nil, err
@@ -196,26 +197,32 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 		// The scan doubles as the forensic residual probe: the row that is
 		// worst relative to its tolerance is the convergence bottleneck.
 		// The matvec is O(nnz) on the sparse path, not O(n²).
-		st.mulVecInto(st.resid, x)
-		ok := it > 0
+		// Iteration 0 never accepts, so its scan only feeds the ring, and a
+		// failure reports iteration 0 only when the ring still holds it:
+		// with maxIt > ringK the scan is skipped.
 		var worstResid float64
-		worstRow, worstScore := -1, 0.0
-		for i := 0; i < n; i++ {
-			r := st.resid[i] - b[i]
-			tol := 1e-12 // node row: amperes
-			if i >= nNode {
-				tol = 1e-9 // source row: volts
+		worstRow := -1
+		if it > 0 || maxIt <= ringK {
+			st.mulVecInto(st.resid, x)
+			ok := it > 0
+			worstScore := 0.0
+			for i := 0; i < n; i++ {
+				r := st.resid[i] - b[i]
+				tol := 1e-12 // node row: amperes
+				if i >= nNode {
+					tol = 1e-9 // source row: volts
+				}
+				a := math.Abs(r)
+				if a > tol {
+					ok = false
+				}
+				if score := a / tol; score > worstScore {
+					worstScore, worstRow, worstResid = score, i, a
+				}
 			}
-			a := math.Abs(r)
-			if a > tol {
-				ok = false
+			if ok {
+				return x, nil
 			}
-			if score := a / tol; score > worstScore {
-				worstScore, worstRow, worstResid = score, i, a
-			}
-		}
-		if ok {
-			return x, nil
 		}
 		if err := st.solve(); err != nil {
 			return nil, err

@@ -148,7 +148,7 @@ func (c *Circuit) diagnose(ring *[ringK]iterRec, iters int, x []float64, t float
 		d.Residual = last.resid
 		d.MaxDV = last.maxDV
 	}
-	d.Devices = c.attributeResiduals(x, t, prev, dt, gmin, temp, worstRow, 5)
+	d.Devices = c.attributeResiduals(x, t, prev, dt, temp, worstRow, 5)
 	if len(d.Devices) == 0 {
 		// The ring records pre-update residuals, and linear rows (source
 		// branches) are satisfied exactly by the final full-step update — so
@@ -158,7 +158,7 @@ func (c *Circuit) diagnose(ring *[ringK]iterRec, iters int, x []float64, t float
 			worstRow = row
 			d.WorstNode = c.rowName(row)
 			d.Residual = resid
-			d.Devices = c.attributeResiduals(x, t, prev, dt, gmin, temp, row, 5)
+			d.Devices = c.attributeResiduals(x, t, prev, dt, temp, row, 5)
 		}
 	}
 	obs.C("spice.newton.diagnosed").Inc()
@@ -195,29 +195,37 @@ func (c *Circuit) worstResidualRow(x []float64, t float64, prev []float64, dt, g
 
 // stampGeneric assembles the full system at iterate x in one pass into a
 // fresh dense matrix — every element's constant tier, the gmin diagonal,
-// every step tier, every iteration tier — with no cache, snapshot or slot
-// replay: the forensic view, and the oracle the solver's tiered assembly
-// must reproduce bit for bit.
+// every step tier, every iteration tier — with no cache or snapshot, and
+// with the elements bound to dense slots whatever the solver's backend:
+// the forensic view, and the oracle the solver's tiered assembly must
+// reproduce bit for bit.
 func (c *Circuit) stampGeneric(x []float64, t float64, prev []float64, dt, gmin, temp float64) (*linalg.Matrix, []float64) {
-	n, nNode := c.systemSize(), len(c.names)
-	g := linalg.NewMatrix(n)
-	b := make([]float64, n)
-	ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: nNode, gmin: gmin, temp: temp}
+	ctx, g := c.denseCtx(x, t, prev, dt, temp)
 	for _, e := range c.elems {
 		e.stampConst(ctx)
 	}
-	for i := 0; i < nNode; i++ {
+	for i := 0; i < ctx.nNode; i++ {
 		g.Add(i, i, gmin)
 	}
 	for _, e := range c.elems {
 		e.stampStep(ctx)
 	}
 	for _, e := range c.elems {
-		if nl, ok := e.(nonlinear); ok {
-			nl.stampIter(ctx)
+		if m, ok := e.(*mosfet); ok {
+			m.stampIter(ctx)
 		}
 	}
-	return g, b
+	return g, ctx.b
+}
+
+// denseCtx binds c's elements to the slots of a fresh dense matrix and
+// returns a stamp context over it, with a fresh right-hand side.
+func (c *Circuit) denseCtx(x []float64, t float64, prev []float64, dt, temp float64) (*stampCtx, *linalg.Matrix) {
+	n, nNode := c.systemSize(), len(c.names)
+	slots, _ := bindAll(c.elems, nNode, int32(n*n), denseSlot(n))
+	vals := make([]float64, n*n+1)
+	ctx := &stampCtx{vals: vals, slots: slots, b: make([]float64, n), x: x, prev: prev, time: t, dt: dt, nNode: nNode, temp: temp}
+	return ctx, &linalg.Matrix{N: n, A: vals[:n*n]}
 }
 
 // attributeResiduals splits the KCL residual at MNA row "worst" between the
@@ -225,20 +233,17 @@ func (c *Circuit) stampGeneric(x []float64, t float64, prev []float64, dt, gmin,
 // injection at that row measured against the final iterate. The per-element
 // contributions sum (with the gmin diagonal) to the total row residual, so
 // the ranking names the devices that keep the node from settling.
-func (c *Circuit) attributeResiduals(x []float64, t float64, prev []float64, dt, gmin, temp float64, worst, topN int) []DeviceResidual {
+func (c *Circuit) attributeResiduals(x []float64, t float64, prev []float64, dt, temp float64, worst, topN int) []DeviceResidual {
 	n := c.systemSize()
 	if worst < 0 || worst >= n || len(x) != n {
 		return nil
 	}
-	g := linalg.NewMatrix(n)
-	b := make([]float64, n)
+	ctx, g := c.denseCtx(x, t, prev, dt, temp)
+	b := ctx.b
 	out := make([]DeviceResidual, 0, len(c.elems))
 	for i, e := range c.elems {
-		g.Zero()
-		for j := range b {
-			b[j] = 0
-		}
-		ctx := &stampCtx{g: g, b: b, x: x, prev: prev, time: t, dt: dt, nNode: len(c.names), gmin: gmin, temp: temp}
+		clear(ctx.vals)
+		clear(b)
 		stampAll(e, ctx)
 		r := -b[worst]
 		for j := 0; j < n; j++ {

@@ -47,11 +47,12 @@ type constKey struct {
 }
 
 // solverState is the per-circuit solver scratch: the assembled matrix (one
-// backend), the reusable factorization, the cached assembly tiers, and the
-// vectors the Newton loop writes into. It is rebuilt whenever the
-// circuit's topology (element count or unknown count) changes, which
-// freezes the sparsity pattern per topology exactly once. After the first
-// solve of each mode, a Newton iteration allocates nothing.
+// backend), the reusable factorization, the slot binding, the cached
+// assembly tiers, and the vectors the Newton loop writes into. It is
+// rebuilt whenever the circuit's topology (element count or unknown count)
+// changes, which freezes the sparsity pattern and the slot table per
+// topology exactly once. After the first solve of each mode, a Newton
+// iteration allocates nothing.
 type solverState struct {
 	n, nNode int
 	nelems   int
@@ -63,31 +64,26 @@ type solverState struct {
 	sp  *linalg.Sparse // sparse backend (compiled pattern)
 	lu  *linalg.SparseLU
 
-	elems  []element
-	nonlin []nonlinear // the elements with an iteration tier
+	elems []element
+	mos   []*mosfet // the elements with an iteration tier
 
-	// seq[mode][tier] is the recorded slot sequence of one stamping pass
-	// of that tier — the per-topology index map. Element stamp order and
-	// each element's Add-call sequence depend only on topology and the
-	// analysis mode (mode 1: transient, capacitor companions active; mode
-	// 0: DC), never on values, so after one recording pass every stamp
-	// resolves to an O(1) indexed add instead of a binary search in the
-	// CSC column.
-	seq      [2][numTiers][]int32
-	recorder seqRecorder
-	replayer seqReplayer
-	ctx      stampCtx
+	// vals is the active backend's matrix values (gd.A or sp.Vals) plus
+	// one trailing trash slot; slots is the slot table every element's
+	// entries resolved to (see binder), and slots[gminAt:] the node
+	// diagonals the gmin convergence aid lands on.
+	vals   []float64
+	slots  []int32
+	gminAt int32
+	ctx    stampCtx
 
-	// The assembled system after each cached tier, as matrix values
-	// (sparse Vals or dense A) and right-hand side. The constant tier is
-	// kept per mode once built (constVals non-nil), valid while its key
-	// holds; the step tier is the one of the current Newton solve, in mode
-	// stepMode.
+	// The assembled system after each cached tier, as matrix values (vals)
+	// and right-hand side. The constant tier is kept per mode once built
+	// (constVals non-nil), valid while its key holds; the step tier is the
+	// one of the current Newton solve.
 	constKey        [2]constKey
 	constVals       [2][]float64
 	constB          [2][]float64
 	stepVals, stepB []float64
-	stepMode        int
 
 	b     []float64 // right-hand side
 	resid []float64 // G*x scratch for the residual scan
@@ -98,74 +94,6 @@ type solverState struct {
 	stats solverStats
 }
 
-// seqRecorder resolves stamps against the compiled pattern by binary search
-// and records the slot order for replay.
-type seqRecorder struct {
-	sp  *linalg.Sparse
-	seq []int32
-}
-
-func (r *seqRecorder) Add(i, j int, v float64) {
-	s := r.sp.Slot(i, j)
-	r.seq = append(r.seq, int32(s))
-	r.sp.Vals[s] += v
-}
-
-// seqReplayer replays a recorded slot sequence: each Add consumes the next
-// slot. A k that runs past the sequence means an element stamped a
-// value-dependent pattern — a bug; end catches it.
-type seqReplayer struct {
-	sp  *linalg.Sparse
-	seq []int32
-	k   int
-}
-
-func (r *seqReplayer) Add(i, j int, v float64) {
-	r.sp.Vals[r.seq[r.k]] += v
-	r.k++
-}
-
-// begin returns the matrix one tier's stamping pass adds into, on top of
-// whatever the system already holds. Sparse circuits record the slot
-// sequence on the first pass of each (mode, tier) and replay it
-// afterwards; the caller must finish the pass with end.
-func (st *solverState) begin(mode, tier int) mnaMatrix {
-	if st.dense {
-		return st.gd
-	}
-	if st.seq[mode][tier] == nil {
-		// Non-nil even if the pass makes no Add: it is recorded all the same.
-		st.recorder = seqRecorder{sp: st.sp, seq: make([]int32, 0, 16)}
-		return &st.recorder
-	}
-	st.replayer = seqReplayer{sp: st.sp, seq: st.seq[mode][tier]}
-	return &st.replayer
-}
-
-// end commits a recording pass or verifies a replay consumed exactly the
-// recorded sequence.
-func (st *solverState) end(mode, tier int) {
-	if st.dense {
-		return
-	}
-	if st.seq[mode][tier] == nil {
-		st.seq[mode][tier] = st.recorder.seq
-		st.recorder = seqRecorder{}
-		return
-	}
-	if st.replayer.k != len(st.replayer.seq) {
-		panic("spice: stamp sequence diverged from recorded pattern — value-dependent stamping?")
-	}
-}
-
-// vals returns the assembled matrix values of the active backend.
-func (st *solverState) vals() []float64 {
-	if st.dense {
-		return st.gd.A
-	}
-	return st.sp.Vals
-}
-
 // prepare assembles the constant tier (from its cache while the key holds)
 // and the step tier of one Newton solve at time t.
 func (st *solverState) prepare(t float64, prev []float64, dt, gmin, temp float64) {
@@ -174,20 +102,17 @@ func (st *solverState) prepare(t float64, prev []float64, dt, gmin, temp float64
 		mode = 1
 	}
 	ctx := &st.ctx
-	*ctx = stampCtx{b: st.b, prev: prev, time: t, dt: dt, nNode: st.nNode, gmin: gmin, temp: temp}
-	vals := st.vals()
+	*ctx = stampCtx{vals: st.vals, slots: st.slots, b: st.b, prev: prev, time: t, dt: dt, nNode: st.nNode, temp: temp}
+	vals := st.vals
 	if key := (constKey{dt, gmin, temp}); st.constVals[mode] == nil || st.constKey[mode] != key {
 		clear(vals)
 		clear(st.b)
-		ctx.g = st.begin(mode, tierConst)
 		for _, e := range st.elems {
 			e.stampConst(ctx)
 		}
-		// The gmin convergence aid lands on every node diagonal.
-		for i := 0; i < st.nNode; i++ {
-			ctx.g.Add(i, i, gmin)
+		for _, s := range st.slots[st.gminAt:] {
+			vals[s] += gmin
 		}
-		st.end(mode, tierConst)
 		st.constVals[mode] = append(st.constVals[mode][:0], vals...)
 		st.constB[mode] = append(st.constB[mode][:0], st.b...)
 		st.constKey[mode] = key
@@ -195,28 +120,30 @@ func (st *solverState) prepare(t float64, prev []float64, dt, gmin, temp float64
 		copy(vals, st.constVals[mode])
 		copy(st.b, st.constB[mode])
 	}
-	ctx.g = st.begin(mode, tierStep)
 	for _, e := range st.elems {
 		e.stampStep(ctx)
 	}
-	st.end(mode, tierStep)
 	copy(st.stepVals, vals)
 	copy(st.stepB, st.b)
-	st.stepMode = mode
 }
 
 // assemble completes the system at iterate x: the step tier plus every
-// nonlinear element's linearization.
+// MOSFET's linearization.
 func (st *solverState) assemble(x []float64) {
-	copy(st.vals(), st.stepVals)
+	copy(st.vals, st.stepVals)
 	copy(st.b, st.stepB)
 	ctx := &st.ctx
 	ctx.x = x
-	ctx.g = st.begin(st.stepMode, tierIter)
-	for _, e := range st.nonlin {
-		e.stampIter(ctx)
+	for _, m := range st.mos {
+		m.stampIter(ctx)
 	}
-	st.end(st.stepMode, tierIter)
+}
+
+// forget drops every MOSFET's memo of its last device evaluation.
+func (st *solverState) forget() {
+	for _, m := range st.mos {
+		m.memo = false
+	}
 }
 
 // mulVecInto computes dst = G*x on whichever backend is active.
@@ -228,17 +155,11 @@ func (st *solverState) mulVecInto(dst, x []float64) {
 	}
 }
 
-// patternRecorder adapts linalg.Pattern to the stamp interface so one
-// discovery pass over the elements yields the full sparsity pattern.
-type patternRecorder struct{ p *linalg.Pattern }
-
-func (r patternRecorder) Add(i, j int, _ float64) { r.p.Add(i, j) }
-
 // solverFor returns the circuit's solver state, (re)building it when the
-// topology changed since the last solve. Building the sparse state runs one
-// pattern-discovery stamp with every conditional element forced on (dt > 0
-// for capacitor companions, clamps enabled), so the compiled pattern is a
-// superset of anything any analysis mode will ever write.
+// topology changed since the last solve. Building the sparse state binds
+// the elements once against a pattern recorder to discover the sparsity
+// pattern — every entry any tier of any analysis mode may write — and
+// again against the compiled pattern.
 func (c *Circuit) solverFor() *solverState {
 	n := c.systemSize()
 	if st := c.solver; st != nil && st.n == n && st.nelems == len(c.elems) && st.kind == c.Solver {
@@ -257,32 +178,28 @@ func (c *Circuit) solverFor() *solverState {
 		stepB: make([]float64, n),
 	}
 	for _, e := range c.elems {
-		if nl, ok := e.(nonlinear); ok {
-			st.nonlin = append(st.nonlin, nl)
+		if m, ok := e.(*mosfet); ok {
+			st.mos = append(st.mos, m)
 		}
 	}
 	st.dense = c.Solver == SolverDense || (c.Solver == SolverAuto && n <= denseCutoff)
 	if st.dense {
-		st.gd = linalg.NewMatrix(n)
+		st.vals = make([]float64, n*n+1)
+		st.gd = &linalg.Matrix{N: n, A: st.vals[:n*n]}
+		st.slots, st.gminAt = bindAll(c.elems, nNode, int32(n*n), denseSlot(n))
 		obs.C("spice.solver.dense_builds").Inc()
 	} else {
 		pat := linalg.NewPattern(n)
-		ctx := &stampCtx{
-			g: patternRecorder{pat}, b: st.b, x: st.zero, prev: st.zero,
-			time: 0, dt: 1e-12, nNode: nNode, temp: c.Temp,
-		}
-		for _, e := range c.elems {
-			stampAll(e, ctx)
-		}
-		// The gmin convergence aid lands on every node diagonal.
-		for i := 0; i < nNode; i++ {
-			pat.Add(i, i)
-		}
-		st.sp = pat.Compile()
-		clear(st.b)
+		bindAll(c.elems, nNode, 0, func(i, j int) int32 { pat.Add(i, j); return 0 })
+		sp := pat.Compile()
+		nnz := sp.NNZ()
+		st.vals = append(sp.Vals, 0)
+		sp.Vals = st.vals[:nnz]
+		st.sp = sp
+		st.slots, st.gminAt = bindAll(c.elems, nNode, int32(nnz), func(i, j int) int32 { return int32(sp.Slot(i, j)) })
 		obs.C("spice.solver.pattern_builds").Inc()
 	}
-	st.stepVals = make([]float64, len(st.vals()))
+	st.stepVals = make([]float64, len(st.vals))
 	c.solver = st
 	return st
 }

@@ -70,6 +70,7 @@ func (c *Circuit) TransientFrom(guess []float64, tstop, dt float64, settle *Sett
 		guess = nil
 	}
 	defer c.flushMetrics()
+	c.solverFor().forget()
 	x, err := c.opAt(0, nil, 0, guess)
 	if err != nil {
 		return nil, fmt.Errorf("spice: initial operating point: %w", err)
