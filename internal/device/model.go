@@ -3,7 +3,9 @@ package device
 // Model is one FinFET instance: a polarity plus a model card. A Model is
 // not safe for concurrent use at different temperatures (it caches
 // temperature-derived quantities); SPICE circuits instantiate one Model per
-// device, which keeps usage single-threaded.
+// device, which keeps usage single-threaded. The cache is keyed by
+// temperature alone, so P must not change after the Model's first use:
+// build a new Model for a new card.
 type Model struct {
 	Type Type
 	P    Params

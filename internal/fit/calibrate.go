@@ -112,7 +112,6 @@ func Calibrate(initial *device.Model, ds measure.Dataset, knobs []Knob, noiseFlo
 	if len(knobs) == 0 {
 		knobs = AllKnobs
 	}
-	work := &device.Model{Type: initial.Type, P: initial.P}
 	evals := 0
 	obj := func(x []float64) float64 {
 		evals++
@@ -120,8 +119,9 @@ func Calibrate(initial *device.Model, ds measure.Dataset, knobs []Knob, noiseFlo
 		for i, k := range knobs {
 			setKnob(&p, k, x[i])
 		}
-		work.P = p
-		return LogRMSError(work, ds, noiseFloor)
+		// A fresh Model per parameter set: a Model's temperature cache
+		// does not follow changes to P.
+		return LogRMSError(&device.Model{Type: initial.Type, P: p}, ds, noiseFloor)
 	}
 	x0 := make([]float64, len(knobs))
 	for i, k := range knobs {

@@ -142,3 +142,29 @@ func TestKnobRoundTrip(t *testing.T) {
 		t.Errorf("TBand magnitude clamp failed: %v", p.TBand)
 	}
 }
+
+// TestCalibrateSharedTemperature calibrates against a dataset whose points
+// all share one TempAct. A device.Model caches its temperature-derived
+// quantities by temperature alone, so an objective that reused one Model
+// across parameter sets would score every set with the threshold and
+// mobility of the first: the objective at the returned point must equal a
+// fresh model's error there, and the threshold must still be recovered.
+func TestCalibrateSharedTemperature(t *testing.T) {
+	silicon := measure.ReferenceSilicon(device.NFET, 7)
+	st := measure.NewStation(11)
+	plan := measure.PaperPlan()
+	plan.Temps = []float64{300}
+	ds := st.Measure(silicon, plan)
+	for i := range ds.Points {
+		pt := &ds.Points[i]
+		pt.TempAct = 300
+		pt.Ids = silicon.Ids(pt.Vgs, pt.Vds, pt.TempAct)
+	}
+	res := Calibrate(device.NewN(1), ds, []Knob{KnobVth0, KnobMuPh0}, st.NoiseFloor)
+	if res.Residual != res.RMSLog {
+		t.Errorf("objective at the returned point %v, fresh model's error there %v", res.Residual, res.RMSLog)
+	}
+	if d := math.Abs(res.Model.P.Vth0 - silicon.P.Vth0); d > 0.01 {
+		t.Errorf("extracted Vth0 off by %v V from silicon", d)
+	}
+}
