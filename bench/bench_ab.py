@@ -17,7 +17,9 @@ of the per-pair ratios B/A, a distribution-free sign-test interval for
 that median ratio (order statistics of the ratios, with the confidence
 they reach for the number of pairs) and in how many pairs B was better.
 The verdict column reads `better` or `worse` only when the interval
-reaches 95% confidence (six pairs or more) and excludes 1. After the
+reaches 95% confidence (six pairs or more) and excludes 1. The
+`pairs@5%` column is the number of pairs the observed spread of the
+ratios needs to resolve a 5% effect (pairs_needed). After the
 timed pairs it runs each side once with `--trace 1` and prints the work
 counts of WORK_COUNTS side by side, each marked `same` or `CHANGED` by
 exact comparison: a change that should only be faster must leave them
@@ -100,6 +102,36 @@ def sign_interval(ratios, alpha=0.05):
     return r[k - 1], r[n - k], 1 - tail(k)
 
 
+def pairs_needed(ratios, effect=0.05):
+    """Return how many pairs resolve an effect of the given size at the
+    observed spread of the per-pair ratios: the fewest pairs n at which
+    the 95% interval for the median ratio, 1.96 standard errors either
+    side, is no wider than +-effect, and never fewer than the six a sign
+    test needs to reach 95%. The spread is sigma = IQR / 1.349 (the
+    normal sigma with the ratios' IQR), and the median of n ratios has a
+    standard error of sqrt(pi/2) * sigma / sqrt(n). None for fewer than
+    two ratios or an undefined one (a zero A value).
+
+    A tight spread still needs the sign test's six pairs; ratios with an
+    IQR of 0.0875 need 11; an IQR of 0.3 needs 120:
+
+    >>> pairs_needed([0.91, 0.84, 0.88, 0.80, 0.86, 0.83, 0.87, 0.85, 0.90, 0.89])
+    6
+    >>> pairs_needed([0.90, 1.00, 0.95, 1.05, 0.92, 1.02, 0.97, 0.99])
+    11
+    >>> pairs_needed([0.8, 1.2, 0.9, 1.1, 1.0, 0.85, 1.15])
+    120
+    >>> pairs_needed([1.0]) is None, pairs_needed([1.0, math.nan]) is None
+    (True, True)
+    """
+    import statistics  # only when called: see the module docstring
+    if len(ratios) < 2 or any(math.isnan(r) for r in ratios):
+        return None
+    q = statistics.quantiles(ratios, n=4)
+    sigma = (q[2] - q[0]) / 1.349
+    return max(6, math.ceil((1.96 * math.sqrt(math.pi / 2) * sigma / effect) ** 2))
+
+
 def count_rows(a, b):
     """Compare the work counts of one traced run per side exactly. Returns
     (name, A value, B value, mark) per WORK_COUNTS entry; a count a run
@@ -164,9 +196,9 @@ def main():
 
     print("bench-ab: %s, %d pairs, seed %d, %g s; A = %s, B = working tree"
           % (opt.workload, opt.pairs, opt.seed, seconds, rev))
-    print("%-12s %10s %9s %10s %8s %19s %6s %8s  %s"
+    print("%-12s %10s %9s %10s %8s %19s %6s %8s %9s  %s"
           % ("metric", "A median", "A IQR", "B median", "B/A", "sign interval", "conf",
-             "B wins", "verdict"))
+             "B wins", "pairs@5%", "verdict"))
     for row in rows:
         name = row["name"]
         a = [r[name] for r in runs[0]]
@@ -179,9 +211,11 @@ def main():
         if conf >= 0.95 and (lo > 1 or hi < 1):
             verdict = "better" if (hi < 1) == lower else "worse"
         q = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0], a[0], a[0])
-        print("%-12s %10.4g %9.3g %10.4g %8.4f [%8.4f, %8.4f] %5.1f%% %5d/%-2d  %s"
+        need = pairs_needed(ratios)
+        print("%-12s %10.4g %9.3g %10.4g %8.4f [%8.4f, %8.4f] %5.1f%% %5d/%-2d %9s  %s"
               % (name, statistics.median(a), q[2] - q[0], statistics.median(b),
-                 statistics.median(ratios), lo, hi, 100 * conf, wins, opt.pairs, verdict))
+                 statistics.median(ratios), lo, hi, 100 * conf, wins, opt.pairs,
+                 "-" if need is None else need, verdict))
 
     print("\n%-32s %20s %20s  %s" % ("work count (--trace 1)", "A", "B", "B vs A"))
     show = lambda x: "-" if x is None else "%.12g" % x
