@@ -30,15 +30,6 @@ const denseCutoff = 8
 // node diagonal, so this is comfortably stable.
 const pivotTau = 0.1
 
-// Assembly tiers. A stamp's tier is set by what it depends on, which
-// decides how often it is redone (see element):
-const (
-	tierConst = iota // topology and (mode, dt, gmin, temp): once per key
-	tierStep         // plus (t, prev): once per Newton solve
-	tierIter         // plus the Newton iterate: every iteration
-	numTiers
-)
-
 // constKey is what the constant tier depends on beyond topology and mode.
 // A quarter-step retry changes dt, a gmin-ladder rung gmin, a
 // temperature-continuation rung temp; each rebuilds the tier.

@@ -221,8 +221,9 @@ func (cl *clamp) stampStep(ctx *stampCtx) {
 	if cl.node == Ground {
 		return
 	}
-	// A disabled clamp (g(t) = 0) still adds its zero: a branch on the
-	// value would buy nothing.
+	// A disabled clamp (g(t) = 0) still adds its zero. Skipping it could
+	// only change the sign of a zero entry, but the assembly is pinned bit
+	// for bit (TestTransientDigest).
 	g := cl.g(ctx.time)
 	ctx.vals[ctx.slots[cl.at]] += g
 	ctx.b[cl.node] += g * cl.vt
