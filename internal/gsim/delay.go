@@ -24,11 +24,18 @@ func (m *Model) Annotate(ctx context.Context, lib *liberty.Library, opt sta.Opti
 	if err != nil {
 		return fmt.Errorf("gsim: annotate: %w", err)
 	}
+	// The rows are capped sub-slices of one array, one row per gate.
+	arcs := 0
+	for gi := range m.Gates {
+		arcs += len(m.Gates[gi].In)
+	}
+	flat := make([]int64, arcs)
 	delays := make([][]int64, len(m.Gates))
 	for gi := range m.Gates {
 		g := &m.Gates[gi]
 		load := timing.Load[g.Out]
-		delays[gi] = make([]int64, len(g.In))
+		k := len(g.In)
+		delays[gi], flat = flat[:k:k], flat[k:]
 		for i, in := range g.In {
 			d := timing.Bound[gi].Arcs[i].Timing.Delay(timing.Slew[in], load)
 			fs := int64(d*1e15 + 0.5)

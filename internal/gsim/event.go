@@ -117,8 +117,8 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		Engine:     "event",
 		Vectors:    len(vectors),
 		Toggles:    make([]int64, len(m.Nets)),
-		OutputBits: make([][]bool, len(vectors)),
-		model:      m,
+		OutputBits: carve(make([]bool, len(vectors)*len(m.Outputs)), len(vectors), len(m.Outputs)),
+		nets:       m.Nets,
 	}
 
 	// All nets start unknown — including the constant rails, whose
@@ -262,11 +262,10 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 			}
 			changedOrder = changedOrder[:0]
 		}
-		ob := make([]bool, len(m.Outputs))
+		ob := res.OutputBits[v]
 		for o, idx := range m.Outputs {
 			ob[o] = cur[idx] == V1
 		}
-		res.OutputBits[v] = ob
 	}
 	res.Final = cur
 	res.SimTimeFs = int64(len(vectors)) * period

@@ -139,10 +139,7 @@ type Vector []bool
 // over these vectors measures the same activity the model simulates.
 func (m *Model) RandomVectors(n int, seed int64) []Vector {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]Vector, n)
-	for v := range out {
-		out[v] = make(Vector, len(m.Inputs))
-	}
+	out := carve(make(Vector, n*len(m.Inputs)), n, len(m.Inputs))
 	for base := 0; base < n; base += 64 {
 		for i := range m.Inputs {
 			w := rng.Uint64()
@@ -180,7 +177,7 @@ type Result struct {
 	// only).
 	SimTimeFs int64
 
-	model *Model
+	nets []string // net index -> name, for ToggleRates
 }
 
 // ToggleRates returns per-net-name toggle densities (transitions per
@@ -191,7 +188,7 @@ func (r *Result) ToggleRates() map[string]float64 {
 		return rates
 	}
 	for i, t := range r.Toggles {
-		rates[r.model.Nets[i]] = float64(t) / float64(r.Vectors)
+		rates[r.nets[i]] = float64(t) / float64(r.Vectors)
 	}
 	return rates
 }
@@ -203,4 +200,14 @@ func (r *Result) TotalToggles() int64 {
 		n += t
 	}
 	return n
+}
+
+// carve splits flat into n rows of width w each. Rows are capped, so an
+// append to one row copies instead of overwriting the next.
+func carve[S ~[]E, E any](flat S, n, w int) []S {
+	rows := make([]S, n)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }

@@ -44,9 +44,9 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 		Engine:     "levelized",
 		Vectors:    len(vectors),
 		Toggles:    make([]int64, len(m.Nets)),
-		OutputBits: make([][]bool, len(vectors)),
+		OutputBits: carve(make([]bool, len(vectors)*len(m.Outputs)), len(vectors), len(m.Outputs)),
 		Final:      make([]Value, len(m.Nets)),
-		model:      m,
+		nets:       m.Nets,
 	}
 	for i := range res.Final {
 		res.Final[i] = VX
@@ -55,6 +55,8 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 	res.Final[netlist.NetConst1] = V1
 
 	in := make([]uint64, len(m.Inputs))
+	// Chunks alternate between two planes, so prev stays intact.
+	planes := [2][]uint64{make([]uint64, len(m.Nets)), make([]uint64, len(m.Nets))}
 	var prev []uint64
 	var evals int64
 	task := obs.Progress("gsim.vectors", int64(len(vectors)))
@@ -80,18 +82,17 @@ func (e *levelized) Run(ctx context.Context, vectors []Vector) (*Result, error) 
 			}
 			in[i] = w
 		}
-		vals, err := m.SimWords(in)
+		vals, err := m.SimWordsInto(planes[base/64&1], in)
 		if err != nil {
 			return nil, err
 		}
 		evals += int64(len(m.Gates))
 		netlist.AddToggles(res.Toggles, prev, vals, chunk)
 		for b := 0; b < chunk; b++ {
-			ob := make([]bool, len(m.Outputs))
+			ob := res.OutputBits[base+b]
 			for o, idx := range m.Outputs {
 				ob[o] = vals[idx]&(1<<uint(b)) != 0
 			}
-			res.OutputBits[base+b] = ob
 		}
 		if base+chunk == len(vectors) {
 			last := uint(chunk - 1)

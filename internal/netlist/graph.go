@@ -54,11 +54,21 @@ type Graph struct {
 // net read must be driven earlier in gate order, no net may be driven
 // twice, and every output must resolve to a driven net.
 func Compile(nl *Netlist) (*Graph, error) {
+	// Every node's In and every net's Fanouts are capped sub-slices of one
+	// backing array each, so a graph is a handful of allocations however
+	// many gates it has, and an append to one row copies instead of
+	// overwriting its neighbour.
+	numNets := len(nl.Inputs) + len(nl.Gates) + 2
+	numArcs := 0
+	for i := range nl.Gates {
+		numArcs += len(nl.Gates[i].Inputs)
+	}
+	arcs := make([]int32, numArcs)
 	g := &Graph{
 		Name:   nl.Name,
-		Nets:   []string{Const0, Const1},
-		Driver: []int32{-1, -1},
-		index:  make(map[string]int32, len(nl.Inputs)+len(nl.Gates)+2),
+		Nets:   append(make([]string, 0, numNets), Const0, Const1),
+		Driver: append(make([]int32, 0, numNets), -1, -1),
+		index:  make(map[string]int32, numNets),
 	}
 	g.index[Const0] = NetConst0
 	g.index[Const1] = NetConst1
@@ -69,13 +79,14 @@ func Compile(nl *Netlist) (*Graph, error) {
 		g.index[name] = id
 		return id
 	}
+	g.Inputs = make([]int32, 0, len(nl.Inputs))
 	for _, in := range nl.Inputs {
 		if _, dup := g.index[in]; dup {
 			return nil, fmt.Errorf("netlist: duplicate input %q", in)
 		}
 		g.Inputs = append(g.Inputs, intern(in, -1))
-		g.InputNames = append(g.InputNames, in)
 	}
+	g.InputNames = append([]string(nil), nl.Inputs...)
 	g.Gates = make([]Node, len(nl.Gates))
 	for gi, gate := range nl.Gates {
 		def := nl.Cell(gate.Cell)
@@ -89,7 +100,9 @@ func Compile(nl *Netlist) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("netlist: gate %s: cell %s has no truth table (sequential or >6 inputs)", gate.Name, gate.Cell)
 		}
-		n := Node{Name: gate.Name, Cell: gate.Cell, Def: def, Truth: tt, In: make([]int32, len(gate.Inputs))}
+		k := len(gate.Inputs)
+		n := Node{Name: gate.Name, Cell: gate.Cell, Def: def, Truth: tt, In: arcs[:k:k]}
+		arcs = arcs[k:]
 		for i, net := range gate.Inputs {
 			id, ok := g.index[net]
 			if !ok {
@@ -107,6 +120,7 @@ func Compile(nl *Netlist) (*Graph, error) {
 		n.Out = intern(gate.Output, int32(gi))
 		g.Gates[gi] = n
 	}
+	g.Outputs = make([]int32, 0, len(nl.Outputs))
 	for _, o := range nl.Outputs {
 		drv := nl.Resolve(o)
 		id, ok := g.index[drv]
@@ -114,9 +128,23 @@ func Compile(nl *Netlist) (*Graph, error) {
 			return nil, fmt.Errorf("netlist: output %q resolves to undriven net %q", o, drv)
 		}
 		g.Outputs = append(g.Outputs, id)
-		g.OutputNames = append(g.OutputNames, o)
 	}
-	g.Fanouts = make([][]int32, len(g.Nets))
+	g.OutputNames = append([]string(nil), nl.Outputs...)
+	// Fanouts: count each net's readers, then fill the rows in gate order.
+	off := make([]int32, numNets+1)
+	for gi := range g.Gates {
+		for _, in := range g.Gates[gi].In {
+			off[in+1]++
+		}
+	}
+	for net := 1; net <= numNets; net++ {
+		off[net] += off[net-1]
+	}
+	fan := make([]int32, numArcs)
+	g.Fanouts = make([][]int32, numNets)
+	for net := range g.Fanouts {
+		g.Fanouts[net] = fan[off[net]:off[net]:off[net+1]]
+	}
 	for gi := range g.Gates {
 		for _, in := range g.Gates[gi].In {
 			g.Fanouts[in] = append(g.Fanouts[in], int32(gi))
@@ -146,10 +174,17 @@ func (g *Graph) Depth() int {
 // SimWords evaluates one 64-vector word plane: in[i] carries the stimulus
 // bits of primary input i. The returned slice holds one word per net.
 func (g *Graph) SimWords(in []uint64) ([]uint64, error) {
+	return g.SimWordsInto(make([]uint64, len(g.Nets)), in)
+}
+
+// SimWordsInto is SimWords writing into dst, which must hold one word per
+// net (NumNets); it returns dst. It does not allocate.
+func (g *Graph) SimWordsInto(dst, in []uint64) ([]uint64, error) {
 	if len(in) != len(g.Inputs) {
 		return nil, fmt.Errorf("netlist: SimWords wants %d input words, got %d", len(g.Inputs), len(in))
 	}
-	vals := make([]uint64, len(g.Nets))
+	vals := dst[:len(g.Nets)]
+	vals[NetConst0] = 0
 	vals[NetConst1] = ^uint64(0)
 	for i, id := range g.Inputs {
 		vals[id] = in[i]

@@ -391,3 +391,38 @@ func TestReadVerilogRejectsDuplicatePort(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileSubslicesDoNotAlias: every node's In and every net's Fanouts
+// share one backing array, capped per row, so appending to one row must
+// leave its neighbour unchanged.
+func TestCompileSubslicesDoNotAlias(t *testing.T) {
+	nl := New("alias", catalog)
+	nl.Inputs = []string{"a", "b"}
+	nl.AddGate("NAND2x1", []string{"a", "b"}, "n1")
+	nl.AddGate("NAND2x1", []string{"n1", "b"}, "n2")
+	nl.AddGate("NAND2x1", []string{"n1", "n2"}, "n3")
+	nl.Outputs = []string{"n3"}
+	g, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIn := append([]int32(nil), g.Gates[1].In...)
+	_ = append(g.Gates[0].In, 99)
+	for i, id := range g.Gates[1].In {
+		if id != wantIn[i] {
+			t.Fatalf("append to gate 0's In changed gate 1's In: %v, want %v", g.Gates[1].In, wantIn)
+		}
+	}
+	a, _ := g.NetIndex("a")
+	b, _ := g.NetIndex("b")
+	wantFan := append([]int32(nil), g.Fanouts[b]...)
+	_ = append(g.Fanouts[a], 99)
+	for i, gi := range g.Fanouts[b] {
+		if gi != wantFan[i] {
+			t.Fatalf("append to net a's Fanouts changed net b's: %v, want %v", g.Fanouts[b], wantFan)
+		}
+	}
+	if len(wantFan) != 2 || wantFan[0] != 0 || wantFan[1] != 1 {
+		t.Errorf("b fanouts = %v, want [0 1]", wantFan)
+	}
+}

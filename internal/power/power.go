@@ -160,12 +160,14 @@ func activity(g *netlist.Graph, seed int64) ([]float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	toggles := make([]int64, len(g.Nets))
 	in := make([]uint64, len(g.Inputs))
+	// Rounds alternate between two planes, so prev stays intact.
+	planes := [2][]uint64{make([]uint64, len(g.Nets)), make([]uint64, len(g.Nets))}
 	var prev []uint64
 	for r := 0; r < simRounds; r++ {
 		for i := range in {
 			in[i] = rng.Uint64()
 		}
-		vals, err := g.SimWords(in)
+		vals, err := g.SimWordsInto(planes[r&1], in)
 		if err != nil {
 			return nil, err
 		}
