@@ -137,13 +137,14 @@ paperbench:
 # Device-evaluation, linear-solver and op-point microbenchmarks
 # (Conductances at 300 K and 10 K; dense vs sparse vs refactor), seconds per
 # characterized cell (QuickConfig AOI22x1 and DFFx1 at 300 K and 10 K, one
-# worker), and the synthesis passes and standard-cell mapping on an EPFL
-# circuit, netlist.Compile on a stored mapped netlist (allocs/op), the
-# event-driven gate-level simulator on annotated signoff netlists
+# worker), the synthesis passes and standard-cell mapping on an EPFL
+# circuit, the synthesis front (synth.Prepare on adder, square and
+# mem_ctrl, s/op), netlist.Compile on a stored mapped netlist (allocs/op),
+# the event-driven gate-level simulator on annotated signoff netlists
 # (ns/event), the SAT solver on miter and random 3-SAT streams, and
 # the equivalence check of a stored signoff netlist.
 microbench:
-	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/charlib ./internal/aig ./internal/mapper ./internal/netlist ./internal/gsim ./internal/sat ./internal/cec -run xxx -bench . -benchmem -benchtime 100x
+	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/charlib ./internal/aig ./internal/mapper ./internal/synth ./internal/netlist ./internal/gsim ./internal/sat ./internal/cec -run xxx -bench . -benchmem -benchtime 100x
 
 clean:
 	rm -rf build

@@ -8,6 +8,7 @@ package aig
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -300,6 +301,16 @@ func (g *AIG) Clone() *AIG {
 		strash:  g.strash.clone(),
 	}
 	return out
+}
+
+// SameStructure reports whether h is g node for node: the same name, the
+// same named primary inputs, the same fanins (and so levels) on every AND
+// variable and the same named primary outputs. A pass that reads only this
+// structure gives the same result on both graphs.
+func (g *AIG) SameStructure(h *AIG) bool {
+	return g.Name == h.Name && g.numPI == h.numPI &&
+		slices.Equal(g.pis, h.pis) && slices.Equal(g.nodes, h.nodes) &&
+		slices.Equal(g.pos, h.pos) && slices.Equal(g.poNames, h.poNames)
 }
 
 // TFOCone returns the set of variables in the transitive fanin cone of the

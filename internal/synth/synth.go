@@ -16,6 +16,7 @@ package synth
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/aig"
 	"repro/internal/mapper"
@@ -136,7 +137,9 @@ func Prepare(ctx context.Context, g *aig.AIG, opt Options) *Front {
 
 	// Stage 2: dch -p; if -p; mfs -pegd; strash.
 	_, powSpan := obs.Start(ctx, "synth.power_stage")
-	f.cands = powerCandidates(step1, opt)
+	var built int
+	f.cands, built = powerCandidates(step1, opt)
+	powSpan.SetAttr("distinct", built)
 	powSpan.End()
 	return f
 }
@@ -208,14 +211,23 @@ func c2rs(g *aig.AIG, seed int64) *aig.AIG {
 // powerCandidates implements dch/if/mfs/strash up to the choice: several
 // structurally different versions of the network are prepared (the
 // "choices"), each is collapsed to k-LUTs with power-aware cut selection,
-// minimized with SAT don't-cares, structurally hashed back and scored.
-func powerCandidates(g *aig.AIG, opt Options) []candidate {
+// minimized with SAT don't-cares, structurally hashed back and scored. A
+// variant with the same structure as an earlier one shares that variant's
+// candidate, net and cut table included: every step is a function of the
+// structure and the seed, so a rebuild would give the same candidate. It
+// returns the candidates, one per variant, and how many were built.
+func powerCandidates(g *aig.AIG, opt Options) ([]candidate, int) {
 	variants := []*aig.AIG{g}
 	if !opt.SkipChoices {
 		variants = append(variants, g.Rewrite(true), g.Balance())
 	}
 	cands := make([]candidate, len(variants))
+	built := 0
 	for i, v := range variants {
+		if j := slices.IndexFunc(variants[:i], v.SameStructure); j >= 0 {
+			cands[i] = cands[j]
+			continue
+		}
 		lut := v.MapLUT(aig.LUTMapOptions{K: lutK, PowerAware: true})
 		if !opt.SkipMfs {
 			mopt := aig.DefaultMfsOptions()
@@ -231,8 +243,9 @@ func powerCandidates(g *aig.AIG, opt Options) []candidate {
 			size:  float64(back.NumNodes()),
 			depth: float64(back.Depth()),
 		}
+		built++
 	}
-	return cands
+	return cands, built
 }
 
 // pickCandidate keeps the variant that wins under the scenario's cost

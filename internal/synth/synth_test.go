@@ -1,12 +1,17 @@
 package synth
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"slices"
 	"testing"
 
+	"repro/internal/aig"
 	"repro/internal/cec"
 	"repro/internal/epfl"
 	"repro/internal/mapper"
+	"repro/internal/obs"
 	"repro/internal/pdk"
 	"repro/internal/sta"
 	"repro/internal/testlib"
@@ -85,19 +90,99 @@ func TestC2RSCompresses(t *testing.T) {
 }
 
 func TestPowerStagePreservesFunction(t *testing.T) {
-	g, err := epfl.Build("router")
-	if err != nil {
+	// Every candidate must be equivalent, since any scenario may pick it.
+	// router's three variants differ, so each is built; adder's c2rs result
+	// is its own Rewrite(true) and Balance(), so all three variants share
+	// one built candidate, which proves the reuse path as well.
+	for _, tc := range []struct {
+		circuit string
+		c2rs    bool
+		built   int
+	}{{"router", false, 3}, {"adder", true, 1}} {
+		g, err := epfl.Build(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := g
+		if tc.c2rs {
+			in = c2rs(g, 2)
+		}
+		cands, built := powerCandidates(in, Options{Seed: 2})
+		if len(cands) != 3 {
+			t.Fatalf("%s: %d power-stage candidates, want 3", tc.circuit, len(cands))
+		}
+		checked := map[*aig.AIG]bool{}
+		for i, c := range cands {
+			if checked[c.net] {
+				continue
+			}
+			checked[c.net] = true
+			if v := cec.Check(context.Background(), g, c.net, cec.Options{}); v.Status != cec.Equal {
+				t.Fatalf("%s candidate %d: power stage %v", tc.circuit, i, v.Status)
+			}
+		}
+		if len(checked) != tc.built || built != tc.built {
+			t.Errorf("%s: %d distinct candidates, %d built, want %d", tc.circuit, len(checked), built, tc.built)
+		}
+	}
+}
+
+// TestPowerStageReusesIdenticalVariants checks that a power-stage variant
+// with the structure of an earlier one shares its candidate (net and cut
+// table) instead of being built again, that variants that differ are
+// built apart, and that the power_stage span reports the built count.
+func TestPowerStageReusesIdenticalVariants(t *testing.T) {
+	tr := obs.ResetTracing()
+	defer obs.DisableTracing()
+	for _, tc := range []struct {
+		circuit  string
+		distinct int
+	}{{"adder", 1}, {"mem_ctrl", 3}} {
+		g, err := epfl.Build(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{201, 202} {
+			if tc.distinct == 1 {
+				if step1 := c2rs(g, seed); !step1.SameStructure(step1.Balance()) {
+					t.Fatalf("%s seed %d: c2rs result is not a fixed point of Balance", tc.circuit, seed)
+				}
+			}
+			f := Prepare(context.Background(), g, Options{Seed: seed})
+			if len(f.cands) != 3 {
+				t.Fatalf("%s seed %d: %d candidates, want 3", tc.circuit, seed, len(f.cands))
+			}
+			nets := map[*aig.AIG]bool{}
+			tables := map[*mapper.CutTable]bool{}
+			for _, c := range f.cands {
+				nets[c.net] = true
+				tables[c.cuts] = true
+			}
+			if len(nets) != tc.distinct || len(tables) != tc.distinct {
+				t.Errorf("%s seed %d: %d distinct nets and %d cut tables, want %d",
+					tc.circuit, seed, len(nets), len(tables), tc.distinct)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Every candidate must be equivalent, since any scenario may pick it.
-	cands := powerCandidates(g, Options{Seed: 2})
-	if len(cands) != 3 {
-		t.Fatalf("%d power-stage candidates, want 3", len(cands))
+	var events []struct {
+		Name string            `json:"name"`
+		Args map[string]string `json:"args"`
 	}
-	for i, c := range cands {
-		if v := cec.Check(context.Background(), g, c.net, cec.Options{}); v.Status != cec.Equal {
-			t.Fatalf("candidate %d: power stage %v", i, v.Status)
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range events {
+		if e.Name == "synth.power_stage" {
+			got = append(got, e.Args["distinct"])
 		}
+	}
+	if want := []string{"1", "1", "3", "3"}; !slices.Equal(got, want) {
+		t.Errorf("synth.power_stage distinct attributes %v, want %v", got, want)
 	}
 }
 
