@@ -139,7 +139,9 @@ paperbench:
 # characterized cell (QuickConfig AOI22x1 and DFFx1 at 300 K and 10 K, one
 # worker), the synthesis passes and standard-cell mapping on an EPFL
 # circuit, the synthesis front (synth.Prepare on adder, square and
-# mem_ctrl, s/op), netlist.Compile on a stored mapped netlist (allocs/op),
+# mem_ctrl, s/op), one synth_fig3 item (synth.Compare on its seven
+# circuits, 10 K testlib, s/op), netlist.Compile on a stored mapped
+# netlist (allocs/op),
 # the event-driven gate-level simulator on annotated signoff netlists
 # (ns/event), the SAT solver on miter and random 3-SAT streams, and
 # the equivalence check of a stored signoff netlist.

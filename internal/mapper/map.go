@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"repro/internal/aig"
@@ -119,13 +120,43 @@ func (t *CutTable) get(k, maxCuts int) ([][]aig.Cut, [][]uint64) {
 		cs := cuts[v]
 		tts[v], flat = flat[:len(cs):len(cs)], flat[len(cs):]
 		for i, cut := range cs {
-			if l := len(cut.Leaves); l >= 1 && l <= 6 && !(l == 1 && cut.Leaves[0] == v) {
+			if mappable(cut, v) {
 				tts[v][i] = g.CutTruth(aig.MakeLit(v, false), cut.Leaves)
 			}
 		}
 	}
 	t.k, t.maxCuts, t.cuts, t.tts = k, maxCuts, cuts, tts
 	return cuts, tts
+}
+
+// mappable reports whether the mapper covers node v with cut: one to six
+// leaves, and not v's trivial cut.
+func mappable(cut aig.Cut, v int) bool {
+	l := len(cut.Leaves)
+	return l >= 1 && l <= 6 && !(l == 1 && cut.Leaves[0] == v)
+}
+
+// resolveMatches looks up the library matches of every mappable cut once,
+// so the refinement passes read them without taking the library's lock:
+// matches[v][i] belongs to cuts[v][i] (nil for a cut the mapper skips).
+// One backing slice holds every node's row.
+func resolveMatches(g *aig.AIG, ml *MatchLibrary, cuts [][]aig.Cut, tts [][]uint64) [][][]*Match {
+	n := 0
+	for _, cs := range cuts {
+		n += len(cs)
+	}
+	flat := make([][]*Match, n)
+	matches := make([][][]*Match, len(cuts))
+	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
+		cs := cuts[v]
+		matches[v], flat = flat[:len(cs):len(cs)], flat[len(cs):]
+		for i, cut := range cs {
+			if mappable(cut, v) {
+				matches[v][i] = ml.MatchesFor(tts[v][i], len(cut.Leaves))
+			}
+		}
+	}
+	return matches
 }
 
 // Map covers the AIG with library cells under the selected cost-priority
@@ -164,6 +195,7 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 		opt.Passes = 2
 	}
 	cuts, tts := t.get(opt.K, opt.MaxCuts)
+	matches := resolveMatches(g, ml, cuts, tts)
 	refs := g.FanoutCounts()
 	act := g.Activities()
 
@@ -179,7 +211,7 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 			// actual reference counts, so shared logic is priced correctly.
 			refs = coverRefs(g, best)
 		}
-		best = mapPass(g, ml, opt, cuts, tts, refs, act, invEnergyAt)
+		best = mapPass(g, ml, opt, cuts, matches, refs, act, invEnergyAt)
 		obs.C("mapper.passes").Inc()
 	}
 	nl, err := extract(g, ml, best, opt)
@@ -221,7 +253,7 @@ func coverRefs(g *aig.AIG, best []implChoice) []int {
 
 // mapPass runs one forward best-match pass under the given reference
 // counts.
-func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, tts [][]uint64, refs []int, act []float64, invEnergyAt func(float64) float64) []implChoice {
+func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matches [][][]*Match, refs []int, act []float64, invEnergyAt func(float64) float64) []implChoice {
 	inv := ml.Inv
 	best := make([]implChoice, g.NumVars())
 	for v := 1; v <= g.NumPIs(); v++ {
@@ -230,14 +262,7 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, tts []
 	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
 		var bc implChoice
 		for i, cut := range cuts[v] {
-			n := len(cut.Leaves)
-			if n < 1 || n > 6 {
-				continue
-			}
-			if n == 1 && cut.Leaves[0] == v {
-				continue // trivial cut
-			}
-			for _, m := range ml.MatchesFor(tts[v][i], n) {
+			for _, m := range matches[v][i] {
 				cand := implChoice{match: m, cut: cut, valid: true}
 				cand.area = m.Area
 				cand.delay = m.Delay
@@ -358,11 +383,15 @@ func extract(g *aig.AIG, ml *MatchLibrary, best []implChoice, opt Options) (*net
 	for i := 0; i < g.NumPIs(); i++ {
 		nl.Inputs = append(nl.Inputs, g.PIName(i))
 	}
+	names := make([]string, g.NumVars())
 	netOf := func(v int) string {
 		if g.IsPI(v) {
 			return g.PIName(v - 1)
 		}
-		return fmt.Sprintf("n%d", v)
+		if names[v] == "" {
+			names[v] = "n" + strconv.Itoa(v)
+		}
+		return names[v]
 	}
 	invNet := func(v int) string { return netOf(v) + "_inv" }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/pdk"
@@ -73,7 +74,7 @@ func (n *Netlist) AddGate(cell string, inputs []string, output string) error {
 		return fmt.Errorf("netlist: cell %s expects %d inputs, got %d", cell, len(def.Inputs), len(inputs))
 	}
 	n.Gates = append(n.Gates, Gate{
-		Name:   fmt.Sprintf("g%d", len(n.Gates)),
+		Name:   "g" + strconv.Itoa(len(n.Gates)),
 		Cell:   cell,
 		Inputs: append([]string(nil), inputs...),
 		Output: output,

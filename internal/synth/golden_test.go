@@ -45,7 +45,7 @@ func goldenDigests(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{201, 202} {
-			add(name, seed, "c2rs", aiger(c2rs(g, seed)))
+			add(name, seed, "c2rs", aiger(c2rs(g, seed).z))
 			f := Prepare(ctx, g, Options{Seed: seed})
 			for i, c := range f.cands {
 				add(name, seed, fmt.Sprintf("cand%d", i), aiger(c.net))

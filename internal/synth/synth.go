@@ -130,7 +130,7 @@ func Prepare(ctx context.Context, g *aig.AIG, opt Options) *Front {
 	// Stage 1: c2rs.
 	_, c2rsSpan := obs.Start(ctx, "synth.c2rs")
 	step1 := c2rs(g, opt.Seed)
-	f.nodesC2RS = step1.NumNodes()
+	f.nodesC2RS = step1.z.NumNodes()
 	c2rsSpan.SetAttr("nodes_in", f.nodesIn)
 	c2rsSpan.SetAttr("nodes_out", f.nodesC2RS)
 	c2rsSpan.End()
@@ -138,7 +138,7 @@ func Prepare(ctx context.Context, g *aig.AIG, opt Options) *Front {
 	// Stage 2: dch -p; if -p; mfs -pegd; strash.
 	_, powSpan := obs.Start(ctx, "synth.power_stage")
 	var built int
-	f.cands, built = powerCandidates(step1, opt)
+	f.cands, built = powerCandidates(step1.variants(opt), opt)
 	powSpan.SetAttr("distinct", built)
 	powSpan.End()
 	return f
@@ -193,7 +193,7 @@ func (f *Front) releaseCuts() {
 
 // c2rs approximates ABC's compress2rs shortcut: balance and interleaved
 // resubstitution / rewriting / refactoring rounds.
-func c2rs(g *aig.AIG, seed int64) *aig.AIG {
+func c2rs(g *aig.AIG, seed int64) c2rsTail {
 	ropt := aig.DefaultResubOptions()
 	ropt.Seed = seed + 1
 	cur := g.Balance()
@@ -202,25 +202,44 @@ func c2rs(g *aig.AIG, seed int64) *aig.AIG {
 	ropt.Seed = seed + 2
 	cur = cur.Resub(ropt)
 	cur = cur.Refactor()
-	cur = cur.Balance()
-	cur = cur.Rewrite(true)
-	cur = cur.Balance()
-	return cur
+	x := cur.Balance()
+	y := x.Rewrite(true)
+	return c2rsTail{x: x, y: y, z: y.Balance()}
 }
 
-// powerCandidates implements dch/if/mfs/strash up to the choice: several
-// structurally different versions of the network are prepared (the
-// "choices"), each is collapsed to k-LUTs with power-aware cut selection,
-// minimized with SAT don't-cares, structurally hashed back and scored. A
-// variant with the same structure as an earlier one shares that variant's
-// candidate, net and cut table included: every step is a function of the
-// structure and the seed, so a rebuild would give the same candidate. It
-// returns the candidates, one per variant, and how many were built.
-func powerCandidates(g *aig.AIG, opt Options) ([]candidate, int) {
-	variants := []*aig.AIG{g}
-	if !opt.SkipChoices {
-		variants = append(variants, g.Rewrite(true), g.Balance())
+// c2rsTail is the c2rs result z with the graphs its last two passes read
+// and built: y = x.Rewrite(true) and z = y.Balance().
+type c2rsTail struct{ x, y, z *aig.AIG }
+
+// variants returns the power stage's structural choices: z, its
+// Rewrite(true) and its Balance(). Both passes read only what
+// SameStructure compares, so a z with the structure of x rewrites to y,
+// and a z with the structure of y balances to z itself; c2rs built those
+// already, and the pass runs only when the check fails.
+func (t c2rsTail) variants(opt Options) []*aig.AIG {
+	if opt.SkipChoices {
+		return []*aig.AIG{t.z}
 	}
+	rw := t.y
+	if !t.z.SameStructure(t.x) {
+		rw = t.z.Rewrite(true)
+	}
+	bal := t.z
+	if !t.z.SameStructure(t.y) {
+		bal = t.z.Balance()
+	}
+	return []*aig.AIG{t.z, rw, bal}
+}
+
+// powerCandidates implements dch/if/mfs/strash up to the choice: the
+// structurally different versions of the network (the "choices") are each
+// collapsed to k-LUTs with power-aware cut selection, minimized with SAT
+// don't-cares, structurally hashed back and scored. A variant with the
+// same structure as an earlier one shares that variant's candidate, net
+// and cut table included: every step is a function of the structure and
+// the seed, so a rebuild would give the same candidate. It returns the
+// candidates, one per variant, and how many were built.
+func powerCandidates(variants []*aig.AIG, opt Options) ([]candidate, int) {
 	cands := make([]candidate, len(variants))
 	built := 0
 	for i, v := range variants {

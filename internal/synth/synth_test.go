@@ -79,7 +79,7 @@ func TestC2RSCompresses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := c2rs(g, 3)
+		opt := c2rs(g, 3).z
 		if opt.NumNodes() > g.NumNodes() {
 			t.Errorf("%s: c2rs grew the network %d -> %d", name, g.NumNodes(), opt.NumNodes())
 		}
@@ -103,11 +103,12 @@ func TestPowerStagePreservesFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := g
+		opt := Options{Seed: 2}
+		variants := []*aig.AIG{g, g.Rewrite(true), g.Balance()}
 		if tc.c2rs {
-			in = c2rs(g, 2)
+			variants = c2rs(g, 2).variants(opt)
 		}
-		cands, built := powerCandidates(in, Options{Seed: 2})
+		cands, built := powerCandidates(variants, opt)
 		if len(cands) != 3 {
 			t.Fatalf("%s: %d power-stage candidates, want 3", tc.circuit, len(cands))
 		}
@@ -144,7 +145,7 @@ func TestPowerStageReusesIdenticalVariants(t *testing.T) {
 		}
 		for _, seed := range []int64{201, 202} {
 			if tc.distinct == 1 {
-				if step1 := c2rs(g, seed); !step1.SameStructure(step1.Balance()) {
+				if step1 := c2rs(g, seed).z; !step1.SameStructure(step1.Balance()) {
 					t.Fatalf("%s seed %d: c2rs result is not a fixed point of Balance", tc.circuit, seed)
 				}
 			}
@@ -183,6 +184,65 @@ func TestPowerStageReusesIdenticalVariants(t *testing.T) {
 	}
 	if want := []string{"1", "1", "3", "3"}; !slices.Equal(got, want) {
 		t.Errorf("synth.power_stage distinct attributes %v, want %v", got, want)
+	}
+}
+
+// TestPowerStageVariantsMatchPasses is the oracle for the variants the
+// power stage takes from c2rs's last two passes: on the Fig. 3 circuits and
+// five control circuits, at both flow seeds, each variant has the structure
+// of its pass run afresh on the c2rs result.
+func TestPowerStageVariantsMatchPasses(t *testing.T) {
+	for _, name := range []string{
+		"adder", "bar", "max", "multiplier", "square", "dec", "mem_ctrl",
+		"ctrl", "router", "i2c", "int2float", "cavlc",
+	} {
+		g, err := epfl.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{201, 202} {
+			tail := c2rs(g, seed)
+			got := tail.variants(Options{Seed: seed})
+			want := []*aig.AIG{tail.z, tail.z.Rewrite(true), tail.z.Balance()}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d variants, want %d", name, seed, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].SameStructure(want[i]) {
+					t.Errorf("%s seed %d: variant %d differs from its recomputed pass", name, seed, i)
+				}
+			}
+			if only := tail.variants(Options{Seed: seed, SkipChoices: true}); len(only) != 1 || only[0] != tail.z {
+				t.Errorf("%s seed %d: SkipChoices keeps %d variants, want the c2rs result alone", name, seed, len(only))
+			}
+		}
+	}
+}
+
+// TestPrepareSkipsRebuiltPasses counts the AIG passes of one Prepare. c2rs
+// runs two rewrites and three balances; the power stage adds its
+// Rewrite(true) and Balance() only where the c2rs result is not a fixed
+// point of c2rs's last two passes: not on dec and adder, but on mem_ctrl.
+func TestPrepareSkipsRebuiltPasses(t *testing.T) {
+	defer obs.DisableMetrics()
+	for _, tc := range []struct {
+		circuit            string
+		rewrites, balances int64
+	}{{"dec", 2, 3}, {"adder", 2, 3}, {"mem_ctrl", 3, 4}} {
+		g, err := epfl.Build(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{201, 202} {
+			obs.DisableMetrics()
+			reg := obs.EnableMetrics()
+			Prepare(context.Background(), g, Options{Seed: seed})
+			counts := reg.CounterValues()
+			if rw, bal := counts["aig.pass.rewrite.runs"], counts["aig.pass.balance.runs"]; rw != tc.rewrites || bal != tc.balances {
+				t.Errorf("%s seed %d: %d rewrites and %d balances, want %d and %d",
+					tc.circuit, seed, rw, bal, tc.rewrites, tc.balances)
+			}
+		}
 	}
 }
 
