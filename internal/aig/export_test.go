@@ -11,3 +11,6 @@ func (g *AIG) SetPIName(i int, name string) { g.pis[i] = name }
 
 // SetPOName renames the i-th primary output.
 func (g *AIG) SetPOName(i int, name string) { g.poNames[i] = name }
+
+// RandomAIG exports randomAIG to the black-box tests.
+var RandomAIG = randomAIG
