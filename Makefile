@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec sim clean build/cryobench
+.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec sim loc clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -147,6 +147,11 @@ paperbench:
 # the equivalence check of a stored signoff netlist.
 microbench:
 	$(GO) test ./internal/device ./internal/linalg ./internal/spice ./internal/charlib ./internal/aig ./internal/mapper ./internal/synth ./internal/netlist ./internal/gsim ./internal/sat ./internal/cec -run xxx -bench . -benchmem -benchtime 100x
+
+# Non-test Go lines outside perfbench/: the code-size figure simplicity
+# changes quote. Counts tracked and untracked files, not ignored ones.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/' | xargs cat | wc -l
 
 clean:
 	rm -rf build

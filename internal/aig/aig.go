@@ -9,7 +9,6 @@ package aig
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Lit is a literal: a variable index shifted left once, with the low bit
@@ -311,31 +310,6 @@ func (g *AIG) SameStructure(h *AIG) bool {
 	return g.Name == h.Name && g.numPI == h.numPI &&
 		slices.Equal(g.pis, h.pis) && slices.Equal(g.nodes, h.nodes) &&
 		slices.Equal(g.pos, h.pos) && slices.Equal(g.poNames, h.poNames)
-}
-
-// TFOCone returns the set of variables in the transitive fanin cone of the
-// given literal (including PIs, excluding the constant), sorted.
-func (g *AIG) TFOCone(root Lit) []int {
-	seen := make(map[int]bool)
-	var stack []int
-	stack = append(stack, root.Var())
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v == 0 || seen[v] {
-			continue
-		}
-		seen[v] = true
-		if g.IsAnd(v) {
-			stack = append(stack, g.nodes[v].fan0.Var(), g.nodes[v].fan1.Var())
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func (g *AIG) String() string {

@@ -4,7 +4,37 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sat"
 )
+
+// Equivalent checks combinational equivalence of two AIGs with identical PI
+// and PO counts, returning (equivalent, proven). It builds a joint miter
+// over shared inputs and proves it output by output, each on a fresh
+// solver under the per-output conflict budget. It is the plain oracle this
+// package's tests use; the simulation-guided SAT-sweeping checker lives in
+// internal/cec.
+func Equivalent(a, b *AIG, budget int64) (bool, bool) {
+	if a.NumPIs() != b.NumPIs() || a.NumPOs() != b.NumPOs() {
+		return false, true
+	}
+	m := New("miter")
+	pis := make([]Lit, a.NumPIs())
+	for i := range pis {
+		pis[i] = m.AddPI(a.PIName(i))
+	}
+	la := CopyInto(a, m, pis)
+	lb := CopyInto(b, m, pis)
+	for i := range la {
+		switch res, _ := NewCNFBuilder(m, sat.New(0)).Prove(la[i], lb[i], budget); res {
+		case Undecided:
+			return false, false
+		case Refuted:
+			return false, true
+		}
+	}
+	return true, true
+}
 
 func TestAndSimplifications(t *testing.T) {
 	g := New("t")

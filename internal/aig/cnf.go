@@ -76,75 +76,60 @@ func (b *CNFBuilder) SatLit(l Lit) sat.Lit {
 	return sat.L(b.SatVar(l.Var()), l.IsCompl())
 }
 
-// ProveEqualWindow checks whether two literals of the same AIG are
-// functionally equivalent over all PI assignments, on a one-shot builder:
-// at most windowNodes AND nodes are encoded (0 = unlimited) and each query
-// gets the given conflict budget. It returns (equal, proven); proven is
-// false when the budget ran out. A windowed UNSAT verdict is sound; a
-// windowed SAT verdict may be spurious, so it is reported as
-// not-equal-but-proven=false when windowed.
-func ProveEqualWindow(g *AIG, a, b Lit, budget int64, windowNodes int) (equal, proven bool) {
-	cb := NewCNFBuilder(g, sat.New(0))
-	cb.Limit = windowNodes
-	return cb.proveEqual(a, b, budget)
+// EncodeInputs gives every primary input its SAT variable, in input order.
+// A caller that reads InputModel encodes the inputs first, so their SAT
+// variables come before any cone's.
+func (b *CNFBuilder) EncodeInputs() {
+	for i := 1; i <= b.G.NumPIs(); i++ {
+		b.SatVar(i)
+	}
 }
 
-// proveEqual is ProveEqualWindow on the builder's reused solver: it resets
-// the builder, so the verdict is the one a fresh builder would give.
-func (b *CNFBuilder) proveEqual(x, y Lit, budget int64) (equal, proven bool) {
-	if x == y {
-		return true, true
-	}
-	b.Reset()
-	s := b.S
-	s.ConflictBudget = budget
+// ProveResult is the outcome of one SAT equivalence query.
+type ProveResult int
+
+// Prove outcomes.
+const (
+	Proven    ProveResult = iota // UNSAT both directions: functionally equal
+	Refuted                      // SAT: a distinguishing input pattern exists
+	Undecided                    // conflict budget exhausted, or a windowed SAT answer
+)
+
+// Prove is the two-sided miter query x ≡ y on the builder's solver. It
+// encodes x's cone, then y's (reusing whatever is already encoded), and
+// solves x ∧ ¬y, then ¬x ∧ y, under assumptions with the given conflict
+// budget. It returns the verdict and the number of solves made. A windowed
+// builder (Limit reached) reports a satisfiable miter as Undecided: its
+// free cut points may make the model spurious. After Refuted, InputModel
+// reads the distinguishing assignment.
+func (b *CNFBuilder) Prove(x, y Lit, budget int64) (ProveResult, int) {
 	lx := b.SatLit(x)
 	ly := b.SatLit(y)
 	windowed := b.Limit > 0 && b.nAnds >= b.Limit
-	// Miter: (x != y) satisfiable?
-	switch s.Solve(lx, ly.Not()) {
-	case sat.Sat:
-		return false, !windowed
-	case sat.Unknown:
-		return false, false
+	b.S.ConflictBudget = budget
+	for solves, miter := range [2][2]sat.Lit{{lx, ly.Not()}, {lx.Not(), ly}} {
+		switch b.S.Solve(miter[0], miter[1]) {
+		case sat.Sat:
+			if windowed {
+				return Undecided, solves + 1
+			}
+			return Refuted, solves + 1
+		case sat.Unknown:
+			return Undecided, solves + 1
+		}
 	}
-	switch s.Solve(lx.Not(), ly) {
-	case sat.Sat:
-		return false, !windowed
-	case sat.Unknown:
-		return false, false
-	}
-	return true, true
+	return Proven, 2
 }
 
-// Equivalent checks combinational equivalence of two AIGs with identical PI
-// and PO counts, returning (equivalent, proven). It builds a joint miter
-// and checks it output by output with independent SAT calls under the
-// per-output conflict budget. The simulation-guided SAT-sweeping engine
-// lives in internal/cec, which builds on this package; Equivalent is the
-// plain oracle this package's own tests use.
-func Equivalent(a, b *AIG, budget int64) (bool, bool) {
-	if a.NumPIs() != b.NumPIs() || a.NumPOs() != b.NumPOs() {
-		return false, true
+// InputModel returns the primary-input assignment of the solver's last
+// satisfiable solve. Call it on a builder whose inputs EncodeInputs
+// encoded, right after Prove returns Refuted.
+func (b *CNFBuilder) InputModel() []bool {
+	cex := make([]bool, b.G.NumPIs())
+	for i := range cex {
+		cex[i] = b.S.Value(b.SatVar(i + 1))
 	}
-	// Build a joint miter graph: copy both into one AIG over shared PIs.
-	m := New("miter")
-	pis := make([]Lit, a.NumPIs())
-	for i := range pis {
-		pis[i] = m.AddPI(a.PIName(i))
-	}
-	la := CopyInto(a, m, pis)
-	lb := CopyInto(b, m, pis)
-	for i := 0; i < a.NumPOs(); i++ {
-		eq, proven := ProveEqualWindow(m, la[i], lb[i], budget, 0)
-		if !proven {
-			return false, false
-		}
-		if !eq {
-			return false, true
-		}
-	}
-	return true, true
+	return cex
 }
 
 // CopyInto replicates src's logic into dst over the provided PI literals and

@@ -116,8 +116,8 @@ func TestOptionDefaultsKeepCallerFields(t *testing.T) {
 		t.Errorf("Mfs defaults: got %+v, want %+v", got, want)
 	}
 	rwant := DefaultResubOptions()
-	rwant.Seed, rwant.MaxPairs, rwant.Window = 9, 5, 50
-	if got := (ResubOptions{Seed: 9, MaxPairs: 5, Window: 50}).withDefaults(); got != rwant {
+	rwant.Seed, rwant.MaxProofs, rwant.Window = 9, 5, 50
+	if got := (ResubOptions{Seed: 9, MaxProofs: 5, Window: 50}).withDefaults(); got != rwant {
 		t.Errorf("Resub defaults: got %+v, want %+v", got, rwant)
 	}
 

@@ -9,9 +9,9 @@ import (
 	"repro/internal/sat"
 )
 
-// TestReusedBuilderMatchesOneShot: proofs on one builder reused across a
-// pass give exactly the verdicts of a one-shot builder per proof, for
-// equality (with and without a window) and for the 1-resub AND check.
+// TestReusedBuilderMatchesOneShot: a Reset and a Prove on one builder
+// reused across a pass give exactly the verdict and solve count of a Prove
+// on a fresh builder, with and without a window.
 func TestReusedBuilderMatchesOneShot(t *testing.T) {
 	var proofs, equal int
 	for seed := int64(1); seed <= 12; seed++ {
@@ -21,23 +21,18 @@ func TestReusedBuilderMatchesOneShot(t *testing.T) {
 			cnf := NewCNFBuilder(g, sat.New(0))
 			cnf.Limit = window
 			for q := 0; q < 60; q++ {
-				v := g.NumPIs() + 1 + rng.Intn(g.NumNodes())
+				v := MakeLit(g.NumPIs()+1+rng.Intn(g.NumNodes()), false)
 				d := MakeLit(1+rng.Intn(g.NumVars()-1), rng.Intn(2) == 0)
-				eq, proven := cnf.proveEqual(MakeLit(v, false), d, 50)
-				weq, wproven := ProveEqualWindow(g, MakeLit(v, false), d, 50, window)
-				if eq != weq || proven != wproven {
-					t.Fatalf("seed %d window %d: proveEqual(%d, %d) = %v/%v, one-shot %v/%v",
-						seed, window, v, d, eq, proven, weq, wproven)
-				}
-				a, b := MakeLit(rng.Intn(v), rng.Intn(2) == 0), MakeLit(rng.Intn(v), rng.Intn(2) == 0)
+				cnf.Reset()
+				res, solves := cnf.Prove(v, d, 50)
 				fresh := NewCNFBuilder(g, sat.New(0))
 				fresh.Limit = window
-				if got, want := cnf.proveIsAnd(v, a, b, 50), fresh.proveIsAnd(v, a, b, 50); got != want {
-					t.Fatalf("seed %d window %d: proveIsAnd(%d, %d, %d) = %v, fresh builder %v",
-						seed, window, v, a, b, got, want)
+				if wres, wsolves := fresh.Prove(v, d, 50); res != wres || solves != wsolves {
+					t.Fatalf("seed %d window %d: Prove(%d, %d) = %v in %d solves, fresh builder %v in %d",
+						seed, window, v, d, res, solves, wres, wsolves)
 				}
 				proofs++
-				if eq && proven {
+				if res == Proven {
 					equal++
 				}
 			}
@@ -57,9 +52,10 @@ func TestWarmResubProofAllocatesNothing(t *testing.T) {
 	root := MakeLit(g.NumVars()-1, false)
 	other := MakeLit(g.NumVars()-2, true)
 	prove := func() {
-		cnf.proveEqual(root, other, 300)
-		cnf.proveEqual(root, False, 300)
-		cnf.proveIsAnd(root.Var(), other, MakeLit(g.NumVars()-3, false), 300)
+		cnf.Reset()
+		cnf.Prove(root, other, 300)
+		cnf.Reset()
+		cnf.Prove(root, False, 300)
 	}
 	prove()
 	if allocs := testing.AllocsPerRun(20, prove); allocs != 0 {

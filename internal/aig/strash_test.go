@@ -107,37 +107,9 @@ func mffcSizeRef(g *AIG, v int, leaves []int, refs []int) int {
 	return count(v)
 }
 
-// divisorsRef is the map-based divisor walk the scratch version replaced.
-func divisorsRef(g *AIG, v, limit int) []int {
-	seen := map[int]bool{v: true}
-	var out, frontier []int
-	f0, f1 := g.Fanins(v)
-	frontier = append(frontier, f0.Var(), f1.Var())
-	for depth := 0; depth < 3 && len(out) < limit; depth++ {
-		var next []int
-		for _, u := range frontier {
-			if u == 0 || seen[u] {
-				continue
-			}
-			seen[u] = true
-			out = append(out, u)
-			if len(out) >= limit {
-				break
-			}
-			if g.IsAnd(u) {
-				a, b := g.Fanins(u)
-				next = append(next, a.Var(), b.Var())
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
 // TestVarMarksMatchReference runs the MFFC count over every cut of every
-// node, and the divisor walk from every node, with one shared scratch, and
-// compares each answer with the map-based reference; the scratch must be
-// all zero afterwards.
+// node with one shared scratch and compares each answer with the map-based
+// reference; the scratch must be all zero afterwards.
 func TestVarMarksMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randomAIG(seed, 10, 400, 6)
@@ -150,15 +122,6 @@ func TestVarMarksMatchReference(t *testing.T) {
 			for _, c := range cs {
 				if got, want := g.mffcSize(marks, v, c.Leaves, refs), mffcSizeRef(g, v, c.Leaves, refs); got != want {
 					t.Fatalf("seed %d node %d cut %v: MFFC %d, want %d", seed, v, c.Leaves, got, want)
-				}
-			}
-			got, want := g.divisors(marks, v, 24), divisorsRef(g, v, 24)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d node %d: divisors %v, want %v", seed, v, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d node %d: divisors %v, want %v", seed, v, got, want)
 				}
 			}
 		}

@@ -27,8 +27,8 @@ func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *a
 		}
 		res, cex := sw.prove(la, lb, opt.OutputBudget)
 		switch res {
-		case proven:
-		case refuted:
+		case aig.Proven:
+		case aig.Refuted:
 			v.fail(golden, i, cex)
 			return v
 		default:
@@ -45,12 +45,12 @@ func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *a
 	outcomes := parallelMiter(ctx, sw, pending, outsA, outsB, opt, &v.Stats)
 	for _, i := range pending {
 		oc := outcomes[i]
-		if oc.res == refuted {
+		if oc.res == aig.Refuted {
 			v.fail(golden, i, oc.cex)
 			v.UndecidedOutputs = nil
 			return v
 		}
-		if oc.res == undecided {
+		if oc.res == aig.Undecided {
 			v.Status = Undecided
 			v.UndecidedOutputs = append(v.UndecidedOutputs, golden.POName(i))
 		}
@@ -67,11 +67,9 @@ func (v *Verdict) fail(golden *aig.AIG, i int, cex []bool) {
 }
 
 type outcome struct {
-	res      proveResult
-	cex      []bool
-	satCalls int
-	timeouts int
-	cexSeen  int
+	res    aig.ProveResult
+	cex    []bool
+	solves int
 }
 
 // parallelMiter proves the pending output pairs on the reduced graph, one
@@ -115,58 +113,30 @@ func parallelMiter(ctx context.Context, sw *sweeper, pending []int, outsA, outsB
 	out := make(map[int]outcome, len(pending))
 	for si, i := range pending {
 		oc := results[si]
-		stats.SATCalls += oc.satCalls
-		stats.SATTimeouts += oc.timeouts
-		stats.Cex += oc.cexSeen
+		stats.SATCalls += oc.solves
+		switch oc.res {
+		case aig.Refuted:
+			stats.Cex++
+		case aig.Undecided:
+			stats.SATTimeouts++
+		}
 		stats.FallbackRuns++
-		obs.C("cec.sat_calls").Add(int64(oc.satCalls))
+		obs.C("cec.sat_calls").Add(int64(oc.solves))
 		out[i] = oc
 	}
 	return out
 }
 
-// proveFresh checks x ≡ y over g with a dedicated solver and budget,
-// returning the outcome plus the counterexample PI assignment on refuted.
+// proveFresh checks x ≡ y over g on a fresh solver with its own budget,
+// inputs encoded first as on the sweeper's solver, and returns the
+// counterexample on Refuted.
 func proveFresh(g *aig.AIG, x, y aig.Lit, budget int64) outcome {
+	cnf := aig.NewCNFBuilder(g, sat.New(0))
+	cnf.EncodeInputs()
 	var oc outcome
-	s := sat.New(0)
-	cnf := aig.NewCNFBuilder(g, s)
-	piSat := make([]int, g.NumPIs())
-	for i := range piSat {
-		piSat[i] = cnf.SatVar(i + 1)
+	oc.res, oc.solves = cnf.Prove(x, y, budget)
+	if oc.res == aig.Refuted {
+		oc.cex = cnf.InputModel()
 	}
-	lx := cnf.SatLit(x)
-	ly := cnf.SatLit(y)
-	s.ConflictBudget = budget
-	model := func() []bool {
-		cex := make([]bool, len(piSat))
-		for i, sv := range piSat {
-			cex[i] = s.Value(sv)
-		}
-		return cex
-	}
-	oc.satCalls++
-	switch s.Solve(lx, ly.Not()) {
-	case sat.Sat:
-		oc.res, oc.cex = refuted, model()
-		oc.cexSeen++
-		return oc
-	case sat.Unknown:
-		oc.res = undecided
-		oc.timeouts++
-		return oc
-	}
-	oc.satCalls++
-	switch s.Solve(lx.Not(), ly) {
-	case sat.Sat:
-		oc.res, oc.cex = refuted, model()
-		oc.cexSeen++
-		return oc
-	case sat.Unknown:
-		oc.res = undecided
-		oc.timeouts++
-		return oc
-	}
-	oc.res = proven
 	return oc
 }

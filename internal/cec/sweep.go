@@ -20,15 +20,6 @@ const (
 	classBudget = 1000
 )
 
-// proveResult is the outcome of one SAT equivalence query.
-type proveResult int
-
-const (
-	proven    proveResult = iota // UNSAT both directions: functionally equal
-	refuted                      // SAT: a distinguishing input pattern exists
-	undecided                    // conflict budget exhausted
-)
-
 // sweeper is the simulation-guided SAT-sweeping engine. It processes the
 // joint miter graph m in topological order and maintains a reduced
 // ("fraiged") graph red in which every proven-equivalent node class is
@@ -58,9 +49,7 @@ type sweeper struct {
 	pool    []int            // processed, unmerged m variables (class reps)
 	classes map[uint64][]int // class key -> pool members
 
-	solver *sat.Solver
-	cnf    *aig.CNFBuilder
-	piSat  []int // SAT variable of each primary input (model extraction)
+	cnf *aig.CNFBuilder // incremental solver over red, inputs encoded first
 
 	stats *Stats
 }
@@ -93,12 +82,8 @@ func newSweeper(m *aig.AIG, opt Options, stats *Stats) *sweeper {
 	for i := 0; i < m.NumPIs(); i++ {
 		s.lift[i+1] = s.red.AddPI(m.PIName(i))
 	}
-	s.solver = sat.New(0)
-	s.cnf = aig.NewCNFBuilder(s.red, s.solver)
-	s.piSat = make([]int, m.NumPIs())
-	for i := range s.piSat {
-		s.piSat[i] = s.cnf.SatVar(i + 1)
-	}
+	s.cnf = aig.NewCNFBuilder(s.red, sat.New(0))
+	s.cnf.EncodeInputs()
 
 	// The constant and the PIs seed the classes, so constant nodes and
 	// input-equivalent nodes can merge onto them.
@@ -165,12 +150,12 @@ func (s *sweeper) mergeOrRegister(v int) {
 		}
 		res, cex := s.prove(s.lift[v], target, classBudget)
 		switch res {
-		case proven:
+		case aig.Proven:
 			s.lift[v] = target
 			s.stats.SATMerges++
 			obs.C("cec.merges").Inc()
 			return
-		case refuted:
+		case aig.Refuted:
 			if s.stats.Refinements < maxRefinements {
 				// The counterexample pattern splits this class (and any
 				// other class it happens to distinguish); re-lookup.
@@ -238,47 +223,23 @@ func (s *sweeper) sigEqual(u, v int) (phase, ok bool) {
 	return phase, true
 }
 
-// prove runs the incremental two-sided miter query x ≡ y on the shared
-// solver: encode both cones (lazily, once) and check satisfiability of
-// (x & !y) then (!x & y) under assumptions. On refuted, the returned slice
-// is the distinguishing primary-input assignment.
-func (s *sweeper) prove(x, y aig.Lit, budget int64) (proveResult, []bool) {
-	lx := s.cnf.SatLit(x)
-	ly := s.cnf.SatLit(y)
-	s.solver.ConflictBudget = budget
-	s.stats.SATCalls++
-	obs.C("cec.sat_calls").Inc()
-	switch s.solver.Solve(lx, ly.Not()) {
-	case sat.Sat:
+// prove runs the two-sided miter query x ≡ y on the shared incremental
+// solver, which encodes both cones lazily, once, and tallies it. On
+// Refuted, the returned slice is the distinguishing primary-input
+// assignment.
+func (s *sweeper) prove(x, y aig.Lit, budget int64) (aig.ProveResult, []bool) {
+	res, solves := s.cnf.Prove(x, y, budget)
+	s.stats.SATCalls += solves
+	obs.C("cec.sat_calls").Add(int64(solves))
+	switch res {
+	case aig.Refuted:
 		s.stats.Cex++
 		obs.C("cec.cex").Inc()
-		return refuted, s.model()
-	case sat.Unknown:
+		return res, s.cnf.InputModel()
+	case aig.Undecided:
 		s.stats.SATTimeouts++
-		return undecided, nil
 	}
-	s.stats.SATCalls++
-	obs.C("cec.sat_calls").Inc()
-	switch s.solver.Solve(lx.Not(), ly) {
-	case sat.Sat:
-		s.stats.Cex++
-		obs.C("cec.cex").Inc()
-		return refuted, s.model()
-	case sat.Unknown:
-		s.stats.SATTimeouts++
-		return undecided, nil
-	}
-	return proven, nil
-}
-
-// model extracts the primary-input assignment from the solver's model.
-// Must be called immediately after a Sat result (before new clauses).
-func (s *sweeper) model() []bool {
-	cex := make([]bool, len(s.piSat))
-	for i, sv := range s.piSat {
-		cex[i] = s.solver.Value(sv)
-	}
-	return cex
+	return res, nil
 }
 
 // refine simulates one more word of patterns seeded with the

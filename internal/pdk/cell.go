@@ -2,7 +2,6 @@ package pdk
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/device"
 	"repro/internal/spice"
@@ -251,9 +250,4 @@ func (cl *Cell) Area() float64 {
 		a += float64(st.F.CountDevices()*nN + st.F.Dual().CountDevices()*nP)
 	}
 	return a
-}
-
-// SortCells orders cells by name for stable iteration.
-func SortCells(cells []*Cell) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Name < cells[j].Name })
 }
