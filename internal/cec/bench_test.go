@@ -15,27 +15,36 @@ import (
 //   - div: the stored netlist (internal/gsim/testdata), 32 inputs, so the
 //     sweep with about 660 SAT calls and the output proofs;
 //   - sin: scaled sin mapped on the 10 K testlib as signoff maps it, 14
-//     inputs, so exhaustive simulation of 2^14 patterns and no SAT.
+//     inputs, so exhaustive simulation of 2^14 patterns and no SAT;
+//   - voter: scaled voter mapped the same way, a sweep whose SAT time goes
+//     mostly to the decision heap.
 func BenchmarkCheck(b *testing.B) {
 	b.Run("div", func(b *testing.B) {
 		benchCheck(b, "div", readStoredNetlist(b, "div"))
 	})
-	b.Run("sin", func(b *testing.B) {
-		src, err := epfl.BuildScaled("sin")
-		if err != nil {
-			b.Fatal(err)
-		}
-		lib, cells := testlib.Build(catalog, testlib.Names(), 10)
-		ml, err := mapper.BuildMatchLibrary(lib, cells, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nl, err := mapper.Map(ctx, src, ml, mapper.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchCheck(b, "sin", nl)
-	})
+	for _, name := range []string{"sin", "voter"} {
+		b.Run(name, func(b *testing.B) {
+			benchCheck(b, name, mapScaled(b, name))
+		})
+	}
+}
+
+// mapScaled maps the scaled EPFL build on the 10 K testlib as signoff does.
+func mapScaled(b *testing.B, name string) *netlist.Netlist {
+	src, err := epfl.BuildScaled(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib, cells := testlib.Build(catalog, testlib.Names(), 10)
+	ml, err := mapper.BuildMatchLibrary(lib, cells, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := mapper.Map(ctx, src, ml, mapper.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nl
 }
 
 func benchCheck(b *testing.B, name string, nl *netlist.Netlist) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cec"
 	"repro/internal/epfl"
+	"repro/internal/obs"
 )
 
 // fallbackMutants are gate mutants (netlist, mutateGate seed) whose
@@ -75,5 +76,28 @@ func TestFallbackDigest(t *testing.T) {
 				t.Errorf("workers %d: digest mismatch:\n got %s\nwant %s", workers, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestFallbackCexMetric: the cec.cex counter counts the refutations of the
+// per-output fallback as Stats.Cex does. On the div mutant at seed 206 the
+// sweep refutes 13 queries and the fallback 30.
+func TestFallbackCexMetric(t *testing.T) {
+	obs.DisableMetrics()
+	reg := obs.EnableMetrics()
+	t.Cleanup(obs.DisableMetrics)
+	src, err := epfl.BuildScaled("div")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := readStoredNetlist(t, "div")
+	mutateGate(t, nl, 206)
+	e, err := cec.Elaborate(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := cec.SweepCheck(ctx, src, e, cec.Options{OutputBudget: 1, FallbackBudget: 100000, Workers: 1, Seed: digestSeed})
+	if got := reg.CounterValues()["cec.cex"]; v.Stats.Cex != 43 || got != int64(v.Stats.Cex) {
+		t.Errorf("Stats.Cex %d, cec.cex %d; want 43 both", v.Stats.Cex, got)
 	}
 }

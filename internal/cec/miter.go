@@ -117,6 +117,7 @@ func parallelMiter(ctx context.Context, sw *sweeper, pending []int, outsA, outsB
 		switch oc.res {
 		case aig.Refuted:
 			stats.Cex++
+			obs.C("cec.cex").Inc()
 		case aig.Undecided:
 			stats.SATTimeouts++
 		}

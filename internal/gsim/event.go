@@ -3,6 +3,8 @@ package gsim
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -99,7 +101,31 @@ func (m *Model) arcDelayFs(gi, i int) int64 {
 	return DefaultDelayFs
 }
 
+// minChunkVectors is the fewest vectors a chunk of a parallel run holds:
+// below it a chunk's setup (its own state arrays and one SimWords pass for
+// its seed) outweighs the vectors it takes off the others.
+const minChunkVectors = 16
+
+// Run simulates the vectors in contiguous chunks, one per available CPU
+// (runtime.GOMAXPROCS) but at least minChunkVectors each, run concurrently.
+// The result is bit-identical for every chunk count; see run.
 func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error) {
+	return e.run(ctx, vectors, min(runtime.GOMAXPROCS(0), len(vectors)/minChunkVectors))
+}
+
+// run simulates vectors split into up to chunks contiguous ranges [v0, v1),
+// each with its own queue, pending lists and scratch; every chunk after the
+// first runs on a goroutine of its own.
+// Splitting is exact: every wave drains to an empty queue before the next
+// vector is applied, so a vector's run depends only on the settled net values
+// it starts from, and those are the zero-delay values of the vector before
+// it. Chunk 0 starts all-X as a serial run does; chunk c > 0 starts from the
+// two-valued settled state of vector v0-1 (one SimWords pass). Counts are
+// then summed, MaxQueue is the maximum over chunks and Final is the last
+// chunk's state. Two cases run as one chunk: a VCD trace, which streams in
+// time order, and a model with a gate without inputs, which a serial run
+// never evaluates, so its net stays X where SimWords would seed a value.
+func (e *eventEngine) run(ctx context.Context, vectors []Vector, chunks int) (*Result, error) {
 	m := e.m
 	_, span := obs.Start(ctx, "gsim.event")
 	span.SetAttr("design", m.Name)
@@ -107,6 +133,11 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 	defer span.End()
 	obs.C("gsim.runs").Inc()
 
+	for v, vec := range vectors {
+		if len(vec) != len(m.Inputs) {
+			return nil, fmt.Errorf("gsim: vector %d has %d bits, want %d", v, len(vec), len(m.Inputs))
+		}
+	}
 	settle := m.SettleBoundFs()
 	period := e.opt.PeriodFs
 	if min := settle + settle/4 + 1000; period < min {
@@ -116,7 +147,6 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 	res := &Result{
 		Engine:     "event",
 		Vectors:    len(vectors),
-		Toggles:    make([]int64, len(m.Nets)),
 		OutputBits: carve(make([]bool, len(vectors)*len(m.Outputs)), len(vectors), len(m.Outputs)),
 		nets:       m.Nets,
 	}
@@ -131,7 +161,98 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		if err := e.opt.Trace.begin(cur); err != nil {
 			return nil, err
 		}
+		chunks = 1
 	}
+	for gi := range m.Gates {
+		if len(m.Gates[gi].In) == 0 {
+			chunks = 1
+			break
+		}
+	}
+	chunks = max(1, min(chunks, len(vectors)))
+
+	task := obs.Progress("gsim.vectors", int64(len(vectors)))
+	defer task.Finish()
+	parts := make([]eventChunk, chunks)
+	var wg sync.WaitGroup
+	for c := range parts {
+		p := &parts[c]
+		p.v0, p.v1 = c*len(vectors)/chunks, (c+1)*len(vectors)/chunks
+		if c == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.simulate(p, m.settledState(vectors[p.v0-1]), vectors, period, res.OutputBits, task)
+		}()
+	}
+	e.simulate(&parts[0], cur, vectors, period, res.OutputBits, task)
+	wg.Wait()
+
+	res.Toggles = parts[0].toggles
+	res.Final = parts[chunks-1].cur
+	for _, p := range parts {
+		res.Events += p.events
+		res.MaxQueue = max(res.MaxQueue, p.maxQueue)
+	}
+	for _, p := range parts[1:] {
+		for net, n := range p.toggles {
+			res.Toggles[net] += n
+		}
+	}
+	res.SimTimeFs = int64(len(vectors)) * period
+	if e.opt.Trace != nil {
+		e.opt.Trace.time(res.SimTimeFs)
+	}
+
+	obs.C("gsim.vectors").Add(int64(len(vectors)))
+	obs.C("gsim.events").Add(res.Events)
+	obs.C("gsim.toggles").Add(res.TotalToggles())
+	obs.H("gsim.wheel_depth").Observe(float64(res.MaxQueue))
+	span.SetAttr("events", res.Events)
+	span.SetAttr("toggles", res.TotalToggles())
+	span.SetAttr("max_queue", res.MaxQueue)
+	return res, nil
+}
+
+// settledState returns the two-valued net values vec settles to: the state
+// an event run holds after vec, once the first vector has resolved every X
+// of a model whose gates all have inputs.
+func (m *Model) settledState(vec Vector) []Value {
+	in := make([]uint64, len(m.Inputs))
+	for i, b := range vec {
+		if b {
+			in[i] = 1
+		}
+	}
+	vals, _ := m.SimWords(in) // len(in) is len(m.Inputs)
+	cur := make([]Value, len(vals))
+	for net, w := range vals {
+		cur[net] = Value(w & 1) // V0 is 0, V1 is 1
+	}
+	return cur
+}
+
+// eventChunk is one vector range [v0, v1) of an event run and what its
+// simulation measured: the state after v1-1, the per-net toggles, the
+// committed events and the queue high-water mark.
+type eventChunk struct {
+	v0, v1   int
+	cur      []Value
+	toggles  []int64
+	events   int64
+	maxQueue int
+}
+
+// simulate runs vectors[ch.v0:ch.v1] from the net values cur (all X before
+// vector 0) at their absolute times v*period, writing their rows of
+// outputBits.
+func (e *eventEngine) simulate(ch *eventChunk, cur []Value, vectors []Vector, period int64, outputBits [][]bool, task *obs.Task) {
+	m := e.m
+	toggles := make([]int64, len(m.Nets))
+	var events int64
+	var maxQueue int
 
 	q := newWheel(m.maxArcDelayFs())
 	var seq int64
@@ -151,8 +272,8 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 		pending[net] = append(p, pendingEvent{t: t, seq: seq})
 		q.push(event{t: t, seq: seq, net: net, val: val})
 		seq++
-		if q.n > res.MaxQueue {
-			res.MaxQueue = q.n
+		if q.n > maxQueue {
+			maxQueue = q.n
 		}
 	}
 
@@ -169,13 +290,9 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 	var gateOrder []int32
 	scratch := make([]Value, 6)
 
-	task := obs.Progress("gsim.vectors", int64(len(vectors)))
-	defer task.Finish()
-	for v, vec := range vectors {
+	for v := ch.v0; v < ch.v1; v++ {
+		vec := vectors[v]
 		task.Inc()
-		if len(vec) != len(m.Inputs) {
-			return nil, fmt.Errorf("gsim: vector %d has %d bits, want %d", v, len(vec), len(m.Inputs))
-		}
 		t0 := int64(v) * period
 		if v == 0 {
 			push(t0, netlist.NetConst0, V0)
@@ -222,9 +339,9 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 				cur[net] = val
 				changedSet[net] = true
 				changedOrder = append(changedOrder, net)
-				res.Events++
+				events++
 				if (old == V0 && val == V1) || (old == V1 && val == V0) {
-					res.Toggles[net]++
+					toggles[net]++
 				}
 				if e.opt.Trace != nil {
 					e.opt.Trace.change(t, net, val)
@@ -262,25 +379,12 @@ func (e *eventEngine) Run(ctx context.Context, vectors []Vector) (*Result, error
 			}
 			changedOrder = changedOrder[:0]
 		}
-		ob := res.OutputBits[v]
+		ob := outputBits[v]
 		for o, idx := range m.Outputs {
 			ob[o] = cur[idx] == V1
 		}
 	}
-	res.Final = cur
-	res.SimTimeFs = int64(len(vectors)) * period
-	if e.opt.Trace != nil {
-		e.opt.Trace.time(res.SimTimeFs)
-	}
-
-	obs.C("gsim.vectors").Add(int64(len(vectors)))
-	obs.C("gsim.events").Add(res.Events)
-	obs.C("gsim.toggles").Add(res.TotalToggles())
-	obs.H("gsim.wheel_depth").Observe(float64(res.MaxQueue))
-	span.SetAttr("events", res.Events)
-	span.SetAttr("toggles", res.TotalToggles())
-	span.SetAttr("max_queue", res.MaxQueue)
-	return res, nil
+	ch.cur, ch.toggles, ch.events, ch.maxQueue = cur, toggles, events, maxQueue
 }
 
 // wheelBuckets is the calendar queue's bucket count (a power of two).

@@ -9,44 +9,49 @@ type varHeap struct {
 	indices []int
 }
 
-func (h *varHeap) less(s *Solver, a, b int) bool {
-	return s.activity[h.data[a]] > s.activity[h.data[b]]
-}
-
-func (h *varHeap) swap(a, b int) {
-	h.data[a], h.data[b] = h.data[b], h.data[a]
-	h.indices[h.data[a]] = a
-	h.indices[h.data[b]] = b
-}
-
+// up sifts the variable at i toward the root. It moves a hole rather than
+// swapping: each level it passes costs one write, and the variable lands
+// once at the end.
 func (h *varHeap) up(s *Solver, i int) {
+	v := h.data[i]
+	act := s.activity[v]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(s, i, parent) {
+		if !(act > s.activity[h.data[parent]]) {
 			break
 		}
-		h.swap(i, parent)
+		h.data[i] = h.data[parent]
+		h.indices[h.data[i]] = i
 		i = parent
 	}
+	h.data[i] = v
+	h.indices[v] = i
 }
 
+// down sifts the variable at i toward the leaves by the same hole moves,
+// comparing the left child, then the right one, against the larger of the
+// variable and the left child.
 func (h *varHeap) down(s *Solver, i int) {
 	n := len(h.data)
+	v := h.data[i]
+	act := s.activity[v]
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(s, l, best) {
-			best = l
+		best, bestAct := i, act
+		if l := 2*i + 1; l < n && s.activity[h.data[l]] > bestAct {
+			best, bestAct = l, s.activity[h.data[l]]
 		}
-		if r < n && h.less(s, r, best) {
+		if r := 2*i + 2; r < n && s.activity[h.data[r]] > bestAct {
 			best = r
 		}
 		if best == i {
-			return
+			break
 		}
-		h.swap(i, best)
+		h.data[i] = h.data[best]
+		h.indices[h.data[i]] = i
 		i = best
 	}
+	h.data[i] = v
+	h.indices[v] = i
 }
 
 // push inserts v if absent.
@@ -58,7 +63,6 @@ func (h *varHeap) push(s *Solver, v int) {
 		return
 	}
 	h.data = append(h.data, v)
-	h.indices[v] = len(h.data) - 1
 	h.up(s, len(h.data)-1)
 }
 
@@ -75,11 +79,11 @@ func (h *varHeap) popMax(s *Solver) (int, bool) {
 		return 0, false
 	}
 	v := h.data[0]
-	last := len(h.data) - 1
-	h.swap(0, last)
-	h.data = h.data[:last]
+	last := h.data[len(h.data)-1]
+	h.data = h.data[:len(h.data)-1]
 	h.indices[v] = -1
 	if len(h.data) > 0 {
+		h.data[0] = last
 		h.down(s, 0)
 	}
 	return v, true
