@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/liberty"
 	"repro/internal/pdk"
 )
 
@@ -23,24 +24,8 @@ import (
 // names the file in the failure; copy it over the testdata file only when
 // the change in output is intended.
 func TestLibertyGolden(t *testing.T) {
-	names := []string{"INVx1", "NAND2x1", "XOR2x1", "MUX2x1", "HAx1", "DFFx1", "DFFNx1", "SDFFx1", "DLATCHx1"}
-	var cells []*pdk.Cell
-	for _, n := range names {
-		cells = append(cells, cellByName(t, n))
-	}
-	for _, temp := range []float64{300, 10} {
-		cfg := QuickConfig(temp)
-		lib, err := CharacterizeLibrary(context.Background(), fmt.Sprintf("golden%gk", temp), cells, cfg)
-		if err != nil {
-			t.Fatalf("%g K: %v", temp, err)
-		}
-		if temp == 10 {
-			for _, n := range []string{"DFFx1", "DFFNx1"} {
-				if err := AttachConstraints(lib.FindCell(n), cellByName(t, n), cfg); err != nil {
-					t.Fatalf("%s at %g K: %v", n, temp, err)
-				}
-			}
-		}
+	for _, temp := range goldenTemps {
+		lib := goldenLibrary(t, temp)
 		var got bytes.Buffer
 		if err := lib.Write(&got); err != nil {
 			t.Fatal(err)
@@ -59,6 +44,41 @@ func TestLibertyGolden(t *testing.T) {
 		}
 		t.Errorf("%g K liberty differs from testdata/%s at %s (new text written to %s)", temp, file, firstDiff(got.String(), string(want)), out)
 	}
+}
+
+// goldenTemps are the corners of the golden libraries.
+var goldenTemps = []float64{300, 10}
+
+// goldenLibs caches the golden libraries by corner, so the tests that read
+// them characterize each corner once per test binary.
+var goldenLibs = map[float64]*liberty.Library{}
+
+// goldenLibrary characterizes the golden cells with QuickConfig at temp,
+// with setup/hold constraint arcs on the flops at 10 K.
+func goldenLibrary(t *testing.T, temp float64) *liberty.Library {
+	t.Helper()
+	if lib := goldenLibs[temp]; lib != nil {
+		return lib
+	}
+	names := []string{"INVx1", "NAND2x1", "XOR2x1", "MUX2x1", "HAx1", "DFFx1", "DFFNx1", "SDFFx1", "DLATCHx1"}
+	var cells []*pdk.Cell
+	for _, n := range names {
+		cells = append(cells, cellByName(t, n))
+	}
+	cfg := QuickConfig(temp)
+	lib, err := CharacterizeLibrary(context.Background(), fmt.Sprintf("golden%gk", temp), cells, cfg)
+	if err != nil {
+		t.Fatalf("%g K: %v", temp, err)
+	}
+	if temp == 10 {
+		for _, n := range []string{"DFFx1", "DFFNx1"} {
+			if err := AttachConstraints(lib.FindCell(n), cellByName(t, n), cfg); err != nil {
+				t.Fatalf("%s at %g K: %v", n, temp, err)
+			}
+		}
+	}
+	goldenLibs[temp] = lib
+	return lib
 }
 
 // firstDiff describes the first line at which got and want differ.
