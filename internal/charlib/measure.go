@@ -2,6 +2,7 @@ package charlib
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -306,7 +307,9 @@ func (ch *charer) clockRow(cell *pdk.Cell, out string) rowFunc {
 // runClock simulates a 3-edge capture sequence and extracts CLK->Q metrics
 // at the 2nd (Q rise, D=1) and 3rd (Q fall, D=0) active edges. warm seeds
 // the initial operating point; the t=0 operating point is returned for the
-// next load point.
+// next load point. The step is a 2400th of four periods, and the transient
+// stops two steps past the last sample the 3rd edge's energy window can
+// read.
 func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm []float64) (gridPoint, []float64, error) {
 	cfg := ch.cfg
 	period := 500e-12 + 8*slew
@@ -333,8 +336,12 @@ func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm 
 	if err != nil {
 		return gridPoint{}, nil, err
 	}
-	tstop := 3*period + period
-	wf, err := c.TransientFrom(warm, tstop, tstop/2400, nil)
+	dt := (3*period + period) / 2400
+	// The 3rd edge's 50% crossing lies inside its clock ramp, so its energy
+	// window ends before edge3+ramp+period/2, and reads no sample past the
+	// first one after that.
+	tstop := (math.Floor((edge3+ramp+period/2)/dt) + 3) * dt
+	wf, err := c.TransientFrom(warm, tstop, dt, nil)
 	if err != nil {
 		return gridPoint{}, nil, err
 	}
@@ -369,6 +376,10 @@ func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm 
 	}
 
 	// Per-edge energy: integrate the supply over each capture window.
+	win2, win3 := clkEdge2+period/2, clkEdge3+period/2
+	if last := wf.Time[len(wf.Time)-1]; win3 >= last {
+		return gridPoint{}, nil, fmt.Errorf("3rd edge energy window ends at %g s, past the simulated %g s", win3, last)
+	}
 	cur := wf.BranchCurrent(br)
 	window := func(t0, t1 float64) float64 {
 		var e float64
@@ -384,7 +395,7 @@ func (ch *charer) runClock(cell *pdk.Cell, out string, slew, load float64, warm 
 	return gridPoint{
 		dRise: qRise - clkEdge2, dFall: qFall - clkEdge3,
 		trRise: trRise / 0.6, trFall: trFall / 0.6,
-		eRise: window(clkEdge2-20e-12, clkEdge2+period/2),
-		eFall: window(clkEdge3-20e-12, clkEdge3+period/2),
+		eRise: window(clkEdge2-20e-12, win2),
+		eFall: window(clkEdge3-20e-12, win3),
 	}, wf.InitialOp(), nil
 }
