@@ -94,8 +94,9 @@ func newtonCounts() [3]int64 {
 // transientDigests runs every digest case at 300 K and 10 K and returns
 // "<case> <temp> <sha256>" lines in a fixed order. Each line hashes the
 // bits of every sample of the case's runs and the Newton solves,
-// iterations and repivots each run took.
-func transientDigests(t *testing.T) []string {
+// iterations and repivots each run took. A non-nil check is called with
+// every transient run's circuit and waveform.
+func transientDigests(t *testing.T, check func(c *spice.Circuit, wf *spice.Waveform)) []string {
 	if !obs.MetricsEnabled() {
 		obs.EnableMetrics()
 		defer obs.DisableMetrics()
@@ -125,6 +126,9 @@ func transientDigests(t *testing.T) []string {
 				}
 			})
 			d.waveform(c, wf)
+			if check != nil {
+				check(c, wf)
+			}
 			return wf
 		}
 		ramp := func(t0, slew float64, rising bool) spice.SourceFn {
@@ -242,7 +246,7 @@ func transientDigests(t *testing.T) []string {
 // means the floating-point work changed. Never re-record them.
 func TestTransientDigest(t *testing.T) {
 	want := readDigest(t, filepath.Join("testdata", "transient_digest.txt"))
-	got := transientDigests(t)
+	got := transientDigests(t, nil)
 	if len(got) != len(want) {
 		t.Fatalf("computed %d digest lines, testdata has %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
 	}

@@ -36,3 +36,13 @@ func AssembleGeneric(c *Circuit, t float64, prev []float64, dt, gmin, temp float
 
 // SystemSize returns the number of MNA unknowns of c.
 func SystemSize(c *Circuit) int { return c.systemSize() }
+
+// Samples returns the solution vectors of wf, one per time point.
+func Samples(wf *Waveform) [][]float64 { return wf.samples }
+
+// BaseGmin is the gmin every accepted solve is converged at; NewtonTolV is
+// the Newton step below which a solve is accepted.
+const (
+	BaseGmin   = baseGmin
+	NewtonTolV = newtonTolV
+)
