@@ -22,7 +22,7 @@ import (
 // never be silently reused for a different corner or library revision.
 func CacheKey(cells []*pdk.Cell, cfg Config) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v2|vdd=%.17g|temp=%.17g|slews=%v|loads=%v\n", cfg.Vdd, cfg.TempK, cfg.Slews, cfg.Loads)
+	fmt.Fprintf(h, "v3|vdd=%.17g|temp=%.17g|slews=%v|loads=%v\n", cfg.Vdd, cfg.TempK, cfg.Slews, cfg.Loads)
 	// Forensics knobs change results, so they must key the cache — but only
 	// when set, so existing cached corners keep their keys.
 	if cfg.NewtonIterLimit != 0 || cfg.SkipLeakage {

@@ -159,3 +159,31 @@ func TestCacheMissOnMissingSidecar(t *testing.T) {
 		t.Fatalf("missing sidecar recorded %d misses, want 2", got)
 	}
 }
+
+// TestCacheMissOnV2Sidecar checks that a library cached by the v2 engine,
+// whose transient Newton solves started from the last sample, is not
+// served: the predicted start point moves its tables in their low digits.
+func TestCacheMissOnV2Sidecar(t *testing.T) {
+	obs.EnableMetrics()
+	misses := obs.C("charlib.cache.misses")
+	misses0 := misses.Value()
+
+	subset := []*pdk.Cell{pdk.FindCell(catalog, "INVx1")}
+	cfg := QuickConfig(300)
+	path := filepath.Join(t.TempDir(), "inv.lib")
+	ctx := context.Background()
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// The v2 engine's key of this request, with the liberty file left as is.
+	const v2Key = "0d448516fd25aa5a639cc553563a87d09114ffda8ea076feed6e4c1f88186163"
+	if err := os.WriteFile(metaPath(path), []byte(v2Key+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CharacterizeLibraryCached(ctx, path, "inv300", subset, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := misses.Value() - misses0; got != 2 {
+		t.Fatalf("v2 sidecar recorded %d misses, want 2", got)
+	}
+}

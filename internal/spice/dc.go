@@ -84,6 +84,12 @@ func (c *Circuit) opAt(t float64, prev []float64, dt float64, guess []float64) (
 	if sol, err := c.newton(t, prev, dt, x, baseGmin, c.Temp); err == nil {
 		return sol, nil
 	}
+	return c.fallback(t, prev, dt, x)
+}
+
+// fallback solves the system of opAt after plain Newton failed, seeded
+// from x: first by gmin continuation, then by temperature continuation.
+func (c *Circuit) fallback(t float64, prev []float64, dt float64, x []float64) ([]float64, error) {
 	// Fallback 1: gmin continuation — solve with heavy gmin and relax,
 	// keeping any caller-provided guess so warm starts stay on their branch
 	// (bistable circuits!).

@@ -241,9 +241,14 @@ func transientDigests(t *testing.T, check func(c *spice.Circuit, wf *spice.Wavef
 // sparse backend with a coasted and a warm-started transient, a DFF CLK->Q
 // point, and a cold DFF operating point that walks the gmin ladder), plus
 // each run's Newton solves, iterations and repivots, at 300 K and 10 K.
-// The digests were recorded before the slot-bound assembly and the device
-// evaluation memo, which must not change a bit of any result: a mismatch
-// means the floating-point work changed. Never re-record them.
+// The operating-point digests were recorded before the slot-bound assembly
+// and the device evaluation memo, which must not change a bit of any
+// result. The transient digests were re-recorded once, when each step's
+// Newton solve began to start from the linear prediction of the last two
+// samples: that moves every sample by Newton-tolerance noise, and the
+// path-independent oracles (TestBackwardEulerResidual here, charlib's
+// TestNearReference) held across it. A mismatch means the floating-point
+// work changed. Never re-record them.
 func TestTransientDigest(t *testing.T) {
 	want := readDigest(t, filepath.Join("testdata", "transient_digest.txt"))
 	got := transientDigests(t, nil)

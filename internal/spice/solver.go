@@ -81,6 +81,7 @@ type solverState struct {
 	xNew  []float64 // Newton proposal
 	x     []float64 // Newton iterate; the solution newton returns
 	zero  []float64 // all-zero initial guess
+	pred  []float64 // predicted start of a transient step's Newton solve
 
 	stats solverStats
 }
@@ -166,6 +167,7 @@ func (c *Circuit) solverFor() *solverState {
 		xNew:  make([]float64, n),
 		x:     make([]float64, n),
 		zero:  make([]float64, n),
+		pred:  make([]float64, n),
 		stepB: make([]float64, n),
 	}
 	for _, e := range c.elems {

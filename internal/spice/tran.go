@@ -120,12 +120,19 @@ func (c *Circuit) coast(wf *Waveform, t, tEnd, h float64) error {
 }
 
 // step advances the transient by one stride dt to time t, from the last
-// recorded sample, and records the new one. A failed step is retried at a
-// quarter of the stride for robustness around sharp input edges. Once the
-// circuit's solver is warm, the sample is the step's only allocation.
+// recorded sample, and records the new one. The first Newton attempt
+// starts from the linear prediction of the last two samples (predict);
+// the capacitor history, and the start of the gmin and temperature
+// fallbacks, is the last sample. A failed step is retried at a quarter of
+// the stride, each quarter starting from the sample before it, for
+// robustness around sharp input edges. Once the circuit's solver is warm,
+// the sample is the step's only allocation.
 func (c *Circuit) step(wf *Waveform, t, dt float64) error {
 	x := wf.samples[len(wf.samples)-1]
-	next, err := c.opAt(t, x, dt, x)
+	next, err := c.newton(t, x, dt, wf.predict(c.solverFor().pred, dt), baseGmin, c.Temp)
+	if err != nil {
+		next, err = c.fallback(t, x, dt, x)
+	}
 	if err != nil {
 		fine := dt / 4
 		cur := x
@@ -140,6 +147,24 @@ func (c *Circuit) step(wf *Waveform, t, dt float64) error {
 	}
 	wf.record(t, next)
 	return nil
+}
+
+// predict writes into buf the linear extrapolation of the last two samples
+// a stride dt past the last, x_n + (x_n − x_{n−1})·dt/h with h the spacing
+// of those samples, and returns it. With one sample (the first step after
+// the operating point) it returns that sample.
+func (w *Waveform) predict(buf []float64, dt float64) []float64 {
+	k := len(w.samples) - 1
+	x := w.samples[k]
+	if k == 0 {
+		return x
+	}
+	xp := w.samples[k-1]
+	r := dt / (w.Time[k] - w.Time[k-1])
+	for i := range buf {
+		buf[i] = x[i] + (x[i]-xp[i])*r
+	}
+	return buf
 }
 
 // maxNodeStep returns the largest node-voltage move between the last two
