@@ -23,11 +23,13 @@ import (
 
 // Config controls one characterization corner.
 type Config struct {
-	Vdd     float64   // supply voltage (V)
-	TempK   float64   // temperature (K)
-	Slews   []float64 // input transition times (full-swing equivalent, s)
-	Loads   []float64 // output load capacitances (F)
-	Workers int       // parallel cell workers; 0 = GOMAXPROCS
+	Vdd   float64   // supply voltage (V)
+	TempK float64   // temperature (K)
+	Slews []float64 // input transition times (full-swing equivalent, s)
+	Loads []float64 // output load capacitances (F)
+	// Workers bounds the cells in flight and the shared pool their grid
+	// rows and leakage states drain through; 0 = GOMAXPROCS.
+	Workers int
 
 	// NewtonIterLimit caps SPICE Newton iterations per solve (0 = solver
 	// default). Forensics/debug knob: a tiny cap forces nonconvergence so
