@@ -145,7 +145,7 @@ func replay(ctx context.Context, v *cec.Verdict, golden, impl side) {
 		v.FailingOutput, gv, gHow, iHow)
 	fmt.Printf("replay: the checker's verdict and the simulators disagree — suspect a flow bug\n")
 	obs.C("cec.replay.mismatch").Inc()
-	obs.J().Warning("cryocec", "counterexample replay did not reproduce", map[string]string{
+	obs.Warn("cryocec", "counterexample replay did not reproduce", map[string]string{
 		"output": v.FailingOutput,
 	})
 }

@@ -5,8 +5,8 @@
 //	cryoobs summary journal.jsonl...                             # one line per run
 //	cryoobs tail    [-n 20] [-kind failure] journal.jsonl...     # last N events
 //
-// report renders per-run stage timelines, failure sites ranked by
-// recurrence, watchdog stall post-mortems (active span stack + goroutine
+// report renders per-run failure sites ranked by recurrence, warning
+// counts, watchdog stall post-mortems (active span stack + goroutine
 // dump), and the worst-converging devices and nodes decoded from SPICE
 // nonconvergence diagnoses. Every command merges the journals it is given
 // by wall-clock time, preserving run IDs, so journals from several
@@ -61,8 +61,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: cryoobs <command> [flags] <journal.jsonl>...
 
 commands:
-  report   render a markdown post-mortem (stage timeline, failure sites
-           ranked by recurrence, stalls, worst-converging devices/nodes)
+  report   render a markdown post-mortem (failure sites ranked by
+           recurrence, stalls, worst-converging devices/nodes)
   summary  one-line status per run
   tail     pretty-print the last events (-kind progress: stage progress)
 

@@ -15,9 +15,8 @@
 // libraries are built (and cached) first; -progress reports their
 // characterization live (cells and arcs done, rate, ETA).
 //
-// Observability: -metrics, -trace, -journal, -loglevel, and the
-// other obs flags are shared by all flow binaries; see
-// docs/OBSERVABILITY.md.
+// Observability: -metrics, -trace, -journal, and the other obs flags
+// are shared by all flow binaries; see docs/OBSERVABILITY.md.
 package main
 
 import (

@@ -104,8 +104,7 @@ func readCache(path, key string, cfg Config, nCells int) *liberty.Library {
 		return nil
 	}
 	if strings.TrimSpace(string(meta)) != key {
-		obs.Log().Infof("charlib: cache %s is stale (config or cell list changed), re-characterizing", path)
-		return nil
+		return nil // stale: the config or the cell list changed
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -114,12 +113,14 @@ func readCache(path, key string, cfg Config, nCells int) *liberty.Library {
 	defer f.Close()
 	lib, err := liberty.Parse(f)
 	if err != nil {
-		obs.Log().Warnf("charlib: cache %s is corrupt (%v), re-characterizing", path, err)
+		obs.Warn("charlib.cache", fmt.Sprintf("cache %s is corrupt (%v), re-characterizing", path, err),
+			map[string]string{"path": path})
 		return nil
 	}
 	// Defense in depth: the sidecar could have survived a liberty rewrite.
 	if lib.TempK != cfg.TempK || len(lib.Cells) != nCells {
-		obs.Log().Warnf("charlib: cache %s does not match its sidecar key, re-characterizing", path)
+		obs.Warn("charlib.cache", fmt.Sprintf("cache %s does not match its sidecar key, re-characterizing", path),
+			map[string]string{"path": path})
 		return nil
 	}
 	return lib

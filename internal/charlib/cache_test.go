@@ -1,6 +1,7 @@
 package charlib
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -157,6 +158,37 @@ func TestCacheMissOnMissingSidecar(t *testing.T) {
 	}
 	if got := misses.Value() - misses0; got != 2 {
 		t.Fatalf("missing sidecar recorded %d misses, want 2", got)
+	}
+}
+
+// TestCorruptCacheWarningJournaled: a liberty file that fails to parse
+// under a sidecar holding the requested key is a miss, and leaves exactly
+// one warning in the journal.
+func TestCorruptCacheWarningJournaled(t *testing.T) {
+	subset := []*pdk.Cell{pdk.FindCell(catalog, "INVx1")}
+	cfg := QuickConfig(300)
+	key := CacheKey(subset, cfg)
+	path := filepath.Join(t.TempDir(), "inv.lib")
+	if err := os.WriteFile(path, []byte("library (inv300) {\n  cell (INVx1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath(path), []byte(key+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	prev := obs.SetJournal(obs.NewJournal(&buf, "r-cache"))
+	lib := readCache(path, key, cfg, len(subset))
+	obs.SetJournal(prev).Close()
+	if lib != nil {
+		t.Fatal("corrupt cache was served")
+	}
+	evs, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 || evs[0].Kind != obs.KindWarning || evs[0].Stage != "charlib.cache" ||
+		evs[0].Attrs["path"] != path {
+		t.Fatalf("want one charlib.cache warning, journal has %+v", evs)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/liberty"
 	"repro/internal/obs"
@@ -91,11 +90,9 @@ func characterizeCell(ctx context.Context, cell *pdk.Cell, cfg Config, work chan
 	ctx, span := obs.Start(ctx, "charlib.cell")
 	span.SetAttr("cell", cell.Name)
 	defer span.End()
-	t0 := time.Now()
 	ch := &charer{cfg: cfg, work: work}
 	lc, err := ch.cell(ctx, cell)
 	obs.C("charlib.cells").Inc()
-	obs.H("charlib.cell.seconds").Observe(time.Since(t0).Seconds())
 	return lc, err
 }
 
@@ -295,12 +292,10 @@ func (ch *charer) cell(ctx context.Context, cell *pdk.Cell) (*liberty.Cell, erro
 					aspan.SetAttr("arc", arc)
 				}
 				defer aspan.End()
-				t0 := time.Now()
 				a.pw, a.err = ch.sweep(cell, arc, a.tm, a.row)
 				arcsTask.Inc()
 				if a.err == nil {
 					obs.C("charlib.arcs").Inc()
-					obs.H("charlib.arc.seconds").Observe(time.Since(t0).Seconds())
 				}
 			}()
 		}

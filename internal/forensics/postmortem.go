@@ -1,8 +1,8 @@
 // Package forensics turns structured run journals (internal/obs JSONL
-// events) into post-mortem reports: per-run stage timelines, failure sites
-// ranked by recurrence, and — for SPICE nonconvergence failures carrying a
-// spice.Diagnosis payload — the worst-converging nodes and devices across
-// the run. cmd/cryoobs is the CLI front end.
+// events) into post-mortem reports: failure sites ranked by recurrence,
+// and — for SPICE nonconvergence failures carrying a spice.Diagnosis
+// payload — the worst-converging nodes and devices across the run.
+// cmd/cryoobs is the CLI front end.
 package forensics
 
 import (
@@ -68,13 +68,6 @@ func FilterKind(evs []obs.Event, kind string) []obs.Event {
 		}
 	}
 	return out
-}
-
-// StageStat aggregates the stage.end events of one stage.
-type StageStat struct {
-	Stage   string
-	Count   int
-	Seconds float64
 }
 
 // FailureSite groups recurring failures at the same site — same stage and,
@@ -148,7 +141,6 @@ type RunReport struct {
 	Events   int
 	Warnings int
 
-	Stages    []StageStat   // first-seen order
 	Failures  []FailureSite // ranked by recurrence (count desc)
 	Stalls    []StallRec    // watchdog post-mortems, in journal order
 	Devices   []DeviceStat  // worst-converging devices, by count then residual
@@ -207,16 +199,6 @@ func addEvent(r *RunReport, e obs.Event) {
 		r.Bin = e.Attrs["bin"]
 	case obs.KindRunEnd:
 		r.End = e.Time()
-	case obs.KindStageEnd:
-		sec := attrFloat(e.Attrs, "seconds")
-		for i := range r.Stages {
-			if r.Stages[i].Stage == e.Stage {
-				r.Stages[i].Count++
-				r.Stages[i].Seconds += sec
-				return
-			}
-		}
-		r.Stages = append(r.Stages, StageStat{Stage: e.Stage, Count: 1, Seconds: sec})
 	case obs.KindWarning:
 		r.Warnings++
 	case obs.KindFailure:
@@ -332,12 +314,6 @@ func DecodeDiagnosis(e *obs.Event) *spice.Diagnosis {
 	return &d
 }
 
-func attrFloat(attrs map[string]string, key string) float64 {
-	var v float64
-	fmt.Sscanf(attrs[key], "%g", &v)
-	return v
-}
-
 // WriteMarkdown renders the post-mortem report as markdown.
 func (r *Report) WriteMarkdown(w io.Writer) error {
 	bw := &errWriter{w: w}
@@ -382,13 +358,6 @@ func writeRunMarkdown(bw *errWriter, r *RunReport) {
 	}
 	bw.printf("- outcome: %s, %d event(s), %d warning(s)\n", outcome, r.Events, r.Warnings)
 
-	if len(r.Stages) > 0 {
-		bw.printf("\n### Stage timeline\n\n")
-		bw.printf("| stage | count | total (s) |\n|---|---:|---:|\n")
-		for _, s := range r.Stages {
-			bw.printf("| %s | %d | %.6g |\n", s.Stage, s.Count, s.Seconds)
-		}
-	}
 	if len(r.Failures) > 0 {
 		bw.printf("\n### Failure sites (ranked by recurrence)\n\n")
 		bw.printf("| # | site | count | temp (K) | slew | load | worst node | phase | message |\n")

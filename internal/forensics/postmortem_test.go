@@ -47,16 +47,16 @@ func fixtureEvents(t *testing.T) []obs.Event {
 	return []obs.Event{
 		{Seq: 1, TNs: t0, Run: runA, Kind: obs.KindRunStart,
 			Msg: "cryochar -temp 4 -journal a.jsonl", Attrs: map[string]string{"bin": "cryochar"}},
-		{Seq: 2, TNs: t0 + 1e9, Run: runA, Kind: obs.KindStageEnd, Stage: "charlib.cell",
-			Attrs: map[string]string{"seconds": "0.5"}},
+		{Seq: 2, TNs: t0 + 1e9, Run: runA, Kind: obs.KindProgress, Stage: "charlib.cells",
+			Attrs: map[string]string{"done": "1", "total": "2"}},
 		{Seq: 3, TNs: t0 + 2e9, Run: runA, Kind: obs.KindFailure, Stage: "charlib.arc",
 			Msg: "newton failed", Attrs: failAttrs, Detail: raw},
 		{Seq: 4, TNs: t0 + 3e9, Run: runA, Kind: obs.KindFailure, Stage: "charlib.arc",
 			Msg: "newton failed", Attrs: failAttrs, Detail: raw},
 		{Seq: 5, TNs: t0 + 4e9, Run: runA, Kind: obs.KindWarning, Stage: "charlib",
 			Msg: "slow corner"},
-		{Seq: 6, TNs: t0 + 5e9, Run: runA, Kind: obs.KindStageEnd, Stage: "charlib.cell",
-			Attrs: map[string]string{"seconds": "0.25"}},
+		{Seq: 6, TNs: t0 + 5e9, Run: runA, Kind: obs.KindProgress, Stage: "charlib.cells",
+			Attrs: map[string]string{"done": "2", "total": "2"}},
 		{Seq: 7, TNs: t0 + 6e9, Run: runA, Kind: obs.KindArtifact, Stage: "charlib.cache",
 			Attrs: map[string]string{"path": "build/cryolib_4K.lib", "bytes": "1234",
 				"sha256": "deadbeefdeadbeefdeadbeef"}},
@@ -64,8 +64,8 @@ func fixtureEvents(t *testing.T) []obs.Event {
 		// Interleaved truncated run from another binary.
 		{Seq: 1, TNs: t0 + 1500000000, Run: runB, Kind: obs.KindRunStart,
 			Msg: "cryobench -profile smoke", Attrs: map[string]string{"bin": "cryobench"}},
-		{Seq: 2, TNs: t0 + 2500000000, Run: runB, Kind: obs.KindStageEnd, Stage: "qor.rep",
-			Msg: "adder/area rep 1/1", Attrs: map[string]string{"seconds": "0.75"}},
+		{Seq: 2, TNs: t0 + 2500000000, Run: runB, Kind: obs.KindProgress, Stage: "qor.reps",
+			Attrs: map[string]string{"done": "1", "total": "3"}},
 	}
 }
 
@@ -118,9 +118,6 @@ func TestBuildDigestsRuns(t *testing.T) {
 	}
 	if len(a.Nodes) == 0 || a.Nodes[0].Node != "x1.Y" {
 		t.Errorf("node ranking wrong: %+v", a.Nodes)
-	}
-	if len(a.Stages) != 1 || a.Stages[0].Count != 2 || a.Stages[0].Seconds != 0.75 {
-		t.Errorf("stage aggregation wrong: %+v", a.Stages)
 	}
 	if len(a.Artifacts) != 1 || a.Artifacts[0].Path != "build/cryolib_4K.lib" {
 		t.Errorf("artifact record wrong: %+v", a.Artifacts)

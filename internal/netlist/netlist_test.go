@@ -1,11 +1,13 @@
 package netlist
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pdk"
 )
 
@@ -277,6 +279,27 @@ var badConstantSources = []string{
 	"module m (a, y); input a; output y; INVx1 g0 (.A(1'bx), .Y(y)); endmodule",
 	// an instance must not drive a constant literal
 	"module m (a); input a; INVx1 g0 (.A(a), .Y(1'b0)); endmodule",
+}
+
+// TestVerilogPortWarningJournaled: a header that lists fewer ports than the
+// module declares reads, and leaves exactly one warning in the journal.
+func TestVerilogPortWarningJournaled(t *testing.T) {
+	var buf bytes.Buffer
+	prev := obs.SetJournal(obs.NewJournal(&buf, "r-verilog"))
+	src := "module m (a); input a; output y; INVx1 g0 (.A(a), .Y(y)); endmodule"
+	_, err := ReadVerilog(strings.NewReader(src), catalog)
+	obs.SetJournal(prev).Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 || evs[0].Kind != obs.KindWarning || evs[0].Stage != "netlist.verilog" ||
+		evs[0].Attrs["module"] != "m" {
+		t.Fatalf("want one netlist.verilog warning, journal has %+v", evs)
+	}
 }
 
 func TestReadVerilogRejectsBadConstants(t *testing.T) {

@@ -79,21 +79,18 @@ func ReadVerilog(r io.Reader, cells []*pdk.Cell) (*Netlist, error) {
 	if nl == nil {
 		return nil, fmt.Errorf("verilog: no module found")
 	}
-	// Diagnostics go through the leveled logger, never straight to stderr:
-	// callers (tests, servers) control verbosity and destination.
+	// Findings are warnings (stderr, and the journal when one is on); a
+	// gate nobody reads is legal and not reported.
 	if declared := len(nl.Inputs) + len(nl.Outputs); len(headerPorts) != declared {
-		obs.Log().Warnf("verilog: module %s header lists %d ports but %d are declared",
-			nl.Name, len(headerPorts), declared)
+		obs.Warn("netlist.verilog", fmt.Sprintf("module %s header lists %d ports but %d are declared",
+			nl.Name, len(headerPorts), declared), map[string]string{"module": nl.Name})
 	}
 	for _, issue := range nl.Check() {
-		if issue.Kind == "unused-gate" {
-			obs.Log().Debugf("verilog: module %s: %s", nl.Name, issue)
-		} else {
-			obs.Log().Warnf("verilog: module %s: %s", nl.Name, issue)
+		if issue.Kind != "unused-gate" {
+			obs.Warn("netlist.verilog", fmt.Sprintf("module %s: %s", nl.Name, issue),
+				map[string]string{"module": nl.Name, "kind": issue.Kind})
 		}
 	}
-	obs.Log().Debugf("verilog: read module %s: %d gates, %d inputs, %d outputs",
-		nl.Name, nl.NumGates(), len(nl.Inputs), len(nl.Outputs))
 	return nl, nil
 }
 

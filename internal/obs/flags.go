@@ -15,8 +15,8 @@ import (
 )
 
 // Flags carries the standard observability CLI flags shared by every
-// binary in the flow: -metrics, -trace, -loglevel, -journal, -progress,
-// -stall, -stall-abort, and -cost. Binaries must not hand-register any of
+// binary in the flow: -metrics, -trace, -journal, -progress, -stall,
+// -stall-abort, and -cost. Binaries must not hand-register any of
 // these: one shared InstallFlags call is what keeps the flag surface
 // identical across all ten tools (pinned by TestFlagSurface).
 type Flags struct {
@@ -24,7 +24,6 @@ type Flags struct {
 	// on exit ("-" for stderr).
 	MetricsPath string
 	TracePath   string
-	LogLevel    string
 	// JournalPath is the run's one persisted record: events as they happen,
 	// then one run.end event on exit.
 	JournalPath string
@@ -53,7 +52,6 @@ func InstallFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write the metrics as Prometheus text exposition to this file on exit ('-' for stderr)")
 	fs.StringVar(&f.TracePath, "trace", "", "write Chrome trace_event JSON (chrome://tracing, Perfetto) to this file on exit")
-	fs.StringVar(&f.LogLevel, "loglevel", "", "diagnostic log level: debug|info|warn|error (default warn)")
 	fs.StringVar(&f.JournalPath, "journal", "", "write a structured JSONL run journal to this file (cryoobs reads it)")
 	fs.DurationVar(&f.ProgressEvery, "progress", 0, "print per-stage progress lines (percent/rate/ETA) at this interval (e.g. 5s)")
 	fs.DurationVar(&f.StallAfter, "stall", 0, "stall watchdog: journal a goroutine-dump post-mortem when a stage makes no progress for this long")
@@ -68,13 +66,6 @@ func InstallFlags(fs *flag.FlagSet) *Flags {
 // overwrite the metrics and trace files with fresher data). It fails when
 // the -cost file cannot be created or another CPU profile is running.
 func (f *Flags) Activate() (flush func(), err error) {
-	if f.LogLevel != "" {
-		level, err := ParseLogLevel(f.LogLevel)
-		if err != nil {
-			return nil, err
-		}
-		SetLogLevel(level)
-	}
 	if f.MetricsPath != "" {
 		EnableMetrics()
 	}
@@ -100,7 +91,7 @@ func (f *Flags) Activate() (flush func(), err error) {
 		// Flush eagerly: a crashed process must leave at least its run.start
 		// on disk, or there is nothing to post-mortem.
 		if err := j.Sync(); err != nil {
-			Log().Errorf("obs: journal: flushing %s: %v", f.JournalPath, err)
+			fmt.Fprintf(os.Stderr, "obs: journal: flushing %s: %v\n", f.JournalPath, err)
 		}
 	}
 	if f.CostPath != "" {
@@ -120,13 +111,13 @@ func (f *Flags) Activate() (flush func(), err error) {
 
 // Flush stops the -cost profile, writes the metrics and trace outputs
 // requested by the flags and ends the journal with one run.end event.
-// Failures are reported through the logger rather than returned: flushing
+// Failures are printed to stderr rather than returned: flushing
 // telemetry must never mask the tool's own exit status.
 func (f *Flags) Flush() {
 	if f.costFile != nil {
 		StopCost()
 		if err := f.costFile.Close(); err != nil {
-			Log().Errorf("obs: writing cost profile to %s: %v", f.CostPath, err)
+			fmt.Fprintf(os.Stderr, "obs: writing cost profile to %s: %v\n", f.CostPath, err)
 		}
 		f.costFile = nil
 	}
@@ -135,15 +126,15 @@ func (f *Flags) Flush() {
 		if f.MetricsPath == "-" {
 			fmt.Fprintln(os.Stderr, "# --- metrics ---")
 			if err := Metrics().WritePrometheus(os.Stderr); err != nil {
-				Log().Errorf("obs: writing metrics: %v", err)
+				fmt.Fprintf(os.Stderr, "obs: writing metrics: %v\n", err)
 			}
 		} else if err := writeFileWith(f.MetricsPath, Metrics().WritePrometheus); err != nil {
-			Log().Errorf("obs: writing metrics to %s: %v", f.MetricsPath, err)
+			fmt.Fprintf(os.Stderr, "obs: writing metrics to %s: %v\n", f.MetricsPath, err)
 		}
 	}
 	if f.TracePath != "" {
 		if err := writeFileWith(f.TracePath, Tracing().WriteChromeTrace); err != nil {
-			Log().Errorf("obs: writing trace to %s: %v", f.TracePath, err)
+			fmt.Fprintf(os.Stderr, "obs: writing trace to %s: %v\n", f.TracePath, err)
 		}
 	}
 	if f.stopReporter != nil {
@@ -156,7 +147,7 @@ func (f *Flags) Flush() {
 			j.Event(KindRunEnd, "", "", nil)
 		}
 		if err := j.Sync(); err != nil {
-			Log().Errorf("obs: journal: flushing %s: %v", f.JournalPath, err)
+			fmt.Fprintf(os.Stderr, "obs: journal: flushing %s: %v\n", f.JournalPath, err)
 		}
 	}
 }

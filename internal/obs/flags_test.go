@@ -24,7 +24,7 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	sort.Strings(got)
 	want := []string{
-		"cost", "journal", "loglevel", "metrics", "progress",
+		"cost", "journal", "metrics", "progress",
 		"stall", "stall-abort", "trace",
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {

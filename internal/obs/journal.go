@@ -47,9 +47,7 @@ const (
 	// KindRunEnd closes a run: the -journal flag's flush writes it once, with
 	// no detail, so a journal that lacks it is a truncated run.
 	KindRunEnd = "run.end"
-	// KindStageEnd records one finished unit of a stage (qor.Run writes one
-	// per repetition, with its wall seconds in attrs).
-	KindStageEnd = "stage.end"
+	// KindWarning is a condition the run survived; Warn writes it.
 	KindWarning  = "warning"
 	KindFailure  = "failure"
 	KindArtifact = "artifact"
@@ -75,7 +73,7 @@ type Journal struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	c      io.Closer // nil when the journal does not own the sink
-	failed bool      // first write error was logged; drop further events
+	failed bool      // first write error was reported; drop further events
 	closed bool
 }
 
@@ -165,8 +163,15 @@ func (j *Journal) EventDetail(kind, stage, msg string, attrs map[string]string, 
 	j.emit(kind, stage, msg, attrs, detail)
 }
 
-// Warning appends a warning event.
-func (j *Journal) Warning(stage, msg string, attrs map[string]string) {
+// Warn reports a condition the run survived but its user should see: one
+// line on stderr and, when a journal is on, a warning event carrying stage
+// and attrs (nil allowed). It is the flow's one warning channel.
+func Warn(stage, msg string, attrs map[string]string) {
+	J().warn(stage, msg, attrs)
+}
+
+func (j *Journal) warn(stage, msg string, attrs map[string]string) {
+	fmt.Fprintf(os.Stderr, "%s WARN  %s: %s\n", time.Now().Format("15:04:05.000"), stage, msg)
 	j.emit(KindWarning, stage, msg, attrs, nil)
 }
 
@@ -177,15 +182,15 @@ func (j *Journal) Failure(stage, msg string, attrs map[string]string, detail any
 }
 
 // Artifact appends a provenance event for a produced file: its path,
-// SHA-256, and size. Unreadable artifacts are recorded as warnings rather
-// than silently dropped.
+// SHA-256, and size. An unreadable artifact is a warning, reported the way
+// Warn reports one, rather than silently dropped.
 func (j *Journal) Artifact(stage, path string) {
 	if j == nil {
 		return
 	}
 	sum, size, err := fileSHA256(path)
 	if err != nil {
-		j.Warning(stage, "artifact unreadable: "+err.Error(), map[string]string{"path": path})
+		j.warn(stage, "artifact unreadable: "+err.Error(), map[string]string{"path": path})
 		return
 	}
 	j.emit(KindArtifact, stage, "", map[string]string{
@@ -233,7 +238,7 @@ func (j *Journal) emit(kind, stage, msg string, attrs map[string]string, detail 
 	}
 	line, err := json.Marshal(&e)
 	if err != nil {
-		Log().Errorf("obs: journal: encoding event: %v", err)
+		fmt.Fprintf(os.Stderr, "obs: journal: encoding event: %v\n", err)
 		return
 	}
 	j.mu.Lock()
@@ -251,9 +256,9 @@ func (j *Journal) emit(kind, stage, msg string, attrs map[string]string, detail 
 		err = j.w.Flush()
 	}
 	if err != nil {
-		// Journaling must never take the flow down: log once and go quiet.
+		// Journaling must never take the flow down: report once and go quiet.
 		j.failed = true
-		Log().Errorf("obs: journal: write failed, disabling: %v", err)
+		fmt.Fprintf(os.Stderr, "obs: journal: write failed, disabling: %v\n", err)
 	}
 }
 

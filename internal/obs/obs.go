@@ -1,18 +1,18 @@
 // Package obs is the flow-wide observability layer: cheap atomic metrics
 // (counters, gauges, histograms) behind a process-global registry,
 // hierarchical wall-time spans that nest into a flow tree and export as
-// Chrome trace_event JSON, a leveled logger for library diagnostics, and an
-// append-only JSONL run journal — the flight recorder that failure
-// forensics (cmd/cryoobs) reads back.
+// Chrome trace_event JSON, and an append-only JSONL run journal — the
+// flight recorder that failure forensics (cmd/cryoobs) reads back, and
+// where Warn records what the run survived.
 //
-// Everything is stdlib-only and off by default. When disabled, the hot-path
-// entry points (obs.C(...).Add, obs.Start, obs.J().Event, logger calls
-// below the level) reduce to an atomic pointer load plus a nil check — no
-// allocation, no locking — so instrumentation can stay in the hot paths
-// permanently. CLI binaries enable the layer through the -metrics / -trace
-// / -journal flags installed by InstallFlags; the -journal file is the
-// run's one persisted record, from a run.start carrying the build's VCS
-// revision to the run.end that marks a clean exit.
+// Everything is stdlib-only and off by default. When disabled, the
+// hot-path entry points (obs.C(...).Add, obs.Start, obs.J().Event) reduce
+// to an atomic pointer load plus a nil check — no allocation, no locking —
+// so instrumentation can stay in the hot paths permanently. CLI binaries
+// enable the layer through the -metrics / -trace / -journal flags
+// installed by InstallFlags; the -journal file is the run's one persisted
+// record, from a run.start carrying the build's VCS revision to the
+// run.end that marks a clean exit.
 //
 // Metric names are dot-separated, lowest-level subsystem first
 // (e.g. "spice.newton.iterations", "charlib.cache.hits"); the -metrics

@@ -136,6 +136,10 @@ func (w *Watchdog) scan() {
 			fmt.Fprintf(os.Stderr,
 				"obs: watchdog: stage %s stalled for %.1fs (deadline %.1fs); aborting\n%s\n",
 				rep.Task, rep.SilentSec, rep.DeadlineSec, rep.Goroutines)
+			// os.Exit skips the flush: a CPU profile is written out only
+			// when it is stopped, and a stalled run's is the one worth
+			// keeping.
+			StopCost()
 			os.Exit(2)
 		}
 	}
@@ -159,7 +163,7 @@ func (w *Watchdog) capture(task *Task, silentSec float64) *StallReport {
 		rep.Metrics = Metrics().Snapshot()
 	}
 	C("obs.stalls").Inc()
-	Log().Errorf("obs: watchdog: stage %s silent for %.1fs (deadline %gs) at %d/%d units — post-mortem captured",
+	fmt.Fprintf(os.Stderr, "obs: watchdog: stage %s silent for %.1fs (deadline %gs) at %d/%d units — post-mortem captured\n",
 		rep.Task, rep.SilentSec, rep.DeadlineSec, rep.Done, rep.Total)
 	if j := J(); j != nil {
 		j.EventDetail(KindStall, rep.Task,
@@ -171,7 +175,7 @@ func (w *Watchdog) capture(task *Task, silentSec float64) *StallReport {
 				"total":          strconv.FormatInt(rep.Total, 10),
 			}, rep)
 		if err := j.Sync(); err != nil {
-			Log().Errorf("obs: watchdog: flushing journal: %v", err)
+			fmt.Fprintf(os.Stderr, "obs: watchdog: flushing journal: %v\n", err)
 		}
 	}
 	return rep

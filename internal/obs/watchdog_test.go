@@ -2,8 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +108,45 @@ func TestWatchdogStallFiresOnce(t *testing.T) {
 	}
 	if stalls < 2 {
 		t.Errorf("journal has %d stall events, want >= 2 (one per episode)", stalls)
+	}
+}
+
+// TestWatchdogAbortWritesCost: -stall-abort exits with status 2 and still
+// leaves a complete -cost profile. The test binary re-runs itself as the
+// child (OBS_ABORT_COST names its profile file): cost on, an aborting
+// watchdog with a 20 ms deadline, and one task that never advances.
+func TestWatchdogAbortWritesCost(t *testing.T) {
+	if path := os.Getenv("OBS_ABORT_COST"); path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			os.Exit(3)
+		}
+		if err := EnableCost(f); err != nil {
+			os.Exit(3)
+		}
+		StartStallWatchdog(WatchdogConfig{Deadline: 20 * time.Millisecond, Abort: true})
+		Progress("wedged.stage", 10)
+		time.Sleep(10 * time.Second)
+		os.Exit(0) // the watchdog never aborted
+	}
+	path := filepath.Join(t.TempDir(), "cost.pprof")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestWatchdogAbortWritesCost$")
+	cmd.Env = append(os.Environ(), "OBS_ABORT_COST="+path)
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("child exited with %v, want exit status 2", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("cost profile is not gzip: %v", err)
+	}
+	if b, err := io.ReadAll(zr); err != nil || len(b) == 0 {
+		t.Fatalf("cost profile incomplete: %d bytes, %v", len(b), err)
 	}
 }
 

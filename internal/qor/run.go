@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/aig"
 	"repro/internal/charlib"
@@ -43,9 +42,8 @@ type RunOptions struct {
 //
 // Instrumentation contract: Run leaves the process-global telemetry
 // switches as it found them; the caller's -metrics, -trace and -cost flags
-// decide what is recorded. Each repetition is one qor.rep span, one
-// stage.end journal event with circuit, scenario and rep attributes, and
-// one step of the qor.reps progress task.
+// decide what is recorded. Each repetition is one qor.rep span and one
+// step of the qor.reps progress task.
 func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 	if opt.Repeat <= 0 {
 		opt.Repeat = opt.Profile.Repeat
@@ -95,7 +93,6 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 				Deterministic: true,
 			}
 			for rep := 0; rep < opt.Repeat; rep++ {
-				t0 := time.Now()
 				// qor.rep roots each repetition's span subtree, so the
 				// flow stages group per rep instead of scattering as
 				// top-level roots.
@@ -110,15 +107,6 @@ func Run(ctx context.Context, opt RunOptions) (*Baseline, error) {
 					}, nil)
 					return nil, fmt.Errorf("qor: %s/%s rep %d: %w", name, sc, rep, err)
 				}
-				wall := time.Since(t0).Seconds()
-				obs.J().Event(obs.KindStageEnd, "qor.rep",
-					fmt.Sprintf("%s/%s rep %d/%d", name, sc, rep+1, opt.Repeat),
-					map[string]string{
-						"circuit":  name,
-						"scenario": sc.String(),
-						"rep":      fmt.Sprint(rep),
-						"seconds":  fmt.Sprintf("%.6f", wall),
-					})
 
 				if rep == 0 {
 					rec.AIGNodesOpt = repCircuit.AIGNodesOpt

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/constants"
 	"repro/internal/obs"
@@ -15,12 +14,6 @@ import (
 // *ConvergenceError in their chain (see AsConvergenceError) with the full
 // forensic diagnosis.
 var ErrNoConvergence = errors.New("spice: operating point did not converge")
-
-// debugNewton opts the final Newton iterations into per-iteration trace
-// output. It is honored locally (obs.Log().Emitf) and deliberately does NOT
-// touch the global obs log level: a library init must not clobber the
-// user's -loglevel choice.
-var debugNewton = os.Getenv("SPICE_DEBUG") != ""
 
 const (
 	newtonTolV  = 1e-6
@@ -263,9 +256,6 @@ func (c *Circuit) newton(t float64, prev []float64, dt float64, x0 []float64, gm
 		}
 		if maxDV < newtonTolV {
 			return x, nil
-		}
-		if (debugNewton || obs.Log().DebugEnabled()) && it > maxIt-20 {
-			obs.Log().Emitf(obs.LogDebug, "spice: newton it=%d temp=%g gmin=%g maxDV=%.3e x=%.4v", it, temp, gmin, maxDV, x)
 		}
 	}
 	return nil, c.diagnose(&ring, iters, x, t, prev, dt, gmin, temp)
