@@ -43,6 +43,17 @@ func checkCex(t *testing.T, what string, a, b *aig.AIG, v *cec.Verdict) {
 	if v.FailingOutput != a.POName(o) {
 		t.Fatalf("%s: failing output %q, want %q, the lowest that differs on pattern %d", what, v.FailingOutput, a.POName(o), p)
 	}
+	replayCex(t, what, a, b, v, o)
+}
+
+// replayCex demands that a NOT-EQUAL verdict's counterexample, evaluated
+// on both circuits through aig.Eval (inputs and outputs paired by
+// position), makes output o differ as OutA and OutB say.
+func replayCex(t *testing.T, what string, a, b *aig.AIG, v *cec.Verdict, o int) {
+	t.Helper()
+	if v.Status != cec.NotEqual || len(v.Counterexample) != a.NumPIs() {
+		t.Fatalf("%s: %v with cex %q, want NOT-EQUAL with %d inputs", what, v.Status, v.CexString(), a.NumPIs())
+	}
 	oa, ob := a.Eval(v.Counterexample)[o], b.Eval(v.Counterexample)[o]
 	if oa == ob || v.OutA != oa || v.OutB != ob {
 		t.Fatalf("%s: cex %s gives (%v,%v) at %s, verdict says (%v,%v)", what, v.CexString(), oa, ob, v.FailingOutput, v.OutA, v.OutB)
