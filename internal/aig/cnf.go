@@ -15,11 +15,30 @@ type CNFBuilder struct {
 	varMap []int32 // AIG variable -> SAT variable + 1; 0 = not encoded
 	mapped []int   // AIG variables encoded since the last Reset
 	nAnds  int
+	// cutFrom is the SAT variable count right after the Limit-th AND node
+	// was given clauses, 0 before: AND nodes are encoded one at a time, so
+	// those with a SAT variable from cutFrom on are the free cut points.
+	cutFrom int
+
+	// Decision-set bookkeeping of Prove (see decideOnly): the AIG
+	// variables of the pending query, the solver hook that restricts
+	// decisions to their cones, the SAT variables of the last cone walked,
+	// the SAT variable count at that walk, and the walk's stack.
+	query    [2]int
+	restrict func()
+	cone     []int32
+	flagged  int
+	walk     []int32
 }
 
 // NewCNFBuilder returns a builder over the given graph and solver.
 func NewCNFBuilder(g *AIG, s *sat.Solver) *CNFBuilder {
-	return &CNFBuilder{G: g, S: s}
+	b := &CNFBuilder{G: g, S: s}
+	b.restrict = func() {
+		b.S.BeforeDecisions = nil // once per query
+		b.decideOnly(b.query[0], b.query[1])
+	}
+	return b
 }
 
 // Reset forgets every encoding and resets the solver (sat.Solver.Reset),
@@ -31,6 +50,9 @@ func (b *CNFBuilder) Reset() {
 	}
 	b.mapped = b.mapped[:0]
 	b.nAnds = 0
+	b.cutFrom = 0
+	b.cone = b.cone[:0]
+	b.flagged = 0
 	b.S.Reset()
 }
 
@@ -59,6 +81,9 @@ func (b *CNFBuilder) SatVar(v int) int {
 			return sv // free cut point
 		}
 		b.nAnds++
+		if b.nAnds == b.Limit {
+			b.cutFrom = b.S.NumVars()
+		}
 		f0, f1 := b.G.Fanins(v)
 		a := b.SatLit(f0)
 		c := b.SatLit(f1)
@@ -98,15 +123,29 @@ const (
 // Prove is the two-sided miter query x ≡ y on the builder's solver. It
 // encodes x's cone, then y's (reusing whatever is already encoded), and
 // solves x ∧ ¬y, then ¬x ∧ y, under assumptions with the given conflict
-// budget. It returns the verdict and the number of solves made. A windowed
-// builder (Limit reached) reports a satisfiable miter as Undecided: its
-// free cut points may make the model spurious. After Refuted, InputModel
-// reads the distinguishing assignment.
+// budget, deciding only on the SAT variables of the two cones: before its
+// first decision, the first solve that branches runs decideOnly.
+// It returns the verdict and the number of solves made. A windowed builder
+// (Limit reached) reports a satisfiable miter as Undecided: its free cut
+// points may make the model spurious. After Refuted, InputModel reads the
+// distinguishing assignment.
+//
+// The restriction is sound. Unsat comes from conflicts, whatever the
+// decisions. A conflict-free state that assigns every cone variable
+// extends to a model of the whole formula: keep the cone inputs, give the
+// other inputs any values and simulate. Cone gates depend only on cone
+// inputs, so they keep their values and x ≠ y; every gate's clauses hold;
+// learnt clauses are implied by the gate clauses. A solver that holds
+// only the two cones (one Reset before each query) searches exactly as
+// without the restriction.
 func (b *CNFBuilder) Prove(x, y Lit, budget int64) (ProveResult, int) {
 	lx := b.SatLit(x)
 	ly := b.SatLit(y)
 	windowed := b.Limit > 0 && b.nAnds >= b.Limit
 	b.S.ConflictBudget = budget
+	b.query = [2]int{x.Var(), y.Var()}
+	b.S.BeforeDecisions = b.restrict
+	defer func() { b.S.BeforeDecisions = nil }()
 	for solves, miter := range [2][2]sat.Lit{{lx, ly.Not()}, {lx.Not(), ly}} {
 		switch b.S.Solve(miter[0], miter[1]) {
 		case sat.Sat:
@@ -121,9 +160,47 @@ func (b *CNFBuilder) Prove(x, y Lit, budget int64) (ProveResult, int) {
 	return Proven, 2
 }
 
+// decideOnly makes the SAT variables of the cones of AIG variables x and
+// y the solver's only decision variables. It clears the flags of the last
+// cone it walked and of every variable encoded since, then walks the two
+// cones, stopping at free cut points, and sets theirs; a set flag marks a
+// variable as visited. It allocates nothing once its slices have grown.
+// Prove runs it from the solver's BeforeDecisions hook, so a query whose
+// solves all end in propagation (most of a sweep's queries) skips the
+// walk; the flags it left stand until the next walk.
+func (b *CNFBuilder) decideOnly(x, y int) {
+	s := b.S
+	for _, sv := range b.cone {
+		s.SetDecision(int(sv), false)
+	}
+	for sv := b.flagged; sv < s.NumVars(); sv++ {
+		s.SetDecision(sv, false)
+	}
+	b.flagged = s.NumVars()
+	b.cone = b.cone[:0]
+	walk := append(b.walk[:0], int32(x), int32(y))
+	for len(walk) > 0 {
+		v := int(walk[len(walk)-1])
+		walk = walk[:len(walk)-1]
+		sv := int(b.varMap[v]) - 1
+		if s.Decision(sv) {
+			continue
+		}
+		s.SetDecision(sv, true)
+		b.cone = append(b.cone, int32(sv))
+		if b.G.IsAnd(v) && (b.cutFrom == 0 || sv < b.cutFrom) {
+			f0, f1 := b.G.Fanins(v)
+			walk = append(walk, int32(f0.Var()), int32(f1.Var()))
+		}
+	}
+	b.walk = walk
+}
+
 // InputModel returns the primary-input assignment of the solver's last
 // satisfiable solve. Call it on a builder whose inputs EncodeInputs
-// encoded, right after Prove returns Refuted.
+// encoded, right after Prove returns Refuted. Inputs outside the query's
+// cones cannot change either literal; the search does not decide them, so
+// they read false unless propagation assigned them.
 func (b *CNFBuilder) InputModel() []bool {
 	cex := make([]bool, b.G.NumPIs())
 	for i := range cex {

@@ -224,9 +224,9 @@ func (s *sweeper) sigEqual(u, v int) (phase, ok bool) {
 }
 
 // prove runs the two-sided miter query x ≡ y on the shared incremental
-// solver, which encodes both cones lazily, once, and tallies it. On
-// Refuted, the returned slice is the distinguishing primary-input
-// assignment.
+// solver, which encodes both cones lazily, once, and decides only inside
+// them, and tallies it. On Refuted, the returned slice is the
+// distinguishing primary-input assignment.
 func (s *sweeper) prove(x, y aig.Lit, budget int64) (aig.ProveResult, []bool) {
 	res, solves := s.cnf.Prove(x, y, budget)
 	s.stats.SATCalls += solves

@@ -1,9 +1,9 @@
 package sat
 
 // varHeap is a binary max-heap over variable activities with lazy
-// re-insertion: popped variables that turn out to be assigned are simply
-// skipped, and unassignment pushes variables back. indices[v] < 0 means v is
-// not currently in the heap.
+// re-insertion: popped variables that turn out to be assigned or not to be
+// decision variables are simply skipped, and unassignment pushes decision
+// variables back. indices[v] < 0 means v is not currently in the heap.
 type varHeap struct {
 	data    []int
 	indices []int

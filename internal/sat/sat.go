@@ -73,6 +73,7 @@ type Solver struct {
 	reasons  []int32     // var -> reference of the antecedent clause
 	activity []float64
 	polarity []bool // phase saving
+	decision []bool // var -> the search may branch on it (SetDecision)
 	seen     []bool // analyze scratch; all false between conflicts
 	learnt   []Lit  // analyze scratch
 	heap     varHeap
@@ -83,8 +84,13 @@ type Solver struct {
 
 	// ConflictBudget bounds the search effort; <0 means unlimited.
 	ConflictBudget int64
-	conflicts      int64
-	rootUnsat      bool
+	// BeforeDecisions, when set, is called by Solve the first time it
+	// looks for a decision variable, at most once per Solve. A caller that
+	// chooses the decision variables (SetDecision) can do that work there
+	// and skip it for the solves that end in propagation alone.
+	BeforeDecisions func()
+	conflicts       int64
+	rootUnsat       bool
 }
 
 // New returns a solver pre-sized for n variables.
@@ -107,6 +113,7 @@ func (s *Solver) Reset() {
 	s.reasons = s.reasons[:0]
 	s.activity = s.activity[:0]
 	s.polarity = s.polarity[:0]
+	s.decision = s.decision[:0]
 	s.seen = s.seen[:0]
 	s.heap.data = s.heap.data[:0]
 	s.heap.indices = s.heap.indices[:0]
@@ -115,6 +122,7 @@ func (s *Solver) Reset() {
 	s.qhead = 0
 	s.varInc = 1
 	s.ConflictBudget = -1
+	s.BeforeDecisions = nil
 	s.conflicts = 0
 	s.rootUnsat = false
 }
@@ -127,6 +135,7 @@ func (s *Solver) Grow(n int) {
 		s.reasons = append(s.reasons, noReason)
 		s.activity = append(s.activity, 0)
 		s.polarity = append(s.polarity, false)
+		s.decision = append(s.decision, true)
 		s.seen = append(s.seen, false)
 		if w := len(s.watches); w+2 <= cap(s.watches) {
 			// Reuse the watch lists a Reset left behind, emptied in place.
@@ -139,6 +148,25 @@ func (s *Solver) Grow(n int) {
 		s.heap.push(s, s.NumVars()-1)
 	}
 }
+
+// SetDecision sets whether the search may branch on v, as MiniSat's
+// setDecisionVar does. Every variable starts as a decision variable, so a
+// solver whose flags were never cleared runs the unrestricted search. With
+// some flags off, Solve answers Sat once every decision variable is
+// assigned without conflict: the other variables stay unassigned unless
+// propagation reaches them, and the answer is a model of the whole formula
+// only where the caller knows that any such partial assignment extends to
+// one. Unsat and Unknown keep their meaning. Flags may change between
+// Solve calls and from BeforeDecisions.
+func (s *Solver) SetDecision(v int, on bool) {
+	s.decision[v] = on
+	if on && s.vals[2*v] == 0 {
+		s.heap.push(s, v)
+	}
+}
+
+// Decision reports whether the search may branch on v.
+func (s *Solver) Decision(v int) bool { return s.decision[v] }
 
 // NumVars returns the variable count.
 func (s *Solver) NumVars() int { return len(s.vals) / 2 }
@@ -320,7 +348,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := l.Var()
 		s.polarity[v] = !l.Neg()
 		s.vals[l], s.vals[l.Not()] = 0, 0
-		s.heap.push(s, v)
+		if s.decision[v] {
+			s.heap.push(s, v)
+		}
 	}
 	s.trail = s.trail[:back]
 	s.trailLim = s.trailLim[:lvl]
@@ -407,7 +437,7 @@ func (s *Solver) pickBranch() (Lit, bool) {
 		if !ok {
 			return 0, false
 		}
-		if s.vals[2*v] == 0 {
+		if s.vals[2*v] == 0 && s.decision[v] {
 			return L(v, !s.polarity[v]), true
 		}
 	}
@@ -449,6 +479,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 	assumeLvl := s.decisionLevel()
 
+	before := s.BeforeDecisions
 	for {
 		confl := s.propagate()
 		if confl != noReason {
@@ -489,6 +520,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			continue
 		}
+		if before != nil {
+			before()
+			before = nil
+		}
 		l, ok := s.pickBranch()
 		if !ok {
 			return Sat
@@ -499,5 +534,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 }
 
 // Value returns the model value of a variable after Sat (true/false); only
-// meaningful immediately after a Sat result.
+// meaningful immediately after a Sat result. A variable that is not a
+// decision variable (SetDecision) and that propagation left unassigned
+// reads false.
 func (s *Solver) Value(v int) bool { return s.vals[2*v] == 1 }

@@ -277,3 +277,39 @@ func TestSolverReuseAcrossManySolves(t *testing.T) {
 		t.Fatalf("all-false assumptions: %v", got)
 	}
 }
+
+// TestDecisionFlags: BeforeDecisions runs once in a solve that looks for a
+// decision and not in one that assumption propagation refutes; a variable
+// whose flag it clears is left undecided, so it reads false although its
+// saved phase is true.
+func TestDecisionFlags(t *testing.T) {
+	s := New(4) // a, b, c constrained; d free
+	a, b, c, d := L(0, false), L(1, false), L(2, false), L(3, false)
+	s.AddClause(a, b)
+	s.AddClause(a.Not(), c)
+	if s.Solve(d) != Sat || !s.Value(3) {
+		t.Fatal("Solve(d) must be Sat with d true")
+	}
+	calls := 0
+	s.BeforeDecisions = func() {
+		calls++
+		s.SetDecision(3, false)
+	}
+	if got := s.Solve(a, c.Not()); got != Unsat || calls != 0 {
+		t.Fatalf("Solve(a, ¬c) = %v after %d hook calls, want Unsat after none", got, calls)
+	}
+	if got := s.Solve(); got != Sat || calls != 1 {
+		t.Fatalf("Solve() = %v after %d hook calls, want Sat after one", got, calls)
+	}
+	if s.Decision(3) || s.Value(3) {
+		t.Errorf("d: decision %v, value %v; want an undecided d reading false", s.Decision(3), s.Value(3))
+	}
+	if !s.Value(0) && !s.Value(1) || s.Value(0) && !s.Value(2) {
+		t.Errorf("model a=%v b=%v c=%v violates a∨b, ¬a∨c", s.Value(0), s.Value(1), s.Value(2))
+	}
+	s.BeforeDecisions = nil
+	s.SetDecision(3, true)
+	if s.Solve() != Sat || !s.Value(3) {
+		t.Error("d back on: the search must decide it at its saved phase, true")
+	}
+}
