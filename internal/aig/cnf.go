@@ -15,19 +15,17 @@ type CNFBuilder struct {
 	varMap []int32 // AIG variable -> SAT variable + 1; 0 = not encoded
 	mapped []int   // AIG variables encoded since the last Reset
 	nAnds  int
-	// cutFrom is the SAT variable count right after the Limit-th AND node
-	// was given clauses, 0 before: AND nodes are encoded one at a time, so
-	// those with a SAT variable from cutFrom on are the free cut points.
-	cutFrom int
+	// fanins holds, per SAT variable, the SAT variables of the two fanins
+	// its clauses define it by, or -1 twice: an input, the constant, a free
+	// cut point, or a variable the builder did not make. decideOnly walks
+	// cones through it.
+	fanins [][2]int32
 
-	// Decision-set bookkeeping of Prove (see decideOnly): the AIG
-	// variables of the pending query, the solver hook that restricts
-	// decisions to their cones, the SAT variables of the last cone walked,
-	// the SAT variable count at that walk, and the walk's stack.
-	query    [2]int
+	// Prove's decision set (see decideOnly): the SAT variables of the
+	// pending query, the solver hook that restricts decisions to their
+	// cones, and the cone walk's stack.
+	query    [2]int32
 	restrict func()
-	cone     []int32
-	flagged  int
 	walk     []int32
 }
 
@@ -50,9 +48,7 @@ func (b *CNFBuilder) Reset() {
 	}
 	b.mapped = b.mapped[:0]
 	b.nAnds = 0
-	b.cutFrom = 0
-	b.cone = b.cone[:0]
-	b.flagged = 0
+	b.fanins = b.fanins[:0]
 	b.S.Reset()
 }
 
@@ -71,6 +67,9 @@ func (b *CNFBuilder) SatVar(v int) int {
 	sv := b.S.AddVar()
 	b.varMap[v] = int32(sv + 1)
 	b.mapped = append(b.mapped, v)
+	for len(b.fanins) <= sv {
+		b.fanins = append(b.fanins, [2]int32{-1, -1})
+	}
 	if v == 0 {
 		// Constant node: force FALSE.
 		b.S.AddClause(sat.L(sv, true))
@@ -81,12 +80,10 @@ func (b *CNFBuilder) SatVar(v int) int {
 			return sv // free cut point
 		}
 		b.nAnds++
-		if b.nAnds == b.Limit {
-			b.cutFrom = b.S.NumVars()
-		}
 		f0, f1 := b.G.Fanins(v)
 		a := b.SatLit(f0)
 		c := b.SatLit(f1)
+		b.fanins[sv] = [2]int32{int32(a.Var()), int32(c.Var())}
 		y := sat.L(sv, false)
 		// y <-> a & c
 		b.S.AddClause(y.Not(), a)
@@ -143,7 +140,7 @@ func (b *CNFBuilder) Prove(x, y Lit, budget int64) (ProveResult, int) {
 	ly := b.SatLit(y)
 	windowed := b.Limit > 0 && b.nAnds >= b.Limit
 	b.S.ConflictBudget = budget
-	b.query = [2]int{x.Var(), y.Var()}
+	b.query = [2]int32{int32(lx.Var()), int32(ly.Var())}
 	b.S.BeforeDecisions = b.restrict
 	defer func() { b.S.BeforeDecisions = nil }()
 	for solves, miter := range [2][2]sat.Lit{{lx, ly.Not()}, {lx.Not(), ly}} {
@@ -160,37 +157,34 @@ func (b *CNFBuilder) Prove(x, y Lit, budget int64) (ProveResult, int) {
 	return Proven, 2
 }
 
-// decideOnly makes the SAT variables of the cones of AIG variables x and
-// y the solver's only decision variables. It clears the flags of the last
-// cone it walked and of every variable encoded since, then walks the two
-// cones, stopping at free cut points, and sets theirs; a set flag marks a
-// variable as visited. It allocates nothing once its slices have grown.
-// Prove runs it from the solver's BeforeDecisions hook, so a query whose
-// solves all end in propagation (most of a sweep's queries) skips the
-// walk; the flags it left stand until the next walk.
-func (b *CNFBuilder) decideOnly(x, y int) {
+// decideOnly makes the cones of SAT variables x and y, as the builder
+// encoded them, the solver's only decision variables. It clears every
+// flag, then walks the two cones, stopping at free cut points, and sets
+// theirs; a set flag marks a variable as visited. It allocates nothing
+// once its stack has grown. Prove runs it from the solver's
+// BeforeDecisions hook, so a query whose solves all end in propagation
+// (most of a sweep's queries) skips the walk.
+func (b *CNFBuilder) decideOnly(x, y int32) {
 	s := b.S
-	for _, sv := range b.cone {
-		s.SetDecision(int(sv), false)
+	s.ClearDecisions()
+	walk := b.walk[:0]
+	for _, sv := range [2]int32{x, y} {
+		if !s.Decision(int(sv)) {
+			s.SetDecision(int(sv), true)
+			walk = append(walk, sv)
+		}
 	}
-	for sv := b.flagged; sv < s.NumVars(); sv++ {
-		s.SetDecision(sv, false)
-	}
-	b.flagged = s.NumVars()
-	b.cone = b.cone[:0]
-	walk := append(b.walk[:0], int32(x), int32(y))
 	for len(walk) > 0 {
-		v := int(walk[len(walk)-1])
+		f := b.fanins[walk[len(walk)-1]]
 		walk = walk[:len(walk)-1]
-		sv := int(b.varMap[v]) - 1
-		if s.Decision(sv) {
+		if f[0] < 0 {
 			continue
 		}
-		s.SetDecision(sv, true)
-		b.cone = append(b.cone, int32(sv))
-		if b.G.IsAnd(v) && (b.cutFrom == 0 || sv < b.cutFrom) {
-			f0, f1 := b.G.Fanins(v)
-			walk = append(walk, int32(f0.Var()), int32(f1.Var()))
+		for _, sv := range f {
+			if !s.Decision(int(sv)) {
+				s.SetDecision(int(sv), true)
+				walk = append(walk, sv)
+			}
 		}
 	}
 	b.walk = walk

@@ -73,7 +73,12 @@ type Solver struct {
 	reasons  []int32     // var -> reference of the antecedent clause
 	activity []float64
 	polarity []bool // phase saving
-	decision []bool // var -> the search may branch on it (SetDecision)
+	// decision stamps each variable with the decision epoch in which its
+	// flag was last set (SetDecision): it is a decision variable while its
+	// stamp is the current epoch, so ClearDecisions clears every flag by
+	// advancing the epoch. Stamp 0 is never current.
+	decision []uint32
+	epoch    uint32
 	seen     []bool // analyze scratch; all false between conflicts
 	learnt   []Lit  // analyze scratch
 	heap     varHeap
@@ -95,7 +100,7 @@ type Solver struct {
 
 // New returns a solver pre-sized for n variables.
 func New(n int) *Solver {
-	s := &Solver{varInc: 1, ConflictBudget: -1}
+	s := &Solver{varInc: 1, ConflictBudget: -1, epoch: 1}
 	s.Grow(n)
 	return s
 }
@@ -114,6 +119,7 @@ func (s *Solver) Reset() {
 	s.activity = s.activity[:0]
 	s.polarity = s.polarity[:0]
 	s.decision = s.decision[:0]
+	s.epoch = 1
 	s.seen = s.seen[:0]
 	s.heap.data = s.heap.data[:0]
 	s.heap.indices = s.heap.indices[:0]
@@ -135,7 +141,7 @@ func (s *Solver) Grow(n int) {
 		s.reasons = append(s.reasons, noReason)
 		s.activity = append(s.activity, 0)
 		s.polarity = append(s.polarity, false)
-		s.decision = append(s.decision, true)
+		s.decision = append(s.decision, s.epoch)
 		s.seen = append(s.seen, false)
 		if w := len(s.watches); w+2 <= cap(s.watches) {
 			// Reuse the watch lists a Reset left behind, emptied in place.
@@ -159,14 +165,28 @@ func (s *Solver) Grow(n int) {
 // one. Unsat and Unknown keep their meaning. Flags may change between
 // Solve calls and from BeforeDecisions.
 func (s *Solver) SetDecision(v int, on bool) {
-	s.decision[v] = on
-	if on && s.vals[2*v] == 0 {
+	if !on {
+		s.decision[v] = 0
+		return
+	}
+	s.decision[v] = s.epoch
+	if s.vals[2*v] == 0 && !s.heap.has(v) {
 		s.heap.push(s, v)
 	}
 }
 
+// ClearDecisions turns every variable's decision flag off at once;
+// variables added afterwards start with theirs on.
+func (s *Solver) ClearDecisions() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: retire every stamp
+		clear(s.decision)
+		s.epoch = 1
+	}
+}
+
 // Decision reports whether the search may branch on v.
-func (s *Solver) Decision(v int) bool { return s.decision[v] }
+func (s *Solver) Decision(v int) bool { return s.decision[v] == s.epoch }
 
 // NumVars returns the variable count.
 func (s *Solver) NumVars() int { return len(s.vals) / 2 }
@@ -348,7 +368,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := l.Var()
 		s.polarity[v] = !l.Neg()
 		s.vals[l], s.vals[l.Not()] = 0, 0
-		if s.decision[v] {
+		if s.decision[v] == s.epoch {
 			s.heap.push(s, v)
 		}
 	}
@@ -437,7 +457,7 @@ func (s *Solver) pickBranch() (Lit, bool) {
 		if !ok {
 			return 0, false
 		}
-		if s.vals[2*v] == 0 && s.decision[v] {
+		if s.vals[2*v] == 0 && s.decision[v] == s.epoch {
 			return L(v, !s.polarity[v]), true
 		}
 	}

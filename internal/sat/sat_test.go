@@ -281,7 +281,7 @@ func TestSolverReuseAcrossManySolves(t *testing.T) {
 // TestDecisionFlags: BeforeDecisions runs once in a solve that looks for a
 // decision and not in one that assumption propagation refutes; a variable
 // whose flag it clears is left undecided, so it reads false although its
-// saved phase is true.
+// saved phase is true. ClearDecisions clears every flag.
 func TestDecisionFlags(t *testing.T) {
 	s := New(4) // a, b, c constrained; d free
 	a, b, c, d := L(0, false), L(1, false), L(2, false), L(3, false)
@@ -311,5 +311,22 @@ func TestDecisionFlags(t *testing.T) {
 	s.SetDecision(3, true)
 	if s.Solve() != Sat || !s.Value(3) {
 		t.Error("d back on: the search must decide it at its saved phase, true")
+	}
+
+	// ClearDecisions turns every flag off, also across an epoch wrap; a
+	// variable added afterwards starts on.
+	for _, epoch := range []uint32{s.epoch, ^uint32(0)} {
+		s.epoch = epoch
+		s.SetDecision(0, true)
+		s.ClearDecisions()
+		e := s.AddVar()
+		for v := 0; v < e; v++ {
+			if s.Decision(v) {
+				t.Errorf("epoch %d: variable %d still a decision variable after ClearDecisions", epoch, v)
+			}
+		}
+		if !s.Decision(e) {
+			t.Errorf("epoch %d: new variable %d is not a decision variable", epoch, e)
+		}
 	}
 }
