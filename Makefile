@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec sim loc clean build/cryobench
+.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec cec-hard sim loc clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ race:
 # miter is the flow's most concurrent code path).
 cec:
 	$(GO) test -race -v ./internal/cec/...
+
+# The equivalence checks the signoff workload leaves out (docs/CEC.md,
+# "Hard checks"): scaled sqrt and priority mapped on the 10 K testlib as
+# signoff maps its circuits, each proven by cec.Check with one worker and
+# seed 201, one line of wall time and Stats per check (about 2.5 min).
+cec-hard:
+	$(GO) run ./bench/cechard
 
 # Gate-level simulator suite (docs/GSIM.md) plus a quick end-to-end run:
 # synthesize an EPFL benchmark, simulate it event-driven with annotated
