@@ -159,11 +159,11 @@ func (b *CNFBuilder) Prove(x, y Lit, budget int64) (ProveResult, int) {
 
 // decideOnly makes the cones of SAT variables x and y, as the builder
 // encoded them, the solver's only decision variables. It clears every
-// flag, then walks the two cones, stopping at free cut points, and sets
-// theirs; a set flag marks a variable as visited. It allocates nothing
-// once its stack has grown. Prove runs it from the solver's
-// BeforeDecisions hook, so a query whose solves all end in propagation
-// (most of a sweep's queries) skips the walk.
+// flag, then walks the two cones through fanins, which end at inputs and
+// free cut points, and sets theirs; a set flag marks a variable as
+// visited. It allocates nothing once its stack has grown. Prove runs it
+// from the solver's BeforeDecisions hook, so a query whose solves all end
+// in propagation (most of a sweep's queries) skips the walk.
 func (b *CNFBuilder) decideOnly(x, y int32) {
 	s := b.S
 	s.ClearDecisions()
