@@ -54,9 +54,6 @@ func (h *varHeap) down(s *Solver, i int) {
 	h.indices[v] = i
 }
 
-// has reports whether v is in the heap.
-func (h *varHeap) has(v int) bool { return v < len(h.indices) && h.indices[v] >= 0 }
-
 // push inserts v if absent.
 func (h *varHeap) push(s *Solver, v int) {
 	for len(h.indices) <= v {

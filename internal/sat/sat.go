@@ -170,7 +170,7 @@ func (s *Solver) SetDecision(v int, on bool) {
 		return
 	}
 	s.decision[v] = s.epoch
-	if s.vals[2*v] == 0 && !s.heap.has(v) {
+	if s.vals[2*v] == 0 {
 		s.heap.push(s, v)
 	}
 }
