@@ -76,7 +76,7 @@ func verdictLine(kind, name string, v *cec.Verdict) string {
 }
 
 // TestCheckGoldenDigest runs the SAT-sweeping engine (SweepCheck, so
-// int2float's 11 inputs do not take the exhaustive path) on the stored
+// int2float's 12 inputs do not take the exhaustive path) on the stored
 // netlists and one seeded gate mutation each. Against cec_digest.txt,
 // recorded from the pointer-based SAT solver the flat clause store
 // replaced and never re-recorded, it compares the columns that do not

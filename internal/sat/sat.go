@@ -368,7 +368,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := l.Var()
 		s.polarity[v] = !l.Neg()
 		s.vals[l], s.vals[l.Not()] = 0, 0
-		if s.decision[v] == s.epoch {
+		if s.Decision(v) {
 			s.heap.push(s, v)
 		}
 	}
@@ -457,7 +457,7 @@ func (s *Solver) pickBranch() (Lit, bool) {
 		if !ok {
 			return 0, false
 		}
-		if s.vals[2*v] == 0 && s.decision[v] == s.epoch {
+		if s.vals[2*v] == 0 && s.Decision(v) {
 			return L(v, !s.polarity[v]), true
 		}
 	}
