@@ -140,12 +140,12 @@ func runScript(g *aig.AIG, script string) (*aig.AIG, error) {
 		case "refactor", "rf":
 			cur = cur.Refactor()
 		case "resub", "rs":
-			cur = cur.Resub(aig.DefaultResubOptions())
+			cur = cur.Resub(1)
 		case "c2rs":
 			cur = cur.Balance().
-				Resub(aig.DefaultResubOptions()).
+				Resub(1).
 				Rewrite(false).
-				Resub(aig.DefaultResubOptions()).
+				Resub(1).
 				Refactor().
 				Balance().
 				Rewrite(true).

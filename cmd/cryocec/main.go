@@ -43,7 +43,6 @@ var flushObs = func() {}
 func main() {
 	budget := flag.Int64("budget", 0, "per-output conflict budget (default 200000)")
 	fallback := flag.Int64("fallback-budget", 0, "fallback miter conflict budget (default 2x budget)")
-	simWords := flag.Int("sim", 0, "random simulation words of 64 patterns (default 8)")
 	workers := flag.Int("workers", 0, "fallback miter workers (default GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	verbose := flag.Bool("stats", true, "print engine statistics")
@@ -71,7 +70,6 @@ func main() {
 	v := cec.Check(ctx, a, b, cec.Options{
 		OutputBudget:   *budget,
 		FallbackBudget: *fallback,
-		SimWords:       *simWords,
 		Workers:        *workers,
 		Seed:           *seed,
 	})

@@ -478,7 +478,7 @@ func TestRefactorPreservesFunction(t *testing.T) {
 }
 
 func TestResubPreservesFunction(t *testing.T) {
-	checkPass(t, "resub", func(g *AIG) *AIG { return g.Resub(DefaultResubOptions()) }, false)
+	checkPass(t, "resub", func(g *AIG) *AIG { return g.Resub(1) }, false)
 }
 
 func TestResubMergesDuplicates(t *testing.T) {
@@ -492,7 +492,7 @@ func TestResubMergesDuplicates(t *testing.T) {
 	y := g.And(a, g.And(b, c))
 	g.AddPO(x, "x")
 	g.AddPO(y, "y")
-	r := g.Resub(DefaultResubOptions())
+	r := g.Resub(1)
 	if r.NumNodes() > 2 {
 		t.Errorf("resub left %d nodes, want 2 (merged chains)", r.NumNodes())
 	}

@@ -45,7 +45,7 @@ func BenchmarkResub(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = g.Resub(aig.DefaultResubOptions())
+		sink = g.Resub(1)
 	}
 }
 

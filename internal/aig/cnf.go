@@ -59,7 +59,7 @@ func (b *CNFBuilder) SatVar(v int) int {
 		return int(b.varMap[v]) - 1
 	}
 	if v >= len(b.varMap) {
-		// Amortized growth: the CEC sweeper's graph grows under the builder.
+		// Amortized growth: the sweep engine's graph grows under the builder.
 		grown := make([]int32, max(v+1, 2*len(b.varMap)))
 		copy(grown, b.varMap)
 		b.varMap = grown

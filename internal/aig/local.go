@@ -1,6 +1,4 @@
-package cec
-
-import "repro/internal/aig"
+package aig
 
 // Cut-local proof limits. A candidate pair whose two cones meet a few
 // nodes below the roots is proven on a common cut of at most cutLeaves
@@ -16,7 +14,7 @@ const (
 // cut exists. It owns only a truth-table scratch indexed by g's variables,
 // so a call allocates nothing beyond growing that scratch with g.
 type cutProver struct {
-	g  *aig.AIG
+	g  *AIG
 	tt []uint64 // g variable -> truth table over the current cut
 }
 
@@ -30,7 +28,7 @@ type cutProver struct {
 // leaves (y ≡ x can hold with y inside x's cone). false means "not proven
 // here", never "different": correlated leaves can make two nodes equal
 // while their cut tables differ.
-func (c *cutProver) equal(x, y aig.Lit) bool {
+func (c *cutProver) equal(x, y Lit) bool {
 	g := c.g
 	xv, yv := x.Var(), y.Var()
 	if xv == yv || !g.IsAnd(xv) || !g.IsAnd(yv) {
@@ -78,22 +76,22 @@ func (c *cutProver) equal(x, y aig.Lit) bool {
 // sameTable simulates the expanded nodes (in reverse expansion order, which
 // puts every fanin before its fanout) over the cut leaves and compares the
 // two roots' tables.
-func (c *cutProver) sameTable(x, y aig.Lit, leaves, inner []int) bool {
+func (c *cutProver) sameTable(x, y Lit, leaves, inner []int) bool {
 	if n := c.g.NumVars(); len(c.tt) < n {
 		c.tt = make([]uint64, 2*n) // tables are rebuilt per call: no copy
 	}
 	for i, v := range leaves {
-		c.tt[v] = aig.Truth6Var(i)
+		c.tt[v] = Truth6Var(i)
 	}
 	for j := len(inner) - 1; j >= 0; j-- {
 		f0, f1 := c.g.Fanins(inner[j])
 		c.tt[inner[j]] = c.lit(f0) & c.lit(f1)
 	}
-	return (c.lit(x)^c.lit(y))&aig.Truth6Mask(len(leaves)) == 0
+	return (c.lit(x)^c.lit(y))&Truth6Mask(len(leaves)) == 0
 }
 
 // lit is the truth table of a literal over the current cut.
-func (c *cutProver) lit(l aig.Lit) uint64 {
+func (c *cutProver) lit(l Lit) uint64 {
 	if l.IsCompl() {
 		return ^c.tt[l.Var()]
 	}

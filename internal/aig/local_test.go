@@ -1,16 +1,13 @@
-package cec
+package aig
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/aig"
 )
 
 // andAll conjoins lits as a balanced tree.
-func andAll(g *aig.AIG, lits []aig.Lit) aig.Lit {
+func andAll(g *AIG, lits []Lit) Lit {
 	if len(lits) == 1 {
 		return lits[0]
 	}
@@ -19,7 +16,7 @@ func andAll(g *aig.AIG, lits []aig.Lit) aig.Lit {
 }
 
 func TestCutProofReassociation(t *testing.T) {
-	g := aig.New("g")
+	g := New("g")
 	a, b, c := g.AddPI("a"), g.AddPI("b"), g.AddPI("c")
 	x := g.And(a, g.And(b, c))
 	y := g.And(g.And(a, b), c)
@@ -39,14 +36,12 @@ func TestCutProofReassociation(t *testing.T) {
 	}
 
 	// Through the sweep, the pair closes locally: no SAT query at all.
-	ga, gb := aig.New("a"), aig.New("b")
-	pa := []aig.Lit{ga.AddPI("a"), ga.AddPI("b"), ga.AddPI("c")}
-	pb := []aig.Lit{gb.AddPI("a"), gb.AddPI("b"), gb.AddPI("c")}
-	ga.AddPO(ga.And(pa[0], ga.And(pa[1], pa[2])), "y")
-	gb.AddPO(gb.And(gb.And(pb[0], pb[1]), pb[2]), "y")
-	v := sweepCheck(context.Background(), ga, gb, Options{})
-	if v.Status != Equal || v.Stats.LocalMerges != 1 || v.Stats.SATCalls != 0 {
-		t.Errorf("reassociation: %v, stats %+v; want EQUAL with one local merge and no SAT", v.Status, v.Stats)
+	g.AddPO(x, "x")
+	g.AddPO(y, "y")
+	s := NewSweeper(g, 1)
+	s.Run(nil)
+	if s.Lift(x) != s.Lift(y) || s.Stats.LocalMerges != 1 || s.Stats.SATCalls != 0 {
+		t.Errorf("reassociation: stats %+v; want one local merge and no SAT", s.Stats)
 	}
 }
 
@@ -55,47 +50,40 @@ func TestCutProofReassociation(t *testing.T) {
 // L1 pairs every p0..p5 with one of p6..p11, so none of its nodes computes a
 // product of p0..p5 alone: exposing L1 => L2 takes a cut of at least seven
 // leaves (p0..p5 and a cover of p6..p11). The local proof must decline, and
-// the sweep's verdict must still be EQUAL, by SAT.
+// the sweep must still merge the pair, by SAT.
 func TestCutProofDeclinesCorrelatedLeaves(t *testing.T) {
-	build := func(name string, withL2 bool) (g *aig.AIG, out, l1 aig.Lit) {
-		g = aig.New(name)
-		p := make([]aig.Lit, 12)
-		for i := range p {
-			p[i] = g.AddPI(string(rune('a' + i)))
-		}
-		l1 = andAll(g, []aig.Lit{p[0], p[6], p[1], p[7], p[2], p[8], p[3], p[9], p[4], p[10], p[5], p[11]})
-		out = l1
-		if withL2 {
-			out = g.And(l1, andAll(g, p[:6]))
-		}
-		g.AddPO(out, "y")
-		return g, out, l1
+	g := New("corr")
+	p := make([]Lit, 12)
+	for i := range p {
+		p[i] = g.AddPI(string(rune('a' + i)))
 	}
-	ga, x, l1 := build("a", true)
-	if (&cutProver{g: ga}).equal(x, l1) {
+	l1 := andAll(g, []Lit{p[0], p[6], p[1], p[7], p[2], p[8], p[3], p[9], p[4], p[10], p[5], p[11]})
+	x := g.And(l1, andAll(g, p[:6]))
+	if (&cutProver{g: g}).equal(x, l1) {
 		t.Fatal("local proof claimed L1&L2 == L1 on a cut that hides L1 => L2")
 	}
 
-	gb, _, _ := build("b", false)
-	v := sweepCheck(context.Background(), ga, gb, Options{})
-	if v.Status != Equal {
-		t.Fatalf("L1&L2 vs L1: %v (cex %s), want EQUAL", v.Status, v.CexString())
+	g.AddPO(x, "x")
+	g.AddPO(l1, "l1")
+	s := NewSweeper(g, 1)
+	s.Run(nil)
+	if s.Lift(x) != s.Lift(l1) {
+		t.Fatalf("L1&L2 and L1 not merged: %+v", s.Stats)
 	}
-	if v.Stats.SATCalls == 0 {
-		t.Errorf("L1&L2 vs L1 proven without SAT: %+v", v.Stats)
+	if s.Stats.SATMerges == 0 {
+		t.Errorf("L1&L2 and L1 merged without SAT: %+v", s.Stats)
 	}
 }
 
-// RandomAIG builds a seeded random AIG over nPI inputs whose AND fanins
-// lean toward recent nodes, so the graph has depth and reconvergence. It is
-// exported for the black-box tests of this package.
-func RandomAIG(rng *rand.Rand, nPI, nAnd, nPO int) *aig.AIG {
-	g := aig.New("rand")
-	var lits []aig.Lit
+// deepRandomAIG builds a seeded random AIG over nPI inputs whose AND fanins
+// lean toward recent nodes, so the graph has depth and reconvergence.
+func deepRandomAIG(rng *rand.Rand, nPI, nAnd, nPO int) *AIG {
+	g := New("rand")
+	var lits []Lit
 	for i := 0; i < nPI; i++ {
 		lits = append(lits, g.AddPI(fmt.Sprintf("i%d", i)))
 	}
-	pick := func() aig.Lit {
+	pick := func() Lit {
 		k := len(lits) - 1 - rng.Intn(min(len(lits), 12))
 		if rng.Intn(4) == 0 {
 			k = rng.Intn(len(lits))
@@ -122,7 +110,7 @@ func TestCutProofSoundOnRandomPairs(t *testing.T) {
 	claims := 0
 	for trial := 0; trial < 60; trial++ {
 		nPI := 2 + rng.Intn(9)
-		g := RandomAIG(rng, nPI, 20+rng.Intn(50), 1)
+		g := deepRandomAIG(rng, nPI, 20+rng.Intn(50), 1)
 		// Exhaustive signatures: pattern p sets input i to bit i of p.
 		words := (1<<nPI + 63) / 64
 		sig := make([][]uint64, words)
@@ -140,13 +128,13 @@ func TestCutProofSoundOnRandomPairs(t *testing.T) {
 		}
 		mask := ^uint64(0)
 		if nPI < 6 {
-			mask = aig.Truth6Mask(nPI)
+			mask = Truth6Mask(nPI)
 		}
 		cp := cutProver{g: g}
 		for u := nPI + 1; u < g.NumVars(); u++ {
 			for v := nPI + 1; v < u; v++ {
 				for _, compl := range []bool{false, true} {
-					if !cp.equal(aig.MakeLit(u, false), aig.MakeLit(v, compl)) {
+					if !cp.equal(MakeLit(u, false), MakeLit(v, compl)) {
 						continue
 					}
 					claims++
@@ -157,7 +145,7 @@ func TestCutProofSoundOnRandomPairs(t *testing.T) {
 						}
 						if d&mask != 0 {
 							t.Fatalf("trial %d: local proof claims var %d == literal %d, exhaustive simulation disagrees",
-								trial, u, aig.MakeLit(v, compl))
+								trial, u, MakeLit(v, compl))
 						}
 					}
 				}

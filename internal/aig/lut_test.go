@@ -115,11 +115,6 @@ func TestOptionDefaultsKeepCallerFields(t *testing.T) {
 	if got := (MfsOptions{PowerAware: true, Seed: 42, MaxChecks: 3}).withDefaults(); got != want {
 		t.Errorf("Mfs defaults: got %+v, want %+v", got, want)
 	}
-	rwant := DefaultResubOptions()
-	rwant.Seed, rwant.MaxProofs, rwant.Window = 9, 5, 50
-	if got := (ResubOptions{Seed: 9, MaxProofs: 5, Window: 50}).withDefaults(); got != rwant {
-		t.Errorf("Resub defaults: got %+v, want %+v", got, rwant)
-	}
 
 	// End to end: Mfs with SimWords unset honours the fields the caller set.
 	// One check per LUT leaves fewer don't-cares than the default twelve,

@@ -20,7 +20,7 @@ var resubDigestCircuits = []string{"ctrl", "int2float", "router", "cavlc"}
 // after in the clear, the result's AIGER text as a hash.
 func resubLine(t *testing.T, kind string, g *aig.AIG) string {
 	t.Helper()
-	r := g.Resub(aig.DefaultResubOptions())
+	r := g.Resub(1)
 	var b bytes.Buffer
 	if err := r.WriteAIGER(&b); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestResubMatchesExhaustiveEval(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		nPI := 4 + int(seed%7)
 		g := randomAIG(seed, nPI, 40+int(seed%5)*30, 6)
-		r := g.Resub(DefaultResubOptions())
+		r := g.Resub(1)
 		if r.NumNodes() > g.NumNodes() {
 			t.Errorf("seed %d: %d nodes -> %d", seed, g.NumNodes(), r.NumNodes())
 		}
@@ -53,7 +53,7 @@ func TestResubMatchesExhaustiveEval(t *testing.T) {
 				}
 			}
 		}
-		if again := g.Resub(DefaultResubOptions()); !bytes.Equal(aigerBytes(t, r), aigerBytes(t, again)) {
+		if again := g.Resub(1); !bytes.Equal(aigerBytes(t, r), aigerBytes(t, again)) {
 			t.Errorf("seed %d: two Resub runs differ", seed)
 		}
 	}
@@ -71,7 +71,7 @@ func TestResubCollapsesDistributedPair(t *testing.T) {
 	or := func(x, y Lit) Lit { return g.And(x.Not(), y.Not()).Not() }
 	g.AddPO(g.And(a, or(b, c)), "x")
 	g.AddPO(or(g.And(a, b), g.And(a, c)), "y")
-	r := g.Resub(DefaultResubOptions())
+	r := g.Resub(1)
 	if r.PO(0) != r.PO(1) || r.NumNodes() != 2 {
 		t.Errorf("outputs %v and %v over %d nodes, want one literal over 2 nodes", r.PO(0), r.PO(1), r.NumNodes())
 	}

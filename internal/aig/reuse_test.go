@@ -43,23 +43,24 @@ func TestReusedBuilderMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestWarmResubProofAllocatesNothing: once the pass's builder has held a
-// proof's window, the next proof of that size reuses every allocation.
-func TestWarmResubProofAllocatesNothing(t *testing.T) {
+// TestWarmMfsWindowAllocatesNothing: once Mfs's builder has held a LUT
+// window, resetting it for the next window of that size and proving its
+// don't-cares reuses every allocation.
+func TestWarmMfsWindowAllocatesNothing(t *testing.T) {
+	opt := DefaultMfsOptions()
 	g := randomAIG(5, 8, 300, 4)
+	net := g.MapLUT(LUTMapOptions{K: 6})
 	cnf := NewCNFBuilder(g, sat.New(0))
-	cnf.Limit = DefaultResubOptions().Window
-	root := MakeLit(g.NumVars()-1, false)
-	other := MakeLit(g.NumVars()-2, true)
-	prove := func() {
-		cnf.Reset()
-		cnf.Prove(root, other, 300)
-		cnf.Reset()
-		cnf.Prove(root, False, 300)
+	cnf.Limit = opt.Window
+	a := net.LUTs[net.Order[len(net.Order)-1]].Leaves
+	b := net.LUTs[net.Order[len(net.Order)-2]].Leaves
+	windows := func() {
+		net.dontCares(cnf, a, 0, opt)
+		net.dontCares(cnf, b, 0, opt)
 	}
-	prove()
-	if allocs := testing.AllocsPerRun(20, prove); allocs != 0 {
-		t.Errorf("warm proofs allocated %.1f times per run", allocs)
+	windows()
+	if allocs := testing.AllocsPerRun(20, windows); allocs != 0 {
+		t.Errorf("warm LUT windows allocated %.1f times per run", allocs)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestPassDeltasAreGauges(t *testing.T) {
 	a, b, c := g.AddPI("a"), g.AddPI("b"), g.AddPI("c")
 	g.AddPO(g.And(g.And(a, b), c), "x")
 	g.AddPO(g.And(a, g.And(b, c)), "y")
-	if r := g.Resub(DefaultResubOptions()); r.NumNodes() >= g.NumNodes() {
+	if r := g.Resub(1); r.NumNodes() >= g.NumNodes() {
 		t.Fatalf("resub did not shrink the network: %d -> %d nodes", g.NumNodes(), r.NumNodes())
 	}
 

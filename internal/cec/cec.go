@@ -9,11 +9,12 @@
 //     compared in one representation;
 //   - an exhaustive simulation of every input pattern (sim.go) that decides
 //     miters of at most maxSimInputs inputs with no SAT at all;
-//   - for larger miters, a simulation-guided SAT-sweeping engine (sweep.go):
-//     64-bit random simulation partitions the joint miter's nodes into
-//     candidate equivalence classes, then incremental SAT miters over
-//     internal/sat prove or refute each candidate, with counterexamples fed
-//     back to refine the classes until fixpoint;
+//   - for larger miters, the simulation-guided SAT-sweeping engine that
+//     aig.Resub also runs (aig.Sweeper): 64-bit random simulation
+//     partitions the joint miter's nodes into candidate equivalence
+//     classes, then incremental SAT miters over internal/sat prove or
+//     refute each candidate, with counterexamples fed back to refine the
+//     classes until fixpoint;
 //   - a parallel per-output miter fallback (miter.go) with a worker pool and
 //     per-output conflict budgets for the outputs sweeping leaves open.
 //
@@ -118,9 +119,6 @@ func (v *Verdict) CexString() string {
 
 // Options tunes the checker. The zero value picks sensible defaults.
 type Options struct {
-	// SimWords is the number of 64-pattern random simulation words used to
-	// seed the candidate equivalence classes (default 8 → 512 patterns).
-	SimWords int
 	// OutputBudget is the conflict budget for each primary-output proof on
 	// the swept graph (default 200000).
 	OutputBudget int64
@@ -129,14 +127,11 @@ type Options struct {
 	FallbackBudget int64
 	// Workers bounds the fallback worker pool (default GOMAXPROCS).
 	Workers int
-	// Seed drives the random simulation (default 1).
+	// Seed drives the sweep's random simulation (default 1).
 	Seed int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.SimWords <= 0 {
-		o.SimWords = 8
-	}
 	if o.OutputBudget == 0 {
 		o.OutputBudget = 200000
 	}

@@ -16,7 +16,7 @@ var ctx = context.Background()
 // but functionally identical AIG.
 func optimize(g *aig.AIG) *aig.AIG {
 	return g.Balance().
-		Resub(aig.DefaultResubOptions()).
+		Resub(1).
 		Rewrite(false).
 		Refactor().
 		Balance().

@@ -16,26 +16,25 @@ import (
 // timed out. golden supplies PI/PO names for the verdict.
 func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *aig.AIG, opt Options) *Verdict {
 	v := &Verdict{Status: Equal, Inputs: piNames(golden)}
-	sw := newSweeper(m, opt, &v.Stats)
-	sw.sweep(ctx)
+	sw := sweep(ctx, m, opt.Seed)
 
 	var pending []int
 	for i := range outsA {
-		la, lb := sw.liftLit(outsA[i]), sw.liftLit(outsB[i])
-		if la == lb || sw.cut.equal(la, lb) {
+		la, lb := sw.Lift(outsA[i]), sw.Lift(outsB[i])
+		if la == lb || sw.CutEqual(la, lb) {
 			continue // merged during sweeping or proven on a common cut
 		}
-		res, cex := sw.prove(la, lb, opt.OutputBudget)
-		switch res {
-		case aig.Proven:
-		case aig.Refuted:
+		res, cex := sw.Prove(la, lb, opt.OutputBudget)
+		if res == aig.Refuted {
 			v.fail(golden, i, cex)
-			return v
-		default:
+			break
+		}
+		if res == aig.Undecided {
 			pending = append(pending, i)
 		}
 	}
-	if len(pending) == 0 {
+	v.Stats.publish(sw.Stats)
+	if v.Status == NotEqual || len(pending) == 0 {
 		return v
 	}
 
@@ -58,6 +57,36 @@ func runCheck(ctx context.Context, m *aig.AIG, outsA, outsB []aig.Lit, golden *a
 	return v
 }
 
+// sweep runs the aig sweep engine over every AND node of the miter under
+// the cec.sweep span and progress task.
+func sweep(ctx context.Context, m *aig.AIG, seed int64) *aig.Sweeper {
+	_, span := obs.Start(ctx, "cec.sweep")
+	defer span.End()
+	nodes := obs.Progress("cec.sweep", int64(m.NumNodes()))
+	defer nodes.Finish()
+	sw := aig.NewSweeper(m, seed)
+	sw.Run(nodes)
+	span.SetAttr("miter_nodes", sw.Stats.Nodes)
+	span.SetAttr("reduced_nodes", sw.Stats.ReducedNodes)
+	span.SetAttr("refinements", sw.Stats.Refinements)
+	return sw
+}
+
+// publish copies the sweep's counts, output proofs included, into the
+// check's Stats and adds them to the cec.* counters.
+func (st *Stats) publish(s aig.SweepStats) {
+	*st = Stats{
+		MiterNodes: s.Nodes, ReducedNodes: s.ReducedNodes,
+		SimPatterns: s.SimPatterns, Refinements: s.Refinements,
+		StructMerges: s.StructMerges, LocalMerges: s.LocalMerges, SATMerges: s.SATMerges,
+		SATCalls: s.SATCalls, SATTimeouts: s.SATTimeouts, Cex: s.Cex,
+	}
+	obs.C("cec.merges").Add(int64(s.LocalMerges + s.SATMerges))
+	obs.C("cec.sat_calls").Add(int64(s.SATCalls))
+	obs.C("cec.cex").Add(int64(s.Cex))
+	obs.C("cec.classes_refined").Add(int64(s.Refinements))
+}
+
 // fail records a refuted golden output i with its counterexample.
 func (v *Verdict) fail(golden *aig.AIG, i int, cex []bool) {
 	v.Status = NotEqual
@@ -74,7 +103,7 @@ type outcome struct {
 
 // parallelMiter proves the pending output pairs on the reduced graph, one
 // fresh solver per output, opt.Workers at a time.
-func parallelMiter(ctx context.Context, sw *sweeper, pending []int, outsA, outsB []aig.Lit, opt Options, stats *Stats) map[int]outcome {
+func parallelMiter(ctx context.Context, sw *aig.Sweeper, pending []int, outsA, outsB []aig.Lit, opt Options, stats *Stats) map[int]outcome {
 	_, span := obs.Start(ctx, "cec.fallback")
 	defer span.End()
 	span.SetAttr("outputs", len(pending))
@@ -87,7 +116,7 @@ func parallelMiter(ctx context.Context, sw *sweeper, pending []int, outsA, outsB
 	}
 	obs.C("cec.fallback_outputs").Add(int64(len(pending)))
 
-	red := sw.red // read-only from here on: safe to share across workers
+	red := sw.Reduced() // read-only from here on: safe to share across workers
 	jobs := make(chan int)
 	results := make([]outcome, len(pending))
 	slot := make(map[int]int, len(pending)) // output index -> results slot
@@ -100,7 +129,7 @@ func parallelMiter(ctx context.Context, sw *sweeper, pending []int, outsA, outsB
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[slot[i]] = proveFresh(red, sw.liftLit(outsA[i]), sw.liftLit(outsB[i]), opt.FallbackBudget)
+				results[slot[i]] = proveFresh(red, sw.Lift(outsA[i]), sw.Lift(outsB[i]), opt.FallbackBudget)
 			}
 		}()
 	}
@@ -129,7 +158,7 @@ func parallelMiter(ctx context.Context, sw *sweeper, pending []int, outsA, outsB
 }
 
 // proveFresh checks x ≡ y over g on a fresh solver with its own budget,
-// inputs encoded first as on the sweeper's solver, and returns the
+// inputs encoded first as on the sweep engine's solver, and returns the
 // counterexample on Refuted.
 func proveFresh(g *aig.AIG, x, y aig.Lit, budget int64) outcome {
 	cnf := aig.NewCNFBuilder(g, sat.New(0))

@@ -194,13 +194,10 @@ func (f *Front) releaseCuts() {
 // c2rs approximates ABC's compress2rs shortcut: balance and interleaved
 // resubstitution / rewriting / refactoring rounds.
 func c2rs(g *aig.AIG, seed int64) c2rsTail {
-	ropt := aig.DefaultResubOptions()
-	ropt.Seed = seed + 1
 	cur := g.Balance()
-	cur = cur.Resub(ropt)
+	cur = cur.Resub(seed + 1)
 	cur = cur.Rewrite(false)
-	ropt.Seed = seed + 2
-	cur = cur.Resub(ropt)
+	cur = cur.Resub(seed + 2)
 	cur = cur.Refactor()
 	x := cur.Balance()
 	y := x.Rewrite(true)
