@@ -2,6 +2,7 @@ package aig
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -31,15 +32,25 @@ func aigerBytes(t *testing.T, g *AIG) []byte {
 
 // TestResubMatchesExhaustiveEval: on seeded random AIGs of at most ten
 // inputs, Resub keeps every output's value on every input pattern, never
-// adds nodes, and returns the same bytes when run twice. The graphs are
-// small enough that random simulation leaves candidate pairs that SAT must
-// refute, and many merges are complemented, so merging a refuted pair or
-// dropping a merge's phase shows up as a wrong output.
+// adds nodes, and returns the same bytes when run twice. Each graph also
+// drives three outputs with minterms of all its inputs: one true pattern
+// in up to 1,024, which the sweep's 512 random patterns often miss, so
+// they simulate like the constant and SAT must refute the pair. Many
+// merges are complemented. Merging a refuted pair or dropping a merge's
+// phase therefore shows up as a wrong output.
 func TestResubMatchesExhaustiveEval(t *testing.T) {
 	merged := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		nPI := 4 + int(seed%7)
 		g := randomAIG(seed, nPI, 40+int(seed%5)*30, 6)
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < 3; k++ {
+			m := True
+			for i := 0; i < nPI; i++ {
+				m = g.And(m, g.PI(i).NotIf(rng.Intn(2) == 0))
+			}
+			g.AddPO(m, pinName(200+k))
+		}
 		r := g.Resub(1)
 		if r.NumNodes() > g.NumNodes() {
 			t.Errorf("seed %d: %d nodes -> %d", seed, g.NumNodes(), r.NumNodes())
