@@ -48,11 +48,13 @@ fmt:
 perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-# Formal signoff smoke (docs/CEC.md): cryosynth -verify proves pre-opt ≡
-# post-opt ≡ mapped netlist for every scenario of four small circuits on the
-# synthetic library, and exits non-zero on any failure (about 1 s).
+# Formal signoff smoke (docs/CEC.md, run by CI): cryosynth -verify proves
+# pre-opt ≡ post-opt ≡ mapped netlist for every scenario of eight circuits
+# on the synthetic library, and exits non-zero on any failure (about 1 s).
+# log2, max, priority and square are there because Resub merges nodes in
+# their c2rs, so a wrong merge fails this gate.
 verify-smoke:
-	$(GO) run ./cmd/cryosynth -testlib -verify -fig3=false -circuits ctrl,dec,int2float,router
+	$(GO) run ./cmd/cryosynth -testlib -verify -fig3=false -circuits ctrl,dec,int2float,router,log2,max,priority,square
 
 # Characterization CLI smoke (docs/SPICE.md): cryochar characterizes four
 # cells at 10 K into a fresh cache, then reruns; the rerun must be a cache
