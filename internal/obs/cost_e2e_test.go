@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/charlib"
 	"repro/internal/epfl"
@@ -20,7 +21,8 @@ import (
 
 // TestCostAttribution runs real flow stages under -cost — a 7x7 SPICE
 // characterization, a tracer reset as cryobench does between repetitions,
-// then a synthesis, each worth ten or more 10 ms profile samples — and
+// then synthesis repeated for at least 300 ms, each worth ten or more 10 ms
+// profile samples — and
 // checks that go tool pprof -tags reads the profile and lists
 // span paths from both stages, including the charlib.arc worker spans
 // nested under charlib.cell.
@@ -58,8 +60,11 @@ func TestCostAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := synth.Synthesize(context.Background(), g, ml, synth.Options{Scenario: synth.CryoPDA, Seed: 5}); err != nil {
-		t.Fatalf("Synthesize: %v", err)
+	// One synthesis of bar takes about one sampling period.
+	for start := time.Now(); time.Since(start) < 300*time.Millisecond; {
+		if _, err := synth.Synthesize(context.Background(), g, ml, synth.Options{Scenario: synth.CryoPDA, Seed: 5}); err != nil {
+			t.Fatalf("Synthesize: %v", err)
+		}
 	}
 	obs.StopCost()
 	if err := f.Close(); err != nil {
