@@ -26,10 +26,12 @@ type LUTNet struct {
 	Order []int        // topological order of mapped roots
 }
 
+// lutMaxCuts is the number of priority cuts MapLUT keeps per node.
+const lutMaxCuts = 8
+
 // LUTMapOptions controls k-LUT mapping.
 type LUTMapOptions struct {
 	K          int  // LUT input count (<= 6)
-	MaxCuts    int  // priority cuts per node
 	PowerAware bool // weight cut choice by switching activity (ABC's -p)
 }
 
@@ -41,10 +43,7 @@ func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
 	if opt.K == 0 {
 		opt.K = 6
 	}
-	if opt.MaxCuts == 0 {
-		opt.MaxCuts = 8
-	}
-	cuts := g.EnumerateCuts(opt.K, opt.MaxCuts)
+	cuts := g.EnumerateCuts(opt.K, lutMaxCuts)
 	refs := g.FanoutCounts()
 	act := g.Activities()
 

@@ -12,10 +12,12 @@ import (
 // Objective is a scalar function to minimize.
 type Objective func(x []float64) float64
 
+// tolF is the convergence tolerance on the simplex's function spread.
+const tolF = 1e-10
+
 // NelderMeadOptions tunes the simplex search.
 type NelderMeadOptions struct {
 	MaxIter int     // maximum iterations (default 2000)
-	TolF    float64 // convergence tolerance on the function spread (default 1e-10)
 	Scale   float64 // initial simplex displacement relative to |x| (default 0.05)
 }
 
@@ -26,9 +28,6 @@ type NelderMeadOptions struct {
 func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, float64) {
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 2000
-	}
-	if opt.TolF == 0 {
-		opt.TolF = 1e-10
 	}
 	if opt.Scale == 0 {
 		opt.Scale = 0.05
@@ -59,7 +58,7 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, fl
 	centroid := make([]float64, n)
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
-		if simplex[n].f-simplex[0].f < opt.TolF {
+		if simplex[n].f-simplex[0].f < tolF {
 			break
 		}
 		for j := 0; j < n; j++ {

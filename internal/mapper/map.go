@@ -44,10 +44,8 @@ func (m CostMode) String() string {
 
 // Options configures a mapping run.
 type Options struct {
-	Mode    CostMode
-	K       int     // cut size (default 5)
-	MaxCuts int     // priority cuts per node (default 8)
-	Vdd     float64 // supply for switching-cost estimation (default library Vdd)
+	Mode CostMode
+	K    int // cut size (default 5)
 	// ClockPeriod converts leakage power to per-cycle energy in the power
 	// cost (default 1 ns).
 	ClockPeriod float64
@@ -60,6 +58,9 @@ type Options struct {
 // epsilon tolerance when comparing priority-cost components: within eps the
 // components are considered tied and the next priority decides.
 const costEps = 0.06
+
+// maxCuts is the number of priority cuts kept per node.
+const maxCuts = 8
 
 type implChoice struct {
 	match *Match
@@ -80,9 +81,9 @@ type implChoice struct {
 type CutTable struct {
 	g  *aig.AIG
 	mu sync.Mutex
-	// k and maxCuts are the cut parameters the table was filled with.
-	k, maxCuts int
-	cuts       [][]aig.Cut
+	// k is the cut size the table was filled with.
+	k    int
+	cuts [][]aig.Cut
 	// tts[v][i] is the function of cuts[v][i] rooted at v (0 for the
 	// trivial cut and for cuts the mapper skips: no leaves or more than 6).
 	tts [][]uint64
@@ -100,12 +101,12 @@ func (t *CutTable) Release() {
 	t.mu.Unlock()
 }
 
-// get returns the cuts and truth tables for (k, maxCuts), enumerating them
-// when the table is empty or was filled for other parameters.
-func (t *CutTable) get(k, maxCuts int) ([][]aig.Cut, [][]uint64) {
+// get returns the cuts and truth tables for cut size k, enumerating them
+// when the table is empty or was filled for another size.
+func (t *CutTable) get(k int) ([][]aig.Cut, [][]uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.cuts != nil && t.k == k && t.maxCuts == maxCuts {
+	if t.cuts != nil && t.k == k {
 		return t.cuts, t.tts
 	}
 	g := t.g
@@ -125,7 +126,7 @@ func (t *CutTable) get(k, maxCuts int) ([][]aig.Cut, [][]uint64) {
 			}
 		}
 	}
-	t.k, t.maxCuts, t.cuts, t.tts = k, maxCuts, cuts, tts
+	t.k, t.cuts, t.tts = k, cuts, tts
 	return cuts, tts
 }
 
@@ -179,12 +180,6 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 	if opt.K == 0 {
 		opt.K = 5
 	}
-	if opt.MaxCuts == 0 {
-		opt.MaxCuts = 8
-	}
-	if opt.Vdd == 0 {
-		opt.Vdd = ml.Lib.Vdd
-	}
 	if opt.ClockPeriod == 0 {
 		opt.ClockPeriod = 1e-9
 	}
@@ -194,14 +189,15 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 	if opt.Passes == 0 {
 		opt.Passes = 2
 	}
-	cuts, tts := t.get(opt.K, opt.MaxCuts)
+	cuts, tts := t.get(opt.K)
 	matches := resolveMatches(g, ml, cuts, tts)
 	refs := g.FanoutCounts()
 	act := g.Activities()
 
 	inv := ml.Inv
+	vdd := ml.Lib.Vdd // supply of the switching-energy estimate
 	invEnergyAt := func(a float64) float64 {
-		return a*inv.Energy + inv.Leakage*opt.ClockPeriod + a*0.5*opt.Vdd*opt.Vdd*inv.InCaps[0]
+		return a*inv.Energy + inv.Leakage*opt.ClockPeriod + a*0.5*vdd*vdd*inv.InCaps[0]
 	}
 
 	var best []implChoice
@@ -255,6 +251,7 @@ func coverRefs(g *aig.AIG, best []implChoice) []int {
 // counts.
 func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matches [][][]*Match, refs []int, act []float64, invEnergyAt func(float64) float64) []implChoice {
 	inv := ml.Inv
+	vdd := ml.Lib.Vdd
 	best := make([]implChoice, g.NumVars())
 	for v := 1; v <= g.NumPIs(); v++ {
 		best[v] = implChoice{valid: true}
@@ -271,7 +268,7 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matche
 				// switching energy of charging the cell's input pins.
 				cand.power = act[v]*m.Energy + m.Leakage*opt.ClockPeriod
 				for i, leaf := range m.PinToLeaf {
-					cand.power += act[cut.Leaves[leaf]] * 0.5 * opt.Vdd * opt.Vdd * m.InCaps[i]
+					cand.power += act[cut.Leaves[leaf]] * 0.5 * vdd * vdd * m.InCaps[i]
 				}
 				if m.OutNeg {
 					cand.area += inv.Area
