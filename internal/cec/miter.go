@@ -73,7 +73,9 @@ func sweep(ctx context.Context, m *aig.AIG, seed int64) *aig.Sweeper {
 }
 
 // publish copies the sweep's counts, output proofs included, into the
-// check's Stats and adds them to the cec.* counters.
+// check's Stats and adds them to the cec.* counters. A counter with
+// nothing to add is left unregistered, as the sweep left it when it
+// counted each event as it happened.
 func (st *Stats) publish(s aig.SweepStats) {
 	*st = Stats{
 		MiterNodes: s.Nodes, ReducedNodes: s.ReducedNodes,
@@ -81,10 +83,16 @@ func (st *Stats) publish(s aig.SweepStats) {
 		StructMerges: s.StructMerges, LocalMerges: s.LocalMerges, SATMerges: s.SATMerges,
 		SATCalls: s.SATCalls, SATTimeouts: s.SATTimeouts, Cex: s.Cex,
 	}
-	obs.C("cec.merges").Add(int64(s.LocalMerges + s.SATMerges))
-	obs.C("cec.sat_calls").Add(int64(s.SATCalls))
-	obs.C("cec.cex").Add(int64(s.Cex))
-	obs.C("cec.classes_refined").Add(int64(s.Refinements))
+	for name, n := range map[string]int{
+		"cec.merges":          s.LocalMerges + s.SATMerges,
+		"cec.sat_calls":       s.SATCalls,
+		"cec.cex":             s.Cex,
+		"cec.classes_refined": s.Refinements,
+	} {
+		if n > 0 {
+			obs.C(name).Add(int64(n))
+		}
+	}
 }
 
 // fail records a refuted golden output i with its counterexample.
