@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt perfbench verify-smoke char-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec cec-hard sim loc clean build/cryobench
+.PHONY: build test race vet fmt perfbench verify-smoke char-smoke cli-smoke check bench bench-diff bench-record explain cost bench-point bench-ab paperbench microbench cec cec-hard sim loc clean build/cryobench
 
 build:
 	$(GO) build ./...
@@ -69,8 +69,27 @@ char-smoke:
 	fi; \
 	echo "char-smoke: OK (rerun hit the cache)"
 
+# AIG and equivalence CLI smoke (docs/CEC.md): cryoaig runs the flow's
+# c2rs and lutpack passes on int2float and proves the result EQUAL; cryocec
+# proves the stored int2float netlist EQUAL (exit 0), then finds a one-gate
+# mutant of it NOT-EQUAL (exit 1) with the counterexample confirmed by
+# gate-level replay (a few seconds).
+cli-smoke:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir" ./cmd/cryoaig ./cmd/cryocec || exit 1; \
+	out="$$("$$dir/cryoaig" -circuit int2float -script "c2rs;lutpack" -verify 2>&1)" || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q '^verified: ' || { echo "$$out"; echo "cli-smoke: cryoaig did not verify EQUAL"; exit 1; }; \
+	gunzip -c internal/gsim/testdata/int2float.v.gz > "$$dir/int2float.v"; \
+	out="$$("$$dir/cryocec" epfl:int2float "$$dir/int2float.v" 2>&1)" || { echo "$$out"; echo "cli-smoke: cryocec on the stored netlist did not exit 0"; exit 1; }; \
+	sed 's/NOR2x1 g5 /NAND2x1 g5 /' "$$dir/int2float.v" > "$$dir/mutant.v"; \
+	out="$$("$$dir/cryocec" epfl:int2float "$$dir/mutant.v" 2>&1)"; code=$$?; \
+	if [ $$code -ne 1 ] || ! echo "$$out" | grep -q '^replay: CONFIRMED'; then \
+		echo "$$out"; echo "cli-smoke: cryocec on the mutant exited $$code, want 1 and a confirmed replay"; exit 1; \
+	fi; \
+	echo "cli-smoke: OK (cryoaig EQUAL, cryocec EQUAL and NOT-EQUAL with a confirmed replay)"
+
 # The CI gate: everything that must be green before merging.
-check: build vet fmt test race perfbench verify-smoke char-smoke
+check: build vet fmt test race perfbench verify-smoke char-smoke cli-smoke
 	@echo "check: OK"
 
 # Exact QoR gate (docs/QOR.md). `make bench` records a fresh smoke run to

@@ -20,9 +20,8 @@ import (
 	"repro/internal/cec"
 	"repro/internal/epfl"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
-
-var flushObs = func() {}
 
 func main() {
 	in := flag.String("in", "", "input AIGER file (.aag ASCII or .aig binary)")
@@ -39,7 +38,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	flushObs = flush
 	defer flush()
 
 	if *exportAll != "" {
@@ -124,6 +122,9 @@ func load(in, circuit string) (*aig.AIG, error) {
 }
 
 func runScript(g *aig.AIG, script string) (*aig.AIG, error) {
+	// c2rs and lutpack are the synthesis flow's own passes, at cryosynth's
+	// default seed.
+	flow := synth.Options{Seed: 1}
 	cur := g
 	for _, pass := range strings.Split(script, ";") {
 		pass = strings.TrimSpace(pass)
@@ -142,18 +143,9 @@ func runScript(g *aig.AIG, script string) (*aig.AIG, error) {
 		case "resub", "rs":
 			cur = cur.Resub(1)
 		case "c2rs":
-			cur = cur.Balance().
-				Resub(1).
-				Rewrite(false).
-				Resub(1).
-				Refactor().
-				Balance().
-				Rewrite(true).
-				Balance()
+			cur = synth.C2RS(cur, flow)
 		case "lutpack":
-			lut := cur.MapLUT(aig.LUTMapOptions{K: 6, PowerAware: true})
-			lut.Mfs(aig.DefaultMfsOptions())
-			cur = lut.Strash()
+			cur = synth.LUTPack(cur, flow)
 		default:
 			return nil, fmt.Errorf("unknown pass %q", pass)
 		}
@@ -190,6 +182,5 @@ func exportSuite(dir string) error {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cryoaig:", err)
-	flushObs()
-	os.Exit(1)
+	obs.Exit(1)
 }

@@ -36,8 +36,6 @@ import (
 	"repro/internal/spice"
 )
 
-var flushObs = func() {}
-
 func main() {
 	profileName := flag.String("profile", "smoke", "benchmark profile: "+strings.Join(qor.ProfileNames(), ", "))
 	repeat := flag.Int("repeat", 0, "repetitions per circuit (0 = profile default)")
@@ -68,22 +66,19 @@ func main() {
 	// mode too (a diff is a run worth recording).
 	flush, err := obsFlags.Activate()
 	exitOn(err)
-	flushObs = flush
 	defer flush()
 
 	if *diffMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: cryobench -diff <base.json> <current.json>")
-			flushObs()
-			os.Exit(2)
+			obs.Exit(2)
 		}
 		base, err := qor.ReadBaselineFile(flag.Arg(0))
 		exitOn(err)
 		cur, err := qor.ReadBaselineFile(flag.Arg(1))
 		exitOn(err)
 		code := reportDiff(base, cur, cfg)
-		flushObs()
-		os.Exit(code)
+		obs.Exit(code)
 	}
 
 	prof, err := qor.FindProfile(*profileName)
@@ -130,8 +125,7 @@ func main() {
 	exitOn(err)
 	fmt.Println()
 	if code := reportDiff(base, b, cfg); code != 0 {
-		flushObs()
-		os.Exit(code)
+		obs.Exit(code)
 	}
 }
 
@@ -214,8 +208,7 @@ func subset(all []string, req string) ([]string, error) {
 
 func exitOn(err error) {
 	if err != nil {
-		flushObs()
 		fmt.Fprintln(os.Stderr, "cryobench:", err)
-		os.Exit(1)
+		obs.Exit(1)
 	}
 }

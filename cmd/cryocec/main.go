@@ -12,10 +12,10 @@
 // benchmarks. Primary inputs/outputs are paired by name when both sides
 // carry matching name sets, positionally otherwise.
 //
-// NOT-EQUAL counterexamples are re-executed through independent engines
-// (-replay, on by default): mapped-Verilog sides in the event-driven
-// gate-level simulator, AIG sides by direct evaluation. A cex that fails to
-// replay is reported loudly — it means the checker and the simulators
+// cec.Check replays every NOT-EQUAL counterexample on both AIGs; cryocec
+// also re-executes it on mapped-Verilog sides in the event-driven
+// gate-level simulator, on the ports the check paired. A cex that fails to
+// replay there is reported loudly — it means the checker and the simulator
 // disagree about the circuit.
 //
 // Exit status: 0 EQUAL, 1 NOT-EQUAL (a counterexample vector is printed),
@@ -38,27 +38,22 @@ import (
 	"repro/internal/pdk"
 )
 
-var flushObs = func() {}
-
 func main() {
 	budget := flag.Int64("budget", 0, "per-output conflict budget (default 200000)")
 	fallback := flag.Int64("fallback-budget", 0, "fallback miter conflict budget (default 2x budget)")
 	workers := flag.Int("workers", 0, "fallback miter workers (default GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	verbose := flag.Bool("stats", true, "print engine statistics")
-	replayCex := flag.Bool("replay", true, "re-execute NOT-EQUAL counterexamples in the gate-level simulator")
 	obsFlags := obs.InstallFlags(flag.CommandLine)
 	flag.Parse()
 
 	flush, err := obsFlags.Activate()
 	check(err)
-	flushObs = flush
 	defer flush()
 
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: cryocec [flags] <golden> <impl>   (.aag, .aig, .v, or epfl:<name>)")
-		flushObs()
-		os.Exit(2)
+		obs.Exit(2)
 	}
 	a, nlA, err := load(flag.Arg(0))
 	check(err)
@@ -90,12 +85,9 @@ func main() {
 		} else {
 			fmt.Printf("NOT-EQUAL: output %s differs (golden=%v impl=%v)\n", v.FailingOutput, v.OutA, v.OutB)
 			fmt.Printf("counterexample: %s\n", v.CexString())
-			if *replayCex {
-				replay(ctx, v, side{a, nlA}, side{b, nlB})
-			}
+			replay(ctx, v, nlA, nlB)
 		}
-		flushObs()
-		os.Exit(1)
+		obs.Exit(1)
 	case cec.Undecided:
 		if v.Reason != "" {
 			fmt.Printf("UNDECIDED: %s\n", v.Reason)
@@ -103,31 +95,23 @@ func main() {
 			fmt.Printf("UNDECIDED: %d output(s) exhausted their budget: %s\n",
 				len(v.UndecidedOutputs), strings.Join(v.UndecidedOutputs, ", "))
 		}
-		flushObs()
-		os.Exit(2)
+		obs.Exit(2)
 	}
 }
 
-// side is one circuit under comparison; nl is non-nil when it came from a
-// mapped Verilog file and can be replayed at gate level.
-type side struct {
-	g  *aig.AIG
-	nl *netlist.Netlist
-}
-
-// replay independently re-executes the counterexample on both circuits:
-// mapped-Verilog sides run through the event-driven gate-level simulator
-// (an engine sharing nothing with the SAT sweep that produced the cex), AIG
-// sides through direct evaluation. A cex that fails to reproduce means the
-// checker and the simulators disagree about the circuit's function — worth
-// shouting about.
-func replay(ctx context.Context, v *cec.Verdict, golden, impl side) {
-	gv, gHow, err := replayOne(ctx, golden, v)
+// replay re-executes the counterexample on both sides: a mapped-Verilog
+// side runs through the event-driven gate-level simulator (an engine
+// sharing nothing with the SAT sweep that produced the cex), an AIG side
+// reads the value cec.Check's own replay evaluated. A cex that fails to
+// reproduce means the checker and the simulator disagree about the
+// circuit's function — worth shouting about.
+func replay(ctx context.Context, v *cec.Verdict, nlA, nlB *netlist.Netlist) {
+	gv, gHow, err := replayOne(ctx, nlA, v.Counterexample, v.OutputA, v.OutA)
 	if err != nil {
 		fmt.Printf("replay: golden side: %v\n", err)
 		return
 	}
-	iv, iHow, err := replayOne(ctx, impl, v)
+	iv, iHow, err := replayOne(ctx, nlB, v.CexB, v.OutputB, v.OutB)
 	if err != nil {
 		fmt.Printf("replay: impl side: %v\n", err)
 		return
@@ -141,69 +125,30 @@ func replay(ctx context.Context, v *cec.Verdict, golden, impl side) {
 	fmt.Printf("replay: *** WARNING: counterexample did NOT reproduce ***\n")
 	fmt.Printf("replay: both sides evaluate %s=%v (golden via %s, impl via %s);\n",
 		v.FailingOutput, gv, gHow, iHow)
-	fmt.Printf("replay: the checker's verdict and the simulators disagree — suspect a flow bug\n")
+	fmt.Printf("replay: the checker's verdict and the simulator disagree — suspect a flow bug\n")
 	obs.C("cec.replay.mismatch").Inc()
 	obs.Warn("cryocec", "counterexample replay did not reproduce", map[string]string{
 		"output": v.FailingOutput,
 	})
 }
 
-// replayOne evaluates the failing output under the counterexample on one
-// side, returning the value and a description of the engine used.
-func replayOne(ctx context.Context, s side, v *cec.Verdict) (bool, string, error) {
-	if s.nl != nil {
-		m, err := gsim.Compile(s.nl)
-		if err != nil {
-			return false, "", err
-		}
-		vec := make(gsim.Vector, len(m.InputNames))
-		for i, name := range m.InputNames {
-			val, ok := cexValue(v, name, i)
-			if !ok {
-				return false, "", fmt.Errorf("input %s not covered by counterexample", name)
-			}
-			vec[i] = val
-		}
-		res, err := gsim.NewEvent(m, gsim.EventOptions{}).Run(ctx, []gsim.Vector{vec})
-		if err != nil {
-			return false, "", err
-		}
-		for o, name := range m.OutputNames {
-			if name == v.FailingOutput {
-				return res.OutputBits[0][o], "gsim event engine", nil
-			}
-		}
-		return false, "", fmt.Errorf("output %s not in netlist", v.FailingOutput)
+// replayOne returns one side's value of output po under the input vector
+// cex (both in that side's own port order) and the engine that computed
+// it: the gate-level simulator for a netlist, else cec.Check's AIG
+// evaluation aigVal.
+func replayOne(ctx context.Context, nl *netlist.Netlist, cex []bool, po int, aigVal bool) (bool, string, error) {
+	if nl == nil {
+		return aigVal, "AIG evaluation", nil
 	}
-	in := make([]bool, s.g.NumPIs())
-	for i := range in {
-		val, ok := cexValue(v, s.g.PIName(i), i)
-		if !ok {
-			return false, "", fmt.Errorf("PI %s not covered by counterexample", s.g.PIName(i))
-		}
-		in[i] = val
+	m, err := gsim.Compile(nl)
+	if err != nil {
+		return false, "", err
 	}
-	outs := s.g.Eval(in)
-	for i := 0; i < s.g.NumPOs(); i++ {
-		if s.g.POName(i) == v.FailingOutput {
-			return outs[i], "AIG evaluation", nil
-		}
+	res, err := gsim.NewEvent(m, gsim.EventOptions{}).Run(ctx, []gsim.Vector{cex})
+	if err != nil {
+		return false, "", err
 	}
-	return false, "", fmt.Errorf("output %s not in AIG", v.FailingOutput)
-}
-
-// cexValue resolves one input's counterexample bit, matching by name first
-// (how the checker pairs interfaces) and falling back to position.
-func cexValue(v *cec.Verdict, name string, pos int) (bool, bool) {
-	for i, n := range v.Inputs {
-		if n == name {
-			return v.Counterexample[i], true
-		}
-	}
-	if pos >= 0 && pos < len(v.Counterexample) {
-		return v.Counterexample[pos], true
-	}
-	return false, false
+	return res.OutputBits[0][po], "gsim event engine", nil
 }
 
 // load reads a circuit by extension, or builds an EPFL benchmark for
@@ -249,7 +194,6 @@ func load(path string) (*aig.AIG, *netlist.Netlist, error) {
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryocec:", err)
-		flushObs()
-		os.Exit(2)
+		obs.Exit(2)
 	}
 }

@@ -21,8 +21,6 @@ import (
 
 const lineBreak = "\n"
 
-var flushObs = func() {}
-
 func main() {
 	temp := flag.Float64("temp", 10, "characterization temperature (K)")
 	out := flag.String("o", "", "output liberty path (default build/cryolib_<T>K.lib)")
@@ -39,7 +37,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cryochar:", err)
 		os.Exit(1)
 	}
-	flushObs = flush
 	defer flush()
 	ctx, root := obs.Start(context.Background(), "cryochar")
 	defer root.End()
@@ -88,23 +85,16 @@ func measureConstraints(lib *liberty.Library, cells []*pdk.Cell, temp float64) {
 }
 
 func characterize(ctx context.Context, cells []*pdk.Cell, temp float64, cacheDir, out string, workers int) *liberty.Library {
-	cfg := charlib.DefaultConfig(temp)
-	cfg.Workers = workers
-	path := out
-	if path == "" {
-		path = charlib.DefaultCachePath(cacheDir, temp, len(cells))
-	}
-	fmt.Printf("characterizing %d cells at %g K (7x7 grid) -> %s\n", len(cells), temp, path)
-	lib, err := charlib.CharacterizeLibraryCached(ctx, path, fmt.Sprintf("cryo%gk", temp), cells, cfg)
+	corner := charlib.Corner{TempK: temp, Cells: cells, CacheDir: cacheDir, Path: out, Workers: workers}
+	fmt.Printf("characterizing %d cells at %g K (7x7 grid) -> %s\n", len(cells), temp, corner.CachePath())
+	lib, _, err := corner.Library(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryochar:", err)
-		flushObs()
-		os.Exit(1)
+		obs.Exit(1)
 	}
 	if err := lib.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "cryochar: validation:", err)
-		flushObs()
-		os.Exit(1)
+		obs.Exit(1)
 	}
 	fmt.Printf("done: %d cells at %g K\n", len(lib.Cells), temp)
 	return lib

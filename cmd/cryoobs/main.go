@@ -54,7 +54,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cryoobs: unknown command %q\n\n", cmd)
 		usage()
 	}
-	flushObs()
+	obs.Exit(0)
 }
 
 func usage() {
@@ -73,23 +73,11 @@ span=<path>.`)
 	os.Exit(2)
 }
 
-// flushObs writes the telemetry the shared obs flags ask for. main calls
-// it after the subcommand returns and exit calls it before os.Exit, which
-// skips deferred calls.
-var flushObs = func() {}
-
 // activate applies the shared obs flags (every subcommand carries the full
-// surface, like every other flow binary) and arms flushObs.
+// surface, like every other flow binary); obs.Exit flushes them.
 func activate(of *obs.Flags) {
-	flush, err := of.Activate()
+	_, err := of.Activate()
 	check(err)
-	flushObs = flush
-}
-
-// exit flushes the telemetry and ends the process with code.
-func exit(code int) {
-	flushObs()
-	os.Exit(code)
 }
 
 func cmdReport(args []string) {
@@ -149,7 +137,7 @@ func cmdTail(args []string) {
 func loadArgs(fs *flag.FlagSet) []obs.Event {
 	if fs.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "cryoobs: no journal files given")
-		exit(2)
+		obs.Exit(2)
 	}
 	evs, err := forensics.Load(fs.Args()...)
 	check(err)
@@ -159,6 +147,6 @@ func loadArgs(fs *flag.FlagSet) []obs.Event {
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryoobs:", err)
-		exit(2)
+		obs.Exit(2)
 	}
 }

@@ -37,8 +37,6 @@ import (
 	"repro/internal/testlib"
 )
 
-var flushObs = func() {}
-
 func main() {
 	engine := flag.String("engine", "event", "simulation engine: event or levelized")
 	vectors := flag.Int("vectors", 256, "number of stimulus vectors")
@@ -56,13 +54,11 @@ func main() {
 
 	flush, err := obsFlags.Activate()
 	check(err)
-	flushObs = flush
 	defer flush()
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cryosim [flags] <mapped.v | epfl:name>")
-		flushObs()
-		os.Exit(2)
+		obs.Exit(2)
 	}
 
 	ctx, root := obs.Start(context.Background(), "cryosim")
@@ -189,7 +185,6 @@ func load(ctx context.Context, path string, lib *liberty.Library, cells []*pdk.C
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryosim:", err)
-		flushObs()
-		os.Exit(2)
+		obs.Exit(2)
 	}
 }

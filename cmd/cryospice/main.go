@@ -16,8 +16,6 @@ import (
 	"repro/internal/spice"
 )
 
-var flushObs = func() {}
-
 func main() {
 	temp := flag.Float64("temp", 300, "simulation temperature in kelvin (.temp overrides)")
 	nodes := flag.String("nodes", "", "comma-separated node names to print (default: all)")
@@ -33,7 +31,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	flushObs = flush
 	defer flush()
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
@@ -123,6 +120,5 @@ func main() {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cryospice:", err)
-	flushObs()
-	os.Exit(1)
+	obs.Exit(1)
 }

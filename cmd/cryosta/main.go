@@ -22,8 +22,6 @@ import (
 	"repro/internal/sta"
 )
 
-var flushObs = func() {}
-
 func main() {
 	libPath := flag.String("lib", "", "liberty library (.lib)")
 	clock := flag.String("clock", "", "target clock period (e.g. 500ps, 1n); default 1.2x critical delay")
@@ -37,7 +35,6 @@ func main() {
 	}
 	flush, err := obsFlags.Activate()
 	exitOn(err)
-	flushObs = flush
 	defer flush()
 	ctx, root := obs.Start(context.Background(), "cryosta")
 	defer root.End()
@@ -89,7 +86,7 @@ func main() {
 		exitOn(sta.WritePathReport(os.Stdout, timing.TopPaths(*pathsK, period)))
 	}
 
-	rep, err := power.Analyze(ctx, nl, lib, power.Options{ClockPeriod: period})
+	rep, cells, err := power.AnalyzeTimed(ctx, nl, lib, timing, power.Options{ClockPeriod: period})
 	exitOn(err)
 	fmt.Printf("\npower @ %.3f GHz:\n", 1e-9/period)
 	fmt.Printf("  leakage   %12.4g W  (%7.4f%%)\n", rep.Leakage, rep.LeakageShare()*100)
@@ -98,8 +95,6 @@ func main() {
 	fmt.Printf("  total     %12.4g W\n", rep.Total())
 
 	if *topN > 0 {
-		cells, err := power.Attribute(ctx, nl, lib, power.Options{ClockPeriod: period})
-		exitOn(err)
 		fmt.Println("\ntop consumers:")
 		exitOn(power.WriteTopConsumers(os.Stdout, cells, *topN))
 	}
@@ -108,7 +103,6 @@ func main() {
 func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryosta:", err)
-		flushObs()
-		os.Exit(1)
+		obs.Exit(1)
 	}
 }

@@ -35,12 +35,7 @@ import (
 	"repro/internal/pdk"
 	"repro/internal/power"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
-
-// flushObs is set once the obs flags are activated so that check() can dump
-// partial telemetry even when the run dies halfway.
-var flushObs = func() {}
 
 func main() {
 	circuits := flag.String("circuits", "", "comma-separated benchmark names (default: whole suite)")
@@ -56,7 +51,6 @@ func main() {
 
 	flush, err := obsFlags.Activate()
 	check(err)
-	flushObs = flush
 	defer flush()
 
 	names := epfl.Names()
@@ -67,8 +61,7 @@ func main() {
 	ctx, root := obs.Start(context.Background(), "cryosynth")
 	defer root.End()
 
-	catalog := pdk.Catalog()
-	lib10, lib300, cells := loadLibraries(ctx, *useTest, *cacheDir, catalog)
+	lib10, lib300, cells := loadLibraries(ctx, *useTest, *cacheDir)
 	ml10, err := mapper.BuildMatchLibrary(lib10, cells, 6)
 	check(err)
 
@@ -97,32 +90,29 @@ func runTopConsumers(ctx context.Context, names []string, ml *mapper.MatchLibrar
 		check(err)
 		res, err := synth.Synthesize(ctx, g, ml, synth.Options{Scenario: synth.BaselinePowerAware, Seed: seed})
 		check(err)
-		cells, err := power.Attribute(ctx, res.Netlist, lib, power.Options{ClockPeriod: 1e-9, Seed: seed})
+		_, cells, err := power.AnalyzeTimed(ctx, res.Netlist, lib, nil, power.Options{ClockPeriod: 1e-9, Seed: seed})
 		check(err)
 		fmt.Printf("\n--- %s: top %d power consumers (1 GHz) ---\n", name, n)
 		check(power.WriteTopConsumers(os.Stdout, cells, n))
 	}
 }
 
-func loadLibraries(ctx context.Context, useTest bool, cacheDir string, catalog []*pdk.Cell) (lib10, lib300 *liberty.Library, cells []*pdk.Cell) {
-	if useTest {
-		lib300, cells = testlib.Build(catalog, testlib.Names(), 300)
-		lib10, _ = testlib.Build(catalog, testlib.Names(), 10)
-		fmt.Printf("using synthetic test library (%d cells)\n", len(cells))
-		return lib10, lib300, cells
+func loadLibraries(ctx context.Context, useTest bool, cacheDir string) (lib10, lib300 *liberty.Library, cells []*pdk.Cell) {
+	load := func(tempK float64) *liberty.Library {
+		if !useTest {
+			fmt.Printf("characterizing / loading %g K library...\n", tempK)
+		}
+		lib, c, err := charlib.Corner{TempK: tempK, Testlib: useTest, CacheDir: cacheDir}.Library(ctx)
+		check(err)
+		cells = c
+		return lib
 	}
-	var err error
-	fmt.Println("characterizing / loading 300 K library...")
-	lib300, err = charlib.CharacterizeLibraryCached(ctx,
-		charlib.DefaultCachePath(cacheDir, 300, len(catalog)), "cryo300k", catalog,
-		charlib.DefaultConfig(300))
-	check(err)
-	fmt.Println("characterizing / loading 10 K library...")
-	lib10, err = charlib.CharacterizeLibraryCached(ctx,
-		charlib.DefaultCachePath(cacheDir, 10, len(catalog)), "cryo10k", catalog,
-		charlib.DefaultConfig(10))
-	check(err)
-	return lib10, lib300, catalog
+	lib300 = load(300)
+	lib10 = load(10)
+	if useTest {
+		fmt.Printf("using synthetic test library (%d cells)\n", len(cells))
+	}
+	return lib10, lib300, cells
 }
 
 // runFig3 reproduces Fig 3(a,b): per-circuit power savings and delay
@@ -257,7 +247,6 @@ func runBreakdown(ctx context.Context, names []string, ml300, ml10 *mapper.Match
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryosynth:", err)
-		flushObs()
-		os.Exit(1)
+		obs.Exit(1)
 	}
 }

@@ -131,20 +131,3 @@ func TestAIGERBinaryRejectsGarbage(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteDot(t *testing.T) {
-	g := New("dotted")
-	a := g.AddPI("a")
-	b := g.AddPI("b")
-	g.AddPO(g.And(a, b.Not()), "y")
-	var buf bytes.Buffer
-	if err := g.WriteDot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, frag := range []string{"digraph", "shape=box", "shape=circle", "doublecircle", "dashed", "}"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("dot output missing %q:\n%s", frag, s)
-		}
-	}
-}

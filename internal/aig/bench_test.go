@@ -54,7 +54,7 @@ func BenchmarkMapLUT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = g.MapLUT(aig.LUTMapOptions{K: 6, PowerAware: true})
+		sink = g.MapLUT()
 	}
 }
 

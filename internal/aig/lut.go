@@ -26,24 +26,19 @@ type LUTNet struct {
 	Order []int        // topological order of mapped roots
 }
 
-// lutMaxCuts is the number of priority cuts MapLUT keeps per node.
-const lutMaxCuts = 8
+// lutK is the LUT input count of MapLUT (ABC's if -K 6) and lutMaxCuts
+// the number of priority cuts it keeps per node.
+const (
+	lutK       = 6
+	lutMaxCuts = 8
+)
 
-// LUTMapOptions controls k-LUT mapping.
-type LUTMapOptions struct {
-	K          int  // LUT input count (<= 6)
-	PowerAware bool // weight cut choice by switching activity (ABC's -p)
-}
-
-// MapLUT covers the AIG with k-input LUTs using area-flow-based cut
-// selection. With PowerAware set, cut costs are weighted by the switching
-// activity of the cut boundary, steering the cover toward low-activity
-// roots — the power-aware mode of ABC's `if -p`.
-func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
-	if opt.K == 0 {
-		opt.K = 6
-	}
-	cuts := g.EnumerateCuts(opt.K, lutMaxCuts)
+// MapLUT covers the AIG with 6-input LUTs using area-flow-based cut
+// selection. Cut costs are weighted by the switching activity of the cut
+// boundary, steering the cover toward low-activity roots — the
+// power-aware mode of ABC's `if -p`.
+func (g *AIG) MapLUT() *LUTNet {
+	cuts := g.EnumerateCuts(lutK, lutMaxCuts)
 	refs := g.FanoutCounts()
 	act := g.Activities()
 
@@ -63,10 +58,7 @@ func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
 			if len(c.Leaves) == 1 && c.Leaves[0] == v {
 				continue // trivial cut cannot implement the node
 			}
-			flow := 1.0
-			if opt.PowerAware {
-				flow = 0.2 + act[v]
-			}
+			flow := 0.2 + act[v]
 			for _, leaf := range c.Leaves {
 				r := refs[leaf]
 				if r < 1 {
@@ -117,61 +109,31 @@ func (g *AIG) MapLUT(opt LUTMapOptions) *LUTNet {
 // NumLUTs returns the LUT count of the cover.
 func (n *LUTNet) NumLUTs() int { return len(n.LUTs) }
 
-// MfsOptions controls SAT-based don't-care minimization of a LUT network
-// (ABC's mfs). Zero-valued numeric fields take their DefaultMfsOptions
-// value; a negative SATBudget or Window is unbounded.
-type MfsOptions struct {
-	SimWords   int   // random-simulation width used to find candidate SDCs
-	SATBudget  int64 // conflict budget per don't-care query
-	MaxChecks  int   // unobserved input patterns SAT-checked per LUT
-	PowerAware bool  // drop high-activity supports first (mfs -p)
-	Seed       int64
-	// Window bounds the CNF cone encoded per LUT window: the pass's solver,
-	// reset per LUT, encodes at most Window AND nodes of the leaves' fanin
-	// cone, and every query of that LUT reuses it (sound for UNSAT).
-	Window int
-}
-
-// DefaultMfsOptions returns sensible defaults.
-func DefaultMfsOptions() MfsOptions {
-	return MfsOptions{SimWords: 16, SATBudget: 200, MaxChecks: 12, Seed: 7, Window: 400}
-}
-
-// withDefaults fills the zero-valued numeric fields from DefaultMfsOptions.
-func (o MfsOptions) withDefaults() MfsOptions {
-	d := DefaultMfsOptions()
-	if o.SimWords == 0 {
-		o.SimWords = d.SimWords
-	}
-	if o.SATBudget == 0 {
-		o.SATBudget = d.SATBudget
-	}
-	if o.MaxChecks == 0 {
-		o.MaxChecks = d.MaxChecks
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.Window == 0 {
-		o.Window = d.Window
-	}
-	return o
-}
+// Mfs's budgets. The random simulation is mfsSimWords words wide; each
+// LUT SAT-checks at most mfsMaxChecks unobserved input patterns, with
+// mfsSATBudget conflicts per query, on a window of at most mfsWindow AND
+// nodes of the leaves' fanin cone that every query of the LUT reuses
+// (sound for UNSAT).
+const (
+	mfsSimWords  = 16
+	mfsSATBudget = 200
+	mfsMaxChecks = 12
+	mfsWindow    = 400
+)
 
 // Mfs minimizes each LUT's function using satisfiability don't-cares: input
 // patterns of the LUT that no primary-input assignment can produce are
 // proven with SAT and exploited to reduce the LUT's support and literal
-// count. With PowerAware set, support reduction tries the highest-activity
-// inputs first so that switching-intensive nets are disconnected
-// preferentially — the power-optimizing variant (mfs -pegd) the paper's
-// stage 2 uses.
-func (n *LUTNet) Mfs(opt MfsOptions) {
-	opt = opt.withDefaults()
-	sigs := n.G.Signatures(opt.SimWords, opt.Seed)
+// count. Support reduction tries the highest-activity inputs first so that
+// switching-intensive nets are disconnected preferentially — the
+// power-optimizing variant (mfs -pegd) the paper's stage 2 uses. seed
+// drives the random simulation.
+func (n *LUTNet) Mfs(seed int64) {
+	sigs := n.G.Signatures(mfsSimWords, seed)
 	act := n.G.Activities()
 	// One builder and solver for the whole pass, reset per LUT window.
 	cnf := NewCNFBuilder(n.G, sat.New(0))
-	cnf.Limit = opt.Window
+	cnf.Limit = mfsWindow
 
 	for _, root := range n.Order {
 		lut := n.LUTs[root]
@@ -179,14 +141,14 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 		if k == 0 || k > 6 {
 			continue
 		}
-		dc := n.dontCares(cnf, lut.Leaves, observedPatterns(sigs, lut.Leaves), opt)
+		dc := n.dontCares(cnf, lut.Leaves, observedPatterns(sigs, lut.Leaves))
 		if dc == 0 {
 			continue
 		}
 		onset := lut.TT &^ dc
 		upper := lut.TT | dc
 		// Support reduction: drop inputs the function no longer depends on
-		// within the care set; power-aware order tries active nets first.
+		// within the care set, trying the most active nets first.
 		tt := onset
 		leaves := append([]int(nil), lut.Leaves...)
 		care := ^dc & Truth6Mask(k)
@@ -196,11 +158,9 @@ func (n *LUTNet) Mfs(opt MfsOptions) {
 			for i := range order {
 				order[i] = i
 			}
-			if opt.PowerAware {
-				sort.Slice(order, func(a, b int) bool {
-					return act[leaves[order[a]]] > act[leaves[order[b]]]
-				})
-			}
+			sort.Slice(order, func(a, b int) bool {
+				return act[leaves[order[a]]] > act[leaves[order[b]]]
+			})
 			for _, i := range order {
 				if removableInput(tt, care, i, len(leaves)) {
 					tt, care, leaves = dropInput(tt, care, i, leaves)
@@ -252,29 +212,29 @@ func observedPatterns(sigs [][]uint64, leaves []int) uint64 {
 	return seen
 }
 
-// dontCares proves up to MaxChecks of the unobserved leaf patterns
+// dontCares proves up to mfsMaxChecks of the unobserved leaf patterns
 // unreachable and returns them as a satisfiability don't-care mask. The
-// pass's one builder (Limit = Window) is reset on the first unobserved
-// pattern and then holds this LUT window: the leaves' windowed cone,
-// encoded in leaf order. Each pattern is one Solve under the leaf-value
-// assumptions, with a SATBudget conflict budget per query. Learned clauses
+// pass's one builder (its Limit is the window) is reset on the first
+// unobserved pattern and then holds this LUT window: the leaves' windowed
+// cone, encoded in leaf order. Each pattern is one Solve under the
+// leaf-value assumptions, with an mfsSATBudget conflict budget per query. Learned clauses
 // are implied by the window CNF, so each Sat/Unsat verdict is the one a
 // fresh solver per pattern would give; only a budget-limited Unknown can
 // differ.
-func (n *LUTNet) dontCares(cnf *CNFBuilder, leaves []int, observed uint64, opt MfsOptions) uint64 {
+func (n *LUTNet) dontCares(cnf *CNFBuilder, leaves []int, observed uint64) uint64 {
 	var vars [6]int
 	var assumptions [6]sat.Lit
 	encoded := false
 	var dc uint64
 	checks := 0
-	for idx := 0; idx < 1<<uint(len(leaves)) && checks < opt.MaxChecks; idx++ {
+	for idx := 0; idx < 1<<uint(len(leaves)) && checks < mfsMaxChecks; idx++ {
 		if observed&(1<<uint(idx)) != 0 {
 			continue
 		}
 		checks++
 		if !encoded {
 			cnf.Reset()
-			cnf.S.ConflictBudget = opt.SATBudget
+			cnf.S.ConflictBudget = mfsSATBudget
 			for i, leaf := range leaves {
 				vars[i] = cnf.SatVar(leaf)
 			}

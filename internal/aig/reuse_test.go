@@ -47,16 +47,15 @@ func TestReusedBuilderMatchesOneShot(t *testing.T) {
 // window, resetting it for the next window of that size and proving its
 // don't-cares reuses every allocation.
 func TestWarmMfsWindowAllocatesNothing(t *testing.T) {
-	opt := DefaultMfsOptions()
 	g := randomAIG(5, 8, 300, 4)
-	net := g.MapLUT(LUTMapOptions{K: 6})
+	net := g.MapLUT()
 	cnf := NewCNFBuilder(g, sat.New(0))
-	cnf.Limit = opt.Window
+	cnf.Limit = mfsWindow
 	a := net.LUTs[net.Order[len(net.Order)-1]].Leaves
 	b := net.LUTs[net.Order[len(net.Order)-2]].Leaves
 	windows := func() {
-		net.dontCares(cnf, a, 0, opt)
-		net.dontCares(cnf, b, 0, opt)
+		net.dontCares(cnf, a, 0)
+		net.dontCares(cnf, b, 0)
 	}
 	windows()
 	if allocs := testing.AllocsPerRun(20, windows); allocs != 0 {

@@ -87,15 +87,18 @@ type Verdict struct {
 	Inputs         []string
 	Counterexample []bool
 	OutA, OutB     bool // the two circuits' values on FailingOutput under the cex
+	// The pairing the check used, so another engine can replay the
+	// counterexample on either circuit: CexB is Counterexample in b's
+	// input order, and OutputA and OutputB index FailingOutput among a's
+	// and b's outputs (names may repeat, or differ between the sides when
+	// the outputs were paired by position).
+	CexB             []bool
+	OutputA, OutputB int
 
 	// For Undecided: the outputs whose proofs ran out of budget.
 	UndecidedOutputs []string
 
 	Stats Stats
-
-	// failingPO is the golden output index of FailingOutput: output names
-	// may repeat, so the name alone does not locate it.
-	failingPO int
 }
 
 // CexString renders the counterexample as name=value pairs.
@@ -213,28 +216,26 @@ func check(ctx context.Context, a, b *aig.AIG, opt Options, exhaustive bool) *Ve
 }
 
 // replay evaluates the counterexample on both original circuits (on b's
-// own input and output order) and fills OutA and OutB. A counterexample on
-// which the circuits agree proves nothing: the verdict becomes Undecided
-// with a Reason, keeping the counterexample that failed the replay.
+// own input and output order, filling CexB and OutputB) and fills OutA and
+// OutB. A counterexample on which the circuits agree proves nothing: the
+// verdict becomes Undecided with a Reason, keeping the counterexample that
+// failed the replay.
 func (v *Verdict) replay(a, b *aig.AIG, piPerm, poPerm []int) {
-	poIdx := v.failingPO
-	v.OutA = a.Eval(v.Counterexample)[poIdx]
-	bIn := v.Counterexample
-	bPOIdx := poIdx
+	v.OutA = a.Eval(v.Counterexample)[v.OutputA]
+	v.CexB = v.Counterexample
+	v.OutputB = v.OutputA
 	if piPerm != nil {
-		bIn = make([]bool, len(v.Counterexample))
+		v.CexB = make([]bool, len(v.Counterexample))
 		for bi, ai := range piPerm {
-			bIn[bi] = v.Counterexample[ai]
+			v.CexB[bi] = v.Counterexample[ai]
 		}
 	}
-	if poPerm != nil {
-		for bi, ai := range poPerm {
-			if ai == poIdx {
-				bPOIdx = bi
-			}
+	for bi, ai := range poPerm {
+		if ai == v.OutputA {
+			v.OutputB = bi
 		}
 	}
-	v.OutB = b.Eval(bIn)[bPOIdx]
+	v.OutB = b.Eval(v.CexB)[v.OutputB]
 	if v.OutA == v.OutB {
 		v.Status = Undecided
 		v.Reason = fmt.Sprintf("counterexample for output %s does not distinguish the circuits on replay (both %v)", v.FailingOutput, v.OutA)

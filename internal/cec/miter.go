@@ -99,7 +99,7 @@ func (st *Stats) publish(s aig.SweepStats) {
 func (v *Verdict) fail(golden *aig.AIG, i int, cex []bool) {
 	v.Status = NotEqual
 	v.FailingOutput = golden.POName(i)
-	v.failingPO = i
+	v.OutputA = i
 	v.Counterexample = cex
 }
 

@@ -1,6 +1,7 @@
 package cec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aig"
@@ -54,6 +55,39 @@ func TestReplayRejectsNonDistinguishingCex(t *testing.T) {
 		}
 		if tc.want == Undecided && (len(v.UndecidedOutputs) != 1 || v.UndecidedOutputs[0] != "o") {
 			t.Errorf("%s: undecided outputs %v, want [o]", tc.name, v.UndecidedOutputs)
+		}
+	}
+}
+
+// TestVerdictPairing: a NOT-EQUAL verdict names each side's own view of
+// its counterexample, whether the check paired the ports by name (b
+// declares its inputs and outputs in another order) or by position (b's
+// names differ, as a written netlist's bus names do), so another engine
+// replays the same ports.
+func TestVerdictPairing(t *testing.T) {
+	a := aig.New("a")
+	x, y := a.AddPI("x"), a.AddPI("y")
+	a.AddPO(a.And(x, y), "o[0]")
+	a.AddPO(a.And(x, y.Not()), "o[1]")
+	named := aig.New("named")
+	ny, nx := named.AddPI("y"), named.AddPI("x")
+	named.AddPO(named.And(nx, ny), "o[1]") // a's o[1] is x&!y: differs
+	named.AddPO(named.And(nx, ny), "o[0]")
+	positional := aig.New("positional")
+	px, py := positional.AddPI("x_"), positional.AddPI("y_")
+	positional.AddPO(positional.And(px, py), "o_0_")
+	positional.AddPO(positional.Or(px, py), "o_1_") // differs from x&!y
+	for _, tc := range []struct {
+		b       *aig.AIG
+		outputB int
+	}{{named, 0}, {positional, 1}} {
+		v := Check(context.Background(), a, tc.b, Options{})
+		if v.Status != NotEqual || v.FailingOutput != "o[1]" || v.OutputA != 1 || v.OutputB != tc.outputB {
+			t.Fatalf("%s: %v on %s (a output %d, b output %d), want NOT-EQUAL on o[1] (1, %d)",
+				tc.b.Name, v.Status, v.FailingOutput, v.OutputA, v.OutputB, tc.outputB)
+		}
+		if a.Eval(v.Counterexample)[v.OutputA] != v.OutA || tc.b.Eval(v.CexB)[v.OutputB] != v.OutB || v.OutA == v.OutB {
+			t.Errorf("%s: the sides' own vectors and outputs do not reproduce OutA=%v OutB=%v", tc.b.Name, v.OutA, v.OutB)
 		}
 	}
 }

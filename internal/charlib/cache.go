@@ -1,6 +1,7 @@
 package charlib
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/obs"
 	"repro/internal/pdk"
+	"repro/internal/testlib"
 )
 
 // CacheKey fingerprints one characterization request: the full Config (Vdd,
@@ -57,7 +59,8 @@ func metaPath(path string) string { return path + ".meta" }
 // cache key of the full Config and cell list, not just temperature and cell
 // count — in which case the cached file is parsed and returned. Freshly
 // characterized results are written to path with the key in a sidecar
-// path.meta file. Cache hits and misses are recorded in the
+// path.meta file, and the library returned is the one parsed back from
+// that file, as a hit returns it. Cache hits and misses are recorded in the
 // charlib.cache.hits / charlib.cache.misses counters.
 func CharacterizeLibraryCached(ctx context.Context, path, name string, cells []*pdk.Cell, cfg Config) (*liberty.Library, error) {
 	key := CacheKey(cells, cfg)
@@ -70,19 +73,20 @@ func CharacterizeLibraryCached(ctx context.Context, path, name string, cells []*
 	if err != nil {
 		return nil, err
 	}
+	var text bytes.Buffer
+	if err := lib.Write(&text); err != nil {
+		return nil, err
+	}
+	// A hit parses the written text, so a miss returns the same parse: the
+	// caller sees the same tables whether the corner was cached or not.
+	if lib, err = liberty.Parse(bytes.NewReader(text.Bytes())); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, err
-	}
-	if err := lib.Write(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(tmp, text.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -130,4 +134,51 @@ func readCache(path, key string, cfg Config, nCells int) *liberty.Library {
 // characterized corner, rooted at dir.
 func DefaultCachePath(dir string, tempK float64, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("cryolib_%gK_%dcells.lib", tempK, n))
+}
+
+// Corner is one temperature corner of the flow's standard-cell library.
+type Corner struct {
+	TempK float64
+	// Testlib builds testlib's closed-form library over testlib.Names()
+	// instead of characterizing: no SPICE, no cache.
+	Testlib bool
+	// Cells are the PDK cells to characterize (nil: the whole catalog).
+	Cells []*pdk.Cell
+	// CacheDir roots DefaultCachePath (default "build"); Path, when set,
+	// is the liberty cache file instead.
+	CacheDir, Path string
+	Workers        int // characterization worker pool (0: GOMAXPROCS)
+}
+
+// CachePath is the liberty file a characterized corner is cached in.
+func (c Corner) CachePath() string {
+	if c.Path != "" {
+		return c.Path
+	}
+	dir := c.CacheDir
+	if dir == "" {
+		dir = "build"
+	}
+	n := len(c.Cells)
+	if c.Cells == nil {
+		n = len(pdk.Catalog())
+	}
+	return DefaultCachePath(dir, c.TempK, n)
+}
+
+// Library returns the corner's library and the PDK cells it covers: the
+// DefaultConfig characterization of the cells, named cryo<T>k and cached
+// at CachePath, or testlib's library with Testlib set.
+func (c Corner) Library(ctx context.Context) (*liberty.Library, []*pdk.Cell, error) {
+	if c.Cells == nil {
+		c.Cells = pdk.Catalog()
+	}
+	if c.Testlib {
+		lib, cells := testlib.Build(c.Cells, testlib.Names(), c.TempK)
+		return lib, cells, nil
+	}
+	cfg := DefaultConfig(c.TempK)
+	cfg.Workers = c.Workers
+	lib, err := CharacterizeLibraryCached(ctx, c.CachePath(), fmt.Sprintf("cryo%gk", c.TempK), c.Cells, cfg)
+	return lib, c.Cells, err
 }

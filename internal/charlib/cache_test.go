@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -131,6 +132,30 @@ func TestCacheMissOnConfigChange(t *testing.T) {
 	}
 	if got := misses.Value() - misses0; got != 3 {
 		t.Fatalf("reverted request recorded %d misses, want 3", got)
+	}
+}
+
+// TestCacheHitEqualsMiss: the library a miss characterizes and caches is
+// the one a later hit parses from the cache, table for table.
+func TestCacheHitEqualsMiss(t *testing.T) {
+	subset := []*pdk.Cell{
+		pdk.FindCell(catalog, "INVx1"),
+		pdk.FindCell(catalog, "NAND2x1"),
+		pdk.FindCell(catalog, "AOI21x1"),
+	}
+	cfg := QuickConfig(10)
+	path := filepath.Join(t.TempDir(), "q.lib")
+	ctx := context.Background()
+	miss, err := CharacterizeLibraryCached(ctx, path, "q10", subset, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := CharacterizeLibraryCached(ctx, path, "q10", subset, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(miss, hit) {
+		t.Fatal("the cache miss returned other tables than the cache hit")
 	}
 }
 

@@ -106,10 +106,10 @@ func analyzeCorner(t *testing.T, nl *netlist.Netlist, lib *liberty.Library) qor.
 	if err != nil {
 		t.Fatalf("sta.Analyze: %v", err)
 	}
-	rep, cells, err := power.AnalyzeFull(context.Background(), nl, lib,
+	rep, cells, err := power.AnalyzeTimed(context.Background(), nl, lib, timing,
 		power.Options{ClockPeriod: clock, Seed: 1})
 	if err != nil {
-		t.Fatalf("power.AnalyzeFull: %v", err)
+		t.Fatalf("power.AnalyzeTimed: %v", err)
 	}
 	corner := qor.Corner{
 		TempK:       300,

@@ -46,9 +46,6 @@ func (m CostMode) String() string {
 type Options struct {
 	Mode CostMode
 	K    int // cut size (default 5)
-	// ClockPeriod converts leakage power to per-cycle energy in the power
-	// cost (default 1 ns).
-	ClockPeriod float64
 	// Passes is the number of forward mapping passes; passes after the
 	// first re-estimate area/power flow from the previous cover's actual
 	// fanout counts (standard area-recovery refinement). Default 2.
@@ -61,6 +58,10 @@ const costEps = 0.06
 
 // maxCuts is the number of priority cuts kept per node.
 const maxCuts = 8
+
+// clockPeriod converts leakage power to per-cycle energy in the power
+// cost.
+const clockPeriod = 1e-9
 
 type implChoice struct {
 	match *Match
@@ -180,9 +181,6 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 	if opt.K == 0 {
 		opt.K = 5
 	}
-	if opt.ClockPeriod == 0 {
-		opt.ClockPeriod = 1e-9
-	}
 	if opt.K > 6 {
 		return nil, fmt.Errorf("mapper: cut size %d exceeds 6", opt.K)
 	}
@@ -197,7 +195,7 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 	inv := ml.Inv
 	vdd := ml.Lib.Vdd // supply of the switching-energy estimate
 	invEnergyAt := func(a float64) float64 {
-		return a*inv.Energy + inv.Leakage*opt.ClockPeriod + a*0.5*vdd*vdd*inv.InCaps[0]
+		return a*inv.Energy + inv.Leakage*clockPeriod + a*0.5*vdd*vdd*inv.InCaps[0]
 	}
 
 	var best []implChoice
@@ -266,7 +264,7 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matche
 				// Power: internal energy weighted by this node's switching
 				// activity, leakage integrated over a clock period, and the
 				// switching energy of charging the cell's input pins.
-				cand.power = act[v]*m.Energy + m.Leakage*opt.ClockPeriod
+				cand.power = act[v]*m.Energy + m.Leakage*clockPeriod
 				for i, leaf := range m.PinToLeaf {
 					cand.power += act[cut.Leaves[leaf]] * 0.5 * vdd * vdd * m.InCaps[i]
 				}

@@ -94,15 +94,6 @@ func (n *Netlist) Area() float64 {
 	return a
 }
 
-// CellCounts returns instance counts per cell name.
-func (n *Netlist) CellCounts() map[string]int {
-	out := make(map[string]int)
-	for _, g := range n.Gates {
-		out[g.Cell]++
-	}
-	return out
-}
-
 // Resolve returns the driving net for a name, following output aliases.
 func (n *Netlist) Resolve(name string) string {
 	if d, ok := n.Aliases[name]; ok {

@@ -60,11 +60,16 @@ func InstallFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// active is the Flags the last successful Activate armed: the telemetry
+// Exit flushes.
+var active atomic.Pointer[Flags]
+
 // Activate enables the subsystems the parsed flags ask for and returns a
 // flush function that writes the -metrics, -trace and -cost outputs; call
 // it on every exit path (it is safe to call more than once, later calls
-// overwrite the metrics and trace files with fresher data). It fails when
-// the -cost file cannot be created or another CPU profile is running.
+// overwrite the metrics and trace files with fresher data). Exit flushes
+// the same flags. It fails when the -cost file cannot be created or
+// another CPU profile is running.
 func (f *Flags) Activate() (flush func(), err error) {
 	if f.MetricsPath != "" {
 		EnableMetrics()
@@ -106,7 +111,18 @@ func (f *Flags) Activate() (flush func(), err error) {
 		}
 		f.costFile = g
 	}
+	active.Store(f)
 	return f.Flush, nil
+}
+
+// Exit flushes the telemetry the last Activate armed, if any, and ends the
+// process with code. A binary calls it instead of os.Exit, which skips the
+// deferred flush.
+func Exit(code int) {
+	if f := active.Load(); f != nil {
+		f.Flush()
+	}
+	os.Exit(code)
 }
 
 // Flush stops the -cost profile, writes the metrics and trace outputs

@@ -24,7 +24,6 @@ const simRounds = 8
 type Options struct {
 	ClockPeriod float64 // cycle time used to convert per-cycle energy to watts
 	Seed        int64   // random stimulus seed of the activity model
-	STA         sta.Options
 	// Activity, when non-nil, overrides the random-vector activity model
 	// with per-net toggles per cycle keyed by net name — for instance
 	// gsim's measured Result.ToggleRates, glitches included. Nets absent
@@ -56,23 +55,21 @@ func (r *Report) LeakageShare() float64 {
 
 // Analyze computes the three-way power split of a mapped netlist.
 func Analyze(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt Options) (*Report, error) {
-	rep, _, err := AnalyzeFull(ctx, nl, lib, opt)
+	rep, _, err := AnalyzeTimed(ctx, nl, lib, nil, opt)
 	return rep, err
 }
 
-// AnalyzeFull computes the power totals and the per-instance attribution in
-// one STA + activity pass.
-func AnalyzeFull(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt Options) (*Report, []CellPower, error) {
-	return AnalyzeTimed(ctx, nl, lib, nil, opt)
-}
-
-// AnalyzeTimed is AnalyzeFull on a timing the caller already has: timing
-// must be sta.Analyze of nl and lib under opt.STA, so a flow that times a
-// netlist for its clock does not time it again for power. A nil timing is
-// computed here, inside the power span. The Report sums are accumulated in
-// the same deterministic order as ever (gates for leakage/internal, sorted
-// nets for switching), so totals are bit-identical whichever entry point is
-// used — the QoR regression gate compares them exactly.
+// AnalyzeTimed computes the power totals and the per-instance attribution
+// (the "report_power -cell" view of a signoff tool) in one activity pass
+// on a timing the caller may already have: timing must be sta.Analyze of
+// nl and lib under sta.Options{}, so a flow that times a netlist for its
+// clock does not time it again for power. A nil timing is computed here,
+// inside the power span. The instance sums equal the Report's totals
+// except for primary-input net switching, which has no owning gate. The
+// Report sums are accumulated in the same deterministic order as ever
+// (gates for leakage/internal, sorted nets for switching), so totals are
+// bit-identical whether or not the timing is supplied — the QoR
+// regression gate compares them exactly.
 func AnalyzeTimed(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, timing *sta.Result, opt Options) (*Report, []CellPower, error) {
 	ctx, span := obs.Start(ctx, "power.analyze")
 	span.SetAttr("design", nl.Name)
@@ -83,7 +80,7 @@ func AnalyzeTimed(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library
 	}
 	var err error
 	if timing == nil {
-		if timing, err = sta.Analyze(ctx, nl, lib, opt.STA); err != nil {
+		if timing, err = sta.Analyze(ctx, nl, lib, sta.Options{}); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -2,10 +2,12 @@ package power
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/pdk"
 	"repro/internal/sta"
 	"repro/internal/testlib"
@@ -112,7 +114,7 @@ func TestAttributeSumsToReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := Attribute(context.Background(), nl, lib, opt)
+	_, cells, err := AnalyzeTimed(context.Background(), nl, lib, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +140,40 @@ func TestAttributeSumsToReport(t *testing.T) {
 	}
 	if sw < 0.3*rep.Switching {
 		t.Errorf("attributed switching %v implausibly far below report %v", sw, rep.Switching)
+	}
+}
+
+// TestAnalyzeTimedReusesTiming: given the netlist's timing, AnalyzeTimed
+// runs no STA of its own and returns what it returns when it times the
+// netlist itself.
+func TestAnalyzeTimedReusesTiming(t *testing.T) {
+	lib, used := testlib.Build(catalog, testlib.Names(), 300)
+	nl := demoNetlist(used)
+	opt := Options{ClockPeriod: 1e-9, Seed: 4}
+	ctx := context.Background()
+	timing, err := sta.Analyze(ctx, nl, lib, sta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.EnableMetrics()
+	analyses := obs.C("sta.analyses")
+	before := analyses.Value()
+	rep, cells, err := AnalyzeTimed(ctx, nl, lib, timing, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := analyses.Value() - before; n != 0 {
+		t.Errorf("AnalyzeTimed with a timing ran %d STA analyses, want 0", n)
+	}
+	wantRep, wantCells, err := AnalyzeTimed(ctx, nl, lib, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := analyses.Value() - before; n != 1 {
+		t.Errorf("AnalyzeTimed without a timing ran %d STA analyses, want 1", n)
+	}
+	if *rep != *wantRep || !slices.Equal(cells, wantCells) {
+		t.Errorf("supplied timing gave %+v, its own timing %+v", rep, wantRep)
 	}
 }
 
@@ -172,7 +208,7 @@ func TestGroupByCell(t *testing.T) {
 
 func TestWriteTopConsumers(t *testing.T) {
 	lib, used := testlib.Build(catalog, testlib.Names(), 300)
-	cells, err := Attribute(context.Background(), demoNetlist(used), lib, Options{ClockPeriod: 1e-9})
+	_, cells, err := AnalyzeTimed(context.Background(), demoNetlist(used), lib, nil, Options{ClockPeriod: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,9 @@
 package power
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/liberty"
-	"repro/internal/netlist"
 )
 
 // CellPower attributes power to one gate instance.
@@ -22,15 +18,6 @@ type CellPower struct {
 
 // Total returns the instance's combined power.
 func (c *CellPower) Total() float64 { return c.Leakage + c.Internal + c.Switching }
-
-// Attribute computes the per-instance power breakdown (the "report_power
-// -cell" view of a signoff tool). The sum over instances equals the
-// Report's totals except for primary-input net switching, which has no
-// owning gate.
-func Attribute(ctx context.Context, nl *netlist.Netlist, lib *liberty.Library, opt Options) ([]CellPower, error) {
-	_, cells, err := AnalyzeFull(ctx, nl, lib, opt)
-	return cells, err
-}
 
 // ClassPower aggregates instance power by library cell (the "cell class"
 // view: all NAND2x1 instances as one row). The compact form the QoR

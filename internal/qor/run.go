@@ -12,11 +12,9 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/pdk"
 	"repro/internal/power"
 	"repro/internal/sta"
 	"repro/internal/synth"
-	"repro/internal/testlib"
 )
 
 // RunOptions configures one cryobench recording run.
@@ -132,29 +130,12 @@ type cornerLib struct {
 }
 
 func loadCorners(ctx context.Context, opt RunOptions) ([]cornerLib, error) {
-	catalog := pdk.Catalog()
 	out := make([]cornerLib, 0, len(opt.Profile.Corners))
 	for _, temp := range opt.Profile.Corners {
-		var lib *liberty.Library
-		var cells []*pdk.Cell
-		if opt.UseTestlib {
-			lib, cells = testlib.Build(catalog, testlib.Names(), temp)
-		} else {
-			cacheDir := opt.CacheDir
-			if cacheDir == "" {
-				cacheDir = "build"
-			}
-			cfg := charlib.DefaultConfig(temp)
-			cfg.Workers = opt.Workers
-			var err error
-			lib, err = charlib.CharacterizeLibraryCached(ctx,
-				charlib.DefaultCachePath(cacheDir, temp, len(catalog)),
-				fmt.Sprintf("cryo%gk", temp), catalog,
-				cfg)
-			if err != nil {
-				return nil, fmt.Errorf("qor: characterizing %g K corner: %w", temp, err)
-			}
-			cells = catalog
+		lib, cells, err := charlib.Corner{TempK: temp, Testlib: opt.UseTestlib,
+			CacheDir: opt.CacheDir, Workers: opt.Workers}.Library(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("qor: characterizing %g K corner: %w", temp, err)
 		}
 		ml, err := mapper.BuildMatchLibrary(lib, cells, 6)
 		if err != nil {

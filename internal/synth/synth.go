@@ -72,12 +72,8 @@ type Options struct {
 	SkipChoices bool
 }
 
-// Cut sizes: technology-mapping cuts (stage 3) and the power-aware stage's
-// k-LUTs (stage 2).
-const (
-	mapK = 5
-	lutK = 6
-)
+// mapK is the technology-mapping cut size (stage 3).
+const mapK = 5
 
 // Result carries the synthesis outcome with per-stage statistics.
 type Result struct {
@@ -191,6 +187,10 @@ func (f *Front) releaseCuts() {
 	}
 }
 
+// C2RS is the flow's stage 1 at opt.Seed, the graph the power stage
+// starts from.
+func C2RS(g *aig.AIG, opt Options) *aig.AIG { return c2rs(g, opt.Seed).z }
+
 // c2rs approximates ABC's compress2rs shortcut: balance and interleaved
 // resubstitution / rewriting / refactoring rounds.
 func c2rs(g *aig.AIG, seed int64) c2rsTail {
@@ -244,14 +244,7 @@ func powerCandidates(variants []*aig.AIG, opt Options) ([]candidate, int) {
 			cands[i] = cands[j]
 			continue
 		}
-		lut := v.MapLUT(aig.LUTMapOptions{K: lutK, PowerAware: true})
-		if !opt.SkipMfs {
-			mopt := aig.DefaultMfsOptions()
-			mopt.PowerAware = true
-			mopt.Seed = opt.Seed + 7
-			lut.Mfs(mopt)
-		}
-		back := lut.Strash()
+		back := LUTPack(v, opt)
 		cands[i] = candidate{
 			net:   back,
 			cuts:  mapper.NewCutTable(back),
@@ -262,6 +255,17 @@ func powerCandidates(variants []*aig.AIG, opt Options) ([]candidate, int) {
 		built++
 	}
 	return cands, built
+}
+
+// LUTPack is the power stage's if/mfs/strash step on one structural
+// choice: power-aware 6-LUT mapping, power-aware don't-care minimization
+// at opt.Seed+7 (unless opt.SkipMfs) and structural hashing back.
+func LUTPack(g *aig.AIG, opt Options) *aig.AIG {
+	lut := g.MapLUT()
+	if !opt.SkipMfs {
+		lut.Mfs(opt.Seed + 7)
+	}
+	return lut.Strash()
 }
 
 // pickCandidate keeps the variant that wins under the scenario's cost
