@@ -64,13 +64,17 @@ type Entry struct {
 // Delta returns cur-base.
 func (e *Entry) Delta() float64 { return e.Cur - e.Base }
 
-// RelDelta returns the relative change against the baseline magnitude
-// (0 when the base is zero).
-func (e *Entry) RelDelta() float64 {
+// RelDelta renders the change against the baseline magnitude as a signed
+// percentage. A zero baseline has no relative change: the row reads
+// "+0.00%" when the metric stayed at zero and "n/a" when it moved.
+func (e *Entry) RelDelta() string {
 	if e.Base == 0 {
-		return 0
+		if e.Cur == 0 {
+			return "+0.00%"
+		}
+		return "n/a"
 	}
-	return (e.Cur - e.Base) / math.Abs(e.Base)
+	return fmt.Sprintf("%+.2f%%", (e.Cur-e.Base)/math.Abs(e.Base)*100)
 }
 
 // Report is the outcome of diffing a run against a baseline.

@@ -80,6 +80,34 @@ func TestDiffInjectedWNSRegression(t *testing.T) {
 	}
 }
 
+// TestZeroBaseDeltaIsNotZero: a metric whose baseline is 0 has no relative
+// change, so a TNS regression from 0 to -5 ps must not read +0.00%.
+func TestZeroBaseDeltaIsNotZero(t *testing.T) {
+	base, cur := twoBaselines()
+	cur.Circuits[0].Corners[1].TNSSec = -5e-12
+	rep := Diff(base, cur)
+	if rep.QoRRegressions != 1 {
+		t.Fatalf("want exactly 1 QoR regression, got %d", rep.QoRRegressions)
+	}
+	var table, md bytes.Buffer
+	if err := rep.WriteTable(&table, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteMarkdown(&md); err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]string{"table": table.String(), "markdown": md.String()} {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "tns_seconds") && strings.Contains(line, "+0.00%") {
+				t.Errorf("%s reads a 0 -> -5 ps TNS move as +0.00%%: %q", name, line)
+			}
+		}
+		if !strings.Contains(out, "n/a") {
+			t.Errorf("%s does not mark the undefined relative delta:\n%s", name, out)
+		}
+	}
+}
+
 func TestDiffImprovementIsNotFailure(t *testing.T) {
 	base, cur := twoBaselines()
 	cur.Circuits[0].Corners[0].TotalW *= 0.9 // power got better

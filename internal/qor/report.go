@@ -55,8 +55,8 @@ func (r *Report) WriteTable(w io.Writer, verbose bool) error {
 		if note != "" {
 			note = "  (" + note + ")"
 		}
-		fmt.Fprintf(w, "%-34s %-28s %14.6g %14.6g %+8.2f%%  %s%s\n",
-			e.Key, e.Metric, e.Base, e.Cur, e.RelDelta()*100, e.Verdict, note)
+		fmt.Fprintf(w, "%-34s %-28s %14.6g %14.6g %9s  %s%s\n",
+			e.Key, e.Metric, e.Base, e.Cur, e.RelDelta(), e.Verdict, note)
 	}
 	if ok > 0 {
 		fmt.Fprintf(w, "... and %d metrics unchanged (ok)\n", ok)
@@ -100,8 +100,8 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		if e.Verdict == Regressed {
 			verdict = "**" + verdict + "**"
 		}
-		fmt.Fprintf(w, "| %s | %s | %.6g | %.6g | %+.2f%% | %s |\n",
-			e.Key, e.Metric, e.Base, e.Cur, e.RelDelta()*100, verdict)
+		fmt.Fprintf(w, "| %s | %s | %.6g | %.6g | %s | %s |\n",
+			e.Key, e.Metric, e.Base, e.Cur, e.RelDelta(), verdict)
 	}
 	_, err := fmt.Fprintf(w, "\n%d unchanged metrics omitted.\n", len(r.Entries)-interesting)
 	return err
