@@ -10,6 +10,7 @@ package explain
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/qor"
@@ -153,69 +154,46 @@ func Diff(base, cur *qor.Baseline) *Report {
 		BaseLabel: base.Label(),
 		CurLabel:  cur.Label(),
 	}
-	baseByKey := map[string]*qor.Circuit{}
-	for i := range base.Circuits {
-		baseByKey[base.Circuits[i].Key()] = &base.Circuits[i]
-	}
-	seen := map[string]bool{}
-	for i := range cur.Circuits {
-		cc := &cur.Circuits[i]
-		key := cc.Key()
-		bc, ok := baseByKey[key]
-		if !ok {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: only in current run (no baseline to attribute against)", key))
-			r.AttributedDeltas++
-			continue
+	qor.Pair(base.Circuits, cur.Circuits, (*qor.Circuit).Key, func(bc, cc *qor.Circuit) {
+		switch {
+		case bc == nil:
+			r.note("%s: only in current run (no baseline to attribute against)", cc.Key())
+		case cc == nil:
+			r.note("%s: dropped from current run", bc.Key())
+		default:
+			if cd := diffCircuit(bc, cc, r); cd != nil {
+				r.Circuits = append(r.Circuits, *cd)
+			}
 		}
-		seen[key] = true
-		if cd := diffCircuit(bc, cc, r); cd != nil {
-			r.Circuits = append(r.Circuits, *cd)
-		}
-	}
-	for i := range base.Circuits {
-		if key := base.Circuits[i].Key(); !seen[key] {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: dropped from current run", key))
-			r.AttributedDeltas++
-		}
-	}
+	})
 	r.ZeroDelta = r.AttributedDeltas == 0
 	return r
 }
 
+// note records a coverage caveat that is itself an attributed delta.
+func (r *Report) note(format string, args ...any) {
+	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+	r.AttributedDeltas++
+}
+
 func diffCircuit(base, cur *qor.Circuit, r *Report) *CircuitDelta {
 	cd := &CircuitDelta{Key: cur.Key()}
-	baseCorner := map[float64]*qor.Corner{}
-	for i := range base.Corners {
-		baseCorner[base.Corners[i].TempK] = &base.Corners[i]
-	}
-	for i := range cur.Corners {
-		cc := &cur.Corners[i]
-		bc, ok := baseCorner[cc.TempK]
-		if !ok {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s @%gK: corner only in current run", cd.Key, cc.TempK))
-			r.AttributedDeltas++
-			continue
+	qor.Pair(base.Corners, cur.Corners, qor.CornerTemp, func(bc, cc *qor.Corner) {
+		switch {
+		case bc == nil:
+			r.note("%s @%gK: corner only in current run", cd.Key, cc.TempK)
+		case cc == nil:
+			r.note("%s @%gK: corner dropped from current run", cd.Key, bc.TempK)
+		default:
+			if corner := diffCorner(bc, cc, r); corner != nil {
+				cd.Corners = append(cd.Corners, *corner)
+			}
 		}
-		if corner := diffCorner(bc, cc, r); corner != nil {
-			cd.Corners = append(cd.Corners, *corner)
-		}
-	}
-	curTemps := map[float64]bool{}
-	for i := range cur.Corners {
-		curTemps[cur.Corners[i].TempK] = true
-	}
-	for i := range base.Corners {
-		if t := base.Corners[i].TempK; !curTemps[t] {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s @%gK: corner dropped from current run", cd.Key, t))
-			r.AttributedDeltas++
-		}
-	}
+	})
 	// AIG trajectory shifts are QoR deltas too (they precede mapping).
 	if base.AIGNodesOpt != cur.AIGNodesOpt || base.AIGDepthOpt != cur.AIGDepthOpt {
-		r.AttributedDeltas++
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"%s: technology-independent trajectory moved (nodes %d->%d, depth %d->%d) — upstream of mapping",
-			cd.Key, base.AIGNodesOpt, cur.AIGNodesOpt, base.AIGDepthOpt, cur.AIGDepthOpt))
+		r.note("%s: technology-independent trajectory moved (nodes %d->%d, depth %d->%d) — upstream of mapping",
+			cd.Key, base.AIGNodesOpt, cur.AIGNodesOpt, base.AIGDepthOpt, cur.AIGDepthOpt)
 	}
 	if len(cd.Corners) == 0 {
 		return nil
@@ -247,133 +225,92 @@ func diffCorner(base, cur *qor.Corner, r *Report) *CornerDelta {
 }
 
 // diffPaths matches paths by endpoint and attributes arrival deltas arc by
-// arc. Only endpoints whose arrival moved (or that exist on one side only)
-// produce a PathDelta.
+// arc. Only endpoints whose arrival or arcs moved (or that exist on one
+// side only) produce a PathDelta, so a zero-arrival-delta path with a
+// swapped cell still gets attributed.
 func diffPaths(base, cur []qor.PathRecord, r *Report) []PathDelta {
-	baseByEp := map[string]*qor.PathRecord{}
-	for i := range base {
-		baseByEp[base[i].Endpoint] = &base[i]
-	}
 	var out []PathDelta
-	seen := map[string]bool{}
-	for i := range cur {
-		cp := &cur[i]
-		bp, ok := baseByEp[cp.Endpoint]
-		if !ok {
-			out = append(out, PathDelta{
+	qor.Pair(base, cur, func(p *qor.PathRecord) string { return p.Endpoint }, func(bp, cp *qor.PathRecord) {
+		var pd PathDelta
+		switch {
+		case bp == nil:
+			pd = PathDelta{
 				Endpoint: cp.Endpoint, Status: PathNew,
 				CurSec: cp.ArrivalSec, DeltaSec: cp.ArrivalSec,
 				Culprit: "endpoint entered the top-K critical set",
-			})
-			r.AttributedDeltas++
-			continue
+			}
+		case cp == nil:
+			pd = PathDelta{
+				Endpoint: bp.Endpoint, Status: PathRemoved,
+				BaseSec: bp.ArrivalSec, DeltaSec: -bp.ArrivalSec,
+				Culprit: "endpoint left the top-K critical set",
+			}
+		case qor.Equal(bp.ArrivalSec, cp.ArrivalSec) && slices.Equal(bp.Arcs, cp.Arcs):
+			return
+		default:
+			pd = PathDelta{
+				Endpoint: cp.Endpoint, Status: PathMatched,
+				BaseSec: bp.ArrivalSec, CurSec: cp.ArrivalSec,
+				DeltaSec: cp.ArrivalSec - bp.ArrivalSec,
+			}
+			pd.Arcs, pd.ResidualSec = diffArcs(bp, cp)
+			pd.Culprit = pathCulprit(&pd)
 		}
-		seen[cp.Endpoint] = true
-		if qor.Equal(bp.ArrivalSec, cp.ArrivalSec) && samePathShape(bp, cp) {
-			continue
-		}
-		pd := PathDelta{
-			Endpoint: cp.Endpoint, Status: PathMatched,
-			BaseSec: bp.ArrivalSec, CurSec: cp.ArrivalSec,
-			DeltaSec: cp.ArrivalSec - bp.ArrivalSec,
-		}
-		pd.Arcs, pd.ResidualSec = diffArcs(bp, cp)
-		pd.Culprit = pathCulprit(&pd)
 		out = append(out, pd)
 		r.AttributedDeltas++
-	}
-	for i := range base {
-		bp := &base[i]
-		if seen[bp.Endpoint] {
-			continue
-		}
-		out = append(out, PathDelta{
-			Endpoint: bp.Endpoint, Status: PathRemoved,
-			BaseSec: bp.ArrivalSec, DeltaSec: -bp.ArrivalSec,
-			Culprit: "endpoint left the top-K critical set",
-		})
-		r.AttributedDeltas++
-	}
+	})
 	return out
-}
-
-// samePathShape reports whether two matched paths traverse the same arcs
-// with identical provenance (so a zero-arrival-delta path with a swapped
-// cell still gets attributed).
-func samePathShape(a, b *qor.PathRecord) bool {
-	if len(a.Arcs) != len(b.Arcs) {
-		return false
-	}
-	for i := range a.Arcs {
-		if a.Arcs[i] != b.Arcs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // diffArcs aligns two matched paths by driven net and classifies each
 // moved arc: what changed (cell swap, delay shift, structural) and what
 // drove it (cell, slew, load, or the tables themselves).
 func diffArcs(base, cur *qor.PathRecord) ([]ArcDelta, float64) {
-	baseByNet := map[string]*qor.ArcRecord{}
-	for i := range base.Arcs {
-		baseByNet[base.Arcs[i].ToNet] = &base.Arcs[i]
-	}
 	// Input slews come from the predecessor arc's recorded SlewSec.
 	baseSlewAt := pathSlews(base)
 	curSlewAt := pathSlews(cur)
 
 	var out []ArcDelta
 	covered := 0.0
-	for i := range cur.Arcs {
-		ca := &cur.Arcs[i]
-		ba, ok := baseByNet[ca.ToNet]
-		if !ok {
-			out = append(out, ArcDelta{
+	qor.Pair(base.Arcs, cur.Arcs, func(a *qor.ArcRecord) string { return a.ToNet }, func(ba, ca *qor.ArcRecord) {
+		var ad ArcDelta
+		switch {
+		case ba == nil:
+			ad = ArcDelta{
 				ToNet: ca.ToNet, Gate: ca.Gate, CurCell: ca.Cell, Pin: ca.Pin,
 				DeltaSec: ca.DelaySec, Change: ArcAdded, Driver: DriverStructural,
-			})
-			covered += ca.DelaySec
-			continue
-		}
-		d := ca.DelaySec - ba.DelaySec
-		cellSwapped := ba.Cell != ca.Cell
-		if !cellSwapped && qor.Equal(ba.DelaySec, ca.DelaySec) {
-			continue
-		}
-		ad := ArcDelta{
-			ToNet: ca.ToNet, Gate: ca.Gate,
-			BaseCell: ba.Cell, CurCell: ca.Cell, Pin: ca.Pin,
-			DeltaSec:     d,
-			SlewDeltaSec: curSlewAt[ca.FromNet] - baseSlewAt[ba.FromNet],
-			LoadDeltaF:   ca.LoadF - ba.LoadF,
-			Change:       ArcDelayShift,
-		}
-		switch {
-		case cellSwapped:
-			ad.Change = ArcCellSwap
-			ad.Driver = DriverCell
-		case !qor.Equal(baseSlewAt[ba.FromNet], curSlewAt[ca.FromNet]):
-			ad.Driver = DriverSlew
-		case !qor.Equal(ba.LoadF, ca.LoadF):
-			ad.Driver = DriverLoad
-		default:
-			ad.Driver = DriverTable
-		}
-		covered += d
-		out = append(out, ad)
-	}
-	for i := range base.Arcs {
-		ba := &base.Arcs[i]
-		if _, stillThere := findArc(cur, ba.ToNet); !stillThere {
-			out = append(out, ArcDelta{
+			}
+		case ca == nil:
+			ad = ArcDelta{
 				ToNet: ba.ToNet, Gate: ba.Gate, BaseCell: ba.Cell, Pin: ba.Pin,
 				DeltaSec: -ba.DelaySec, Change: ArcRemoved, Driver: DriverStructural,
-			})
-			covered += -ba.DelaySec
+			}
+		case ba.Cell == ca.Cell && qor.Equal(ba.DelaySec, ca.DelaySec):
+			return
+		default:
+			ad = ArcDelta{
+				ToNet: ca.ToNet, Gate: ca.Gate,
+				BaseCell: ba.Cell, CurCell: ca.Cell, Pin: ca.Pin,
+				DeltaSec:     ca.DelaySec - ba.DelaySec,
+				SlewDeltaSec: curSlewAt[ca.FromNet] - baseSlewAt[ba.FromNet],
+				LoadDeltaF:   ca.LoadF - ba.LoadF,
+				Change:       ArcDelayShift,
+			}
+			switch {
+			case ba.Cell != ca.Cell:
+				ad.Change = ArcCellSwap
+				ad.Driver = DriverCell
+			case !qor.Equal(baseSlewAt[ba.FromNet], curSlewAt[ca.FromNet]):
+				ad.Driver = DriverSlew
+			case !qor.Equal(ba.LoadF, ca.LoadF):
+				ad.Driver = DriverLoad
+			default:
+				ad.Driver = DriverTable
+			}
 		}
-	}
+		covered += ad.DeltaSec
+		out = append(out, ad)
+	})
 	sort.SliceStable(out, func(i, j int) bool {
 		return math.Abs(out[i].DeltaSec) > math.Abs(out[j].DeltaSec)
 	})
@@ -388,15 +325,6 @@ func diffArcs(base, cur *qor.PathRecord) ([]ArcDelta, float64) {
 		residual = 0
 	}
 	return out, residual
-}
-
-func findArc(p *qor.PathRecord, toNet string) (*qor.ArcRecord, bool) {
-	for i := range p.Arcs {
-		if p.Arcs[i].ToNet == toNet {
-			return &p.Arcs[i], true
-		}
-	}
-	return nil, false
 }
 
 // pathSlews maps each net on the path to its recorded transition time, so
@@ -433,67 +361,42 @@ func pathCulprit(pd *PathDelta) string {
 
 // diffPowerClasses attributes power movement by cell class.
 func diffPowerClasses(base, cur []qor.ClassPower, r *Report) []PowerDelta {
-	baseByCell := map[string]*qor.ClassPower{}
-	for i := range base {
-		baseByCell[base[i].Cell] = &base[i]
-	}
 	var out []PowerDelta
-	seen := map[string]bool{}
-	for i := range cur {
-		cc := &cur[i]
-		bc := baseByCell[cc.Cell]
-		var b qor.ClassPower
-		if bc != nil {
-			b = *bc
-			seen[cc.Cell] = true
-		}
-		pd := PowerDelta{
-			Cell: cc.Cell, BaseCount: b.Count, CurCount: cc.Count,
-			LeakageW:   cc.LeakageW - b.LeakageW,
-			InternalW:  cc.InternalW - b.InternalW,
-			SwitchingW: cc.SwitchingW - b.SwitchingW,
-		}
-		if qor.Equal(b.LeakageW, cc.LeakageW) &&
-			qor.Equal(b.InternalW, cc.InternalW) &&
-			qor.Equal(b.SwitchingW, cc.SwitchingW) &&
-			b.Count == cc.Count {
-			continue
-		}
-		pd.Dominant = dominantComponent(&pd)
-		out = append(out, pd)
-		r.AttributedDeltas++
-	}
-	for i := range base {
-		bc := &base[i]
-		if seen[bc.Cell] {
-			continue
-		}
-		if _, stillThere := findClass(cur, bc.Cell); stillThere {
-			continue
-		}
-		pd := PowerDelta{
-			Cell: bc.Cell, BaseCount: bc.Count, CurCount: 0,
-			LeakageW:   -bc.LeakageW,
-			InternalW:  -bc.InternalW,
-			SwitchingW: -bc.SwitchingW,
+	qor.Pair(base, cur, func(c *qor.ClassPower) string { return c.Cell }, func(bc, cc *qor.ClassPower) {
+		var pd PowerDelta
+		if cc == nil {
+			pd = PowerDelta{
+				Cell: bc.Cell, BaseCount: bc.Count, CurCount: 0,
+				LeakageW:   -bc.LeakageW,
+				InternalW:  -bc.InternalW,
+				SwitchingW: -bc.SwitchingW,
+			}
+		} else {
+			var b qor.ClassPower
+			if bc != nil {
+				b = *bc
+			}
+			if qor.Equal(b.LeakageW, cc.LeakageW) &&
+				qor.Equal(b.InternalW, cc.InternalW) &&
+				qor.Equal(b.SwitchingW, cc.SwitchingW) &&
+				b.Count == cc.Count {
+				return
+			}
+			pd = PowerDelta{
+				Cell: cc.Cell, BaseCount: b.Count, CurCount: cc.Count,
+				LeakageW:   cc.LeakageW - b.LeakageW,
+				InternalW:  cc.InternalW - b.InternalW,
+				SwitchingW: cc.SwitchingW - b.SwitchingW,
+			}
 		}
 		pd.Dominant = dominantComponent(&pd)
 		out = append(out, pd)
 		r.AttributedDeltas++
-	}
+	})
 	sort.SliceStable(out, func(i, j int) bool {
 		return math.Abs(out[i].TotalW()) > math.Abs(out[j].TotalW())
 	})
 	return out
-}
-
-func findClass(classes []qor.ClassPower, cell string) (*qor.ClassPower, bool) {
-	for i := range classes {
-		if classes[i].Cell == cell {
-			return &classes[i], true
-		}
-	}
-	return nil, false
 }
 
 func dominantComponent(p *PowerDelta) string {

@@ -119,38 +119,55 @@ func Diff(base, cur *Baseline) *Report {
 		BaseLabel: base.Label(),
 		CurLabel:  cur.Label(),
 	}
-	baseByKey := map[string]*Circuit{}
-	for i := range base.Circuits {
-		baseByKey[base.Circuits[i].Key()] = &base.Circuits[i]
-	}
-	seen := map[string]bool{}
-	for i := range cur.Circuits {
-		cc := &cur.Circuits[i]
+	Pair(base.Circuits, cur.Circuits, (*Circuit).Key, func(bc, cc *Circuit) {
+		if cc == nil {
+			r.Entries = append(r.Entries, Entry{
+				Key: bc.Key(), Metric: "circuit",
+				Verdict: Missing, Note: "dropped from run",
+			})
+			r.QoRRegressions++ // losing coverage is a hard failure
+			return
+		}
 		if !cc.Deterministic {
 			r.NonDeterministic = append(r.NonDeterministic, cc.Key())
 		}
-		bc, ok := baseByKey[cc.Key()]
-		if !ok {
+		if bc == nil {
 			r.Entries = append(r.Entries, Entry{
 				Key: cc.Key(), Metric: "circuit", Verdict: New,
 				Note: "not in baseline",
 			})
-			continue
+			return
 		}
-		seen[cc.Key()] = true
 		diffCircuit(r, bc, cc)
-	}
-	for i := range base.Circuits {
-		if !seen[base.Circuits[i].Key()] {
-			r.Entries = append(r.Entries, Entry{
-				Key: base.Circuits[i].Key(), Metric: "circuit",
-				Verdict: Missing, Note: "dropped from run",
-			})
-			r.QoRRegressions++ // losing coverage is a hard failure
-		}
-	}
+	})
 	return r
 }
+
+// Pair walks two keyed record lists the way every baseline comparison
+// does. It calls visit(b, c) for each cur record c in order, b being the
+// base record with the same key (the last one when the key repeats) or nil,
+// and then visit(b, nil) for each base record whose key no cur record
+// has, in base order.
+func Pair[T any, K comparable](base, cur []T, key func(*T) K, visit func(b, c *T)) {
+	byKey := make(map[K]*T, len(base))
+	for i := range base {
+		byKey[key(&base[i])] = &base[i]
+	}
+	inCur := make(map[K]bool, len(cur))
+	for i := range cur {
+		k := key(&cur[i])
+		inCur[k] = true
+		visit(byKey[k], &cur[i])
+	}
+	for i := range base {
+		if !inCur[key(&base[i])] {
+			visit(&base[i], nil)
+		}
+	}
+}
+
+// CornerTemp keys corners by temperature, for Pair.
+func CornerTemp(c *Corner) float64 { return c.TempK }
 
 // compare appends one exactly compared row, counting a move in the bad
 // direction as a regression.
@@ -173,36 +190,25 @@ func diffCircuit(r *Report, base, cur *Circuit) {
 	r.compare(key, "aig_nodes_opt", float64(base.AIGNodesOpt), float64(cur.AIGNodesOpt), true)
 	r.compare(key, "aig_depth_opt", float64(base.AIGDepthOpt), float64(cur.AIGDepthOpt), true)
 	// Corners matched by temperature.
-	baseCorner := map[float64]*Corner{}
-	for i := range base.Corners {
-		baseCorner[base.Corners[i].TempK] = &base.Corners[i]
-	}
-	seenCorner := map[float64]bool{}
-	for i := range cur.Corners {
-		cc := &cur.Corners[i]
-		ckey := fmt.Sprintf("%s @%gK", key, cc.TempK)
-		bc, ok := baseCorner[cc.TempK]
-		if !ok {
-			r.Entries = append(r.Entries, Entry{Key: ckey, Metric: "corner",
-				Verdict: New, Note: "corner not in baseline"})
-			continue
-		}
-		seenCorner[cc.TempK] = true
-		for _, m := range CornerMetrics {
-			r.compare(ckey, m.Name, m.Get(bc), m.Get(cc), m.HigherBad)
-		}
-	}
-	// A corner dropped from the current run is lost coverage — a hard
-	// failure, like a dropped circuit.
-	for i := range base.Corners {
-		bc := &base.Corners[i]
-		if !seenCorner[bc.TempK] {
+	Pair(base.Corners, cur.Corners, CornerTemp, func(bc, cc *Corner) {
+		switch {
+		case cc == nil:
+			// A corner dropped from the current run is lost coverage —
+			// a hard failure, like a dropped circuit.
 			r.Entries = append(r.Entries, Entry{
 				Key:    fmt.Sprintf("%s @%gK", key, bc.TempK),
 				Metric: "corner", Verdict: Missing,
 				Note: "corner dropped from run",
 			})
 			r.QoRRegressions++
+		case bc == nil:
+			r.Entries = append(r.Entries, Entry{Key: fmt.Sprintf("%s @%gK", key, cc.TempK), Metric: "corner",
+				Verdict: New, Note: "corner not in baseline"})
+		default:
+			ckey := fmt.Sprintf("%s @%gK", key, cc.TempK)
+			for _, m := range CornerMetrics {
+				r.compare(ckey, m.Name, m.Get(bc), m.Get(cc), m.HigherBad)
+			}
 		}
-	}
+	})
 }

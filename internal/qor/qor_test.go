@@ -189,6 +189,27 @@ func TestDiffNondeterminismFails(t *testing.T) {
 	}
 }
 
+// TestSameQoRSeesProvenance: Run marks a record nondeterministic when a
+// repetition moves any provenance, even with the scalar QoR unchanged.
+func TestSameQoRSeesProvenance(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Circuit)
+		same   bool
+	}{
+		{"identical", func(*Circuit) {}, true},
+		{"arc slew", func(c *Circuit) { c.Corners[0].Paths[0].Arcs[1].SlewSec *= 1.5 }, false},
+		{"class count", func(c *Circuit) { c.Corners[0].PowerByClass[1].Count++ }, false},
+		{"aig depth", func(c *Circuit) { c.AIGDepthOpt++ }, false},
+	} {
+		rec, rep := &goldenBaseline().Circuits[0], &goldenBaseline().Circuits[0]
+		tc.mutate(rep)
+		if got := sameQoR(rec, rep); got != tc.same {
+			t.Errorf("%s: sameQoR = %v, want %v", tc.name, got, tc.same)
+		}
+	}
+}
+
 func TestProfiles(t *testing.T) {
 	for _, name := range ProfileNames() {
 		p, err := FindProfile(name)

@@ -3,6 +3,7 @@ package qor
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 
 	"repro/internal/aig"
@@ -263,51 +264,9 @@ func endpointTNS(r *sta.Result, nl *netlist.Netlist, clock float64) float64 {
 // sameQoR reports whether a repetition reproduced the recorded QoR bit for
 // bit (the flow is seeded, so it should). Path and power-class provenance
 // participates: a wandering critical path is nondeterminism even when the
-// scalar QoR happens to agree.
+// scalar QoR happens to agree. Both records come from runOnce, so their
+// slices are never nil on one side and empty on the other.
 func sameQoR(rec *Circuit, rep *Circuit) bool {
-	if rec.AIGNodesOpt != rep.AIGNodesOpt || rec.AIGDepthOpt != rep.AIGDepthOpt {
-		return false
-	}
-	if len(rec.Corners) != len(rep.Corners) {
-		return false
-	}
-	for i := range rec.Corners {
-		if !cornerEqual(&rec.Corners[i], &rep.Corners[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// cornerEqual compares two corner records bit for bit, provenance included.
-func cornerEqual(a, b *Corner) bool {
-	if a.TempK != b.TempK {
-		return false
-	}
-	for _, m := range CornerMetrics {
-		if m.Get(a) != m.Get(b) {
-			return false
-		}
-	}
-	if len(a.Paths) != len(b.Paths) || len(a.PowerByClass) != len(b.PowerByClass) {
-		return false
-	}
-	for i := range a.Paths {
-		pa, pb := &a.Paths[i], &b.Paths[i]
-		if pa.Endpoint != pb.Endpoint || pa.ArrivalSec != pb.ArrivalSec ||
-			pa.SlackSec != pb.SlackSec || len(pa.Arcs) != len(pb.Arcs) {
-			return false
-		}
-		for j := range pa.Arcs {
-			if pa.Arcs[j] != pb.Arcs[j] {
-				return false
-			}
-		}
-	}
-	for i := range a.PowerByClass {
-		if a.PowerByClass[i] != b.PowerByClass[i] {
-			return false
-		}
-	}
-	return true
+	return rec.AIGNodesOpt == rep.AIGNodesOpt && rec.AIGDepthOpt == rep.AIGDepthOpt &&
+		reflect.DeepEqual(rec.Corners, rep.Corners)
 }
