@@ -119,15 +119,17 @@ bench-diff:
 	@set -- $$(ls -t build/qor-*.json 2>/dev/null | head -2); \
 	if [ $$# -lt 2 ]; then echo "need two build/qor-*.json recordings (run make bench twice)"; exit 1; fi; \
 	echo "diffing $$2 (base) vs $$1 (current)"; \
-	$(GO) run ./cmd/cryobench -diff -explain "$$2" "$$1"
+	$(GO) run ./cmd/cryobench -diff "$$2" "$$1"
 
-# Attribution self-diff smoke (docs/EXPLAIN.md): diffing the committed
-# baseline against itself must attribute zero delta.
+# Attribution self-diff smoke (docs/EXPLAIN.md): diffing a baseline
+# (BASELINE, default the committed one) against itself must attribute zero
+# delta.
+BASELINE ?= bench/baseline-$(BENCH_PROFILE).json
 explain:
 	@mkdir -p build
-	$(GO) run ./cmd/cryobench -diff -explain \
+	$(GO) run ./cmd/cryobench -diff \
 		-explain-json build/self-explain.json \
-		bench/baseline-$(BENCH_PROFILE).json bench/baseline-$(BENCH_PROFILE).json
+		$(BASELINE) $(BASELINE)
 	@grep -q '"zero_delta": true' build/self-explain.json && \
 		echo "explain: self-diff is zero-delta, OK"
 

@@ -2,8 +2,8 @@
 // (synthesis -> mapping -> STA -> power, per temperature corner) over a
 // benchmark profile, records quality of results with critical-path and
 // power-class provenance into a versioned JSON baseline, and diffs runs
-// against a stored baseline exactly. -explain attributes each QoR delta to
-// paths, arcs and cell classes. Runtime is not gated here: -trace and
+// against a stored baseline exactly. Every diff also attributes each QoR
+// delta to paths, arcs and cell classes. Runtime is not gated here: -trace and
 // -metrics record stage wall times and engine counters, -progress 5s
 // reports the qor.reps task (one step per circuit, scenario and
 // repetition), and perfbench gates timing.
@@ -18,7 +18,7 @@
 //
 // Diff two existing recordings without running anything:
 //
-//	cryobench -diff -explain old.json new.json
+//	cryobench -diff old.json new.json
 package main
 
 import (
@@ -48,16 +48,14 @@ func main() {
 	out := flag.String("out", "", "output baseline path (default build/qor-<timestamp>.json)")
 	baselinePath := flag.String("baseline", "", "baseline to diff the fresh run against; exit 1 on QoR regression")
 	diffMode := flag.Bool("diff", false, "diff two recorded baselines: cryobench -diff <base.json> <cur.json>")
-	mdPath := flag.String("md", "", "also write the diff report as markdown to this path")
-	explainFlag := flag.Bool("explain", false, "append a QoR attribution report (why each metric moved) to the diff; exit code unchanged")
-	explainJSON := flag.String("explain-json", "", "with -explain, also write the attribution report as JSON to this path")
+	mdPath := flag.String("md", "", "also write the diff and attribution reports as markdown to this path")
+	explainJSON := flag.String("explain-json", "", "also write the attribution report as JSON to this path")
 	verbose := flag.Bool("v", false, "list unchanged metrics in the diff table")
 	obsFlags := obs.InstallFlags(flag.CommandLine)
 	flag.Parse()
 
 	cfg := diffConfig{
 		verbose:     *verbose,
-		explain:     *explainFlag,
 		mdPath:      *mdPath,
 		explainJSON: *explainJSON,
 	}
@@ -133,31 +131,25 @@ func main() {
 // modes.
 type diffConfig struct {
 	verbose     bool
-	explain     bool
 	mdPath      string
 	explainJSON string
 }
 
-// reportDiff renders the diff to stdout (and optionally markdown), runs
-// the attribution engine when -explain is set, and returns the process
-// exit code the gate demands. Attribution never changes the exit code: it
-// explains the verdict, it does not render one.
+// reportDiff renders the diff and its attribution to stdout (and
+// optionally markdown and JSON) and returns the process exit code the gate
+// demands. Attribution never changes the exit code: it explains the
+// verdict, it does not render one.
 func reportDiff(base, cur *qor.Baseline, cfg diffConfig) int {
 	rep := qor.Diff(base, cur)
-	if err := rep.WriteTable(os.Stdout, cfg.verbose); err != nil {
-		exitOn(err)
-	}
-	var att *explain.Report
-	if cfg.explain {
-		att = explain.Diff(base, cur)
-		fmt.Println()
-		exitOn(att.WriteText(os.Stdout))
-	}
+	exitOn(rep.WriteTable(os.Stdout, cfg.verbose))
+	att := explain.Diff(base, cur)
+	fmt.Println()
+	exitOn(att.WriteText(os.Stdout))
 	if cfg.mdPath != "" {
 		f, err := os.Create(cfg.mdPath)
 		exitOn(err)
 		err = rep.WriteMarkdown(f)
-		if err == nil && att != nil {
+		if err == nil {
 			err = att.WriteMarkdown(f)
 		}
 		f.Close()
@@ -165,7 +157,7 @@ func reportDiff(base, cur *qor.Baseline, cfg diffConfig) int {
 		obs.J().Artifact("cryobench", cfg.mdPath)
 		fmt.Fprintf(os.Stderr, "markdown report written: %s\n", cfg.mdPath)
 	}
-	if att != nil && cfg.explainJSON != "" {
+	if cfg.explainJSON != "" {
 		f, err := os.Create(cfg.explainJSON)
 		exitOn(err)
 		err = att.WriteJSON(f)

@@ -13,7 +13,7 @@
 // binaries of one flow invocation read as one stream.
 //
 // Cross-run questions have their own tools: QoR between two runs is
-// cryobench -diff -explain over the baseline artifacts a report lists, and
+// cryobench -diff over the baseline artifacts a report lists, and
 // timing across commits is perfbench. Per-span CPU cost is not in the
 // journal: the -cost flag of every flow binary writes a pprof CPU profile
 // labelled span=<span path>, read with go tool pprof -tags or -tagfocus
@@ -66,7 +66,7 @@ commands:
   summary  one-line status per run
   tail     pretty-print the last events (-kind progress: stage progress)
 
-QoR across runs is cryobench -diff -explain; timing across commits is
+QoR across runs is cryobench -diff; timing across commits is
 perfbench. Per-span CPU cost is not journaled: run the flow binary with
 -cost <file> and read the profile with go tool pprof -tags / -tagfocus
 span=<path>.`)
