@@ -63,12 +63,15 @@ const maxCuts = 8
 // cost.
 const clockPeriod = 1e-9
 
+// Cost is what a CostMode ranks: a candidate's power, area and delay.
+type Cost struct {
+	Power, Area, Delay float64
+}
+
 type implChoice struct {
 	match *Match
 	cut   aig.Cut
-	area  float64
-	delay float64
-	power float64
+	Cost
 	valid bool
 }
 
@@ -259,19 +262,19 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matche
 		for i, cut := range cuts[v] {
 			for _, m := range matches[v][i] {
 				cand := implChoice{match: m, cut: cut, valid: true}
-				cand.area = m.Area
-				cand.delay = m.Delay
+				cand.Area = m.Area
+				cand.Delay = m.Delay
 				// Power: internal energy weighted by this node's switching
 				// activity, leakage integrated over a clock period, and the
 				// switching energy of charging the cell's input pins.
-				cand.power = act[v]*m.Energy + m.Leakage*clockPeriod
+				cand.Power = act[v]*m.Energy + m.Leakage*clockPeriod
 				for i, leaf := range m.PinToLeaf {
-					cand.power += act[cut.Leaves[leaf]] * 0.5 * vdd * vdd * m.InCaps[i]
+					cand.Power += act[cut.Leaves[leaf]] * 0.5 * vdd * vdd * m.InCaps[i]
 				}
 				if m.OutNeg {
-					cand.area += inv.Area
-					cand.delay += inv.Delay
-					cand.power += invEnergyAt(act[v])
+					cand.Area += inv.Area
+					cand.Delay += inv.Delay
+					cand.Power += invEnergyAt(act[v])
 				}
 				var worstLeaf float64
 				for _, leaf := range cut.Leaves {
@@ -284,17 +287,17 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matche
 					if r < 1 {
 						r = 1
 					}
-					cand.area += lb.area / float64(r)
-					cand.power += lb.power / float64(r)
-					if lb.delay > worstLeaf {
-						worstLeaf = lb.delay
+					cand.Area += lb.Area / float64(r)
+					cand.Power += lb.Power / float64(r)
+					if lb.Delay > worstLeaf {
+						worstLeaf = lb.Delay
 					}
 				}
 				if !cand.valid {
 					continue
 				}
-				cand.delay += worstLeaf
-				if !bc.valid || better(cand, bc, opt.Mode) {
+				cand.Delay += worstLeaf
+				if !bc.valid || opt.Mode.Better(cand.Cost, bc.Cost) {
 					bc = cand
 				}
 			}
@@ -304,19 +307,21 @@ func mapPass(g *aig.AIG, ml *MatchLibrary, opt Options, cuts [][]aig.Cut, matche
 	return best
 }
 
-// better compares two candidates under the mode's priority list.
-func better(a, b implChoice, mode CostMode) bool {
+// Better reports whether cost a beats cost b under the mode's priority
+// list: the first key on which they differ by more than costEps of the
+// larger magnitude decides, and a full tie keeps b.
+func (m CostMode) Better(a, b Cost) bool {
 	var ka, kb [3]float64
-	switch mode {
+	switch m {
 	case PowerAreaDelay:
-		ka = [3]float64{a.power, a.area, a.delay}
-		kb = [3]float64{b.power, b.area, b.delay}
+		ka = [3]float64{a.Power, a.Area, a.Delay}
+		kb = [3]float64{b.Power, b.Area, b.Delay}
 	case PowerDelayArea:
-		ka = [3]float64{a.power, a.delay, a.area}
-		kb = [3]float64{b.power, b.delay, b.area}
+		ka = [3]float64{a.Power, a.Delay, a.Area}
+		kb = [3]float64{b.Power, b.Delay, b.Area}
 	default:
-		ka = [3]float64{a.area, a.delay, a.power}
-		kb = [3]float64{b.area, b.delay, b.power}
+		ka = [3]float64{a.Area, a.Delay, a.Power}
+		kb = [3]float64{b.Area, b.Delay, b.Power}
 	}
 	for i := 0; i < 3; i++ {
 		lo, hi := ka[i], kb[i]

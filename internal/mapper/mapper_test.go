@@ -234,21 +234,21 @@ func TestMapSharedDriverPOs(t *testing.T) {
 func TestModeChangesCostRanking(t *testing.T) {
 	// The three priority lists must be able to disagree: construct
 	// candidates where power and area rank differently.
-	a := implChoice{area: 10, delay: 5e-12, power: 1e-15, valid: true}
-	b := implChoice{area: 5, delay: 5e-12, power: 2e-15, valid: true}
-	if better(a, b, Baseline) {
+	a := Cost{Area: 10, Delay: 5e-12, Power: 1e-15}
+	b := Cost{Area: 5, Delay: 5e-12, Power: 2e-15}
+	if Baseline.Better(a, b) {
 		t.Error("baseline must prefer the smaller-area candidate")
 	}
-	if !better(a, b, PowerAreaDelay) || !better(a, b, PowerDelayArea) {
+	if !PowerAreaDelay.Better(a, b) || !PowerDelayArea.Better(a, b) {
 		t.Error("power-first modes must prefer the lower-power candidate")
 	}
 	// Tie on power within epsilon: area breaks it for p->a->d.
-	c := implChoice{area: 4, delay: 9e-12, power: 1.001e-15, valid: true}
-	d := implChoice{area: 6, delay: 1e-12, power: 1.000e-15, valid: true}
-	if !better(c, d, PowerAreaDelay) {
+	c := Cost{Area: 4, Delay: 9e-12, Power: 1.001e-15}
+	d := Cost{Area: 6, Delay: 1e-12, Power: 1.000e-15}
+	if !PowerAreaDelay.Better(c, d) {
 		t.Error("p->a->d should fall through to area on a power tie")
 	}
-	if better(c, d, PowerDelayArea) {
+	if PowerDelayArea.Better(c, d) {
 		t.Error("p->d->a should fall through to delay on a power tie")
 	}
 }

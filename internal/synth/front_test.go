@@ -133,7 +133,7 @@ func TestCompareRunsFrontOnce(t *testing.T) {
 	for _, sc := range allScenarios {
 		c := pickCandidate(f.cands, sc)
 		c2rsDelta += int64(f.nodesC2RS - f.nodesIn)
-		powerDelta += int64(int(c.size) - f.nodesC2RS)
+		powerDelta += int64(int(c.cost.Area) - f.nodesC2RS)
 	}
 	counts := reg.CounterValues()
 	if counts["synth.runs"] != 3 {

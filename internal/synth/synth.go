@@ -24,43 +24,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Scenario selects the synthesis cost hierarchy.
-type Scenario int
+// Scenario selects the synthesis cost hierarchy: the mapper's cost mode,
+// which ranks both the stage-2 choice and the mapped cells.
+type Scenario = mapper.CostMode
 
 // The paper's three evaluation scenarios.
 const (
 	// BaselinePowerAware: unmodified priority lists with ABC's best power
 	// optimizations enabled (power as final tie-breaker).
-	BaselinePowerAware Scenario = iota
+	BaselinePowerAware = mapper.Baseline
 	// CryoPAD: the proposed power -> area -> delay hierarchy.
-	CryoPAD
+	CryoPAD = mapper.PowerAreaDelay
 	// CryoPDA: the proposed power -> delay -> area hierarchy.
-	CryoPDA
+	CryoPDA = mapper.PowerDelayArea
 )
-
-// String names the scenario as in the paper's figures.
-func (s Scenario) String() string {
-	switch s {
-	case CryoPAD:
-		return "p->a->d"
-	case CryoPDA:
-		return "p->d->a"
-	default:
-		return "baseline"
-	}
-}
-
-// MapMode returns the matching technology-mapping cost mode.
-func (s Scenario) MapMode() mapper.CostMode {
-	switch s {
-	case CryoPAD:
-		return mapper.PowerAreaDelay
-	case CryoPDA:
-		return mapper.PowerDelayArea
-	default:
-		return mapper.Baseline
-	}
-}
 
 // Options configures a synthesis run.
 type Options struct {
@@ -109,13 +86,14 @@ type Front struct {
 	cands            []candidate
 }
 
-// candidate is one power-stage variant with its stage-2 costs and its
+// candidate is one power-stage variant with its stage-2 cost and its
 // mapping cut table, filled by the first scenario or corner that maps it
-// and shared by the rest.
+// and shared by the rest. The cost ranks the variant's switching-activity
+// sum, node count and depth as power, area and delay.
 type candidate struct {
-	net                *aig.AIG
-	cuts               *mapper.CutTable
-	power, size, depth float64
+	net  *aig.AIG
+	cuts *mapper.CutTable
+	cost mapper.Cost
 }
 
 // Prepare runs stages 1 and 2 up to the scenario-dependent choice: c2rs,
@@ -162,16 +140,16 @@ func (f *Front) finish(ctx context.Context, ml *mapper.MatchLibrary, sc Scenario
 		Scenario:   sc,
 		NodesIn:    f.nodesIn,
 		NodesC2RS:  f.nodesC2RS,
-		NodesPower: int(best.size),
+		NodesPower: int(best.cost.Area),
 		DepthIn:    f.depthIn,
-		DepthOut:   int(best.depth),
+		DepthOut:   int(best.cost.Delay),
 		Optimized:  best.net,
 	}
 	obs.C("synth.c2rs.nodes_delta").Add(int64(res.NodesC2RS - res.NodesIn))
 	obs.C("synth.power_stage.nodes_delta").Add(int64(res.NodesPower - res.NodesC2RS))
 
 	// Stage 3: technology mapping with the scenario's priority list.
-	nl, err := mapper.MapTable(ctx, best.cuts, ml, mapper.Options{Mode: sc.MapMode(), K: mapK})
+	nl, err := mapper.MapTable(ctx, best.cuts, ml, mapper.Options{Mode: sc, K: mapK})
 	if err != nil {
 		return nil, fmt.Errorf("synth: mapping: %w", err)
 	}
@@ -246,11 +224,13 @@ func powerCandidates(variants []*aig.AIG, opt Options) ([]candidate, int) {
 		}
 		back := LUTPack(v, opt)
 		cands[i] = candidate{
-			net:   back,
-			cuts:  mapper.NewCutTable(back),
-			power: totalActivity(back),
-			size:  float64(back.NumNodes()),
-			depth: float64(back.Depth()),
+			net:  back,
+			cuts: mapper.NewCutTable(back),
+			cost: mapper.Cost{
+				Power: totalActivity(back),
+				Area:  float64(back.NumNodes()),
+				Delay: float64(back.Depth()),
+			},
 		}
 		built++
 	}
@@ -274,7 +254,7 @@ func pickCandidate(cands []candidate, sc Scenario) *candidate {
 	best := &cands[0]
 	for i := 1; i < len(cands); i++ {
 		c := &cands[i]
-		if stageBetter(c.power, c.size, c.depth, best.power, best.size, best.depth, sc) {
+		if sc.Better(c.cost, best.cost) {
 			best = c
 		}
 	}
@@ -290,41 +270,4 @@ func totalActivity(g *aig.AIG) float64 {
 		sum += act[v]
 	}
 	return sum
-}
-
-// stageBetter compares stage-2 variants under the scenario's hierarchy.
-func stageBetter(p1, s1, d1, p2, s2, d2 float64, sc Scenario) bool {
-	cmp := func(a, b float64) int {
-		const eps = 0.06
-		scale := a
-		if b > scale {
-			scale = b
-		}
-		if scale <= 0 {
-			return 0
-		}
-		switch {
-		case a < b-eps*scale:
-			return -1
-		case a > b+eps*scale:
-			return 1
-		default:
-			return 0
-		}
-	}
-	var keys [][2]float64
-	switch sc {
-	case CryoPAD:
-		keys = [][2]float64{{p1, p2}, {s1, s2}, {d1, d2}}
-	case CryoPDA:
-		keys = [][2]float64{{p1, p2}, {d1, d2}, {s1, s2}}
-	default:
-		keys = [][2]float64{{s1, s2}, {d1, d2}, {p1, p2}}
-	}
-	for _, k := range keys {
-		if c := cmp(k[0], k[1]); c != 0 {
-			return c < 0
-		}
-	}
-	return false
 }

@@ -36,9 +36,6 @@ func TestScenarioStrings(t *testing.T) {
 		CryoPAD.String() != "p->a->d" || CryoPDA.String() != "p->d->a" {
 		t.Error("scenario names drifted from the paper's labels")
 	}
-	if CryoPAD.MapMode() != mapper.PowerAreaDelay || CryoPDA.MapMode() != mapper.PowerDelayArea {
-		t.Error("scenario->mapper mode binding broken")
-	}
 }
 
 func TestSynthesizeSmallCircuitsVerified(t *testing.T) {
@@ -286,17 +283,21 @@ func TestCompareProducesMetrics(t *testing.T) {
 
 func TestStageBetterHierarchy(t *testing.T) {
 	// power 10 vs 20, size 5 vs 1, depth 1 vs 5.
-	if !stageBetter(10, 5, 1, 20, 1, 5, CryoPAD) {
+	lowPower := mapper.Cost{Power: 10, Area: 5, Delay: 1}
+	small := mapper.Cost{Power: 20, Area: 1, Delay: 5}
+	if !CryoPAD.Better(lowPower, small) {
 		t.Error("p->a->d must pick the lower-power variant")
 	}
-	if stageBetter(10, 5, 1, 20, 1, 5, BaselinePowerAware) {
+	if BaselinePowerAware.Better(lowPower, small) {
 		t.Error("baseline must pick the smaller variant")
 	}
 	// Power tie: area decides for PAD, depth for PDA.
-	if !stageBetter(10, 1, 9, 10.05, 5, 1, CryoPAD) {
+	smaller := mapper.Cost{Power: 10, Area: 1, Delay: 9}
+	shallower := mapper.Cost{Power: 10.05, Area: 5, Delay: 1}
+	if !CryoPAD.Better(smaller, shallower) {
 		t.Error("p->a->d tie on power must fall to area")
 	}
-	if stageBetter(10, 1, 9, 10.05, 5, 1, CryoPDA) {
+	if CryoPDA.Better(smaller, shallower) {
 		t.Error("p->d->a tie on power must fall to delay")
 	}
 }
