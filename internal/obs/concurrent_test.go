@@ -55,7 +55,8 @@ func TestConcurrentSpanExport(t *testing.T) {
 			for i := 0; i < spansPerWorker; i++ {
 				ctx, outer := Start(context.Background(), "worker.outer")
 				outer.SetAttr("worker", w)
-				_, inner := Start(ctx, "worker.inner", Int("i", i))
+				_, inner := Start(ctx, "worker.inner")
+				inner.SetAttr("i", i)
 				inner.End()
 				outer.End()
 			}

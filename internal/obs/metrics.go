@@ -173,15 +173,6 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.maxBits.Load())
 }
 
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile estimates the q-th quantile (q in [0,1]) by rank interpolation
 // inside the logarithmic buckets; exact at the extremes (min/max). The
 // estimate is within one bucket (≈26% relative) of the true value.

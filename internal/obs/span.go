@@ -17,16 +17,6 @@ type Attr struct {
 	Val string
 }
 
-// Str builds a string attribute.
-func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
-
-// Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Val: strconv.Itoa(v)} }
-
-// F64 builds a float attribute, rendered at full precision (shortest
-// round-trip form) so counter-delta attrs do not silently truncate.
-func F64(k string, v float64) Attr { return Attr{Key: k, Val: strconv.FormatFloat(v, 'g', -1, 64)} }
-
 // Span is one timed region of the flow. Spans form a tree: children are
 // created by calling Start with the context returned by the parent's Start.
 // A nil *Span is valid and ignores every method call, which is what Start
@@ -53,16 +43,15 @@ type spanCtxKey struct{}
 
 // Start opens a span named name under the span carried by ctx (a root span
 // when ctx has none) and returns a derived context carrying the new span.
-// When tracing is disabled it returns (ctx, nil) without allocating; note
-// that passing explicit attrs still materializes the variadic slice, so
-// genuinely hot call sites should use SetAttr after checking the span.
-func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
+// When tracing is disabled it returns (ctx, nil) without allocating.
+// Annotations go through SetAttr.
+func Start(ctx context.Context, name string) (context.Context, *Span) {
 	t := globalTracer.Load()
 	if t == nil {
 		return ctx, nil
 	}
 	parent, _ := ctx.Value(spanCtxKey{}).(*Span)
-	s := &Span{name: name, start: time.Now(), parent: parent, attrs: attrs}
+	s := &Span{name: name, start: time.Now(), parent: parent}
 	if CostEnabled() {
 		s.path = spanPath(parent, name)
 		s.restore = ctx

@@ -21,7 +21,8 @@ func freshTracer(t *testing.T) *Tracer {
 func TestSpanTreeNesting(t *testing.T) {
 	tr := freshTracer(t)
 	ctx := context.Background()
-	ctx, root := Start(ctx, "flow", Str("tool", "test"))
+	ctx, root := Start(ctx, "flow")
+	root.SetAttr("tool", "test")
 	cctx, char := Start(ctx, "characterize")
 	_, cell := Start(cctx, "cell")
 	cell.End()
