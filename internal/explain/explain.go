@@ -185,7 +185,7 @@ func diffCircuit(base, cur *qor.Circuit, r *Report) *CircuitDelta {
 		case cc == nil:
 			r.note("%s @%gK: corner dropped from current run", cd.Key, bc.TempK)
 		default:
-			if corner := diffCorner(bc, cc, r); corner != nil {
+			if corner := diffCorner(cd.Key, bc, cc, r); corner != nil {
 				cd.Corners = append(cd.Corners, *corner)
 			}
 		}
@@ -201,7 +201,7 @@ func diffCircuit(base, cur *qor.Circuit, r *Report) *CircuitDelta {
 	return cd
 }
 
-func diffCorner(base, cur *qor.Corner, r *Report) *CornerDelta {
+func diffCorner(key string, base, cur *qor.Corner, r *Report) *CornerDelta {
 	out := &CornerDelta{TempK: cur.TempK}
 	for _, m := range qor.CornerMetrics {
 		bv, cv := m.Get(base), m.Get(cur)
@@ -214,8 +214,8 @@ func diffCorner(base, cur *qor.Corner, r *Report) *CornerDelta {
 	out.Power = diffPowerClasses(base.PowerByClass, cur.PowerByClass, r)
 	if len(out.Metrics) > 0 && len(base.Paths) == 0 && len(cur.Paths) == 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
-			"@%gK: no path provenance recorded on either side; arc-level attribution unavailable (re-record with schema v%d)",
-			cur.TempK, qor.SchemaVersion))
+			"%s @%gK: no path provenance recorded on either side; arc-level attribution unavailable (re-record with schema v%d)",
+			key, cur.TempK, qor.SchemaVersion))
 	}
 	if len(out.Metrics) == 0 && len(out.Paths) == 0 && len(out.Power) == 0 {
 		return nil

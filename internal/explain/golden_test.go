@@ -15,7 +15,9 @@ import (
 // pairing branch: circuits and corners only in one run, an AIG trajectory
 // move, new, removed and matched paths with added, removed, cell-swapped,
 // slew-, load- and table-driven arcs, new, removed and changed power
-// classes, a corner without provenance, and repeated keys at every level.
+// classes, a corner without provenance, and a corner (dup/baseline) that
+// repeats an endpoint and a power class. Repeated circuit keys and corner
+// temperatures never reach a diff: ReadBaseline rejects them.
 func renderGolden(t *testing.T) []byte {
 	t.Helper()
 	base, err := qor.ReadBaselineFile(filepath.Join("testdata", "golden-base.json"))

@@ -40,13 +40,13 @@ func FuzzReadBaseline(f *testing.F) {
 	smoke := trimmedSmokeBaseline(f)
 	f.Add(golden)
 	f.Add(smoke)
-	// Repeated circuit keys, corner temperatures, endpoints and cell
-	// classes; paths without arcs; magnitudes whose deltas overflow.
+	// Repeated endpoints and cell classes (ReadBaseline rejects repeated
+	// circuit keys and corner temperatures); paths without arcs;
+	// magnitudes whose deltas overflow.
 	f.Add([]byte(`{"schema_version":3,"circuits":[{"circuit":"a","scenario":"s","corners":[
 		{"temp_k":10,"wns_seconds":-1e308,"paths":[{"endpoint":"y","arrival_seconds":1e308,
 		"arcs":[{"to_net":"y","delay_seconds":-1e308},{"to_net":"y","cell":"X"}]},{"endpoint":"y"}],
-		"power_by_class":[{"cell":"X","count":1},{"cell":"X","switching_w":1e308}]},{"temp_k":10}]},
-		{"circuit":"a","scenario":"s"}]}`))
+		"power_by_class":[{"cell":"X","count":1},{"cell":"X","switching_w":1e308}]}]}]}`))
 	ref, err := qor.ReadBaseline(bytes.NewReader(smoke))
 	if err != nil {
 		f.Fatal(err)

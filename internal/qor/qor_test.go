@@ -163,6 +163,43 @@ func TestDiffNewCornerIsNotFailure(t *testing.T) {
 	}
 }
 
+// TestReadBaselineRejectsRepeatedKeys: a baseline that repeats a (circuit,
+// scenario) key, or a corner temperature within one circuit, fails to load
+// with an error naming the repeat, since a diff would compare only the last
+// record of the key.
+func TestReadBaselineRejectsRepeatedKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(b *Baseline)
+	}{
+		{"circuit", "repeats circuit ctrl/baseline", func(b *Baseline) {
+			b.Circuits = append(b.Circuits, b.Circuits[0])
+		}},
+		{"corner", "repeats corner ctrl/baseline @300K", func(b *Baseline) {
+			c := &b.Circuits[0]
+			c.Corners = append(c.Corners, c.Corners[0])
+		}},
+	} {
+		b := goldenBaseline()
+		var buf bytes.Buffer
+		if err := b.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBaseline(&buf); err != nil {
+			t.Fatalf("%s: unedited baseline: %v", tc.name, err)
+		}
+		tc.edit(b)
+		buf.Reset()
+		if err := b.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBaseline(&buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestVersionErrorIsTyped(t *testing.T) {
 	b, _ := twoBaselines()
 	b.SchemaVersion = SchemaVersion + 7

@@ -152,7 +152,7 @@ func (b *Baseline) WriteFile(path string) error {
 
 // ReadBaseline parses a baseline and enforces the schema version: a
 // mismatch is a hard error naming both versions, never a silent best-effort
-// decode.
+// decode. A repeated circuit key or corner temperature is an error too.
 func ReadBaseline(r io.Reader) (*Baseline, error) {
 	b := &Baseline{}
 	if err := json.NewDecoder(r).Decode(b); err != nil {
@@ -161,7 +161,32 @@ func ReadBaseline(r io.Reader) (*Baseline, error) {
 	if b.SchemaVersion != SchemaVersion {
 		return nil, &VersionError{Got: b.SchemaVersion, Want: SchemaVersion}
 	}
+	if err := b.checkKeys(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// checkKeys rejects a baseline that repeats a (circuit, scenario) key, or a
+// corner temperature within one circuit: a diff pairs records by key, so
+// every record of a repeated key but the last would go uncompared.
+func (b *Baseline) checkKeys() error {
+	seen := make(map[string]bool, len(b.Circuits))
+	for i := range b.Circuits {
+		c := &b.Circuits[i]
+		if seen[c.Key()] {
+			return fmt.Errorf("qor: baseline repeats circuit %s", c.Key())
+		}
+		seen[c.Key()] = true
+		for j, k := range c.Corners {
+			for _, earlier := range c.Corners[:j] {
+				if earlier.TempK == k.TempK {
+					return fmt.Errorf("qor: baseline repeats corner %s @%gK", c.Key(), k.TempK)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // ReadBaselineFile reads and validates the baseline at path.
