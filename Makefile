@@ -151,14 +151,15 @@ bench-point:
 	python3 bench/bench_point.py $(N)
 
 # Paired A/B timing (bench/bench_ab.py): perfbench built at BASE and at the
-# working tree, run as PAIRS interleaved pairs with --trace 0; prints each
-# end-to-end metric's medians, median ratio and sign-test interval, then the
-# work counts of one --trace 1 run per side, each marked same or CHANGED.
+# working tree, run as PAIRS interleaved pairs with --trace 0 at SEED; prints
+# each end-to-end metric's medians, median ratio and sign-test interval, then
+# the work counts of one --trace 1 run per side, each marked same or CHANGED.
 WORKLOAD ?= signoff
 PAIRS    ?= 10
+SEED     ?= 201
 bench-ab:
-	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev> [WORKLOAD=<w>] [PAIRS=<n>]"; exit 1; fi
-	python3 bench/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev> [WORKLOAD=<w>] [PAIRS=<n>] [SEED=<s>]"; exit 1; fi
+	python3 bench/bench_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # Go microbenchmarks (the paper-benchmark target predating cryobench).
 paperbench:
@@ -167,8 +168,10 @@ paperbench:
 # Device-evaluation, linear-solver and op-point microbenchmarks
 # (Conductances at 300 K and 10 K; dense vs sparse vs refactor), seconds per
 # characterized cell (QuickConfig AOI22x1 and DFFx1 at 300 K and 10 K, one
-# worker), the synthesis passes and standard-cell mapping on an EPFL
-# circuit, the synthesis front (synth.Prepare on adder, square and
+# worker), the synthesis passes on an EPFL circuit, cut enumeration on
+# scaled square and sin, standard-cell mapping of balanced square and of the
+# scaled multiplier (7,740 gates, signoff's largest set-up map), the
+# synthesis front (synth.Prepare on adder, square and
 # mem_ctrl, s/op), one synth_fig3 item (synth.Compare on its seven
 # circuits, 10 K testlib, s/op), netlist.Compile on a stored mapped
 # netlist (allocs/op),

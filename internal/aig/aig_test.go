@@ -229,29 +229,6 @@ func TestProbabilities(t *testing.T) {
 	}
 }
 
-func TestCutTruth(t *testing.T) {
-	g := New("t")
-	a := g.AddPI("a")
-	b := g.AddPI("b")
-	c := g.AddPI("c")
-	x := g.And(a, b)
-	y := g.Or(x, c)
-	tt := g.CutTruth(y, []int{a.Var(), b.Var(), c.Var()})
-	// Expected: (a&b)|c over vars (a=bit0, b=bit1, c=bit2).
-	var want uint64
-	for idx := 0; idx < 8; idx++ {
-		av := idx&1 != 0
-		bv := idx&2 != 0
-		cv := idx&4 != 0
-		if av && bv || cv {
-			want |= 1 << uint(idx)
-		}
-	}
-	if tt != want {
-		t.Errorf("CutTruth = %x, want %x", tt, want)
-	}
-}
-
 func TestTruthHelpers(t *testing.T) {
 	// support of x0 & x2 over 3 vars
 	tt := truth6Masks[0] & truth6Masks[2] & Truth6Mask(3)
@@ -552,8 +529,9 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 func TestQuickCutsAreValidCuts(t *testing.T) {
-	// Every enumerated cut must be a real cut: the cut truth table computed
-	// over the leaves must reproduce node behavior on random simulation.
+	// Every enumerated cut must be a real cut: the truth table the cut
+	// carries over its leaves must reproduce node behavior on random
+	// simulation.
 	f := func(seed int64) bool {
 		g := randomAIG(seed, 5, 30, 3)
 		cuts := g.EnumerateCuts(4, 6)
@@ -574,7 +552,7 @@ func TestQuickCutsAreValidCuts(t *testing.T) {
 				if len(cut.Leaves) > 6 {
 					return false
 				}
-				tt := g.CutTruth(MakeLit(v, false), cut.Leaves)
+				tt := cut.TT
 				// Check 64 sampled patterns: node value must equal the
 				// cut function applied to leaf values.
 				for bit := 0; bit < 64; bit++ {

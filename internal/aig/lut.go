@@ -95,7 +95,7 @@ func (g *AIG) MapLUT() *LUTNet {
 		net.LUTs[v] = &LUT{
 			Root:     v,
 			Leaves:   append([]int(nil), c.Leaves...),
-			TT:       g.CutTruth(MakeLit(v, false), c.Leaves),
+			TT:       c.TT,
 			pristine: true,
 		}
 		net.Order = append(net.Order, v)

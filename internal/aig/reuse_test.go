@@ -73,16 +73,16 @@ func TestSortCutsBySizeMatchesSortSlice(t *testing.T) {
 		n := rng.Intn(80)
 		set := make([]sizedCut, n)
 		for i := range set {
-			// The offset tracks identity; sizes collide often.
-			set[i] = sizedCut{size: int32(rng.Intn(7)), at: int32(i)}
+			// The index tracks identity; sizes collide often.
+			set[i] = sizedCut{size: int32(rng.Intn(7)), i: int32(i)}
 		}
 		want := slices.Clone(set)
 		sort.Slice(want, func(i, j int) bool { return want[i].size < want[j].size })
 		sortCutsBySize(set)
 		for i := range set {
-			if set[i].at != want[i].at {
+			if set[i].i != want[i].i {
 				t.Fatalf("trial %d (n=%d): position %d holds cut %d, sort.Slice put %d there",
-					trial, n, i, set[i].at, want[i].at)
+					trial, n, i, set[i].i, want[i].i)
 			}
 		}
 	}

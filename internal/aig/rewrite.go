@@ -66,8 +66,7 @@ func (g *AIG) resynthesize(opt RewriteOptions) *AIG {
 			if mffc < 1 {
 				continue
 			}
-			tt := g.CutTruth(MakeLit(v, false), cut.Leaves)
-			n := len(cut.Leaves)
+			tt, n := cut.TT, len(cut.Leaves)
 			// Synthesize the smaller phase.
 			cubesPos, okPos := cachedISOP(isopCache, tt, n)
 			cubesNeg, okNeg := cachedISOP(isopCache, ^tt&Truth6Mask(n), n)

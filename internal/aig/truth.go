@@ -38,84 +38,6 @@ func truth6Cofactors(t uint64, i int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// CutTruth computes the truth table of root over the given leaves (at most
-// 6), which must form a cut: every path from root to the PIs passes through
-// a leaf. Leaves are positive-phase variable indices. The memo of visited
-// nodes lives on the caller's stack, so concurrent calls share nothing.
-func (g *AIG) CutTruth(root Lit, leaves []int) uint64 {
-	if len(leaves) > 6 {
-		panic("aig: CutTruth supports at most 6 leaves")
-	}
-	var tt truthMemo
-	tt.put(0, 0)
-	for i, v := range leaves {
-		tt.put(v, truth6Masks[i])
-	}
-	t := g.cutTruthRec(&tt, root.Var())
-	if root.IsCompl() {
-		t = ^t
-	}
-	return t & Truth6Mask(len(leaves))
-}
-
-func (g *AIG) cutTruthRec(tt *truthMemo, v int) uint64 {
-	if t, ok := tt.get(v); ok {
-		return t
-	}
-	if !g.IsAnd(v) {
-		panic("aig: CutTruth reached a PI that is not a leaf")
-	}
-	n := &g.nodes[v]
-	a := g.cutTruthRec(tt, n.fan0.Var())
-	if n.fan0.IsCompl() {
-		a = ^a
-	}
-	b := g.cutTruthRec(tt, n.fan1.Var())
-	if n.fan1.IsCompl() {
-		b = ^b
-	}
-	t := a & b
-	tt.put(v, t)
-	return t
-}
-
-// truthMemo maps variables to truth tables during one CutTruth walk: a
-// small inline table searched newest-first (so a later put shadows an
-// earlier one, as a map assignment would), spilling to a map only for
-// cones too large for it.
-type truthMemo struct {
-	vars  [48]int
-	tts   [48]uint64
-	n     int
-	spill map[int]uint64
-}
-
-func (m *truthMemo) get(v int) (uint64, bool) {
-	if m.spill != nil {
-		if t, ok := m.spill[v]; ok {
-			return t, true
-		}
-	}
-	for i := m.n - 1; i >= 0; i-- {
-		if m.vars[i] == v {
-			return m.tts[i], true
-		}
-	}
-	return 0, false
-}
-
-func (m *truthMemo) put(v int, t uint64) {
-	if m.n < len(m.vars) {
-		m.vars[m.n], m.tts[m.n] = v, t
-		m.n++
-		return
-	}
-	if m.spill == nil {
-		m.spill = make(map[int]uint64)
-	}
-	m.spill[v] = t
-}
-
 // TruthSupport returns a bitmask of the variables (0..n-1) the table
 // actually depends on.
 func TruthSupport(t uint64, n int) uint32 {
@@ -129,22 +51,27 @@ func TruthSupport(t uint64, n int) uint32 {
 	return s
 }
 
+// truthSwap swaps variables i < j in the table: rows where they differ
+// trade places.
+func truthSwap(t uint64, i, j int) uint64 {
+	mi, mj := truth6Masks[i], truth6Masks[j]
+	s := uint(1)<<j - uint(1)<<i
+	return t&^(mi^mj) | t&mi&^mj<<s | t&mj&^mi>>s
+}
+
 // truthSwapAdjacent swaps variables i and i+1 in the table.
-func truthSwapAdjacent(t uint64, i int) uint64 {
-	// Classic bit-permutation constants for adjacent-variable swap.
-	switch i {
-	case 0:
-		return t&0x9999999999999999 | t&0x2222222222222222<<1 | t&0x4444444444444444>>1
-	case 1:
-		return t&0xC3C3C3C3C3C3C3C3 | t&0x0C0C0C0C0C0C0C0C<<2 | t&0x3030303030303030>>2
-	case 2:
-		return t&0xF00FF00FF00FF00F | t&0x00F000F000F000F0<<4 | t&0x0F000F000F000F00>>4
-	case 3:
-		return t&0xFF0000FFFF0000FF | t&0x0000FF000000FF00<<8 | t&0x00FF000000FF0000>>8
-	case 4:
-		return t&0xFFFF00000000FFFF | t&0x00000000FFFF0000<<16 | t&0x0000FFFF00000000>>16
-	}
-	panic("aig: bad adjacent swap index")
+func truthSwapAdjacent(t uint64, i int) uint64 { return truthSwap(t, i, i+1) }
+
+// truthRepl[n] times an n-variable table (Truth6Mask-ed) replicates it over
+// the variables above n, making it a 6-variable table of the same function.
+var truthRepl = [7]uint64{
+	^uint64(0),
+	0x5555555555555555,
+	0x1111111111111111,
+	0x0101010101010101,
+	0x0001000100010001,
+	0x0000000100000001,
+	1,
 }
 
 // truthFlip complements variable i in the table.

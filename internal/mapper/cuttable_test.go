@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/aig"
 	"repro/internal/epfl"
 	"repro/internal/netlist"
 )
@@ -104,4 +105,43 @@ func TestCutTableConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestSharedLibraryOrderIndependent maps several circuits in every mode
+// through one match library in one order and through a second, fresh
+// library in the reverse order, and requires byte-identical netlists: what
+// the library's memo holds from earlier circuits never changes a cover.
+func TestSharedLibraryOrderIndependent(t *testing.T) {
+	ctx := context.Background()
+	names := []string{"ctrl", "router", "int2float", "dec", "cavlc", "i2c"}
+	modes := []CostMode{Baseline, PowerAreaDelay, PowerDelayArea}
+	graphs := make([]*aig.AIG, len(names))
+	for i, name := range names {
+		g, err := epfl.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[i] = g
+	}
+	mapAll := func(order []int) map[string][]byte {
+		ml := buildML(t, 10)
+		out := map[string][]byte{}
+		for _, i := range order {
+			for _, mode := range modes {
+				nl, err := Map(ctx, graphs[i], ml, Options{Mode: mode, K: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[names[i]+" "+mode.String()] = verilogBytes(t, nl)
+			}
+		}
+		return out
+	}
+	forward := mapAll([]int{0, 1, 2, 3, 4, 5})
+	reverse := mapAll([]int{5, 4, 3, 2, 1, 0})
+	for key, want := range forward {
+		if !bytes.Equal(reverse[key], want) {
+			t.Errorf("%s: netlist depends on the order circuits share the library in", key)
+		}
+	}
 }

@@ -76,7 +76,7 @@ type implChoice struct {
 }
 
 // CutTable is the library-independent half of mapping one AIG: its
-// priority cuts and the truth table of every cut. It is filled by the first
+// priority cuts, each carrying its function. It is filled by the first
 // mapping that uses it, inside that mapping's span, and then serves every
 // later mapping of the same AIG: each refinement pass, cost mode and match
 // library. Its lifetime is its holder's (nothing caches it globally), and
@@ -88,9 +88,6 @@ type CutTable struct {
 	// k is the cut size the table was filled with.
 	k    int
 	cuts [][]aig.Cut
-	// tts[v][i] is the function of cuts[v][i] rooted at v (0 for the
-	// trivial cut and for cuts the mapper skips: no leaves or more than 6).
-	tts [][]uint64
 }
 
 // NewCutTable returns an empty cut table for g; nothing is computed until
@@ -101,37 +98,19 @@ func NewCutTable(g *aig.AIG) *CutTable { return &CutTable{g: g} }
 // mapping fills it again. Mappings already running keep their view.
 func (t *CutTable) Release() {
 	t.mu.Lock()
-	t.cuts, t.tts = nil, nil
+	t.cuts = nil
 	t.mu.Unlock()
 }
 
-// get returns the cuts and truth tables for cut size k, enumerating them
-// when the table is empty or was filled for another size.
-func (t *CutTable) get(k int) ([][]aig.Cut, [][]uint64) {
+// get returns the cuts for cut size k, enumerating them when the table is
+// empty or was filled for another size.
+func (t *CutTable) get(k int) [][]aig.Cut {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.cuts != nil && t.k == k {
-		return t.cuts, t.tts
+	if t.cuts == nil || t.k != k {
+		t.k, t.cuts = k, t.g.EnumerateCuts(k, maxCuts)
 	}
-	g := t.g
-	cuts := g.EnumerateCuts(k, maxCuts)
-	n := 0
-	for _, cs := range cuts {
-		n += len(cs)
-	}
-	flat := make([]uint64, n)
-	tts := make([][]uint64, len(cuts))
-	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
-		cs := cuts[v]
-		tts[v], flat = flat[:len(cs):len(cs)], flat[len(cs):]
-		for i, cut := range cs {
-			if mappable(cut, v) {
-				tts[v][i] = g.CutTruth(aig.MakeLit(v, false), cut.Leaves)
-			}
-		}
-	}
-	t.k, t.cuts, t.tts = k, cuts, tts
-	return cuts, tts
+	return t.cuts
 }
 
 // mappable reports whether the mapper covers node v with cut: one to six
@@ -142,22 +121,24 @@ func mappable(cut aig.Cut, v int) bool {
 }
 
 // resolveMatches looks up the library matches of every mappable cut once,
-// so the refinement passes read them without taking the library's lock:
-// matches[v][i] belongs to cuts[v][i] (nil for a cut the mapper skips).
-// One backing slice holds every node's row.
-func resolveMatches(g *aig.AIG, ml *MatchLibrary, cuts [][]aig.Cut, tts [][]uint64) [][][]*Match {
+// under one hold of the library's lock, so the refinement passes read them
+// without taking it: matches[v][i] belongs to cuts[v][i] (nil for a cut the
+// mapper skips). One backing slice holds every node's row.
+func resolveMatches(g *aig.AIG, ml *MatchLibrary, cuts [][]aig.Cut) [][][]*Match {
 	n := 0
 	for _, cs := range cuts {
 		n += len(cs)
 	}
 	flat := make([][]*Match, n)
 	matches := make([][][]*Match, len(cuts))
+	ml.mu.Lock()
+	defer ml.mu.Unlock()
 	for v := g.NumPIs() + 1; v < g.NumVars(); v++ {
 		cs := cuts[v]
 		matches[v], flat = flat[:len(cs):len(cs)], flat[len(cs):]
 		for i, cut := range cs {
 			if mappable(cut, v) {
-				matches[v][i] = ml.MatchesFor(tts[v][i], len(cut.Leaves))
+				matches[v][i] = ml.matchesFor(cut.TT, len(cut.Leaves))
 			}
 		}
 	}
@@ -190,8 +171,8 @@ func MapTable(ctx context.Context, t *CutTable, ml *MatchLibrary, opt Options) (
 	if opt.Passes == 0 {
 		opt.Passes = 2
 	}
-	cuts, tts := t.get(opt.K)
-	matches := resolveMatches(g, ml, cuts, tts)
+	cuts := t.get(opt.K)
+	matches := resolveMatches(g, ml, cuts)
 	refs := g.FanoutCounts()
 	act := g.Activities()
 

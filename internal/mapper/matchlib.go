@@ -43,27 +43,21 @@ type MatchLibrary struct {
 	Lib   *liberty.Library
 	Cells []*pdk.Cell // the PDK catalog the liberty cells were built from
 	// byCanon[n] maps canonical tables of n-input functions to matches.
-	byCanon map[int]map[uint64][]*Match
+	byCanon [7]map[uint64][]*Match
 	// Inv is the cheapest inverter, used for phase repair.
 	Inv *Match
 
-	// memo caches MatchesFor per cut function; mu guards it so one library
-	// can serve concurrent mappers.
+	// memo[n] caches MatchesFor per truth table over n leaves; mu guards
+	// it so one library can serve concurrent mappers.
 	mu   sync.Mutex
-	memo map[matchKey][]*Match
-}
-
-// matchKey identifies a cut function: its truth table over n leaves.
-type matchKey struct {
-	tt uint64
-	n  int
+	memo [7]map[uint64][]*Match
 }
 
 // BuildMatchLibrary prepares the match index from a characterized liberty
 // library and its PDK cell definitions (joined by cell name). Only
 // single-output combinational cells with at most maxK inputs participate.
 func BuildMatchLibrary(lib *liberty.Library, cells []*pdk.Cell, maxK int) (*MatchLibrary, error) {
-	ml := &MatchLibrary{Lib: lib, Cells: cells, byCanon: make(map[int]map[uint64][]*Match), memo: make(map[matchKey][]*Match)}
+	ml := &MatchLibrary{Lib: lib, Cells: cells}
 	for _, lc := range lib.Cells {
 		if lc.Sequential {
 			continue
@@ -94,6 +88,7 @@ func BuildMatchLibrary(lib *liberty.Library, cells []*pdk.Cell, maxK int) (*Matc
 		m.cellNeg = outNeg
 		if ml.byCanon[n] == nil {
 			ml.byCanon[n] = make(map[uint64][]*Match)
+			ml.memo[n] = make(map[uint64][]*Match)
 		}
 		ml.byCanon[n][canon] = append(ml.byCanon[n][canon], m)
 		if cell.Base == "INV" && (ml.Inv == nil || m.Area < ml.Inv.Area) {
@@ -102,11 +97,8 @@ func BuildMatchLibrary(lib *liberty.Library, cells []*pdk.Cell, maxK int) (*Matc
 			ml.Inv = &inv
 		}
 	}
-	if ml.Inv == nil {
+	if ml.Inv == nil { // the inverter is matchable, so none of it is empty
 		return nil, fmt.Errorf("mapper: library has no inverter")
-	}
-	if len(ml.byCanon) == 0 {
-		return nil, fmt.Errorf("mapper: no matchable cells in library %s", lib.Name)
 	}
 	return ml, nil
 }
@@ -154,17 +146,22 @@ func midPoint(t *liberty.Table) (slew, load float64) {
 // cached on the library per (function, n): the slice and its matches are
 // shared between callers and must be treated as read-only.
 func (ml *MatchLibrary) MatchesFor(tt uint64, n int) []*Match {
-	byN := ml.byCanon[n]
-	if byN == nil {
+	ml.mu.Lock()
+	out := ml.matchesFor(tt, n)
+	ml.mu.Unlock()
+	return out
+}
+
+// matchesFor is MatchesFor with ml.mu held.
+func (ml *MatchLibrary) matchesFor(tt uint64, n int) []*Match {
+	if n < 1 || n > 6 || ml.byCanon[n] == nil {
 		return nil
 	}
-	key := matchKey{tt & aig.Truth6Mask(n), n}
-	ml.mu.Lock()
-	defer ml.mu.Unlock()
-	out, ok := ml.memo[key]
+	tt &= aig.Truth6Mask(n)
+	out, ok := ml.memo[n][tt]
 	if !ok {
-		out = composeMatches(byN, key.tt, n)
-		ml.memo[key] = out
+		out = composeMatches(ml.byCanon[n], tt, n)
+		ml.memo[n][tt] = out
 	}
 	return out
 }
